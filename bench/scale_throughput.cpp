@@ -12,11 +12,15 @@
 //   * sharded thread curve -- the same 100k macro replay split across four
 //     tenant shards (each its own DispatchManager with the control bus
 //     bridged to a fleet shard) and drained by the conservative parallel
-//     driver at threads 1/2/4/8.  One preset per thread count; digests must
-//     be byte-identical across the curve (thread count buys wall-clock time
-//     only), and `speedup_vs_one_thread` records the scaling.  The emitted
-//     `threads` / document-level `hardware_concurrency` fields keep curves
-//     from different machines comparable.
+//     driver at threads 1/2/4/8.  One preset per thread count; digests,
+//     event counts, rounds (`windows`) and cross-shard messages must be
+//     byte-identical across the curve (thread count buys wall-clock time
+//     only), and `speedup_vs_one_thread` records the scaling.  Outside
+//     --smoke, a point with threads <= hardware_concurrency that runs slower
+//     than threads=1 fails the run; --smoke checks only the deterministic
+//     counters.  The emitted `threads` / document-level
+//     `hardware_concurrency` fields keep curves from different machines
+//     comparable.
 //
 //   * queue hot path -- raw Simulator churn with no platform on top:
 //     a sliding window of pending events where every fired event schedules a
@@ -96,6 +100,10 @@ struct PresetResult {
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::string digest;  // macro only: trace digest, pins determinism
+  // sharded family only (0 elsewhere): driver rounds, one barrier each, and
+  // messages merged through the cross-shard mailbox.
+  std::uint64_t windows = 0;
+  std::uint64_t cross_shard_messages = 0;
 };
 
 /// Poisson schedule with an exact arrival count (workload::poisson fills a
@@ -241,6 +249,8 @@ PresetResult run_sharded(std::size_t requests, unsigned threads,
   result.completed = outcome.mixed.aggregate.completed_count();
   result.failed = outcome.mixed.aggregate.failed_count();
   result.digest = metrics::digest_hex(outcome.mixed.aggregate.trace_digest);
+  result.windows = outcome.windows;
+  result.cross_shard_messages = outcome.cross_shard_messages;
   return result;
 }
 
@@ -351,6 +361,8 @@ common::JsonValue to_json(const PresetResult& r) {
   o.set("completed", static_cast<double>(r.completed));
   o.set("failed", static_cast<double>(r.failed));
   o.set("digest", r.digest);
+  o.set("windows", static_cast<double>(r.windows));
+  o.set("cross_shard_messages", static_cast<double>(r.cross_shard_messages));
   return common::JsonValue{std::move(o)};
 }
 
@@ -365,6 +377,13 @@ void print_result(const PresetResult& r) {
     std::printf("  %-18s %30llu queue ops  %21.0f ops/s\n", "",
                 static_cast<unsigned long long>(r.queue_ops),
                 r.queue_ops_per_sec);
+  }
+  if (r.family == "sharded") {
+    std::printf("  %-18s %9llu rounds  %12llu cross-shard msgs  %6.2fx vs "
+                "threads=1\n",
+                "", static_cast<unsigned long long>(r.windows),
+                static_cast<unsigned long long>(r.cross_shard_messages),
+                r.speedup_vs_one_thread);
   }
 }
 
@@ -486,8 +505,16 @@ int main(int argc, char** argv) {
         fail("sharded curve digest varies with thread count");
       }
       if (point.events_fired != base.events_fired ||
-          point.completed != base.completed) {
+          point.completed != base.completed ||
+          point.windows != base.windows ||
+          point.cross_shard_messages != base.cross_shard_messages) {
         fail("sharded curve event accounting varies with thread count");
+      }
+      // Wall-clock gate, full runs only: CI gates on the counters above.
+      if (!smoke && point.threads <= std::thread::hardware_concurrency() &&
+          point.speedup_vs_one_thread < 1.0) {
+        fail("a sharded point with threads <= hardware_concurrency ran "
+             "slower than threads=1");
       }
     }
   }
@@ -509,7 +536,7 @@ int main(int argc, char** argv) {
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.scale/v3",
+          json_path, "xanadu.bench.scale/v4",
           "4-node linear chain, 5 ms exec, Poisson arrivals (20 ms mean "
           "gap), seed 42; sharded curve: same volume over 4 tenant shards + "
           "fleet shard, threads 1/2/4/8; queue hot path: window-256 "

@@ -37,21 +37,29 @@ SubscriptionId MessageBus::subscribe(TopicId topic, BusHandler handler) {
   }
   const SubscriptionId id = subscription_ids_.next();
   topics_[topic.value()].subscriptions.push_back(
-      Subscription{id, std::move(handler)});
+      std::make_unique<Subscription>(Subscription{id, std::move(handler)}));
   return id;
 }
 
 bool MessageBus::unsubscribe(SubscriptionId id) {
+  if (!id.valid()) return false;
   // Linear search for a unique subscription id: at most one topic matches.
   // topics_ is a dense vector in intern order, so the walk is deterministic.
   for (Topic& state : topics_) {
     auto& subs = state.subscriptions;
-    const auto it = std::find_if(subs.begin(), subs.end(),
-                                 [id](const Subscription& s) { return s.id == id; });
-    if (it != subs.end()) {
+    const auto it = std::find_if(
+        subs.begin(), subs.end(),
+        [id](const std::unique_ptr<Subscription>& s) { return s->id == id; });
+    if (it == subs.end()) continue;
+    if (delivering_ > 0) {
+      // A delivery may be walking this list (or running this very handler):
+      // leave a tombstone instead of moving entries under it.
+      (*it)->id = SubscriptionId{};
+      has_tombstones_ = true;
+    } else {
       subs.erase(it);
-      return true;
     }
+    return true;
   }
   return false;
 }
@@ -134,25 +142,40 @@ void MessageBus::schedule_delivery(TopicId topic, sim::TimePoint when,
   // Captures: this + TopicId + shared_ptr = 32 bytes, inside EventFn's
   // inline buffer -- the delivery path does not allocate per message.
   sim_.schedule_at(
-      when,
-      [this, topic, message] {
-        // Copy the subscriber list: handlers may (un)subscribe re-entrantly.
-        const std::vector<Subscription> subscribers =
-            topics_[topic.value()].subscriptions;
-        for (const Subscription& sub : subscribers) {
-          // Skip handlers removed between the copy and this delivery.
-          // Re-read the live list each round: a handler may mutate it (or
-          // grow topics_).
-          const auto& live = topics_[topic.value()].subscriptions;
-          const bool still_subscribed = std::any_of(
-              live.begin(), live.end(),
-              [&](const Subscription& s) { return s.id == sub.id; });
-          if (!still_subscribed) continue;
-          ++delivered_;
-          sub.handler(*message);
-        }
-      },
+      when, [this, topic, message] { deliver(topic, *message); },
       "bus.delivery");
+}
+
+void MessageBus::deliver(TopicId topic, const BusMessage& message) {
+  // Walk the list in place.  Entries added during the walk sit past `count`
+  // and wait for the next message; entries removed during it stay in place
+  // as tombstones until no delivery is running.  Re-index every step: a
+  // handler may grow the list or topics_ itself.
+  const std::size_t count = topics_[topic.value()].subscriptions.size();
+  ++delivering_;
+  try {
+    for (std::size_t i = 0; i < count; ++i) {
+      Subscription& sub = *topics_[topic.value()].subscriptions[i];
+      if (!sub.id.valid()) continue;
+      ++delivered_;
+      sub.handler(message);
+    }
+  } catch (...) {
+    --delivering_;
+    throw;
+  }
+  --delivering_;
+  if (delivering_ == 0 && has_tombstones_) compact_subscriptions();
+}
+
+void MessageBus::compact_subscriptions() {
+  for (Topic& state : topics_) {
+    std::erase_if(state.subscriptions,
+                  [](const std::unique_ptr<Subscription>& s) {
+                    return !s->id.valid();
+                  });
+  }
+  has_tombstones_ = false;
 }
 
 void MessageBus::attach_shard(sim::LogicalProcess& lp) {
@@ -186,12 +209,10 @@ void MessageBus::bridge_topic(TopicId topic, MessageBus& remote,
     throw std::logic_error{
         "MessageBus::bridge_topic: shards belong to different drivers"};
   }
-  if (latency < lp_->owner().lookahead()) {
-    // A faster-than-lookahead link would let a message land inside the
-    // window the fleet is concurrently draining.
-    throw std::invalid_argument{
-        "MessageBus::bridge_topic: latency below the driver's lookahead"};
-  }
+  // The bridge is a channel of the sharded driver: declaring it lets the
+  // fleet-side shard compute its safe bound from this latency (and rejects
+  // a non-positive one).
+  lp_->owner().connect(lp_->shard(), remote.lp_->shard(), latency);
   topics_[topic.value()].bridges.push_back(
       Bridge{&remote, remote_topic, remote.lp_->shard(), latency});
 }
@@ -215,23 +236,16 @@ void MessageBus::deliver_bridged(TopicId topic, std::string payload) {
   message.published = sim_.now();
   state.last_delivery = std::max(state.last_delivery, sim_.now());
   ++bridged_in_;
-  // Same re-entrancy discipline as the local delivery closure: handlers may
-  // (un)subscribe while we iterate a copy.
-  const std::vector<Subscription> subscribers = state.subscriptions;
-  for (const Subscription& sub : subscribers) {
-    const auto& live = topics_[topic.value()].subscriptions;
-    const bool still_subscribed =
-        std::any_of(live.begin(), live.end(),
-                    [&](const Subscription& s) { return s.id == sub.id; });
-    if (!still_subscribed) continue;
-    ++delivered_;
-    sub.handler(message);
-  }
+  deliver(topic, message);
 }
 
 std::size_t MessageBus::subscriber_count(const std::string& topic) const {
   const auto symbol = names_.find(topic);
-  return symbol ? topics_[*symbol].subscriptions.size() : 0;
+  if (!symbol) return 0;
+  const auto& subs = topics_[*symbol].subscriptions;
+  return static_cast<std::size_t>(std::count_if(
+      subs.begin(), subs.end(),
+      [](const std::unique_ptr<Subscription>& s) { return s->id.valid(); }));
 }
 
 }  // namespace xanadu::platform

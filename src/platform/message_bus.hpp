@@ -16,14 +16,18 @@
 // path indexes a vector instead of hashing the topic string, and the
 // delivery closure captures an 8-byte id instead of a std::string, which
 // keeps it inside sim::EventFn's inline buffer (no per-delivery allocation).
+// Delivery walks the topic's subscriber list in place, never copying it:
+// a handler may subscribe (the newcomer starts with the next message) or
+// unsubscribe (the entry becomes a tombstone, skipped and compacted once no
+// delivery is in progress) without disturbing the walk.
 //
 // Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
 // shard boundaries: attach_shard() binds the bus to its shard's logical
 // process, and bridge_topic() forwards every publish on a local topic to a
 // topic of a bus on another shard, routed through the cross-shard mailbox
-// with a latency of at least the driver's lookahead.  Bridged traffic is how
-// per-tenant shards feed the fleet-control shard's worker-state view without
-// sharing any mutable state.
+// over a channel the bridge declares with its latency.  Bridged traffic is
+// how per-tenant shards feed the fleet-control shard's worker-state view
+// without sharing any mutable state.
 
 #include <cstdint>
 #include <functional>
@@ -111,8 +115,9 @@ class MessageBus {
   /// Forwards every subsequent publish on `topic` to `remote_topic` of
   /// `remote`, a bus attached to a *different* shard of the same
   /// ShardedSimulator.  The copy crosses the shard mailbox and reaches the
-  /// remote bus after `latency`, which must be at least the driver's
-  /// lookahead (the conservative window length).  Drop faults suppress
+  /// remote bus after `latency` (> 0), which the bridge declares as the
+  /// channel's latency (ShardedSimulator::connect): the remote shard's safe
+  /// bound trails this shard's clock by it.  Drop faults suppress
   /// forwarding (the broker lost the message); duplicate and delay faults
   /// stay local-delivery artefacts.  Bridges do not chain: a bridged-in
   /// message is delivered to the remote topic's subscribers only, never
@@ -140,6 +145,8 @@ class MessageBus {
 
  private:
   struct Subscription {
+    /// Invalid once unsubscribed during a delivery: a tombstone that keeps
+    /// the handler alive (it may be the one running) until compaction.
     SubscriptionId id;
     BusHandler handler;
   };
@@ -153,7 +160,9 @@ class MessageBus {
   };
 
   struct Topic {
-    std::vector<Subscription> subscriptions;
+    /// Boxed so a handler keeps its address while a re-entrant subscribe()
+    /// grows the list under a delivery that is running it.
+    std::vector<std::unique_ptr<Subscription>> subscriptions;
     std::vector<Bridge> bridges;
     std::uint64_t next_offset = 0;
     /// Earliest time the next delivery may fire, per subscriber ordering.
@@ -162,6 +171,11 @@ class MessageBus {
 
   void schedule_delivery(TopicId topic, sim::TimePoint when,
                          const std::shared_ptr<BusMessage>& message);
+  /// Hands `message` to the subscribers `topic` had when the call began,
+  /// skipping any unsubscribed before their turn.
+  void deliver(TopicId topic, const BusMessage& message);
+  /// Drops tombstoned subscriptions; only while no delivery is running.
+  void compact_subscriptions();
 
   sim::Simulator& sim_;
   Options options_;
@@ -174,6 +188,10 @@ class MessageBus {
   /// only on intern (cold path); publish/delivery index topics_ directly.
   common::StringInterner names_;
   std::vector<Topic> topics_;
+  /// Deliveries in progress (handlers may re-enter the bus).
+  std::size_t delivering_ = 0;
+  /// Some topic holds a tombstone awaiting compaction.
+  bool has_tombstones_ = false;
   common::IdGenerator<SubscriptionId> subscription_ids_;
   std::uint64_t published_ = 0;
   std::uint64_t delivered_ = 0;

@@ -2,45 +2,61 @@
 
 // ShardedSimulator: a conservative parallel driver over per-shard Simulators.
 //
-// Classic conservative PDES, specialised to this codebase's invariants:
+// Classic conservative PDES (Chandy-Misra-Bryant earliest input time),
+// specialised to this codebase's invariants:
 //
 //   * Each shard (LogicalProcess) owns a full Simulator -- the same
 //     slab-backed queue, the same schedule_at/cancel/EventFn API -- and all
 //     of the mutable state reachable from its events.  Shards share nothing;
-//     the only cross-shard channel is LogicalProcess::send().
-//   * Cross-shard links have a minimum latency, the *lookahead* (for the
-//     platform's MessageBus bridge: the bus delivery latency; jitter is
-//     additive, so latency is also the lower bound).
-//   * The driver repeatedly opens a window [t_min, t_min + lookahead), where
-//     t_min is the earliest pending event fleet-wide, and drains every shard
-//     through it in parallel (Simulator::run_before).  Any send() issued
-//     inside the window carries when >= send_time + lookahead >= t_min +
-//     lookahead = window end, so no shard can receive a message in the part
-//     of the timeline it is currently executing -- the conservative
-//     correctness argument.
-//   * At the window barrier, buffered sends are merged into their target
-//     queues in (when, source, index) ascending order -- `index` being a
-//     per-source monotone counter -- the same total order
-//     workload::TrafficMix uses for arrival merges.  The merge is performed
-//     per *target* after all sources finished the window, so the resulting
-//     schedule_at sequence (and therefore the target's tie-break seqs) is a
-//     pure function of virtual time, never of thread interleaving.
+//     the only cross-shard path is LogicalProcess::send() over a *channel*.
+//   * Channels are declared up front with connect(from, to, min_latency):
+//     every send on the channel lands at least `min_latency` past the
+//     sender's clock.  For the platform's MessageBus bridge the minimum is
+//     the bus delivery latency (jitter is additive), and bridge_topic()
+//     declares the channel itself.
+//   * The run proceeds in rounds.  At each barrier the driver computes every
+//     shard's safe bound
 //
-// Determinism: with the shards fixed, every run -- sequential (threads=1) or
-// parallel (any thread count) -- fires the same events at the same virtual
-// times in the same per-shard order, so trace/state digests are
-// byte-identical.  tests/sharded_determinism_test.cpp pins this across
-// threads x seeds; the race detector keeps replaying scenarios sequentially
-// as the ground-truth oracle.
+//       B_j = min over channels (i -> j, L) of (min(T_i, B_i) + L)
 //
-// Progress: after a window, every event earlier than the window end has
-// fired, so the next t_min advances by at least the lookahead per iteration
-// -- no zero-length windows, no deadlock.
+//     where T_i is the earliest event shard i could still fire (its queue
+//     head or its earliest undelivered inbound message; +inf once halted).
+//     The recursion is a shortest-path fixpoint, so cyclic channel graphs
+//     are covered; a shard with no inbound channel gets B = +inf, so only
+//     the in-flight cap below ever stops it short of its own completion.
+//     Inside the round each shard first merges its inbound mail with
+//     `when < B_j`, then fires every event strictly before B_j
+//     (Simulator::run_before).  No message can arrive below B_j afterwards:
+//     anything not yet sent comes from an event at or past T_i, hence
+//     lands at or past T_i + L.
+//   * The merge happens in the target's own task, in (when, source, index)
+//     order -- `index` being a per-source monotone counter -- the same total
+//     order workload::TrafficMix uses for arrival merges.  Since every
+//     message below B_j has been sent by the barrier, each target sees its
+//     mail in that global order no matter how many threads ran the round.
+//   * In-flight cap: a channel holds at most kChannelCap undelivered
+//     messages (give or take the sends of one event).  At the barrier the
+//     driver counts, per channel, the mail the target will not consume this
+//     round; a source whose channel is full sits the round out, and a source
+//     that fills its channel mid-round yields after the event that did it.
+//     When every shard with work is held back that way, each full channel
+//     gets one more cap's worth for the round, so the cap can delay a shard
+//     but never deadlock the run.
+//
+// Determinism: bounds, caps and halts are decided from virtual-time state
+// only (queue heads, message timestamps, counts taken at the barrier), so
+// every run -- sequential (threads=1) or parallel (any thread count) --
+// executes the same rounds and fires the same events at the same virtual
+// times in the same per-shard order.  Trace/state digests, rounds and event
+// counts are byte-identical; tests/sharded_determinism_test.cpp pins this
+// across threads x seeds.
+//
+// Progress: the shard holding the fleet-wide minimum T* has B > T* (every
+// latency is positive), so each round fires at least one event or merges at
+// least one message unless every shard is halted or empty.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/event_fn.hpp"
@@ -52,7 +68,7 @@
 namespace xanadu::sim {
 
 /// An in-flight cross-shard message, buffered between the send and the
-/// window barrier that schedules it onto the target shard.
+/// round whose bound lets the target merge it.
 struct ShardMessage {
   TimePoint when;
   ShardId source = 0;
@@ -63,15 +79,13 @@ struct ShardMessage {
 
 class ShardedSimulator {
  public:
-  struct Options {
-    /// Minimum cross-shard latency: every send() must land at least this far
-    /// past the moment it was issued.  The window length.  For bus-bridged
-    /// deployments this is the bus delivery latency (jitter only adds).
-    Duration lookahead = Duration::from_millis(3);
-  };
+  /// Undelivered messages one channel may hold before its source yields.
+  /// A constant, not a knob: it bounds mailbox memory (a tenant shard with
+  /// no inbound channel would otherwise mail its whole run ahead of the
+  /// fleet) and changes neither results nor digests.
+  static constexpr std::uint64_t kChannelCap = 512;
 
-  ShardedSimulator();
-  explicit ShardedSimulator(Options options);
+  ShardedSimulator() = default;
   ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -79,68 +93,92 @@ class ShardedSimulator {
 
   /// Registers `sim` as the next shard and returns its logical process.
   /// The simulator must outlive this driver.  All shards must be added
-  /// before the first send() or run().
+  /// before the first connect(), send() or run().
   LogicalProcess& add_shard(Simulator& sim);
+
+  /// Declares the channel `from` -> `to`: every send on it lands at least
+  /// `min_latency` (> 0) past the sender's clock.  Declaring a channel
+  /// again keeps the smaller latency.  Not callable during run().
+  void connect(ShardId from, ShardId to, Duration min_latency);
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] LogicalProcess& shard(ShardId id) { return *shards_.at(id); }
-  [[nodiscard]] Duration lookahead() const { return options_.lookahead; }
 
-  struct RunLimits {
-    /// Checked at every window barrier (on the driver thread, with all
-    /// shards quiescent); returning true ends the run.  Leave empty to run
-    /// until every shard's queue is empty.
-    std::function<bool()> stop;
-    /// Don't open a window whose start lies past this time.  Bounds runaway
-    /// runs the way runner.cpp's stall horizon does; note the run is
-    /// window-quantised, so events up to lookahead past the horizon may
-    /// still fire.
-    std::optional<TimePoint> horizon;
-  };
-
-  /// Drains all shards to completion (or until a limit trips) using
-  /// `threads` OS threads, caller included.  threads == 1 runs everything
-  /// on the calling thread -- the sequential reference path.  Thread count
-  /// never affects results, only wall-clock time.  Returns the number of
-  /// events fired across all shards during this call.
-  std::size_t run(unsigned threads, const RunLimits& limits = {});
+  /// Drains every shard until each one is empty or halted (see
+  /// LogicalProcess::halt / stop_at), using `threads` OS threads, caller
+  /// included.  threads == 1 runs everything on the calling thread -- the
+  /// sequential reference path.  Thread count never affects results, only
+  /// wall-clock time.  Returns the number of events fired across all shards
+  /// during this call.  Per-shard halts and horizons are cleared on return.
+  std::size_t run(unsigned threads);
 
   // -- Introspection (driver thread, outside run()) --------------------------
 
-  /// Windows executed over the driver's lifetime.
-  [[nodiscard]] std::uint64_t windows() const { return windows_; }
+  /// Rounds executed over the driver's lifetime: one barrier each.
+  [[nodiscard]] std::uint64_t rounds() const { return rounds_; }
   /// Cross-shard messages merged into target queues so far.
   [[nodiscard]] std::uint64_t messages_delivered() const;
-  /// True while a drain window is open (send() uses this to enforce the
-  /// lookahead contract).
-  [[nodiscard]] bool in_window() const { return in_window_; }
 
  private:
   friend class LogicalProcess;
 
-  /// Buffers a message in the (from, to) lane.  Called by
+  /// One declared channel: the mail of one (source, target) pair.
+  struct Channel {
+    Duration latency = Duration::zero();  // zero: no channel declared.
+    /// Written by the source's task during a round.
+    std::vector<ShardMessage> outbox;
+    /// Sent, not yet merged.  Filled from the outbox at the barrier; only
+    /// the target's task touches it during a round.
+    std::vector<ShardMessage> inbox;
+    /// Sends the source has left this round before it yields.
+    std::uint64_t budget = 0;
+  };
+
+  /// Sort key of one inbox message during a merge.
+  struct MergeKey {
+    TimePoint when;
+    ShardId source = 0;
+    std::uint64_t index = 0;
+    ShardMessage* message = nullptr;
+  };
+
+  /// Per-shard plan for one round, decided at the barrier.
+  struct RoundPlan {
+    TimePoint bound;
+    bool work = false;     // Has mail to merge or events to fire.
+    bool held = false;     // Source sitting the round out at the cap.
+  };
+
+  [[nodiscard]] Channel& channel(ShardId from, ShardId to) {
+    return channels_[static_cast<std::size_t>(from) * shards_.size() + to];
+  }
+  /// Buffers a message on the (from, to) channel.  Called by
   /// LogicalProcess::send() on the thread currently draining shard `from`.
   void enqueue(ShardId from, ShardId to, ShardMessage message);
-  /// Moves every lane targeting `target` into its queue in
-  /// (when, source, index) order.  Runs on the thread owning `target`
-  /// during the merge phase (or the driver thread pre-run).
-  void deliver_into(std::size_t target);
-  void ensure_lanes();
+  void ensure_channels();
+  /// Barrier work: moves outboxes to inboxes, computes every bound and
+  /// decides which shards run and with what send budget.  Returns false
+  /// when no shard has anything left to do.
+  bool plan_round();
+  /// One shard's share of a round: merge inbound mail below its bound,
+  /// fire events below it, apply its horizon.
+  void run_shard(ShardId id);
+  /// Moves the inbound mail of `target` below `bound` into its queue in
+  /// (when, source, index) order.
+  void merge_into(ShardId target, TimePoint bound);
+  /// Leaves run(): clears the running flag and every per-run limit.
+  void end_run();
 
-  Options options_;
   std::vector<std::unique_ptr<LogicalProcess>> shards_;
-  /// Flat [source * shard_count + target] mailbox lanes.  A lane is written
-  /// only by its source's drain thread and drained only by its target's
-  /// merge thread; the window barrier separates the two.
-  std::vector<std::vector<ShardMessage>> lanes_;
-  /// Per-target merge scratch, reused across windows.
-  std::vector<std::vector<ShardMessage>> scratch_;
+  /// Flat [source * shard_count + target] channel table.
+  std::vector<Channel> channels_;
+  /// Per-target merge scratch, reused across rounds.
+  std::vector<std::vector<MergeKey>> scratch_;
+  std::vector<RoundPlan> plan_;
   /// Per-shard tallies, each written only by the thread owning that shard.
   std::vector<std::size_t> fired_per_shard_;
   std::vector<std::uint64_t> delivered_per_shard_;
-  std::uint64_t windows_ = 0;
-  TimePoint window_end_{0};
-  bool in_window_ = false;
+  std::uint64_t rounds_ = 0;
   bool running_ = false;
 };
 

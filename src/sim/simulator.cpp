@@ -262,6 +262,7 @@ std::optional<TimePoint> Simulator::peek_next_time() {
 
 std::size_t Simulator::run_before(TimePoint bound) {
   std::size_t fired_now = 0;
+  interrupted_ = false;
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
     if (slab_[top.slot].generation != top.generation) {
@@ -273,7 +274,9 @@ std::size_t Simulator::run_before(TimePoint bound) {
     heap_pop_top();
     fire_entry(top);
     ++fired_now;
+    if (interrupted_) break;
   }
+  interrupted_ = false;
   return fired_now;
 }
 

@@ -143,12 +143,19 @@ class Simulator {
   /// Fires every event with `when` strictly before `bound` and returns the
   /// count.  Unlike run_until(), events at exactly `bound` stay queued and
   /// the clock is NOT advanced to `bound` -- it rests at the last fired
-  /// event.  This is the window-drain primitive of sim::ShardedSimulator:
-  /// the next window start is derived from the earliest remaining event
-  /// fleet-wide, so padding the clock forward would skew it.  Race-check
-  /// hooks are not serviced here; the race detector replays scenarios
-  /// sequentially through run()/run_until() (the determinism oracle).
+  /// event.  This is the round-drain primitive of sim::ShardedSimulator:
+  /// a shard's bound is the earliest time a message could still reach it,
+  /// and mail merged in a later round may land anywhere at or past that
+  /// bound, so padding the clock forward would reject it.  interrupt() ends
+  /// the drain early.  Race-check hooks are not serviced here; the race
+  /// detector replays scenarios sequentially through run()/run_until() (the
+  /// determinism oracle).
   std::size_t run_before(TimePoint bound);
+
+  /// Called from inside an event during run_before(): ends that drain once
+  /// the current event returns, leaving the rest queued.  Outside
+  /// run_before() it has no effect.
+  void interrupt() { interrupted_ = true; }
 
   /// Number of events currently pending (cancelled events are excluded).
   [[nodiscard]] std::size_t pending() const { return live_; }
@@ -252,6 +259,7 @@ class Simulator {
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_ = 0;        // Slots holding a live callback.
   std::size_t tombstones_ = 0;  // Dead heap entries awaiting compaction.
+  bool interrupted_ = false;    // Set by interrupt(); read by run_before().
 
   // Race-check hooks; all nullptr (and cost-free) in normal runs.
   TieRecorder* tie_recorder_ = nullptr;

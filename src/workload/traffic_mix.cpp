@@ -117,6 +117,10 @@ class MixDriver {
                    : merged_.back().at;
   }
 
+  /// Sharded runs: halt `lp` (this driver's shard) right after the last
+  /// request completes, so the shard's run ends on its own schedule.
+  void halt_when_done(sim::LogicalProcess& lp) { halt_ = &lp; }
+
   void start() {
     window_ = options_.arrival_window == 0
                   ? total_
@@ -157,6 +161,7 @@ class MixDriver {
 
   void on_complete(std::size_t slot, const platform::RequestResult& result) {
     ++completed_;
+    if (completed_ == total_ && halt_ != nullptr) halt_->halt();
     if (options_.retain_results) {
       outcome_.aggregate.results[slot] = result;
       done_[slot] = 1;
@@ -202,6 +207,7 @@ class MixDriver {
   std::map<std::size_t, platform::RequestResult> window_buffer_;
   std::size_t next_fold_ = 0;
   std::size_t completed_ = 0;
+  sim::LogicalProcess* halt_ = nullptr;
 };
 
 }  // namespace
@@ -328,26 +334,12 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     }
   }
 
-  // Lookahead: the conservative window length.  Bridged worker telemetry
-  // crosses shards at each deployment's control-bus latency, so the minimum
-  // enabled latency bounds cross-shard delivery from below.  Without any
-  // control bus there is no cross-shard traffic at all and any positive
-  // lookahead is correct -- a large one minimises window (barrier) count.
   bool any_bus = false;
-  sim::Duration min_latency = sim::Duration::from_minutes(1);
   for (const ShardedSource& shard : shards) {
-    const platform::PlatformCalibration& calib =
-        shard.manager->engine().calibration();
-    if (calib.control_bus.enabled) {
-      if (!any_bus || calib.control_bus.latency < min_latency) {
-        min_latency = calib.control_bus.latency;
-      }
-      any_bus = true;
-    }
+    any_bus = any_bus ||
+              shard.manager->engine().calibration().control_bus.enabled;
   }
-  sim::ShardedSimulator::Options driver_options;
-  driver_options.lookahead = min_latency;
-  sim::ShardedSimulator driver(driver_options);
+  sim::ShardedSimulator driver;
 
   std::vector<sim::LogicalProcess*> lps;
   lps.reserve(shards.size());
@@ -359,7 +351,9 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   // Fleet-control shard: one WorkerStateTracker per tenant, fed over bridged
   // "workers" topics (the paper's Kafka-backed worker state management,
   // stretched across shards).  Only materialised when some deployment runs a
-  // control bus.
+  // control bus.  Each bridge declares its tenant -> fleet channel, so the
+  // fleet shard trails the tenants by one bus latency while tenant shards,
+  // with no inbound channel, run barrier-free.
   sim::Simulator fleet_sim;
   std::unique_ptr<platform::MessageBus> fleet_bus;
   std::vector<std::unique_ptr<platform::WorkerStateTracker>> fleet_view(
@@ -421,33 +415,27 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     mix_driver->start();
   }
 
-  sim::ShardedSimulator::RunLimits limits;
+  // Per-shard stop: each tenant halts right after its own last completion
+  // and, under allow_incomplete, at its own stall horizon (where
+  // run_mixed_schedule fails its leftovers too), so a tenant's lane never
+  // depends on which other tenants share the run.
   if (!(options.drain_after_last && !options.allow_incomplete)) {
-    limits.stop = [&drivers] {
-      for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
-        if (mix_driver->completed() < mix_driver->total()) return false;
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      drivers[i]->halt_when_done(*lps[i]);
+      if (options.allow_incomplete) {
+        lps[i]->stop_at(bases[i] + drivers[i]->last_arrival() +
+                        options.stall_horizon);
       }
-      return true;
-    };
-    if (options.allow_incomplete) {
-      // One fleet-wide stall horizon: the latest per-shard horizon, so no
-      // shard is failed before its own sequential-path horizon.  The drain
-      // is window-quantised, so stranded requests are failed at the first
-      // window boundary at or past the horizon.
-      sim::TimePoint horizon{0};
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        const sim::TimePoint shard_horizon =
-            bases[i] + drivers[i]->last_arrival() + options.stall_horizon;
-        horizon = std::max(horizon, shard_horizon);
-      }
-      limits.horizon = horizon;
+      if (drivers[i]->total() == 0) lps[i]->stop_at(bases[i]);
     }
   }
-  outcome.events_fired = driver.run(options.threads, limits);
+  outcome.events_fired = driver.run(options.threads);
 
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (drivers[i]->completed() != drivers[i]->total() &&
         options.allow_incomplete) {
+      // The shard's clock rests at its stall horizon: the leftovers fail
+      // at exactly that time.
       shards[i].manager->engine().fail_all_pending_requests(
           "stranded by injected fault");
     }
@@ -467,17 +455,19 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   }
   if (any_bus) {
     // Telemetry settle: flush/teardown published Dead events whose bridged
-    // copies are still crossing the mailbox.  Drain one bridge latency past
-    // the latest shard clock so the fleet view converges -- bounded (never
-    // run-to-empty: recurring fault events could recur forever) and
-    // identical at any thread count.
-    sim::TimePoint latest{0};
-    for (const ShardedSource& shard : shards) {
-      latest = std::max(latest, shard.manager->simulator().now());
+    // copies are still in flight.  Each tenant runs two of its own bus
+    // latencies past its own clock -- bounded (never run-to-empty:
+    // recurring fault events could recur forever) and independent of the
+    // other tenants -- and the fleet shard, which has no events of its own,
+    // drains every message the tenants sent.
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+      const platform::ControlBusOptions& bus =
+          shards[i].manager->engine().calibration().control_bus;
+      const sim::Duration slack =
+          bus.enabled ? bus.latency + bus.latency : sim::Duration::zero();
+      lps[i]->stop_at(shards[i].manager->simulator().now() + slack);
     }
-    sim::ShardedSimulator::RunLimits settle;
-    settle.horizon = latest + min_latency + min_latency;
-    outcome.events_fired += driver.run(options.threads, settle);
+    outcome.events_fired += driver.run(options.threads);
   }
 
   // Per-shard outcomes (shard order), then deterministic aggregation.
@@ -527,7 +517,7 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   aggregate.trace_digest = trace_fold;
   outcome.state_digest = state_fold;
   outcome.fleet_digest = fleet_fold;
-  outcome.windows = driver.windows();
+  outcome.windows = driver.rounds();
   outcome.cross_shard_messages = driver.messages_delivered();
   return outcome;
 }

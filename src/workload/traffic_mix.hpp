@@ -129,7 +129,8 @@ struct ShardedOutcome {
   std::uint64_t fleet_digest = 0;
   /// Fold of each shard engine's state_digest, in shard order.
   std::uint64_t state_digest = 0;
-  /// Conservative windows the driver executed.
+  /// Rounds the driver executed (one barrier each).  Named `windows` for the
+  /// per-request `sim.windows_per_request` counter that reads it.
   std::uint64_t windows = 0;
   /// Messages merged through the cross-shard mailbox.
   std::uint64_t cross_shard_messages = 0;
@@ -142,9 +143,13 @@ struct ShardedOutcome {
 /// deployment; schedules must be sorted.  Deployments with the control bus
 /// enabled get their "workers" topic bridged to a fleet-control shard
 /// hosting one platform::WorkerStateTracker per tenant (the paper's
-/// Kafka-backed worker state management, stretched across shards).  All
-/// results, digests and stats are byte-identical for any thread count;
-/// tests/sharded_determinism_test.cpp pins this.
+/// Kafka-backed worker state management, stretched across shards).  Each
+/// tenant shard stops right after its own last completion (under
+/// allow_incomplete, at its own stall horizon, where its leftovers fail), so
+/// a tenant's lane -- trace digest, ledger delta, engine state -- is the
+/// same whether it runs alone or beside other tenants.  All results, digests
+/// and stats are byte-identical for any thread count;
+/// tests/sharded_determinism_test.cpp pins both properties.
 [[nodiscard]] ShardedOutcome run_sharded_mix(
     const std::vector<ShardedSource>& shards, const RunOptions& options = {});
 

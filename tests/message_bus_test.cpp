@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "platform/engine.hpp"
 #include "platform/message_bus.hpp"
 #include "platform/worker_state.hpp"
+#include "sim/sharded.hpp"
 #include "workflow/builders.hpp"
 
 namespace xanadu::platform {
@@ -109,11 +112,111 @@ TEST_F(MessageBusTest, SubscribersJoiningLaterMissOldMessages) {
   EXPECT_EQ(count, 0);
 }
 
+// -- Re-entrant handlers: delivery walks the subscriber list in place. -----
+
+TEST_F(MessageBusTest, HandlerUnsubscribingALaterSubscriberSkipsIt) {
+  std::vector<std::string> seen;
+  SubscriptionId victim;
+  bus_->subscribe("t", [&](const BusMessage& m) {
+    seen.push_back("killer:" + m.payload);
+    if (m.payload == "one") {
+      EXPECT_TRUE(bus_->unsubscribe(victim));
+    }
+  });
+  victim = bus_->subscribe(
+      "t", [&](const BusMessage& m) { seen.push_back("victim:" + m.payload); });
+  bus_->subscribe(
+      "t", [&](const BusMessage& m) { seen.push_back("third:" + m.payload); });
+  bus_->publish("t", "one");
+  bus_->publish("t", "two");
+  sim_.run();
+  // The victim, removed before its turn, misses "one" already; the walk
+  // continues to the third subscriber, and the tombstone is gone afterwards.
+  EXPECT_EQ(seen, (std::vector<std::string>{"killer:one", "third:one",
+                                            "killer:two", "third:two"}));
+  EXPECT_EQ(bus_->subscriber_count("t"), 2u);
+  EXPECT_EQ(bus_->delivered_count(), 4u);
+  EXPECT_FALSE(bus_->unsubscribe(victim));
+}
+
+TEST_F(MessageBusTest, HandlerUnsubscribingItselfFinishesThisDelivery) {
+  std::vector<std::string> seen;
+  SubscriptionId self;
+  self = bus_->subscribe("t", [&](const BusMessage& m) {
+    EXPECT_TRUE(bus_->unsubscribe(self));
+    // The running handler (and what it captured) outlives its removal.
+    seen.push_back("self:" + m.payload);
+  });
+  bus_->subscribe(
+      "t", [&](const BusMessage& m) { seen.push_back("other:" + m.payload); });
+  bus_->publish("t", "one");
+  bus_->publish("t", "two");
+  sim_.run();
+  EXPECT_EQ(seen, (std::vector<std::string>{"self:one", "other:one",
+                                            "other:two"}));
+  EXPECT_EQ(bus_->subscriber_count("t"), 1u);
+}
+
+TEST_F(MessageBusTest, HandlerSubscribingANewcomerStartsItAtTheNextMessage) {
+  std::vector<std::string> seen;
+  int joined = 0;
+  bus_->subscribe("t", [&](const BusMessage& m) {
+    seen.push_back("first:" + m.payload);
+    // Several joins per delivery, so the list reallocates under the walk
+    // while this handler is running.
+    for (int k = 0; k < 8 && m.payload == "one"; ++k) {
+      bus_->subscribe("t", [&seen, k](const BusMessage& later) {
+        if (k == 0) seen.push_back("newcomer:" + later.payload);
+      });
+      ++joined;
+    }
+  });
+  bus_->publish("t", "one");
+  bus_->publish("t", "two");
+  sim_.run();
+  EXPECT_EQ(joined, 8);
+  EXPECT_EQ(seen, (std::vector<std::string>{"first:one", "first:two",
+                                            "newcomer:two"}));
+  EXPECT_EQ(bus_->subscriber_count("t"), 9u);
+  EXPECT_EQ(bus_->delivered_count(), 1u + 9u);
+}
+
 TEST_F(MessageBusTest, RejectsBadArguments) {
   EXPECT_THROW(bus_->subscribe("t", nullptr), std::invalid_argument);
   MessageBus::Options bad;
   bad.latency = Duration::from_millis(-1);
   EXPECT_THROW(MessageBus(sim_, bad, common::Rng{1}), std::invalid_argument);
+}
+
+TEST(sharded_bus_bridge, BridgedTopicCrossesShardsAtTheBridgeLatency) {
+  // The bridge declares its own channel on the sharded driver, so a
+  // publish on the tenant shard reaches the fleet shard's subscribers
+  // exactly one bridge latency later.  The suite name carries "sharded"
+  // for the TSan job's test filter.
+  sim::ShardedSimulator driver;
+  sim::Simulator tenant_sim;
+  sim::Simulator fleet_sim;
+  MessageBus tenant{tenant_sim, {}, common::Rng{1}};
+  MessageBus fleet{fleet_sim, {}, common::Rng{2}};
+  tenant.attach_shard(driver.add_shard(tenant_sim));
+  fleet.attach_shard(driver.add_shard(fleet_sim));
+  EXPECT_THROW(tenant.bridge_topic("workers", fleet, "fleet.workers",
+                                   Duration::zero()),
+               std::invalid_argument);
+  tenant.bridge_topic("workers", fleet, "fleet.workers", 4_ms);
+
+  std::vector<std::pair<std::string, double>> seen;
+  fleet.subscribe("fleet.workers", [&](const BusMessage& m) {
+    seen.emplace_back(m.payload, fleet_sim.now().millis());
+  });
+  tenant_sim.schedule_at(sim::TimePoint{10'000},
+                         [&] { tenant.publish("workers", "w1"); });
+  driver.run(2);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].first, "w1");
+  EXPECT_EQ(seen[0].second, 14.0);
+  EXPECT_EQ(tenant.bridged_out_count(), 1u);
+  EXPECT_EQ(fleet.bridged_in_count(), 1u);
 }
 
 // ------------------------------------------------- engine integration -----

@@ -1,7 +1,8 @@
 // Thread-count invariance of the sharded workload runner: the conservative
 // parallel drain (workload::run_sharded_mix) must produce byte-identical
 // traces, digests and stats at any thread count, fault-free and faulted,
-// across seeds.  This is the workload-level acceptance pin for the
+// across seeds, and each tenant's lane must not depend on the other tenants
+// in the run.  This is the workload-level acceptance pin for the
 // ShardedSimulator; the sim-layer machinery tests live in
 // sharded_sim_test.cpp, and the unsharded golden digests stay pinned in
 // determinism_test.cpp (the sequential path is untouched by the refactor).
@@ -11,8 +12,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/worker.hpp"
 #include "common/rng.hpp"
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
@@ -46,9 +49,10 @@ struct Scenario {
   std::vector<workload::ShardedSource> shards;
 };
 
-Scenario make_scenario(std::uint64_t seed, bool faulted) {
+Scenario make_scenario(std::uint64_t seed, bool faulted,
+                       const std::vector<std::uint64_t>& tenants = {0, 1, 2}) {
   Scenario scenario;
-  for (std::uint64_t tenant = 0; tenant < 3; ++tenant) {
+  for (const std::uint64_t tenant : tenants) {
     DispatchManagerOptions options;
     options.kind = PlatformKind::XanaduJit;
     options.seed = seed + 1000 * tenant;
@@ -185,6 +189,133 @@ TEST(sharded_determinism, FleetViewSeesEveryTenant) {
   EXPECT_GT(fp.fleet_events, 0u);
   EXPECT_EQ(fp.fleet_events, fp.messages)
       << "every merged cross-shard message is one fleet telemetry delivery";
+}
+
+// ---------------------------------------------------------------------------
+// Per-shard stop: a tenant's lane is a function of that tenant alone.  Each
+// tenant halts right after its own last completion (or at its own stall
+// horizon), so neither its neighbours nor the order shards were added in can
+// move its final clock, its idle ledger or its engine state.
+// ---------------------------------------------------------------------------
+
+/// Tenant `tenant`'s lane of a run over `tenants` (in that add order).
+struct Lane {
+  std::uint64_t trace = 0;
+  std::uint64_t engine_state = 0;
+  cluster::ResourceLedger ledger;
+  std::size_t failed = 0;
+};
+
+Lane run_lane(std::uint64_t seed, bool faulted,
+              const std::vector<std::uint64_t>& tenants, std::uint64_t tenant,
+              unsigned threads) {
+  Scenario scenario = make_scenario(seed, faulted, tenants);
+  workload::RunOptions options;
+  options.threads = threads;
+  options.allow_incomplete = faulted;
+  const workload::ShardedOutcome outcome =
+      workload::run_sharded_mix(scenario.shards, options);
+  std::size_t position = 0;
+  while (tenants[position] != tenant) ++position;
+  Lane lane;
+  lane.trace = outcome.mixed.per_source[position].trace_digest;
+  lane.engine_state = scenario.managers[position]->engine().state_digest();
+  lane.ledger = outcome.mixed.per_source[position].ledger_delta;
+  lane.failed = outcome.mixed.per_source[position].failed_count();
+  return lane;
+}
+
+void expect_same_lane(const Lane& a, const Lane& b, const std::string& what) {
+  EXPECT_EQ(a.trace, b.trace) << what;
+  EXPECT_EQ(a.engine_state, b.engine_state) << what;
+  EXPECT_EQ(a.failed, b.failed) << what;
+  // Exact: the same events fold the same doubles in the same order.
+  EXPECT_EQ(a.ledger.provision_cpu_core_seconds,
+            b.ledger.provision_cpu_core_seconds) << what;
+  EXPECT_EQ(a.ledger.idle_cpu_core_seconds, b.ledger.idle_cpu_core_seconds)
+      << what;
+  EXPECT_EQ(a.ledger.idle_memory_mb_seconds, b.ledger.idle_memory_mb_seconds)
+      << what;
+  EXPECT_EQ(a.ledger.pre_use_idle_cpu_core_seconds,
+            b.ledger.pre_use_idle_cpu_core_seconds) << what;
+  EXPECT_EQ(a.ledger.pre_use_memory_mb_seconds,
+            b.ledger.pre_use_memory_mb_seconds) << what;
+  EXPECT_EQ(a.ledger.workers_provisioned, b.ledger.workers_provisioned)
+      << what;
+  EXPECT_EQ(a.ledger.workers_wasted, b.ledger.workers_wasted) << what;
+  EXPECT_EQ(a.ledger.executions, b.ledger.executions) << what;
+}
+
+TEST(sharded_determinism, TenantLaneIsIndependentOfItsNeighbours) {
+  for (const bool faulted : {false, true}) {
+    const std::string mode = faulted ? "faulted" : "fault-free";
+    const Lane alone = run_lane(42, faulted, {0}, 0, 1);
+    expect_same_lane(alone, run_lane(42, faulted, {0, 1}, 0, 2),
+                     mode + ": beside tenant 1");
+    expect_same_lane(alone, run_lane(42, faulted, {0, 1, 2}, 0, 4),
+                     mode + ": beside tenants 1 and 2");
+    expect_same_lane(alone, run_lane(42, faulted, {2, 1, 0}, 0, 1),
+                     mode + ": reversed add order");
+    // Every tenant, not just the first, keeps its lane under reordering.
+    for (const std::uint64_t tenant : {1ull, 2ull}) {
+      expect_same_lane(run_lane(42, faulted, {tenant}, tenant, 1),
+                       run_lane(42, faulted, {2, 1, 0}, tenant, 4),
+                       mode + ": tenant " + std::to_string(tenant));
+    }
+  }
+}
+
+TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
+  // Every command is dropped and recovery is off, so every request strands.
+  // Each tenant's leftovers must fail at exactly its own stall horizon --
+  // its last arrival plus stall_horizon -- not at a fleet-wide or
+  // round-quantised time, and identically at any thread count.
+  const auto run = [](unsigned threads) {
+    Scenario scenario;
+    for (std::uint64_t tenant = 0; tenant < 3; ++tenant) {
+      DispatchManagerOptions options;
+      options.kind = PlatformKind::XanaduJit;
+      options.seed = 42 + 1000 * tenant;
+      platform::PlatformCalibration calibration =
+          platform::xanadu_calibration();
+      calibration.control_bus.enabled = true;
+      options.calibration = calibration;
+      options.faults.bus_drop_rate = 1.0;
+      options.recovery.enabled = false;
+      auto manager = std::make_unique<DispatchManager>(options);
+      workload::ShardedSource source;
+      source.manager = manager.get();
+      source.workflow = manager->deploy(conditional_dag());
+      source.name = "tenant-" + std::to_string(tenant);
+      // Distinct schedule lengths give every tenant a different horizon.
+      source.schedule = workload::fixed_interval(2 + tenant, 3_s);
+      scenario.shards.push_back(std::move(source));
+      scenario.managers.push_back(std::move(manager));
+    }
+    workload::RunOptions options;
+    options.threads = threads;
+    options.allow_incomplete = true;
+    options.stall_horizon = 20_s;
+    const workload::ShardedOutcome outcome =
+        workload::run_sharded_mix(scenario.shards, options);
+
+    std::vector<std::uint64_t> failure_times;
+    for (std::size_t i = 0; i < scenario.shards.size(); ++i) {
+      const workload::RunOutcome& lane = outcome.mixed.per_source[i];
+      EXPECT_EQ(lane.failed_count(), scenario.shards[i].schedule.size());
+      const sim::TimePoint horizon =
+          sim::TimePoint{0} + scenario.shards[i].schedule.back() + 20_s;
+      for (const platform::RequestResult& result : lane.results) {
+        EXPECT_TRUE(result.failed);
+        EXPECT_EQ(result.completed, horizon) << "tenant " << i;
+        failure_times.push_back(
+            static_cast<std::uint64_t>(result.completed.micros()));
+      }
+    }
+    return std::make_pair(failure_times, outcome.mixed.aggregate.trace_digest);
+  };
+  const auto base = run(1);
+  EXPECT_EQ(run(4), base);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """shard-lookahead: cross-shard effects must route through the mailbox.
 
-The conservative PDES contract (PR 9): within a lookahead window, a shard
-may only affect another shard by enqueuing into the numbered mailbox
-(`LogicalProcess::send(to, when, fn, label)`), which the window driver
-merges deterministically by `(when, source, index)`.  Scheduling directly
-into a foreign shard's simulator -- or delivering a bridged message by
-hand -- bypasses the window barrier: the runtime guards this with the
-`window_end` throw and the TSan job catches the data race, but only on
+The conservative PDES contract: during a run, a shard may only affect
+another shard by mailing over a declared channel
+(`LogicalProcess::send(to, when, fn, label)`).  The round driver derives
+each target's safe bound from the channel latencies and merges the mail
+deterministically by `(when, source, index)`.  Scheduling directly into a
+foreign shard's simulator -- or delivering a bridged message by hand --
+bypasses both: the target may already have drained past that time on
+another thread.  The runtime guards the mailbox path with the
+channel-latency throw (a send below its channel's latency, or with no
+channel declared) and the TSan job catches the data race, but only on
 executed paths.  This rule is the static complement: any function
 reachable from an event-handler root that calls a scheduling/publishing
 API on a receiver that names another shard (remote_/peer_/other_...
 receivers, `shard(i)`/`shards_[i]` chains) is flagged with the handler
 path that reaches it.
 
-`ShardedSimulator`'s own members are exempt (the window driver *is* the
+`ShardedSimulator`'s own members are exempt (the round driver *is* the
 mailbox implementation), as is `LogicalProcess` itself.
 
 Over-approximate by design; silence a reviewed exception with
@@ -32,8 +35,8 @@ RULE_DOCS = {
     RULE: (
         "handler-reachable code schedules/publishes onto another shard "
         "without routing through the numbered mailbox "
-        "(LogicalProcess::send); in-window cross-shard effects break the "
-        "conservative PDES merge order"
+        "(LogicalProcess::send); cross-shard effects outside the mailbox "
+        "break the conservative PDES bounds and merge order"
     ),
 }
 
@@ -47,7 +50,7 @@ MONITORED_CALLS = {
     "deliver_bridged",
 }
 
-# Classes that implement the mailbox/window machinery; their own bodies
+# Classes that implement the mailbox/round machinery; their own bodies
 # legitimately touch foreign shards.
 EXEMPT_CLASSES = {"ShardedSimulator", "LogicalProcess", "ShardMailbox"}
 

@@ -1,9 +1,9 @@
 // xan_lint fixture: MUST fire shard-lookahead exactly twice.
 //
-// Distilled from the PR-9 in-window cross-shard send that the runtime
-// window_end throw (and the TSan job) catches: handler-reachable code
-// schedules directly into another shard's simulator instead of mailing a
-// closure through LogicalProcess::send.
+// Distilled from a cross-shard send that the runtime checks (the
+// channel-latency throw and the TSan job) catch only when executed:
+// handler-reachable code schedules directly into another shard's simulator
+// instead of mailing a closure through LogicalProcess::send.
 
 namespace xanadu::fixture {
 

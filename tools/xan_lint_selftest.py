@@ -3,8 +3,8 @@
 known-good fixtures in tools/fixtures/xan_lint/.
 
 Each new interprocedural rule guards a correctness contract the runtime
-only checks opportunistically (ASan death tests, the window_end throw +
-TSan, golden-digest replay), so each rule gets the same treatment as the
+only checks opportunistically (ASan death tests, the channel-latency
+throw + TSan, golden-digest replay), so each rule gets the same treatment as the
 code it guards: a regression suite that fails if the rule goes silent on
 its distilled bug or noisy on the fixed form.
 
