@@ -69,6 +69,7 @@ void Worker::require_state(WorkerState expected, const char* op) const {
   // audit::InvariantViolation (a std::logic_error, as callers expect).
   XANADU_INVARIANT(state_ == expected,
                    std::string{"Worker::"} + op + ": expected state " +
+                       // lint:allow(hot-path-text) built only on a violation
                        to_string(expected) + ", got " + to_string(state_));
 }
 

@@ -118,6 +118,9 @@ void record(const std::source_location& site) {
   // them so the set holds only outermost textual draw sites.
   if (path == "src/common/rng.hpp" || path == "src/common/rng.cpp") return;
   const std::lock_guard<std::mutex> lock(site_mutex());
+  // Draw-site tracing builds only; handlers reach this record() only
+  // through same-named calls (LatencyHistogram::record).
+  // lint:allow(hot-path-text) see above
   site_set().insert(path + ":" + std::to_string(site.line()));
 }
 

@@ -1,6 +1,6 @@
 #include "metrics/trace.hpp"
 
-#include <sstream>
+#include <charconv>
 
 #include "common/hash.hpp"
 
@@ -19,36 +19,59 @@ const char* status_name(platform::NodeStatus status) {
   return "unknown";
 }
 
+void append_uint(std::string& text, std::uint64_t value) {
+  char buffer[20];  // Holds any 64-bit value.
+  text.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+// "%g" with 6 significant digits -- exactly what an unformatted ostream
+// writes for a double.  The pinned GoldenDigestGuard digests hash these
+// bytes, so the format is load-bearing.
+void append_millis(std::string& text, double millis) {
+  char buffer[16];  // Holds any "%.6g" rendering ("-1.23457e+308").
+  text.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, millis,
+                                    std::chars_format::general, 6)
+                          .ptr);
+}
+
 // Shared row renderer, parameterized on the node-name lookup so the dag and
-// interned-name paths emit byte-identical text.  The ostringstream default
-// double formatting is load-bearing: the pinned GoldenDigestGuard digests
-// hash exactly these bytes.
+// interned-name paths emit byte-identical text.  Writes straight into the
+// caller's buffer: no stream, no locale, no temporary string.
 template <typename NameOf>
 void append_rows(std::string& text, const platform::RequestResult& result,
                  NameOf&& name_of) {
-  std::ostringstream out;
   for (std::size_t i = 0; i < result.node_records.size(); ++i) {
     const platform::NodeRecord& record = result.node_records[i];
-    out << result.id.value() << ',' << i << ',' << name_of(i) << ','
-        << status_name(record.status) << ',';
-    const bool ran = record.status == platform::NodeStatus::Completed;
-    if (ran) {
-      out << record.trigger_time.millis() << ',' << record.exec_start.millis()
-          << ',' << record.exec_end.millis() << ','
-          << record.exec_duration.millis();
+    append_uint(text, result.id.value());
+    text += ',';
+    append_uint(text, i);
+    text += ',';
+    text += name_of(i);
+    text += ',';
+    text += status_name(record.status);
+    text += ',';
+    if (record.status == platform::NodeStatus::Completed) {
+      append_millis(text, record.trigger_time.millis());
+      text += ',';
+      append_millis(text, record.exec_start.millis());
+      text += ',';
+      append_millis(text, record.exec_end.millis());
+      text += ',';
+      append_millis(text, record.exec_duration.millis());
     } else {
-      out << ",,,";
+      text += ",,,";
     }
-    out << ',' << (record.cold ? 1 : 0) << ','
-        << record.provision_wait.millis() << ',' << record.retries << ','
-        << (result.failed ? 1 : 0) << ',';
+    text += record.cold ? ",1," : ",0,";
+    append_millis(text, record.provision_wait.millis());
+    text += ',';
+    append_uint(text, record.retries);
+    text += result.failed ? ",1," : ",0,";
     for (std::size_t p = 0; p < record.invoked_by.size(); ++p) {
-      if (p > 0) out << ';';
-      out << name_of(record.invoked_by[p].value());
+      if (p > 0) text += ';';
+      text += name_of(record.invoked_by[p].value());
     }
-    out << '\n';
+    text += '\n';
   }
-  text += out.str();
 }
 
 }  // namespace
@@ -82,7 +105,7 @@ std::string trace_csv(const platform::RequestResult& result,
 std::string trace_csv(const std::vector<platform::RequestResult>& results,
                       const workflow::WorkflowDag& dag) {
   std::string out = trace_csv_header();
-  for (const auto& result : results) out += trace_csv(result, dag);
+  for (const auto& result : results) append_trace_csv(out, result, dag);
   return out;
 }
 

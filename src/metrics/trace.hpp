@@ -21,6 +21,9 @@ namespace xanadu::metrics {
 /// Columns: request, node, function, status, trigger_ms, exec_start_ms,
 /// exec_end_ms, exec_duration_ms, cold, provision_wait_ms, retries, failed,
 /// invoked_by.  `failed` is the request-level failure flag, repeated per row.
+/// Integers render plain and milliseconds as "%g" (see Resolution below);
+/// function names are written raw, which WorkflowDag::validate() keeps safe
+/// by rejecting names that contain ',', ';', CR or LF.
 [[nodiscard]] std::string trace_csv(const platform::RequestResult& result,
                                     const workflow::WorkflowDag& dag);
 
@@ -52,6 +55,12 @@ void append_trace_csv(std::string& out, const platform::RequestResult& result,
 // text, so it covers exactly what a human would diff: timings, statuses,
 // cold flags, and invocation edges.  FNV-1a is used deliberately -- it is
 // byte-order-free, dependency-free, and stable across platforms.
+//
+// Resolution: millisecond columns render as "%g" (6 significant digits), so
+// absolute times of 1e6 ms or more (about 16.7 virtual minutes) hash at
+// 10 ms resolution and times of 1e7 ms or more (about 2.8 h) at 100 ms.
+// Two runs that differ only below that resolution late in a long trace
+// share a digest.
 
 /// FNV-1a offset basis; digests of empty inputs equal this value.
 inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;

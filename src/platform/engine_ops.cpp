@@ -81,12 +81,8 @@ void PlatformEngine::publish_worker_event(WorkerEventKind kind,
   if (bus_ == nullptr) return;
   const cluster::Worker* worker = cluster_.find_worker(worker_id);
   if (worker == nullptr) return;
-  WorkerEvent event;
-  event.kind = kind;
-  event.worker = worker_id;
-  event.function = worker->function();
-  event.host = worker->host();
-  bus_->publish(worker_state_topic_, encode(event));
+  bus_->publish(worker_state_topic_,
+                WorkerEvent{kind, worker_id, worker->function(), worker->host()});
 }
 
 // ---------------------------------------------------------------------------

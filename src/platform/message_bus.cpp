@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
+#include <stdexcept>
 
 #include "sim/logical_process.hpp"
 #include "sim/sharded.hpp"
@@ -65,11 +67,11 @@ bool MessageBus::unsubscribe(SubscriptionId id) {
 }
 
 std::uint64_t MessageBus::publish(const std::string& topic,
-                                  std::string payload) {
-  return publish(intern(topic), std::move(payload));
+                                  BusPayload payload) {
+  return publish(intern(topic), payload);
 }
 
-std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
+std::uint64_t MessageBus::publish(TopicId topic, BusPayload payload) {
   if (!topic.valid() || topic.value() >= topics_.size()) {
     throw std::invalid_argument{"MessageBus::publish: unknown topic id"};
   }
@@ -91,15 +93,16 @@ std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
 
   // Cross-shard fan-out: a copy of the payload crosses the mailbox and is
   // handed to the remote bus after the bridge latency.  The closure is
-  // pointer + TopicId + std::string = 48 bytes, inside EventFn's inline
-  // buffer, and std::string's move is noexcept, so it crosses the mailbox
-  // without allocating beyond the payload itself.
+  // pointer + TopicId + payload, which fills EventFn's inline buffer
+  // exactly, so forwarding never allocates.
+  static_assert(sizeof(MessageBus*) + sizeof(TopicId) + sizeof(BusPayload) <=
+                sim::EventFn::kInlineCapacity);
   for (const Bridge& bridge : state.bridges) {
     MessageBus* const remote = bridge.remote;
     const TopicId remote_topic = bridge.remote_topic;
     lp_->send(bridge.target, sim_.now() + bridge.latency,
-              [remote, remote_topic, copy = payload]() mutable {
-                remote->deliver_bridged(remote_topic, std::move(copy));
+              [remote, remote_topic, payload] {
+                remote->deliver_bridged(remote_topic, payload);
               },
               "bus.bridge");
     ++bridged_out_;
@@ -120,30 +123,32 @@ std::uint64_t MessageBus::publish(TopicId topic, std::string payload) {
   when = std::max(when, state.last_delivery);
   state.last_delivery = when;
 
-  auto message = std::make_shared<BusMessage>();
-  message->topic = std::string{names_.view(topic.value())};
-  message->payload = std::move(payload);
-  message->offset = offset;
-  message->published = sim_.now();
+  // Nobody to deliver to: the draws above are taken, the event is not.
+  if (state.subscriptions.empty()) return offset;
 
-  schedule_delivery(topic, when, message);
-  if (fault == sim::FaultPlan::BusFault::Duplicate) {
-    // The duplicate lands immediately after the original (same virtual time,
-    // FIFO tie-break) and keeps its offset, like a Kafka redelivery.
-    schedule_delivery(topic, when, message);
+  // A duplicate lands immediately after the original (same virtual time,
+  // FIFO tie-break) and keeps its offset, like a Kafka redelivery.
+  const int copies = fault == sim::FaultPlan::BusFault::Duplicate ? 2 : 1;
+  for (int copy = 0; copy < copies; ++copy) {
+    state.in_flight.push_back(BusMessage{payload, offset});
+    sim_.schedule_at(
+        when, [this, topic] { deliver_next(topic); }, "bus.delivery");
   }
   return offset;
 }
 
-void MessageBus::schedule_delivery(TopicId topic, sim::TimePoint when,
-                                   const std::shared_ptr<BusMessage>& message) {
+void MessageBus::deliver_next(TopicId topic) {
   Topic& state = topics_[topic.value()];
-  state.last_delivery = std::max(state.last_delivery, when);
-  // Captures: this + TopicId + shared_ptr = 32 bytes, inside EventFn's
-  // inline buffer -- the delivery path does not allocate per message.
-  sim_.schedule_at(
-      when, [this, topic, message] { deliver(topic, *message); },
-      "bus.delivery");
+  // Copied out: a handler may publish on this topic and grow the FIFO.
+  const BusMessage message = state.in_flight[state.in_flight_head++];
+  if (2 * state.in_flight_head >= state.in_flight.size()) {
+    state.in_flight.erase(
+        state.in_flight.begin(),
+        state.in_flight.begin() +
+            static_cast<std::ptrdiff_t>(state.in_flight_head));
+    state.in_flight_head = 0;
+  }
+  deliver(topic, message);
 }
 
 void MessageBus::deliver(TopicId topic, const BusMessage& message) {
@@ -223,17 +228,13 @@ void MessageBus::bridge_topic(const std::string& topic, MessageBus& remote,
   bridge_topic(intern(topic), remote, remote.intern(remote_topic), latency);
 }
 
-void MessageBus::deliver_bridged(TopicId topic, std::string payload) {
+void MessageBus::deliver_bridged(TopicId topic, BusPayload payload) {
   if (!topic.valid() || topic.value() >= topics_.size()) {
     throw std::invalid_argument{
         "MessageBus::deliver_bridged: unknown topic id"};
   }
   Topic& state = topics_[topic.value()];
-  BusMessage message;
-  message.topic = std::string{names_.view(topic.value())};
-  message.payload = std::move(payload);
-  message.offset = state.next_offset++;
-  message.published = sim_.now();
+  const BusMessage message{payload, state.next_offset++};
   state.last_delivery = std::max(state.last_delivery, sim_.now());
   ++bridged_in_;
   deliver(topic, message);

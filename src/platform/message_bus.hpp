@@ -5,21 +5,33 @@
 // communication between the Dispatch Manager and the Dispatch Daemon and
 // also for state management of Xanadu workers").
 //
-// Topics carry opaque string payloads.  Publishing enqueues a delivery event
-// per subscriber after the bus latency (plus optional jitter); per topic,
-// deliveries preserve publish order (Kafka partition semantics).  Handlers
-// run in virtual time, so bus latency is part of every control-plane
-// round-trip that uses it -- notably the Dispatch Manager -> Dispatch Daemon
-// provisioning commands.
+// Topics carry typed payloads: the bus's two record kinds, worker lifecycle
+// events and provisioning commands, travel as a std::variant, so no message
+// is formatted to text or parsed back.  Publishing schedules a delivery
+// event per message after the bus latency (plus optional jitter); per
+// topic, deliveries preserve publish order (Kafka partition semantics).
+// Handlers run in virtual time, so bus latency is part of every
+// control-plane round-trip that uses it -- notably the Dispatch Manager ->
+// Dispatch Daemon provisioning commands.
+//
+// In-flight messages wait in a per-topic FIFO, and the delivery event pops
+// its head: deliveries on one topic fire in publish order (`when` never
+// decreases per topic, and equal times tie-break by schedule order), so the
+// event captures only the bus and the topic and no message allocates.
+//
+// A publish to a topic that has no subscriber at that moment schedules no
+// delivery.  It still takes its offset, its fault draw and its jitter draw,
+// in the usual order, so every RNG stream is the same as if it had been
+// delivered, and it still crosses bridges.  A subscriber that joins while
+// such a message would have been in flight does not receive it -- like a
+// Kafka consumer that starts at the latest offset.
 //
 // Topic names are interned to dense TopicIds on first use: the publish hot
-// path indexes a vector instead of hashing the topic string, and the
-// delivery closure captures an 8-byte id instead of a std::string, which
-// keeps it inside sim::EventFn's inline buffer (no per-delivery allocation).
-// Delivery walks the topic's subscriber list in place, never copying it:
-// a handler may subscribe (the newcomer starts with the next message) or
-// unsubscribe (the entry becomes a tombstone, skipped and compacted once no
-// delivery is in progress) without disturbing the walk.
+// path indexes a vector instead of hashing the topic string.  Delivery walks
+// the topic's subscriber list in place, never copying it: a handler may
+// subscribe (the newcomer starts with the next message) or unsubscribe (the
+// entry becomes a tombstone, skipped and compacted once no delivery is in
+// progress) without disturbing the walk.
 //
 // Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
 // shard boundaries: attach_shard() binds the bus to its shard's logical
@@ -33,7 +45,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -50,13 +62,38 @@ class LogicalProcess;
 
 namespace xanadu::platform {
 
+enum class WorkerEventKind : std::uint8_t {
+  Provisioning,  // Sandbox build started.
+  Ready,         // Build finished; worker warm.
+  Busy,          // Executing a request.
+  Idle,          // Finished executing; back to warm.
+  Dead,          // Terminated (keep-alive expiry, eviction, miss discard).
+};
+
+/// A worker lifecycle transition, published by the engine on the "workers"
+/// topic (WorkerStateTracker in platform/worker_state.hpp consumes it).
+struct WorkerEvent {
+  WorkerEventKind kind = WorkerEventKind::Provisioning;
+  common::WorkerId worker{};
+  common::FunctionId function{};
+  common::HostId host{};
+};
+
+/// A Dispatch Manager -> Dispatch Daemon sandbox-build command, published on
+/// the host's "daemon.<host>" topic.
+struct ProvisionCommand {
+  common::FunctionId function{};
+  common::WorkerId worker{};
+  /// Extra platform latency the daemon adds to the sampled build time.
+  sim::Duration extra = sim::Duration::zero();
+};
+
+using BusPayload = std::variant<WorkerEvent, ProvisionCommand>;
+
 struct BusMessage {
-  std::string topic;
-  std::string payload;
+  BusPayload payload;
   /// Monotonic per-topic sequence number (assigned by the bus).
   std::uint64_t offset = 0;
-  /// Virtual time the message was published.
-  sim::TimePoint published{};
 };
 
 using BusHandler = std::function<void(const BusMessage&)>;
@@ -93,10 +130,11 @@ class MessageBus {
   /// Removes a subscription; returns false if the id is unknown.
   bool unsubscribe(SubscriptionId id);
 
-  /// Publishes a payload; every current subscriber of the topic receives it
-  /// after the bus latency.  Returns the message's per-topic offset.
-  std::uint64_t publish(const std::string& topic, std::string payload);
-  std::uint64_t publish(TopicId topic, std::string payload);
+  /// Publishes a payload; every subscriber the topic has now and still has
+  /// at delivery receives it after the bus latency.  Returns the message's
+  /// per-topic offset.
+  std::uint64_t publish(const std::string& topic, BusPayload payload);
+  std::uint64_t publish(TopicId topic, BusPayload payload);
 
   /// Wires a fault plan into the bus.  Each publish then consults the plan
   /// once: the message may be dropped (never delivered), duplicated
@@ -131,7 +169,7 @@ class MessageBus {
   /// subscribers at the current virtual time.  Invoked by the bridge closure
   /// once the mailbox merge lands it on this shard; not meant for direct
   /// use.  The message consumes a local per-topic offset.
-  void deliver_bridged(TopicId topic, std::string payload);
+  void deliver_bridged(TopicId topic, BusPayload payload);
 
   [[nodiscard]] std::size_t subscriber_count(const std::string& topic) const;
   [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
@@ -164,13 +202,18 @@ class MessageBus {
     /// grows the list under a delivery that is running it.
     std::vector<std::unique_ptr<Subscription>> subscriptions;
     std::vector<Bridge> bridges;
+    /// Messages scheduled for local delivery, oldest first from
+    /// `in_flight_head`; each delivery event pops one.  The consumed prefix
+    /// is reclaimed in bulk, so the vector's capacity is reused.
+    std::vector<BusMessage> in_flight;
+    std::size_t in_flight_head = 0;
     std::uint64_t next_offset = 0;
     /// Earliest time the next delivery may fire, per subscriber ordering.
     sim::TimePoint last_delivery{};
   };
 
-  void schedule_delivery(TopicId topic, sim::TimePoint when,
-                         const std::shared_ptr<BusMessage>& message);
+  /// Pops the head of `topic`'s in-flight FIFO and delivers it.
+  void deliver_next(TopicId topic);
   /// Hands `message` to the subscribers `topic` had when the call began,
   /// skipping any unsubscribed before their turn.
   void deliver(TopicId topic, const BusMessage& message);

@@ -1,9 +1,10 @@
 #include "platform/provision_pipeline.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <variant>
 
 #include "sim/audit.hpp"
 
@@ -25,22 +26,21 @@ ProvisionPipeline::ProvisionPipeline(sim::Simulator& sim,
 
 void ProvisionPipeline::attach_bus(MessageBus& bus, std::size_t host_count) {
   bus_ = &bus;
-  // One Dispatch Daemon per host, subscribed to its command topic.  The
-  // payload carries "<function id>:<worker id>:<extra latency us>".  Topic
+  // One Dispatch Daemon per host, subscribed to its command topic.  Topic
   // ids are interned up front so hot-path publishes skip both the per-call
   // string construction and the hash lookup.
   daemon_topics_.reserve(host_count);
   for (std::size_t host = 0; host < host_count; ++host) {
+    // lint:allow(hot-path-text) set-up: runs once per host at engine build
     daemon_topics_.push_back(bus_->intern("daemon." + std::to_string(host)));
     bus_->subscribe(daemon_topics_.back(), [this](const BusMessage& message) {
-      unsigned long long fn = 0, worker = 0;
-      long long extra_us = 0;
-      if (std::sscanf(message.payload.c_str(), "%llu:%llu:%lld", &fn, &worker,
-                      &extra_us) != 3) {
-        throw std::logic_error{"malformed provisioning command"};
+      const auto* command = std::get_if<ProvisionCommand>(&message.payload);
+      if (command == nullptr) {
+        throw std::invalid_argument{
+            "Dispatch Daemon: a non-ProvisionCommand message on its topic"};
       }
-      daemon_build_sandbox(FunctionId{fn}, WorkerId{worker},
-                           sim::Duration::from_micros(extra_us));
+      daemon_build_sandbox(command->function, command->worker,
+                           command->extra);
     });
   }
 }
@@ -109,12 +109,8 @@ std::size_t ProvisionPipeline::provision_count(FunctionId fn) const {
 void ProvisionPipeline::publish_command(FunctionId fn, WorkerId worker,
                                         common::HostId host,
                                         sim::Duration extra) {
-  char payload[96];
-  std::snprintf(payload, sizeof payload, "%llu:%llu:%lld",
-                static_cast<unsigned long long>(fn.value()),
-                static_cast<unsigned long long>(worker.value()),
-                static_cast<long long>(extra.micros()));
-  bus_->publish(daemon_topics_.at(host.value()), payload);
+  bus_->publish(daemon_topics_.at(host.value()),
+                ProvisionCommand{fn, worker, extra});
 }
 
 PendingProvision* ProvisionPipeline::find(FunctionId& fn, WorkerId worker_id) {

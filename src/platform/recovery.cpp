@@ -34,6 +34,7 @@ void RecoveryManager::retry_node(RequestContext& ctx, NodeId node,
   ++record.retries;
   ++stats_.node_retries;
   if (record.retries > calib_.recovery.max_node_retries) {
+    // lint:allow(hot-path-text) failure reason, once per failed request
     hooks_.fail_request(ctx, "node " + std::to_string(node.value()) + ": " +
                                  cause + "; retries exhausted");
     return;

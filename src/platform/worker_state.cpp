@@ -1,7 +1,7 @@
 #include "platform/worker_state.hpp"
 
-#include <cstdio>
 #include <stdexcept>
+#include <variant>
 
 namespace xanadu::platform {
 
@@ -16,38 +16,16 @@ const char* to_string(WorkerEventKind kind) {
   return "unknown";
 }
 
-std::string encode(const WorkerEvent& event) {
-  char buffer[128];
-  std::snprintf(buffer, sizeof buffer, "%u:%llu:%llu:%llu",
-                static_cast<unsigned>(event.kind),
-                static_cast<unsigned long long>(event.worker.value()),
-                static_cast<unsigned long long>(event.function.value()),
-                static_cast<unsigned long long>(event.host.value()));
-  return buffer;
-}
-
-WorkerEvent decode(const std::string& payload) {
-  unsigned kind = 0;
-  unsigned long long worker = 0, function = 0, host = 0;
-  if (std::sscanf(payload.c_str(), "%u:%llu:%llu:%llu", &kind, &worker,
-                  &function, &host) != 4 ||
-      kind > static_cast<unsigned>(WorkerEventKind::Dead)) {
-    throw std::invalid_argument{"decode(WorkerEvent): malformed payload '" +
-                                payload + "'"};
-  }
-  WorkerEvent event;
-  event.kind = static_cast<WorkerEventKind>(kind);
-  event.worker = common::WorkerId{worker};
-  event.function = common::FunctionId{function};
-  event.host = common::HostId{host};
-  return event;
-}
-
 WorkerStateTracker::WorkerStateTracker(MessageBus& bus,
                                        const std::string& topic)
     : bus_(bus) {
   subscription_ = bus_.subscribe(topic, [this](const BusMessage& m) {
-    apply(decode(m.payload));
+    const auto* event = std::get_if<WorkerEvent>(&m.payload);
+    if (event == nullptr) {
+      throw std::invalid_argument{
+          "WorkerStateTracker: a non-WorkerEvent message on its topic"};
+    }
+    apply(*event);
   });
 }
 

@@ -5,10 +5,11 @@
 // Paper Section 4 uses Kafka "also for state management of Xanadu workers":
 // the Dispatch Daemons publish worker lifecycle transitions, and the
 // Dispatch Manager's view of the fleet is whatever has arrived on the bus.
-// This module provides both halves: the event vocabulary the engine
-// publishes on the "workers" topic, and WorkerStateTracker, a subscriber
-// that maintains the eventually-consistent fleet view (counts per state and
-// per function).
+// The event record itself (WorkerEvent) is one of the bus's typed payloads
+// (platform/message_bus.hpp); this module names the engine's "workers"
+// topic and provides WorkerStateTracker, a subscriber that maintains the
+// eventually-consistent fleet view (counts per state and per function) by
+// reading the typed events directly.
 //
 // The tracker deliberately lags reality by the bus latency -- tests assert
 // exactly that -- mirroring the consistency model a real Kafka-backed
@@ -23,31 +24,10 @@
 
 namespace xanadu::platform {
 
-enum class WorkerEventKind : std::uint8_t {
-  Provisioning,  // Sandbox build started.
-  Ready,         // Build finished; worker warm.
-  Busy,          // Executing a request.
-  Idle,          // Finished executing; back to warm.
-  Dead,          // Terminated (keep-alive expiry, eviction, miss discard).
-};
-
 [[nodiscard]] const char* to_string(WorkerEventKind kind);
-
-struct WorkerEvent {
-  WorkerEventKind kind = WorkerEventKind::Provisioning;
-  common::WorkerId worker{};
-  common::FunctionId function{};
-  common::HostId host{};
-};
 
 /// Topic the engine publishes worker events on.
 inline constexpr const char* kWorkerStateTopic = "workers";
-
-/// Serialises an event to the bus payload format ("kind:worker:fn:host").
-[[nodiscard]] std::string encode(const WorkerEvent& event);
-
-/// Parses a payload; throws std::invalid_argument on malformed input.
-[[nodiscard]] WorkerEvent decode(const std::string& payload);
 
 /// Subscribes to the worker-state topic and maintains the fleet view.
 class WorkerStateTracker {
@@ -55,7 +35,8 @@ class WorkerStateTracker {
   /// Subscribes on construction; the bus must outlive the tracker.  `topic`
   /// defaults to the engine's "workers" topic; the sharded runner's fleet
   /// view instead listens on one bridged per-shard topic per tracker
-  /// ("fleet.workers.<shard>"), keeping tenants' worker ids apart.
+  /// ("fleet.workers.<shard>"), keeping tenants' worker ids apart.  A
+  /// delivery that is not a WorkerEvent throws std::invalid_argument.
   explicit WorkerStateTracker(MessageBus& bus,
                               const std::string& topic = kWorkerStateTopic);
   ~WorkerStateTracker();

@@ -8,9 +8,10 @@
 // paid a heap allocation and each queue sift paid a type-erased move.
 // EventFn widens the inline budget to cover every capture the platform
 // actually schedules (the largest engine site captures five 8-byte values;
-// the bus delivery lambda is `this` + TopicId + shared_ptr = 32 bytes), so
-// the common path never allocates.  Oversized or potentially-throwing-move
-// callables transparently fall back to the heap.
+// the bus bridge closure -- bus pointer + TopicId + typed payload -- is
+// 56 bytes, the whole buffer), so the common path never allocates.
+// Oversized or potentially-throwing-move callables transparently fall back
+// to the heap.
 //
 // Move-only by design: an event callback is invoked at most once from
 // exactly one queue slot, so copyability would only invite accidental
@@ -26,10 +27,10 @@ namespace xanadu::sim {
 
 class EventFn {
  public:
-  /// Inline capture budget.  Chosen to fit the largest lambda the platform
-  /// schedules (engine.cpp's provision-handoff site: `this` plus four ids,
-  /// 40 bytes) and the bus delivery closure (32 bytes), with headroom for
-  /// one more word; keeps sizeof(EventFn) at 72 bytes.
+  /// Inline capture budget.  Fits the largest closure the platform
+  /// schedules: the bus bridge's pointer + TopicId + 40-byte payload
+  /// variant, 56 bytes (message_bus.cpp pins this with a static_assert).
+  /// Keeps sizeof(EventFn) at 72 bytes.
   static constexpr std::size_t kInlineCapacity = 56;
 
   EventFn() = default;

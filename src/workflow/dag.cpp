@@ -20,7 +20,8 @@ void WorkflowDag::add_edge(NodeId parent, NodeId child, double probability,
   require_valid_id(parent);
   require_valid_id(child);
   if (parent == child) {
-    throw std::invalid_argument{"WorkflowDag::add_edge: self edge"};
+    throw std::invalid_argument{"WorkflowDag::add_edge: self edge on '" +
+                                nodes_[parent.value()].fn.name + "'"};
   }
   if (probability <= 0.0) {
     throw std::invalid_argument{"WorkflowDag::add_edge: probability must be > 0"};
@@ -28,7 +29,9 @@ void WorkflowDag::add_edge(NodeId parent, NodeId child, double probability,
   Node& p = nodes_[parent.value()];
   for (const Edge& e : p.children) {
     if (e.child == child) {
-      throw std::invalid_argument{"WorkflowDag::add_edge: duplicate edge"};
+      throw std::invalid_argument{"WorkflowDag::add_edge: duplicate edge '" +
+                                  p.fn.name + "' -> '" +
+                                  nodes_[child.value()].fn.name + "'"};
     }
   }
   if (delay < sim::Duration::zero()) {
@@ -131,6 +134,12 @@ void WorkflowDag::validate() const {
     if (!names.insert(n.fn.name).second) {
       throw std::invalid_argument{"WorkflowDag: duplicate function name '" +
                                   n.fn.name + "'"};
+    }
+    // The trace CSV writes names raw: ',' would split a row's fields, ';'
+    // the invoked_by list, CR or LF the row itself.
+    if (n.fn.name.find_first_of(",;\r\n") != std::string::npos) {
+      throw std::invalid_argument{"WorkflowDag: function name '" + n.fn.name +
+                                  "' contains ',', ';', CR or LF"};
     }
     if (n.dispatch == DispatchMode::Xor && n.children.empty()) {
       // An Xor node with no children is just a sink; allowed but the

@@ -74,8 +74,9 @@ class WorkflowDag {
                 sim::Duration delay = sim::Duration::zero());
 
   /// Validates structural invariants: ids in range, acyclicity, at least one
-  /// root, positive Xor probabilities, no duplicate edges.  Throws
-  /// std::invalid_argument with a description of the first violation.
+  /// root, positive Xor probabilities, no duplicate edges, unique function
+  /// names free of ',', ';', CR and LF (the trace CSV writes names raw).
+  /// Throws std::invalid_argument with a description of the first violation.
   void validate() const;
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -175,26 +175,10 @@ Result<bool> collect_block(Document& doc, const std::string& name,
   return Error{"block '" + name + "' has unknown type '" + kind + "'"};
 }
 
-}  // namespace
-
-common::Result<WorkflowDag> parse_state_language(const std::string& text,
-                                                 const std::string& workflow_name) {
-  auto json = common::parse_json(text);
-  if (!json.ok()) return json.error();
-  if (!json.value().is_object()) {
-    return Error{"state-language document must be a JSON object"};
-  }
-
-  Document doc;
-  const JsonObject& top = json.value().as_object();
-  for (const std::string& key : top.keys()) {
-    auto result = collect_block(doc, key, top.at(key), "");
-    if (!result.ok()) return result.error();
-  }
-  if (doc.functions.empty()) {
-    return Error{"state-language document defines no functions"};
-  }
-
+/// Builds the DAG of a collected document.  Structural errors the document
+/// can name come back as Errors; WorkflowDag's own checks throw.
+Result<WorkflowDag> build_dag(const Document& doc,
+                              const std::string& workflow_name) {
   WorkflowDag dag{workflow_name};
   std::map<std::string, NodeId> ids;
 
@@ -270,12 +254,37 @@ common::Result<WorkflowDag> parse_state_language(const std::string& text,
     }
   }
 
+  dag.validate();
+  return dag;
+}
+
+}  // namespace
+
+common::Result<WorkflowDag> parse_state_language(const std::string& text,
+                                                 const std::string& workflow_name) {
+  auto json = common::parse_json(text);
+  if (!json.ok()) return json.error();
+  if (!json.value().is_object()) {
+    return Error{"state-language document must be a JSON object"};
+  }
+
+  Document doc;
+  const JsonObject& top = json.value().as_object();
+  for (const std::string& key : top.keys()) {
+    auto result = collect_block(doc, key, top.at(key), "");
+    if (!result.ok()) return result.error();
+  }
+  if (doc.functions.empty()) {
+    return Error{"state-language document defines no functions"};
+  }
+
+  // WorkflowDag enforces the graph rules (no self or duplicate edges, no
+  // cycles, unique CSV-safe names) by throwing; they are document errors.
   try {
-    dag.validate();
+    return build_dag(doc, workflow_name);
   } catch (const std::invalid_argument& e) {
     return Error{std::string{"invalid workflow: "} + e.what()};
   }
-  return dag;
 }
 
 namespace {

@@ -3,14 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "platform/engine.hpp"
 #include "platform/message_bus.hpp"
 #include "platform/worker_state.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/sharded.hpp"
 #include "workflow/builders.hpp"
 
@@ -19,6 +22,19 @@ namespace {
 
 using namespace xanadu::sim::literals;
 using sim::Duration;
+
+// Distinguishable payloads: a Busy event for worker `n`.
+BusPayload event(std::uint64_t n) {
+  return WorkerEvent{WorkerEventKind::Busy, common::WorkerId{n}, {}, {}};
+}
+
+std::uint64_t worker_of(const BusMessage& m) {
+  return std::get<WorkerEvent>(m.payload).worker.value();
+}
+
+std::string label(const char* who, const BusMessage& m) {
+  return std::string{who} + ":" + std::to_string(worker_of(m));
+}
 
 class MessageBusTest : public ::testing::Test {
  protected:
@@ -36,16 +52,16 @@ TEST_F(MessageBusTest, DeliversToSubscriberAfterLatency) {
   MessageBus::Options options;
   options.latency = 10_ms;
   make_bus(options);
-  std::vector<std::string> received;
+  std::vector<std::uint64_t> received;
   sim::TimePoint delivered_at;
   bus_->subscribe("topic", [&](const BusMessage& m) {
-    received.push_back(m.payload);
+    received.push_back(worker_of(m));
     delivered_at = sim_.now();
   });
-  bus_->publish("topic", "hello");
+  bus_->publish("topic", event(42));
   sim_.run();
   ASSERT_EQ(received.size(), 1u);
-  EXPECT_EQ(received[0], "hello");
+  EXPECT_EQ(received[0], 42u);
   EXPECT_EQ(delivered_at.millis(), 10.0);
 }
 
@@ -53,8 +69,8 @@ TEST_F(MessageBusTest, FanOutToAllSubscribers) {
   int a = 0, b = 0;
   bus_->subscribe("t", [&](const BusMessage&) { ++a; });
   bus_->subscribe("t", [&](const BusMessage&) { ++b; });
-  bus_->publish("t", "x");
-  bus_->publish("t", "y");
+  bus_->publish("t", event(1));
+  bus_->publish("t", event(2));
   sim_.run();
   EXPECT_EQ(a, 2);
   EXPECT_EQ(b, 2);
@@ -65,7 +81,7 @@ TEST_F(MessageBusTest, FanOutToAllSubscribers) {
 TEST_F(MessageBusTest, TopicsAreIsolated) {
   int count = 0;
   bus_->subscribe("a", [&](const BusMessage&) { ++count; });
-  bus_->publish("b", "x");
+  bus_->publish("b", event(1));
   sim_.run();
   EXPECT_EQ(count, 0);
   EXPECT_EQ(bus_->subscriber_count("a"), 1u);
@@ -73,9 +89,9 @@ TEST_F(MessageBusTest, TopicsAreIsolated) {
 }
 
 TEST_F(MessageBusTest, OffsetsAreMonotonicPerTopic) {
-  EXPECT_EQ(bus_->publish("t", "0"), 0u);
-  EXPECT_EQ(bus_->publish("t", "1"), 1u);
-  EXPECT_EQ(bus_->publish("u", "0"), 0u);  // Independent per topic.
+  EXPECT_EQ(bus_->publish("t", event(0)), 0u);
+  EXPECT_EQ(bus_->publish("t", event(1)), 1u);
+  EXPECT_EQ(bus_->publish("u", event(0)), 0u);  // Independent per topic.
 }
 
 TEST_F(MessageBusTest, JitterNeverReordersWithinTopic) {
@@ -85,7 +101,7 @@ TEST_F(MessageBusTest, JitterNeverReordersWithinTopic) {
   make_bus(options);
   std::vector<std::uint64_t> offsets;
   bus_->subscribe("t", [&](const BusMessage& m) { offsets.push_back(m.offset); });
-  for (int i = 0; i < 50; ++i) bus_->publish("t", std::to_string(i));
+  for (std::uint64_t i = 0; i < 50; ++i) bus_->publish("t", event(i));
   sim_.run();
   ASSERT_EQ(offsets.size(), 50u);
   for (std::size_t i = 0; i < offsets.size(); ++i) EXPECT_EQ(offsets[i], i);
@@ -94,9 +110,9 @@ TEST_F(MessageBusTest, JitterNeverReordersWithinTopic) {
 TEST_F(MessageBusTest, UnsubscribeStopsFutureAndInFlightDeliveries) {
   int count = 0;
   const auto id = bus_->subscribe("t", [&](const BusMessage&) { ++count; });
-  bus_->publish("t", "in-flight");
+  bus_->publish("t", event(1));  // In flight when the handler leaves.
   EXPECT_TRUE(bus_->unsubscribe(id));
-  bus_->publish("t", "after");
+  bus_->publish("t", event(2));
   sim_.run();
   // The handler was removed before any delivery fired.
   EXPECT_EQ(count, 0);
@@ -104,7 +120,7 @@ TEST_F(MessageBusTest, UnsubscribeStopsFutureAndInFlightDeliveries) {
 }
 
 TEST_F(MessageBusTest, SubscribersJoiningLaterMissOldMessages) {
-  bus_->publish("t", "early");
+  bus_->publish("t", event(1));
   sim_.run();
   int count = 0;
   bus_->subscribe("t", [&](const BusMessage&) { ++count; });
@@ -118,22 +134,22 @@ TEST_F(MessageBusTest, HandlerUnsubscribingALaterSubscriberSkipsIt) {
   std::vector<std::string> seen;
   SubscriptionId victim;
   bus_->subscribe("t", [&](const BusMessage& m) {
-    seen.push_back("killer:" + m.payload);
-    if (m.payload == "one") {
+    seen.push_back(label("killer", m));
+    if (worker_of(m) == 1) {
       EXPECT_TRUE(bus_->unsubscribe(victim));
     }
   });
   victim = bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back("victim:" + m.payload); });
+      "t", [&](const BusMessage& m) { seen.push_back(label("victim", m)); });
   bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back("third:" + m.payload); });
-  bus_->publish("t", "one");
-  bus_->publish("t", "two");
+      "t", [&](const BusMessage& m) { seen.push_back(label("third", m)); });
+  bus_->publish("t", event(1));
+  bus_->publish("t", event(2));
   sim_.run();
-  // The victim, removed before its turn, misses "one" already; the walk
+  // The victim, removed before its turn, misses message 1 already; the walk
   // continues to the third subscriber, and the tombstone is gone afterwards.
-  EXPECT_EQ(seen, (std::vector<std::string>{"killer:one", "third:one",
-                                            "killer:two", "third:two"}));
+  EXPECT_EQ(seen, (std::vector<std::string>{"killer:1", "third:1",
+                                            "killer:2", "third:2"}));
   EXPECT_EQ(bus_->subscriber_count("t"), 2u);
   EXPECT_EQ(bus_->delivered_count(), 4u);
   EXPECT_FALSE(bus_->unsubscribe(victim));
@@ -145,15 +161,14 @@ TEST_F(MessageBusTest, HandlerUnsubscribingItselfFinishesThisDelivery) {
   self = bus_->subscribe("t", [&](const BusMessage& m) {
     EXPECT_TRUE(bus_->unsubscribe(self));
     // The running handler (and what it captured) outlives its removal.
-    seen.push_back("self:" + m.payload);
+    seen.push_back(label("self", m));
   });
   bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back("other:" + m.payload); });
-  bus_->publish("t", "one");
-  bus_->publish("t", "two");
+      "t", [&](const BusMessage& m) { seen.push_back(label("other", m)); });
+  bus_->publish("t", event(1));
+  bus_->publish("t", event(2));
   sim_.run();
-  EXPECT_EQ(seen, (std::vector<std::string>{"self:one", "other:one",
-                                            "other:two"}));
+  EXPECT_EQ(seen, (std::vector<std::string>{"self:1", "other:1", "other:2"}));
   EXPECT_EQ(bus_->subscriber_count("t"), 1u);
 }
 
@@ -161,22 +176,22 @@ TEST_F(MessageBusTest, HandlerSubscribingANewcomerStartsItAtTheNextMessage) {
   std::vector<std::string> seen;
   int joined = 0;
   bus_->subscribe("t", [&](const BusMessage& m) {
-    seen.push_back("first:" + m.payload);
+    seen.push_back(label("first", m));
     // Several joins per delivery, so the list reallocates under the walk
     // while this handler is running.
-    for (int k = 0; k < 8 && m.payload == "one"; ++k) {
+    for (int k = 0; k < 8 && worker_of(m) == 1; ++k) {
       bus_->subscribe("t", [&seen, k](const BusMessage& later) {
-        if (k == 0) seen.push_back("newcomer:" + later.payload);
+        if (k == 0) seen.push_back(label("newcomer", later));
       });
       ++joined;
     }
   });
-  bus_->publish("t", "one");
-  bus_->publish("t", "two");
+  bus_->publish("t", event(1));
+  bus_->publish("t", event(2));
   sim_.run();
   EXPECT_EQ(joined, 8);
-  EXPECT_EQ(seen, (std::vector<std::string>{"first:one", "first:two",
-                                            "newcomer:two"}));
+  EXPECT_EQ(seen, (std::vector<std::string>{"first:1", "first:2",
+                                            "newcomer:2"}));
   EXPECT_EQ(bus_->subscriber_count("t"), 9u);
   EXPECT_EQ(bus_->delivered_count(), 1u + 9u);
 }
@@ -186,6 +201,79 @@ TEST_F(MessageBusTest, RejectsBadArguments) {
   MessageBus::Options bad;
   bad.latency = Duration::from_millis(-1);
   EXPECT_THROW(MessageBus(sim_, bad, common::Rng{1}), std::invalid_argument);
+}
+
+// -- Topics without subscribers: no delivery event, same draws. -----------
+
+TEST_F(MessageBusTest, PublishWithoutSubscriberSchedulesNoDelivery) {
+  EXPECT_EQ(bus_->publish("quiet", event(1)), 0u);
+  EXPECT_EQ(bus_->publish("quiet", event(2)), 1u);  // Offsets still advance.
+  EXPECT_EQ(sim_.pending(), 0u);
+  EXPECT_EQ(sim_.run(), 0u);
+  EXPECT_EQ(sim_.events_fired(), 0u);
+  EXPECT_EQ(bus_->published_count(), 2u);
+  EXPECT_EQ(bus_->delivered_count(), 0u);
+}
+
+TEST_F(MessageBusTest, SubscriberJoiningMidFlightStartsAtTheLatestOffset) {
+  // Like a Kafka consumer that starts at the latest offset: a message
+  // published while nobody listened is not delivered to a later joiner,
+  // even one that joins before the message would have landed.
+  bus_->publish("t", event(1));
+  std::vector<std::uint64_t> offsets;
+  bus_->subscribe("t", [&](const BusMessage& m) { offsets.push_back(m.offset); });
+  bus_->publish("t", event(2));
+  sim_.run();
+  EXPECT_EQ(offsets, (std::vector<std::uint64_t>{1}));
+}
+
+TEST(MessageBusJitter, UnsubscribedPublishStillTakesItsJitterDraw) {
+  // Two buses on one seed; on the first nobody listens to "quiet", on the
+  // second somebody does.  The quiet publishes must consume the same jitter
+  // draws either way, so the later "loud" message lands at the same time.
+  auto loud_arrival = [](bool quiet_has_subscriber) {
+    sim::Simulator sim;
+    MessageBus::Options options;
+    options.latency = 5_ms;
+    options.jitter = 20_ms;
+    MessageBus bus{sim, options, common::Rng{9}};
+    if (quiet_has_subscriber) bus.subscribe("quiet", [](const BusMessage&) {});
+    sim::TimePoint arrival;
+    bus.subscribe("loud", [&](const BusMessage&) { arrival = sim.now(); });
+    for (std::uint64_t i = 0; i < 5; ++i) bus.publish("quiet", event(i));
+    bus.publish("loud", event(99));
+    const std::size_t fired = sim.run();
+    return std::make_pair(arrival.micros(), fired);
+  };
+  const auto [unheard_at, unheard_fired] = loud_arrival(false);
+  const auto [heard_at, heard_fired] = loud_arrival(true);
+  EXPECT_EQ(unheard_at, heard_at);
+  EXPECT_EQ(unheard_fired, 1u);
+  EXPECT_EQ(heard_fired, 6u);
+}
+
+TEST_F(MessageBusTest, DuplicateFaultDeliversTwiceInOrderWithOneOffset) {
+  sim::FaultPlanOptions faults;
+  faults.bus_duplicate_rate = 1.0;
+  sim::FaultPlan plan{faults, common::Rng{5}};
+  bus_->set_fault_plan(&plan);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (id, offset)
+  bus_->subscribe("t", [&](const BusMessage& m) {
+    seen.emplace_back(worker_of(m), m.offset);
+  });
+  bus_->publish("t", event(7));
+  bus_->publish("t", event(8));
+  sim_.run();
+  EXPECT_EQ(seen, (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                      {7, 0}, {7, 0}, {8, 1}, {8, 1}}));
+  EXPECT_EQ(plan.counters().bus_duplicates, 2u);
+}
+
+TEST_F(MessageBusTest, TrackerRejectsAMessageOfTheWrongKind) {
+  WorkerStateTracker tracker{*bus_};
+  bus_->publish(kWorkerStateTopic, ProvisionCommand{});
+  EXPECT_THROW(sim_.run(), std::invalid_argument);
+  EXPECT_EQ(tracker.events_seen(), 0u);
 }
 
 TEST(sharded_bus_bridge, BridgedTopicCrossesShardsAtTheBridgeLatency) {
@@ -205,18 +293,22 @@ TEST(sharded_bus_bridge, BridgedTopicCrossesShardsAtTheBridgeLatency) {
                std::invalid_argument);
   tenant.bridge_topic("workers", fleet, "fleet.workers", 4_ms);
 
-  std::vector<std::pair<std::string, double>> seen;
+  std::vector<std::pair<std::uint64_t, double>> seen;
   fleet.subscribe("fleet.workers", [&](const BusMessage& m) {
-    seen.emplace_back(m.payload, fleet_sim.now().millis());
+    seen.emplace_back(worker_of(m), fleet_sim.now().millis());
   });
   tenant_sim.schedule_at(sim::TimePoint{10'000},
-                         [&] { tenant.publish("workers", "w1"); });
+                         [&] { tenant.publish("workers", event(1)); });
   driver.run(2);
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].first, "w1");
+  EXPECT_EQ(seen[0].first, 1u);
   EXPECT_EQ(seen[0].second, 14.0);
   EXPECT_EQ(tenant.bridged_out_count(), 1u);
   EXPECT_EQ(fleet.bridged_in_count(), 1u);
+  // The tenant's own "workers" topic has no subscriber: the publish crossed
+  // the bridge but scheduled no local delivery (only the publishing event
+  // fired on the tenant shard).
+  EXPECT_EQ(tenant_sim.events_fired(), 1u);
 }
 
 // ------------------------------------------------- engine integration -----
@@ -305,6 +397,7 @@ TEST(ControlBus, WorkerStateTrackerMirrorsFleet) {
   EXPECT_EQ(tracker.function_count(fn0), 1u);
   // Each worker produced provisioning/ready/busy/idle.
   EXPECT_EQ(tracker.events_seen(), 12u);
+  EXPECT_STREQ(to_string(WorkerEventKind::Ready), "ready");
 
   // Tear the fleet down: dead events bring the view back to zero.
   engine.flush_all_warm_workers();
@@ -312,20 +405,14 @@ TEST(ControlBus, WorkerStateTrackerMirrorsFleet) {
   EXPECT_EQ(tracker.live_count(), 0u);
 }
 
-TEST(ControlBus, WorkerEventEncodingRoundTrips) {
-  WorkerEvent event;
-  event.kind = WorkerEventKind::Busy;
-  event.worker = common::WorkerId{17};
-  event.function = common::FunctionId{3};
-  event.host = common::HostId{0};
-  const WorkerEvent round = decode(encode(event));
-  EXPECT_EQ(round.kind, event.kind);
-  EXPECT_EQ(round.worker, event.worker);
-  EXPECT_EQ(round.function, event.function);
-  EXPECT_EQ(round.host, event.host);
-  EXPECT_THROW((void)decode("garbage"), std::invalid_argument);
-  EXPECT_THROW((void)decode("9:1:1:1"), std::invalid_argument);  // Unknown kind.
-  EXPECT_STREQ(to_string(WorkerEventKind::Ready), "ready");
+TEST(ControlBus, DaemonRejectsAMessageOfTheWrongKind) {
+  sim::Simulator sim;
+  cluster::Cluster cluster{cluster::ClusterOptions{}, common::Rng{7}};
+  PlatformCalibration calib;
+  calib.control_bus.enabled = true;
+  PlatformEngine engine{sim, cluster, calib, nullptr, common::Rng{11}};
+  engine.control_bus()->publish("daemon.0", event(1));
+  EXPECT_THROW(sim.run(), std::invalid_argument);
 }
 
 }  // namespace

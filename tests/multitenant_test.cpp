@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -88,7 +89,7 @@ TEST_F(MultiTenantEngineTest, FlushAllWarmWorkersActsAcrossTenantsInIdOrder) {
   std::vector<common::FunctionId> dead_functions;
   engine.control_bus()->subscribe(
       kWorkerStateTopic, [&](const BusMessage& message) {
-        const WorkerEvent event = decode(message.payload);
+        const auto& event = std::get<WorkerEvent>(message.payload);
         if (event.kind == WorkerEventKind::Dead) {
           dead_functions.push_back(event.function);
         }

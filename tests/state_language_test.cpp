@@ -157,6 +157,39 @@ TEST(StateLanguage, TwoConditionalsOnOneParentRejected) {
   EXPECT_NE(result.error().message.find("more than one"), std::string::npos);
 }
 
+// WorkflowDag::add_edge throws on these; the loader must turn the throw
+// into an Error instead of letting it escape to deploy_document or the CLI.
+TEST(StateLanguage, SelfWaitForIsAnError) {
+  auto result = parse_state_language(
+      R"({"f": {"type": "function", "wait_for": ["f"]}})");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("self edge"), std::string::npos)
+      << result.error().message;
+}
+
+TEST(StateLanguage, DuplicateWaitForIsAnError) {
+  auto result = parse_state_language(R"({
+    "a": {"type": "function"},
+    "b": {"type": "function", "wait_for": ["a", "a"]}
+  })");
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("duplicate edge"), std::string::npos)
+      << result.error().message;
+}
+
+TEST(StateLanguage, NamesThatBreakTheTraceCsvAreErrors) {
+  for (const char* doc :
+       {R"({"a,b": {"type": "function"}})", R"({"a;b": {"type": "function"}})",
+        R"({"a\nb": {"type": "function"}})",
+        R"({"a\rb": {"type": "function"}})"}) {
+    auto result = parse_state_language(doc);
+    ASSERT_FALSE(result.ok()) << doc;
+    EXPECT_NE(result.error().message.find("invalid workflow"),
+              std::string::npos)
+        << result.error().message;
+  }
+}
+
 TEST(StateLanguage, PaperListingOneShape) {
   // The structure of Listing 1: f1 guarded by a conditional with two
   // branches, each branch holding a downstream function.

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
 #include "workflow/builders.hpp"
@@ -73,6 +80,106 @@ TEST(Trace, MultiRequestCsvHasHeaderOnce) {
     ++pos;
   }
   EXPECT_EQ(headers, 1u);
+}
+
+// The ostringstream renderer the to_chars one replaced, kept verbatim as the
+// byte-for-byte reference: the pinned digests hash exactly this text.
+const char* reference_status(platform::NodeStatus status) {
+  switch (status) {
+    case platform::NodeStatus::Pending: return "pending";
+    case platform::NodeStatus::Triggered: return "triggered";
+    case platform::NodeStatus::Executing: return "executing";
+    case platform::NodeStatus::Completed: return "completed";
+    case platform::NodeStatus::Skipped: return "skipped";
+  }
+  return "unknown";
+}
+
+std::string reference_rows(const platform::RequestResult& result,
+                           const workflow::WorkflowDag& dag) {
+  auto name_of = [&dag](std::size_t node) -> const std::string& {
+    return dag.node(common::NodeId{node}).fn.name;
+  };
+  std::ostringstream out;
+  for (std::size_t i = 0; i < result.node_records.size(); ++i) {
+    const platform::NodeRecord& record = result.node_records[i];
+    out << result.id.value() << ',' << i << ',' << name_of(i) << ','
+        << reference_status(record.status) << ',';
+    const bool ran = record.status == platform::NodeStatus::Completed;
+    if (ran) {
+      out << record.trigger_time.millis() << ',' << record.exec_start.millis()
+          << ',' << record.exec_end.millis() << ','
+          << record.exec_duration.millis();
+    } else {
+      out << ",,,";
+    }
+    out << ',' << (record.cold ? 1 : 0) << ','
+        << record.provision_wait.millis() << ',' << record.retries << ','
+        << (result.failed ? 1 : 0) << ',';
+    for (std::size_t p = 0; p < record.invoked_by.size(); ++p) {
+      if (p > 0) out << ';';
+      out << name_of(record.invoked_by[p].value());
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+// Microsecond values spread over every rendering regime: sub-millisecond,
+// ordinary, the 999999.5 ms -> "1e+06" rounding boundary, past 1e7 ms, and
+// up to ~1e10 ms.
+std::int64_t random_micros(common::Rng& rng) {
+  static constexpr std::int64_t kEdges[] = {
+      0,          1,          999,           1000,          999'999'499,
+      999'999'500, 1'000'000'000, 9'999'995'000, 10'000'000'000};
+  switch (rng.uniform_int(4)) {
+    case 0:
+      return kEdges[rng.uniform_int(std::size(kEdges))];
+    case 1:
+      return static_cast<std::int64_t>(rng.uniform_int(2'000'000));
+    case 2:  // Around the 1e6 ms boundary.
+      return 999'000'000 +
+             static_cast<std::int64_t>(rng.uniform_int(2'000'000));
+    default:  // Log-uniform up to 1e13 us.
+      return static_cast<std::int64_t>(std::pow(10.0, rng.uniform(0.0, 13.0)));
+  }
+}
+
+TEST(Trace, ToCharsRendererMatchesTheOstreamReference) {
+  const workflow::WorkflowDag dag = workflow::linear_chain(6);
+  std::vector<std::string_view> names;
+  for (std::size_t i = 0; i < dag.node_count(); ++i) {
+    names.push_back(dag.node(common::NodeId{i}).fn.name);
+  }
+  common::Rng rng{20201207};
+  std::size_t rows = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    platform::RequestResult result;
+    result.id = common::RequestId{rng.uniform_int(1'000'000'000)};
+    result.failed = rng.bernoulli(0.2);
+    result.node_records.resize(1 + rng.uniform_int(dag.node_count()));
+    for (std::size_t i = 0; i < result.node_records.size(); ++i) {
+      platform::NodeRecord& record = result.node_records[i];
+      record.status = static_cast<platform::NodeStatus>(rng.uniform_int(5));
+      record.trigger_time = sim::TimePoint{random_micros(rng)};
+      record.exec_start = sim::TimePoint{random_micros(rng)};
+      record.exec_end = sim::TimePoint{random_micros(rng)};
+      record.exec_duration = Duration::from_micros(random_micros(rng));
+      record.provision_wait = Duration::from_micros(random_micros(rng));
+      record.cold = rng.bernoulli(0.5);
+      record.retries = rng.uniform_int(4);
+      for (std::size_t p = 0; p < i; ++p) {  // Several parents at times.
+        if (rng.bernoulli(0.4)) record.invoked_by.push_back(common::NodeId{p});
+      }
+    }
+    const std::string expected = reference_rows(result, dag);
+    ASSERT_EQ(metrics::trace_csv(result, dag), expected) << "trial " << trial;
+    std::string streamed = "prefix\n";
+    metrics::append_trace_csv(streamed, result, names);
+    ASSERT_EQ(streamed, "prefix\n" + expected) << "trial " << trial;
+    rows += result.node_records.size();
+  }
+  EXPECT_GT(rows, 10'000u);
 }
 
 // ------------------------------------------------------------ random dag --

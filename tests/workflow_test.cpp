@@ -125,6 +125,17 @@ TEST(Dag, ValidateRejectsEmptyAndDuplicateNames) {
   EXPECT_THROW(dup.validate(), std::invalid_argument);
 }
 
+TEST(Dag, ValidateRejectsNamesThatBreakTheTraceCsv) {
+  for (const char* name : {"a,b", "a;b", "a\rb", "a\nb"}) {
+    WorkflowDag dag;
+    dag.add_node(spec(name));
+    EXPECT_THROW(dag.validate(), std::invalid_argument) << name;
+  }
+  WorkflowDag fine;
+  fine.add_node(spec("resize-image_v2.small"));
+  EXPECT_NO_THROW(fine.validate());
+}
+
 TEST(Dag, FindByName) {
   const WorkflowDag dag = linear_chain(3);
   EXPECT_TRUE(dag.find_by_name("f2").valid());

@@ -7,6 +7,11 @@ parse and merges the reports.
 
 from __future__ import annotations
 
-from . import arena_escape, observer_purity, shard_lookahead  # noqa: F401
+from . import (  # noqa: F401
+    arena_escape,
+    hot_path_text,
+    observer_purity,
+    shard_lookahead,
+)
 
-ALL_ANALYSES = (arena_escape, shard_lookahead, observer_purity)
+ALL_ANALYSES = (arena_escape, shard_lookahead, observer_purity, hot_path_text)

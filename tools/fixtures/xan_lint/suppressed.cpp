@@ -18,6 +18,8 @@ class SuppressedShapes {
                         "sup.tick");
     // lint:allow(shard-lookahead) fixture: pinned suppression syntax
     peer_bus_->publish(topic_, payload_);
+    // lint:allow(hot-path-text) fixture: pinned suppression syntax
+    label_ = std::to_string(ticks_);
   }
 
  private:
@@ -27,6 +29,8 @@ class SuppressedShapes {
   MessageBus* peer_bus_ = nullptr;
   TopicId topic_;
   Payload payload_;
+  std::string label_;
+  unsigned ticks_ = 0;
 };
 
 class PolicyView {

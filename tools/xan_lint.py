@@ -25,6 +25,10 @@ whole analysis family runs off that single SourceModel:
                      from an Rng, call an engine mutator, or write state
                      folded into state_digest (static complement of the
                      golden-digest replay)
+  hot-path-text      handler-reachable code in src/ that formats text
+                     (ostringstream/stringstream objects, snprintf/sscanf/
+                     to_string calls); the per-event path renders with
+                     std::to_chars and passes typed bus payloads
 
 Every rule shares the same suppression syntax on the offending line or the
 line above (`// lint:allow(<rule>) justification`; flow-lint:allow is a

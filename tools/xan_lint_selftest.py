@@ -26,6 +26,13 @@ its distilled bug or noisy on the fixed form.
                                fire twice
   good_observer_pure.cpp       pure accessors + pure probe samplers --
                                must be silent
+  bad_hot_path_text.cpp        pre-fix per-request text: an ostringstream
+                               row renderer and an snprintf/sscanf bus
+                               payload, all handler-reachable --
+                               hot-path-text must fire three times
+  good_hot_path_chars.cpp      to_chars rows, typed payloads, and text
+                               formatting no handler reaches -- must be
+                               silent
   template_overload.cpp        overload set via template: the explicit-
                                template call site must edge into the
                                template definition (shared-rng-draw fires
@@ -51,7 +58,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import flow_lint  # noqa: E402
 import xan_lint  # noqa: E402
-from analyses import arena_escape, observer_purity, shard_lookahead  # noqa: E402
+from analyses import (  # noqa: E402
+    arena_escape,
+    hot_path_text,
+    observer_purity,
+    shard_lookahead,
+)
 from cppmodel import SourceModel  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "xan_lint"
@@ -77,6 +89,7 @@ def main() -> int:
     arena = by_file(arena_escape.run(model))
     shard = by_file(shard_lookahead.run(model))
     observer = by_file(observer_purity.run(model))
+    text = by_file(hot_path_text.run(model))
     flow_findings, _ = flow_lint.run_on_model(model)
     flow = by_file(flow_findings)
 
@@ -166,6 +179,35 @@ def main() -> int:
         failures,
     )
 
+    # --- hot-path-text: formatting on the per-event path. -----------------
+    found = text.get("bad_hot_path_text.cpp", [])
+    check(
+        len(found) == 3 and all(f.rule == "hot-path-text" for f in found),
+        "bad_hot_path_text fires hot-path-text exactly three times",
+        failures,
+    )
+    if len(found) == 3:
+        messages = " | ".join(f.message for f in found)
+        check(
+            "ostringstream" in messages and "snprintf" in messages
+            and "sscanf" in messages,
+            "bad_hot_path_text flags the stream row renderer and both "
+            "halves of the text payload",
+            failures,
+        )
+        check(
+            any("TextTrace::on_request_done" in " -> ".join(f.path)
+                and "append_rows" in " -> ".join(f.path) for f in found),
+            "bad_hot_path_text reports the handler path into append_rows",
+            failures,
+        )
+    check(
+        not text.get("good_hot_path_chars.cpp"),
+        "good_hot_path_chars is silent (to_chars, typed payloads, cold "
+        "report formatting)",
+        failures,
+    )
+
     # --- template_overload: per-instantiation call-graph resolution. ------
     targets = model.resolve("mix_jitter", 2, 1)
     check(
@@ -206,6 +248,7 @@ def main() -> int:
         ("arena-escape", arena),
         ("shard-lookahead", shard),
         ("observer-purity", observer),
+        ("hot-path-text", text),
     ):
         check(
             not grouped.get("suppressed.cpp"),
