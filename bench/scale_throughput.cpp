@@ -39,16 +39,18 @@
 //     --smoke         tiny presets plus hard self-checks; used by the
 //                     scale_throughput_smoke CTest and CI (no JSON by default)
 //     --full          adds the 1M-request macro presets to the sweep
-//     --huge          adds a 10M-request Xanadu JIT preset (streamed, with a
-//                     bounded arrival window; digest not comparable to the
-//                     prescheduled presets -- see RunOptions::arrival_window)
+//     --huge          adds a 10M-request Xanadu JIT preset (streamed)
 //     --rss-gate-mib  fail (exit 1) if peak RSS exceeds N MiB at the end of
 //                     the sweep; the nightly CI gate
 //     --json          output path (default BENCH_scale.json; "-" disables)
 //
 // Macro presets run with RunOptions::retain_results = false: aggregates,
-// digest and histogram stream during the replay, so peak RSS stays flat in
-// request count (the gate above enforces this).
+// digest and histogram stream during the replay, and the simulator queues
+// one arrival at a time, so peak RSS stays flat in request count (the gate
+// above enforces this).  Every preset records its simulator slab high water
+// (`slab_high_water`, the most events ever queued at once); the self-check
+// fails when a Knative-like macro preset's reaches a tenth of its requests,
+// which would mean arrivals are queued up front again.
 //
 // The emitted BENCH_scale.json schema is documented in ARCHITECTURE.md
 // ("BENCH_scale.json schema").
@@ -90,6 +92,8 @@ struct PresetResult {
   double speedup_vs_one_thread = 1.0;
   std::size_t requests = 0;        // macro: request count; queue: op target
   std::uint64_t events_fired = 0;  // simulator events fired during the run
+  // Slab slots ever allocated (sum over tenant simulators when sharded).
+  std::uint64_t slab_high_water = 0;
   std::uint64_t queue_ops = 0;     // schedules + cancels + fires
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
@@ -123,7 +127,7 @@ workload::ArrivalSchedule poisson_exact(std::size_t count,
 }
 
 PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
-                       std::uint64_t seed, std::size_t arrival_window = 0) {
+                       std::uint64_t seed) {
   auto manager = bench::make_manager(kind, seed);
   const auto wf = manager.deploy(
       workflow::linear_chain(4, bench::chain_options(5.0)));
@@ -139,7 +143,6 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
   // `requests` (the point of the --rss-gate-mib check).
   workload::RunOptions options;
   options.retain_results = false;
-  options.arrival_window = arrival_window;
 
   const std::uint64_t events_before = manager.simulator().events_fired();
   const sim::TimePoint virtual_before = manager.simulator().now();
@@ -159,6 +162,7 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
                 std::to_string(requests / 1000) + "k";
   result.requests = requests;
   result.events_fired = events;
+  result.slab_high_water = manager.simulator().slab_capacity();
   result.wall_seconds = wall;
   result.events_per_sec =
       wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
@@ -227,9 +231,11 @@ PresetResult run_sharded(std::size_t requests, unsigned threads,
       workload::run_sharded_mix(scenario.shards, options);
   const double wall = seconds_since(start);
   double virtual_span = 0.0;
+  std::uint64_t slab_high_water = 0;
   for (const std::unique_ptr<core::DispatchManager>& manager :
        scenario.managers) {
     virtual_span = std::max(virtual_span, manager->simulator().now().seconds());
+    slab_high_water += manager->simulator().slab_capacity();
   }
 
   PresetResult result;
@@ -240,6 +246,7 @@ PresetResult run_sharded(std::size_t requests, unsigned threads,
   result.threads = threads;
   result.requests = scheduled;
   result.events_fired = outcome.events_fired;
+  result.slab_high_water = slab_high_water;
   result.wall_seconds = wall;
   result.events_per_sec =
       wall > 0.0 ? static_cast<double>(outcome.events_fired) / wall : 0.0;
@@ -318,6 +325,7 @@ PresetResult run_queue_hotpath(std::size_t target_ops) {
   result.name = "queue_hotpath_" + std::to_string(target_ops / 1000) + "k";
   result.requests = target_ops;
   result.events_fired = sim.events_fired();
+  result.slab_high_water = sim.slab_capacity();
   result.queue_ops = scheduled + cancelled + sim.events_fired();
   result.wall_seconds = wall;
   result.events_per_sec =
@@ -351,6 +359,7 @@ common::JsonValue to_json(const PresetResult& r) {
   o.set("speedup_vs_one_thread", r.speedup_vs_one_thread);
   o.set("requests", static_cast<double>(r.requests));
   o.set("events_fired", static_cast<double>(r.events_fired));
+  o.set("slab_high_water", static_cast<double>(r.slab_high_water));
   o.set("queue_ops", static_cast<double>(r.queue_ops));
   o.set("wall_seconds", r.wall_seconds);
   o.set("events_per_sec", r.events_per_sec);
@@ -369,10 +378,11 @@ common::JsonValue to_json(const PresetResult& r) {
 void print_result(const PresetResult& r) {
   std::printf(
       "  %-18s %9zu req  %12llu events  %8.3fs wall  %12.0f ev/s  "
-      "%9.0fx speedup  %7.1f MiB peak\n",
+      "%9.0fx speedup  %7.1f MiB peak  %8llu slab\n",
       r.name.c_str(), r.requests,
       static_cast<unsigned long long>(r.events_fired), r.wall_seconds,
-      r.events_per_sec, r.speedup_virtual_over_wall, r.rss_peak_mib);
+      r.events_per_sec, r.speedup_virtual_over_wall, r.rss_peak_mib,
+      static_cast<unsigned long long>(r.slab_high_water));
   if (r.queue_ops > 0) {
     std::printf("  %-18s %30llu queue ops  %21.0f ops/s\n", "",
                 static_cast<unsigned long long>(r.queue_ops),
@@ -436,12 +446,10 @@ int main(int argc, char** argv) {
     }
   }
   if (huge) {
-    // The 10M point: streamed (no retained results) with a bounded arrival
-    // window, so both the result vector and the pending-arrival events stay
-    // flat.  Window N > 0 changes the event-creation sequence, so this
-    // preset's digest pins only its own configuration (see the usage note).
+    // The 10M point: streamed (no retained results), so neither the result
+    // vector nor the queued arrivals grow with the request count.
     results.push_back(run_macro(core::PlatformKind::XanaduJit, 10'000'000,
-                                /*seed=*/42, /*arrival_window=*/8192));
+                                /*seed=*/42));
     print_result(results.back());
   }
   // Sharded thread curve: the conservative parallel drain over the same
@@ -475,6 +483,13 @@ int main(int argc, char** argv) {
         fail("macro preset produced a null digest");
       }
       if (r.events_fired < r.requests) fail("implausibly few events fired");
+      // Deterministic memory gate: a Knative-like replay keeps no more
+      // events queued than its requests in flight, far below a tenth of
+      // the run (the 2k smoke preset peaks at 144 slots).
+      if (r.family == "macro" && r.platform == "knative" &&
+          r.slab_high_water * 10 >= r.requests) {
+        fail("knative macro preset queued a tenth of its requests at once");
+      }
     } else {
       if (r.events_fired == 0 || r.queue_ops < r.requests) {
         fail("queue hot path did not reach its op target");
@@ -536,7 +551,7 @@ int main(int argc, char** argv) {
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.scale/v4",
+          json_path, "xanadu.bench.scale/v5",
           "4-node linear chain, 5 ms exec, Poisson arrivals (20 ms mean "
           "gap), seed 42; sharded curve: same volume over 4 tenant shards + "
           "fleet shard, threads 1/2/4/8; queue hot path: window-256 "

@@ -1,5 +1,10 @@
 #include "common/arena.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <new>
+
 #if defined(XANADU_ARENA_ASAN)
 #include <sanitizer/asan_interface.h>
 #endif
@@ -17,7 +22,28 @@ namespace {
 Arena::Arena(std::size_t block_bytes)
     : block_bytes_(block_bytes == 0 ? kDefaultBlockBytes : block_bytes) {}
 
-Arena::~Arena() = default;
+Arena::~Arena() {
+  free_chain(current_);
+  free_chain(oversized_);
+}
+
+Arena::Block* Arena::new_block(std::size_t size, Block* next) {
+  // The header is 16 bytes, so the usable bytes keep operator new's
+  // alignment.
+  static_assert(sizeof(Block) % alignof(std::max_align_t) == 0);
+  auto* block = ::new (::operator new(sizeof(Block) + size)) Block{next, size};
+  poison(block->data(), size);
+  return block;
+}
+
+void Arena::free_chain(Block* head) noexcept {
+  while (head != nullptr) {
+    Block* next = head->next;
+    unpoison(head->data(), head->size);
+    ::operator delete(head);
+    head = next;
+  }
+}
 
 void Arena::poison(const void* address, std::size_t size) {
 #if defined(XANADU_ARENA_ASAN)
@@ -38,41 +64,43 @@ void Arena::unpoison(const void* address, std::size_t size) {
 }
 
 void Arena::push_block(std::size_t min_bytes) {
-  Block block;
-  block.size = min_bytes > block_bytes_ ? min_bytes : block_bytes_;
-  block.data = std::make_unique<std::byte[]>(block.size);
-  poison(block.data.get(), block.size);
-  blocks_.push_back(std::move(block));
+  current_ = new_block(min_bytes > block_bytes_ ? min_bytes : block_bytes_,
+                       current_);
+  ++block_count_;
   cursor_ = 0;
 }
 
 void* Arena::allocate(std::size_t bytes, std::size_t align) {
   if (align == 0) align = 1;
   allocated_ += bytes;
+  demand_ += bytes + align - 1;
 
   // Oversized fallback: a dedicated block the bump path never sees, so one
   // huge request cannot strand the tail of a regular block.  Over-allocated
-  // by align-1: new[] only guarantees __STDCPP_DEFAULT_NEW_ALIGNMENT__.
+  // by align-1: operator new only guarantees
+  // __STDCPP_DEFAULT_NEW_ALIGNMENT__.
   if (bytes > block_bytes_) {
-    Block block;
-    block.size = bytes + align - 1;
-    block.data = std::make_unique<std::byte[]>(block.size);
-    auto raw = reinterpret_cast<std::uintptr_t>(block.data.get());
-    std::byte* pointer = block.data.get() + (align_up(raw, align) - raw);
-    oversized_.push_back(std::move(block));
+    spilled_ = true;
+    oversized_ = new_block(bytes + align - 1, oversized_);
+    ++oversized_count_;
+    std::byte* data = oversized_->data();
+    auto raw = reinterpret_cast<std::uintptr_t>(data);
+    std::byte* pointer = data + (align_up(raw, align) - raw);
+    unpoison(pointer, bytes);
     return pointer;
   }
 
-  if (blocks_.empty()) push_block(block_bytes_);
+  if (current_ == nullptr) push_block(block_bytes_);
   // Align the POINTER, not the offset: the block storage itself is only
   // guaranteed __STDCPP_DEFAULT_NEW_ALIGNMENT__-aligned.
-  std::byte* base = blocks_.back().data.get();
+  std::byte* base = current_->data();
   std::size_t offset =
       align_up(reinterpret_cast<std::uintptr_t>(base) + cursor_, align) -
       reinterpret_cast<std::uintptr_t>(base);
-  if (offset + bytes > blocks_.back().size) {
+  if (offset + bytes > current_->size) {
+    spilled_ = true;
     push_block(bytes + align);  // Guaranteed fit after pointer alignment.
-    base = blocks_.back().data.get();
+    base = current_->data();
     offset = align_up(reinterpret_cast<std::uintptr_t>(base), align) -
              reinterpret_cast<std::uintptr_t>(base);
   }
@@ -82,16 +110,25 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
 }
 
 void Arena::reset() {
-  oversized_.clear();
-  if (blocks_.empty()) {
-    allocated_ = 0;
-    return;
+  free_chain(oversized_);
+  oversized_ = nullptr;
+  oversized_count_ = 0;
+  if (spilled_) {
+    // The cycle outgrew its block: trade every block for one that holds the
+    // whole cycle, so the next cycle of this shape stays inside it.  A power
+    // of two leaves headroom, so slightly larger cycles do not regrow it.
+    block_bytes_ = std::max(block_bytes_, std::bit_ceil(demand_));
+    free_chain(current_);
+    current_ = nullptr;
+    block_count_ = 0;
+    push_block(block_bytes_);
+  } else if (current_ != nullptr) {
+    poison(current_->data(), current_->size);
   }
-  // Keep the first block warm; everything later was overflow.
-  blocks_.resize(1);
-  poison(blocks_.front().data.get(), blocks_.front().size);
   cursor_ = 0;
   allocated_ = 0;
+  demand_ = 0;
+  spilled_ = false;
 }
 
 }  // namespace xanadu::common

@@ -30,7 +30,8 @@ class EventFn {
   /// Inline capture budget.  Fits the largest closure the platform
   /// schedules: the bus bridge's pointer + TopicId + 40-byte payload
   /// variant, 56 bytes (message_bus.cpp pins this with a static_assert).
-  /// Keeps sizeof(EventFn) at 72 bytes.
+  /// With the two function pointers and the max_align_t alignment of the
+  /// buffer, sizeof(EventFn) is 80 bytes (pinned below the class).
   static constexpr std::size_t kInlineCapacity = 56;
 
   EventFn() = default;
@@ -143,5 +144,8 @@ class EventFn {
   Invoke invoke_ = nullptr;
   Manage manage_ = nullptr;
 };
+
+// 56 + 16 bytes of pointers, padded to the 16-byte alignment of storage_.
+static_assert(sizeof(EventFn) == 80, "EventFn is 80 bytes");
 
 }  // namespace xanadu::sim

@@ -23,6 +23,43 @@ common::EventId Simulator::schedule_at(TimePoint when, EventFn callback,
   return pack_id(slot, s.generation);
 }
 
+void Simulator::attach_arrivals(ArrivalStream& stream, std::size_t count,
+                                const char* label) {
+  if (stream_count_ != 0) {
+    throw std::logic_error{
+        "Simulator::attach_arrivals: another arrival stream is attached"};
+  }
+  if (count == 0) return;
+  const TimePoint first = stream.arrival_time(0);
+  if (first < now_) {
+    throw std::invalid_argument{
+        "Simulator::attach_arrivals: first arrival is in the past"};
+  }
+  stream_ = &stream;
+  stream_label_ = label;
+  stream_seq_base_ = next_seq_;
+  stream_count_ = count;
+  stream_next_ = 1;
+  stream_fired_ = 0;
+  stream_queued_ = true;
+  next_seq_ += count;
+  heap_push(HeapEntry{first, stream_seq_base_, kArrivalSlot, 0});
+}
+
+void Simulator::detach_arrivals(const ArrivalStream& stream) noexcept {
+  if (stream_ == &stream) end_stream();
+}
+
+void Simulator::end_stream() noexcept {
+  if (stream_queued_) ++tombstones_;  // is_live() fails once count is 0.
+  stream_ = nullptr;
+  stream_label_ = nullptr;
+  stream_count_ = 0;
+  stream_next_ = 0;
+  stream_fired_ = 0;
+  stream_queued_ = false;
+}
+
 common::EventId Simulator::schedule_after(Duration delay, EventFn callback,
                                           const char* label) {
   return schedule_at(now_ + delay.clamped_non_negative(), std::move(callback),
@@ -77,6 +114,36 @@ void Simulator::heap_pop_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
+const Simulator::HeapEntry* Simulator::live_top() {
+  while (!heap_.empty()) {
+    if (is_live(heap_.front())) return &heap_.front();
+    heap_pop_top();
+    --tombstones_;
+  }
+  return nullptr;
+}
+
+void Simulator::pop_live_top() {
+  const HeapEntry& head = heap_.front();
+  if (head.slot == kArrivalSlot) {
+    if (stream_next_ < stream_count_) {
+      const TimePoint next = stream_->arrival_time(stream_next_);
+      if (next < head.when) {
+        throw std::invalid_argument{"Simulator: arrival stream is not sorted"};
+      }
+      // The successor's key is larger than the popped minimum, so replacing
+      // the root and sifting down is a pop and a push in one pass.
+      heap_.front() =
+          HeapEntry{next, stream_seq_base_ + stream_next_, kArrivalSlot, 0};
+      ++stream_next_;
+      sift_down(0);
+      return;
+    }
+    stream_queued_ = false;  // The last arrival leaves the heap.
+  }
+  heap_pop_top();
+}
+
 void Simulator::sift_up(std::size_t index) {
   while (index > 0) {
     const std::size_t parent = (index - 1) / kHeapArity;
@@ -107,9 +174,7 @@ void Simulator::compact() {
   // pop sequence -- only drop entries that would have been skipped anyway.
   std::size_t kept = 0;
   for (const HeapEntry& entry : heap_) {
-    if (slab_[entry.slot].generation == entry.generation) {
-      heap_[kept++] = entry;
-    }
+    if (is_live(entry)) heap_[kept++] = entry;
   }
   heap_.resize(kept);
   tombstones_ = 0;
@@ -121,6 +186,19 @@ void Simulator::compact() {
 }
 
 void Simulator::fire_entry(const HeapEntry& entry) {
+  if (entry.slot == kArrivalSlot) {
+    // Counted as fired before the call, as a fired event leaves the slab
+    // before its callback runs; the last arrival detaches the stream.
+    ArrivalStream* stream = stream_;
+    const std::size_t index = entry.seq - stream_seq_base_;
+    if (++stream_fired_ == stream_count_) end_stream();
+    XANADU_INVARIANT(entry.when >= now_,
+                     "event timestamp regressed behind the virtual clock");
+    now_ = entry.when;
+    stream->fire_arrival(index);
+    ++fired_;
+    return;
+  }
   // Move the callback out and free the slot *before* invoking: the
   // callback may schedule new events (reusing this very slot) or grow the
   // slab, so no reference into slab_/heap_ may survive the call.
@@ -144,16 +222,10 @@ std::size_t Simulator::drain(bool bounded, TimePoint deadline) {
     return drain_grouped(bounded, deadline);
   }
   std::size_t fired_now = 0;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      // Tombstone of a cancelled event; discard and keep looking.
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
+  while (const HeapEntry* front = live_top()) {
+    const HeapEntry top = *front;
     if (bounded && top.when > deadline) break;
-    heap_pop_top();
+    pop_live_top();
     fire_entry(top);
     ++fired_now;
   }
@@ -172,26 +244,15 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
   std::size_t fired_now = 0;
   std::vector<HeapEntry> group;
   std::vector<std::uint32_t> order;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
+  while (const HeapEntry* front = live_top()) {
+    const HeapEntry top = *front;
     if (bounded && top.when > deadline) break;
 
     group.clear();
-    while (!heap_.empty()) {
-      const HeapEntry entry = heap_.front();
-      if (slab_[entry.slot].generation != entry.generation) {
-        heap_pop_top();
-        --tombstones_;
-        continue;
-      }
-      if (entry.when != top.when) break;
-      group.push_back(entry);  // Popping yields ascending seq.
-      heap_pop_top();
+    while (const HeapEntry* next = live_top()) {
+      if (next->when != top.when) break;
+      group.push_back(*next);  // Popping yields ascending seq.
+      pop_live_top();  // Queues the stream's next arrival, which may tie.
     }
 
     const bool is_tie = group.size() > 1;
@@ -206,7 +267,9 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       tie.when = top.when;
       tie.events.reserve(group.size());
       for (const HeapEntry& entry : group) {
-        const char* label = slab_[entry.slot].label;
+        const char* label = entry.slot == kArrivalSlot
+                                ? stream_label_
+                                : slab_[entry.slot].label;
         tie.events.push_back(
             TieEvent{entry.seq, label != nullptr ? label : ""});
       }
@@ -227,9 +290,10 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
                        "tie permutation position out of range");
       if (position >= group.size()) continue;
       const HeapEntry& entry = group[position];
-      if (slab_[entry.slot].generation != entry.generation) {
-        // Cancelled by an earlier member of this very batch; its heap entry
-        // is already extracted, so no tombstone bookkeeping applies.
+      if (!is_live(entry)) {
+        // Cancelled (or its stream detached) by an earlier member of this
+        // very batch; its heap entry is already extracted, so no tombstone
+        // bookkeeping applies.
         continue;
       }
       fire_entry(entry);
@@ -248,30 +312,17 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
 }
 
 std::optional<TimePoint> Simulator::peek_next_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
-    return top.when;
-  }
+  if (const HeapEntry* front = live_top()) return front->when;
   return std::nullopt;
 }
 
 std::size_t Simulator::run_before(TimePoint bound) {
   std::size_t fired_now = 0;
   interrupted_ = false;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.front();
-    if (slab_[top.slot].generation != top.generation) {
-      heap_pop_top();
-      --tombstones_;
-      continue;
-    }
+  while (const HeapEntry* front = live_top()) {
+    const HeapEntry top = *front;
     if (top.when >= bound) break;
-    heap_pop_top();
+    pop_live_top();
     fire_entry(top);
     ++fired_now;
     if (interrupted_) break;

@@ -1,10 +1,5 @@
 #include "workload/runner.hpp"
 
-#include <stdexcept>
-#include <utility>
-
-#include "workload/traffic_mix.hpp"
-
 namespace xanadu::workload {
 
 // Accessor dispatch: outcomes produced by the run harnesses carry streamed
@@ -110,24 +105,6 @@ double RunOutcome::fraction_over(sim::Duration threshold) const {
     if (!r.failed && r.overhead > threshold) ++over;
   }
   return static_cast<double>(over) / static_cast<double>(completed_count());
-}
-
-RunOutcome run_schedule(core::DispatchManager& manager,
-                        common::WorkflowId workflow,
-                        const ArrivalSchedule& schedule,
-                        const RunOptions& options) {
-  for (std::size_t i = 1; i < schedule.size(); ++i) {
-    if (schedule[i] < schedule[i - 1]) {
-      throw std::invalid_argument{"run_schedule: schedule must be sorted"};
-    }
-  }
-  // Single-tenant traffic is the one-source special case of a mix: the
-  // merged order of a lone sorted source is the source order itself, so the
-  // event-creation sequence (and hence every trace digest) is unchanged.
-  TrafficMix mix;
-  mix.add_source(workflow, "", schedule);
-  MixedOutcome outcome = run_mixed_schedule(manager, mix, options);
-  return std::move(outcome.aggregate);
 }
 
 RunOutcome run_cold_trials(core::DispatchManager& manager,

@@ -90,12 +90,6 @@ struct RunOptions {
   /// Streaming consumer configuration (ring capacity, histogram shape,
   /// fraction-over threshold, optional CSV spill).
   metrics::StreamOptions stream;
-  /// 0 = preschedule every arrival up front (the digest-stable default).
-  /// N > 0 chains arrival scheduling so at most N arrival events are pending
-  /// at once -- bounded event-queue memory for 10M-request runs, but a
-  /// different event-creation sequence, so traces are NOT digest-comparable
-  /// with the default mode.
-  std::size_t arrival_window = 0;
   /// OS threads for the conservative parallel drain (run_sharded_mix).
   /// 1 = today's exact sequential path on the calling thread; higher values
   /// drain shards concurrently but never change any result or digest --
@@ -105,7 +99,11 @@ struct RunOptions {
 };
 
 /// Submits one request per entry of `schedule` (relative to the current
-/// virtual time) and runs the simulation until all requests complete.
+/// virtual time) and runs the simulation until all requests complete.  The
+/// schedule is read in place, one arrival queued at a time (see
+/// sim::Simulator::attach_arrivals), so the run's event queue holds the
+/// requests in flight rather than the whole schedule.  Defined with the
+/// multi-source runner in traffic_mix.cpp.
 [[nodiscard]] RunOutcome run_schedule(core::DispatchManager& manager,
                                       common::WorkflowId workflow,
                                       const ArrivalSchedule& schedule,

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "platform/worker_state.hpp"
@@ -28,12 +29,24 @@ std::size_t TrafficMix::total_requests() const {
   return total;
 }
 
-std::vector<MixedArrival> TrafficMix::merged() const {
+namespace {
+
+/// One source as a run reads it: the caller's schedule, in place.
+struct SourceView {
+  common::WorkflowId workflow{};
+  std::string_view name;
+  const ArrivalSchedule* schedule = nullptr;
+};
+
+std::vector<MixedArrival> merge_order(const std::vector<SourceView>& sources) {
+  std::size_t total = 0;
+  for (const SourceView& source : sources) total += source.schedule->size();
   std::vector<MixedArrival> merged;
-  merged.reserve(total_requests());
-  for (std::size_t s = 0; s < sources_.size(); ++s) {
-    for (std::size_t i = 0; i < sources_[s].schedule.size(); ++i) {
-      merged.push_back(MixedArrival{sources_[s].schedule[i], s, i});
+  merged.reserve(total);
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    const ArrivalSchedule& schedule = *sources[s].schedule;
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      merged.push_back(MixedArrival{schedule[i], s, i});
     }
   }
   // Total order: simultaneous arrivals resolve by source registration order,
@@ -45,6 +58,21 @@ std::vector<MixedArrival> TrafficMix::merged() const {
               return a.index < b.index;
             });
   return merged;
+}
+
+std::vector<SourceView> views_of(const TrafficMix& mix) {
+  std::vector<SourceView> views;
+  views.reserve(mix.sources().size());
+  for (const TrafficSource& source : mix.sources()) {
+    views.push_back(SourceView{source.workflow, source.name, &source.schedule});
+  }
+  return views;
+}
+
+}  // namespace
+
+std::vector<MixedArrival> TrafficMix::merged() const {
+  return merge_order(views_of(*this));
 }
 
 TrafficMix poisson_mix(const std::vector<WeightedPoissonSpec>& specs,
@@ -74,9 +102,12 @@ TrafficMix poisson_mix(const std::vector<WeightedPoissonSpec>& specs,
 namespace {
 
 // Drives the merged arrival schedule and folds every completion into the
-// streaming consumer in submission-slot order.  Lives on the stack of
-// run_mixed_schedule (which outlives the simulation loop); event callbacks
-// capture [this, slot] -- 16 bytes, inside sim::EventFn's inline buffer.
+// streaming consumer in submission-slot order.  The driver is the
+// simulator's arrival stream: slot i fires at base + its offset, with the
+// key prescheduling every slot in order would give it, while only the next
+// slot is queued.  Lives on the stack of run_sources (which outlives the
+// simulation loop); completion callbacks capture [this, slot] -- 16 bytes,
+// inside std::function's inline buffer.
 //
 // Completions arrive out of submission order (a short chain submitted late
 // can finish before a long chain submitted early), but the streamed digest
@@ -84,82 +115,86 @@ namespace {
 // of the retained vector.  With retention on, the fold reads straight out of
 // aggregate.results behind a done-bitmap frontier; with retention off, a
 // small ordered reorder window buffers the out-of-order tail.
-class MixDriver {
+class MixDriver final : public sim::ArrivalStream {
  public:
-  MixDriver(core::DispatchManager& manager, const TrafficMix& mix,
+  MixDriver(core::DispatchManager& manager, std::vector<SourceView> sources,
             const RunOptions& options, MixedOutcome& outcome,
             metrics::StreamingTrace& stream)
       : manager_(manager),
-        mix_(mix),
+        sources_(std::move(sources)),
         options_(options),
         outcome_(outcome),
         stream_(stream),
         sim_(manager.simulator()),
         base_(sim_.now()),
-        single_(mix.sources().size() == 1),
-        total_(mix.total_requests()) {
+        single_(sources_.size() == 1) {
     // Single-source fast path: the merged order of a lone sorted source is
     // the source order itself -- skip materializing a MixedArrival per
     // request (24 bytes x 10M on the macro path).
-    if (!single_) merged_ = mix.merged();
+    if (single_) {
+      total_ = sources_.front().schedule->size();
+    } else {
+      merged_ = merge_order(sources_);
+      total_ = merged_.size();
+    }
     if (options_.retain_results) {
       outcome_.aggregate.results.resize(total_);
       done_.assign(total_, 0);
     }
   }
 
+  // Every exit path, a throw included: no arrival or completion callback
+  // may reach a dead driver.  Unfired arrivals are dropped, and requests
+  // still in flight fail now, which also turns their queued engine events
+  // into no-ops; their results are discarded unfolded.  Should failing
+  // them throw, the implicit noexcept terminates the program rather than
+  // leave callbacks dangling.
+  ~MixDriver() {
+    sim_.detach_arrivals(*this);
+    if (completed_ != total_) {
+      abandoned_ = true;
+      manager_.engine().fail_all_pending_requests("run abandoned");
+    }
+  }
+
+  MixDriver(const MixDriver&) = delete;
+  MixDriver& operator=(const MixDriver&) = delete;
+
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] std::size_t completed() const { return completed_; }
   [[nodiscard]] std::size_t folded() const { return next_fold_; }
   [[nodiscard]] sim::Duration last_arrival() const {
-    if (total_ == 0) return sim::Duration::zero();
-    return single_ ? mix_.sources().front().schedule.back()
-                   : merged_.back().at;
+    return total_ == 0 ? sim::Duration::zero() : offset(total_ - 1);
   }
 
   /// Sharded runs: halt `lp` (this driver's shard) right after the last
   /// request completes, so the shard's run ends on its own schedule.
   void halt_when_done(sim::LogicalProcess& lp) { halt_ = &lp; }
 
-  void start() {
-    window_ = options_.arrival_window == 0
-                  ? total_
-                  : std::min(options_.arrival_window, total_);
-    // With arrival_window unset this preschedules every slot up front, in
-    // slot order, exactly as the pre-streaming harness did -- same event
-    // creation sequence, same digests.
-    for (std::size_t slot = 0; slot < window_; ++slot) schedule_slot(slot);
+  void start() { sim_.attach_arrivals(*this, total_, "workload.arrival"); }
+
+  [[nodiscard]] sim::TimePoint arrival_time(std::size_t slot) const override {
+    return base_ + offset(slot);
   }
 
- private:
-  [[nodiscard]] MixedArrival arrival(std::size_t slot) const {
-    if (single_) {
-      return MixedArrival{mix_.sources().front().schedule[slot], 0, slot};
-    }
-    return merged_[slot];
-  }
-
-  void schedule_slot(std::size_t slot) {
-    sim_.schedule_at(base_ + arrival(slot).at, [this, slot] { fire(slot); },
-                     "workload.arrival");
-  }
-
-  void fire(std::size_t slot) {
-    // Chained mode: keep at most window_ arrival events pending.  Arrivals
-    // are sorted, so slot + window_ never fires before this one.
-    if (options_.arrival_window > 0 && slot + window_ < total_) {
-      schedule_slot(slot + window_);
-    }
+  void fire_arrival(std::size_t slot) override {
     if (options_.force_cold_each_request) manager_.force_cold_start();
-    const common::WorkflowId workflow =
-        mix_.sources()[arrival(slot).source].workflow;
-    manager_.submit(workflow,
+    manager_.submit(sources_[source_of(slot)].workflow,
                     [this, slot](const platform::RequestResult& result) {
                       on_complete(slot, result);
                     });
   }
 
+ private:
+  [[nodiscard]] sim::Duration offset(std::size_t slot) const {
+    return single_ ? (*sources_.front().schedule)[slot] : merged_[slot].at;
+  }
+  [[nodiscard]] std::size_t source_of(std::size_t slot) const {
+    return single_ ? 0 : merged_[slot].source;
+  }
+
   void on_complete(std::size_t slot, const platform::RequestResult& result) {
+    if (abandoned_) return;
     ++completed_;
     if (completed_ == total_ && halt_ != nullptr) halt_->halt();
     if (options_.retain_results) {
@@ -181,7 +216,7 @@ class MixDriver {
   }
 
   void fold(std::size_t slot, const platform::RequestResult& result) {
-    const std::size_t source = arrival(slot).source;
+    const std::size_t source = source_of(slot);
     stream_.consume(source, result);
     if (options_.retain_results) {
       // Folds run in slot order, so per-source vectors fill in each source's
@@ -191,15 +226,14 @@ class MixDriver {
   }
 
   core::DispatchManager& manager_;
-  const TrafficMix& mix_;
+  std::vector<SourceView> sources_;
   const RunOptions& options_;
   MixedOutcome& outcome_;
   metrics::StreamingTrace& stream_;
   sim::Simulator& sim_;
   sim::TimePoint base_;
   bool single_;
-  std::size_t total_;
-  std::size_t window_ = 0;
+  std::size_t total_ = 0;
   std::vector<MixedArrival> merged_;
   /// Retention on: which slots hold a result (fold frontier scan).
   std::vector<std::uint8_t> done_;
@@ -208,31 +242,21 @@ class MixDriver {
   std::size_t next_fold_ = 0;
   std::size_t completed_ = 0;
   sim::LogicalProcess* halt_ = nullptr;
+  /// Set while the destructor fails the requests still in flight.
+  bool abandoned_ = false;
 };
 
-}  // namespace
-
-MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
-                                const TrafficMix& mix,
-                                const RunOptions& options) {
-  for (const TrafficSource& source : mix.sources()) {
-    for (std::size_t i = 1; i < source.schedule.size(); ++i) {
-      if (source.schedule[i] < source.schedule[i - 1]) {
-        throw std::invalid_argument{
-            "run_mixed_schedule: every source schedule must be sorted"};
-      }
-    }
-  }
-
+/// The body shared by run_schedule and run_mixed_schedule: `sources` are
+/// sorted and read in place.
+MixedOutcome run_sources(core::DispatchManager& manager,
+                         std::vector<SourceView> sources,
+                         const RunOptions& options) {
   MixedOutcome outcome;
-  outcome.per_source.resize(mix.sources().size());
-  outcome.source_names.reserve(mix.sources().size());
-  for (const TrafficSource& source : mix.sources()) {
-    outcome.source_names.push_back(source.name);
-  }
-
+  outcome.per_source.resize(sources.size());
+  outcome.source_names.reserve(sources.size());
   metrics::StreamingTrace stream(options.stream);
-  for (const TrafficSource& source : mix.sources()) {
+  for (const SourceView& source : sources) {
+    outcome.source_names.emplace_back(source.name);
     stream.add_source(manager.engine().dag(source.workflow), source.name);
   }
 
@@ -240,7 +264,7 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
   sim::Simulator& sim = manager.simulator();
   const sim::TimePoint base = sim.now();
 
-  MixDriver driver(manager, mix, options, outcome, stream);
+  MixDriver driver(manager, std::move(sources), options, outcome, stream);
   driver.start();
 
   if (options.drain_after_last && !options.allow_incomplete) {
@@ -289,6 +313,39 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
     outcome.per_source[s].streamed = true;
   }
   return outcome;
+}
+
+}  // namespace
+
+RunOutcome run_schedule(core::DispatchManager& manager,
+                        common::WorkflowId workflow,
+                        const ArrivalSchedule& schedule,
+                        const RunOptions& options) {
+  for (std::size_t i = 1; i < schedule.size(); ++i) {
+    if (schedule[i] < schedule[i - 1]) {
+      throw std::invalid_argument{"run_schedule: schedule must be sorted"};
+    }
+  }
+  // Single-tenant traffic is the one-source special case of a mix: the
+  // merged order of a lone sorted source is the source order itself, so the
+  // event-creation sequence (and hence every trace digest) is unchanged.
+  MixedOutcome outcome =
+      run_sources(manager, {SourceView{workflow, "", &schedule}}, options);
+  return std::move(outcome.aggregate);
+}
+
+MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
+                                const TrafficMix& mix,
+                                const RunOptions& options) {
+  for (const TrafficSource& source : mix.sources()) {
+    for (std::size_t i = 1; i < source.schedule.size(); ++i) {
+      if (source.schedule[i] < source.schedule[i - 1]) {
+        throw std::invalid_argument{
+            "run_mixed_schedule: every source schedule must be sorted"};
+      }
+    }
+  }
+  return run_sources(manager, views_of(mix), options);
 }
 
 namespace {
@@ -386,11 +443,10 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     mixed.source_names.push_back(shard.name);
   }
 
-  // Per-shard harness: each shard reuses the MixDriver with a single-source
-  // mix on its own simulator and its own streaming consumer, so the
-  // per-shard fold order (and digest) is exactly the unsharded single-tenant
-  // fold order.
-  std::vector<TrafficMix> mixes(shards.size());
+  // Per-shard harness: each shard reuses the MixDriver with its one source
+  // on its own simulator and its own streaming consumer, so the per-shard
+  // fold order (and digest) is exactly the unsharded single-tenant fold
+  // order.
   std::vector<std::unique_ptr<MixedOutcome>> shard_mixed;
   std::vector<std::unique_ptr<metrics::StreamingTrace>> streams;
   std::vector<std::unique_ptr<MixDriver>> drivers;
@@ -398,8 +454,6 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   std::vector<sim::TimePoint> bases;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     core::DispatchManager& manager = *shards[i].manager;
-    mixes[i].add_source(shards[i].workflow, shards[i].name,
-                        shards[i].schedule);
     shard_mixed.push_back(std::make_unique<MixedOutcome>());
     shard_mixed.back()->per_source.resize(1);
     streams.push_back(
@@ -409,7 +463,10 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     ledgers_before.push_back(manager.ledger());
     bases.push_back(manager.simulator().now());
     drivers.push_back(std::make_unique<MixDriver>(
-        manager, mixes[i], options, *shard_mixed[i], *streams[i]));
+        manager,
+        std::vector<SourceView>{SourceView{shards[i].workflow, shards[i].name,
+                                           &shards[i].schedule}},
+        options, *shard_mixed[i], *streams[i]));
   }
   for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
     mix_driver->start();

@@ -93,7 +93,11 @@ struct MixedOutcome {
 /// Submits every arrival of the mix (relative to the current virtual time)
 /// and runs the simulation until all requests complete, under the same
 /// RunOptions semantics as run_schedule (force-cold, drain, flush,
-/// allow_incomplete + stall_horizon past the last merged arrival).
+/// allow_incomplete + stall_horizon past the last merged arrival).  The
+/// mix's schedules are read in place, and the simulator queues one arrival
+/// at a time.  If the run throws, its unfired arrivals are dropped and the
+/// engine's requests still in flight are failed before the exception
+/// leaves, so the simulator can be drained and reused afterwards.
 [[nodiscard]] MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
                                               const TrafficMix& mix,
                                               const RunOptions& options = {});

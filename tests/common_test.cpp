@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <set>
 #include <string>
 #include <unordered_set>
@@ -357,6 +358,48 @@ TEST(Arena, OversizedAllocationsFallBackAndAreFreedOnReset) {
   EXPECT_EQ(arena.oversized_count(), 2u);
   arena.reset();
   EXPECT_EQ(arena.oversized_count(), 0u);
+}
+
+TEST(Arena, ASpilledCycleRepeatsInOneBlockWithUnchangedStorage) {
+  // A cycle leaves its block in two ways: into a second regular block, and
+  // through an oversized allocation.  Either way reset() keeps one block
+  // that fits the whole cycle, so the same cycle then runs inside it --
+  // one block, nothing oversized -- and at the same addresses every time,
+  // i.e. without a heap call.
+  const auto regular = [](Arena& arena) {
+    std::vector<void*> pointers;
+    for (int i = 0; i < 3; ++i) pointers.push_back(arena.allocate(200, 8));
+    return pointers;
+  };
+  const auto oversized = [](Arena& arena) {
+    std::vector<void*> pointers{arena.allocate(40, 8)};
+    pointers.push_back(arena.allocate(1000, 64));
+    pointers.push_back(arena.allocate(24, 8));
+    return pointers;
+  };
+  const auto both = [&](Arena& arena) {
+    std::vector<void*> pointers = regular(arena);
+    for (void* p : oversized(arena)) pointers.push_back(p);
+    return pointers;
+  };
+  for (const auto& cycle :
+       {std::function<std::vector<void*>(Arena&)>{regular},
+        std::function<std::vector<void*>(Arena&)>{oversized},
+        std::function<std::vector<void*>(Arena&)>{both}}) {
+    Arena arena{/*block_bytes=*/256};
+    (void)cycle(arena);
+    EXPECT_GT(arena.block_count() + arena.oversized_count(), 1u);
+    arena.reset();
+    const std::vector<void*> second = cycle(arena);
+    EXPECT_EQ(arena.block_count(), 1u);
+    EXPECT_EQ(arena.oversized_count(), 0u);
+    arena.reset();
+    const std::vector<void*> third = cycle(arena);
+    EXPECT_EQ(arena.block_count(), 1u);
+    EXPECT_EQ(arena.oversized_count(), 0u);
+    EXPECT_EQ(second, third);
+    EXPECT_GE(arena.block_bytes(), arena.bytes_allocated());
+  }
 }
 
 TEST(Arena, VectorGrowsAndSurvivesRebindAfterReset) {

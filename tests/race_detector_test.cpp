@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,8 +25,10 @@
 #include "sim/probe.hpp"
 #include "sim/race_detector.hpp"
 #include "sim/simulator.hpp"
+#include "workflow/builders.hpp"
 #include "workflow/random_tree.hpp"
 #include "workload/case_studies.hpp"
+#include "workload/runner.hpp"
 
 namespace xanadu {
 namespace {
@@ -285,6 +288,91 @@ TEST(race_detector, EngineSweepIsTieRaceFree) {
   // removes every tie group, this trips so the scenario gets re-armed
   // rather than the check passing vacuously.
   EXPECT_GT(total_groups, 0u);
+}
+
+/// run_schedule scenario: arrivals in bursts of three on one timestamp, so
+/// the simulator's arrival stream -- one arrival queued at a time -- must
+/// still put every arrival of a burst into one tie group.  Permuting a
+/// burst only changes which slot each submission lands in (slots follow
+/// the merged order by construction), so the observation is slot-free:
+/// the engine state digest folded with the sorted per-request outcomes.
+/// `trace_digest` receives the run's slot-ordered trace digest.
+RunObservation schedule_run(PlatformKind kind, bool record,
+                            const TiePermutation* permutation,
+                            std::uint64_t* trace_digest = nullptr) {
+  DispatchManagerOptions options;
+  options.kind = kind;
+  options.seed = 42;
+  DispatchManager manager{options};
+  TieRecorder recorder;
+  if (record || permutation != nullptr) {
+    manager.simulator().set_tie_recorder(&recorder);
+    manager.simulator().set_probe_registry(&manager.probes());
+    manager.simulator().set_tie_permutation(permutation);
+  }
+  workflow::BuildOptions build;
+  build.exec_time = sim::Duration::from_millis(5);
+  build.exec_jitter = sim::Duration::from_millis(1);
+  const auto wf = manager.deploy(workflow::linear_chain(3, build));
+  workload::ArrivalSchedule schedule;
+  for (int burst = 0; burst < 3; ++burst) {
+    for (int i = 0; i < 3; ++i) {
+      schedule.push_back(sim::Duration::from_millis(400.0 * burst));
+    }
+  }
+  const workload::RunOutcome outcome =
+      workload::run_schedule(manager, wf, schedule);
+  if (trace_digest != nullptr) *trace_digest = outcome.trace_digest;
+
+  std::vector<std::int64_t> outcomes;
+  for (const RequestResult& result : outcome.results) {
+    outcomes.push_back(result.end_to_end.micros() * 16 +
+                       static_cast<std::int64_t>(result.cold_starts));
+  }
+  std::sort(outcomes.begin(), outcomes.end());
+  RunObservation obs;
+  obs.digest = manager.engine().state_digest();
+  for (const std::int64_t value : outcomes) {
+    obs.digest =
+        common::fnv1a_u64(static_cast<std::uint64_t>(value), obs.digest);
+  }
+  obs.ties = std::move(recorder);
+  return obs;
+}
+
+TEST(race_detector, ScheduledArrivalTiesAreGroupedAndRaceFree) {
+  for (const PlatformKind kind :
+       {PlatformKind::XanaduJit, PlatformKind::KnativeLike}) {
+    std::uint64_t normal_trace = 0;
+    std::uint64_t grouped_trace = 0;
+    const RunObservation normal =
+        schedule_run(kind, /*record=*/false, nullptr, &normal_trace);
+    const RunObservation grouped =
+        schedule_run(kind, /*record=*/true, nullptr, &grouped_trace);
+    EXPECT_EQ(normal_trace, grouped_trace) << core::to_string(kind);
+    EXPECT_EQ(normal.digest, grouped.digest) << core::to_string(kind);
+
+    std::size_t arrival_groups = 0;
+    for (const sim::TieGroup& group : grouped.ties.groups) {
+      std::size_t arrivals = 0;
+      for (const sim::TieEvent& event : group.events) {
+        if (event.label == "workload.arrival") ++arrivals;
+      }
+      if (arrivals == 3) ++arrival_groups;
+    }
+    EXPECT_EQ(arrival_groups, 3u) << core::to_string(kind);
+
+    auto runner = [kind](const TiePermutation* permutation) {
+      return schedule_run(kind, /*record=*/true, permutation);
+    };
+    RaceCheckOptions options;
+    options.sampled_permutations = 4;
+    const RaceReport report = sim::check_tie_races(runner, options);
+    EXPECT_TRUE(report.race_free())
+        << core::to_string(kind) << "\n" << report.to_string();
+    EXPECT_FALSE(report.truncated) << core::to_string(kind);
+    EXPECT_GE(report.groups_examined, 3u) << core::to_string(kind);
+  }
 }
 
 TEST(race_detector, SpeculativeBatchIsOrderIndependentAfterKeyedStreams) {

@@ -9,12 +9,24 @@
 // queue get clever (d-ary heap, tombstones, slot recycling) without a
 // semantic escape hatch: any divergence in ordering, cancellation or clock
 // handling shows up as a log mismatch with the seed printed.
+//
+// The arrival-stream episodes add attach_arrivals() to the mix: the real
+// simulator queues one arrival at a time, the reference preschedules every
+// arrival at attach time, and the two must still agree -- under run_until,
+// run_before with interrupt(), peek_next_time(), the grouped drain, ties
+// with events scheduled before and after the attach, detaches and empty
+// streams.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <map>
+#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,6 +92,32 @@ class ReferenceSim {
     }
   }
 
+  /// Fires at most `budget` events strictly before `bound`; the clock rests
+  /// at the last one fired.
+  template <typename OnFire>
+  void run_before(TimePoint bound, std::size_t budget, OnFire&& on_fire) {
+    for (std::size_t fired = 0; fired < budget; ++fired) {
+      const auto it = min_entry();
+      if (it == queue_.end() || it->when >= bound) break;
+      const Entry entry = *it;
+      queue_.erase(it);
+      now_ = entry.when;
+      on_fire(entry.label);
+    }
+  }
+
+  [[nodiscard]] std::optional<TimePoint> peek_next_time() {
+    const auto it = min_entry();
+    if (it == queue_.end()) return std::nullopt;
+    return it->when;
+  }
+
+  /// Time of the `index`-th queued entry (in storage order, which is
+  /// deterministic): lets a test aim new events at existing timestamps.
+  [[nodiscard]] TimePoint time_of(std::size_t index) const {
+    return queue_[index].when;
+  }
+
   [[nodiscard]] TimePoint now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
 
@@ -103,10 +141,64 @@ class ReferenceSim {
   std::vector<Entry> queue_;
 };
 
+/// Sorted arrivals for the real simulator's stream, fired through the same
+/// handler as ordinary events.
+class ScriptedStream final : public ArrivalStream {
+ public:
+  ScriptedStream(std::vector<TimePoint> times,
+                 std::vector<std::uint32_t> labels,
+                 std::function<void(std::uint32_t)> on_fire)
+      : times_(std::move(times)),
+        labels_(std::move(labels)),
+        fired_(times_.size(), false),
+        on_fire_(std::move(on_fire)) {}
+
+  [[nodiscard]] TimePoint arrival_time(std::size_t index) const override {
+    return times_[index];
+  }
+  void fire_arrival(std::size_t index) override {
+    fired_[index] = true;
+    on_fire_(labels_[index]);
+  }
+
+  [[nodiscard]] std::size_t size() const { return times_.size(); }
+  [[nodiscard]] std::size_t unfired() const {
+    return static_cast<std::size_t>(
+        std::count(fired_.begin(), fired_.end(), false));
+  }
+  [[nodiscard]] std::vector<std::uint32_t> unfired_labels() const {
+    std::vector<std::uint32_t> labels;
+    for (std::size_t i = 0; i < labels_.size(); ++i) {
+      if (!fired_[i]) labels.push_back(labels_[i]);
+    }
+    return labels;
+  }
+  [[nodiscard]] TimePoint time(std::size_t index) const {
+    return times_[index];
+  }
+
+ private:
+  std::vector<TimePoint> times_;
+  std::vector<std::uint32_t> labels_;
+  std::vector<bool> fired_;
+  std::function<void(std::uint32_t)> on_fire_;
+};
+
+struct EpisodeOptions {
+  /// Attach, tie against and detach arrival streams; alternate run_until
+  /// with interrupted run_before drains and check peek_next_time().
+  bool arrival_streams = false;
+  /// Attach a TieRecorder so run()/run_until() take the grouped drain.
+  bool grouped = false;
+};
+
 /// Drives both simulators in lock-step through one randomized episode.
 class LockstepDriver {
  public:
-  explicit LockstepDriver(std::uint64_t seed) : rng_(seed), seed_(seed) {}
+  explicit LockstepDriver(std::uint64_t seed, EpisodeOptions options = {})
+      : rng_(seed), seed_(seed), options_(options) {
+    if (options_.grouped) real_.set_tie_recorder(&recorder_);
+  }
 
   void run_episode(int phases) {
     for (int phase = 0; phase < phases; ++phase) {
@@ -114,10 +206,20 @@ class LockstepDriver {
       for (std::size_t i = 0; i < to_schedule; ++i) {
         schedule_fresh(static_cast<std::int64_t>(rng_.uniform_int(5'000)));
       }
+      if (options_.arrival_streams) stream_step();
       const std::size_t to_cancel = rng_.uniform_int(4);
       for (std::size_t i = 0; i < to_cancel; ++i) cancel_random();
       cancel_retired();  // Stale-id cancels must be no-ops in both.
-      advance(static_cast<std::int64_t>(rng_.uniform_int(4'000)));
+      const auto stride = static_cast<std::int64_t>(rng_.uniform_int(4'000));
+      if (options_.arrival_streams && rng_.uniform_int(2) == 0) {
+        advance_before(stride, 1 + rng_.uniform_int(6));
+      } else {
+        advance(stride);
+      }
+      if (options_.arrival_streams) {
+        ASSERT_EQ(real_.peek_next_time(), ref_.peek_next_time())
+            << diag("peek_next_time, phase " + std::to_string(phase));
+      }
       check_converged("phase " + std::to_string(phase));
     }
     drain();
@@ -126,12 +228,21 @@ class LockstepDriver {
     ASSERT_EQ(real_.slab_occupancy(), 0u) << diag("slab leak after drain");
   }
 
+  [[nodiscard]] std::size_t arrivals_attached() const {
+    return arrivals_attached_;
+  }
+  [[nodiscard]] std::size_t tie_groups() const {
+    return recorder_.groups.size();
+  }
+
  private:
   /// Child-spawning rule, applied identically by both implementations: every
   /// third label schedules a follow-up when it fires, up to depth 3.  Labels
   /// encode depth in the millions digit, so child labels never collide with
   /// fresh top-level labels (which stay below 1'000'000).
   static constexpr std::uint32_t kDepthStride = 1'000'000;
+  static constexpr std::size_t kNoBudget =
+      std::numeric_limits<std::size_t>::max();
   static bool spawns_child(std::uint32_t label) {
     return label % 3 == 0 && label < 3 * kDepthStride;
   }
@@ -158,6 +269,7 @@ class LockstepDriver {
     real_log_.push_back(Firing{label, real_.now().micros()});
     real_ids_.erase(label);
     if (spawns_child(label)) schedule_child_real(label);
+    if (budget_ != kNoBudget && --budget_ == 0) real_.interrupt();
   }
 
   void schedule_child_real(std::uint32_t label) {
@@ -170,6 +282,65 @@ class LockstepDriver {
     ref_log_.push_back(Firing{label, ref_.now().micros()});
     if (spawns_child(label)) {
       ref_.schedule(ref_.now() + child_delay(label), child_of(label));
+    }
+  }
+
+  /// Arrival-stream moves for one phase: while a stream has arrivals left,
+  /// a second attach must throw (and consume nothing) and the stream is
+  /// sometimes detached; otherwise a new stream -- possibly empty -- is
+  /// attached, tying with queued events and then with fresh ones.
+  void stream_step() {
+    if (stream_ != nullptr && stream_->unfired() > 0) {
+      ScriptedStream spare{{real_.now()}, {0}, [](std::uint32_t) {}};
+      EXPECT_THROW(real_.attach_arrivals(spare, 1), std::logic_error)
+          << diag("second attach while a stream is live");
+      if (rng_.uniform_int(6) == 0) {
+        for (const std::uint32_t label : stream_->unfired_labels()) {
+          ASSERT_TRUE(ref_.cancel(label)) << diag("ref lost an arrival");
+        }
+        real_.detach_arrivals(*stream_);
+        stream_ = nullptr;
+      }
+      return;
+    }
+    if (rng_.uniform_int(2) != 0) return;
+
+    const std::size_t count = rng_.uniform_int(24);  // 0: an empty stream.
+    // Start on a queued event's timestamp half the time (ties with events
+    // scheduled before the attach); arrivals then step by 0-2 x 200 us, so
+    // they tie among themselves too.
+    TimePoint when = real_.now() + Duration::from_micros(static_cast<
+                         std::int64_t>(rng_.uniform_int(3'000)));
+    if (ref_.pending() > 0 && rng_.uniform_int(2) == 0) {
+      when = ref_.time_of(rng_.uniform_int(ref_.pending()));
+    }
+    std::vector<TimePoint> times;
+    std::vector<std::uint32_t> labels;
+    for (std::size_t i = 0; i < count; ++i) {
+      times.push_back(when);
+      labels.push_back(next_label_++);
+      when = when + Duration::from_micros(
+                        static_cast<std::int64_t>(200 * rng_.uniform_int(3)));
+    }
+    streams_.push_back(std::make_unique<ScriptedStream>(
+        times, labels, [this](std::uint32_t label) { on_real_fire(label); }));
+    const std::size_t pending_before = real_.pending();
+    const std::size_t slab_before = real_.slab_occupancy();
+    real_.attach_arrivals(*streams_.back(), count, "test.arrival");
+    for (std::size_t i = 0; i < count; ++i) ref_.schedule(times[i], labels[i]);
+    ASSERT_EQ(real_.pending(), pending_before + count) << diag("attach");
+    ASSERT_EQ(real_.slab_occupancy(), slab_before)
+        << diag("arrivals took slab slots");
+    arrivals_attached_ += count;
+    stream_ = streams_.back().get();
+    if (count == 0) return;
+
+    // Ties with events scheduled after the attach: later sequence numbers,
+    // so they fire after the tied arrivals in both implementations.
+    const std::size_t extra = rng_.uniform_int(3);
+    for (std::size_t i = 0; i < extra; ++i) {
+      const TimePoint target = stream_->time(rng_.uniform_int(count));
+      schedule_both(target - real_.now(), next_label_++);
     }
   }
 
@@ -204,6 +375,17 @@ class LockstepDriver {
     ref_.run_until(deadline, [this](std::uint32_t label) { on_ref_fire(label); });
   }
 
+  /// run_before(bound) on the real side, ended by interrupt() after
+  /// `budget` firings; the reference fires the same budget.
+  void advance_before(std::int64_t stride_micros, std::size_t budget) {
+    const TimePoint bound = real_.now() + Duration::from_micros(stride_micros);
+    budget_ = budget;
+    real_.run_before(bound);
+    budget_ = kNoBudget;
+    ref_.run_before(bound, budget,
+                    [this](std::uint32_t label) { on_ref_fire(label); });
+  }
+
   void drain() {
     real_.run();
     ref_.run([this](std::uint32_t label) { on_ref_fire(label); });
@@ -221,6 +403,7 @@ class LockstepDriver {
     }
     ASSERT_EQ(real_.now().micros(), ref_.now().micros()) << diag(where);
     ASSERT_EQ(real_.pending(), ref_.pending()) << diag(where);
+    ASSERT_EQ(real_.events_fired(), real_log_.size()) << diag(where);
   }
 
   [[nodiscard]] std::string diag(const std::string& what) const {
@@ -229,13 +412,21 @@ class LockstepDriver {
 
   Rng rng_;
   std::uint64_t seed_;
+  EpisodeOptions options_;
   Simulator real_;
   ReferenceSim ref_;
+  TieRecorder recorder_;
   std::uint32_t next_label_ = 1;  // 0 is never used: label 0 % 3 == 0 quirk.
   std::map<std::uint32_t, EventId> real_ids_;
   std::vector<EventId> retired_;
   std::vector<Firing> real_log_;
   std::vector<Firing> ref_log_;
+  /// Firings left before on_real_fire interrupts a run_before drain.
+  std::size_t budget_ = kNoBudget;
+  /// Every stream ever attached (a stream must outlive its attachment).
+  std::vector<std::unique_ptr<ScriptedStream>> streams_;
+  ScriptedStream* stream_ = nullptr;
+  std::size_t arrivals_attached_ = 0;
 };
 
 TEST(SimQueueProperty, MatchesReferenceAcrossRandomInterleavings) {
@@ -244,6 +435,77 @@ TEST(SimQueueProperty, MatchesReferenceAcrossRandomInterleavings) {
     driver.run_episode(/*phases=*/40);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(SimQueueProperty, ArrivalStreamMatchesPrescheduledReference) {
+  std::size_t arrivals = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    LockstepDriver driver{seed, EpisodeOptions{/*arrival_streams=*/true,
+                                               /*grouped=*/false}};
+    driver.run_episode(/*phases=*/40);
+    if (::testing::Test::HasFatalFailure()) return;
+    arrivals += driver.arrivals_attached();
+  }
+  EXPECT_GT(arrivals, 500u) << "episodes stopped attaching streams";
+}
+
+TEST(SimQueueProperty, ArrivalStreamMatchesReferenceUnderTheGroupedDrain) {
+  // The race detector's drain collects a whole timestamp before firing it;
+  // popping the stream's head queues the next arrival first, so a tie
+  // group holds every arrival on its timestamp, as if all were queued.
+  std::size_t groups = 0;
+  for (std::uint64_t seed = 31; seed <= 42; ++seed) {
+    LockstepDriver driver{seed, EpisodeOptions{/*arrival_streams=*/true,
+                                               /*grouped=*/true}};
+    driver.run_episode(/*phases=*/40);
+    if (::testing::Test::HasFatalFailure()) return;
+    groups += driver.tie_groups();
+  }
+  EXPECT_GT(groups, 0u) << "grouped episodes formed no tie groups";
+}
+
+TEST(SimQueueProperty, ArrivalStreamAttachRules) {
+  Simulator sim;
+  std::vector<std::size_t> fired;
+  auto record = [&fired](std::uint32_t label) { fired.push_back(label); };
+  const TimePoint t0 = TimePoint{} + Duration::from_millis(5);
+  sim.run_until(t0);
+
+  // An arrival before now() throws, as schedule_at does, and attaches
+  // nothing.
+  ScriptedStream past{{t0 - Duration::from_millis(1)}, {1}, record};
+  EXPECT_THROW(sim.attach_arrivals(past, 1), std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+
+  // An empty stream attaches nothing and leaves room for the next one.
+  ScriptedStream empty{{}, {}, record};
+  sim.attach_arrivals(empty, 0);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peek_next_time(), std::nullopt);
+
+  ScriptedStream two{{t0, t0 + Duration::from_millis(1)}, {2, 3}, record};
+  sim.attach_arrivals(two, 2, "test.arrival");
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.slab_occupancy(), 0u);
+  EXPECT_THROW(sim.attach_arrivals(empty, 0), std::logic_error);
+  sim.detach_arrivals(empty);  // Not the attached stream: no effect.
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(fired, (std::vector<std::size_t>{2, 3}));
+
+  // The exhausted stream detached itself: a new one may attach.
+  ScriptedStream unsorted{{sim.now() + Duration::from_millis(2), sim.now()},
+                          {4, 5},
+                          record};
+  sim.attach_arrivals(unsorted, 2);
+  // Popping arrival 0 finds arrival 1 earlier: the drain throws before
+  // firing anything, and the stream can still be detached cleanly.
+  EXPECT_THROW(sim.run(), std::invalid_argument);
+  EXPECT_EQ(fired.size(), 2u);
+  sim.detach_arrivals(unsorted);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.peek_next_time(), std::nullopt);
+  EXPECT_EQ(sim.run(), 0u);
 }
 
 TEST(SimQueueProperty, HeavySameTimeTiesKeepFifoOrder) {

@@ -166,6 +166,57 @@ TEST(Runner, FractionOverThreshold) {
   EXPECT_DOUBLE_EQ(outcome.fraction_over(Duration::from_millis(1000)), 0.75);
 }
 
+TEST(Runner, AThrowingRunLeavesNoCallbackBehind) {
+  // A 200 MB host runs out of memory partway through 50 overlapping
+  // two-node requests, so a provision throws "cluster out of capacity"
+  // mid-run.  The run's driver dies with the exception; none of its
+  // arrivals or completion callbacks may survive it: the simulator drains
+  // cleanly afterwards, and the same manager then runs a second schedule
+  // (small functions, spaced past the keep-alive) to completion.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduCold;
+  options.cluster.memory_mb_per_host = 200;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(5);
+  const auto wf = manager.deploy(workflow::linear_chain(2, build));
+  build.memory_mb = 16;
+  const auto small = manager.deploy(workflow::linear_chain(2, build));
+  RunOptions run;
+  run.retain_results = false;
+
+  EXPECT_THROW((void)run_schedule(manager, wf,
+                                  fixed_interval(50, Duration::from_millis(1)),
+                                  run),
+               std::runtime_error);
+  EXPECT_EQ(manager.engine().inflight_request_count(), 0u);
+  EXPECT_GT(manager.simulator().pending(), 0u);
+  manager.simulator().run();
+  EXPECT_EQ(manager.simulator().pending(), 0u);
+
+  const RunOutcome second = run_schedule(
+      manager, small, fixed_interval(3, Duration::from_minutes(11)), run);
+  EXPECT_EQ(second.total_count(), 3u);
+  EXPECT_EQ(second.failed_count(), 0u);
+}
+
+TEST(Runner, QueuedEventsScaleWithRequestsInFlight) {
+  // The simulator queues one arrival at a time, so a long replay's event
+  // slab holds the requests in flight, not the whole schedule.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::KnativeLike;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(5);
+  const auto wf = manager.deploy(workflow::linear_chain(4, build));
+  RunOptions run;
+  run.retain_results = false;
+  const RunOutcome outcome = run_schedule(
+      manager, wf, fixed_interval(10'000, Duration::from_millis(20)), run);
+  EXPECT_EQ(outcome.completed_count(), 10'000u);
+  EXPECT_LT(manager.simulator().slab_capacity(), 1'000u);
+}
+
 TEST(Runner, RejectsUnsortedSchedule) {
   core::DispatchManagerOptions options;
   options.kind = core::PlatformKind::XanaduCold;
