@@ -23,6 +23,12 @@ int main() {
   const auto schedule = workload::uniform_random(
       sim::Duration::from_minutes(2), sim::Duration::from_minutes(25),
       sim::Duration::from_minutes(6 * 60), rng);
+  // A request is cold when its overhead exceeds this; the runs fold their
+  // exact counter against it.
+  const sim::Duration cold_threshold = sim::Duration::from_millis(1500);
+  workload::RunOptions run;
+  run.stream.over_threshold = cold_threshold;
+  bool ok = true;
 
   for (const double keep_alive_s : {10.0, 60.0, 600.0, 1800.0}) {
     for (const auto& [name, kind] :
@@ -37,13 +43,15 @@ int main() {
       core::DispatchManager manager{options};
       const auto wf =
           manager.deploy(workflow::linear_chain(5, bench::chain_options(1000)));
-      const auto outcome = workload::run_schedule(manager, wf, schedule);
+      const auto outcome = workload::run_schedule(manager, wf, schedule, run);
       const auto cost = metrics::resource_cost(outcome.ledger_delta);
+      const double cold_fraction = outcome.fraction_over(cold_threshold);
+      ok = bench::fraction_over_is_exact(outcome, cold_threshold) && ok;
       table.add_row(
           {metrics::fmt(keep_alive_s, 0) + "s", name,
            metrics::fmt_ms(outcome.mean_overhead_ms()),
            metrics::fmt(cost.idle_memory_mb_seconds, 0),
-           metrics::fmt(outcome.fraction_over(sim::Duration::from_millis(1500)) *
+           metrics::fmt(cold_fraction *
                             static_cast<double>(outcome.results.size()),
                         0)});
     }
@@ -52,5 +60,11 @@ int main() {
   bench::note("speculation keeps latency flat even at second-scale "
               "keep-alives, unlocking the idle-memory savings the paper "
               "projects in Section 7");
+  if (!ok) {
+    std::fprintf(stderr, "abl_keepalive: self-check failed -- a printed cold "
+                         "count differs from the count over the retained "
+                         "results\n");
+    return 1;
+  }
   return 0;
 }

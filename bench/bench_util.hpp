@@ -125,6 +125,28 @@ inline double max_of(const std::vector<double>& v) {
   return *std::max_element(v.begin(), v.end());
 }
 
+/// Self-check for a bench that prints outcome.fraction_over(threshold): the
+/// run's exact counter and that fraction must both agree with a count over
+/// the retained results.  fraction_over is exact only at the run's
+/// RunOptions::stream.over_threshold and answers any other threshold from
+/// the histogram, so a bench that reports a threshold without setting it
+/// fails here.
+inline bool fraction_over_is_exact(const workload::RunOutcome& outcome,
+                                   sim::Duration threshold) {
+  std::uint64_t completed = 0;
+  std::uint64_t over = 0;
+  for (const platform::RequestResult& r : outcome.results) {
+    if (r.failed) continue;
+    ++completed;
+    if (r.overhead > threshold) ++over;
+  }
+  const double exact = completed == 0 ? 0.0
+                                      : static_cast<double>(over) /
+                                            static_cast<double>(completed);
+  return outcome.stats.over_threshold == over &&
+         outcome.fraction_over(threshold) == exact;
+}
+
 // ---------------------------------------------------------------------------
 // Wall-clock measurement (scale benches only; virtual time never sees it).
 // ---------------------------------------------------------------------------

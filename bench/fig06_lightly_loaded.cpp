@@ -20,7 +20,9 @@ using namespace xanadu;
 
 namespace {
 
-void run(const char* name, core::PlatformKind kind, double threshold_ms) {
+/// Runs one platform and prints its profile; false when the printed cold
+/// fraction is not exact (see bench::fraction_over_is_exact).
+bool run(const char* name, core::PlatformKind kind, double threshold_ms) {
   auto manager = bench::make_manager(kind, /*seed=*/2020);
   const auto wf =
       manager.deploy(workflow::linear_chain(5, bench::chain_options(500)));
@@ -28,7 +30,10 @@ void run(const char* name, core::PlatformKind kind, double threshold_ms) {
   const auto schedule = workload::uniform_random(
       sim::Duration::zero(), sim::Duration::from_minutes(60),
       sim::Duration::from_minutes(16 * 60), rng);
-  const auto outcome = workload::run_schedule(manager, wf, schedule);
+  const sim::Duration threshold = sim::Duration::from_millis(threshold_ms);
+  workload::RunOptions options;
+  options.stream.over_threshold = threshold;  // fraction_over's exact point
+  const auto outcome = workload::run_schedule(manager, wf, schedule, options);
 
   // Timeline: bucket by hour.
   metrics::Table timeline{{"hour", "requests", "cold requests", "mean C_D"}};
@@ -48,20 +53,28 @@ void run(const char* name, core::PlatformKind kind, double threshold_ms) {
   }
   timeline.print(std::string{name} + " hourly timeline (U(0,60min) arrivals, 16h)");
 
-  const double cold_fraction =
-      outcome.fraction_over(sim::Duration::from_millis(threshold_ms));
+  const double cold_fraction = outcome.fraction_over(threshold);
   std::printf("  %zu requests total; %.1f%% over the %.0f ms warm threshold; "
               "mean overhead %.0f ms\n",
               outcome.results.size(), 100.0 * cold_fraction, threshold_ms,
               outcome.mean_overhead_ms());
+  return bench::fraction_over_is_exact(outcome, threshold);
 }
 
 }  // namespace
 
 int main() {
   bench::banner("Figure 6: lightly-loaded workflow cold-start concentration");
-  run("AWS Step Functions (emulated)", core::PlatformKind::AsfLike, 1000.0);
-  run("Azure Durable Functions (emulated)", core::PlatformKind::AdfLike, 1500.0);
+  const bool asf =
+      run("AWS Step Functions (emulated)", core::PlatformKind::AsfLike, 1000.0);
+  const bool adf = run("Azure Durable Functions (emulated)",
+                       core::PlatformKind::AdfLike, 1500.0);
   bench::note("paper: 78.1% cold on ASF (avg 1800ms), 62.5% on ADF (avg 1400ms)");
+  if (!asf || !adf) {
+    std::fprintf(stderr, "fig06_lightly_loaded: self-check failed -- a "
+                         "printed cold fraction differs from the count over "
+                         "the retained results\n");
+    return 1;
+  }
   return 0;
 }

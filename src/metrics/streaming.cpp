@@ -126,14 +126,16 @@ double LatencyHistogram::quantile_ms(double q) const {
 }
 
 double LatencyHistogram::fraction_above(double value_ms) const {
-  if (count_ == 0) return 0.0;
+  // No sample lies strictly above the largest one recorded.  The bin scan
+  // below cannot see that: past the last bin edge it counts every overflow
+  // sample.
+  if (count_ == 0 || value_ms >= max_recorded_ms_) return 0.0;
   // First bin whose whole range is STRICTLY above value_ms.  record() puts a
   // sample v into bin floor(v / w), so a threshold sitting exactly on a bin
   // edge k*w must exclude bin k: its samples can equal the threshold, and the
-  // exact path (RunStats::consume, RunOutcome::fraction_over) counts only
-  // overhead > threshold.  The pre-fix ceil() included bin k, silently
-  // flipping the boundary semantics between the streamed estimate and the
-  // retained-results path.
+  // exact counter (RunStats::consume) counts only overhead > threshold.  The
+  // pre-fix ceil() included bin k, silently flipping the boundary semantics
+  // between the estimate and the exact counter.
   std::size_t first = 0;
   if (value_ms >= 0.0) {
     const double scaled = value_ms / bin_width_ms_;

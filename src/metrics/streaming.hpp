@@ -12,8 +12,8 @@
 //     result's rows in consume order) -- so a streamed run's digest is
 //     byte-identical to trace_digest() over the retained vector, including
 //     the six pinned GoldenDigestGuard values;
-//   - online aggregates (RunStats): plain sums folded in the same order as
-//     the batch RunOutcome loops (bit-identical means), a Welford
+//   - online aggregates (RunStats): plain sums folded in submission order
+//     (bit-identical to a batch loop over the results), a Welford
 //     accumulator for overhead variance, cold-start fraction, and the
 //     fraction-over-threshold counter;
 //   - a fixed-bin latency histogram for tail quantiles;
@@ -54,8 +54,10 @@ struct StreamOptions {
   /// an explicit overflow bucket.
   double histogram_bin_ms = 1.0;
   std::size_t histogram_bins = 512;
-  /// Threshold for the exact fraction-over counter (RunOutcome::fraction_over
-  /// answers exactly for this threshold even with retention off).
+  /// Threshold for the exact fraction-over counter.  RunOutcome::fraction_over
+  /// answers exactly for this threshold only, with or without retained
+  /// results; any other threshold gets the histogram's estimate.  A caller
+  /// that reports a fraction over some threshold sets it here.
   sim::Duration over_threshold = sim::Duration::from_millis(100);
   /// CSV spill file; empty disables spilling.
   std::string spill_path;
@@ -64,9 +66,10 @@ struct StreamOptions {
 };
 
 /// Online per-request aggregates.  Sums are folded in consume order, which
-/// the workload harness guarantees is submission-slot order -- the same
-/// order the batch RunOutcome loops fold retained results -- so the derived
-/// means are bit-identical doubles, not merely close.
+/// the workload harness guarantees is submission-slot order, so a loop over
+/// the retained results in that order derives bit-identical means, not
+/// merely close ones (streaming_metrics_test keeps that loop as its
+/// reference).
 struct RunStats {
   /// Threshold the over_threshold counter was folded against (copied from
   /// StreamOptions::over_threshold by StreamingTrace).
@@ -161,9 +164,12 @@ class LatencyHistogram {
 
   /// Estimated fraction of recorded samples strictly above `value_ms`: counts
   /// bins whose whole range lies strictly above it, plus overflow -- exact to
-  /// within one bin width.  A threshold on an exact bin edge k*w excludes bin
-  /// k (whose samples may equal the threshold), matching the strict `>` of
-  /// the exact retained-results path.  0 when empty.
+  /// within one bin width inside the bin range.  A threshold on an exact bin
+  /// edge k*w excludes bin k (whose samples may equal the threshold),
+  /// matching the strict `>` of RunStats' exact counter.  Exactly 0 when
+  /// empty or when `value_ms` is at or above max_recorded_ms(); for a
+  /// threshold between the last bin edge and that maximum, every overflow
+  /// sample counts, so the result is an upper bound.
   [[nodiscard]] double fraction_above(double value_ms) const;
 
  private:

@@ -27,11 +27,6 @@ TopicId MessageBus::intern(const std::string& topic) {
   return TopicId{symbol};
 }
 
-SubscriptionId MessageBus::subscribe(const std::string& topic,
-                                     BusHandler handler) {
-  return subscribe(intern(topic), std::move(handler));
-}
-
 SubscriptionId MessageBus::subscribe(TopicId topic, BusHandler handler) {
   if (!handler) throw std::invalid_argument{"MessageBus::subscribe: empty handler"};
   if (!topic.valid() || topic.value() >= topics_.size()) {
@@ -64,11 +59,6 @@ bool MessageBus::unsubscribe(SubscriptionId id) {
     return true;
   }
   return false;
-}
-
-std::uint64_t MessageBus::publish(const std::string& topic,
-                                  BusPayload payload) {
-  return publish(intern(topic), payload);
 }
 
 std::uint64_t MessageBus::publish(TopicId topic, BusPayload payload) {
@@ -222,12 +212,6 @@ void MessageBus::bridge_topic(TopicId topic, MessageBus& remote,
       Bridge{&remote, remote_topic, remote.lp_->shard(), latency});
 }
 
-void MessageBus::bridge_topic(const std::string& topic, MessageBus& remote,
-                              const std::string& remote_topic,
-                              sim::Duration latency) {
-  bridge_topic(intern(topic), remote, remote.intern(remote_topic), latency);
-}
-
 void MessageBus::deliver_bridged(TopicId topic, BusPayload payload) {
   if (!topic.valid() || topic.value() >= topics_.size()) {
     throw std::invalid_argument{
@@ -240,10 +224,12 @@ void MessageBus::deliver_bridged(TopicId topic, BusPayload payload) {
   deliver(topic, message);
 }
 
-std::size_t MessageBus::subscriber_count(const std::string& topic) const {
-  const auto symbol = names_.find(topic);
-  if (!symbol) return 0;
-  const auto& subs = topics_[*symbol].subscriptions;
+std::size_t MessageBus::subscriber_count(TopicId topic) const {
+  if (!topic.valid() || topic.value() >= topics_.size()) {
+    throw std::invalid_argument{
+        "MessageBus::subscriber_count: unknown topic id"};
+  }
+  const auto& subs = topics_[topic.value()].subscriptions;
   return static_cast<std::size_t>(std::count_if(
       subs.begin(), subs.end(),
       [](const std::unique_ptr<Subscription>& s) { return s->id.valid(); }));

@@ -26,12 +26,13 @@
 // such a message would have been in flight does not receive it -- like a
 // Kafka consumer that starts at the latest offset.
 //
-// Topic names are interned to dense TopicIds on first use: the publish hot
-// path indexes a vector instead of hashing the topic string.  Delivery walks
-// the topic's subscriber list in place, never copying it: a handler may
-// subscribe (the newcomer starts with the next message) or unsubscribe (the
-// entry becomes a tombstone, skipped and compacted once no delivery is in
-// progress) without disturbing the walk.
+// Topic names are interned to dense TopicIds once, at set-up, and every
+// other call takes the id: the publish hot path indexes a vector instead of
+// hashing the topic string.  Delivery walks the topic's subscriber list in
+// place, never copying it: a handler may subscribe (the newcomer starts with
+// the next message) or unsubscribe (the entry becomes a tombstone, skipped
+// and compacted once no delivery is in progress) without disturbing the
+// walk.
 //
 // Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
 // shard boundaries: attach_shard() binds the bus to its shard's logical
@@ -120,11 +121,10 @@ class MessageBus {
   MessageBus(sim::Simulator& simulator, Options options, common::Rng rng);
 
   /// Interns `topic`, creating it if unseen, and returns its dense id.
-  /// Callers on hot paths can intern once and use the id overloads below.
+  /// Every other call names topics by id: callers intern once, at set-up.
   TopicId intern(const std::string& topic);
 
   /// Subscribes `handler` to `topic`.  Returns a handle for unsubscribe().
-  SubscriptionId subscribe(const std::string& topic, BusHandler handler);
   SubscriptionId subscribe(TopicId topic, BusHandler handler);
 
   /// Removes a subscription; returns false if the id is unknown.
@@ -133,7 +133,6 @@ class MessageBus {
   /// Publishes a payload; every subscriber the topic has now and still has
   /// at delivery receives it after the bus latency.  Returns the message's
   /// per-topic offset.
-  std::uint64_t publish(const std::string& topic, BusPayload payload);
   std::uint64_t publish(TopicId topic, BusPayload payload);
 
   /// Wires a fault plan into the bus.  Each publish then consults the plan
@@ -162,8 +161,6 @@ class MessageBus {
   /// re-forwarded.
   void bridge_topic(TopicId topic, MessageBus& remote, TopicId remote_topic,
                     sim::Duration latency);
-  void bridge_topic(const std::string& topic, MessageBus& remote,
-                    const std::string& remote_topic, sim::Duration latency);
 
   /// Delivers a message forwarded from another shard to `topic`'s local
   /// subscribers at the current virtual time.  Invoked by the bridge closure
@@ -171,7 +168,7 @@ class MessageBus {
   /// use.  The message consumes a local per-topic offset.
   void deliver_bridged(TopicId topic, BusPayload payload);
 
-  [[nodiscard]] std::size_t subscriber_count(const std::string& topic) const;
+  [[nodiscard]] std::size_t subscriber_count(TopicId topic) const;
   [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
   [[nodiscard]] std::uint64_t published_count() const { return published_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_; }

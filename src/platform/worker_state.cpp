@@ -19,14 +19,15 @@ const char* to_string(WorkerEventKind kind) {
 WorkerStateTracker::WorkerStateTracker(MessageBus& bus,
                                        const std::string& topic)
     : bus_(bus) {
-  subscription_ = bus_.subscribe(topic, [this](const BusMessage& m) {
-    const auto* event = std::get_if<WorkerEvent>(&m.payload);
-    if (event == nullptr) {
-      throw std::invalid_argument{
-          "WorkerStateTracker: a non-WorkerEvent message on its topic"};
-    }
-    apply(*event);
-  });
+  subscription_ =
+      bus_.subscribe(bus_.intern(topic), [this](const BusMessage& m) {
+        const auto* event = std::get_if<WorkerEvent>(&m.payload);
+        if (event == nullptr) {
+          throw std::invalid_argument{
+              "WorkerStateTracker: a non-WorkerEvent message on its topic"};
+        }
+        apply(*event);
+      });
 }
 
 WorkerStateTracker::~WorkerStateTracker() { bus_.unsubscribe(subscription_); }

@@ -32,11 +32,12 @@ inline constexpr const char* kWorkerStateTopic = "workers";
 /// Subscribes to the worker-state topic and maintains the fleet view.
 class WorkerStateTracker {
  public:
-  /// Subscribes on construction; the bus must outlive the tracker.  `topic`
-  /// defaults to the engine's "workers" topic; the sharded runner's fleet
-  /// view instead listens on one bridged per-shard topic per tracker
-  /// ("fleet.workers.<shard>"), keeping tenants' worker ids apart.  A
-  /// delivery that is not a WorkerEvent throws std::invalid_argument.
+  /// Interns `topic` and subscribes to it on construction; the bus must
+  /// outlive the tracker.  `topic` defaults to the engine's "workers" topic;
+  /// the sharded runner's fleet view instead listens on one bridged
+  /// per-shard topic per tracker ("fleet.workers.<shard>"), keeping tenants'
+  /// worker ids apart.  A delivery that is not a WorkerEvent throws
+  /// std::invalid_argument.
   explicit WorkerStateTracker(MessageBus& bus,
                               const std::string& topic = kWorkerStateTopic);
   ~WorkerStateTracker();

@@ -42,7 +42,6 @@
 // top().
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -54,10 +53,6 @@
 #include "sim/time.hpp"
 
 namespace xanadu::sim {
-
-/// Compatibility alias: a few call sites (and tests) still pass
-/// std::function; EventFn absorbs it (an empty one stays empty).
-using EventCallback = std::function<void()>;
 
 // -- Race-check hooks --------------------------------------------------------
 //

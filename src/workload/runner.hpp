@@ -1,8 +1,15 @@
 #pragma once
 
 // Experiment runner: drives a DispatchManager with an arrival schedule and
-// collects per-request results plus the resource-ledger delta over the run.
-// This is the shared harness behind the benchmark binaries.
+// returns the run's outcome: aggregates folded from every request as it
+// completes, plus the resource-ledger delta over the run.  This is the
+// shared harness behind the benchmark binaries.
+//
+// There is one outcome path.  Every run folds each result, in submission
+// order, into a metrics::StreamingTrace, and every RunOutcome accessor reads
+// the folded RunStats.  Retaining the results (RunOptions::retain_results)
+// only adds a sink of that fold, which appends each folded result to
+// RunOutcome::results; nothing is recomputed from it.
 
 #include <cstdint>
 #include <vector>
@@ -16,49 +23,68 @@
 namespace xanadu::workload {
 
 struct RunOutcome {
-  /// Per-request results in submission order.  Empty when the run was
-  /// executed with RunOptions::retain_results = false -- the streamed
-  /// aggregates below still carry everything the accessors need.
+  /// Per-request results in submission order, appended by the run's fold as
+  /// each one is folded.  Empty when the run was executed with
+  /// RunOptions::retain_results = false; the accessors below never read it.
   std::vector<platform::RequestResult> results;
   /// Ledger delta over the run window (C_R quantities).
   cluster::ResourceLedger ledger_delta;
 
-  /// Online aggregates folded during the run in submission order (the run
-  /// harnesses always stream; `streamed` is false only for hand-built
-  /// outcomes, e.g. in tests, where the accessors fall back to recomputing
-  /// from `results`).
+  /// Online aggregates folded during the run in submission order.
   metrics::RunStats stats;
   /// Completed-request overhead histogram (bounded memory; tail quantiles).
   metrics::LatencyHistogram histogram;
   /// Incremental trace digest -- byte-identical to
   /// metrics::trace_digest(results, dag) over the retained vector.
   std::uint64_t trace_digest = 0;
-  bool streamed = false;
 
-  /// Requests triggered (streamed count, or results.size()).
-  [[nodiscard]] std::size_t total_count() const;
+  /// Requests triggered.
+  [[nodiscard]] std::size_t total_count() const {
+    return static_cast<std::size_t>(stats.total);
+  }
   /// Requests that failed over (result.failed) -- recovery exhausted, or
   /// stranded by a fault with recovery disabled.  Zero on fault-free runs.
-  [[nodiscard]] std::size_t failed_count() const;
+  [[nodiscard]] std::size_t failed_count() const {
+    return static_cast<std::size_t>(stats.failed);
+  }
   [[nodiscard]] std::size_t completed_count() const {
     return total_count() - failed_count();
   }
   /// completed / triggered, in [0, 1]; 1.0 for an empty run.
-  [[nodiscard]] double completion_rate() const;
+  [[nodiscard]] double completion_rate() const {
+    return stats.completion_rate();
+  }
 
-  // Per-request aggregates over *completed* requests only (failed requests
-  // carry no meaningful per-request stats and would deflate the values).
-  [[nodiscard]] double mean_overhead_ms() const;
-  [[nodiscard]] double mean_end_to_end_ms() const;
-  [[nodiscard]] double mean_cold_starts() const;
-  [[nodiscard]] double mean_workers_per_request() const;
+  // Per-request aggregates over *completed* requests only: a failed request
+  // has no meaningful overhead or critical path, and mixing its zeros in
+  // would make failure look like speedup.  0 when nothing completed.
+  [[nodiscard]] double mean_overhead_ms() const {
+    return stats.mean_overhead_ms();
+  }
+  [[nodiscard]] double mean_end_to_end_ms() const {
+    return stats.mean_end_to_end_ms();
+  }
+  [[nodiscard]] double mean_cold_starts() const {
+    return stats.mean_cold_starts();
+  }
+  [[nodiscard]] double mean_workers_per_request() const {
+    return stats.mean_workers_per_request();
+  }
   /// Mean speculation misses over *all* requests: a miss wastes real
   /// provisioning work whether or not the request later fails.
-  [[nodiscard]] double mean_missed_nodes() const;
+  [[nodiscard]] double mean_missed_nodes() const {
+    return stats.mean_missed_nodes();
+  }
   /// Fraction of completed requests whose overhead exceeds `threshold`.
-  /// Exact when `threshold` matches the streamed stats threshold or when
-  /// results are retained; otherwise a histogram estimate (within one bin).
-  [[nodiscard]] double fraction_over(sim::Duration threshold) const;
+  /// Exact when `threshold` is the run's StreamOptions::over_threshold;
+  /// otherwise the histogram's estimate: exact to within one bin inside the
+  /// bin range, exactly 0 at or above the largest recorded overhead, and an
+  /// upper bound for thresholds between the last bin edge and that maximum.
+  /// A caller that reports some other threshold sets over_threshold to it.
+  [[nodiscard]] double fraction_over(sim::Duration threshold) const {
+    if (threshold == stats.threshold) return stats.fraction_over_threshold();
+    return histogram.fraction_above(threshold.millis());
+  }
 };
 
 struct RunOptions {
@@ -83,9 +109,10 @@ struct RunOptions {
   /// stranded request keeps the recurring host-outage event alive, so the
   /// event queue alone never drains.
   sim::Duration stall_horizon = sim::Duration::from_minutes(10);
-  /// Keep every RequestResult in RunOutcome::results (and per_source).  Turn
-  /// off for macro-scale runs: aggregates, digest, histogram, ring and spill
-  /// still stream, but peak RSS stays flat in run length.
+  /// Keep every RequestResult in RunOutcome::results (and, for
+  /// run_mixed_schedule, in each per_source lane) as the fold passes it.
+  /// Turn off for macro-scale runs: aggregates, digest, histogram, ring and
+  /// spill are the same either way, but peak RSS stays flat in run length.
   bool retain_results = true;
   /// Streaming consumer configuration (ring capacity, histogram shape,
   /// fraction-over threshold, optional CSV spill).

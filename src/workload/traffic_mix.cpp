@@ -110,20 +110,24 @@ namespace {
 // inside std::function's inline buffer.
 //
 // Completions arrive out of submission order (a short chain submitted late
-// can finish before a long chain submitted early), but the streamed digest
-// must hash rows in slot order to stay byte-identical with the batch render
-// of the retained vector.  With retention on, the fold reads straight out of
-// aggregate.results behind a done-bitmap frontier; with retention off, a
-// small ordered reorder window buffers the out-of-order tail.
+// can finish before a long chain submitted early), but the digest must hash
+// rows in slot order to stay byte-identical with the batch render of the
+// retained vector.  One reorder window serves every run: the completion of
+// the next slot to fold folds straight from the engine's reference, and a
+// later slot parks in an ordered map until every earlier slot has folded,
+// then is moved out on its turn.  Retaining results only adds a sink to
+// that fold, which appends each folded result to the caller's vectors.
 class MixDriver final : public sim::ArrivalStream {
  public:
+  /// With RunOptions::retain_results, every folded result is appended to
+  /// `aggregate.results` and, when `lanes` is given, to its source's lane;
+  /// both are reserved here.
   MixDriver(core::DispatchManager& manager, std::vector<SourceView> sources,
-            const RunOptions& options, MixedOutcome& outcome,
-            metrics::StreamingTrace& stream)
+            const RunOptions& options, metrics::StreamingTrace& stream,
+            RunOutcome& aggregate, std::vector<RunOutcome>* lanes)
       : manager_(manager),
         sources_(std::move(sources)),
         options_(options),
-        outcome_(outcome),
         stream_(stream),
         sim_(manager.simulator()),
         base_(sim_.now()),
@@ -138,8 +142,12 @@ class MixDriver final : public sim::ArrivalStream {
       total_ = merged_.size();
     }
     if (options_.retain_results) {
-      outcome_.aggregate.results.resize(total_);
-      done_.assign(total_, 0);
+      retained_ = &aggregate.results;
+      retained_->reserve(total_);
+      lanes_ = lanes;
+      for (std::size_t s = 0; lanes_ != nullptr && s < sources_.size(); ++s) {
+        (*lanes_)[s].results.reserve(sources_[s].schedule->size());
+      }
     }
   }
 
@@ -197,60 +205,58 @@ class MixDriver final : public sim::ArrivalStream {
     if (abandoned_) return;
     ++completed_;
     if (completed_ == total_ && halt_ != nullptr) halt_->halt();
-    if (options_.retain_results) {
-      outcome_.aggregate.results[slot] = result;
-      done_[slot] = 1;
-      while (next_fold_ < total_ && done_[next_fold_] != 0) {
-        fold(next_fold_, outcome_.aggregate.results[next_fold_]);
-        ++next_fold_;
-      }
-    } else {
-      window_buffer_.emplace(slot, result);
-      while (!window_buffer_.empty() &&
-             window_buffer_.begin()->first == next_fold_) {
-        fold(next_fold_, window_buffer_.begin()->second);
-        window_buffer_.erase(window_buffer_.begin());
-        ++next_fold_;
-      }
+    if (slot != next_fold_) {
+      window_.emplace(slot, result);
+      return;
+    }
+    fold(result);
+    while (!window_.empty() && window_.begin()->first == next_fold_) {
+      fold(std::move(window_.begin()->second));
+      window_.erase(window_.begin());
     }
   }
 
-  void fold(std::size_t slot, const platform::RequestResult& result) {
-    const std::size_t source = source_of(slot);
+  /// Folds the result of slot next_fold_ and hands it to the retention sink
+  /// (copied from the engine's reference, moved out of the window).  Folds
+  /// run in slot order, so each lane fills in its source's own arrival order
+  /// -- the merged order restricted to one source.
+  template <typename Result>
+  void fold(Result&& result) {
+    const std::size_t source = source_of(next_fold_++);
     stream_.consume(source, result);
-    if (options_.retain_results) {
-      // Folds run in slot order, so per-source vectors fill in each source's
-      // own arrival order -- the merged order restricted to one source.
-      outcome_.per_source[source].results.push_back(result);
-    }
+    if (retained_ == nullptr) return;
+    if (lanes_ != nullptr) (*lanes_)[source].results.push_back(result);
+    retained_->push_back(std::forward<Result>(result));
   }
 
   core::DispatchManager& manager_;
   std::vector<SourceView> sources_;
   const RunOptions& options_;
-  MixedOutcome& outcome_;
   metrics::StreamingTrace& stream_;
   sim::Simulator& sim_;
   sim::TimePoint base_;
   bool single_;
   std::size_t total_ = 0;
   std::vector<MixedArrival> merged_;
-  /// Retention on: which slots hold a result (fold frontier scan).
-  std::vector<std::uint8_t> done_;
-  /// Retention off: out-of-order completions awaiting their fold turn.
-  std::map<std::size_t, platform::RequestResult> window_buffer_;
+  /// Completions of slots past next_fold_, awaiting their fold turn.
+  std::map<std::size_t, platform::RequestResult> window_;
   std::size_t next_fold_ = 0;
   std::size_t completed_ = 0;
+  /// Retention sink; null with retain_results off.
+  std::vector<platform::RequestResult>* retained_ = nullptr;
+  /// Per-source retention lanes; null unless the caller asked for them.
+  std::vector<RunOutcome>* lanes_ = nullptr;
   sim::LogicalProcess* halt_ = nullptr;
   /// Set while the destructor fails the requests still in flight.
   bool abandoned_ = false;
 };
 
 /// The body shared by run_schedule and run_mixed_schedule: `sources` are
-/// sorted and read in place.
+/// sorted and read in place.  Every per_source lane gets its stats and
+/// digest; with `retain_lanes` the lanes also retain their results.
 MixedOutcome run_sources(core::DispatchManager& manager,
                          std::vector<SourceView> sources,
-                         const RunOptions& options) {
+                         const RunOptions& options, bool retain_lanes) {
   MixedOutcome outcome;
   outcome.per_source.resize(sources.size());
   outcome.source_names.reserve(sources.size());
@@ -264,7 +270,9 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   sim::Simulator& sim = manager.simulator();
   const sim::TimePoint base = sim.now();
 
-  MixDriver driver(manager, std::move(sources), options, outcome, stream);
+  MixDriver driver(manager, std::move(sources), options, stream,
+                   outcome.aggregate,
+                   retain_lanes ? &outcome.per_source : nullptr);
   driver.start();
 
   if (options.drain_after_last && !options.allow_incomplete) {
@@ -304,13 +312,11 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   aggregate.stats = stream.stats();
   aggregate.histogram = stream.histogram();
   aggregate.trace_digest = stream.digest();
-  aggregate.streamed = true;
   // The cluster (and thus the ledger) is shared across sources, so only the
   // aggregate carries a ledger delta; per-source lanes carry stats + digest.
   for (std::size_t s = 0; s < outcome.per_source.size(); ++s) {
     outcome.per_source[s].stats = stream.source_stats(s);
     outcome.per_source[s].trace_digest = stream.source_digest(s);
-    outcome.per_source[s].streamed = true;
   }
   return outcome;
 }
@@ -329,8 +335,10 @@ RunOutcome run_schedule(core::DispatchManager& manager,
   // Single-tenant traffic is the one-source special case of a mix: the
   // merged order of a lone sorted source is the source order itself, so the
   // event-creation sequence (and hence every trace digest) is unchanged.
+  // Only the aggregate is returned, so the lone lane retains nothing.
   MixedOutcome outcome =
-      run_sources(manager, {SourceView{workflow, "", &schedule}}, options);
+      run_sources(manager, {SourceView{workflow, "", &schedule}}, options,
+                  /*retain_lanes=*/false);
   return std::move(outcome.aggregate);
 }
 
@@ -345,7 +353,7 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
       }
     }
   }
-  return run_sources(manager, views_of(mix), options);
+  return run_sources(manager, views_of(mix), options, /*retain_lanes=*/true);
 }
 
 namespace {
@@ -427,7 +435,8 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
       const std::string fleet_topic =
           "fleet.workers." + std::to_string(i);
       bus->bridge_topic(
-          platform::kWorkerStateTopic, *fleet_bus, fleet_topic,
+          bus->intern(platform::kWorkerStateTopic), *fleet_bus,
+          fleet_bus->intern(fleet_topic),
           shards[i].manager->engine().calibration().control_bus.latency);
       fleet_view[i] =
           std::make_unique<platform::WorkerStateTracker>(*fleet_bus,
@@ -446,16 +455,14 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   // Per-shard harness: each shard reuses the MixDriver with its one source
   // on its own simulator and its own streaming consumer, so the per-shard
   // fold order (and digest) is exactly the unsharded single-tenant fold
-  // order.
-  std::vector<std::unique_ptr<MixedOutcome>> shard_mixed;
+  // order.  Shard i's lane is its driver's aggregate: retained results go
+  // straight into mixed.per_source[i].
   std::vector<std::unique_ptr<metrics::StreamingTrace>> streams;
   std::vector<std::unique_ptr<MixDriver>> drivers;
   std::vector<cluster::ResourceLedger> ledgers_before;
   std::vector<sim::TimePoint> bases;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     core::DispatchManager& manager = *shards[i].manager;
-    shard_mixed.push_back(std::make_unique<MixedOutcome>());
-    shard_mixed.back()->per_source.resize(1);
     streams.push_back(
         std::make_unique<metrics::StreamingTrace>(options.stream));
     streams.back()->add_source(manager.engine().dag(shards[i].workflow),
@@ -466,7 +473,7 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
         manager,
         std::vector<SourceView>{SourceView{shards[i].workflow, shards[i].name,
                                            &shards[i].schedule}},
-        options, *shard_mixed[i], *streams[i]));
+        options, *streams[i], mixed.per_source[i], nullptr));
   }
   for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
     mix_driver->start();
@@ -529,19 +536,16 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
 
   // Per-shard outcomes (shard order), then deterministic aggregation.
   RunOutcome& aggregate = mixed.aggregate;
-  aggregate.streamed = true;
   std::uint64_t trace_fold = kFnvBasis;
   std::uint64_t state_fold = kFnvBasis;
   std::uint64_t fleet_fold = kFnvBasis;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     streams[i]->finish();
     RunOutcome& lane = mixed.per_source[i];
-    lane = std::move(shard_mixed[i]->aggregate);
     lane.ledger_delta = shards[i].manager->ledger() - ledgers_before[i];
     lane.stats = streams[i]->stats();
     lane.histogram = streams[i]->histogram();
     lane.trace_digest = streams[i]->digest();
-    lane.streamed = true;
 
     if (i == 0) {
       aggregate.stats = lane.stats;

@@ -82,7 +82,9 @@ struct WeightedPoissonSpec {
 /// RunOutcome per source (results in that source's arrival order).  The
 /// cluster is shared, so per-source ledger deltas are not separable: only
 /// aggregate.ledger_delta is populated; per_source[i].ledger_delta stays
-/// default-constructed.
+/// default-constructed.  run_mixed_schedule's lanes carry stats and digests
+/// but no histogram, so a lane's fraction_over is exact at the run's
+/// over_threshold and 0 at any other threshold.
 struct MixedOutcome {
   RunOutcome aggregate;
   std::vector<RunOutcome> per_source;

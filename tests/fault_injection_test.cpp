@@ -523,8 +523,19 @@ TEST(fault_injection, FailedRequestsDoNotSkewPerRequestAggregates) {
   bad.workers_provisioned = 9;
   bad.speculation.missed_nodes = 1;
 
-  workload::RunOutcome outcome;
-  outcome.results = {ok, ok, bad, bad};
+  // Hand-built outcomes fold their results exactly as a run does.
+  const workflow::WorkflowDag dag = scenario_dag(1);
+  auto fold = [&dag](const std::vector<platform::RequestResult>& results) {
+    metrics::StreamingTrace stream;
+    stream.add_source(dag, "");
+    for (const platform::RequestResult& r : results) stream.consume(0, r);
+    workload::RunOutcome outcome;
+    outcome.stats = stream.stats();
+    outcome.histogram = stream.histogram();
+    return outcome;
+  };
+
+  const workload::RunOutcome outcome = fold({ok, ok, bad, bad});
   EXPECT_EQ(outcome.completed_count(), 2u);
   EXPECT_DOUBLE_EQ(outcome.mean_overhead_ms(), 100.0);
   EXPECT_DOUBLE_EQ(outcome.mean_end_to_end_ms(), 250.0);
@@ -539,8 +550,7 @@ TEST(fault_injection, FailedRequestsDoNotSkewPerRequestAggregates) {
   EXPECT_DOUBLE_EQ(outcome.mean_missed_nodes(), (2 + 2 + 1 + 1) / 4.0);
 
   // Degenerate all-failed outcome: defined zeros, never NaN.
-  workload::RunOutcome all_failed;
-  all_failed.results = {bad, bad};
+  const workload::RunOutcome all_failed = fold({bad, bad});
   EXPECT_DOUBLE_EQ(all_failed.mean_overhead_ms(), 0.0);
   EXPECT_DOUBLE_EQ(all_failed.mean_end_to_end_ms(), 0.0);
   EXPECT_DOUBLE_EQ(all_failed.mean_cold_starts(), 0.0);

@@ -52,13 +52,14 @@ TEST_F(MessageBusTest, DeliversToSubscriberAfterLatency) {
   MessageBus::Options options;
   options.latency = 10_ms;
   make_bus(options);
+  const TopicId topic = bus_->intern("topic");
   std::vector<std::uint64_t> received;
   sim::TimePoint delivered_at;
-  bus_->subscribe("topic", [&](const BusMessage& m) {
+  bus_->subscribe(topic, [&](const BusMessage& m) {
     received.push_back(worker_of(m));
     delivered_at = sim_.now();
   });
-  bus_->publish("topic", event(42));
+  bus_->publish(topic, event(42));
   sim_.run();
   ASSERT_EQ(received.size(), 1u);
   EXPECT_EQ(received[0], 42u);
@@ -66,11 +67,12 @@ TEST_F(MessageBusTest, DeliversToSubscriberAfterLatency) {
 }
 
 TEST_F(MessageBusTest, FanOutToAllSubscribers) {
+  const TopicId t = bus_->intern("t");
   int a = 0, b = 0;
-  bus_->subscribe("t", [&](const BusMessage&) { ++a; });
-  bus_->subscribe("t", [&](const BusMessage&) { ++b; });
-  bus_->publish("t", event(1));
-  bus_->publish("t", event(2));
+  bus_->subscribe(t, [&](const BusMessage&) { ++a; });
+  bus_->subscribe(t, [&](const BusMessage&) { ++b; });
+  bus_->publish(t, event(1));
+  bus_->publish(t, event(2));
   sim_.run();
   EXPECT_EQ(a, 2);
   EXPECT_EQ(b, 2);
@@ -79,19 +81,25 @@ TEST_F(MessageBusTest, FanOutToAllSubscribers) {
 }
 
 TEST_F(MessageBusTest, TopicsAreIsolated) {
+  const TopicId a = bus_->intern("a");
+  const TopicId b = bus_->intern("b");
+  EXPECT_NE(a, b);
+  EXPECT_EQ(bus_->intern("a"), a);  // Interning is idempotent.
   int count = 0;
-  bus_->subscribe("a", [&](const BusMessage&) { ++count; });
-  bus_->publish("b", event(1));
+  bus_->subscribe(a, [&](const BusMessage&) { ++count; });
+  bus_->publish(b, event(1));
   sim_.run();
   EXPECT_EQ(count, 0);
-  EXPECT_EQ(bus_->subscriber_count("a"), 1u);
-  EXPECT_EQ(bus_->subscriber_count("b"), 0u);
+  EXPECT_EQ(bus_->subscriber_count(a), 1u);
+  EXPECT_EQ(bus_->subscriber_count(b), 0u);
 }
 
 TEST_F(MessageBusTest, OffsetsAreMonotonicPerTopic) {
-  EXPECT_EQ(bus_->publish("t", event(0)), 0u);
-  EXPECT_EQ(bus_->publish("t", event(1)), 1u);
-  EXPECT_EQ(bus_->publish("u", event(0)), 0u);  // Independent per topic.
+  const TopicId t = bus_->intern("t");
+  const TopicId u = bus_->intern("u");
+  EXPECT_EQ(bus_->publish(t, event(0)), 0u);
+  EXPECT_EQ(bus_->publish(t, event(1)), 1u);
+  EXPECT_EQ(bus_->publish(u, event(0)), 0u);  // Independent per topic.
 }
 
 TEST_F(MessageBusTest, JitterNeverReordersWithinTopic) {
@@ -99,20 +107,22 @@ TEST_F(MessageBusTest, JitterNeverReordersWithinTopic) {
   options.latency = 5_ms;
   options.jitter = 20_ms;  // Huge jitter relative to latency.
   make_bus(options);
+  const TopicId t = bus_->intern("t");
   std::vector<std::uint64_t> offsets;
-  bus_->subscribe("t", [&](const BusMessage& m) { offsets.push_back(m.offset); });
-  for (std::uint64_t i = 0; i < 50; ++i) bus_->publish("t", event(i));
+  bus_->subscribe(t, [&](const BusMessage& m) { offsets.push_back(m.offset); });
+  for (std::uint64_t i = 0; i < 50; ++i) bus_->publish(t, event(i));
   sim_.run();
   ASSERT_EQ(offsets.size(), 50u);
   for (std::size_t i = 0; i < offsets.size(); ++i) EXPECT_EQ(offsets[i], i);
 }
 
 TEST_F(MessageBusTest, UnsubscribeStopsFutureAndInFlightDeliveries) {
+  const TopicId t = bus_->intern("t");
   int count = 0;
-  const auto id = bus_->subscribe("t", [&](const BusMessage&) { ++count; });
-  bus_->publish("t", event(1));  // In flight when the handler leaves.
+  const auto id = bus_->subscribe(t, [&](const BusMessage&) { ++count; });
+  bus_->publish(t, event(1));  // In flight when the handler leaves.
   EXPECT_TRUE(bus_->unsubscribe(id));
-  bus_->publish("t", event(2));
+  bus_->publish(t, event(2));
   sim_.run();
   // The handler was removed before any delivery fired.
   EXPECT_EQ(count, 0);
@@ -120,10 +130,11 @@ TEST_F(MessageBusTest, UnsubscribeStopsFutureAndInFlightDeliveries) {
 }
 
 TEST_F(MessageBusTest, SubscribersJoiningLaterMissOldMessages) {
-  bus_->publish("t", event(1));
+  const TopicId t = bus_->intern("t");
+  bus_->publish(t, event(1));
   sim_.run();
   int count = 0;
-  bus_->subscribe("t", [&](const BusMessage&) { ++count; });
+  bus_->subscribe(t, [&](const BusMessage&) { ++count; });
   sim_.run();
   EXPECT_EQ(count, 0);
 }
@@ -131,73 +142,82 @@ TEST_F(MessageBusTest, SubscribersJoiningLaterMissOldMessages) {
 // -- Re-entrant handlers: delivery walks the subscriber list in place. -----
 
 TEST_F(MessageBusTest, HandlerUnsubscribingALaterSubscriberSkipsIt) {
+  const TopicId t = bus_->intern("t");
   std::vector<std::string> seen;
   SubscriptionId victim;
-  bus_->subscribe("t", [&](const BusMessage& m) {
+  bus_->subscribe(t, [&](const BusMessage& m) {
     seen.push_back(label("killer", m));
     if (worker_of(m) == 1) {
       EXPECT_TRUE(bus_->unsubscribe(victim));
     }
   });
   victim = bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back(label("victim", m)); });
+      t, [&](const BusMessage& m) { seen.push_back(label("victim", m)); });
   bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back(label("third", m)); });
-  bus_->publish("t", event(1));
-  bus_->publish("t", event(2));
+      t, [&](const BusMessage& m) { seen.push_back(label("third", m)); });
+  bus_->publish(t, event(1));
+  bus_->publish(t, event(2));
   sim_.run();
   // The victim, removed before its turn, misses message 1 already; the walk
   // continues to the third subscriber, and the tombstone is gone afterwards.
   EXPECT_EQ(seen, (std::vector<std::string>{"killer:1", "third:1",
                                             "killer:2", "third:2"}));
-  EXPECT_EQ(bus_->subscriber_count("t"), 2u);
+  EXPECT_EQ(bus_->subscriber_count(t), 2u);
   EXPECT_EQ(bus_->delivered_count(), 4u);
   EXPECT_FALSE(bus_->unsubscribe(victim));
 }
 
 TEST_F(MessageBusTest, HandlerUnsubscribingItselfFinishesThisDelivery) {
+  const TopicId t = bus_->intern("t");
   std::vector<std::string> seen;
   SubscriptionId self;
-  self = bus_->subscribe("t", [&](const BusMessage& m) {
+  self = bus_->subscribe(t, [&](const BusMessage& m) {
     EXPECT_TRUE(bus_->unsubscribe(self));
     // The running handler (and what it captured) outlives its removal.
     seen.push_back(label("self", m));
   });
   bus_->subscribe(
-      "t", [&](const BusMessage& m) { seen.push_back(label("other", m)); });
-  bus_->publish("t", event(1));
-  bus_->publish("t", event(2));
+      t, [&](const BusMessage& m) { seen.push_back(label("other", m)); });
+  bus_->publish(t, event(1));
+  bus_->publish(t, event(2));
   sim_.run();
   EXPECT_EQ(seen, (std::vector<std::string>{"self:1", "other:1", "other:2"}));
-  EXPECT_EQ(bus_->subscriber_count("t"), 1u);
+  EXPECT_EQ(bus_->subscriber_count(t), 1u);
 }
 
 TEST_F(MessageBusTest, HandlerSubscribingANewcomerStartsItAtTheNextMessage) {
+  const TopicId t = bus_->intern("t");
   std::vector<std::string> seen;
   int joined = 0;
-  bus_->subscribe("t", [&](const BusMessage& m) {
+  bus_->subscribe(t, [&](const BusMessage& m) {
     seen.push_back(label("first", m));
     // Several joins per delivery, so the list reallocates under the walk
     // while this handler is running.
     for (int k = 0; k < 8 && worker_of(m) == 1; ++k) {
-      bus_->subscribe("t", [&seen, k](const BusMessage& later) {
+      bus_->subscribe(t, [&seen, k](const BusMessage& later) {
         if (k == 0) seen.push_back(label("newcomer", later));
       });
       ++joined;
     }
   });
-  bus_->publish("t", event(1));
-  bus_->publish("t", event(2));
+  bus_->publish(t, event(1));
+  bus_->publish(t, event(2));
   sim_.run();
   EXPECT_EQ(joined, 8);
   EXPECT_EQ(seen, (std::vector<std::string>{"first:1", "first:2",
                                             "newcomer:2"}));
-  EXPECT_EQ(bus_->subscriber_count("t"), 9u);
+  EXPECT_EQ(bus_->subscriber_count(t), 9u);
   EXPECT_EQ(bus_->delivered_count(), 1u + 9u);
 }
 
 TEST_F(MessageBusTest, RejectsBadArguments) {
-  EXPECT_THROW(bus_->subscribe("t", nullptr), std::invalid_argument);
+  EXPECT_THROW(bus_->subscribe(bus_->intern("t"), nullptr),
+               std::invalid_argument);
+  // Ids the bus never handed out name no topic.
+  EXPECT_THROW(bus_->subscribe(TopicId{7}, [](const BusMessage&) {}),
+               std::invalid_argument);
+  EXPECT_THROW(bus_->publish(TopicId{}, event(1)), std::invalid_argument);
+  EXPECT_THROW((void)bus_->subscriber_count(TopicId{7}), std::invalid_argument);
   MessageBus::Options bad;
   bad.latency = Duration::from_millis(-1);
   EXPECT_THROW(MessageBus(sim_, bad, common::Rng{1}), std::invalid_argument);
@@ -206,8 +226,9 @@ TEST_F(MessageBusTest, RejectsBadArguments) {
 // -- Topics without subscribers: no delivery event, same draws. -----------
 
 TEST_F(MessageBusTest, PublishWithoutSubscriberSchedulesNoDelivery) {
-  EXPECT_EQ(bus_->publish("quiet", event(1)), 0u);
-  EXPECT_EQ(bus_->publish("quiet", event(2)), 1u);  // Offsets still advance.
+  const TopicId quiet = bus_->intern("quiet");
+  EXPECT_EQ(bus_->publish(quiet, event(1)), 0u);
+  EXPECT_EQ(bus_->publish(quiet, event(2)), 1u);  // Offsets still advance.
   EXPECT_EQ(sim_.pending(), 0u);
   EXPECT_EQ(sim_.run(), 0u);
   EXPECT_EQ(sim_.events_fired(), 0u);
@@ -219,10 +240,11 @@ TEST_F(MessageBusTest, SubscriberJoiningMidFlightStartsAtTheLatestOffset) {
   // Like a Kafka consumer that starts at the latest offset: a message
   // published while nobody listened is not delivered to a later joiner,
   // even one that joins before the message would have landed.
-  bus_->publish("t", event(1));
+  const TopicId t = bus_->intern("t");
+  bus_->publish(t, event(1));
   std::vector<std::uint64_t> offsets;
-  bus_->subscribe("t", [&](const BusMessage& m) { offsets.push_back(m.offset); });
-  bus_->publish("t", event(2));
+  bus_->subscribe(t, [&](const BusMessage& m) { offsets.push_back(m.offset); });
+  bus_->publish(t, event(2));
   sim_.run();
   EXPECT_EQ(offsets, (std::vector<std::uint64_t>{1}));
 }
@@ -237,11 +259,13 @@ TEST(MessageBusJitter, UnsubscribedPublishStillTakesItsJitterDraw) {
     options.latency = 5_ms;
     options.jitter = 20_ms;
     MessageBus bus{sim, options, common::Rng{9}};
-    if (quiet_has_subscriber) bus.subscribe("quiet", [](const BusMessage&) {});
+    const TopicId quiet = bus.intern("quiet");
+    const TopicId loud = bus.intern("loud");
+    if (quiet_has_subscriber) bus.subscribe(quiet, [](const BusMessage&) {});
     sim::TimePoint arrival;
-    bus.subscribe("loud", [&](const BusMessage&) { arrival = sim.now(); });
-    for (std::uint64_t i = 0; i < 5; ++i) bus.publish("quiet", event(i));
-    bus.publish("loud", event(99));
+    bus.subscribe(loud, [&](const BusMessage&) { arrival = sim.now(); });
+    for (std::uint64_t i = 0; i < 5; ++i) bus.publish(quiet, event(i));
+    bus.publish(loud, event(99));
     const std::size_t fired = sim.run();
     return std::make_pair(arrival.micros(), fired);
   };
@@ -257,12 +281,13 @@ TEST_F(MessageBusTest, DuplicateFaultDeliversTwiceInOrderWithOneOffset) {
   faults.bus_duplicate_rate = 1.0;
   sim::FaultPlan plan{faults, common::Rng{5}};
   bus_->set_fault_plan(&plan);
+  const TopicId t = bus_->intern("t");
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;  // (id, offset)
-  bus_->subscribe("t", [&](const BusMessage& m) {
+  bus_->subscribe(t, [&](const BusMessage& m) {
     seen.emplace_back(worker_of(m), m.offset);
   });
-  bus_->publish("t", event(7));
-  bus_->publish("t", event(8));
+  bus_->publish(t, event(7));
+  bus_->publish(t, event(8));
   sim_.run();
   EXPECT_EQ(seen, (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
                       {7, 0}, {7, 0}, {8, 1}, {8, 1}}));
@@ -271,7 +296,7 @@ TEST_F(MessageBusTest, DuplicateFaultDeliversTwiceInOrderWithOneOffset) {
 
 TEST_F(MessageBusTest, TrackerRejectsAMessageOfTheWrongKind) {
   WorkerStateTracker tracker{*bus_};
-  bus_->publish(kWorkerStateTopic, ProvisionCommand{});
+  bus_->publish(bus_->intern(kWorkerStateTopic), ProvisionCommand{});
   EXPECT_THROW(sim_.run(), std::invalid_argument);
   EXPECT_EQ(tracker.events_seen(), 0u);
 }
@@ -288,17 +313,19 @@ TEST(sharded_bus_bridge, BridgedTopicCrossesShardsAtTheBridgeLatency) {
   MessageBus fleet{fleet_sim, {}, common::Rng{2}};
   tenant.attach_shard(driver.add_shard(tenant_sim));
   fleet.attach_shard(driver.add_shard(fleet_sim));
-  EXPECT_THROW(tenant.bridge_topic("workers", fleet, "fleet.workers",
-                                   Duration::zero()),
-               std::invalid_argument);
-  tenant.bridge_topic("workers", fleet, "fleet.workers", 4_ms);
+  const TopicId workers = tenant.intern("workers");
+  const TopicId fleet_workers = fleet.intern("fleet.workers");
+  EXPECT_THROW(
+      tenant.bridge_topic(workers, fleet, fleet_workers, Duration::zero()),
+      std::invalid_argument);
+  tenant.bridge_topic(workers, fleet, fleet_workers, 4_ms);
 
   std::vector<std::pair<std::uint64_t, double>> seen;
-  fleet.subscribe("fleet.workers", [&](const BusMessage& m) {
+  fleet.subscribe(fleet_workers, [&](const BusMessage& m) {
     seen.emplace_back(worker_of(m), fleet_sim.now().millis());
   });
   tenant_sim.schedule_at(sim::TimePoint{10'000},
-                         [&] { tenant.publish("workers", event(1)); });
+                         [&] { tenant.publish(workers, event(1)); });
   driver.run(2);
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0].first, 1u);
@@ -350,7 +377,8 @@ TEST(ControlBus, EngineExposesBusOnlyWhenEnabled) {
   PlatformEngine engine2{sim, cluster2, calib, nullptr, common::Rng{11}};
   ASSERT_NE(engine2.control_bus(), nullptr);
   // Each host has a daemon subscription.
-  EXPECT_EQ(engine2.control_bus()->subscriber_count("daemon.0"), 1u);
+  MessageBus& bus = *engine2.control_bus();
+  EXPECT_EQ(bus.subscriber_count(bus.intern("daemon.0")), 1u);
 }
 
 TEST(ControlBus, FullChainRunsOverBus) {
@@ -411,7 +439,8 @@ TEST(ControlBus, DaemonRejectsAMessageOfTheWrongKind) {
   PlatformCalibration calib;
   calib.control_bus.enabled = true;
   PlatformEngine engine{sim, cluster, calib, nullptr, common::Rng{11}};
-  engine.control_bus()->publish("daemon.0", event(1));
+  MessageBus& bus = *engine.control_bus();
+  bus.publish(bus.intern("daemon.0"), event(1));
   EXPECT_THROW(sim.run(), std::invalid_argument);
 }
 

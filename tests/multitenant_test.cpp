@@ -87,8 +87,9 @@ TEST_F(MultiTenantEngineTest, FlushAllWarmWorkersActsAcrossTenantsInIdOrder) {
       engine.register_workflow(workflow::linear_chain(2, exact_options()));
 
   std::vector<common::FunctionId> dead_functions;
-  engine.control_bus()->subscribe(
-      kWorkerStateTopic, [&](const BusMessage& message) {
+  MessageBus& bus = *engine.control_bus();
+  bus.subscribe(
+      bus.intern(kWorkerStateTopic), [&](const BusMessage& message) {
         const auto& event = std::get<WorkerEvent>(message.payload);
         if (event.kind == WorkerEventKind::Dead) {
           dead_functions.push_back(event.function);

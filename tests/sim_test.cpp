@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -168,7 +169,10 @@ TEST(Simulator, SchedulingInPastThrows) {
 
 TEST(Simulator, EmptyCallbackThrows) {
   Simulator sim;
-  EXPECT_THROW(sim.schedule_after(1_s, EventCallback{}), std::invalid_argument);
+  // An empty std::function converts to an empty EventFn, which schedule
+  // rejects.
+  EXPECT_THROW(sim.schedule_after(1_s, std::function<void()>{}),
+               std::invalid_argument);
 }
 
 TEST(Simulator, NegativeDelayClampsToNow) {

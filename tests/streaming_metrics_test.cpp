@@ -1,20 +1,25 @@
 // Streaming-vs-batch equivalence property suite.
 //
-// The run harnesses fold every result through metrics::StreamingTrace as it
-// completes (RunOutcome::streamed); the pre-existing batch path -- retain
-// every RequestResult, then recompute -- survives as the reference.  This
-// suite drives randomized workloads (sizes 1..10k, faults on and off,
-// single-tenant and multi-tenant mixes) through both and demands EXACT
-// equality, not approximation:
+// Every run folds each result through metrics::StreamingTrace as it
+// completes, and every RunOutcome accessor reads the folded stats; retaining
+// results only adds a sink that appends each folded result to the returned
+// vectors.  The batch loops -- recompute every aggregate from the retained
+// results -- live on here as the reference (BatchView).  This suite drives
+// randomized workloads (sizes 1..10k, faults on and off, single-tenant and
+// multi-tenant mixes) through both and demands EXACT equality, not
+// approximation:
 //
 //   * the incremental trace digest equals metrics::trace_digest() over the
 //     retained result vector (aggregate and every per-tenant lane),
 //   * every RunOutcome aggregate accessor equals the batch recompute
-//     bit-for-bit (the streamed sums fold in the same order as the batch
-//     loops), including the completed-denominator vs full-denominator
+//     bit-for-bit (the stats fold the same sums in the same order as the
+//     batch loops), including the completed-denominator vs full-denominator
 //     distinction on faulted runs,
-//   * a retention-off replay (results discarded, reorder-window fold)
-//     reproduces the retention-on run's digest and aggregates exactly.
+//   * the retained vectors hold the results in submission order (request
+//     ids strictly increase): the fold fills them itself, so the digest
+//     check alone cannot see a wrong fold order,
+//   * a retention-off replay (no sink) reproduces the retention-on run's
+//     digest and aggregates exactly.
 
 #include <gtest/gtest.h>
 
@@ -55,22 +60,87 @@ DispatchManager make_manager(PlatformKind kind, std::uint64_t seed,
   return DispatchManager{options};
 }
 
-/// The batch reference: a copy of the outcome with the streamed flag off, so
-/// every accessor recomputes from the retained results via the original
-/// batch loops.
-RunOutcome batch_view(const RunOutcome& streamed) {
-  RunOutcome batch;
-  batch.results = streamed.results;
-  batch.streamed = false;
-  return batch;
-}
+/// The batch reference: RunOutcome's accessors recomputed from the retained
+/// results by plain loops in submission order.
+class BatchView {
+ public:
+  explicit BatchView(const std::vector<platform::RequestResult>& results)
+      : results_(results) {}
 
-/// Streamed accessors must equal the batch recompute EXACTLY (operator== on
+  [[nodiscard]] std::size_t total_count() const { return results_.size(); }
+  [[nodiscard]] std::size_t failed_count() const {
+    std::size_t failed = 0;
+    for (const auto& r : results_) {
+      if (r.failed) ++failed;
+    }
+    return failed;
+  }
+  [[nodiscard]] std::size_t completed_count() const {
+    return total_count() - failed_count();
+  }
+  [[nodiscard]] double completion_rate() const {
+    if (results_.empty()) return 1.0;
+    return static_cast<double>(completed_count()) /
+           static_cast<double>(results_.size());
+  }
+  [[nodiscard]] double mean_overhead_ms() const {
+    return completed_mean(
+        [](const platform::RequestResult& r) { return r.overhead.millis(); });
+  }
+  [[nodiscard]] double mean_end_to_end_ms() const {
+    return completed_mean(
+        [](const platform::RequestResult& r) { return r.end_to_end.millis(); });
+  }
+  [[nodiscard]] double mean_cold_starts() const {
+    return completed_mean([](const platform::RequestResult& r) {
+      return static_cast<double>(r.cold_starts);
+    });
+  }
+  [[nodiscard]] double mean_workers_per_request() const {
+    return completed_mean([](const platform::RequestResult& r) {
+      return static_cast<double>(r.workers_provisioned);
+    });
+  }
+  /// Over all requests, failed included.
+  [[nodiscard]] double mean_missed_nodes() const {
+    if (results_.empty()) return 0.0;
+    double total = 0.0;
+    for (const auto& r : results_) {
+      total += static_cast<double>(r.speculation.missed_nodes);
+    }
+    return total / static_cast<double>(results_.size());
+  }
+  [[nodiscard]] double fraction_over(sim::Duration threshold) const {
+    if (completed_count() == 0) return 0.0;
+    std::size_t over = 0;
+    for (const auto& r : results_) {
+      if (!r.failed && r.overhead > threshold) ++over;
+    }
+    return static_cast<double>(over) / static_cast<double>(completed_count());
+  }
+
+ private:
+  /// Sum of `value` over completed requests, divided by their count.
+  template <typename Value>
+  [[nodiscard]] double completed_mean(Value value) const {
+    if (completed_count() == 0) return 0.0;
+    double total = 0.0;
+    for (const auto& r : results_) {
+      if (!r.failed) total += value(r);
+    }
+    return total / static_cast<double>(completed_count());
+  }
+
+  const std::vector<platform::RequestResult>& results_;
+};
+
+/// Outcome accessors must equal the batch recompute EXACTLY (operator== on
 /// doubles): the streaming consumer folds the same sums in the same order.
 void expect_aggregates_match(const RunOutcome& streamed,
                              sim::Duration threshold) {
-  ASSERT_TRUE(streamed.streamed);
-  const RunOutcome batch = batch_view(streamed);
+  // Every folded result reached the retention sink.
+  ASSERT_EQ(streamed.results.size(), streamed.total_count());
+  const BatchView batch{streamed.results};
   EXPECT_EQ(streamed.total_count(), batch.total_count());
   EXPECT_EQ(streamed.failed_count(), batch.failed_count());
   EXPECT_EQ(streamed.completed_count(), batch.completed_count());
@@ -81,18 +151,25 @@ void expect_aggregates_match(const RunOutcome& streamed,
   EXPECT_EQ(streamed.mean_workers_per_request(),
             batch.mean_workers_per_request());
   EXPECT_EQ(streamed.mean_missed_nodes(), batch.mean_missed_nodes());
-  // Exact at the streamed threshold; the retained path must agree.
+  // Exact at the run's threshold; the batch count must agree.
   EXPECT_EQ(streamed.fraction_over(threshold), batch.fraction_over(threshold));
-  // At a foreign threshold the streamed outcome falls back to the retained
-  // results, so equality is trivial but pins the dispatch logic.
-  const sim::Duration other = threshold + sim::Duration::from_millis(37);
-  EXPECT_EQ(streamed.fraction_over(other), batch.fraction_over(other));
 }
 
 void expect_digest_matches(const RunOutcome& streamed,
                            const workflow::WorkflowDag& dag) {
   EXPECT_EQ(streamed.trace_digest,
             metrics::trace_digest(streamed.results, dag));
+}
+
+/// Request ids are assigned at submission, so results retained in
+/// submission order have strictly increasing ids.  The fold fills the
+/// retained vectors itself, so a wrong fold order would leave the digest
+/// check above satisfied; this check catches it.
+void expect_submission_order(const RunOutcome& outcome) {
+  for (std::size_t i = 1; i < outcome.results.size(); ++i) {
+    ASSERT_LT(outcome.results[i - 1].id.value(), outcome.results[i].id.value())
+        << "at retained result " << i;
+  }
 }
 
 /// The full-denominator distinction: mean_missed_nodes divides by all
@@ -136,8 +213,8 @@ TEST(StreamingEquivalence, RandomizedSingleTenantRuns) {
     const auto wf = manager.deploy(workflow::linear_chain(3, workflow::BuildOptions{}));
     const RunOutcome retained = run_schedule(manager, wf, schedule, run);
 
-    ASSERT_TRUE(retained.streamed);
     ASSERT_EQ(retained.results.size(), requests);
+    expect_submission_order(retained);
     expect_digest_matches(retained, dag);
     expect_aggregates_match(retained, retained.stats.threshold);
 
@@ -174,6 +251,7 @@ TEST(StreamingEquivalence, TenThousandRequestRun) {
   const RunOutcome outcome = run_schedule(
       manager, wf, fixed_interval(10'000, sim::Duration::from_millis(20)));
   ASSERT_EQ(outcome.results.size(), 10'000u);
+  expect_submission_order(outcome);
   expect_digest_matches(outcome, dag);
   expect_aggregates_match(outcome, outcome.stats.threshold);
   EXPECT_GT(outcome.histogram.count(), 0u);
@@ -193,6 +271,7 @@ TEST(StreamingEquivalence, FaultedRunKeepsDenominatorsDistinct) {
   run.force_cold_each_request = true;  // Every request provisions => faults.
   const RunOutcome outcome = run_schedule(
       manager, wf, fixed_interval(40, sim::Duration::from_seconds(2)), run);
+  expect_submission_order(outcome);
   expect_digest_matches(outcome, dag);
   expect_aggregates_match(outcome, outcome.stats.threshold);
   expect_denominator_distinction(outcome);
@@ -231,13 +310,14 @@ TEST(StreamingEquivalence, RandomizedMultiTenantMixes) {
     run.drain_after_last = faults;
     const MixedOutcome outcome = run_mixed_schedule(manager, mix, run);
 
+    expect_submission_order(outcome.aggregate);
     expect_aggregates_match(outcome.aggregate,
                             outcome.aggregate.stats.threshold);
     std::uint64_t per_source_total = 0;
     for (std::size_t s = 0; s < outcome.per_source.size(); ++s) {
       SCOPED_TRACE("source " + outcome.source_names[s]);
       const RunOutcome& src = outcome.per_source[s];
-      ASSERT_TRUE(src.streamed);
+      expect_submission_order(src);
       expect_digest_matches(src, dags[s]);
       expect_aggregates_match(src, src.stats.threshold);
       per_source_total += src.total_count();
@@ -279,6 +359,40 @@ TEST(StreamingEquivalence, RandomizedMultiTenantMixes) {
       EXPECT_EQ(a.mean_missed_nodes(), b.mean_missed_nodes());
     }
   }
+}
+
+TEST(StreamingEquivalence, OneSourceMixLaneHoldsTheAggregateResults) {
+  // run_schedule returns only the aggregate, so its lone lane retains
+  // nothing; run_mixed_schedule keeps every lane, even with one source, and
+  // that lane must hold exactly the aggregate's results.  The arrivals
+  // overlap cold starts, so completions come back out of order and the
+  // reorder window does work.
+  const workflow::WorkflowDag dag =
+      workflow::linear_chain(3, workflow::BuildOptions{});
+  auto manager = make_manager(PlatformKind::XanaduJit, 7, /*faults=*/false);
+  const auto wf =
+      manager.deploy(workflow::linear_chain(3, workflow::BuildOptions{}));
+  common::Rng arrivals{7};
+  TrafficMix mix;
+  mix.add_source(wf, "solo",
+                 poisson(sim::Duration::from_millis(100),
+                         sim::Duration::from_seconds(30), arrivals));
+  const MixedOutcome outcome = run_mixed_schedule(manager, mix);
+
+  ASSERT_EQ(outcome.per_source.size(), 1u);
+  const RunOutcome& lane = outcome.per_source.front();
+  const RunOutcome& aggregate = outcome.aggregate;
+  ASSERT_GT(aggregate.results.size(), 100u);
+  expect_submission_order(aggregate);
+  ASSERT_EQ(lane.results.size(), aggregate.results.size());
+  for (std::size_t i = 0; i < lane.results.size(); ++i) {
+    ASSERT_EQ(lane.results[i].id, aggregate.results[i].id) << "at " << i;
+  }
+  EXPECT_EQ(metrics::trace_csv(lane.results, dag),
+            metrics::trace_csv(aggregate.results, dag));
+  expect_digest_matches(lane, dag);
+  expect_digest_matches(aggregate, dag);
+  EXPECT_EQ(lane.trace_digest, aggregate.trace_digest);
 }
 
 // ---------------------------------------------------------------------------
@@ -359,6 +473,23 @@ TEST(LatencyHistogramTest, FractionAboveIsStrictAtExactBinEdges) {
     stats.consume(result);
   }
   EXPECT_DOUBLE_EQ(stats.fraction_over_threshold(), hist.fraction_above(5.0));
+}
+
+TEST(LatencyHistogramTest, FractionAbovePastTheMaximumIsZero) {
+  // A threshold past the last bin edge used to count every overflow sample
+  // as above it: with 512 x 1 ms bins and samples at 600 and 700 ms,
+  // fraction_above(1000) read 1.0 although no sample exceeds 1000 ms.
+  metrics::LatencyHistogram hist{/*bin_width_ms=*/1.0, /*bins=*/512};
+  hist.record(600.0);
+  hist.record(700.0);
+  ASSERT_EQ(hist.overflow(), 2u);
+  EXPECT_EQ(hist.fraction_above(1000.0), 0.0);
+  // At the maximum itself nothing is strictly above.
+  EXPECT_EQ(hist.fraction_above(700.0), 0.0);
+  // Between the last bin edge and the maximum every overflow sample counts:
+  // an upper bound (the exact fraction over 650 ms is 0.5).
+  EXPECT_EQ(hist.fraction_above(650.0), 1.0);
+  EXPECT_EQ(hist.fraction_above(100.0), 1.0);
 }
 
 TEST(RunStatsTest, WelfordVarianceMatchesTwoPass) {
