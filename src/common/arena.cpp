@@ -17,6 +17,16 @@ namespace {
   return (value + align - 1) & ~(align - 1);
 }
 
+/// Bytes to skip so that `base + cursor` is aligned to `align`.  The address
+/// only places an allocation inside its block: no value derived from it is
+/// stored, counted or compared, so a replay is the same whatever the layout.
+[[nodiscard]] std::size_t padding(const std::byte* base, std::size_t cursor,
+                                  std::size_t align) {
+  // lint:allow(nondet-taint) see above
+  const auto address = reinterpret_cast<std::uintptr_t>(base) + cursor;
+  return align_up(address, align) - address;
+}
+
 }  // namespace
 
 Arena::Arena(std::size_t block_bytes)
@@ -84,8 +94,7 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
     oversized_ = new_block(bytes + align - 1, oversized_);
     ++oversized_count_;
     std::byte* data = oversized_->data();
-    auto raw = reinterpret_cast<std::uintptr_t>(data);
-    std::byte* pointer = data + (align_up(raw, align) - raw);
+    std::byte* pointer = data + padding(data, 0, align);
     unpoison(pointer, bytes);
     return pointer;
   }
@@ -94,15 +103,12 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
   // Align the POINTER, not the offset: the block storage itself is only
   // guaranteed __STDCPP_DEFAULT_NEW_ALIGNMENT__-aligned.
   std::byte* base = current_->data();
-  std::size_t offset =
-      align_up(reinterpret_cast<std::uintptr_t>(base) + cursor_, align) -
-      reinterpret_cast<std::uintptr_t>(base);
+  std::size_t offset = cursor_ + padding(base, cursor_, align);
   if (offset + bytes > current_->size) {
     spilled_ = true;
     push_block(bytes + align);  // Guaranteed fit after pointer alignment.
     base = current_->data();
-    offset = align_up(reinterpret_cast<std::uintptr_t>(base), align) -
-             reinterpret_cast<std::uintptr_t>(base);
+    offset = padding(base, 0, align);
   }
   cursor_ = offset + bytes;
   unpoison(base + offset, bytes);

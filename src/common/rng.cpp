@@ -8,6 +8,7 @@
 #include <mutex>
 #include <set>
 #include <string_view>
+#include <utility>
 #endif
 
 namespace xanadu::common {
@@ -79,6 +80,14 @@ std::set<std::string>& site_set() {
   return sites;
 }
 
+/// Call sites already recorded (or skipped), keyed by the compiler's file
+/// name pointer and line, so a repeated draw costs one lookup and no heap
+/// allocation.  Two pointers to one file just record it twice.
+std::set<std::pair<const char*, std::uint_least32_t>>& seen_set() {
+  static std::set<std::pair<const char*, std::uint_least32_t>> seen;
+  return seen;
+}
+
 std::mutex& site_mutex() {
   static std::mutex mutex;
   return mutex;
@@ -112,12 +121,13 @@ std::string normalise(std::string_view path) {
 }  // namespace
 
 void record(const std::source_location& site) {
+  const std::lock_guard<std::mutex> lock(site_mutex());
+  if (!seen_set().insert({site.file_name(), site.line()}).second) return;
   const std::string path = normalise(site.file_name());
   // Internal delegation (uniform() calling next(), Box-Muller calling
   // uniform()) reports sites inside the Rng implementation itself; skip
   // them so the set holds only outermost textual draw sites.
   if (path == "src/common/rng.hpp" || path == "src/common/rng.cpp") return;
-  const std::lock_guard<std::mutex> lock(site_mutex());
   // Draw-site tracing builds only; handlers reach this record() only
   // through same-named calls (LatencyHistogram::record).
   // lint:allow(hot-path-text) see above
@@ -132,6 +142,7 @@ std::vector<std::string> observed_sites() {
 void clear() {
   const std::lock_guard<std::mutex> lock(site_mutex());
   site_set().clear();
+  seen_set().clear();
 }
 
 }  // namespace xanadu::common::rng_trace

@@ -89,55 +89,44 @@ void BranchModel::observe_root(NodeId root, RequestId request) {
 
 void BranchModel::observe_invocation(NodeId parent, NodeId child,
                                      RequestId request) {
-  ModelNode& p = node(parent, SelectMode::Auto);
-  (void)p;
+  node(parent, SelectMode::Auto);
   node(child, SelectMode::Auto);  // Discover the child node.
 
-  auto it = pending_.find(parent);
-  if (it != pending_.end() && it->second.request != request) {
+  if (parent.value() >= pending_.size()) pending_.resize(parent.value() + 1);
+  PendingBatch& batch = pending_[parent.value()];
+  if (!batch.invoked.empty() && batch.request != request) {
     // A new request reached this parent: the previous request's batch is
     // complete, apply it.
-    apply_batch(node(parent, SelectMode::Auto), it->second);
-    pending_.erase(it);
-    it = pending_.end();
+    apply_batch(node(parent, SelectMode::Auto), batch);
   }
-  if (it == pending_.end()) {
-    it = pending_.emplace(parent, PendingBatch{request, {}}).first;
-  }
-  it->second.invoked_children.insert(child.value());
+  batch.request = request;
+  const auto at =
+      std::lower_bound(batch.invoked.begin(), batch.invoked.end(), child);
+  if (at == batch.invoked.end() || *at != child) batch.invoked.insert(at, child);
 }
 
 void BranchModel::finalize_pending() {
   // Each batch touches only its own parent, so the application order is
-  // almost immaterial -- but flushing in sorted parent order keeps the
+  // almost immaterial -- but flushing in ascending parent order keeps the
   // floating-point update sequence (and hence any persisted probabilities)
-  // bit-identical across standard-library hash implementations.
-  std::vector<NodeId> parents;
-  parents.reserve(pending_.size());
-  for (const auto& [parent, batch] : pending_) {  // lint:allow(unordered-iteration)
-    (void)batch;
-    parents.push_back(parent);
+  // bit-identical whatever order the parents were observed in.
+  for (std::size_t parent = 0; parent < pending_.size(); ++parent) {
+    PendingBatch& batch = pending_[parent];
+    if (!batch.invoked.empty()) {
+      apply_batch(node(NodeId{parent}, SelectMode::Auto), batch);
+    }
   }
-  std::sort(parents.begin(), parents.end());
-  for (const NodeId parent : parents) {
-    apply_batch(node(parent, SelectMode::Auto), pending_.at(parent));
-  }
-  pending_.clear();
 }
 
-void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
+void BranchModel::apply_batch(ModelNode& parent, PendingBatch& batch) {
   // Ensure every invoked child has a branch entry (structure discovery).  A
   // child discovered late starts with probability 0 over the parent's past
   // requests -- rho(C|P) must be invocations-of-C over requests-to-P, not
-  // over requests since C was first seen.  The batch set is unordered, but
-  // the discovery order is observable (it fixes the edge order in
-  // parent.children, and with it MLP tie-breaks and persisted documents), so
-  // sort before appending.
-  std::vector<std::uint64_t> discovered(batch.invoked_children.begin(),
-                                        batch.invoked_children.end());
-  std::sort(discovered.begin(), discovered.end());
-  for (const std::uint64_t raw : discovered) {
-    const NodeId child{raw};
+  // over requests since C was first seen.  The discovery order is observable
+  // (it fixes the edge order in parent.children, and with it MLP tie-breaks
+  // and persisted documents), so children are appended in ascending order,
+  // which is the batch's own order.
+  for (const NodeId child : batch.invoked) {
     if (parent.find_child(child) == nullptr) {
       parent.children.push_back(LearnedEdge{child, 0.0, parent.request_count});
     }
@@ -146,7 +135,8 @@ void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
   // non-invoked siblings decay.
   for (LearnedEdge& e : parent.children) {
     const auto n = static_cast<double>(e.count);
-    if (batch.invoked_children.contains(e.child.value())) {
+    if (std::binary_search(batch.invoked.begin(), batch.invoked.end(),
+                           e.child)) {
       e.probability = (e.probability * n + 1.0) / (n + 1.0);
     } else {
       e.probability = (e.probability * n) / (n + 1.0);
@@ -154,6 +144,7 @@ void BranchModel::apply_batch(ModelNode& parent, const PendingBatch& batch) {
     ++e.count;
   }
   ++parent.request_count;
+  batch.invoked.clear();
 }
 
 }  // namespace xanadu::core

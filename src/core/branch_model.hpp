@@ -24,10 +24,13 @@
 // verbatim per invocation would make sibling probabilities of a pure
 // multicast oscillate around 1/m.  For XOR and 1:1 parents (one child per
 // request) the batched update reduces exactly to the paper's update.
+//
+// The batches run on every request, so they live in flat NodeId-indexed
+// buffers whose capacity is kept across requests: observing and applying a
+// batch allocates nothing once every parent has been seen.
 
 #include <cstddef>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -84,8 +87,8 @@ class BranchModel {
   /// Records a root invocation (no parent-id header).
   void observe_root(NodeId root, RequestId request);
 
-  /// Applies any batched-but-unapplied sibling updates.  Call at request
-  /// completion (and before computing an MLP).
+  /// Applies any batched-but-unapplied sibling updates, in ascending parent
+  /// order.  Call at request completion (and before computing an MLP).
   void finalize_pending();
 
   [[nodiscard]] const std::vector<NodeId>& roots() const { return roots_; }
@@ -107,17 +110,21 @@ class BranchModel {
   void restore_root(NodeId root);
 
  private:
+  /// One parent's observations from one request, not yet applied.
   struct PendingBatch {
     RequestId request{};
-    std::unordered_set<std::uint64_t> invoked_children;
+    /// Invoked children, ascending and distinct; empty when nothing is
+    /// pending.  Cleared, never freed, when the batch is applied.
+    std::vector<NodeId> invoked;
   };
 
   ModelNode& node(NodeId id, SelectMode mode_if_new);
-  void apply_batch(ModelNode& parent, const PendingBatch& batch);
+  /// Applies `batch` to `parent` and empties it.
+  void apply_batch(ModelNode& parent, PendingBatch& batch);
 
   std::vector<NodeId> roots_;
   std::unordered_map<NodeId, ModelNode> model_nodes_;
-  std::unordered_map<NodeId, PendingBatch> pending_;  // keyed by parent
+  std::vector<PendingBatch> pending_;  // indexed by parent NodeId value
 };
 
 }  // namespace xanadu::core

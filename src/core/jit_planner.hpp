@@ -21,6 +21,10 @@
 // A safety margin makes workers ready slightly early, absorbing estimation
 // error at a small pre-use idle cost (visible in C_R_memory as the ~2.2x
 // JIT-vs-cold factor of Figure 13b).
+//
+// The planners read only the MLP's path.  Each takes a spent plan to refill,
+// so a caller that passes its previous plan back in plans without
+// allocating.
 
 #include <vector>
 
@@ -37,6 +41,10 @@ struct Deployment {
   sim::Duration deploy_delay = sim::Duration::zero();
   /// Expected trigger time of the node (diagnostic).
   sim::Duration expected_invocation = sim::Duration::zero();
+  /// The listing's node.maxDelay, which the node's MLP children are planned
+  /// from: its expected completion (explicit plans) or its expected trigger
+  /// (implicit plans, where children follow their parent's trigger).
+  sim::Duration max_delay = sim::Duration::zero();
 };
 
 struct JitPlan {
@@ -53,14 +61,17 @@ struct JitOptions {
 };
 
 /// Algorithm 2 (explicit workflows): completion-time recurrence over the MLP.
+/// `storage` is a spent plan whose buffer is refilled.
 [[nodiscard]] JitPlan plan_explicit(const MlpResult& mlp, const BranchModel& model,
                                     const ProfileTable& profiles,
-                                    const JitOptions& options = {});
+                                    const JitOptions& options = {},
+                                    JitPlan storage = {});
 
 /// Implicit-chain variant: the cold/warm response estimates of lines 5 and
 /// 10 are replaced by learned parent-to-child invoke gaps.
 [[nodiscard]] JitPlan plan_implicit(const MlpResult& mlp, const BranchModel& model,
                                     const ProfileTable& profiles,
-                                    const JitOptions& options = {});
+                                    const JitOptions& options = {},
+                                    JitPlan storage = {});
 
 }  // namespace xanadu::core

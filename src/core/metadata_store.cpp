@@ -1,5 +1,8 @@
 #include "core/metadata_store.hpp"
 
+#include <cmath>
+#include <cstdint>
+#include <optional>
 #include <utility>
 
 namespace xanadu::core {
@@ -13,6 +16,20 @@ using common::Result;
 namespace {
 
 constexpr double kFormatVersion = 1.0;
+
+/// `json` as an id or a count: a non-negative integer below 2^64.  Anything
+/// else -- absent, not a number, negative, fractional, too large -- is
+/// nullopt, so no out-of-range double ever reaches an integer cast.
+std::optional<std::uint64_t> as_uint(const JsonValue* json) {
+  if (json == nullptr || !json->is_number()) return std::nullopt;
+  const double value = json->as_number();
+  // 2^64 is the first double past the range; NaN fails both comparisons.
+  if (!(value >= 0.0 && value < 18446744073709551616.0) ||
+      value != std::floor(value)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint64_t>(value);
+}
 
 JsonValue ema_to_json(const common::Ema& ema) {
   JsonObject obj;
@@ -28,13 +45,11 @@ Result<std::pair<double, std::size_t>> ema_from_json(const JsonValue& json,
   }
   const JsonObject& obj = json.as_object();
   const JsonValue* value = obj.find("value");
-  const JsonValue* count = obj.find("count");
-  if (value == nullptr || !value->is_number() || count == nullptr ||
-      !count->is_number() || count->as_number() < 0) {
+  const std::optional<std::uint64_t> count = as_uint(obj.find("count"));
+  if (value == nullptr || !value->is_number() || !count) {
     return Error{std::string{what} + ": malformed EMA state"};
   }
-  return std::pair{value->as_number(),
-                   static_cast<std::size_t>(count->as_number())};
+  return std::pair{value->as_number(), static_cast<std::size_t>(*count)};
 }
 
 }  // namespace
@@ -88,39 +103,37 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
   for (const JsonValue& entry : nodes->as_array()) {
     if (!entry.is_object()) return Error{"branch model: malformed node"};
     const JsonObject& n = entry.as_object();
-    const JsonValue* id = n.find("id");
+    const std::optional<std::uint64_t> id = as_uint(n.find("id"));
     const JsonValue* select = n.find("select");
-    const JsonValue* request_count = n.find("request_count");
+    const std::optional<std::uint64_t> request_count =
+        as_uint(n.find("request_count"));
     const JsonValue* children = n.find("children");
-    if (id == nullptr || !id->is_number() || select == nullptr ||
-        !select->is_number() || request_count == nullptr ||
-        !request_count->is_number() || children == nullptr ||
-        !children->is_array()) {
+    if (!id || select == nullptr || !select->is_number() || !request_count ||
+        children == nullptr || !children->is_array()) {
       return Error{"branch model: malformed node fields"};
     }
-    const auto select_value = static_cast<int>(select->as_number());
-    if (select_value < 0 || select_value > static_cast<int>(SelectMode::Auto)) {
+    const std::optional<std::uint64_t> select_value = as_uint(select);
+    if (!select_value ||
+        *select_value > static_cast<std::uint64_t>(SelectMode::Auto)) {
       return Error{"branch model: unknown select mode"};
     }
     ModelNode node;
-    node.id = NodeId{static_cast<std::uint64_t>(id->as_number())};
-    node.select = static_cast<SelectMode>(select_value);
-    node.request_count = static_cast<std::size_t>(request_count->as_number());
+    node.id = NodeId{*id};
+    node.select = static_cast<SelectMode>(*select_value);
+    node.request_count = static_cast<std::size_t>(*request_count);
     for (const JsonValue& edge_value : children->as_array()) {
       if (!edge_value.is_object()) return Error{"branch model: malformed edge"};
       const JsonObject& edge = edge_value.as_object();
-      const JsonValue* child = edge.find("child");
+      const std::optional<std::uint64_t> child = as_uint(edge.find("child"));
       const JsonValue* probability = edge.find("probability");
-      const JsonValue* count = edge.find("count");
-      if (child == nullptr || !child->is_number() || probability == nullptr ||
-          !probability->is_number() || count == nullptr ||
-          !count->is_number()) {
+      const std::optional<std::uint64_t> count = as_uint(edge.find("count"));
+      if (!child || probability == nullptr || !probability->is_number() ||
+          !count) {
         return Error{"branch model: malformed edge fields"};
       }
-      node.children.push_back(LearnedEdge{
-          NodeId{static_cast<std::uint64_t>(child->as_number())},
-          probability->as_number(),
-          static_cast<std::size_t>(count->as_number())});
+      node.children.push_back(LearnedEdge{NodeId{*child},
+                                          probability->as_number(),
+                                          static_cast<std::size_t>(*count)});
     }
     model.restore_node(std::move(node));
   }
@@ -129,8 +142,9 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
     return Error{"branch model: missing 'roots' array"};
   }
   for (const JsonValue& root : roots->as_array()) {
-    if (!root.is_number()) return Error{"branch model: malformed root"};
-    model.restore_root(NodeId{static_cast<std::uint64_t>(root.as_number())});
+    const std::optional<std::uint64_t> id = as_uint(&root);
+    if (!id) return Error{"branch model: malformed root"};
+    model.restore_root(NodeId{*id});
   }
   return model;
 }
@@ -186,12 +200,9 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
   for (const JsonValue& entry : functions->as_array()) {
     if (!entry.is_object()) return Error{"profile table: malformed function"};
     const JsonObject& fn = entry.as_object();
-    const JsonValue* node = fn.find("node");
-    if (node == nullptr || !node->is_number()) {
-      return Error{"profile table: malformed function node id"};
-    }
-    FunctionProfile& profile =
-        profiles.function(NodeId{static_cast<std::uint64_t>(node->as_number())});
+    const std::optional<std::uint64_t> node = as_uint(fn.find("node"));
+    if (!node) return Error{"profile table: malformed function node id"};
+    FunctionProfile& profile = profiles.function(NodeId{*node});
     for (const auto& [field, ema] :
          {std::pair{"cold_response", &profile.cold_response_ema()},
           std::pair{"startup", &profile.startup_ema()},
@@ -211,19 +222,16 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
   for (const JsonValue& entry : gaps->as_array()) {
     if (!entry.is_object()) return Error{"profile table: malformed gap"};
     const JsonObject& gap = entry.as_object();
-    const JsonValue* parent = gap.find("parent");
-    const JsonValue* child = gap.find("child");
+    const std::optional<std::uint64_t> parent = as_uint(gap.find("parent"));
+    const std::optional<std::uint64_t> child = as_uint(gap.find("child"));
     const JsonValue* ema = gap.find("ema");
-    if (parent == nullptr || !parent->is_number() || child == nullptr ||
-        !child->is_number() || ema == nullptr) {
+    if (!parent || !child || ema == nullptr) {
       return Error{"profile table: malformed gap fields"};
     }
     auto state = ema_from_json(*ema, "invoke_gap");
     if (!state.ok()) return state.error();
-    profiles.restore_invoke_gap(
-        NodeId{static_cast<std::uint64_t>(parent->as_number())},
-        NodeId{static_cast<std::uint64_t>(child->as_number())},
-        state.value().first, state.value().second);
+    profiles.restore_invoke_gap(NodeId{*parent}, NodeId{*child},
+                                state.value().first, state.value().second);
   }
   return profiles;
 }

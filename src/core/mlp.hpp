@@ -14,7 +14,6 @@
 // probability; for multicast and m:n it can exceed 1, as the paper notes).
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "core/branch_model.hpp"
@@ -31,30 +30,60 @@ struct MlpOptions {
   std::size_t max_nodes = 0;
 };
 
-struct MlpResult {
+/// Outcome of Algorithm 1.  Per-node answers come from flat buffers indexed
+/// by NodeId value.
+class MlpResult {
+ public:
   /// Nodes on the most likely path, in breadth-first discovery order
-  /// (parents before children).
+  /// (parents before children).  A caller may truncate it (the
+  /// aggressiveness cut); the accessors below keep describing the whole
+  /// estimate.
   std::vector<NodeId> path;
-  /// Likelihood factor L_j of each path node (roots get 1.0).
-  std::unordered_map<NodeId, double> likelihood;
-  /// For each Xor/conditional parent on the path, the child predicted to be
-  /// taken.  Used for prediction-miss detection.
-  std::unordered_map<NodeId, NodeId> predicted_choice;
 
+  /// True for every node the estimate put on the path.
   [[nodiscard]] bool contains(NodeId id) const {
-    return likelihood.contains(id);
+    return id.value() < nodes_.size() && nodes_[id.value()].on_path;
   }
+  /// Likelihood factor L_j of a path node (roots get 1.0); 0 off the path.
+  [[nodiscard]] double likelihood(NodeId id) const {
+    return contains(id) ? nodes_[id.value()].likelihood : 0.0;
+  }
+  /// For an Xor/conditional parent on the path, the child predicted to be
+  /// taken (used for prediction-miss detection); invalid otherwise.
+  [[nodiscard]] NodeId predicted_choice(NodeId parent) const {
+    return parent.value() < nodes_.size() ? nodes_[parent.value()].predicted
+                                          : NodeId{};
+  }
+
+ private:
+  friend MlpResult estimate_mlp_from(const BranchModel& model,
+                                     const std::vector<NodeId>& seeds,
+                                     const MlpOptions& options,
+                                     MlpResult storage);
+
+  struct NodeEstimate {
+    double likelihood = 0.0;
+    NodeId predicted{};
+    bool on_path = false;
+  };
+  std::vector<NodeEstimate> nodes_;
 };
 
-/// Runs Algorithm 1 over a learned branch model.
+/// Runs Algorithm 1 over a learned branch model, from its roots.
+///
+/// `storage` is a spent result whose buffers are reused: pass the previous
+/// estimate back in (`r = estimate_mlp(model, options, std::move(r))`) and
+/// a steady-state estimate allocates nothing.
 [[nodiscard]] MlpResult estimate_mlp(const BranchModel& model,
-                                     const MlpOptions& options = {});
+                                     const MlpOptions& options = {},
+                                     MlpResult storage = {});
 
 /// Runs Algorithm 1 starting from explicit seed nodes instead of the model
 /// roots.  Used by the miss-replanning extension to re-estimate the path
-/// from the branch a request actually took.
+/// from the branch a request actually took.  `storage` as above.
 [[nodiscard]] MlpResult estimate_mlp_from(const BranchModel& model,
                                           const std::vector<NodeId>& seeds,
-                                          const MlpOptions& options = {});
+                                          const MlpOptions& options = {},
+                                          MlpResult storage = {});
 
 }  // namespace xanadu::core

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
+#include <string>
+#include <vector>
 
 namespace xanadu::core {
 
@@ -9,6 +12,36 @@ using platform::NodeStatus;
 using platform::PlatformEngine;
 using platform::RequestContext;
 using platform::RequestResult;
+
+namespace {
+
+/// True when `metadata` names a node at or past `node_count`.
+bool names_node_outside(const WorkflowMetadata& metadata,
+                        std::size_t node_count) {
+  const auto outside = [node_count](NodeId node) {
+    return node.value() >= node_count;
+  };
+  const BranchModel& model = metadata.model;
+  if (std::any_of(model.roots().begin(), model.roots().end(), outside)) {
+    return true;
+  }
+  for (const NodeId node : model.known_nodes()) {
+    if (outside(node)) return true;
+    for (const LearnedEdge& e : model.find(node)->children) {
+      if (outside(e.child)) return true;
+    }
+  }
+  bool found = false;
+  metadata.profiles.for_each_function(
+      [&](NodeId node, const FunctionProfile&) { found = found || outside(node); });
+  metadata.profiles.for_each_invoke_gap(
+      [&](NodeId parent, NodeId child, const common::Ema&) {
+        found = found || outside(parent) || outside(child);
+      });
+  return found;
+}
+
+}  // namespace
 
 const char* to_string(SpeculationMode mode) {
   switch (mode) {
@@ -46,6 +79,27 @@ MlpResult XanaduPolicy::current_mlp(common::WorkflowId id) const {
   return estimate_mlp(snapshot, options_.mlp);
 }
 
+XanaduPolicy::RequestState::RequestState(common::Arena* arena,
+                                         std::size_t node_count)
+    : path(common::ArenaAllocator<NodeId>(arena)),
+      nodes(node_count, NodeMark{}, common::ArenaAllocator<NodeMark>(arena)),
+      scheduled(common::ArenaAllocator<common::EventId>(arena)) {
+  path.reserve(node_count);
+  scheduled.reserve(node_count);
+}
+
+void XanaduPolicy::RequestState::adopt(const MlpResult& estimate,
+                                       std::size_t cut) {
+  for (std::size_t i = 0; i < estimate.path.size(); ++i) {
+    const NodeId id = estimate.path[i];
+    NodeMark& node = mark(id);
+    if (!node.on_mlp && i < cut) path.push_back(id);
+    node.on_mlp = true;
+    const NodeId predicted = estimate.predicted_choice(id);
+    if (predicted.valid()) node.predicted_child = predicted;
+  }
+}
+
 XanaduPolicy::WorkflowState& XanaduPolicy::workflow_state(PlatformEngine& engine,
                                                           RequestContext& ctx) {
   auto it = workflows_.find(ctx.workflow);
@@ -68,123 +122,111 @@ std::size_t XanaduPolicy::aggressiveness_cut(std::size_t path_length) const {
   return std::max<std::size_t>(cut, 1);
 }
 
+void XanaduPolicy::on_attach(PlatformEngine& engine,
+                             const platform::PolicyView& view) {
+  (void)view;
+  engine_ = &engine;
+}
+
 void XanaduPolicy::on_request_submitted(PlatformEngine& engine,
                                         RequestContext& ctx) {
   WorkflowState& wf = workflow_state(engine, ctx);
-  RequestState& rs =
-      requests_.try_emplace(ctx.id, &ctx.arena).first->second;
   if (options_.mode == SpeculationMode::Off) return;
+  auto* rs = new (ctx.arena.allocate_for<RequestState>(1))
+      RequestState(&ctx.arena, ctx.nodes.size());
+  ctx.policy_state = rs;
 
   wf.model.finalize_pending();
-  MlpOptions mlp_options = options_.mlp;
-  rs.mlp = estimate_mlp(wf.model, mlp_options);
-  if (rs.mlp.path.empty()) return;  // Implicit chain not discovered yet.
+  wf.mlp = estimate_mlp(wf.model, options_.mlp, std::move(wf.mlp));
+  if (wf.mlp.path.empty()) return;  // Implicit chain not discovered yet.
 
   // Deployment aggressiveness (Section 3.2.1): only look ahead a fraction
-  // of the estimated path.
-  const std::size_t cut = aggressiveness_cut(rs.mlp.path.size());
-  if (cut < rs.mlp.path.size()) {
-    std::vector<NodeId> trimmed(rs.mlp.path.begin(),
-                                rs.mlp.path.begin() + static_cast<long>(cut));
-    rs.mlp.path = std::move(trimmed);
-  }
-  ctx.speculation.predicted_nodes = rs.mlp.path.size();
-
-  launch_speculation(engine, ctx, wf, rs, NodeId{}, sim::Duration::zero());
+  // of the estimated path.  Misses are still judged against the whole
+  // estimate.
+  const std::size_t cut = aggressiveness_cut(wf.mlp.path.size());
+  rs->adopt(wf.mlp, cut);
+  wf.mlp.path.resize(cut);
+  ctx.speculation.predicted_nodes = rs->path.size();
+  deploy(engine, ctx, wf, *rs, wf.mlp);
 }
 
-void XanaduPolicy::launch_speculation(PlatformEngine& engine, RequestContext& ctx,
-                                      WorkflowState& wf, RequestState& rs,
-                                      NodeId from_node,
-                                      sim::Duration base_offset) {
-  // Determine the sub-path to act on: the full MLP, or (on replan) the
-  // portion re-estimated from `from_node`.
-  std::vector<NodeId> path = rs.mlp.path;
-  if (from_node.valid()) {
-    // Re-estimate from the node the workflow actually took.
-    BranchModel rooted = wf.model;  // Cheap relative to a prediction miss.
-    rooted.finalize_pending();
-    const MlpResult fresh = estimate_mlp_from(rooted, {from_node}, options_.mlp);
-    path = fresh.path;
+void XanaduPolicy::replan(PlatformEngine& engine, RequestContext& ctx,
+                          WorkflowState& wf, RequestState& rs, NodeId chosen) {
+  // Re-estimate from the node the workflow actually took.
+  BranchModel rooted = wf.model;  // Cheap relative to a prediction miss.
+  rooted.finalize_pending();
+  wf.replan =
+      estimate_mlp_from(rooted, {chosen}, options_.mlp, std::move(wf.replan));
+  const MlpResult& fresh = wf.replan;
 
-    if (options_.reuse_workers_on_miss) {
-      // Section 7 extension: sandboxes deployed for the stale path are
-      // recycled into the fresh path before any new provisioning starts.
-      std::vector<NodeId> stale;
-      for (const NodeId id : rs.mlp.path) {
-        if (ctx.nodes[id.value()].status != platform::NodeStatus::Pending) {
-          continue;
-        }
-        if (!fresh.likelihood.contains(id)) stale.push_back(id);
+  if (options_.reuse_workers_on_miss) {
+    // Section 7 extension: sandboxes deployed for the stale path are
+    // recycled into the fresh path before any new provisioning starts.
+    std::vector<NodeId> stale;
+    for (const NodeId id : rs.path) {
+      if (ctx.nodes[id.value()].status != platform::NodeStatus::Pending) {
+        continue;
       }
-      for (const NodeId target_node : path) {
-        if (stale.empty()) break;
-        if (ctx.nodes[target_node.value()].status !=
-            platform::NodeStatus::Pending) {
-          continue;
-        }
-        const auto target = engine.function_id(ctx.workflow, target_node);
-        if (engine.warm_count(target) > 0 ||
-            engine.provisioning_in_flight(target)) {
-          continue;
-        }
-        for (auto it = stale.begin(); it != stale.end(); ++it) {
-          const auto source = engine.function_id(ctx.workflow, *it);
-          // Idle sandbox first; otherwise redirect one still being built
-          // (the environment is generic until its code load).
-          if (engine.rebind_warm_worker(source, target) ||
-              engine.redirect_provision(source, target)) {
-            rs.mark_prewarmed(target_node.value());
-            stale.erase(it);
-            break;
-          }
-        }
-      }
+      if (!fresh.contains(id)) stale.push_back(id);
     }
-
-    for (const NodeId id : path) {
-      if (!rs.mlp.contains(id)) {
-        rs.mlp.path.push_back(id);
-        rs.mlp.likelihood.emplace(id, fresh.likelihood.at(id));
+    for (const NodeId target_node : fresh.path) {
+      if (stale.empty()) break;
+      if (ctx.nodes[target_node.value()].status !=
+          platform::NodeStatus::Pending) {
+        continue;
+      }
+      const auto target = engine.function_id(ctx.workflow, target_node);
+      if (engine.warm_count(target) > 0 ||
+          engine.provisioning_in_flight(target)) {
+        continue;
+      }
+      for (auto it = stale.begin(); it != stale.end(); ++it) {
+        const auto source = engine.function_id(ctx.workflow, *it);
+        // Idle sandbox first; otherwise redirect one still being built
+        // (the environment is generic until its code load).
+        if (engine.rebind_warm_worker(source, target) ||
+            engine.redirect_provision(source, target)) {
+          rs.mark(target_node).prewarmed = true;
+          stale.erase(it);
+          break;
+        }
       }
     }
-    // Keyed assignment into a map: each parent is written once, so the
-    // merge is independent of source iteration order.
-    for (const auto& [parent, child] : fresh.predicted_choice) {  // lint:allow(unordered-iteration)
-      rs.mlp.predicted_choice[parent] = child;
-    }
-    ctx.speculation.predicted_nodes = rs.mlp.path.size();
   }
 
+  rs.adopt(fresh, fresh.path.size());
+  ctx.speculation.predicted_nodes = rs.path.size();
+  deploy(engine, ctx, wf, rs, fresh);
+}
+
+void XanaduPolicy::deploy(PlatformEngine& engine, RequestContext& ctx,
+                          WorkflowState& wf, RequestState& rs,
+                          const MlpResult& target) {
   if (options_.mode == SpeculationMode::Speculative) {
     // Provision every path sandbox at the onset of the workflow.
-    for (const NodeId node : path) {
+    for (const NodeId node : target.path) {
       const NodeStatus status = ctx.nodes[node.value()].status;
       if (status != NodeStatus::Pending) continue;
       engine.prewarm(ctx, node);
-      rs.mark_prewarmed(node.value());
+      rs.mark(node).prewarmed = true;
     }
     return;
   }
 
   // JIT: build the Algorithm-2 timeline and schedule deployments.
-  MlpResult sub;
-  sub.path = path;
-  sub.likelihood = rs.mlp.likelihood;
-  const JitPlan plan =
-      options_.knowledge == ChainKnowledge::Explicit
-          ? plan_explicit(sub, wf.model, wf.profiles, options_.jit)
-          : plan_implicit(sub, wf.model, wf.profiles, options_.jit);
-  for (const Deployment& d : plan.deployments) {
+  wf.plan = options_.knowledge == ChainKnowledge::Explicit
+                ? plan_explicit(target, wf.model, wf.profiles, options_.jit,
+                                std::move(wf.plan))
+                : plan_implicit(target, wf.model, wf.profiles, options_.jit,
+                                std::move(wf.plan));
+  for (const Deployment& d : wf.plan.deployments) {
     const NodeStatus status = ctx.nodes[d.node.value()].status;
     if (status != NodeStatus::Pending) continue;
-    const sim::Duration delay =
-        (base_offset + d.deploy_delay).clamped_non_negative();
-    rs.mark_prewarmed(d.node.value());
-    if (delay == sim::Duration::zero()) {
+    rs.mark(d.node).prewarmed = true;
+    if (d.deploy_delay == sim::Duration::zero()) {
       engine.prewarm(ctx, d.node);
     } else {
-      rs.scheduled.push_back(engine.schedule_prewarm(ctx, d.node, delay));
+      rs.scheduled.push_back(engine.schedule_prewarm(ctx, d.node, d.deploy_delay));
     }
   }
 }
@@ -222,12 +264,9 @@ void XanaduPolicy::on_worker_ready(PlatformEngine& engine,
 void XanaduPolicy::on_node_exec_start(PlatformEngine& engine, RequestContext& ctx,
                                       NodeId node) {
   (void)engine;
-  if (options_.mode != SpeculationMode::Off) {
-    auto it = requests_.find(ctx.id);
-    if (it != requests_.end() && !it->second.mlp.path.empty() &&
-        !it->second.mlp.contains(node)) {
-      ++ctx.speculation.unpredicted_executions;
-    }
+  RequestState* rs = state(ctx);
+  if (rs != nullptr && !rs->path.empty() && !rs->mark(node).on_mlp) {
+    ++ctx.speculation.unpredicted_executions;
   }
 }
 
@@ -246,52 +285,44 @@ void XanaduPolicy::on_node_completed(PlatformEngine& engine, RequestContext& ctx
 
 void XanaduPolicy::on_xor_resolved(PlatformEngine& engine, RequestContext& ctx,
                                    NodeId parent, NodeId chosen) {
-  if (options_.mode == SpeculationMode::Off) return;
-  auto it = requests_.find(ctx.id);
-  if (it == requests_.end()) return;
-  RequestState& rs = it->second;
-  auto predicted = rs.mlp.predicted_choice.find(parent);
-  if (predicted == rs.mlp.predicted_choice.end()) return;
-  if (predicted->second == chosen) return;
+  RequestState* rs = state(ctx);
+  if (rs == nullptr) return;
+  const NodeId predicted = rs->mark(parent).predicted_child;
+  if (!predicted.valid() || predicted == chosen) return;
 
   // Prediction miss (Section 3.2.2): stop all planned proactive
   // provisioning immediately.
-  rs.miss_detected = true;
-  cancel_pending(engine, ctx, rs);
+  ctx.speculation.cancelled_deployments += cancel_pending(engine, *rs);
 
   if (options_.miss_policy == MissPolicy::Replan) {
     // Future-work extension (Section 7): re-evaluate the MLP from the
     // branch the workflow actually took and resume speculation there.
-    WorkflowState& wf = workflow_state(engine, ctx);
-    launch_speculation(engine, ctx, wf, rs, chosen, sim::Duration::zero());
+    replan(engine, ctx, workflow_state(engine, ctx), *rs, chosen);
   }
 }
 
-void XanaduPolicy::cancel_pending(PlatformEngine& engine, RequestContext& ctx,
-                                  RequestState& rs) {
+std::size_t XanaduPolicy::cancel_pending(PlatformEngine& engine,
+                                         RequestState& rs) {
+  std::size_t cancelled = 0;
   for (const common::EventId event : rs.scheduled) {
-    if (engine.cancel_scheduled_prewarm(event)) {
-      ++ctx.speculation.cancelled_deployments;
-    }
+    if (engine.cancel_scheduled_prewarm(event)) ++cancelled;
   }
   rs.scheduled.clear();
+  return cancelled;
 }
 
 void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
                                    NodeId node) {
-  if (options_.mode == SpeculationMode::Off) return;
-  auto it = requests_.find(ctx.id);
-  if (it == requests_.end()) return;
-  RequestState& rs = it->second;
-  if (!rs.mlp.contains(node)) return;
+  RequestState* rs = state(ctx);
+  if (rs == nullptr || !rs->mark(node).on_mlp) return;
   ++ctx.speculation.missed_nodes;
-  if (rs.prewarmed(node.value())) {
+  if (rs->mark(node).prewarmed) {
     const auto fn = engine.function_id(ctx.workflow, node);
     if (options_.reuse_workers_on_miss) {
       // Section 7 extension: hand the mis-deployed sandbox to a pending node
       // on the (replanned) path that has no coverage yet, if the
       // architectures match.
-      for (const NodeId candidate : rs.mlp.path) {
+      for (const NodeId candidate : rs->path) {
         const auto status = ctx.nodes[candidate.value()].status;
         if (status != platform::NodeStatus::Pending) continue;
         const auto target = engine.function_id(ctx.workflow, candidate);
@@ -301,7 +332,7 @@ void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
         }
         if (engine.rebind_warm_worker(fn, target) ||
             engine.redirect_provision(fn, target)) {
-          rs.mark_prewarmed(candidate.value());
+          rs->mark(candidate).prewarmed = true;
           break;
         }
       }
@@ -328,12 +359,24 @@ bool XanaduPolicy::persist(common::WorkflowId id, MetadataStore& store,
 common::Result<bool> XanaduPolicy::restore(common::WorkflowId id,
                                            const MetadataStore& store,
                                            const std::string& key) {
+  if (engine_ == nullptr) {
+    return common::Error{"restore: the policy is attached to no engine"};
+  }
   auto loaded = store.get(key);
   if (!loaded.ok()) return loaded.error();
   if (!loaded.value().has_value()) return false;
+  WorkflowMetadata& metadata = *loaded.value();
+  // Per-request state is indexed by node, so a document naming a node the
+  // workflow does not have must not be installed.
+  const std::size_t node_count = engine_->dag(id).node_count();
+  if (names_node_outside(metadata, node_count)) {
+    return common::Error{"metadata document '" + key +
+                         "' names a node outside the workflow's " +
+                         std::to_string(node_count) + "-node DAG"};
+  }
   WorkflowState state{options_.ema_alpha};
-  state.model = std::move(loaded.value()->model);
-  state.profiles = std::move(loaded.value()->profiles);
+  state.model = std::move(metadata.model);
+  state.profiles = std::move(metadata.profiles);
   workflows_.insert_or_assign(id, std::move(state));
   return true;
 }
@@ -341,16 +384,18 @@ common::Result<bool> XanaduPolicy::restore(common::WorkflowId id,
 void XanaduPolicy::on_request_completed(PlatformEngine& engine,
                                         RequestContext& ctx,
                                         RequestResult& result) {
-  if (result.failed) {
-    // Failed-over request: reuse the miss-cancellation path so planned
-    // speculative deployments for the dead request stop immediately.
-    auto it = requests_.find(ctx.id);
-    if (it != requests_.end()) cancel_pending(engine, ctx, it->second);
+  if (RequestState* rs = state(ctx)) {
+    // Planned deployments of a finished request can no longer serve it.  A
+    // failed-over request counts them as cancelled (the miss-cancellation
+    // path); a completed one was simply faster than its plan.
+    const std::size_t cancelled = cancel_pending(engine, *rs);
+    if (result.failed) ctx.speculation.cancelled_deployments += cancelled;
+    rs->~RequestState();
+    ctx.policy_state = nullptr;
   }
   WorkflowState& wf = workflow_state(engine, ctx);
   wf.model.finalize_pending();
   result.speculation = ctx.speculation;
-  requests_.erase(ctx.id);
 }
 
 }  // namespace xanadu::core

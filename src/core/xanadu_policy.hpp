@@ -27,9 +27,7 @@
 // extension (Section 7): after a miss the MLP is re-estimated from the
 // chosen branch and speculation resumes on the new path.
 
-#include <algorithm>
 #include <unordered_map>
-#include <vector>
 
 #include "common/arena.hpp"
 #include "core/branch_model.hpp"
@@ -70,6 +68,8 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   explicit XanaduPolicy(XanaduOptions options);
 
   // ProvisionPolicy hooks -------------------------------------------------
+  void on_attach(platform::PlatformEngine& engine,
+                 const platform::PolicyView& view) override;
   void on_request_submitted(platform::PlatformEngine& engine,
                             platform::RequestContext& ctx) override;
   void on_node_triggered(platform::PlatformEngine& engine,
@@ -108,8 +108,10 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
 
   /// Restores a workflow's learned state from the store, replacing whatever
   /// the policy currently knows.  Returns an error when the stored document
-  /// is corrupt; false-like empty optional semantics are folded into the
-  /// bool: true when state was installed.
+  /// is corrupt or names a node outside the workflow's DAG (or when the
+  /// policy is attached to no engine); false-like empty optional semantics
+  /// are folded into the bool: true when state was installed.  Throws
+  /// std::invalid_argument for a workflow the engine does not know.
   [[nodiscard]] common::Result<bool> restore(common::WorkflowId id,
                                              const MetadataStore& store,
                                              const std::string& key);
@@ -118,49 +120,68 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   struct WorkflowState {
     BranchModel model;
     ProfileTable profiles;
+    /// Estimate and plan scratch, refilled by every request of the workflow
+    /// so that their buffers keep their capacity.  Read only right after
+    /// they are refilled.
+    MlpResult mlp;
+    MlpResult replan;
+    JitPlan plan;
     explicit WorkflowState(double alpha) : profiles(alpha) {}
   };
 
-  /// Per-request speculation bookkeeping.  The containers live in the
-  /// request's arena: the engine tears this state down (via
-  /// on_request_completed) before it recycles the context, so the arena
-  /// strictly outlives them.
+  /// Per-request speculation state.  Placed in the request's arena at
+  /// submission (RequestContext::policy_state) and destroyed at completion,
+  /// before the engine recycles the context, so the arena outlives it.
   struct RequestState {
-    explicit RequestState(common::Arena* arena)
-        : scheduled(common::ArenaAllocator<common::EventId>(arena)),
-          prewarmed_nodes(common::ArenaAllocator<std::uint64_t>(arena)) {}
+    RequestState(common::Arena* arena, std::size_t node_count);
 
-    MlpResult mlp;
+    /// What speculation knows about one node of the request's DAG.
+    struct NodeMark {
+      /// On the request's MLP: the full estimate (before the aggressiveness
+      /// cut) plus anything a replan added.
+      bool on_mlp = false;
+      /// A speculative deployment was issued for the node.
+      bool prewarmed = false;
+      /// For a conditional parent on the MLP, the child predicted to be
+      /// taken; invalid otherwise.
+      NodeId predicted_child{};
+    };
+
+    /// The path speculation acts on: the estimate's aggressiveness cut,
+    /// extended by replans.
+    common::ArenaVector<NodeId> path;
+    /// Indexed by NodeId value.
+    common::ArenaVector<NodeMark> nodes;
     /// Planned-but-unfired proactive deployments (cancellable).
     common::ArenaVector<common::EventId> scheduled;
-    /// Nodes with a speculative deployment issued, deduplicated.  A flat
-    /// vector beats a hash set here: MLP paths are short (aggressiveness
-    /// bounds them) and the arena makes growth allocation-free.
-    common::ArenaVector<std::uint64_t> prewarmed_nodes;
-    bool miss_detected = false;
 
-    [[nodiscard]] bool prewarmed(std::uint64_t node) const {
-      return std::find(prewarmed_nodes.begin(), prewarmed_nodes.end(), node) !=
-             prewarmed_nodes.end();
-    }
-    void mark_prewarmed(std::uint64_t node) {
-      if (!prewarmed(node)) prewarmed_nodes.push_back(node);
-    }
+    [[nodiscard]] NodeMark& mark(NodeId node) { return nodes[node.value()]; }
+    /// Adds `estimate`'s nodes and predictions to the request's MLP, and
+    /// the new ones among the first `cut` path nodes to `path`.
+    void adopt(const MlpResult& estimate, std::size_t cut);
   };
 
+  [[nodiscard]] static RequestState* state(platform::RequestContext& ctx) {
+    return static_cast<RequestState*>(ctx.policy_state);
+  }
   WorkflowState& workflow_state(platform::PlatformEngine& engine,
                                 platform::RequestContext& ctx);
-  void launch_speculation(platform::PlatformEngine& engine,
-                          platform::RequestContext& ctx, WorkflowState& wf,
-                          RequestState& rs, NodeId from_node,
-                          sim::Duration base_offset);
-  void cancel_pending(platform::PlatformEngine& engine,
-                      platform::RequestContext& ctx, RequestState& rs);
+  /// Provisions (Speculative) or schedules the Algorithm-2 timeline (Jit)
+  /// for `target.path`.
+  void deploy(platform::PlatformEngine& engine, platform::RequestContext& ctx,
+              WorkflowState& wf, RequestState& rs, const MlpResult& target);
+  /// MissPolicy::Replan: re-estimates the MLP from the branch the request
+  /// took and speculates on it.
+  void replan(platform::PlatformEngine& engine, platform::RequestContext& ctx,
+              WorkflowState& wf, RequestState& rs, NodeId chosen);
+  /// Cancels the request's still-queued prewarms; returns how many were.
+  std::size_t cancel_pending(platform::PlatformEngine& engine,
+                             RequestState& rs);
   [[nodiscard]] std::size_t aggressiveness_cut(std::size_t path_length) const;
 
   XanaduOptions options_;
+  platform::PlatformEngine* engine_ = nullptr;
   std::unordered_map<common::WorkflowId, WorkflowState> workflows_;
-  std::unordered_map<common::RequestId, RequestState> requests_;
 };
 
 }  // namespace xanadu::core

@@ -82,7 +82,8 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   if (wit == workflows_.end()) {
     throw std::invalid_argument{"PlatformEngine::submit: unknown workflow"};
   }
-  const WorkflowDag& dag = wit->second.dag;
+  const RegisteredWorkflow& reg = wit->second;
+  const WorkflowDag& dag = reg.dag;
 
   // Reuse a pooled context (warm arena block, no heap traffic) when one is
   // available; ids are always fresh, so stale events keyed on an old id can
@@ -120,7 +121,7 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   // the JIT deployer asynchronously while forwarding ready requests).
   policy_->on_request_submitted(*this, ref);
 
-  for (const NodeId root : dag.roots()) {
+  for (const NodeId root : reg.roots) {
     NodeRecord& record = ref.nodes[root.value()];
     record.any_taken_edge = true;
     record.pending_trigger_time = sim_.now();

@@ -138,8 +138,9 @@ class PlatformEngine {
   /// Returns the number of workers destroyed.
   std::size_t shrink_warm_pool(FunctionId fn, std::size_t target);
 
-  /// Schedules prewarm(ctx, node) after `delay`.  The event is dropped if
-  /// the request completes first.  Returns a cancellable event id.
+  /// Schedules prewarm(ctx, node) after `delay`.  Returns a cancellable
+  /// event id; a policy cancels the events it no longer needs (the event is
+  /// a no-op if it fires after its request has finished).
   EventId schedule_prewarm(RequestContext& ctx, NodeId node, sim::Duration delay);
 
   /// Cancels a scheduled prewarm.  Returns false if it already fired.
@@ -204,10 +205,11 @@ class PlatformEngine {
   struct RegisteredWorkflow {
     workflow::WorkflowDag dag;
     std::vector<FunctionId> node_functions;  // indexed by NodeId value
-    /// Topological order, computed once at registration: the completion path
-    /// walks it per request, and recomputing it allocated a fresh vector per
-    /// completed request on the macro path.
+    /// Topological order and roots, computed once at registration: the
+    /// completion and submission paths walk them per request, and
+    /// recomputing either allocated a fresh vector per request.
     std::vector<NodeId> topo_order;
+    std::vector<NodeId> roots;
   };
 
   // Request lifecycle.

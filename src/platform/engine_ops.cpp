@@ -92,10 +92,9 @@ void PlatformEngine::publish_worker_event(WorkerEventKind kind,
 WorkflowId PlatformEngine::register_workflow(WorkflowDag dag) {
   dag.validate();
   const WorkflowId id = workflow_ids_.next();
-  RegisteredWorkflow reg{std::move(dag), {}, {}};
-  // Cached once: the completion path's critical-path walk uses this per
-  // request, and recomputing it allocated a fresh vector each time.
+  RegisteredWorkflow reg{std::move(dag), {}, {}, {}};
   reg.topo_order = reg.dag.topological_order();
+  reg.roots = reg.dag.roots();
   reg.node_functions.reserve(reg.dag.node_count());
   for (const Node& node : reg.dag.nodes()) {
     const FunctionId fn = function_ids_.next();

@@ -127,7 +127,6 @@ void RecoveryManager::kill_worker_for_fault(WorkerId worker_id) {
       // Pooled, or in a handoff / rebind window (then not in the pool; the
       // deferred lambdas notice the vanished worker and recover).
       warm_pool_->remove_if_pooled(fn, worker_id);
-      warm_pool_->cancel_keep_alive(worker_id);
       hooks_.publish_worker_event(WorkerEventKind::Dead, worker_id);
       cluster_.destroy_worker(worker_id, sim_.now());
       break;

@@ -9,6 +9,7 @@
 
 #include "common/arena.hpp"
 #include "common/ids.hpp"
+#include "common/inline_vector.hpp"
 #include "common/rng.hpp"
 #include "sim/time.hpp"
 
@@ -68,8 +69,10 @@ struct NodeRecord {
   EventId finish_event{};
   /// Parents whose taken edges invoked this node -- the simulation analogue
   /// of the parent-id request header Xanadu's patched HTTP library injects
-  /// for implicit-chain detection (paper Section 3.3).
-  std::vector<NodeId> invoked_by;
+  /// for implicit-chain detection (paper Section 3.3).  Inline room for
+  /// three parents, so building and copying the records of a request whose
+  /// fan-in stays within that never touches the heap.
+  common::InlineVector<NodeId, 3> invoked_by;
 };
 
 /// Counters describing what speculation did for a request.  Filled by the
@@ -130,10 +133,10 @@ using NodeRecordList = common::ArenaVector<NodeRecord>;
 /// out by the engine, never by lookup of their own.
 ///
 /// All per-request transient storage -- the node records below, the engine's
-/// critical-path and XOR-weight scratch, the policy's per-request speculation
-/// sets -- lives in `arena` and is released wholesale when the request
-/// completes.  The engine recycles contexts: reset_for_reuse() rewinds the
-/// arena (keeping its first block warm) so steady-state request turnover
+/// critical-path and XOR-weight scratch, the policy's per-request state --
+/// lives in `arena` and is released wholesale when the request completes.
+/// The engine recycles contexts: reset_for_reuse() rewinds the arena
+/// (keeping a block sized to its largest request) so recycling a context
 /// does not touch the heap.
 struct RequestContext {
   RequestContext() : nodes(common::ArenaAllocator<NodeRecord>(&arena)) {}
@@ -157,12 +160,18 @@ struct RequestContext {
   SpeculationStats speculation;
   common::Rng rng;
   CompletionCallback on_complete;
+  /// The attached policy's per-request state: placed in `arena` by the
+  /// policy when the request is submitted and torn down by it when the
+  /// request completes; null under policies that keep none.  Opaque here,
+  /// since the platform layer cannot name the policy's types.
+  void* policy_state = nullptr;
 
   /// Returns the context to a fresh state for the engine's context pool.
   /// Arena-backed containers are re-bound to empty *before* the arena
   /// resets, so no live container references reclaimed memory.
   void reset_for_reuse() {
     nodes = NodeRecordList(common::ArenaAllocator<NodeRecord>(&arena));
+    policy_state = nullptr;
     arena.reset();
     id = RequestId{};
     workflow = WorkflowId{};

@@ -18,60 +18,46 @@ WarmPoolManager::WarmPoolManager(sim::Simulator& sim,
 std::optional<WorkerId> WarmPoolManager::acquire(FunctionId fn) {
   auto it = warm_.find(fn);
   if (it == warm_.end() || it->second.empty()) return std::nullopt;
-  const WorkerId worker = it->second.front();
+  const PooledWorker entry = it->second.front();
   it->second.pop_front();
-  cancel_keep_alive(worker);
-  return worker;
+  sim_.cancel(entry.keep_alive);
+  return entry.worker;
 }
 
 void WarmPoolManager::park(FunctionId fn, WorkerId worker) {
-  warm_[fn].push_back(worker);
-  schedule_keep_alive(fn, worker);
-}
-
-void WarmPoolManager::schedule_keep_alive(FunctionId fn, WorkerId worker) {
-  const EventId event = sim_.schedule_after(
-      calib_.keep_alive,
-      [this, fn, worker] {
-        keep_alive_events_.erase(worker);
-        reclaim(fn, worker);
-      },
+  const EventId keep_alive = sim_.schedule_after(
+      calib_.keep_alive, [this, fn, worker] { reclaim(fn, worker); },
       "warm_pool.keep_alive");
-  keep_alive_events_[worker] = event;
+  warm_[fn].push_back(PooledWorker{worker, keep_alive});
 }
 
-void WarmPoolManager::cancel_keep_alive(WorkerId worker) {
-  auto it = keep_alive_events_.find(worker);
-  if (it != keep_alive_events_.end()) {
-    sim_.cancel(it->second);
-    keep_alive_events_.erase(it);
-  }
+WarmPoolManager::Pool::iterator WarmPoolManager::find_entry(Pool& pool,
+                                                            WorkerId worker) {
+  return std::find_if(pool.begin(), pool.end(), [worker](const PooledWorker& e) {
+    return e.worker == worker;
+  });
+}
+
+void WarmPoolManager::destroy(const PooledWorker& entry) {
+  // A no-op when the timer itself is reclaiming the worker: a firing event
+  // has already left the slab.
+  sim_.cancel(entry.keep_alive);
+  publish_(WorkerEventKind::Dead, entry.worker);
+  cluster_.destroy_worker(entry.worker, sim_.now());
 }
 
 void WarmPoolManager::reclaim(FunctionId fn, WorkerId worker) {
   auto pool = warm_.find(fn);
   if (pool == warm_.end()) return;
-  auto it = std::find(pool->second.begin(), pool->second.end(), worker);
+  auto it = find_entry(pool->second, worker);
   if (it == pool->second.end()) return;  // Already reused or reclaimed.
+  const PooledWorker entry = *it;
   pool->second.erase(it);
-  cancel_keep_alive(worker);
-  publish_(WorkerEventKind::Dead, worker);
-  cluster_.destroy_worker(worker, sim_.now());
+  destroy(entry);
 }
 
 std::size_t WarmPoolManager::discard_all(FunctionId fn) {
-  auto pool = warm_.find(fn);
-  if (pool == warm_.end()) return 0;
-  std::size_t destroyed = 0;
-  while (!pool->second.empty()) {
-    const WorkerId worker = pool->second.front();
-    pool->second.pop_front();
-    cancel_keep_alive(worker);
-    publish_(WorkerEventKind::Dead, worker);
-    cluster_.destroy_worker(worker, sim_.now());
-    ++destroyed;
-  }
-  return destroyed;
+  return shrink_to(fn, 0);
 }
 
 std::size_t WarmPoolManager::shrink_to(FunctionId fn, std::size_t target) {
@@ -79,11 +65,9 @@ std::size_t WarmPoolManager::shrink_to(FunctionId fn, std::size_t target) {
   if (pool == warm_.end()) return 0;
   std::size_t destroyed = 0;
   while (pool->second.size() > target) {
-    const WorkerId worker = pool->second.front();
+    const PooledWorker entry = pool->second.front();
     pool->second.pop_front();
-    cancel_keep_alive(worker);
-    publish_(WorkerEventKind::Dead, worker);
-    cluster_.destroy_worker(worker, sim_.now());
+    destroy(entry);
     ++destroyed;
   }
   return destroyed;
@@ -129,8 +113,9 @@ void WarmPoolManager::flush_all() {
 bool WarmPoolManager::remove_if_pooled(FunctionId fn, WorkerId worker) {
   auto pool = warm_.find(fn);
   if (pool == warm_.end()) return false;
-  auto it = std::find(pool->second.begin(), pool->second.end(), worker);
+  auto it = find_entry(pool->second, worker);
   if (it == pool->second.end()) return false;
+  sim_.cancel(it->keep_alive);
   pool->second.erase(it);
   return true;
 }
@@ -144,7 +129,8 @@ bool WarmPoolManager::evict_oldest() {
   sim::TimePoint oldest{};
   bool found = false;
   for (auto& [fn, pool] : warm_) {  // lint:allow(unordered-iteration)
-    for (const WorkerId id : pool) {
+    for (const PooledWorker& entry : pool) {
+      const WorkerId id = entry.worker;
       const cluster::Worker* worker = cluster_.find_worker(id);
       XANADU_INVARIANT(worker != nullptr, "warm pool references a dead worker");
       if (!found || worker->idle_since() < oldest ||
@@ -164,9 +150,9 @@ bool WarmPoolManager::evict_oldest() {
 bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
   auto pool = warm_.find(from);
   if (pool == warm_.end() || pool->second.empty()) return false;
-  const WorkerId worker_id = pool->second.front();
+  const WorkerId worker_id = pool->second.front().worker;
+  sim_.cancel(pool->second.front().keep_alive);
   pool->second.pop_front();
-  cancel_keep_alive(worker_id);
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   XANADU_INVARIANT(worker != nullptr, "rebind_warm_worker: worker vanished");
   worker->rebind(to);
@@ -195,6 +181,13 @@ std::size_t WarmPoolManager::warm_count(FunctionId fn) const {
   return it == warm_.end() ? 0 : it->second.size();
 }
 
+std::size_t WarmPoolManager::keep_alive_event_count() const {
+  std::size_t armed = 0;
+  // lint:allow(unordered-iteration) order-insensitive sum
+  for (const auto& [fn, pool] : warm_) armed += pool.size();
+  return armed;
+}
+
 std::size_t WarmPoolManager::inbound_rebinds(FunctionId fn) const {
   auto it = inbound_rebinds_.find(fn);
   return it == inbound_rebinds_.end() ? 0 : it->second;
@@ -210,7 +203,7 @@ void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
     return total;
   });
   probes.add("warm_pool.keep_alive_timers",
-             [this] { return static_cast<std::uint64_t>(keep_alive_events_.size()); });
+             [this] { return static_cast<std::uint64_t>(keep_alive_event_count()); });
   probes.add("warm_pool.inbound_rebinds", [this] {
     std::uint64_t total = 0;
     // lint:allow(unordered-iteration) order-insensitive sum
@@ -230,8 +223,8 @@ std::uint64_t WarmPoolManager::membership_digest() const {
   std::uint64_t digest = common::kFnvOffsetBasis;
   for (const FunctionId fn : fns) {
     digest = common::fnv1a_u64(fn.value(), digest);
-    for (const WorkerId worker : warm_.at(fn)) {
-      digest = common::fnv1a_u64(worker.value(), digest);
+    for (const PooledWorker& entry : warm_.at(fn)) {
+      digest = common::fnv1a_u64(entry.worker.value(), digest);
     }
   }
   return digest;

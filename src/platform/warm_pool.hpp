@@ -54,8 +54,6 @@ class WarmPoolManager {
   /// Parks `worker` warm at the back of `fn`'s pool and arms its keep-alive.
   void park(FunctionId fn, WorkerId worker);
 
-  void cancel_keep_alive(WorkerId worker);
-
   /// Reclaims a pooled worker (keep-alive expiry or eviction): removes it
   /// from the pool and destroys the sandbox.  No-op when the worker has
   /// already been reused or reclaimed.
@@ -80,9 +78,9 @@ class WarmPoolManager {
   /// the rebind latency elapsed.
   void flush_all();
 
-  /// Drops `worker` from `fn`'s pool without destroying the sandbox (the
-  /// caller owns the teardown -- host-outage kills).  Returns true when the
-  /// worker was actually pooled.
+  /// Drops `worker` from `fn`'s pool and cancels its keep-alive timer,
+  /// without destroying the sandbox (the caller owns the teardown --
+  /// host-outage kills).  Returns true when the worker was actually pooled.
   bool remove_if_pooled(FunctionId fn, WorkerId worker);
 
   /// Evicts the platform-wide oldest-idle warm worker (live-worker cap).
@@ -110,11 +108,10 @@ class WarmPoolManager {
   /// Workers mid-rebind toward `fn` (counted as provisioning coverage so the
   /// speculation engine does not double-provision).
   [[nodiscard]] std::size_t inbound_rebinds(FunctionId fn) const;
-  /// Pending keep-alive timers; every timer must belong to a live pooled
-  /// worker (the keep-alive cancellation regression test leans on this).
-  [[nodiscard]] std::size_t keep_alive_event_count() const {
-    return keep_alive_events_.size();
-  }
+  /// Pending keep-alive timers.  Each lives in its worker's pool entry, so
+  /// every timer belongs to a pooled worker (the keep-alive cancellation
+  /// regression test leans on this).
+  [[nodiscard]] std::size_t keep_alive_event_count() const;
 
  private:
   /// One worker whose sandbox is reloading code toward `target`.  Tracked so
@@ -125,7 +122,18 @@ class WarmPoolManager {
     EventId completion{};
   };
 
-  void schedule_keep_alive(FunctionId fn, WorkerId worker);
+  /// One pooled worker and its armed keep-alive timer.
+  struct PooledWorker {
+    WorkerId worker{};
+    EventId keep_alive{};
+  };
+  using Pool = std::deque<PooledWorker>;
+
+  /// Cancels the timer of a worker leaving its pool, and tears its sandbox
+  /// down (publishing Dead first).
+  void destroy(const PooledWorker& entry);
+  /// The pool entry of `worker` in `pool`, or pool.end().
+  [[nodiscard]] static Pool::iterator find_entry(Pool& pool, WorkerId worker);
 
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
@@ -133,8 +141,7 @@ class WarmPoolManager {
   EventPublisher publish_;
 
   /// Warm idle workers per function, oldest first.
-  std::unordered_map<FunctionId, std::deque<WorkerId>> warm_;
-  std::unordered_map<WorkerId, EventId> keep_alive_events_;
+  std::unordered_map<FunctionId, Pool> warm_;
   std::unordered_map<FunctionId, std::size_t> inbound_rebinds_;
   /// Workers currently mid-rebind, keyed by worker id.
   std::unordered_map<WorkerId, InflightRebind> rebinding_;

@@ -13,6 +13,7 @@
 #include "common/arena.hpp"
 #include "common/ema.hpp"
 #include "common/ids.hpp"
+#include "common/inline_vector.hpp"
 #include "common/interner.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
@@ -55,6 +56,42 @@ TEST(Ids, HashableInUnorderedContainers) {
 }
 
 // ----------------------------------------------------------------- rng ----
+
+TEST(InlineVector, SpillsPastInlineRoomAndCopiesDeep) {
+  using List = common::InlineVector<NodeId, 2>;
+  const auto values = [](const List& list) {
+    return std::vector<NodeId>(list.begin(), list.end());
+  };
+  List small;
+  small.push_back(NodeId{1});
+  List big;
+  for (std::uint64_t i = 0; i < 5; ++i) big.push_back(NodeId{i});
+  ASSERT_EQ(big.size(), 5u);
+  EXPECT_EQ(big[4], NodeId{4});
+
+  // Copies are deep, whichever side spilled.
+  List copy = big;
+  copy[0] = NodeId{9};
+  EXPECT_EQ(big[0], NodeId{0});
+  List reused = big;
+  reused = small;
+  EXPECT_EQ(values(reused), values(small));
+  reused = big;
+  EXPECT_EQ(values(reused), values(big));
+
+  // Moves steal a heap buffer or copy inline elements, and leave the source
+  // empty and usable.
+  List stolen = std::move(big);
+  EXPECT_EQ(stolen.size(), 5u);
+  EXPECT_EQ(stolen[3], NodeId{3});
+  EXPECT_TRUE(big.empty());  // NOLINT(bugprone-use-after-move)
+  big.push_back(NodeId{7});
+  EXPECT_EQ(values(big), std::vector<NodeId>{NodeId{7}});
+  List moved_small;
+  moved_small = std::move(small);
+  EXPECT_EQ(values(moved_small), std::vector<NodeId>{NodeId{1}});
+  EXPECT_TRUE(small.empty());  // NOLINT(bugprone-use-after-move)
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a{123};

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/dispatch_manager.hpp"
 #include "core/metadata_store.hpp"
 #include "workflow/builders.hpp"
@@ -263,6 +265,92 @@ TEST(MetadataStore, WrongTypeFieldsRejected) {
     ASSERT_TRUE(reparsed.ok());
     EXPECT_FALSE(reparsed.value().get("wf").ok());
   }
+}
+
+TEST(MetadataStore, NumbersOutsideTheirIntegerRangeRejected) {
+  // Every id and count is cast to an unsigned integer, which is undefined
+  // for a negative, fractional-overflowing or huge double: each must be
+  // rejected before the cast.
+  using common::JsonArray;
+  using common::JsonObject;
+  using common::JsonValue;
+
+  // One model document; `bad` replaces the field it names.
+  const auto model_doc = [](const std::string& bad, double value) {
+    const auto field = [&](const char* name, double good) {
+      return JsonValue{bad == name ? value : good};
+    };
+    JsonObject edge;
+    edge.set("child", field("child", 1.0));
+    edge.set("probability", JsonValue{1.0});
+    edge.set("count", field("edge_count", 2.0));
+    JsonArray children;
+    children.push_back(JsonValue{std::move(edge)});
+    JsonObject node;
+    node.set("id", field("id", 0.0));
+    node.set("select", field("select", 0.0));
+    node.set("request_count", field("request_count", 2.0));
+    node.set("children", JsonValue{std::move(children)});
+    JsonArray nodes;
+    nodes.push_back(JsonValue{std::move(node)});
+    JsonArray roots;
+    roots.push_back(field("root", 0.0));
+    JsonObject doc;
+    doc.set("version", JsonValue{1.0});
+    doc.set("nodes", JsonValue{std::move(nodes)});
+    doc.set("roots", JsonValue{std::move(roots)});
+    return JsonValue{std::move(doc)};
+  };
+  // One profile-table document, likewise.
+  const auto profile_doc = [](const std::string& bad, double value) {
+    const auto field = [&](const char* name, double good) {
+      return JsonValue{bad == name ? value : good};
+    };
+    JsonObject ema;
+    ema.set("value", JsonValue{5.0});
+    ema.set("count", field("ema_count", 3.0));
+    JsonObject fn;
+    fn.set("node", field("node", 0.0));
+    fn.set("cold_response", JsonValue{ema});
+    fn.set("startup", JsonValue{ema});
+    fn.set("warm_response", JsonValue{ema});
+    JsonArray functions;
+    functions.push_back(JsonValue{std::move(fn)});
+    JsonObject gap;
+    gap.set("parent", field("parent", 0.0));
+    gap.set("child", field("gap_child", 1.0));
+    gap.set("ema", JsonValue{std::move(ema)});
+    JsonArray gaps;
+    gaps.push_back(JsonValue{std::move(gap)});
+    JsonObject doc;
+    doc.set("version", JsonValue{1.0});
+    doc.set("alpha", JsonValue{0.25});
+    doc.set("functions", JsonValue{std::move(functions)});
+    doc.set("invoke_gaps", JsonValue{std::move(gaps)});
+    return JsonValue{std::move(doc)};
+  };
+
+  ASSERT_TRUE(branch_model_from_json(model_doc("", 0.0)).ok());
+  ASSERT_TRUE(profile_table_from_json(profile_doc("", 0.0)).ok());
+  const double bad_values[] = {-1.0, 0.5, -1e300, 1e300,
+                               18446744073709551616.0};  // 2^64
+  for (const double value : bad_values) {
+    for (const char* field :
+         {"id", "select", "request_count", "child", "edge_count", "root"}) {
+      EXPECT_FALSE(branch_model_from_json(model_doc(field, value)).ok())
+          << field << " = " << value;
+    }
+    for (const char* field : {"ema_count", "node", "parent", "gap_child"}) {
+      EXPECT_FALSE(profile_table_from_json(profile_doc(field, value)).ok())
+          << field << " = " << value;
+    }
+  }
+  // The largest double below 2^64 is still a valid id.
+  const auto largest = branch_model_from_json(
+      model_doc("child", 18446744073709549568.0));
+  ASSERT_TRUE(largest.ok()) << largest.error().message;
+  EXPECT_TRUE(largest.value().find(NodeId{0})->find_child(
+                  NodeId{18446744073709549568ull}) != nullptr);
 }
 
 TEST(MetadataStore, ControlPlaneWarmRestart) {

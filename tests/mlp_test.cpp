@@ -50,8 +50,8 @@ TEST(Mlp, ExplicitXorPicksLearnedFavourite) {
   const MlpResult mlp = estimate_mlp(model);
   EXPECT_TRUE(on_path(mlp, b2));
   EXPECT_FALSE(on_path(mlp, b1));
-  ASSERT_TRUE(mlp.predicted_choice.contains(root));
-  EXPECT_EQ(mlp.predicted_choice.at(root), b2);
+  ASSERT_TRUE(mlp.predicted_choice(root).valid());
+  EXPECT_EQ(mlp.predicted_choice(root), b2);
 }
 
 TEST(Mlp, UnobservedExplicitXorFollowsPriorDeterministically) {
@@ -75,7 +75,7 @@ TEST(Mlp, LikelihoodOfRootIsOne) {
   const auto dag = workflow::linear_chain(2);
   const BranchModel model = BranchModel::from_schema(dag);
   const MlpResult mlp = estimate_mlp(model);
-  EXPECT_DOUBLE_EQ(mlp.likelihood.at(NodeId{0}), 1.0);
+  EXPECT_DOUBLE_EQ(mlp.likelihood(NodeId{0}), 1.0);
 }
 
 TEST(Mlp, LikelihoodSumsAcrossParents) {
@@ -87,7 +87,7 @@ TEST(Mlp, LikelihoodSumsAcrossParents) {
   const MlpResult mlp = estimate_mlp(model);
   const NodeId sink{1};  // diamond() adds sink as the second node.
   ASSERT_TRUE(on_path(mlp, sink));
-  EXPECT_DOUBLE_EQ(mlp.likelihood.at(sink), 2.0);
+  EXPECT_DOUBLE_EQ(mlp.likelihood(sink), 2.0);
 }
 
 TEST(Mlp, EmptyModelYieldsEmptyPath) {
@@ -108,8 +108,8 @@ TEST(Mlp, ImplicitModelAutoDetectsConditional) {
   const MlpResult mlp = estimate_mlp(model);
   EXPECT_TRUE(on_path(mlp, a));
   EXPECT_FALSE(on_path(mlp, b));
-  ASSERT_TRUE(mlp.predicted_choice.contains(p));
-  EXPECT_EQ(mlp.predicted_choice.at(p), a);
+  ASSERT_TRUE(mlp.predicted_choice(p).valid());
+  EXPECT_EQ(mlp.predicted_choice(p), a);
 }
 
 TEST(Mlp, ImplicitModelAutoDetectsMulticast) {
@@ -126,7 +126,7 @@ TEST(Mlp, ImplicitModelAutoDetectsMulticast) {
   EXPECT_TRUE(on_path(mlp, a));
   EXPECT_TRUE(on_path(mlp, b));
   // A multicast is not a conditional: no predicted choice recorded.
-  EXPECT_FALSE(mlp.predicted_choice.contains(p));
+  EXPECT_FALSE(mlp.predicted_choice(p).valid());
 }
 
 TEST(Mlp, MaxNodesCutsPath) {

@@ -269,6 +269,42 @@ TEST(XanaduPolicy, CurrentMlpExposesConvergedPath) {
 
 // ------------------------------------------------------------ policy lab ----
 
+TEST(XanaduPolicy, RestoreRejectsNodesOutsideTheDag) {
+  // Per-request state is indexed by node: a stored model that names node 40
+  // of a 4-node chain must be refused, not installed for the next request
+  // to index past its records.
+  DispatchManager manager = make_manager(PlatformKind::XanaduJit);
+  const auto wf = manager.deploy(workflow::linear_chain(4, chain_options(50)));
+
+  WorkflowMetadata foreign;
+  foreign.model = BranchModel::from_schema(workflow::linear_chain(4));
+  ModelNode root = *foreign.model.find(common::NodeId{0});
+  root.children.push_back(LearnedEdge{common::NodeId{40}, 1.0, 3});
+  foreign.model.restore_node(root);
+  MetadataStore store;
+  store.put("chain", foreign);
+
+  const auto restored = manager.xanadu_policy()->restore(wf, store, "chain");
+  ASSERT_FALSE(restored.ok());
+  EXPECT_NE(restored.error().message.find("outside the workflow"),
+            std::string::npos)
+      << restored.error().message;
+
+  // Nothing was installed: the schema-seeded model serves the request.
+  const RequestResult r = manager.invoke(wf);
+  EXPECT_FALSE(r.failed);
+  EXPECT_EQ(r.executed_nodes, 4u);
+  EXPECT_EQ(r.speculation.predicted_nodes, 4u);
+
+  // A profile naming an unknown node is refused the same way.
+  WorkflowMetadata profiled;
+  profiled.model = BranchModel::from_schema(workflow::linear_chain(4));
+  profiled.profiles.function(common::NodeId{7}).observe_startup(
+      sim::Duration::from_millis(100));
+  store.put("profiled", profiled);
+  EXPECT_FALSE(manager.xanadu_policy()->restore(wf, store, "profiled").ok());
+}
+
 TEST(PolicyView, CountersWindowsAndEstimates) {
   platform::PolicyView view;
   sim::TimePoint now{};

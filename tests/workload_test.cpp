@@ -222,6 +222,39 @@ TEST(Runner, QueuedEventsScaleWithRequestsInFlight) {
   EXPECT_LT(manager.simulator().slab_capacity(), 1'000u);
 }
 
+TEST(Runner, JitPrewarmsLeaveWithTheirRequests) {
+  // A JIT plan can schedule deployments past its request's end (a learned
+  // cold response far above the warm one does that).  Completion cancels
+  // them, so the slab holds the requests in flight and nothing is left
+  // queued once the run ends.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduJit;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(5);
+  build.edge_delay = Duration::from_millis(5);
+  build.sandbox = workflow::SandboxKind::Container;
+  const auto wf = manager.deploy(workflow::linear_chain(4, build));
+  (void)run_cold_trials(manager, wf, 2);
+  RunOptions run;
+  run.retain_results = false;
+  const RunOutcome outcome = run_schedule(
+      manager, wf, fixed_interval(10'000, Duration::from_millis(20)), run);
+  EXPECT_EQ(outcome.completed_count(), 10'000u);
+  EXPECT_LT(manager.simulator().slab_capacity(), 1'000u);
+  EXPECT_EQ(manager.simulator().pending(), 0u);
+
+  // Those cancellations are not prediction misses.
+  run.retain_results = true;
+  const RunOutcome retained = run_schedule(
+      manager, wf, fixed_interval(1'000, Duration::from_millis(20)), run);
+  ASSERT_EQ(retained.results.size(), 1'000u);
+  for (const platform::RequestResult& r : retained.results) {
+    EXPECT_EQ(r.speculation.cancelled_deployments, 0u);
+  }
+  EXPECT_EQ(manager.simulator().pending(), 0u);
+}
+
 TEST(Runner, RejectsUnsortedSchedule) {
   core::DispatchManagerOptions options;
   options.kind = core::PlatformKind::XanaduCold;
