@@ -122,12 +122,6 @@ std::size_t XanaduPolicy::aggressiveness_cut(std::size_t path_length) const {
   return std::max<std::size_t>(cut, 1);
 }
 
-void XanaduPolicy::on_attach(PlatformEngine& engine,
-                             const platform::PolicyView& view) {
-  (void)view;
-  engine_ = &engine;
-}
-
 void XanaduPolicy::on_request_submitted(PlatformEngine& engine,
                                         RequestContext& ctx) {
   WorkflowState& wf = workflow_state(engine, ctx);
@@ -155,9 +149,8 @@ void XanaduPolicy::replan(PlatformEngine& engine, RequestContext& ctx,
   // Re-estimate from the node the workflow actually took.
   BranchModel rooted = wf.model;  // Cheap relative to a prediction miss.
   rooted.finalize_pending();
-  wf.replan =
-      estimate_mlp_from(rooted, {chosen}, options_.mlp, std::move(wf.replan));
-  const MlpResult& fresh = wf.replan;
+  wf.mlp = estimate_mlp_from(rooted, {chosen}, options_.mlp, std::move(wf.mlp));
+  const MlpResult& fresh = wf.mlp;
 
   if (options_.reuse_workers_on_miss) {
     // Section 7 extension: sandboxes deployed for the stale path are
@@ -357,18 +350,16 @@ bool XanaduPolicy::persist(common::WorkflowId id, MetadataStore& store,
 }
 
 common::Result<bool> XanaduPolicy::restore(common::WorkflowId id,
+                                           const workflow::WorkflowDag& dag,
                                            const MetadataStore& store,
                                            const std::string& key) {
-  if (engine_ == nullptr) {
-    return common::Error{"restore: the policy is attached to no engine"};
-  }
   auto loaded = store.get(key);
   if (!loaded.ok()) return loaded.error();
   if (!loaded.value().has_value()) return false;
   WorkflowMetadata& metadata = *loaded.value();
   // Per-request state is indexed by node, so a document naming a node the
   // workflow does not have must not be installed.
-  const std::size_t node_count = engine_->dag(id).node_count();
+  const std::size_t node_count = dag.node_count();
   if (names_node_outside(metadata, node_count)) {
     return common::Error{"metadata document '" + key +
                          "' names a node outside the workflow's " +

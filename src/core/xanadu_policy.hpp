@@ -68,8 +68,6 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   explicit XanaduPolicy(XanaduOptions options);
 
   // ProvisionPolicy hooks -------------------------------------------------
-  void on_attach(platform::PlatformEngine& engine,
-                 const platform::PolicyView& view) override;
   void on_request_submitted(platform::PlatformEngine& engine,
                             platform::RequestContext& ctx) override;
   void on_node_triggered(platform::PlatformEngine& engine,
@@ -107,12 +105,12 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
                const std::string& key) const;
 
   /// Restores a workflow's learned state from the store, replacing whatever
-  /// the policy currently knows.  Returns an error when the stored document
-  /// is corrupt or names a node outside the workflow's DAG (or when the
-  /// policy is attached to no engine); false-like empty optional semantics
-  /// are folded into the bool: true when state was installed.  Throws
-  /// std::invalid_argument for a workflow the engine does not know.
+  /// the policy currently knows.  `dag` is the workflow's DAG.  Returns an
+  /// error when the stored document is corrupt or names a node outside
+  /// `dag`; false-like empty optional semantics are folded into the bool:
+  /// true when state was installed.
   [[nodiscard]] common::Result<bool> restore(common::WorkflowId id,
+                                             const workflow::WorkflowDag& dag,
                                              const MetadataStore& store,
                                              const std::string& key);
 
@@ -120,11 +118,10 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   struct WorkflowState {
     BranchModel model;
     ProfileTable profiles;
-    /// Estimate and plan scratch, refilled by every request of the workflow
-    /// so that their buffers keep their capacity.  Read only right after
-    /// they are refilled.
+    /// Estimate and plan scratch, refilled at every request's submission and
+    /// every replan of the workflow so that their buffers keep their
+    /// capacity.  Read only right after they are refilled.
     MlpResult mlp;
-    MlpResult replan;
     JitPlan plan;
     explicit WorkflowState(double alpha) : profiles(alpha) {}
   };
@@ -180,7 +177,6 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   [[nodiscard]] std::size_t aggressiveness_cut(std::size_t path_length) const;
 
   XanaduOptions options_;
-  platform::PlatformEngine* engine_ = nullptr;
   std::unordered_map<common::WorkflowId, WorkflowState> workflows_;
 };
 

@@ -20,15 +20,27 @@ std::optional<WorkerId> WarmPoolManager::acquire(FunctionId fn) {
   if (it == warm_.end() || it->second.empty()) return std::nullopt;
   const PooledWorker entry = it->second.front();
   it->second.pop_front();
-  sim_.cancel(entry.keep_alive);
+  disarm(entry.keep_alive);
   return entry.worker;
 }
 
 void WarmPoolManager::park(FunctionId fn, WorkerId worker) {
   const EventId keep_alive = sim_.schedule_after(
-      calib_.keep_alive, [this, fn, worker] { reclaim(fn, worker); },
+      calib_.keep_alive,
+      [this, fn, worker] {
+        --armed_;
+        reclaim(fn, worker);
+      },
       "warm_pool.keep_alive");
+  ++armed_;
   warm_[fn].push_back(PooledWorker{worker, keep_alive});
+}
+
+void WarmPoolManager::disarm(EventId keep_alive) {
+  // cancel() is false when the timer itself is reclaiming the worker: a
+  // firing event has already left the slab, and its callback has already
+  // counted it out of armed_.
+  if (sim_.cancel(keep_alive)) --armed_;
 }
 
 WarmPoolManager::Pool::iterator WarmPoolManager::find_entry(Pool& pool,
@@ -39,9 +51,7 @@ WarmPoolManager::Pool::iterator WarmPoolManager::find_entry(Pool& pool,
 }
 
 void WarmPoolManager::destroy(const PooledWorker& entry) {
-  // A no-op when the timer itself is reclaiming the worker: a firing event
-  // has already left the slab.
-  sim_.cancel(entry.keep_alive);
+  disarm(entry.keep_alive);
   publish_(WorkerEventKind::Dead, entry.worker);
   cluster_.destroy_worker(entry.worker, sim_.now());
 }
@@ -115,7 +125,7 @@ bool WarmPoolManager::remove_if_pooled(FunctionId fn, WorkerId worker) {
   if (pool == warm_.end()) return false;
   auto it = find_entry(pool->second, worker);
   if (it == pool->second.end()) return false;
-  sim_.cancel(it->keep_alive);
+  disarm(it->keep_alive);
   pool->second.erase(it);
   return true;
 }
@@ -151,7 +161,7 @@ bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
   auto pool = warm_.find(from);
   if (pool == warm_.end() || pool->second.empty()) return false;
   const WorkerId worker_id = pool->second.front().worker;
-  sim_.cancel(pool->second.front().keep_alive);
+  disarm(pool->second.front().keep_alive);
   pool->second.pop_front();
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   XANADU_INVARIANT(worker != nullptr, "rebind_warm_worker: worker vanished");
@@ -181,12 +191,7 @@ std::size_t WarmPoolManager::warm_count(FunctionId fn) const {
   return it == warm_.end() ? 0 : it->second.size();
 }
 
-std::size_t WarmPoolManager::keep_alive_event_count() const {
-  std::size_t armed = 0;
-  // lint:allow(unordered-iteration) order-insensitive sum
-  for (const auto& [fn, pool] : warm_) armed += pool.size();
-  return armed;
-}
+std::size_t WarmPoolManager::keep_alive_event_count() const { return armed_; }
 
 std::size_t WarmPoolManager::inbound_rebinds(FunctionId fn) const {
   auto it = inbound_rebinds_.find(fn);

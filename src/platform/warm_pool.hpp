@@ -108,9 +108,10 @@ class WarmPoolManager {
   /// Workers mid-rebind toward `fn` (counted as provisioning coverage so the
   /// speculation engine does not double-provision).
   [[nodiscard]] std::size_t inbound_rebinds(FunctionId fn) const;
-  /// Pending keep-alive timers.  Each lives in its worker's pool entry, so
-  /// every timer belongs to a pooled worker (the keep-alive cancellation
-  /// regression test leans on this).
+  /// Keep-alive timers still queued: armed by park(), minus those that fired
+  /// or were cancelled.  Counted apart from the pools, so a timer left queued
+  /// by a worker leaving its pool without a cancel shows up here (the
+  /// keep-alive cancellation regression tests lean on this).
   [[nodiscard]] std::size_t keep_alive_event_count() const;
 
  private:
@@ -129,6 +130,8 @@ class WarmPoolManager {
   };
   using Pool = std::deque<PooledWorker>;
 
+  /// Cancels a pool entry's keep-alive timer if it is still queued.
+  void disarm(EventId keep_alive);
   /// Cancels the timer of a worker leaving its pool, and tears its sandbox
   /// down (publishing Dead first).
   void destroy(const PooledWorker& entry);
@@ -145,6 +148,8 @@ class WarmPoolManager {
   std::unordered_map<FunctionId, std::size_t> inbound_rebinds_;
   /// Workers currently mid-rebind, keyed by worker id.
   std::unordered_map<WorkerId, InflightRebind> rebinding_;
+  /// Keep-alive timers still queued (see keep_alive_event_count()).
+  std::size_t armed_ = 0;
 };
 
 }  // namespace xanadu::platform

@@ -210,7 +210,7 @@ TEST(determinism, ReplayFromReparsedMetadataMatchesOriginal) {
     const workflow::WorkflowDag dag = conditional_dag();
     const auto wf = manager.deploy(conditional_dag());
     const auto restored =
-        manager.xanadu_policy()->restore(wf, source, "conditional");
+        manager.xanadu_policy()->restore(wf, dag, source, "conditional");
     EXPECT_TRUE(restored.ok() && restored.value());
     std::vector<RequestResult> results;
     for (int i = 0; i < 6; ++i) results.push_back(manager.invoke(wf));

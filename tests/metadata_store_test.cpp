@@ -384,7 +384,7 @@ TEST(MetadataStore, ControlPlaneWarmRestart) {
   options.xanadu = xo;
   DispatchManager manager{options};
   const auto wf = manager.deploy(dag);
-  auto restored = manager.xanadu_policy()->restore(wf, store, "chain");
+  auto restored = manager.xanadu_policy()->restore(wf, dag, store, "chain");
   ASSERT_TRUE(restored.ok()) << restored.error().message;
   EXPECT_TRUE(restored.value());
 
@@ -395,7 +395,7 @@ TEST(MetadataStore, ControlPlaneWarmRestart) {
   EXPECT_LE(result.cold_starts, 1u);
 
   // Restoring an absent key reports "nothing restored".
-  auto missing = manager.xanadu_policy()->restore(wf, store, "ghost");
+  auto missing = manager.xanadu_policy()->restore(wf, dag, store, "ghost");
   ASSERT_TRUE(missing.ok());
   EXPECT_FALSE(missing.value());
 }

@@ -284,7 +284,9 @@ TEST(XanaduPolicy, RestoreRejectsNodesOutsideTheDag) {
   MetadataStore store;
   store.put("chain", foreign);
 
-  const auto restored = manager.xanadu_policy()->restore(wf, store, "chain");
+  const workflow::WorkflowDag& dag = manager.engine().dag(wf);
+  const auto restored =
+      manager.xanadu_policy()->restore(wf, dag, store, "chain");
   ASSERT_FALSE(restored.ok());
   EXPECT_NE(restored.error().message.find("outside the workflow"),
             std::string::npos)
@@ -302,7 +304,8 @@ TEST(XanaduPolicy, RestoreRejectsNodesOutsideTheDag) {
   profiled.profiles.function(common::NodeId{7}).observe_startup(
       sim::Duration::from_millis(100));
   store.put("profiled", profiled);
-  EXPECT_FALSE(manager.xanadu_policy()->restore(wf, store, "profiled").ok());
+  EXPECT_FALSE(
+      manager.xanadu_policy()->restore(wf, dag, store, "profiled").ok());
 }
 
 TEST(PolicyView, CountersWindowsAndEstimates) {
