@@ -165,7 +165,7 @@ inline double peak_rss_mib() {
   rusage usage{};
   // RSS is *reported next to* digests in the bench output, never folded
   // into one; the digest inputs are trace bytes only.
-  // flow-lint:allow(nondet-taint)
+  // lint:allow(nondet-taint)
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }

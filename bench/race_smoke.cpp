@@ -11,7 +11,7 @@
 // the keyed per-provision jitter streams fix (Cluster::
 // sample_provision_latency forks with the stable key (function, worker));
 // the order dependence its onset-time provision batch used to carry is the
-// bug tools/flow_lint.py's shared-rng-draw rule now bans statically.
+// bug tools/xan_lint.py's shared-rng-draw rule now bans statically.
 //
 // As a self-check the binary also confirms the detector still CATCHES a
 // genuine order dependence, via a synthetic racy fixture (two tied events

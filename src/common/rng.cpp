@@ -95,7 +95,7 @@ std::mutex& site_mutex() {
 
 /// Normalises a compiler-reported path to start at a repository-root
 /// component (src/, bench/, tests/, tools/, examples/) so labels match the
-/// repo-relative paths tools/flow_lint.py emits.  Falls back to the
+/// repo-relative paths tools/xan_lint.py emits.  Falls back to the
 /// basename for paths outside the repository (standard library headers).
 std::string normalise(std::string_view path) {
   static constexpr std::string_view kRoots[] = {"src/", "bench/", "tests/",

@@ -8,7 +8,7 @@
 // touches std::random_device or the wall clock, which keeps every experiment
 // bit-reproducible across runs and machines.
 //
-// Stream discipline (machine-checked by tools/flow_lint.py, rule
+// Stream discipline (machine-checked by tools/xan_lint.py, rule
 // `shared-rng-draw`): never draw from a shared/ambient stream -- a member
 // Rng of a long-lived object -- inside event-handler or tied-batch code,
 // because same-timestamp events then race for draws and firing order decides
@@ -19,7 +19,7 @@
 //
 // Compiling with -DXANADU_RNG_TRACE (CMake option of the same name) makes
 // every draw record its call site into an interned global set, which the
-// flow_lint cross-validation test diffs against the analyzer's statically
+// flow-analysis cross-validation test diffs against the statically
 // predicted draw sites (tests/rng_trace_test.cpp).  The flag changes no
 // drawn values and therefore no digests.
 
@@ -36,7 +36,7 @@ namespace xanadu::common::rng_trace {
 /// Interns the call site of one Rng draw.  Sites inside common/rng.{hpp,cpp}
 /// (internal delegation, e.g. uniform() calling next()) are ignored so the
 /// observed set holds only the outermost textual draw sites -- the same
-/// granularity tools/flow_lint.py predicts.
+/// granularity tools/xan_lint.py predicts.
 void record(const std::source_location& site);
 
 /// Observed draw sites so far, as sorted "path:line" labels with the path

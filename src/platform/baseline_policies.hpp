@@ -22,7 +22,7 @@
 //                          for serverless chains (arXiv:2508.07640).
 //
 // Neither policy draws randomness: every decision is arithmetic over the
-// view, so both are trivially replay-deterministic and flow_lint-clean.
+// view, so both are trivially replay-deterministic and xan_lint-clean.
 
 #include <cstddef>
 #include <cstdint>

@@ -152,7 +152,7 @@ sim::Duration PlatformEngine::dispatch_overhead() {
   if (calib_.overhead_jitter > sim::Duration::zero()) {
     // Shared engine stream is deliberate: dispatch overheads are consulted in
     // a fixed serial order within a timestamp (the race sweep covers this).
-    millis += std::abs(  // flow-lint:allow(shared-rng-draw)
+    millis += std::abs(  // lint:allow(shared-rng-draw)
         rng_.normal(0.0, calib_.overhead_jitter.millis()));
   }
   return sim::Duration::from_millis(std::max(millis, 0.1));

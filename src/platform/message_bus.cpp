@@ -102,7 +102,7 @@ std::uint64_t MessageBus::publish(TopicId topic, BusPayload payload) {
   if (options_.jitter > sim::Duration::zero()) {
     // Shared bus stream is deliberate: publishes happen in a fixed serial
     // order (per-topic offsets pin it; the race sweep covers this).
-    delay_ms += std::abs(  // flow-lint:allow(shared-rng-draw)
+    delay_ms += std::abs(  // lint:allow(shared-rng-draw)
         rng_.normal(0.0, options_.jitter.millis()));
   }
   if (fault == sim::FaultPlan::BusFault::Delay) {

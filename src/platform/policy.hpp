@@ -15,7 +15,7 @@
 // observation surface (arrival counts, warm-pool occupancy, online profile
 // estimates, virtual time).  The view deliberately exposes no engine
 // internals: policies act only through the engine's public policy-facing
-// operations, and the friend ban in src/platform (determinism_lint) keeps
+// operations, and the friend ban in src/platform (xan_lint) keeps
 // anyone from tunnelling past that boundary.
 
 #include <cstddef>

@@ -68,9 +68,9 @@ FaultPlan::BusFault FaultPlan::next_bus_fault() {
   // coupling the monotone-degradation property test leans on).
   // Per-class member streams (here and below) are deliberate shared draws:
   // each fault class consults its stream in a fixed serial order, and the
-  // race sweep runs fault scenarios.  flow-lint annotations mark the accepted
+  // race sweep runs fault scenarios.  lint:allow annotations mark the accepted
   // tie-order hazard instead of hiding it.
-  const double u = bus_rng_.uniform();  // flow-lint:allow(shared-rng-draw)
+  const double u = bus_rng_.uniform();  // lint:allow(shared-rng-draw)
   if (u < options_.bus_drop_rate) {
     ++counters_.bus_drops;
     return BusFault::Drop;
@@ -89,7 +89,7 @@ FaultPlan::BusFault FaultPlan::next_bus_fault() {
 
 bool FaultPlan::next_provision_failure() {
   if (!active_) return false;
-  const bool fail =  // flow-lint:allow(shared-rng-draw)
+  const bool fail =  // lint:allow(shared-rng-draw)
       provision_rng_.uniform() < options_.provision_failure_rate;
   if (fail) ++counters_.provision_failures;
   return fail;
@@ -97,7 +97,7 @@ bool FaultPlan::next_provision_failure() {
 
 double FaultPlan::next_provision_multiplier() {
   if (!active_) return 1.0;
-  if (straggler_rng_.uniform() < options_.straggler_rate) {  // flow-lint:allow(shared-rng-draw)
+  if (straggler_rng_.uniform() < options_.straggler_rate) {  // lint:allow(shared-rng-draw)
     ++counters_.stragglers;
     return options_.straggler_multiplier;
   }
@@ -106,7 +106,7 @@ double FaultPlan::next_provision_multiplier() {
 
 bool FaultPlan::next_worker_crash() {
   if (!active_) return false;
-  const bool crash =  // flow-lint:allow(shared-rng-draw)
+  const bool crash =  // lint:allow(shared-rng-draw)
       crash_rng_.uniform() < options_.worker_crash_rate;
   if (crash) ++counters_.worker_crashes;
   return crash;
@@ -115,7 +115,7 @@ bool FaultPlan::next_worker_crash() {
 double FaultPlan::next_crash_point() {
   // Strictly inside the execution interval: never exactly at start or end,
   // so the crash event unambiguously precedes the completion event.
-  return 0.05 + 0.9 * crash_rng_.uniform();  // flow-lint:allow(shared-rng-draw)
+  return 0.05 + 0.9 * crash_rng_.uniform();  // lint:allow(shared-rng-draw)
 }
 
 std::pair<Duration, std::size_t> FaultPlan::next_host_outage(
@@ -125,9 +125,9 @@ std::pair<Duration, std::size_t> FaultPlan::next_host_outage(
   }
   const double mean_seconds = 3600.0 / options_.host_outage_rate_per_hour;
   const Duration delay = Duration::from_seconds(
-      outage_rng_.exponential(mean_seconds));  // flow-lint:allow(shared-rng-draw)
+      outage_rng_.exponential(mean_seconds));  // lint:allow(shared-rng-draw)
   const std::size_t host = static_cast<std::size_t>(
-      outage_rng_.uniform_int(host_count));  // flow-lint:allow(shared-rng-draw)
+      outage_rng_.uniform_int(host_count));  // lint:allow(shared-rng-draw)
   return {delay, host};
 }
 

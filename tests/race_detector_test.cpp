@@ -383,7 +383,7 @@ TEST(race_detector, SpeculativeBatchIsOrderIndependentAfterKeyedStreams) {
   // shared Rng stream, letting the firing order decide which draw landed on
   // which worker.  Cluster::sample_provision_latency now forks a
   // per-provision stream with the stable key (function, worker), making
-  // each provision's jitter a pure function of ids.  tools/flow_lint.py
+  // each provision's jitter a pure function of ids.  tools/xan_lint.py
   // (rule shared-rng-draw) keeps the bug class from recurring statically;
   // this test keeps it from recurring dynamically -- and proves the tie
   // group itself still forms, so the check is not passing vacuously.

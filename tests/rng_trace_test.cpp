@@ -1,4 +1,4 @@
-// Runtime cross-validation of tools/flow_lint.py's draw-site analysis.
+// Runtime cross-validation of the flow analysis's draw-site prediction.
 //
 // Built only under -DXANADU_RNG_TRACE=ON (CMake option of the same name):
 // with the flag on, every common::Rng draw records its call site
@@ -75,7 +75,7 @@ struct Span {
   int end_line = 0;
 };
 
-/// Runs flow_lint --draw-sites from the source root and parses the dump.
+/// Runs xan_lint --draw-sites from the source root and parses the dump.
 std::map<std::string, std::vector<Span>> predicted_sites(
     const std::string& dump_name) {
   // The analyzer runs from the source root (so findings and draw-site
@@ -85,10 +85,11 @@ std::map<std::string, std::vector<Span>> predicted_sites(
       std::filesystem::absolute(dump_name).string();
   const std::string command = std::string("cd \"") + XANADU_SOURCE_DIR +
                               "\" && \"" + XANADU_PYTHON +
-                              "\" tools/flow_lint.py --draw-sites \"" +
-                              dump_path + "\" src bench > /dev/null 2>&1";
+                              "\" tools/xan_lint.py --rule flow" +
+                              " --draw-sites \"" + dump_path +
+                              "\" src bench > /dev/null 2>&1";
   const int rc = std::system(command.c_str());
-  EXPECT_EQ(rc, 0) << "flow_lint must exit clean on the fixed tree";
+  EXPECT_EQ(rc, 0) << "xan_lint must exit clean on the fixed tree";
 
   std::ifstream in{dump_path};
   std::stringstream buffer;

@@ -1,17 +1,29 @@
-"""The xan_lint analysis family: one module per interprocedural rule.
+"""The xan_lint analysis family: one module per analysis.
 
 Each module exposes `run(model) -> list[Finding]` plus a RULE_DOCS dict;
-`tools/xan_lint.py` runs them all off one shared cppmodel.SourceModel
-parse and merges the reports.
+`tools/xan_lint.py` runs them off one shared cppmodel.SourceModel parse
+and merges the reports.  ANALYSES maps each analysis's `--rule` name to
+its module.
 """
 
 from __future__ import annotations
 
-from . import (  # noqa: F401
+from . import (
     arena_escape,
+    determinism,
+    flow,
     hot_path_text,
+    layering,
     observer_purity,
     shard_lookahead,
 )
 
-ALL_ANALYSES = (arena_escape, shard_lookahead, observer_purity, hot_path_text)
+ANALYSES = {
+    "determinism": determinism,
+    "layering": layering,
+    "flow": flow,
+    "arena-escape": arena_escape,
+    "shard-lookahead": shard_lookahead,
+    "observer-purity": observer_purity,
+    "hot-path-text": hot_path_text,
+}

@@ -1,12 +1,13 @@
-#!/usr/bin/env python3
-"""Determinism linter for the Xanadu simulation codebase.
+"""determinism: line rules for constructs that break seed replay.
 
 The whole reproduction rests on the claim that two runs with the same seed
-produce bit-identical traces.  This tool makes that claim machine-checked by
-scanning C++ sources for constructs that silently break it:
+produce bit-identical traces.  These rules make that claim machine-checked
+by scanning each line for constructs that silently break it:
 
   random-device        std::random_device (non-deterministic entropy source)
-  libc-rand            rand()/srand() (hidden global state, seeding by time)
+  libc-rand            rand()/srand(), bare or std::/::-qualified (hidden
+                       global state, seeding by time); member calls and
+                       other scopes' rand are not libc's
   wall-clock           std::chrono::{system,steady,high_resolution}_clock
                        (real time leaking into virtual-time code)
   pointer-format       %p in a format string (ASLR leaks addresses into
@@ -32,24 +33,12 @@ scanning C++ sources for constructs that silently break it:
                        subsystem mutate another's private state behind the
                        seams the decomposition established
 
-The file walking, comment/string stripping and suppression parsing come
-from the shared cppmodel front end (tools/cppmodel/); this module is the
-rule set.  A finding can be suppressed per line with an explicit escape
-hatch, either on the offending line or on the line directly above it:
-
-    // lint:allow(<rule>) optional justification
-
-Exit status is 0 when no unannotated violations remain, 1 otherwise.
-Run directly (`tools/determinism_lint.py src`) or via `ctest -R
-determinism` (or as part of the unified `xan_lint` driver).
+Silence a reviewed exception with // lint:allow(<rule>).
 """
 
 from __future__ import annotations
 
-import argparse
 import re
-import sys
-from pathlib import Path
 
 from cppmodel import Finding, SourceModel, allowed_at
 
@@ -79,7 +68,7 @@ LINE_RULES = [
     ),
     (
         "libc-rand",
-        re.compile(r"(?<![\w:])s?rand\s*\("),
+        re.compile(r"(?<![\w.:])(?<!->)(?:(?:std\s*)?::\s*)?s?rand\s*\("),
         "rand()/srand() use hidden global state; use common::Rng streams",
     ),
     (
@@ -137,9 +126,7 @@ RULE_DOCS.update(
 )
 
 
-def run_on_model(model: SourceModel) -> list[Finding]:
-    """All line rules over an already-loaded model (parse=False is
-    enough)."""
+def run(model: SourceModel) -> list[Finding]:
     findings: list[Finding] = []
     for sf in model.files:
         sensitive = sf.top in ORDER_SENSITIVE_DIRS
@@ -227,54 +214,3 @@ def run_on_model(model: SourceModel) -> list[Finding]:
     findings.sort(key=lambda f: f.sort_key())
     return findings
 
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "roots",
-        nargs="*",
-        default=["src"],
-        help="source roots to scan (default: src)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print rule names and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule, _, message in LINE_RULES:
-            print(f"{rule}: {message}")
-        print("unordered-iteration: (ordering-sensitive dirs only)")
-        print("bare-assert: (ordering-sensitive dirs only)")
-        print("priority-queue: (src/sim only)")
-        print("friend-backdoor: (src/platform only)")
-        return 0
-
-    roots = [Path(r) for r in (args.roots or ["src"])]
-    for root in roots:
-        if not root.is_dir():
-            print(
-                f"determinism_lint: no such directory: {root}", file=sys.stderr
-            )
-            return 2
-
-    # Line rules don't need the token-level parse.
-    model = SourceModel(roots, parse=False).load()
-    findings = run_on_model(model)
-
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(
-            f"determinism_lint: {len(findings)} unannotated violation(s) in "
-            f"{len(model.files)} file(s); suppress intentional uses with "
-            "// lint:allow(<rule>)",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"determinism_lint: OK ({len(model.files)} files clean)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

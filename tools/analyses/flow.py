@@ -1,10 +1,7 @@
-#!/usr/bin/env python3
-"""Interprocedural determinism dataflow analyzer for the Xanadu codebase.
+"""flow: interprocedural determinism dataflow.
 
-determinism_lint.py checks single lines; this tool reasons across function
-boundaries.  It runs on the shared cppmodel front end (one tokenizer, one
-function extractor, one arity- and template-aware call graph for the whole
-analysis family -- see tools/cppmodel/) and implements two analyses:
+The determinism analysis checks single lines; this one reasons across
+function boundaries over the shared call graph, with two rules:
 
   shared-rng-draw   RNG stream lineage.  Every common::Rng draw site (next,
                     uniform, uniform_int, bernoulli, weighted_index,
@@ -39,36 +36,23 @@ filter by template-parameter compatibility -- such sites were invisible to
 the pre-cppmodel extractor, a soundness hole.  When no definition admits a
 site, the edge falls back to the whole overload set, keeping the analysis
 over-approximate rather than unsound.
-Both analyses over-approximate by design; a reviewed exception is silenced
-on the offending line or the line directly above with:
 
-    // flow-lint:allow(<rule>) justification
+Both rules over-approximate by design; silence a reviewed exception with
+// lint:allow(<rule>).  The taint rule also honours the narrower
+lint:allow(unordered-iteration) / lint:allow(wall-clock) escapes at source
+sites, so a line audited once is not annotated twice.
 
-(The taint analysis also honours the narrower determinism_lint escapes
-lint:allow(unordered-iteration) / lint:allow(wall-clock) at source sites,
-so a line audited once is not annotated twice.)
-
-Outputs: human-readable text (default), --json PATH, --sarif PATH (SARIF
-2.1.0, uploadable as a CI code-scanning artifact), and --draw-sites PATH, a
-JSON dump of every statically predicted Rng draw site.  The XANADU_RNG_TRACE
+`predicted_draw_sites(model)` lists every textual Rng draw site
+(`xan_lint.py --draw-sites PATH` writes it as JSON).  The XANADU_RNG_TRACE
 build records the draw sites actually executed, and
-tests/rng_trace_test.cpp diffs that observed set against this predicted set:
-the analyzer must be sound on src/ (no observed draw site it failed to
-predict).
-
-Exit status is 0 when no unannotated findings remain, 1 otherwise, 2 on
-usage errors.  Run directly (`tools/flow_lint.py src bench`) or via
-`ctest -R flow_lint` (or as part of the unified `xan_lint` driver, which
-shares one parse across the whole analysis family).
+tests/rng_trace_test.cpp diffs that observed set against this predicted
+set: the analysis must be sound on src/ (no observed draw site it failed
+to predict).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
-import sys
-from pathlib import Path
 
 from cppmodel import (
     Finding,
@@ -77,7 +61,8 @@ from cppmodel import (
     match_paren,
     split_args,
 )
-from cppmodel import report as _report
+
+from .determinism import RANGE_FOR_RE
 
 # Draw methods of common::Rng.  fork() consumes a parent draw, so it counts;
 # fork_stream() derives a child from the stream id without touching state,
@@ -102,10 +87,6 @@ SINK_PATTERN = re.compile(r"^(trace\w*|\w*digest\w*)$")
 # codebase's naming convention (rng_, bus_rng_, ...), independent of whether
 # its declaration was seen.
 MEMBER_RNG_NAME_RE = re.compile(r"(?:^|_)rng_$")
-
-RANGE_FOR_RE = re.compile(
-    r"\bfor\s*\([^;()]*?:\s*(?:this->)?([A-Za-z_][\w.\->]*)\s*\)"
-)
 
 # Taint sources recognised per line (within function bodies).
 TAINT_SOURCE_RULES = [
@@ -155,38 +136,25 @@ def _rng_param_names(fn) -> list[str]:
     return names
 
 
-class Analyzer:
-    """The flow analyses over a (possibly shared) cppmodel parse."""
+def _draws(fn) -> list:
+    """The function's Rng draw call sites."""
+    return [c for c in fn.calls if c.is_method and c.name in DRAW_METHODS]
 
-    def __init__(self, roots: list[Path], model: SourceModel | None = None):
-        self.roots = roots
+
+class Analyzer:
+    """The flow analyses over the shared cppmodel parse."""
+
+    def __init__(self, model: SourceModel):
         self.model = model
         self.findings: list[Finding] = []
         # Per-function flow facts, keyed by id(fn).
-        self._draws: dict[int, list[dict]] = {}
         self._rng_params: dict[int, list[str]] = {}
         self._sinks: dict[int, list[tuple[str, int]]] = {}
         self._sources: dict[int, list[tuple[str, int, str]]] = {}
         # Rng& / Rng parameters currently known to alias a shared stream,
         # mapped to the (origin description, caller chain) that proved it.
         self._shared_params: dict[int, dict[str, tuple[str, list[str]]]] = {}
-
-    # -- loading ----------------------------------------------------------
-
-    def load(self) -> None:
-        if self.model is None:
-            self.model = SourceModel(self.roots).load()
-        for fn in self.model.functions:
-            self._draws[id(fn)] = [
-                {
-                    "method": c.name,
-                    "line": c.line,
-                    "end_line": c.end_line,
-                    "receiver": list(c.receiver),
-                }
-                for c in fn.calls
-                if c.is_method and c.name in DRAW_METHODS
-            ]
+        for fn in model.functions:
             self._rng_params[id(fn)] = _rng_param_names(fn)
             self._sinks[id(fn)] = [
                 (c.name, c.line)
@@ -308,8 +276,8 @@ class Analyzer:
                 continue
             allow = self.model.file_of(fn).allow
             shared_params = self._shared_params[id(fn)]
-            for draw in self._draws[id(fn)]:
-                receiver = draw["receiver"]
+            for draw in _draws(fn):
+                receiver = draw.receiver
                 if not receiver:
                     continue
                 last = receiver[-1]
@@ -323,19 +291,19 @@ class Analyzer:
                     path = via + [f"{fn.qualified}()"]
                 if shared is None:
                     continue
-                if "shared-rng-draw" in allowed_at(allow, draw["line"]):
+                if "shared-rng-draw" in allowed_at(allow, draw.line):
                     continue
                 self.findings.append(
                     Finding(
                         fn.file,
-                        draw["line"],
+                        draw.line,
                         "shared-rng-draw",
-                        f"draw '{'.'.join(receiver)}.{draw['method']}()' "
+                        f"draw '{'.'.join(receiver)}.{draw.name}()' "
                         f"uses shared stream '{shared}' inside handler-"
                         "reachable code; same-timestamp events race for "
                         "draws -- fork_stream() a per-entity stream with a "
                         "stable key instead",
-                        path + [f"{'.'.join(receiver)}.{draw['method']}()"],
+                        path + [f"{'.'.join(receiver)}.{draw.name}()"],
                     )
                 )
 
@@ -387,28 +355,6 @@ class Analyzer:
                     )
                 )
 
-    # -- predicted draw sites ---------------------------------------------
-
-    def predicted_draw_sites(self) -> list[dict]:
-        """Every textual Rng-draw site, with the line span of the full call
-        expression (multi-line calls record their whole extent).  This is
-        deliberately an over-approximation -- soundness means the runtime-
-        observed set must be a subset of this one."""
-        sites: list[dict] = []
-        for fn in self.model.functions:
-            for draw in self._draws[id(fn)]:
-                sites.append(
-                    {
-                        "file": fn.file,
-                        "line": draw["line"],
-                        "end_line": draw["end_line"],
-                        "method": draw["method"],
-                        "receiver": ".".join(draw["receiver"]),
-                        "function": fn.qualified,
-                    }
-                )
-        return sites
-
     def run(self) -> None:
         self.propagate_shared_params()
         self.check_shared_rng_draws()
@@ -416,96 +362,26 @@ class Analyzer:
         self.findings.sort(key=lambda f: (f.file, f.line, f.rule))
 
 
-def run_on_model(model: SourceModel) -> tuple[list[Finding], Analyzer]:
-    """Entry point for the unified xan_lint driver: run both flow rules on
-    an already-loaded shared parse."""
-    analyzer = Analyzer(model.roots, model=model)
-    analyzer.load()
+def run(model: SourceModel) -> list[Finding]:
+    analyzer = Analyzer(model)
     analyzer.run()
-    return analyzer.findings, analyzer
+    return analyzer.findings
 
 
-def write_sarif(findings: list[Finding], out_path: Path) -> None:
-    _report.write_sarif(findings, out_path, "flow_lint", RULE_DOCS)
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "roots",
-        nargs="*",
-        default=["src"],
-        help="source roots to scan (default: src)",
-    )
-    parser.add_argument("--json", metavar="PATH",
-                        help="write findings as JSON")
-    parser.add_argument("--sarif", metavar="PATH",
-                        help="write findings as SARIF 2.1.0")
-    parser.add_argument(
-        "--draw-sites",
-        metavar="PATH",
-        help="write the statically predicted Rng draw-site set as JSON "
-        "(consumed by tests/rng_trace_test.cpp); '-' for stdout",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print rule names and exit"
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_rules:
-        for rule, doc in sorted(RULE_DOCS.items()):
-            print(f"{rule}: {doc}")
-        return 0
-
-    roots = [Path(r) for r in (args.roots or ["src"])]
-    for root in roots:
-        if not root.is_dir():
-            print(f"flow_lint: no such directory: {root}", file=sys.stderr)
-            return 2
-
-    analyzer = Analyzer(roots)
-    analyzer.load()
-    analyzer.run()
-
-    if args.draw_sites:
-        payload = json.dumps(
-            {"draw_sites": analyzer.predicted_draw_sites()}, indent=2
-        )
-        if args.draw_sites == "-":
-            print(payload)
-        else:
-            Path(args.draw_sites).write_text(payload + "\n", encoding="utf-8")
-
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(
-                {"findings": [f.as_dict() for f in analyzer.findings]},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-    if args.sarif:
-        write_sarif(analyzer.findings, Path(args.sarif))
-
-    for finding in analyzer.findings:
-        print(finding)
-    n_files = len(analyzer.model.files)
-    n_fns = len(analyzer.model.functions)
-    if analyzer.findings:
-        print(
-            f"flow_lint: {len(analyzer.findings)} unannotated finding(s) "
-            f"across {n_files} files / {n_fns} functions; reviewed "
-            "exceptions need // flow-lint:allow(<rule>)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"flow_lint: OK ({n_files} files, {n_fns} functions, "
-        f"{len(analyzer.predicted_draw_sites())} draw sites traced)"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+def predicted_draw_sites(model: SourceModel) -> list[dict]:
+    """Every textual Rng-draw site, with the line span of the full call
+    expression (multi-line calls record their whole extent).  This is
+    deliberately an over-approximation -- soundness means the runtime-
+    observed set must be a subset of this one."""
+    return [
+        {
+            "file": fn.file,
+            "line": draw.line,
+            "end_line": draw.end_line,
+            "method": draw.name,
+            "receiver": ".".join(draw.receiver),
+            "function": fn.qualified,
+        }
+        for fn in model.functions
+        for draw in _draws(fn)
+    ]

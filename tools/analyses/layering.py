@@ -1,13 +1,13 @@
-#!/usr/bin/env python3
-"""Architecture-layering analyzer for the Xanadu simulation codebase.
+"""layering: the include graph of src/ follows the declared layer stack.
 
 ARCHITECTURE.md declares src/ as a layered stack (low to high):
 
     common < sim < workflow < cluster < platform < metrics < core < workload
 
-This tool makes the declaration machine-checked.  It runs over the include
-graph the shared cppmodel front end extracts (quoted includes only; system
-headers are ignored) and rejects:
+These rules make the declaration machine-checked over the quoted-include
+graph of the scanned root named `src` (system headers are ignored; bench/
+and the fixtures have no layer structure, so a root set without `src`
+runs none of them):
 
   unknown-layer    a quoted include whose first path component is not a
                    declared layer (new top-level directories must be added
@@ -23,9 +23,6 @@ headers are ignored) and rejects:
   include-cycle    a cycle in the file-level include graph (the layer rule
                    makes cross-layer cycles impossible, but same-layer
                    header cycles would still break builds subtly)
-
-With --strict (the CI configuration), additionally:
-
   layer-skip       a downward include that skips MORE THAN ONE layer and is
                    not covered by the explicit allowlist below.  Deep skips
                    are how layering erodes: each one couples a high layer to
@@ -34,26 +31,18 @@ With --strict (the CI configuration), additionally:
                    -- ids, hashing, Rng, Duration/TimePoint and the
                    Simulator are the vocabulary of every layer above them.
                    Every other deep skip must be added to
-                   STRICT_SKIP_ALLOWLIST with a justification.
+                   STRICT_SKIP_ALLOWLIST with a justification, and an entry
+                   whose skip is gone is reported at its own line here.
 
-A finding can be suppressed per line with the same escape hatch the
-determinism lint uses, on the offending line or the line directly above:
-
-    // lint:allow(<rule>) justification
-
-`--dot PATH` additionally writes the condensed layer-level include graph as
-GraphViz DOT (edge labels carry include counts); the committed figure in
-ARCHITECTURE.md ("Layering DAG") is generated this way.
-
-Exit status is 0 when no unannotated violations remain, 1 otherwise.
-Run directly (`tools/layer_lint.py src`) or via `ctest -R layer_lint` (or
-as part of the unified `xan_lint` driver).
+Silence a reviewed exception with // lint:allow(<rule>).  `dot(model)`
+renders the condensed layer-level include graph as GraphViz DOT (edge
+labels carry include counts); the committed figure docs/layering.dot is
+generated with `python3 tools/xan_lint.py --rule layering --dot
+docs/layering.dot src`.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from pathlib import Path
 
 from cppmodel import Finding, SourceModel, allowed_at
@@ -78,12 +67,10 @@ LAYER_INDEX = {name: index for index, name in enumerate(LAYER_ORDER)}
 # (Duration, TimePoint, Simulator).
 FOUNDATION_LAYERS = {"common", "sim"}
 
-# --strict: deep downward skips (distance > 1) into non-foundation layers
-# allowed on purpose, with why.  Growing this list is a design decision,
-# not a lint tweak -- see ARCHITECTURE.md "Static analysis & verification".
-# Audited for staleness each PR: the strict run flags any entry whose deep
-# skip no longer exists (PR 10 audit: all nine entries still carry live
-# includes; nothing to prune).
+# Deep downward skips (distance > 1) into non-foundation layers allowed on
+# purpose, with why.  Growing this list is a design decision, not a lint
+# tweak -- see ARCHITECTURE.md "Static analysis & verification".  Every run
+# over src/ flags an entry whose deep skip no longer exists.
 STRICT_SKIP_ALLOWLIST = {
     ("platform", "workflow"):
         "the engine executes WorkflowDag nodes; FunctionSpec is its input",
@@ -159,27 +146,14 @@ def find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
     return cycles
 
 
-def emit_dot(
-    layer_edges: dict[tuple[str, str], int], out_path: Path
-) -> None:
-    lines = ["digraph layering {", "  rankdir=BT;", '  node [shape=box, fontname="Helvetica"];']
-    for layer in LAYER_ORDER:
-        lines.append(f"  {layer};")
-    for (src, dst), count in sorted(layer_edges.items()):
-        lines.append(f'  {src} -> {dst} [label="{count}"];')
-    lines.append("}")
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def run_on_model(
+def _scan(
     model: SourceModel,
-    strict: bool = False,
-    root_name: str = "src",
 ) -> tuple[list[Finding], dict[tuple[str, str], int]]:
-    """Layer rules over the files of the model root named `root_name`
-    (bench/ and fixtures have no layer structure).  Returns (findings,
-    condensed layer-edge counts for --dot)."""
-    files = [sf for sf in model.files if sf.root.name == root_name]
+    """Layer rules over the files of the root named `src`.  Returns
+    (findings, condensed layer-edge counts for the DOT figure)."""
+    files = [sf for sf in model.files if sf.root.name == "src"]
+    if not files:
+        return [], {}
     known = {str(sf.rel) for sf in files}
 
     findings: list[Finding] = []
@@ -251,8 +225,7 @@ def run_on_model(
                     )
                 skip = LAYER_INDEX[src_layer] - LAYER_INDEX[dst_layer]
                 if (
-                    strict
-                    and skip > 1
+                    skip > 1
                     and dst_layer not in FOUNDATION_LAYERS
                     and (src_layer, dst_layer) not in STRICT_SKIP_ALLOWLIST
                     and "layer-skip" not in allowed
@@ -275,86 +248,43 @@ def run_on_model(
             )
         )
 
-    if strict:
-        # A stale allowlist entry means the deep skip it justified is gone;
-        # flag it so the list shrinks back as the coupling does.
-        used = {
-            pair for pair in layer_edges
-            if LAYER_INDEX[pair[0]] - LAYER_INDEX[pair[1]] > 1
-            and pair[1] not in FOUNDATION_LAYERS
-        }
-        for pair in sorted(STRICT_SKIP_ALLOWLIST.keys() - used):
-            findings.append(
-                Finding(
-                    "tools/layer_lint.py", 1, "layer-skip",
-                    f"stale allowlist entry {pair}: no such deep skip "
-                    "remains; remove it",
-                )
+    # A stale allowlist entry means the deep skip it justified is gone; flag
+    # it at its own line so the list shrinks back as the coupling does.
+    used = {
+        pair for pair in layer_edges
+        if LAYER_INDEX[pair[0]] - LAYER_INDEX[pair[1]] > 1
+        and pair[1] not in FOUNDATION_LAYERS
+    }
+    here = Path(__file__).resolve()
+    source = here.read_text(encoding="utf-8").splitlines()
+    for pair in sorted(STRICT_SKIP_ALLOWLIST.keys() - used):
+        key = f'("{pair[0]}", "{pair[1]}"):'
+        findings.append(
+            Finding(
+                here.relative_to(here.parents[2]).as_posix(),
+                next(i + 1 for i, text in enumerate(source) if key in text),
+                "layer-skip",
+                f"stale allowlist entry {pair}: no such deep skip "
+                "remains; remove it",
             )
+        )
 
     findings.sort(key=lambda f: f.sort_key())
     return findings, layer_edges
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "root",
-        nargs="?",
-        default="src",
-        help="source root to scan (default: src)",
-    )
-    parser.add_argument(
-        "--dot",
-        metavar="PATH",
-        help="write the condensed layer-level include graph as GraphViz DOT",
-    )
-    parser.add_argument(
-        "--list-layers", action="store_true", help="print the layer order and exit"
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="additionally ban >1-layer downward include skips outside the "
-        "explicit allowlist (the CI configuration)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.list_layers:
-        print(" < ".join(LAYER_ORDER))
-        return 0
-
-    root = Path(args.root)
-    if not root.is_dir():
-        print(f"layer_lint: no such directory: {root}", file=sys.stderr)
-        return 2
-
-    # Include/layer rules don't need the token-level parse.
-    model = SourceModel([root], parse=False).load()
-    findings, layer_edges = run_on_model(
-        model, strict=args.strict, root_name=root.name
-    )
-
-    if args.dot:
-        emit_dot(layer_edges, Path(args.dot))
-        print(f"layer_lint: wrote {args.dot}")
-
-    for finding in findings:
-        print(finding)
-    if findings:
-        print(
-            f"layer_lint: {len(findings)} unannotated violation(s) in "
-            f"{len(model.files)} file(s); deliberate exceptions need "
-            "// lint:allow(<rule>)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"layer_lint: OK ({len(model.files)} files, "
-        f"{sum(layer_edges.values())} cross-layer includes, all downward)"
-    )
-    return 0
+def run(model: SourceModel) -> list[Finding]:
+    return _scan(model)[0]
 
 
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+def dot(model: SourceModel) -> str:
+    """The condensed layer-level include graph of src/ as GraphViz DOT."""
+    lines = [
+        "digraph layering {",
+        "  rankdir=BT;",
+        '  node [shape=box, fontname="Helvetica"];',
+    ]
+    lines += [f"  {layer};" for layer in LAYER_ORDER]
+    for (src, dst), count in sorted(_scan(model)[1].items()):
+        lines.append(f'  {src} -> {dst} [label="{count}"];')
+    return "\n".join(lines + ["}"]) + "\n"

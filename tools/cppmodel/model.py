@@ -66,12 +66,8 @@ class SourceFile:
 class SourceModel:
     """The shared parse: files, functions, and whole-model indexes."""
 
-    def __init__(self, roots: list[Path], parse: bool = True):
+    def __init__(self, roots: list[Path]):
         self.roots = roots
-        #: parse=False loads raw/stripped lines, includes and suppression
-        #: sets only -- enough for the line- and include-level rules without
-        #: paying for tokenization (layer_lint standalone mode).
-        self.parse = parse
         self.files: list[SourceFile] = []
         self.by_display: dict[str, SourceFile] = {}
         self.functions: list[Function] = []
@@ -117,12 +113,11 @@ class SourceModel:
                         # `operator` is never a receiver name.
                         if match.group(1) != "operator":
                             names.add(match.group(1))
-                if self.parse:
-                    sf.tokens = tokenize(code)
-                    sf.functions = extract_functions(sf.tokens, display)
-                    for fn in sf.functions:
-                        self.functions.append(fn)
-                        self.by_name.setdefault(fn.name, []).append(fn)
+                sf.tokens = tokenize(code)
+                sf.functions = extract_functions(sf.tokens, display)
+                for fn in sf.functions:
+                    self.functions.append(fn)
+                    self.by_name.setdefault(fn.name, []).append(fn)
                 self.files.append(sf)
                 self.by_display[display] = sf
         return self

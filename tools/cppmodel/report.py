@@ -50,8 +50,7 @@ def write_json(findings: list[Finding], out_path: Path) -> None:
 
 
 def write_sarif(findings: list[Finding], out_path: Path,
-                tool_name: str, rule_docs: dict[str, str],
-                information_uri: str | None = None) -> None:
+                tool_name: str, rule_docs: dict[str, str]) -> None:
     """SARIF 2.1.0, uploadable to GitHub code scanning."""
     results = []
     for f in findings:
@@ -81,8 +80,7 @@ def write_sarif(findings: list[Finding], out_path: Path,
                 "tool": {
                     "driver": {
                         "name": tool_name,
-                        "informationUri": information_uri
-                        or f"tools/{tool_name}.py",
+                        "informationUri": f"tools/{tool_name}.py",
                         "rules": [
                             {
                                 "id": rule,

@@ -1,35 +1,26 @@
 """Suppression-comment handling (shared C++ front end).
 
-Every linter honours the same escape hatch on the offending line or the
+Every rule honours the same escape hatch on the offending line or the
 line directly above it:
 
     // lint:allow(<rule>[, <rule>...]) justification
-
-`flow-lint:allow(...)` is accepted as a synonym -- PR 6 introduced it for
-the interprocedural rules before the front end was unified, and annotated
-lines should not need re-auditing just because the driver changed.
 """
 
 from __future__ import annotations
 
 import re
 
-ALLOW_RES = (
-    re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)"),
-    re.compile(r"//\s*flow-lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)"),
-)
+ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
 
 def allow_sets(raw_lines: list[str]) -> list[set[str]]:
     """Per-line suppressed rule names, 0-indexed."""
     sets: list[set[str]] = []
     for line in raw_lines:
-        rules: set[str] = set()
-        for pattern in ALLOW_RES:
-            match = pattern.search(line)
-            if match:
-                rules.update(r.strip() for r in match.group(1).split(","))
-        sets.append(rules)
+        match = ALLOW_RE.search(line)
+        sets.append(
+            {r.strip() for r in match.group(1).split(",")} if match else set()
+        )
     return sets
 
 

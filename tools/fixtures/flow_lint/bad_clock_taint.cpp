@@ -1,5 +1,5 @@
 // flow_lint fixture: wall-clock taint reaching a digest sink across a call
-// edge.  flow_lint must report rule `nondet-taint` with the path
+// edge.  The flow analysis must report rule `nondet-taint` with the path
 // stamp_millis() -> emit_report() -> trace_digest().
 //
 // This file is analyzer input only; it is never compiled or linked.

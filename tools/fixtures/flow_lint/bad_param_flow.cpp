@@ -1,6 +1,6 @@
 // flow_lint fixture: interprocedural stream lineage.  The shared member
 // stream never appears textually at the draw site -- it is passed by
-// reference into a helper, and the helper draws.  flow_lint must trace the
+// reference into a helper, and the helper draws.  The analysis must trace the
 // lineage through the Rng& parameter and report `shared-rng-draw` at the
 // helper's draw site.
 //

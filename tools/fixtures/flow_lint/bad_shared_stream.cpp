@@ -3,7 +3,7 @@
 // Mirrors the old Cluster::sample_provision_latency / daemon_build_sandbox
 // shape: a tied batch of daemon events is scheduled at the same instant, and
 // each handler draws cold-start jitter from the *shared* cluster stream --
-// so firing order decides which draw lands on which worker.  flow_lint must
+// so firing order decides which draw lands on which worker.  The analysis must
 // report rule `shared-rng-draw` here, with a path from the handler root
 // through the call edge to the draw.
 //

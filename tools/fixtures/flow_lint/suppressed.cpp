@@ -1,5 +1,5 @@
 // flow_lint fixture: the same hazards as the bad fixtures, but each carrying
-// a reviewed // flow-lint:allow(<rule>) escape.  flow_lint must report zero
+// a reviewed // lint:allow(<rule>) escape.  The flow rules must report zero
 // findings here -- this pins the suppression syntax (same line and
 // line-above placement both work).
 //
@@ -17,7 +17,7 @@ class QuietCluster {
   double sample(int worker) {
     double millis = 100.0;
     // Reviewed: consulted in a fixed serial order; the race sweep covers it.
-    millis += rng_.normal(0.0, 25.0);  // flow-lint:allow(shared-rng-draw)
+    millis += rng_.normal(0.0, 25.0);  // lint:allow(shared-rng-draw)
     return millis + worker;
   }
 
@@ -49,7 +49,7 @@ class QuietPipeline {
 std::uint64_t quiet_digest(std::uint64_t seed) { return seed ^ 0x9e3779b9ULL; }
 
 double quiet_stamp() {
-  // flow-lint:allow(nondet-taint) reviewed: demo of line-above placement.
+  // lint:allow(nondet-taint) reviewed: demo of line-above placement.
   auto now = std::chrono::steady_clock::now().time_since_epoch();
   return std::chrono::duration<double, std::milli>(now).count();
 }

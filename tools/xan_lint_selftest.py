@@ -1,13 +1,33 @@
 #!/usr/bin/env python3
-"""Self-test for the xan_lint analysis family against the known-bad /
-known-good fixtures in tools/fixtures/xan_lint/.
+"""Self-test for the xan_lint analyses against the known-bad / known-good
+fixtures in tools/fixtures/.
 
-Each new interprocedural rule guards a correctness contract the runtime
-only checks opportunistically (ASan death tests, the channel-latency
-throw + TSan, golden-digest replay), so each rule gets the same treatment as the
-code it guards: a regression suite that fails if the rule goes silent on
-its distilled bug or noisy on the fixed form.
+The analyses guard the repo's determinism contract and correctness
+contracts the runtime only checks opportunistically (ASan death tests, the
+channel-latency throw + TSan, golden-digest replay), so each rule gets the
+same treatment as the code it guards: a regression suite that fails if the
+rule goes silent on its distilled bug or noisy on the fixed form.
 
+tools/fixtures/flow_lint/:
+  bad_shared_stream.cpp        the pre-fix speculative provision-batch race
+                               (shared member stream drawn inside a tied
+                               handler) -- shared-rng-draw must fire with
+                               the full root -> callee -> draw path
+  bad_param_flow.cpp           the same hazard hidden behind an Rng&
+                               parameter -- must fire via interprocedural
+                               lineage
+  bad_clock_taint.cpp          wall-clock read feeding a digest across a
+                               call edge -- nondet-taint must fire with the
+                               source -> f() -> sink path
+  overload_arity.cpp           same-named overloads with different arity:
+                               only the handler calling the drawing 1-arg
+                               overload may appear in the finding's path
+  suppressed.cpp               both hazards carrying lint:allow escapes --
+                               the flow rules must be silent
+  good_keyed_fork.cpp          the post-fix fork_stream(stable_key) shape --
+                               must be silent, its draw still predicted
+
+tools/fixtures/xan_lint/:
   bad_arena_member_escape.cpp  pre-fix PR-7 shape: arena allocation cached
                                on a member -- arena-escape must fire
   bad_arena_return_flow.cpp    interner view escaping through a helper's
@@ -39,14 +59,20 @@ its distilled bug or noisy on the fixed form.
                                through it) and per-instantiation
                                resolution must keep the pure-overload
                                handler out of the path
-  suppressed.cpp               one silenced instance of each new rule --
-                               must be silent (pins the escape hatch)
+  libc_rand.cpp                bare, std:: and ::-qualified rand/srand --
+                               libc-rand must fire on exactly those lines,
+                               never on member calls or another scope's rand
+  suppressed.cpp               one silenced instance of each
+                               interprocedural rule -- must be silent
 
-plus the clean gate: every analysis must report zero unannotated findings
-on src/ + bench/ off one shared parse, so CI fails on any new finding.
+Each fixture directory runs through xan_lint.run_all, and no finding
+may land outside its fixture files.  Over src/, the layering analysis
+must render exactly the committed docs/layering.dot and report a stale
+allowlist entry at its own line, and draw-site prediction must be
+non-empty.  The clean gate over src/ + bench/ is the xan_lint CTest.
 
-Run directly (`tools/xan_lint_selftest.py`) from the repository root, or
-via `ctest -R xan_lint_selftest`.
+Run directly (`tools/xan_lint_selftest.py`), or via
+`ctest -R xan_lint_selftest`.
 """
 
 from __future__ import annotations
@@ -54,19 +80,12 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(TOOLS))
 
-import flow_lint  # noqa: E402
 import xan_lint  # noqa: E402
-from analyses import (  # noqa: E402
-    arena_escape,
-    hot_path_text,
-    observer_purity,
-    shard_lookahead,
-)
+from analyses import ANALYSES, flow, layering  # noqa: E402
 from cppmodel import SourceModel  # noqa: E402
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "xan_lint"
 
 
 def check(condition: bool, label: str, failures: list[str]) -> None:
@@ -75,23 +94,132 @@ def check(condition: bool, label: str, failures: list[str]) -> None:
         failures.append(label)
 
 
-def by_file(findings) -> dict[str, list]:
-    grouped: dict[str, list] = {}
+def drive(name: str, failures: list[str]):
+    """One fixture directory through xan_lint.run_all: its model, and each
+    analysis's findings grouped by fixture file name."""
+    root = TOOLS / "fixtures" / name
+    model = SourceModel([root]).load()
+    findings = xan_lint.run_all(model)
+    stray = [f for f in findings if not f.file.startswith(str(root))]
+    for finding in stray:
+        print(f"      unexpected: {finding}")
+    check(not stray, f"run_all over fixtures/{name} reports only fixture "
+          "files", failures)
+    grouped: dict[str, dict[str, list]] = {a: {} for a in ANALYSES}
     for finding in findings:
-        grouped.setdefault(Path(finding.file).name, []).append(finding)
-    return grouped
+        for analysis, module in ANALYSES.items():
+            if finding.rule in module.RULE_DOCS:
+                grouped[analysis].setdefault(
+                    Path(finding.file).name, []).append(finding)
+    return model, grouped
 
 
 def main() -> int:
     failures: list[str] = []
-    model = SourceModel([FIXTURES]).load()
+    flow_model, flow_grouped = drive("flow_lint", failures)
+    model, grouped = drive("xan_lint", failures)
+    arena = grouped["arena-escape"]
+    shard = grouped["shard-lookahead"]
+    observer = grouped["observer-purity"]
+    text = grouped["hot-path-text"]
 
-    arena = by_file(arena_escape.run(model))
-    shard = by_file(shard_lookahead.run(model))
-    observer = by_file(observer_purity.run(model))
-    text = by_file(hot_path_text.run(model))
-    flow_findings, _ = flow_lint.run_on_model(model)
-    flow = by_file(flow_findings)
+    # --- bad_shared_stream: the distilled speculative-batch race. ---------
+    by_file = flow_grouped["flow"]
+    found = by_file.get("bad_shared_stream.cpp", [])
+    check(
+        len(found) == 1 and found[0].rule == "shared-rng-draw",
+        "bad_shared_stream fires shared-rng-draw exactly once",
+        failures,
+    )
+    if found:
+        path = " -> ".join(found[0].path)
+        check(
+            "speculate_batch" in path
+            and "daemon_build_sandbox" in path
+            and "sample_provision_latency" in path
+            and path.endswith("rng_.normal()"),
+            "bad_shared_stream path walks root -> daemon -> sample -> draw",
+            failures,
+        )
+        check(
+            "rng_" in found[0].message,
+            "bad_shared_stream names the shared stream",
+            failures,
+        )
+
+    # --- bad_param_flow: lineage through an Rng& parameter. ---------------
+    found = by_file.get("bad_param_flow.cpp", [])
+    check(
+        len(found) == 1 and found[0].rule == "shared-rng-draw",
+        "bad_param_flow fires shared-rng-draw exactly once",
+        failures,
+    )
+    if found:
+        check(
+            "jitter_helper" in " -> ".join(found[0].path)
+            and "rng_" in found[0].message,
+            "bad_param_flow traces the member stream into the helper",
+            failures,
+        )
+
+    # --- bad_clock_taint: source -> call edge -> sink. --------------------
+    found = by_file.get("bad_clock_taint.cpp", [])
+    check(
+        len(found) == 1 and found[0].rule == "nondet-taint",
+        "bad_clock_taint fires nondet-taint exactly once",
+        failures,
+    )
+    if found:
+        path = " -> ".join(found[0].path)
+        check(
+            "stamp_millis" in path
+            and "emit_report" in path
+            and path.endswith("trace_digest()"),
+            "bad_clock_taint path reports source -> f() -> sink",
+            failures,
+        )
+
+    # --- overload_arity: arity-resolved call graph. -----------------------
+    found = by_file.get("overload_arity.cpp", [])
+    check(
+        len(found) == 1 and found[0].rule == "shared-rng-draw",
+        "overload_arity fires shared-rng-draw exactly once",
+        failures,
+    )
+    if found:
+        path = " -> ".join(found[0].path)
+        check(
+            "on_mix_tick" in path,
+            "overload_arity path roots at the handler calling the 1-arg "
+            "overload",
+            failures,
+        )
+        check(
+            "on_mix_request" not in path,
+            "overload_arity keeps the 2-arg-only handler out of the path",
+            failures,
+        )
+
+    # --- suppressed + good flow fixtures stay silent. ---------------------
+    check(
+        not by_file.get("suppressed.cpp"),
+        "suppressed.cpp is silent for the flow rules (lint:allow honoured)",
+        failures,
+    )
+    check(
+        not by_file.get("good_keyed_fork.cpp"),
+        "good_keyed_fork.cpp is silent (fork_stream never flagged)",
+        failures,
+    )
+    check(
+        any(
+            Path(s["file"]).name == "good_keyed_fork.cpp"
+            and s["method"] == "normal"
+            for s in flow.predicted_draw_sites(flow_model)
+        ),
+        "draw-site prediction covers the keyed-fork draw",
+        failures,
+    )
 
     # --- arena-escape: member cache of an arena allocation. ---------------
     found = arena.get("bad_arena_member_escape.cpp", [])
@@ -222,7 +350,7 @@ def main() -> int:
         "mix_jitter(0.5) resolves to the non-template overload only",
         failures,
     )
-    found = flow.get("template_overload.cpp", [])
+    found = grouped["flow"].get("template_overload.cpp", [])
     check(
         len(found) == 1 and found[0].rule == "shared-rng-draw",
         "template_overload fires shared-rng-draw exactly once (the "
@@ -243,28 +371,49 @@ def main() -> int:
             failures,
         )
 
+    # --- libc-rand: libc's rand, however qualified, and nothing else. -----
+    found = grouped["determinism"].get("libc_rand.cpp", [])
+    check(
+        [(f.line, f.rule) for f in found]
+        == [(line, "libc-rand") for line in range(12, 17)],
+        "libc_rand fires libc-rand on exactly the bare, std:: and :: calls "
+        "(lines 12-16), not on member or other-scope calls",
+        failures,
+    )
+
     # --- suppressions pin the escape hatch. -------------------------------
-    for name, grouped in (
-        ("arena-escape", arena),
-        ("shard-lookahead", shard),
-        ("observer-purity", observer),
-        ("hot-path-text", text),
-    ):
+    for name in ("arena-escape", "shard-lookahead", "observer-purity",
+                 "hot-path-text"):
         check(
-            not grouped.get("suppressed.cpp"),
+            not grouped[name].get("suppressed.cpp"),
             f"suppressed.cpp is silent for {name} (lint:allow honoured)",
             failures,
         )
 
-    # --- clean gate: zero findings on the real tree, one shared parse. ----
-    repo_root = Path(__file__).resolve().parent.parent
-    real = SourceModel([repo_root / "src", repo_root / "bench"]).load()
-    merged = xan_lint.run_all(real)
-    for finding in merged:
-        print(f"      unexpected: {finding}")
+    # --- src/: the committed layering figure, stale entries, draw sites. --
+    src = SourceModel([TOOLS.parent / "src"]).load()
+    committed = TOOLS.parent / "docs" / "layering.dot"
     check(
-        not merged,
-        "src/ and bench/ are clean across all analyses (one shared parse)",
+        layering.dot(src) == committed.read_text(encoding="utf-8"),
+        "docs/layering.dot is current (regenerate: python3 "
+        "tools/xan_lint.py --rule layering --dot docs/layering.dot src)",
+        failures,
+    )
+    check(
+        len(flow.predicted_draw_sites(src)) > 0,
+        "src/ draw-site prediction is non-empty",
+        failures,
+    )
+    # Without workload/, its three allowlisted deep skips are gone.
+    src.files = [sf for sf in src.files if sf.top != "workload"]
+    entries = Path(layering.__file__).read_text(encoding="utf-8").splitlines()
+    stale = layering.run(src)
+    check(
+        len(stale) == 3 and all(
+            f.file == "tools/analyses/layering.py"
+            and entries[f.line - 1].strip().startswith('("workload", ')
+            for f in stale),
+        "a stale allowlist entry is reported at its own line",
         failures,
     )
 
