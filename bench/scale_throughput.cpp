@@ -29,6 +29,11 @@
 //     isolates the event-queue data structure itself, which is what the
 //     slab-heap rework targets.
 //
+// Every preset replays five times.  Each repeat must reproduce the first
+// replay's digest and event count, and the reported wall time is the median
+// of the five, with their min and max beside it; events/s and the speedups
+// are computed from the median.
+//
 // Wall-clock timing and RSS live here (not in src/) on purpose: bench/ is
 // outside the determinism lint's scanned tree, and nothing measured here
 // feeds back into virtual time.
@@ -55,6 +60,7 @@
 // The emitted BENCH_scale.json schema is documented in ARCHITECTURE.md
 // ("BENCH_scale.json schema").
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -82,6 +88,9 @@ using Clock = bench::WallClock;
 using bench::peak_rss_mib;
 using bench::seconds_since;
 
+/// Replays per preset; wall times are the median over them.
+constexpr int kRepeats = 5;
+
 struct PresetResult {
   std::string name;
   std::string family;  // "macro" | "sharded" | "queue"
@@ -95,7 +104,9 @@ struct PresetResult {
   // Slab slots ever allocated (sum over tenant simulators when sharded).
   std::uint64_t slab_high_water = 0;
   std::uint64_t queue_ops = 0;     // schedules + cancels + fires
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;       // median over the repeats
+  double wall_seconds_min = 0.0;
+  double wall_seconds_max = 0.0;
   double events_per_sec = 0.0;
   double queue_ops_per_sec = 0.0;
   double virtual_seconds = 0.0;
@@ -164,11 +175,7 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
   result.events_fired = events;
   result.slab_high_water = manager.simulator().slab_capacity();
   result.wall_seconds = wall;
-  result.events_per_sec =
-      wall > 0.0 ? static_cast<double>(events) / wall : 0.0;
   result.virtual_seconds = virtual_span;
-  result.speedup_virtual_over_wall = wall > 0.0 ? virtual_span / wall : 0.0;
-  result.rss_peak_mib = peak_rss_mib();
   result.completed = outcome.completed_count();
   result.failed = outcome.failed_count();
   result.digest = metrics::digest_hex(outcome.trace_digest);
@@ -248,11 +255,7 @@ PresetResult run_sharded(std::size_t requests, unsigned threads,
   result.events_fired = outcome.events_fired;
   result.slab_high_water = slab_high_water;
   result.wall_seconds = wall;
-  result.events_per_sec =
-      wall > 0.0 ? static_cast<double>(outcome.events_fired) / wall : 0.0;
   result.virtual_seconds = virtual_span;
-  result.speedup_virtual_over_wall = wall > 0.0 ? virtual_span / wall : 0.0;
-  result.rss_peak_mib = peak_rss_mib();
   result.completed = outcome.mixed.aggregate.completed_count();
   result.failed = outcome.mixed.aggregate.failed_count();
   result.digest = metrics::digest_hex(outcome.mixed.aggregate.trace_digest);
@@ -328,14 +331,7 @@ PresetResult run_queue_hotpath(std::size_t target_ops) {
   result.slab_high_water = sim.slab_capacity();
   result.queue_ops = scheduled + cancelled + sim.events_fired();
   result.wall_seconds = wall;
-  result.events_per_sec =
-      wall > 0.0 ? static_cast<double>(sim.events_fired()) / wall : 0.0;
-  result.queue_ops_per_sec =
-      wall > 0.0 ? static_cast<double>(result.queue_ops) / wall : 0.0;
   result.virtual_seconds = sim.now().seconds();
-  result.speedup_virtual_over_wall =
-      wall > 0.0 ? result.virtual_seconds / wall : 0.0;
-  result.rss_peak_mib = peak_rss_mib();
   result.completed = scheduled - cancelled;
   // Determinism pin for the queue family (the macro digest covers the
   // platform; this covers the raw event queue): fold the op counters and the
@@ -361,7 +357,10 @@ common::JsonValue to_json(const PresetResult& r) {
   o.set("events_fired", static_cast<double>(r.events_fired));
   o.set("slab_high_water", static_cast<double>(r.slab_high_water));
   o.set("queue_ops", static_cast<double>(r.queue_ops));
+  o.set("repeats", static_cast<double>(kRepeats));
   o.set("wall_seconds", r.wall_seconds);
+  o.set("wall_seconds_min", r.wall_seconds_min);
+  o.set("wall_seconds_max", r.wall_seconds_max);
   o.set("events_per_sec", r.events_per_sec);
   o.set("queue_ops_per_sec", r.queue_ops_per_sec);
   o.set("virtual_seconds", r.virtual_seconds);
@@ -377,11 +376,12 @@ common::JsonValue to_json(const PresetResult& r) {
 
 void print_result(const PresetResult& r) {
   std::printf(
-      "  %-18s %9zu req  %12llu events  %8.3fs wall  %12.0f ev/s  "
-      "%9.0fx speedup  %7.1f MiB peak  %8llu slab\n",
+      "  %-18s %9zu req  %12llu events  %8.3fs wall (%.3f-%.3f)  "
+      "%12.0f ev/s  %9.0fx speedup  %7.1f MiB peak  %8llu slab\n",
       r.name.c_str(), r.requests,
       static_cast<unsigned long long>(r.events_fired), r.wall_seconds,
-      r.events_per_sec, r.speedup_virtual_over_wall, r.rss_peak_mib,
+      r.wall_seconds_min, r.wall_seconds_max, r.events_per_sec,
+      r.speedup_virtual_over_wall, r.rss_peak_mib,
       static_cast<unsigned long long>(r.slab_high_water));
   if (r.queue_ops > 0) {
     std::printf("  %-18s %30llu queue ops  %21.0f ops/s\n", "",
@@ -400,6 +400,36 @@ void print_result(const PresetResult& r) {
 void fail(const char* what) {
   std::fprintf(stderr, "scale_throughput: SELF-CHECK FAILED: %s\n", what);
   std::exit(1);
+}
+
+/// Runs `replay` kRepeats times.  Every repeat must reproduce the first
+/// replay's digest and event count.  The result is the first replay's, with
+/// the median wall time (and the min and max) and rates from that median.
+template <typename Replay>
+PresetResult measure(Replay&& replay) {
+  PresetResult result = replay();
+  std::vector<double> walls{result.wall_seconds};
+  for (int i = 1; i < kRepeats; ++i) {
+    const PresetResult again = replay();
+    if (again.digest != result.digest ||
+        again.events_fired != result.events_fired) {
+      fail("a repeated replay did not reproduce the first one's digest and "
+           "event count");
+    }
+    walls.push_back(again.wall_seconds);
+  }
+  std::sort(walls.begin(), walls.end());
+  const double wall = walls[kRepeats / 2];
+  result.wall_seconds = wall;
+  result.wall_seconds_min = walls.front();
+  result.wall_seconds_max = walls.back();
+  if (wall > 0.0) {
+    result.events_per_sec = static_cast<double>(result.events_fired) / wall;
+    result.queue_ops_per_sec = static_cast<double>(result.queue_ops) / wall;
+    result.speedup_virtual_over_wall = result.virtual_seconds / wall;
+  }
+  result.rss_peak_mib = peak_rss_mib();
+  return result;
 }
 
 }  // namespace
@@ -441,15 +471,18 @@ int main(int argc, char** argv) {
   for (const std::size_t requests : macro_sizes) {
     for (const core::PlatformKind kind :
          {core::PlatformKind::KnativeLike, core::PlatformKind::XanaduJit}) {
-      results.push_back(run_macro(kind, requests, /*seed=*/42));
+      results.push_back(
+          measure([&] { return run_macro(kind, requests, /*seed=*/42); }));
       print_result(results.back());
     }
   }
   if (huge) {
     // The 10M point: streamed (no retained results), so neither the result
     // vector nor the queued arrivals grow with the request count.
-    results.push_back(run_macro(core::PlatformKind::XanaduJit, 10'000'000,
-                                /*seed=*/42));
+    results.push_back(measure([] {
+      return run_macro(core::PlatformKind::XanaduJit, 10'000'000,
+                       /*seed=*/42);
+    }));
     print_result(results.back());
   }
   // Sharded thread curve: the conservative parallel drain over the same
@@ -458,7 +491,8 @@ int main(int argc, char** argv) {
   const std::size_t sharded_requests = smoke ? 2'000 : 100'000;
   std::vector<std::size_t> curve_index;
   for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    PresetResult point = run_sharded(sharded_requests, threads, /*seed=*/42);
+    PresetResult point = measure(
+        [&] { return run_sharded(sharded_requests, threads, /*seed=*/42); });
     if (threads > 1) {
       const PresetResult& base = results[curve_index.front()];
       point.speedup_vs_one_thread =
@@ -470,7 +504,8 @@ int main(int argc, char** argv) {
     print_result(results.back());
   }
 
-  results.push_back(run_queue_hotpath(smoke ? 100'000 : 2'000'000));
+  results.push_back(
+      measure([&] { return run_queue_hotpath(smoke ? 100'000 : 2'000'000); }));
   print_result(results.back());
 
   // Self-checks (always on; --smoke exists so CTest runs them quickly).
@@ -501,13 +536,6 @@ int main(int argc, char** argv) {
     if (r.speedup_virtual_over_wall <= 1.0) {
       fail("virtual time ran slower than wall clock");
     }
-  }
-  // Replay determinism: the same seed must reproduce the first macro digest.
-  {
-    const PresetResult& first = results.front();
-    const PresetResult again =
-        run_macro(core::PlatformKind::KnativeLike, first.requests, 42);
-    if (again.digest != first.digest) fail("macro replay digest diverged");
   }
   // Thread-count invariance across the sharded curve: every point must
   // reproduce the sequential point's digest, event count and request
@@ -551,7 +579,7 @@ int main(int argc, char** argv) {
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.scale/v5",
+          json_path, "xanadu.bench.scale/v6",
           "4-node linear chain, 5 ms exec, Poisson arrivals (20 ms mean "
           "gap), seed 42; sharded curve: same volume over 4 tenant shards + "
           "fleet shard, threads 1/2/4/8; queue hot path: window-256 "

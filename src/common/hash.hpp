@@ -1,10 +1,10 @@
 #pragma once
 
-// FNV-1a hashing primitives shared by the trace-digest pipeline
-// (metrics/trace.hpp) and the virtual-time race detector (sim/race_detector
-// .hpp).  FNV-1a is used deliberately: byte-order-free, dependency-free, and
-// stable across platforms, so digests can be pinned in tests and compared
-// across machines.
+// The one FNV-1a in src/: trace digests (metrics/), engine-state and probe
+// digests, and the sharded runner's per-shard folds
+// (workload/traffic_mix.cpp) are all built from these primitives.  FNV-1a
+// is used deliberately: byte-order-free, dependency-free, and stable across
+// platforms, so digests can be pinned in tests and compared across machines.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +31,23 @@ inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 [[nodiscard]] constexpr std::uint64_t fnv1a(
     std::string_view text, std::uint64_t seed = kFnvOffsetBasis) {
   return fnv1a_bytes(text.data(), text.size(), seed);
+}
+
+/// Folds `text` into two running FNV-1a digests in one loop over the bytes:
+/// the same result as `first = fnv1a(text, first); second = fnv1a(text,
+/// second);`.  Each digest is a serial chain of multiplies, but the two
+/// chains are independent, so they overlap instead of running back to back.
+constexpr void fnv1a_both(std::string_view text, std::uint64_t& first,
+                          std::uint64_t& second) {
+  std::uint64_t a = first;
+  std::uint64_t b = second;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    a = (a ^ byte) * kFnvPrime;
+    b = (b ^ byte) * kFnvPrime;
+  }
+  first = a;
+  second = b;
 }
 
 /// Folds one 64-bit value into a running digest (little-endian byte order,

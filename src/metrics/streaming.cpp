@@ -36,18 +36,15 @@ void RunStats::consume(const platform::RequestResult& result) {
 }
 
 void RunStats::merge(const RunStats& other) {
-  if (other.total == 0) return;
-  if (total == 0) {
-    const sim::Duration own_threshold = threshold;
-    *this = other;
-    threshold = own_threshold;
-    if (threshold != other.threshold) {
-      throw std::invalid_argument{"RunStats::merge: threshold mismatch"};
-    }
-    return;
-  }
+  // Checked before anything is written, so a rejected merge leaves *this
+  // as it was.
   if (threshold != other.threshold) {
     throw std::invalid_argument{"RunStats::merge: threshold mismatch"};
+  }
+  if (other.total == 0) return;
+  if (total == 0) {
+    *this = other;
+    return;
   }
   // Chan's parallel Welford update, before the counts change.
   const double na = static_cast<double>(completed());
@@ -321,8 +318,7 @@ void StreamingTrace::consume(std::size_t source,
   scratch_.clear();
   append_trace_csv(scratch_, result, lane.node_names);
 
-  digest_ = common::fnv1a(scratch_, digest_);
-  lane.digest = common::fnv1a(scratch_, lane.digest);
+  common::fnv1a_both(scratch_, digest_, lane.digest);
 
   stats_.consume(result);
   lane.stats.consume(result);

@@ -91,7 +91,8 @@ struct RunStats {
   void consume(const platform::RequestResult& result);
 
   /// Folds another lane's sums into this one (Chan's parallel-Welford update
-  /// for the variance accumulator).  Thresholds must match.  Used by the
+  /// for the variance accumulator).  Thresholds must match: a mismatch
+  /// throws std::invalid_argument and leaves this lane unchanged.  Used by the
   /// sharded runner to combine per-shard lanes in shard order -- the merge
   /// is pure arithmetic over the operands, so it is deterministic for a
   /// deterministic merge order.

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "platform/worker_state.hpp"
 #include "sim/audit.hpp"
 #include "sim/sharded.hpp"
@@ -356,23 +357,6 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
   return run_sources(manager, views_of(mix), options, /*retain_lanes=*/true);
 }
 
-namespace {
-
-// FNV-1a fold of one 64-bit value, little-endian bytes -- the same hash
-// family metrics::trace_digest uses, applied to combine per-shard digests in
-// shard order.
-std::uint64_t fnv_fold(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xffu;
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
-
-}  // namespace
-
 ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
                                const RunOptions& options) {
   if (shards.empty()) {
@@ -536,9 +520,9 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
 
   // Per-shard outcomes (shard order), then deterministic aggregation.
   RunOutcome& aggregate = mixed.aggregate;
-  std::uint64_t trace_fold = kFnvBasis;
-  std::uint64_t state_fold = kFnvBasis;
-  std::uint64_t fleet_fold = kFnvBasis;
+  std::uint64_t trace_fold = common::kFnvOffsetBasis;
+  std::uint64_t state_fold = common::kFnvOffsetBasis;
+  std::uint64_t fleet_fold = common::kFnvOffsetBasis;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     streams[i]->finish();
     RunOutcome& lane = mixed.per_source[i];
@@ -555,24 +539,24 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
       aggregate.histogram.merge(lane.histogram);
     }
     aggregate.ledger_delta += lane.ledger_delta;
-    trace_fold = fnv_fold(trace_fold, static_cast<std::uint64_t>(i));
-    trace_fold = fnv_fold(trace_fold, lane.trace_digest);
-    state_fold = fnv_fold(state_fold, static_cast<std::uint64_t>(i));
-    state_fold =
-        fnv_fold(state_fold, shards[i].manager->engine().state_digest());
+    trace_fold = common::fnv1a_u64(i, trace_fold);
+    trace_fold = common::fnv1a_u64(lane.trace_digest, trace_fold);
+    state_fold = common::fnv1a_u64(i, state_fold);
+    state_fold = common::fnv1a_u64(
+        shards[i].manager->engine().state_digest(), state_fold);
 
     if (fleet_view[i] != nullptr) {
       const platform::WorkerStateTracker& tracker = *fleet_view[i];
       outcome.fleet_events += tracker.events_seen();
-      fleet_fold = fnv_fold(fleet_fold, static_cast<std::uint64_t>(i));
-      fleet_fold = fnv_fold(fleet_fold, tracker.live_count());
-      fleet_fold = fnv_fold(
-          fleet_fold, tracker.count(platform::WorkerEventKind::Provisioning));
-      fleet_fold =
-          fnv_fold(fleet_fold, tracker.count(platform::WorkerEventKind::Busy));
-      fleet_fold =
-          fnv_fold(fleet_fold, tracker.count(platform::WorkerEventKind::Idle));
-      fleet_fold = fnv_fold(fleet_fold, tracker.events_seen());
+      fleet_fold = common::fnv1a_u64(i, fleet_fold);
+      fleet_fold = common::fnv1a_u64(tracker.live_count(), fleet_fold);
+      fleet_fold = common::fnv1a_u64(
+          tracker.count(platform::WorkerEventKind::Provisioning), fleet_fold);
+      fleet_fold = common::fnv1a_u64(
+          tracker.count(platform::WorkerEventKind::Busy), fleet_fold);
+      fleet_fold = common::fnv1a_u64(
+          tracker.count(platform::WorkerEventKind::Idle), fleet_fold);
+      fleet_fold = common::fnv1a_u64(tracker.events_seen(), fleet_fold);
     }
   }
   aggregate.trace_digest = trace_fold;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/worker.hpp"
+#include "common/hash.hpp"
 #include "core/dispatch_manager.hpp"
 #include "core/metadata_store.hpp"
 #include "metrics/trace.hpp"
@@ -102,9 +103,9 @@ TEST(determinism, DigestCoversTimingsNotJustStructure) {
 TEST(determinism, DigestHexRendersFixedWidth) {
   EXPECT_EQ(metrics::digest_hex(0), "0000000000000000");
   EXPECT_EQ(metrics::digest_hex(0xdeadbeefULL), "00000000deadbeef");
-  EXPECT_EQ(metrics::fnv1a(""), metrics::kFnvOffsetBasis);
+  EXPECT_EQ(common::fnv1a(""), common::kFnvOffsetBasis);
   // Published FNV-1a 64-bit test vector.
-  EXPECT_EQ(metrics::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(common::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
 }
 
 TEST(determinism, GoldenDigestGuard) {
@@ -184,7 +185,7 @@ TEST(determinism, MetadataDumpParseRoundTripIsStable) {
   const std::string text2 = reparsed.value().dump();
 
   EXPECT_EQ(text1, text2);
-  EXPECT_EQ(metrics::fnv1a(text1), metrics::fnv1a(text2));
+  EXPECT_EQ(common::fnv1a(text1), common::fnv1a(text2));
 }
 
 TEST(determinism, ReplayFromReparsedMetadataMatchesOriginal) {

@@ -23,7 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -508,6 +510,97 @@ TEST(RunStatsTest, WelfordVarianceMatchesTwoPass) {
   const double two_pass = m2 / static_cast<double>(samples.size());
   EXPECT_NEAR(stats.overhead_variance(), two_pass, 1e-12);
   EXPECT_NEAR(stats.welford_mean, mean, 1e-12);
+}
+
+/// A result with random sums, failed with probability 0.2.
+platform::RequestResult random_result(common::Rng& rng) {
+  platform::RequestResult result;
+  result.failed = rng.bernoulli(0.2);
+  result.overhead = sim::Duration::from_micros(
+      static_cast<std::int64_t>(rng.uniform_int(400'000)));
+  result.end_to_end = result.overhead + sim::Duration::from_micros(
+      static_cast<std::int64_t>(rng.uniform_int(2'000'000)));
+  result.cold_starts = rng.uniform_int(5);
+  result.workers_provisioned = rng.uniform_int(7);
+  result.speculation.missed_nodes = rng.uniform_int(3);
+  return result;
+}
+
+TEST(RunStatsTest, MismatchedMergeLeavesTheTargetUnchanged) {
+  common::Rng rng{99};
+  metrics::RunStats other;
+  for (int i = 0; i < 20; ++i) other.consume(random_result(rng));
+  ASSERT_GT(other.completed(), 1u);
+
+  metrics::RunStats empty;
+  empty.threshold = sim::Duration::from_millis(50);
+  EXPECT_THROW(empty.merge(other), std::invalid_argument);
+  EXPECT_EQ(empty.threshold, sim::Duration::from_millis(50));
+  EXPECT_EQ(empty.total, 0u);
+  EXPECT_EQ(empty.failed, 0u);
+  EXPECT_EQ(empty.over_threshold, 0u);
+  EXPECT_EQ(empty.sum_overhead_ms, 0.0);
+  EXPECT_EQ(empty.sum_end_to_end_ms, 0.0);
+  EXPECT_EQ(empty.sum_cold_starts, 0.0);
+  EXPECT_EQ(empty.sum_workers, 0.0);
+  EXPECT_EQ(empty.sum_missed_nodes, 0.0);
+  EXPECT_EQ(empty.welford_mean, 0.0);
+  EXPECT_EQ(empty.welford_m2, 0.0);
+
+  metrics::RunStats full;
+  full.threshold = sim::Duration::from_millis(50);
+  for (int i = 0; i < 5; ++i) full.consume(random_result(rng));
+  const metrics::RunStats before = full;
+  EXPECT_THROW(full.merge(other), std::invalid_argument);
+  EXPECT_EQ(full.total, before.total);
+  EXPECT_EQ(full.failed, before.failed);
+  EXPECT_EQ(full.sum_overhead_ms, before.sum_overhead_ms);
+  EXPECT_EQ(full.welford_mean, before.welford_mean);
+  EXPECT_EQ(full.welford_m2, before.welford_m2);
+}
+
+TEST(RunStatsTest, LanesMergedInLaneOrderMatchOneFold) {
+  // Lanes in the sharded runner's shape: per-lane folds merged in lane
+  // order.  Lane 3 sees only failures (no completed sample) and lane 4
+  // nothing, so every branch of the merge runs.  Counts are exact; the sums
+  // and the Welford state are added in a different order than the single
+  // fold, so they agree to a relative 1e-12.
+  constexpr double kRelative = 1e-12;
+  common::Rng rng{20261017};
+  std::vector<metrics::RunStats> lanes(5);
+  metrics::RunStats whole;
+  for (int i = 0; i < 4000; ++i) {
+    platform::RequestResult result = random_result(rng);
+    std::size_t lane = rng.uniform_int(3);
+    if (i % 50 == 0) {
+      result.failed = true;
+      lane = 3;
+    }
+    lanes[lane].consume(result);
+    whole.consume(result);
+  }
+  ASSERT_EQ(lanes[3].completed(), 0u);
+  ASSERT_GT(lanes[3].total, 0u);
+  ASSERT_EQ(lanes[4].total, 0u);
+
+  metrics::RunStats merged = lanes.front();
+  for (std::size_t lane = 1; lane < lanes.size(); ++lane) {
+    merged.merge(lanes[lane]);
+  }
+  EXPECT_EQ(merged.total, whole.total);
+  EXPECT_EQ(merged.failed, whole.failed);
+  EXPECT_EQ(merged.over_threshold, whole.over_threshold);
+  const auto near = [kRelative](double actual, double expected) {
+    EXPECT_NEAR(actual, expected, kRelative * std::abs(expected));
+  };
+  near(merged.sum_overhead_ms, whole.sum_overhead_ms);
+  near(merged.sum_end_to_end_ms, whole.sum_end_to_end_ms);
+  near(merged.sum_cold_starts, whole.sum_cold_starts);
+  near(merged.sum_workers, whole.sum_workers);
+  near(merged.sum_missed_nodes, whole.sum_missed_nodes);
+  near(merged.welford_mean, whole.welford_mean);
+  near(merged.overhead_variance(), whole.overhead_variance());
+  EXPECT_GT(whole.overhead_variance(), 0.0);
 }
 
 }  // namespace

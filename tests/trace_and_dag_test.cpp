@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -126,13 +128,19 @@ std::string reference_rows(const platform::RequestResult& result,
 }
 
 // Microsecond values spread over every rendering regime: sub-millisecond,
-// ordinary, the 999999.5 ms -> "1e+06" rounding boundary, past 1e7 ms, and
-// up to ~1e10 ms.
+// ordinary, the 999999.5 ms -> "1e+06" rounding boundary, past 1e7 ms, up
+// to ~1e10 ms, and negative.  Halfway values sit exactly between two 6-digit
+// renderings: 1,234,565,000 and 1,234,575,000 us are exact binary ties
+// (round half to even), while 1,234,565 and 12,345,650 us are not, and the
+// double nearest them falls on one side (up to "1234.57", down to
+// "12345.6").
 std::int64_t random_micros(common::Rng& rng) {
   static constexpr std::int64_t kEdges[] = {
-      0,          1,          999,           1000,          999'999'499,
-      999'999'500, 1'000'000'000, 9'999'995'000, 10'000'000'000};
-  switch (rng.uniform_int(4)) {
+      0,           1,             999,           1000,
+      999'999'499, 999'999'500,   1'000'000'000, 9'999'995'000,
+      10'000'000'000, 1'234'565,  12'345'650,    1'234'565'000,
+      1'234'575'000};
+  switch (rng.uniform_int(6)) {
     case 0:
       return kEdges[rng.uniform_int(std::size(kEdges))];
     case 1:
@@ -140,6 +148,15 @@ std::int64_t random_micros(common::Rng& rng) {
     case 2:  // Around the 1e6 ms boundary.
       return 999'000'000 +
              static_cast<std::int64_t>(rng.uniform_int(2'000'000));
+    case 3: {  // Halfway between two 6-digit renderings, 7 to 13 digits.
+      const std::int64_t unit = static_cast<std::int64_t>(
+          std::pow(10.0, static_cast<double>(1 + rng.uniform_int(7))));
+      const auto kept =
+          static_cast<std::int64_t>(100'000 + rng.uniform_int(900'000));
+      return kept * unit + unit / 2;
+    }
+    case 4:  // Any of the above, negated.
+      return -random_micros(rng);
     default:  // Log-uniform up to 1e13 us.
       return static_cast<std::int64_t>(std::pow(10.0, rng.uniform(0.0, 13.0)));
   }
@@ -180,6 +197,74 @@ TEST(Trace, ToCharsRendererMatchesTheOstreamReference) {
     rows += result.node_records.size();
   }
   EXPECT_GT(rows, 10'000u);
+}
+
+// Compares write_millis() with std::to_chars on the double it replaces,
+// reporting the first few mismatches.
+class MillisSweep {
+ public:
+  void check(std::int64_t micros) {
+    char expected[32];
+    char actual[metrics::kMillisBufferSize];
+    const char* expected_end =
+        std::to_chars(expected, expected + sizeof expected,
+                      static_cast<double>(micros) / 1e3,
+                      std::chars_format::general, 6)
+            .ptr;
+    const char* actual_end = metrics::write_millis(actual, micros);
+    ++checked_;
+    const std::string_view want{
+        expected, static_cast<std::size_t>(expected_end - expected)};
+    const std::string_view got{
+        actual, static_cast<std::size_t>(actual_end - actual)};
+    if (want != got && ++mismatches_ <= 10) {
+      ADD_FAILURE() << micros << " us: wrote \"" << got
+                    << "\", std::to_chars writes \"" << want << '"';
+    }
+  }
+  [[nodiscard]] std::uint64_t checked() const { return checked_; }
+  [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
+
+ private:
+  std::uint64_t checked_ = 0;
+  std::uint64_t mismatches_ = 0;
+};
+
+TEST(Trace, MillisRendererEqualsToCharsOnEveryInputSet) {
+  MillisSweep sweep;
+  // Every value in [-2,000,000, 2,000,000] us: each rendering regime below
+  // 2e3 ms, including the first decimal ties at 7 digits.
+  for (std::int64_t us = -2'000'000; us <= 2'000'000; ++us) sweep.check(us);
+  common::Rng rng{20261017};
+  // Halfway values and their neighbours for every digit count from 7 to 16:
+  // the digits past the sixth are a 5 and then zeros.
+  std::int64_t unit = 10;
+  for (int digits = 7; digits <= 16; ++digits, unit *= 10) {
+    for (int i = 0; i < 10'000; ++i) {
+      const auto kept =
+          static_cast<std::int64_t>(100'000 + rng.uniform_int(900'000));
+      const std::int64_t tie = kept * unit + unit / 2;
+      for (const std::int64_t delta : {-1, 0, 1}) sweep.check(tie + delta);
+    }
+  }
+  // Every power of ten, and three either side of it, both signs.
+  for (std::int64_t power = 1;; power *= 10) {
+    for (std::int64_t delta = -3; delta <= 3; ++delta) {
+      sweep.check(power + delta);
+      sweep.check(-(power + delta));
+    }
+    if (power > std::numeric_limits<std::int64_t>::max() / 10) break;
+  }
+  sweep.check(std::numeric_limits<std::int64_t>::min());
+  sweep.check(std::numeric_limits<std::int64_t>::max());
+  // Log-uniform magnitudes up to 1e18 us, either sign.
+  for (int i = 0; i < 1'000'000; ++i) {
+    const auto magnitude =
+        static_cast<std::int64_t>(std::pow(10.0, rng.uniform(0.0, 18.0)));
+    sweep.check(rng.bernoulli(0.5) ? -magnitude : magnitude);
+  }
+  EXPECT_EQ(sweep.mismatches(), 0u);
+  EXPECT_GT(sweep.checked(), 5'300'000u);
 }
 
 // ------------------------------------------------------------ random dag --

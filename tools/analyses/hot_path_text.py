@@ -1,15 +1,15 @@
 """hot-path-text: no text formatting on the per-event path.
 
 The simulator's per-request work runs inside event handlers, and text
-formatting there is pure overhead: the trace renderer writes numbers with
-`std::to_chars`, and the control bus carries typed payloads instead of
-strings formatted with `snprintf` and parsed back with `sscanf`.  A
-`std::ostringstream` costs a heap buffer, a locale and a `str()` copy per
-use; in a replay that runs it per request it dominated the wall time while
-a profiler of the executable alone could not see it (the work runs in
-libstdc++).  This rule keeps formatting off that path statically: any
-function in src/ reachable from an event-handler root (a function that
-schedules or subscribes callbacks) that
+formatting there is pure overhead: the trace renderer writes digits into
+the caller's buffer with integer arithmetic, and the control bus carries
+typed payloads instead of strings formatted with `snprintf` and parsed
+back with `sscanf`.  A `std::ostringstream` costs a heap buffer, a locale
+and a `str()` copy per use; in a replay that runs it per request it
+dominated the wall time while a profiler of the executable alone could not
+see it (the work runs in libstdc++).  This rule keeps formatting off that
+path statically: any function in src/ reachable from an event-handler root
+(a function that schedules or subscribes callbacks) that
 
   * names a `std::ostringstream` / `std::stringstream` object, or
   * calls `snprintf`, `sscanf` or `to_string`
