@@ -288,7 +288,6 @@ StreamingTrace::StreamingTrace(StreamOptions options)
   // trace_csv(results, dag) renders: header first, then rows.
   digest_ = common::fnv1a(trace_csv_header());
   stats_.threshold = options_.over_threshold;
-  if (options_.ring_capacity > 0) ring_.reserve(options_.ring_capacity);
   if (!options_.spill_path.empty()) {
     spill_ = std::make_unique<CsvSpill>(options_.spill_path,
                                         options_.spill_chunk_bytes);
@@ -325,29 +324,10 @@ void StreamingTrace::consume(std::size_t source,
   if (!result.failed) histogram_.record(result.overhead.millis());
 
   if (spill_) spill_->append(scratch_);
-
-  if (options_.ring_capacity > 0) {
-    if (ring_size_ < options_.ring_capacity) {
-      ring_.push_back(result);
-      ++ring_size_;
-    } else {
-      ring_[ring_start_] = result;
-      ring_start_ = (ring_start_ + 1) % options_.ring_capacity;
-    }
-  }
 }
 
 void StreamingTrace::finish() {
   if (spill_) spill_->finish();
-}
-
-std::vector<platform::RequestResult> StreamingTrace::recent() const {
-  std::vector<platform::RequestResult> out;
-  out.reserve(ring_size_);
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    out.push_back(ring_[(ring_start_ + i) % ring_.size()]);
-  }
-  return out;
 }
 
 }  // namespace xanadu::metrics

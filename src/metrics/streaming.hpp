@@ -17,7 +17,6 @@
 //     accumulator for overhead variance, cold-start fraction, and the
 //     fraction-over-threshold counter;
 //   - a fixed-bin latency histogram for tail quantiles;
-//   - an optional fixed-capacity ring of the most recent results;
 //   - an optional chunked CSV spill whose file bytes are exactly the
 //     digested bytes, so a spilled run can be replayed and re-verified.
 //
@@ -47,8 +46,6 @@ namespace xanadu::metrics {
 /// Configuration for StreamingTrace.  The defaults keep everything bounded
 /// and cheap; spill is off unless a path is given.
 struct StreamOptions {
-  /// Most-recent results retained for inspection; 0 disables the ring.
-  std::size_t ring_capacity = 0;
   /// Latency histogram: `histogram_bins` bins of `histogram_bin_ms` each,
   /// recording completed-request overhead; values past the last bin land in
   /// an explicit overflow bucket.
@@ -248,8 +245,6 @@ class StreamingTrace {
   [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] const LatencyHistogram& histogram() const { return histogram_; }
   [[nodiscard]] std::uint64_t consumed() const { return stats_.total; }
-  /// Ring snapshot, oldest first.  Empty when ring_capacity is 0.
-  [[nodiscard]] std::vector<platform::RequestResult> recent() const;
 
   // -- Per-source lanes -------------------------------------------------------
   [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
@@ -281,10 +276,6 @@ class StreamingTrace {
   std::uint64_t digest_ = 0;
   RunStats stats_;
   LatencyHistogram histogram_;
-  /// Ring storage: slots_[(start_ + i) % capacity] for i in [0, size_).
-  std::vector<platform::RequestResult> ring_;
-  std::size_t ring_start_ = 0;
-  std::size_t ring_size_ = 0;
   std::unique_ptr<CsvSpill> spill_;
   /// Reused row-render buffer; cleared per consume, capacity retained.
   std::string scratch_;

@@ -31,10 +31,8 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
                  [this](WorkerEventKind kind, WorkerId worker) {
                    publish_worker_event(kind, worker);
                  }),
-      recovery_(sim_, cluster_, calib_, fault_plan_, recovery_hooks()),
       pipeline_(sim_, cluster_, calib_, fault_plan_, warm_pool_,
-                recovery_.stats(), pipeline_hooks()) {
-  recovery_.wire(warm_pool_, pipeline_);
+                recovery_stats_, pipeline_hooks()) {
   using workflow::SandboxKind;
   if (calib_.container_profile) {
     cluster_.catalog().set_profile(SandboxKind::Container, *calib_.container_profile);
@@ -112,7 +110,7 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   RequestContext& ref = *ctx;
   requests_.emplace(ref.id, std::move(ctx));
 
-  recovery_.maybe_schedule_host_outage();
+  maybe_schedule_host_outage();
 
   view_.record_arrival(workflow_id, sim_.now());
 
@@ -211,7 +209,7 @@ void PlatformEngine::dispatch_node(RequestContext& ctx, NodeId node) {
     if (fault_plan_.active()) {
       // Capacity loss is transient under host outages: back off and retry
       // instead of aborting the whole experiment.
-      recovery_.retry_node(ctx, node, "cluster out of capacity");
+      retry_node(ctx, node, "cluster out of capacity");
       return;
     }
     throw std::runtime_error{
@@ -223,7 +221,7 @@ void PlatformEngine::dispatch_node(RequestContext& ctx, NodeId node) {
 
 PendingProvision* PlatformEngine::start_provision(FunctionId fn,
                                                   RequestContext* ctx) {
-  PendingProvision* provision = pipeline_.start(fn);
+  PendingProvision* provision = pipeline_.start(fn, function_info(fn).spec);
   if (provision != nullptr && ctx != nullptr) ++ctx->workers_provisioned;
   return provision;
 }
@@ -263,7 +261,7 @@ void PlatformEngine::provision_ready(FunctionId fn, WorkerId worker_id,
       }
       if (cluster_.find_worker(worker_id) == nullptr) {
         // The worker died during the handoff (host outage); re-dispatch.
-        recovery_.retry_node(*live, node, "worker lost during handoff");
+        retry_node(*live, node, "worker lost during handoff");
         return;
       }
       NodeRecord& record = live->nodes[node.value()];
@@ -322,7 +320,7 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
             }
             return;
           }
-          recovery_.crash_execution(*live, node);
+          crash_execution(*live, node);
         }, "engine.exec_crash");
     return;
   }
@@ -340,7 +338,7 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
             worker->end_execution(sim_.now());
             publish_worker_event(WorkerEventKind::Idle, worker_id);
             warm_pool_.park(worker->function(), worker_id);
-            ++recovery_.stats().orphans_reaped;
+            ++recovery_stats_.orphans_reaped;
           }
           return;
         }
@@ -515,7 +513,7 @@ void PlatformEngine::maybe_finish_request(RequestContext& ctx) {
 }
 
 void PlatformEngine::fail_request(RequestContext& ctx, std::string reason) {
-  ++recovery_.stats().requests_failed;
+  ++recovery_stats_.requests_failed;
   RequestResult result = result_prologue(ctx);
   result.failed = true;
   result.failure_reason = std::move(reason);

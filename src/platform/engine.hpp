@@ -9,14 +9,16 @@
 //     provision, or start a cold provision on trigger,
 //   * per-request timing records and the C_D computation of Equation 1.
 //
-// The mechanics behind those decisions live in three composable subsystems
-// (see ARCHITECTURE.md "Engine decomposition"):
+// The warm pool and provisioning mechanics behind those decisions live in two
+// subsystems that never see a request (see ARCHITECTURE.md "Engine
+// decomposition"):
 //   * WarmPoolManager    -- warm deques, keep-alive timers, eviction, rebind,
 //   * ProvisionPipeline  -- PendingProvision slots, daemon commands/acks/
-//                           retries, redirects, the live-worker throttle,
-//   * RecoveryManager    -- retry/backoff, host outages, RecoveryStats.
-// The engine wires them together with callbacks; no subsystem reaches into
-// another's (or the engine's) private state.
+//                           retries, redirects, the live-worker throttle.
+// The engine wires them together with callbacks; neither reaches into the
+// other's (or the engine's) private state.  Fault recovery -- node retry with
+// backoff, mid-execution crashes, host outages, RecoveryStats -- is request-
+// lifecycle code and lives in the engine itself (recovery.cpp).
 //
 // A ProvisionPolicy hooks into the request lifecycle to prewarm workers
 // ahead of triggers; Xanadu's speculative and JIT modes are policies.
@@ -24,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -33,7 +36,6 @@
 #include "platform/message_bus.hpp"
 #include "platform/policy.hpp"
 #include "platform/provision_pipeline.hpp"
-#include "platform/recovery.hpp"
 #include "platform/request.hpp"
 #include "platform/warm_pool.hpp"
 #include "sim/fault_plan.hpp"
@@ -81,7 +83,7 @@ class PlatformEngine {
   }
   /// True if a provisioning operation for `fn` is in flight.
   [[nodiscard]] bool provisioning_in_flight(FunctionId fn) const {
-    return pipeline_.has_provisions(fn) || warm_pool_.inbound_rebinds(fn) > 0;
+    return provisioning_count(fn) > 0;
   }
   /// In-flight provisioning operations covering `fn`: pending sandbox builds
   /// plus inbound warm-worker rebinds.  Policies that maintain pools deeper
@@ -100,7 +102,7 @@ class PlatformEngine {
   [[nodiscard]] const sim::FaultPlan& fault_plan() const { return fault_plan_; }
   /// What the recovery machinery did so far (all zero on fault-free runs).
   [[nodiscard]] const RecoveryStats& recovery_stats() const {
-    return recovery_.stats();
+    return recovery_stats_;
   }
   /// Requests submitted but neither completed nor failed yet.
   [[nodiscard]] std::size_t inflight_request_count() const {
@@ -230,13 +232,32 @@ class PlatformEngine {
 
   // Subsystem glue (wired as callbacks at construction).
   ProvisionPipeline::Hooks pipeline_hooks();
-  RecoveryManager::Hooks recovery_hooks();
   /// A completed build: finish provisioning, notify the policy, serve the
   /// first live waiter and re-dispatch the rest (or park the worker warm).
   void provision_ready(FunctionId fn, WorkerId worker,
                        ProvisionWaiters waiters);
   /// Starts a provision for `fn` attributed to `ctx` (if non-null).
   PendingProvision* start_provision(FunctionId fn, RequestContext* ctx);
+
+  // Fault recovery (recovery.cpp).  Inert on fault-free runs: nothing here
+  // executes unless the fault plan is active, so fault-free digests cannot
+  // move.
+  /// Re-dispatches `node` after its worker died or capacity vanished, with
+  /// exponential backoff; fails the request once retries are exhausted.
+  /// With recovery disabled the node simply strands.
+  void retry_node(RequestContext& ctx, NodeId node, const char* cause);
+  /// retry_node for every waiter whose request is still live.
+  void retry_waiters(const ProvisionWaiters& waiters, const char* cause);
+  /// Injected mid-execution worker crash: the sandbox dies, the node retries.
+  void crash_execution(RequestContext& ctx, NodeId node);
+  /// Draws the next outage from the plan and schedules it (one in flight at
+  /// a time; rescheduled on fire only while requests are live).
+  void maybe_schedule_host_outage();
+  void apply_host_outage(std::size_t host_index);
+  /// Outage teardown of one worker, whatever lifecycle stage it is in.
+  void kill_worker_for_fault(WorkerId worker);
+  /// The (request, node) currently executing on `worker`, or {nullptr, {}}.
+  std::pair<RequestContext*, NodeId> find_executing(WorkerId worker);
 
   [[nodiscard]] sim::Duration dispatch_overhead();
   /// Publishes a worker lifecycle event on the control bus (no-op when the
@@ -264,7 +285,11 @@ class PlatformEngine {
   sim::FaultPlan fault_plan_;
 
   WarmPoolManager warm_pool_;
-  RecoveryManager recovery_;
+  /// What fault recovery did so far.  Declared before pipeline_, which
+  /// borrows it.
+  RecoveryStats recovery_stats_;
+  /// True while a host-outage event is scheduled (one at a time).
+  bool outage_pending_ = false;
   ProvisionPipeline pipeline_;
 
   std::unordered_map<WorkflowId, RegisteredWorkflow> workflows_;

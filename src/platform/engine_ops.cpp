@@ -1,5 +1,6 @@
 // PlatformEngine: registration, introspection, subsystem hook wiring, and
-// the policy-facing operations.  The request lifecycle lives in engine.cpp.
+// the policy-facing operations.  The request lifecycle lives in engine.cpp,
+// fault recovery in recovery.cpp.
 
 #include <algorithm>
 #include <bit>
@@ -29,50 +30,9 @@ ProvisionPipeline::Hooks PlatformEngine::pipeline_hooks() {
                           ProvisionWaiters waiters) {
     provision_ready(fn, worker, std::move(waiters));
   };
-  hooks.on_build_failed = [this](FunctionId fn, WorkerId worker,
-                                 ProvisionWaiters waiters) {
-    (void)fn;
-    (void)worker;
-    for (auto [request, node] : waiters) {
-      if (RequestContext* ctx = find_request(request)) {
-        recovery_.retry_node(*ctx, node, "sandbox build failed");
-      }
-    }
+  hooks.on_build_failed = [this](const ProvisionWaiters& waiters) {
+    retry_waiters(waiters, "sandbox build failed");
   };
-  hooks.spec_for = [this](FunctionId fn) -> const workflow::FunctionSpec& {
-    return function_info(fn).spec;
-  };
-  return hooks;
-}
-
-RecoveryManager::Hooks PlatformEngine::recovery_hooks() {
-  RecoveryManager::Hooks hooks;
-  hooks.find_request = [this](RequestId id) { return find_request(id); };
-  hooks.dispatch_node = [this](RequestContext& ctx, NodeId node) {
-    dispatch_node(ctx, node);
-  };
-  hooks.fail_request = [this](RequestContext& ctx, std::string reason) {
-    fail_request(ctx, std::move(reason));
-  };
-  hooks.publish_worker_event = [this](WorkerEventKind kind, WorkerId worker) {
-    publish_worker_event(kind, worker);
-  };
-  hooks.find_executing = [this](WorkerId worker)
-      -> std::pair<RequestContext*, NodeId> {
-    // At most one executing node references the worker, so map iteration
-    // order cannot change the outcome.
-    for (auto& [id, ctx] : requests_) {  // lint:allow(unordered-iteration)
-      (void)id;
-      for (std::size_t i = 0; i < ctx->nodes.size(); ++i) {
-        const NodeRecord& record = ctx->nodes[i];
-        if (record.status == NodeStatus::Executing && record.worker == worker) {
-          return {ctx.get(), NodeId{i}};
-        }
-      }
-    }
-    return {nullptr, NodeId{}};
-  };
-  hooks.has_live_requests = [this] { return !requests_.empty(); };
   return hooks;
 }
 
@@ -164,8 +124,7 @@ sim::Duration PlatformEngine::dispatch_overhead() {
 
 bool PlatformEngine::prewarm(RequestContext& ctx, NodeId node) {
   const FunctionId fn = function_id(ctx.workflow, node);
-  if (warm_pool_.warm_count(fn) > 0 || pipeline_.has_provisions(fn) ||
-      warm_pool_.inbound_rebinds(fn) > 0) {
+  if (warm_pool_.warm_count(fn) > 0 || provisioning_in_flight(fn)) {
     return false;  // Already covered (warm, provisioning, or rebinding).
   }
   return start_provision(fn, &ctx) != nullptr;
@@ -244,7 +203,18 @@ void PlatformEngine::register_probes(sim::ProbeRegistry& probes) const {
   probes.add("engine.state_digest", [this] { return state_digest(); });
   warm_pool_.register_probes(probes);
   pipeline_.register_probes(probes);
-  recovery_.register_probes(probes);
+  probes.add("recovery.command_retries",
+             [this] { return recovery_stats_.command_retries; });
+  probes.add("recovery.builds_abandoned",
+             [this] { return recovery_stats_.builds_abandoned; });
+  probes.add("recovery.node_retries",
+             [this] { return recovery_stats_.node_retries; });
+  probes.add("recovery.requests_failed",
+             [this] { return recovery_stats_.requests_failed; });
+  probes.add("recovery.orphans_reaped",
+             [this] { return recovery_stats_.orphans_reaped; });
+  probes.add("recovery.outage_worker_kills",
+             [this] { return recovery_stats_.outage_worker_kills; });
   if (bus_ != nullptr) {
     probes.add("bus.published", [this] { return bus_->published_count(); });
     probes.add("bus.delivered", [this] { return bus_->delivered_count(); });

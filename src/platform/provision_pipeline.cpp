@@ -45,8 +45,8 @@ void ProvisionPipeline::attach_bus(MessageBus& bus, std::size_t host_count) {
   }
 }
 
-PendingProvision* ProvisionPipeline::start(FunctionId fn) {
-  const workflow::FunctionSpec& spec = hooks_.spec_for(fn);
+PendingProvision* ProvisionPipeline::start(FunctionId fn,
+                                           const workflow::FunctionSpec& spec) {
   const sim::Duration eviction_delay = make_room();
 
   const auto host = cluster_.place(spec.memory_mb);
@@ -255,7 +255,7 @@ void ProvisionPipeline::build_failed(FunctionId fn, WorkerId worker_id) {
     hooks_.publish_worker_event(WorkerEventKind::Dead, worker_id);
     cluster_.destroy_worker(worker_id, sim_.now());
   }
-  hooks_.on_build_failed(owner, worker_id, std::move(pending.waiters));
+  hooks_.on_build_failed(pending.waiters);
 }
 
 std::optional<ProvisionWaiters> ProvisionPipeline::remove_for_outage(

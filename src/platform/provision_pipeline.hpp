@@ -69,10 +69,7 @@ class ProvisionPipeline {
         on_ready;
     /// A build was abandoned (injected failure, or command retries
     /// exhausted): the engine routes the waiters through recovery.
-    std::function<void(FunctionId fn, WorkerId worker, ProvisionWaiters waiters)>
-        on_build_failed;
-    /// Resolves the FunctionSpec for a function id (engine-owned registry).
-    std::function<const workflow::FunctionSpec&(FunctionId)> spec_for;
+    std::function<void(const ProvisionWaiters& waiters)> on_build_failed;
   };
 
   /// Borrows everything; all references must outlive the pipeline.  The
@@ -91,12 +88,13 @@ class ProvisionPipeline {
   /// daemons.  Called once by the engine when the control bus is enabled.
   void attach_bus(MessageBus& bus, std::size_t host_count);
 
-  /// Starts provisioning a sandbox for `fn`: makes room under the
-  /// live-worker cap, places the worker, and sends the build command to the
-  /// host's daemon (over the bus, or via a zero-delay event without one).
-  /// Returns the provision slot, or nullptr when placement failed.  The
-  /// returned pointer is invalidated by any further pipeline mutation.
-  PendingProvision* start(FunctionId fn);
+  /// Starts provisioning a sandbox for `fn`, whose registered spec is
+  /// `spec`: makes room under the live-worker cap, places the worker, and
+  /// sends the build command to the host's daemon (over the bus, or via a
+  /// zero-delay event without one).  Returns the provision slot, or nullptr
+  /// when placement failed.  The returned pointer is invalidated by any
+  /// further pipeline mutation.
+  PendingProvision* start(FunctionId fn, const workflow::FunctionSpec& spec);
 
   /// Attaches a waiter to the front in-flight provision of `fn`.
   /// Requires has_provisions(fn).

@@ -128,9 +128,10 @@ using CompletionCallback = std::function<void(const RequestResult&)>;
 /// arena (deallocation is a no-op; the whole arena resets on completion).
 using NodeRecordList = common::ArenaVector<NodeRecord>;
 
-/// Live state of one in-flight request.  Owned by the engine; subsystems
-/// (RecoveryManager in particular) reach it only through references handed
-/// out by the engine, never by lookup of their own.
+/// Live state of one in-flight request.  Owned by the engine, which alone
+/// reads and writes it (fault recovery included); the warm pool and the
+/// provision pipeline never see a request, only opaque (RequestId, NodeId)
+/// waiters.
 ///
 /// All per-request transient storage -- the node records below, the engine's
 /// critical-path and XOR-weight scratch, the policy's per-request state --

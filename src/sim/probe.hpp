@@ -3,12 +3,13 @@
 // State probes: named counter samplers that expose a subsystem's observable
 // state to the virtual-time race detector (sim/race_detector.hpp).
 //
-// Each platform subsystem (warm pool, provision pipeline, recovery, the
-// engine itself) registers a handful of cheap counters -- warm-worker
-// totals, in-flight provisions, retries -- under stable names.  The race
-// detector samples every probe after a same-timestamp tie group fires; if a
-// permutation of the group changes any sampled value, the first differing
-// probe name localises the divergence to a subsystem.
+// The platform engine (with its fault-recovery ledger and control bus) and
+// its two subsystems (warm pool, provision pipeline) register a handful of
+// cheap counters -- warm-worker totals, in-flight provisions, retries --
+// under stable names.  The race detector samples every probe after a
+// same-timestamp tie group fires; if a permutation of the group changes any
+// sampled value, the first differing probe name localises the divergence to
+// a subsystem.
 //
 // Registration order is the iteration order (deterministic by construction);
 // the registry itself never mutates simulation state -- samplers must be

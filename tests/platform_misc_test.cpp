@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/dispatch_manager.hpp"
 #include "metrics/cost.hpp"
 #include "metrics/report.hpp"
 #include "platform/calibration.hpp"
+#include "sim/fault_plan.hpp"
+#include "sim/probe.hpp"
 #include "workflow/builders.hpp"
+#include "workload/arrivals.hpp"
 #include "workload/runner.hpp"
 
 namespace xanadu {
@@ -122,6 +128,89 @@ TEST(DispatchManager, ForceColdStartKillsWarmPool) {
   EXPECT_GT(manager.cluster().live_worker_count(), 0u);
   manager.force_cold_start();
   EXPECT_EQ(manager.cluster().live_worker_count(), 0u);
+}
+
+/// The probe samples and the recovery ledger read at the end of one run.
+struct ProbedRun {
+  std::vector<sim::ProbeSample> samples;
+  platform::RecoveryStats recovery;
+};
+
+/// One bus-enabled XanaduJit run (six cold 3-node chains, 2 s apart, on three
+/// hosts) under `faults` with recovery on.
+ProbedRun run_probed(const sim::FaultPlanOptions& faults) {
+  DispatchManagerOptions options;
+  options.cluster.host_count = 3;
+  platform::PlatformCalibration calibration = platform::xanadu_calibration();
+  calibration.control_bus.enabled = true;
+  options.calibration = calibration;
+  options.faults = faults;
+  options.recovery.enabled = true;
+  DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(120);
+  const auto wf = manager.deploy(workflow::linear_chain(3, build));
+  workload::RunOptions run;
+  run.allow_incomplete = true;
+  run.drain_after_last = true;
+  run.force_cold_each_request = true;
+  (void)workload::run_schedule(
+      manager, wf, workload::fixed_interval(6, Duration::from_seconds(2)), run);
+  return {manager.probes().sample(), manager.recovery_stats()};
+}
+
+/// The samples whose name starts with "recovery.", in registration order.
+std::vector<sim::ProbeSample> recovery_samples(const ProbedRun& run) {
+  std::vector<sim::ProbeSample> out;
+  for (const sim::ProbeSample& sample : run.samples) {
+    if (sample.first.starts_with("recovery.")) out.push_back(sample);
+  }
+  return out;
+}
+
+TEST(DispatchManager, ProbeVocabularyAndRecoveryCountersArePinned) {
+  // The race detector names the first divergent probe, so the names and
+  // their registration order are what a tie-race report speaks.
+  const std::vector<std::string> expected_names = {
+      "engine.inflight_requests",     "engine.registered_functions",
+      "engine.state_digest",          "warm_pool.pooled_workers",
+      "warm_pool.keep_alive_timers",  "warm_pool.inbound_rebinds",
+      "pipeline.provisions_inflight", "pipeline.redirects_pending",
+      "pipeline.provisions_started",  "pipeline.provisions_completed",
+      "recovery.command_retries",     "recovery.builds_abandoned",
+      "recovery.node_retries",        "recovery.requests_failed",
+      "recovery.orphans_reaped",      "recovery.outage_worker_kills",
+      "bus.published",                "bus.delivered",
+      "bus.dropped"};
+
+  const ProbedRun clean = run_probed(sim::FaultPlanOptions{});
+  std::vector<std::string> names;
+  for (const sim::ProbeSample& sample : clean.samples) {
+    names.push_back(sample.first);
+  }
+  EXPECT_EQ(names, expected_names);
+  const std::vector<sim::ProbeSample> clean_recovery = recovery_samples(clean);
+  ASSERT_EQ(clean_recovery.size(), 6u);
+  for (const sim::ProbeSample& sample : clean_recovery) {
+    EXPECT_EQ(sample.second, 0u) << sample.first;
+  }
+
+  sim::FaultPlanOptions faults;
+  faults.worker_crash_rate = 0.3;
+  faults.host_outage_rate_per_hour = 600.0;  // mean gap 6 s
+  faults.host_downtime = Duration::from_seconds(2);
+  const ProbedRun faulted = run_probed(faults);
+  const platform::RecoveryStats& stats = faulted.recovery;
+  const std::vector<sim::ProbeSample> expected_recovery = {
+      {"recovery.command_retries", stats.command_retries},
+      {"recovery.builds_abandoned", stats.builds_abandoned},
+      {"recovery.node_retries", stats.node_retries},
+      {"recovery.requests_failed", stats.requests_failed},
+      {"recovery.orphans_reaped", stats.orphans_reaped},
+      {"recovery.outage_worker_kills", stats.outage_worker_kills}};
+  EXPECT_EQ(recovery_samples(faulted), expected_recovery);
+  EXPECT_GT(stats.outage_worker_kills, 0u);
+  EXPECT_GT(stats.node_retries, 0u);
 }
 
 // -------------------------------------------------------------- metrics ---

@@ -401,27 +401,6 @@ TEST(StreamingEquivalence, OneSourceMixLaneHoldsTheAggregateResults) {
 // Streaming building blocks.
 // ---------------------------------------------------------------------------
 
-TEST(StreamingTraceTest, RingKeepsMostRecentResults) {
-  const workflow::WorkflowDag dag =
-      workflow::linear_chain(1, workflow::BuildOptions{});
-  metrics::StreamOptions options;
-  options.ring_capacity = 3;
-  metrics::StreamingTrace stream{options};
-  const std::size_t source = stream.add_source(dag, "ring");
-  for (std::size_t i = 0; i < 7; ++i) {
-    platform::RequestResult result;
-    result.id = common::RequestId{i + 1};
-    result.node_records.resize(1);
-    result.node_records[0].status = platform::NodeStatus::Completed;
-    stream.consume(source, result);
-  }
-  const std::vector<platform::RequestResult> recent = stream.recent();
-  ASSERT_EQ(recent.size(), 3u);
-  EXPECT_EQ(recent[0].id.value(), 5u);
-  EXPECT_EQ(recent[1].id.value(), 6u);
-  EXPECT_EQ(recent[2].id.value(), 7u);
-}
-
 TEST(LatencyHistogramTest, QuantilesAndFractionAbove) {
   metrics::LatencyHistogram hist{/*bin_width_ms=*/1.0, /*bins=*/10};
   for (int i = 0; i < 90; ++i) hist.record(0.5);  // bin 0

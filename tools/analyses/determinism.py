@@ -26,8 +26,8 @@ by scanning each line for constructs that silently break it:
                        which forbids tombstone compaction, forces a
                        const_cast to move callbacks out of top(), and makes
                        heap shape (not the total order) tempting to rely on
-  friend-backdoor      friend declarations in src/platform: the engine's
-                       subsystems (warm pool, provision pipeline, recovery)
+  friend-backdoor      friend declarations in src/platform: the engine and
+                       its subsystems (warm pool, provision pipeline)
                        interact only through their public interfaces and
                        explicit hook structs; a friend edge would let one
                        subsystem mutate another's private state behind the
