@@ -22,12 +22,19 @@
 //
 // With no arguments it runs a built-in conditional demo workflow on
 // Xanadu JIT.
+//
+// Bad input -- a malformed or out-of-range flag value, an invalid option, a
+// workflow the cluster cannot host -- prints "error: <reason>" on stderr and
+// exits with status 2.
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "core/dispatch_manager.hpp"
 #include "metrics/report.hpp"
@@ -68,6 +75,21 @@ struct CliOptions {
   sim::FaultPlanOptions faults;
 };
 
+/// Parses the whole of `text` as a T; anything else (an empty or partly
+/// numeric token, a sign on an unsigned type, a value outside T's range) is
+/// an error naming `what`.
+template <typename T>
+T parse_number(std::string_view text, const std::string& what) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last) {
+    throw std::invalid_argument{what + ": '" + std::string{text} +
+                                "' is not a valid number"};
+  }
+  return value;
+}
+
 /// Parses a "--faults drop=0.1,provfail=0.05,..." spec into the plan options.
 void parse_fault_spec(const std::string& spec, sim::FaultPlanOptions& faults) {
   std::stringstream stream{spec};
@@ -79,7 +101,8 @@ void parse_fault_spec(const std::string& spec, sim::FaultPlanOptions& faults) {
                                   item + "'"};
     }
     const std::string key = item.substr(0, eq);
-    const double value = std::atof(item.c_str() + eq + 1);
+    const auto value = parse_number<double>(
+        std::string_view{item}.substr(eq + 1), "--faults " + key);
     if (key == "drop") {
       faults.bus_drop_rate = value;
     } else if (key == "dup") {
@@ -125,7 +148,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--mode") {
       options.mode = next();
     } else if (arg == "--requests") {
-      options.requests = std::atoi(next());
+      options.requests = parse_number<int>(next(), arg);
       if (options.requests <= 0) {
         throw std::invalid_argument{"--requests must be positive"};
       }
@@ -134,9 +157,9 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (arg == "--digest") {
       options.digest = true;
     } else if (arg == "--aggressiveness") {
-      options.aggressiveness = std::atof(next());
+      options.aggressiveness = parse_number<double>(next(), arg);
     } else if (arg == "--seed") {
-      options.seed = static_cast<std::uint64_t>(std::atoll(next()));
+      options.seed = parse_number<std::uint64_t>(next(), arg);
     } else if (arg == "--trace") {
       options.trace_path = next();
     } else if (arg == "--faults") {
@@ -152,27 +175,9 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  CliOptions options;
-  try {
-    if (!parse_args(argc, argv, options)) {
-      std::printf("usage: %s [--file workflow.json] [--mode cold|spec|jit|"
-                  "knative|openwhisk|asf|adf|prewarm]\n"
-                  "          [--requests N] [--cold-each] "
-                  "[--aggressiveness F] [--seed N] [--trace out.csv] "
-                  "[--digest]\n"
-                  "          [--faults drop=F,dup=F,delay=F,provfail=F,"
-                  "crash=F,outage=F,straggler=F] [--no-recovery]\n",
-                  argv[0]);
-      return 0;
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-
+/// Loads the workflow, runs the requests and prints the report.  Throws on
+/// invalid options and on runs the platform cannot carry out.
+int run(const CliOptions& options) {
   // Load the workflow document.
   std::string document;
   if (options.file.empty()) {
@@ -197,12 +202,7 @@ int main(int argc, char** argv) {
   workflow::WorkflowDag dag = std::move(parsed).value();
 
   core::DispatchManagerOptions manager_options;
-  try {
-    manager_options.kind = parse_mode(options.mode);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  manager_options.kind = parse_mode(options.mode);
   manager_options.seed = options.seed;
   manager_options.xanadu.aggressiveness = options.aggressiveness;
   manager_options.faults = options.faults;
@@ -273,4 +273,27 @@ int main(int argc, char** argv) {
     std::printf("trace written to %s\n", options.trace_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    CliOptions options;
+    if (!parse_args(argc, argv, options)) {
+      std::printf("usage: %s [--file workflow.json] [--mode cold|spec|jit|"
+                  "knative|openwhisk|asf|adf|prewarm]\n"
+                  "          [--requests N] [--cold-each] "
+                  "[--aggressiveness F] [--seed N] [--trace out.csv] "
+                  "[--digest]\n"
+                  "          [--faults drop=F,dup=F,delay=F,provfail=F,"
+                  "crash=F,outage=F,straggler=F] [--no-recovery]\n",
+                  argv[0]);
+      return 0;
+    }
+    return run(options);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -14,8 +14,7 @@ Cluster::Cluster(const ClusterOptions& options, common::Rng rng)
   }
   hosts_.reserve(options.host_count);
   for (std::size_t i = 0; i < options.host_count; ++i) {
-    hosts_.emplace_back(HostId{i}, options.cores_per_host,
-                        options.memory_mb_per_host);
+    hosts_.emplace_back(HostId{i}, options.memory_mb_per_host);
   }
 }
 
@@ -151,17 +150,6 @@ void Cluster::set_host_available(HostId id, bool available) {
     throw std::invalid_argument{"Cluster::set_host_available: bad host id"};
   }
   hosts_[id.value()].set_available(available);
-}
-
-void Cluster::assign_shard(sim::ShardId shard) {
-  for (Host& host : hosts_) host.set_shard(shard);
-}
-
-sim::ShardId Cluster::host_shard(HostId id) const {
-  if (!id.valid() || id.value() >= hosts_.size()) {
-    throw std::invalid_argument{"Cluster::host_shard: bad host id"};
-  }
-  return hosts_[id.value()].shard();
 }
 
 std::vector<WorkerId> Cluster::workers_on_host(HostId host) const {

@@ -35,8 +35,7 @@ enum class PlacementPolicy {
 
 struct ClusterOptions {
   std::size_t host_count = 1;
-  /// The paper's testbed: 64-core Xeon with 128 GB of memory.
-  unsigned cores_per_host = 64;
+  /// The paper's testbed: 128 GB of memory per host.
   double memory_mb_per_host = 128.0 * 1024.0;
   PlacementPolicy placement = PlacementPolicy::WorstFit;
 };
@@ -86,14 +85,6 @@ class Cluster {
 
   /// Marks a host down (skipped by place()) or back up.
   void set_host_available(HostId id, bool available);
-
-  /// Pins every host of this cluster to `shard` (sim/sharded.hpp): a
-  /// deployment is a shard-local unit, so all of its hosts share one
-  /// affinity.  The sharded runner calls this when it binds the deployment
-  /// to a logical process.
-  void assign_shard(sim::ShardId shard);
-  /// Shard affinity of one host (kNoShard in unsharded runs).
-  [[nodiscard]] sim::ShardId host_shard(HostId id) const;
 
   /// Ids of live workers placed on `host`, sorted ascending -- a
   /// deterministic iteration order for outage teardown.

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "common/ids.hpp"
-#include "sim/shard.hpp"
 
 namespace xanadu::cluster {
 
@@ -15,14 +14,11 @@ using common::HostId;
 
 class Host {
  public:
-  Host(HostId id, unsigned cores, double memory_mb)
-      : id_(id), cores_(cores), memory_mb_(memory_mb) {
-    if (cores == 0) throw std::invalid_argument{"Host: zero cores"};
+  Host(HostId id, double memory_mb) : id_(id), memory_mb_(memory_mb) {
     if (memory_mb <= 0) throw std::invalid_argument{"Host: non-positive memory"};
   }
 
   [[nodiscard]] HostId id() const { return id_; }
-  [[nodiscard]] unsigned cores() const { return cores_; }
   [[nodiscard]] double memory_mb() const { return memory_mb_; }
   [[nodiscard]] double memory_used_mb() const { return memory_used_mb_; }
   [[nodiscard]] double memory_free_mb() const { return memory_mb_ - memory_used_mb_; }
@@ -32,13 +28,6 @@ class Host {
   /// killed by the outage release resources through the normal paths.
   [[nodiscard]] bool available() const { return available_; }
   void set_available(bool available) { available_ = available; }
-
-  /// Shard affinity for the parallel drain (sim/sharded.hpp): every host of
-  /// a deployment is pinned to the shard whose logical process runs that
-  /// deployment, so all events touching this host's state fire on one
-  /// thread.  kNoShard in unsharded runs.
-  [[nodiscard]] sim::ShardId shard() const { return shard_; }
-  void set_shard(sim::ShardId shard) { shard_ = shard; }
 
   /// Reserves memory for a new worker; returns false if it does not fit.
   [[nodiscard]] bool try_reserve_memory(double mb) {
@@ -67,12 +56,10 @@ class Host {
 
  private:
   HostId id_;
-  unsigned cores_;
   double memory_mb_;
   double memory_used_mb_ = 0.0;
   unsigned inflight_provisions_ = 0;
   bool available_ = true;
-  sim::ShardId shard_ = sim::kNoShard;
 };
 
 }  // namespace xanadu::cluster

@@ -80,7 +80,6 @@ void Worker::mark_ready(sim::TimePoint now) {
   }
   ledger_->provision_cpu_core_seconds += provision_cpu_core_seconds_;
   state_ = WorkerState::Warm;
-  ready_time_ = now;
   idle_since_ = now;
 }
 

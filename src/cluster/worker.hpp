@@ -67,7 +67,6 @@ class Worker {
   /// Function memory plus sandbox overhead, in MB.
   [[nodiscard]] double total_memory_mb() const { return memory_mb_; }
   [[nodiscard]] sim::TimePoint provision_start() const { return provision_start_; }
-  [[nodiscard]] sim::TimePoint ready_time() const { return ready_time_; }
   [[nodiscard]] bool ever_used() const { return executions_ > 0; }
   [[nodiscard]] std::size_t executions() const { return executions_; }
   [[nodiscard]] sim::TimePoint idle_since() const;
@@ -110,7 +109,6 @@ class Worker {
 
   WorkerState state_ = WorkerState::Provisioning;
   sim::TimePoint provision_start_{};
-  sim::TimePoint ready_time_{};
   sim::TimePoint idle_since_{};
   std::size_t executions_ = 0;
 };

@@ -22,9 +22,6 @@ MlpResult estimate_mlp_from(const BranchModel& model,
       result.nodes_[id.value()].likelihood += likelihood;
       return;
     }
-    if (options.max_nodes != 0 && result.path.size() >= options.max_nodes) {
-      return;
-    }
     if (id.value() >= result.nodes_.size()) {
       result.nodes_.resize(id.value() + 1);
     }

@@ -13,7 +13,6 @@
 // 1:1 and XOR relationships L is upper-bounded by 1 and behaves like a
 // probability; for multicast and m:n it can exceed 1, as the paper notes).
 
-#include <cstddef>
 #include <vector>
 
 #include "core/branch_model.hpp"
@@ -25,9 +24,6 @@ struct MlpOptions {
   /// treated as multicast (always invoked) rather than conditional
   /// candidates.
   double multicast_threshold = 0.85;
-  /// Maximum number of nodes on the MLP (0 = unbounded).  The speculation
-  /// engine uses this to apply the deployment-aggressiveness cut.
-  std::size_t max_nodes = 0;
 };
 
 /// Outcome of Algorithm 1.  Per-node answers come from flat buffers indexed

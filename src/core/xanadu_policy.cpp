@@ -53,10 +53,11 @@ const char* to_string(SpeculationMode mode) {
 }
 
 XanaduPolicy::XanaduPolicy(XanaduOptions options) : options_(options) {
-  if (options_.aggressiveness <= 0.0 || options_.aggressiveness > 1.0) {
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(options_.aggressiveness > 0.0 && options_.aggressiveness <= 1.0)) {
     throw std::invalid_argument{"XanaduPolicy: aggressiveness must be in (0, 1]"};
   }
-  if (options_.ema_alpha <= 0.0 || options_.ema_alpha > 1.0) {
+  if (!(options_.ema_alpha > 0.0 && options_.ema_alpha <= 1.0)) {
     throw std::invalid_argument{"XanaduPolicy: ema_alpha must be in (0, 1]"};
   }
 }

@@ -1,7 +1,6 @@
 #include "metrics/streaming.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -147,138 +146,6 @@ double LatencyHistogram::fraction_above(double value_ms) const {
   return static_cast<double>(above) / static_cast<double>(count_);
 }
 
-// -- CsvSpill ---------------------------------------------------------------
-
-CsvSpill::CsvSpill(const std::string& path, std::size_t chunk_bytes)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      chunk_bytes_(chunk_bytes == 0 ? 1 : chunk_bytes) {
-  if (!out_) {
-    throw std::runtime_error{"CsvSpill: cannot open " + path};
-  }
-  buffer_.reserve(chunk_bytes_);
-}
-
-CsvSpill::~CsvSpill() { finish(); }
-
-void CsvSpill::append(std::string_view text) {
-  buffer_.append(text);
-  bytes_ += text.size();
-  if (buffer_.size() >= chunk_bytes_) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-}
-
-void CsvSpill::finish() {
-  if (!buffer_.empty()) {
-    out_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-  out_.flush();
-}
-
-// -- replay_spill -----------------------------------------------------------
-
-namespace {
-
-bool is_unsigned_number(std::string_view field) {
-  if (field.empty()) return false;
-  for (const char c : field) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return true;
-}
-
-// Default ostream double formatting: digits, optional sign/dot/exponent.
-bool is_numeric(std::string_view field) {
-  if (field.empty()) return false;
-  bool digit = false;
-  for (const char c : field) {
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-      digit = true;
-    } else if (c != '.' && c != '-' && c != '+' && c != 'e' && c != 'E') {
-      return false;
-    }
-  }
-  return digit;
-}
-
-SpillReplay reject(std::string error) {
-  SpillReplay replay;
-  replay.error = std::move(error);
-  return replay;
-}
-
-}  // namespace
-
-SpillReplay replay_spill(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return reject("cannot open " + path);
-  std::string content{std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>()};
-  if (in.bad()) return reject("read error");
-  if (content.empty()) return reject("empty file");
-  if (content.back() != '\n') {
-    return reject("truncated: missing trailing newline");
-  }
-
-  SpillReplay replay;
-  replay.digest = common::fnv1a(content);
-
-  std::string_view rest{content};
-  bool saw_header = false;
-  std::uint64_t line_number = 0;
-  while (!rest.empty()) {
-    ++line_number;
-    const std::size_t newline = rest.find('\n');
-    const std::string_view line = rest.substr(0, newline);
-    rest.remove_prefix(newline + 1);
-    if (!saw_header) {
-      if (std::string{line} + "\n" != trace_csv_header()) {
-        return reject("bad header: " + std::string{line});
-      }
-      saw_header = true;
-      continue;
-    }
-    // Structural validation: 13 comma-separated fields.
-    std::vector<std::string_view> fields;
-    std::string_view cursor = line;
-    while (true) {
-      const std::size_t comma = cursor.find(',');
-      if (comma == std::string_view::npos) {
-        fields.push_back(cursor);
-        break;
-      }
-      fields.push_back(cursor.substr(0, comma));
-      cursor.remove_prefix(comma + 1);
-    }
-    if (fields.size() != 13) {
-      return reject("row " + std::to_string(line_number) +
-                    ": expected 13 fields, got " + std::to_string(fields.size()));
-    }
-    // request, node, retries are unsigned integers; cold/failed are 0|1; the
-    // four timing fields are either all present (numeric) or all empty.
-    if (!is_unsigned_number(fields[0]) || !is_unsigned_number(fields[1])) {
-      return reject("row " + std::to_string(line_number) + ": bad request/node id");
-    }
-    const bool timings_present = !fields[4].empty();
-    for (std::size_t f = 4; f <= 7; ++f) {
-      if (timings_present ? !is_numeric(fields[f]) : !fields[f].empty()) {
-        return reject("row " + std::to_string(line_number) + ": bad timing field");
-      }
-    }
-    if ((fields[8] != "0" && fields[8] != "1") || !is_numeric(fields[9]) ||
-        !is_unsigned_number(fields[10]) ||
-        (fields[11] != "0" && fields[11] != "1")) {
-      return reject("row " + std::to_string(line_number) +
-                    ": bad flag/numeric field");
-    }
-    ++replay.rows;
-  }
-  replay.ok = true;
-  return replay;
-}
-
 // -- StreamingTrace ---------------------------------------------------------
 
 StreamingTrace::StreamingTrace(StreamOptions options)
@@ -288,17 +155,11 @@ StreamingTrace::StreamingTrace(StreamOptions options)
   // trace_csv(results, dag) renders: header first, then rows.
   digest_ = common::fnv1a(trace_csv_header());
   stats_.threshold = options_.over_threshold;
-  if (!options_.spill_path.empty()) {
-    spill_ = std::make_unique<CsvSpill>(options_.spill_path,
-                                        options_.spill_chunk_bytes);
-    spill_->append(trace_csv_header());
-  }
 }
 
 std::size_t StreamingTrace::add_source(const workflow::WorkflowDag& dag,
                                        std::string_view label) {
   Source source;
-  source.dag = &dag;
   source.label = labels_.intern(label);
   source.node_names.reserve(dag.node_count());
   for (std::size_t i = 0; i < dag.node_count(); ++i) {
@@ -322,12 +183,6 @@ void StreamingTrace::consume(std::size_t source,
   stats_.consume(result);
   lane.stats.consume(result);
   if (!result.failed) histogram_.record(result.overhead.millis());
-
-  if (spill_) spill_->append(scratch_);
-}
-
-void StreamingTrace::finish() {
-  if (spill_) spill_->finish();
 }
 
 }  // namespace xanadu::metrics

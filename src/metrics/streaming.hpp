@@ -16,9 +16,7 @@
 //     (bit-identical to a batch loop over the results), a Welford
 //     accumulator for overhead variance, cold-start fraction, and the
 //     fraction-over-threshold counter;
-//   - a fixed-bin latency histogram for tail quantiles;
-//   - an optional chunked CSV spill whose file bytes are exactly the
-//     digested bytes, so a spilled run can be replayed and re-verified.
+//   - a fixed-bin latency histogram for tail quantiles.
 //
 // Per-source (tenant) lanes mirror the aggregate: each source gets its own
 // digest and RunStats, folded in the source's own arrival order (the merged
@@ -30,8 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,7 +40,7 @@
 namespace xanadu::metrics {
 
 /// Configuration for StreamingTrace.  The defaults keep everything bounded
-/// and cheap; spill is off unless a path is given.
+/// and cheap.
 struct StreamOptions {
   /// Latency histogram: `histogram_bins` bins of `histogram_bin_ms` each,
   /// recording completed-request overhead; values past the last bin land in
@@ -56,10 +52,6 @@ struct StreamOptions {
   /// results; any other threshold gets the histogram's estimate.  A caller
   /// that reports a fraction over some threshold sets it here.
   sim::Duration over_threshold = sim::Duration::from_millis(100);
-  /// CSV spill file; empty disables spilling.
-  std::string spill_path;
-  /// Spill buffer flush granularity.
-  std::size_t spill_chunk_bytes = 1 << 20;
 };
 
 /// Online per-request aggregates.  Sums are folded in consume order, which
@@ -178,48 +170,6 @@ class LatencyHistogram {
   double max_recorded_ms_ = 0.0;
 };
 
-/// Chunked CSV spill writer.  Buffers rendered rows and flushes in
-/// `chunk_bytes` units; the bytes written to disk are exactly the bytes the
-/// incremental digest hashed, so replay_spill() can re-verify a run from the
-/// file alone.
-class CsvSpill {
- public:
-  CsvSpill(const std::string& path, std::size_t chunk_bytes);
-  ~CsvSpill();
-
-  CsvSpill(const CsvSpill&) = delete;
-  CsvSpill& operator=(const CsvSpill&) = delete;
-
-  void append(std::string_view text);
-  /// Flushes the buffer to disk.  Called by the destructor as well; explicit
-  /// finish() lets callers observe write errors.
-  void finish();
-
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_; }
-  [[nodiscard]] bool ok() const { return out_.good(); }
-
- private:
-  std::ofstream out_;
-  std::string buffer_;
-  std::size_t chunk_bytes_;
-  std::uint64_t bytes_ = 0;
-};
-
-/// Result of re-reading a spill file.
-struct SpillReplay {
-  bool ok = false;
-  std::string error;
-  /// FNV-1a over the file bytes -- comparable to StreamingTrace::digest().
-  std::uint64_t digest = 0;
-  /// Data rows (header excluded).
-  std::uint64_t rows = 0;
-};
-
-/// Reads a spill file back, validating structure (header line, 13 fields per
-/// row, numeric fields parse, trailing newline) and recomputing the digest.
-/// Truncated files and corrupted rows come back ok=false with a diagnostic.
-[[nodiscard]] SpillReplay replay_spill(const std::string& path);
-
 /// The streaming consumer.  Register every source (workflow dag + label)
 /// up front, then feed each completed result exactly once, in global
 /// submission order; per-source lanes see their own sub-order automatically.
@@ -230,15 +180,12 @@ class StreamingTrace {
   StreamingTrace(const StreamingTrace&) = delete;
   StreamingTrace& operator=(const StreamingTrace&) = delete;
 
-  /// Registers a source; returns its index.  `dag` must outlive the trace.
-  /// Function names and the label are interned here, once.
+  /// Registers a source; returns its index.  Function names and the label
+  /// are interned here, once, so `dag` need not outlive the trace.
   std::size_t add_source(const workflow::WorkflowDag& dag, std::string_view label);
 
   /// Folds one completed result into the aggregate and its source's lane.
   void consume(std::size_t source, const platform::RequestResult& result);
-
-  /// Flushes the spill (if any).  Idempotent.
-  void finish();
 
   // -- Aggregate --------------------------------------------------------------
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
@@ -262,7 +209,6 @@ class StreamingTrace {
 
  private:
   struct Source {
-    const workflow::WorkflowDag* dag = nullptr;
     common::Symbol label = 0;
     /// Interned function-name views, index-aligned with dag nodes.
     std::vector<std::string_view> node_names;
@@ -276,7 +222,6 @@ class StreamingTrace {
   std::uint64_t digest_ = 0;
   RunStats stats_;
   LatencyHistogram histogram_;
-  std::unique_ptr<CsvSpill> spill_;
   /// Reused row-render buffer; cleared per consume, capacity retained.
   std::string scratch_;
 };

@@ -8,11 +8,17 @@
 
 namespace xanadu::platform {
 
-// -- PoolPolicy -------------------------------------------------------------
+namespace {
 
-void PoolPolicy::on_attach(PlatformEngine&, const PolicyView& view) {
-  view_ = &view;
-}
+/// MpcHorizonPolicy's head-room multiplier on the Little's-law demand.
+constexpr double kMpcSafetyFactor = 1.2;
+/// MpcHorizonPolicy's per-function cap on the provision target: a rate
+/// spike cannot grab the whole cluster.
+constexpr std::size_t kMpcMaxPool = 4;
+
+}  // namespace
+
+// -- PoolPolicy -------------------------------------------------------------
 
 void PoolPolicy::refill(PlatformEngine& engine, WorkflowId workflow,
                         NodeId node, std::size_t borrowed) {
@@ -22,8 +28,9 @@ void PoolPolicy::refill(PlatformEngine& engine, WorkflowId workflow,
   // `borrowed` workers (executing right now, guaranteed to re-park into this
   // pool) count too -- replacing a borrow with a fresh build would leave the
   // pool above target once both land.
+  const PolicyView& view = engine.policy_view();
   const std::size_t covered =
-      view_->warm_count(fn) + view_->provisioning_count(fn) + borrowed;
+      view.warm_count(fn) + view.provisioning_count(fn) + borrowed;
   for (std::size_t i = covered; i < options_.pool_size; ++i) {
     if (!engine.prewarm_function(workflow, node)) break;  // Out of capacity.
   }
@@ -49,18 +56,15 @@ void PoolPolicy::on_node_exec_start(PlatformEngine& engine, RequestContext& ctx,
 
 void PoolPolicy::on_node_completed(PlatformEngine& engine, RequestContext& ctx,
                                    NodeId node) {
-  if (!options_.evict_surplus) return;
   // The finished worker re-parked itself; anything above pool_size is
-  // surplus the pool design does not want to pay idle cost for.
+  // surplus the pool design does not want to pay idle cost for (keep-alive
+  // would reclaim it eventually; eviction makes the pool bound crisp and the
+  // resource ledger honest about the policy's cost).
   const FunctionId fn = engine.function_id(ctx.workflow, node);
   engine.shrink_warm_pool(fn, options_.pool_size);
 }
 
 // -- MpcHorizonPolicy -------------------------------------------------------
-
-void MpcHorizonPolicy::on_attach(PlatformEngine&, const PolicyView& view) {
-  view_ = &view;
-}
 
 void MpcHorizonPolicy::on_request_submitted(PlatformEngine& engine,
                                             RequestContext& ctx) {
@@ -77,19 +81,19 @@ void MpcHorizonPolicy::on_node_completed(PlatformEngine& engine,
 }
 
 void MpcHorizonPolicy::maybe_solve(PlatformEngine& engine) {
-  if (view_ == nullptr) return;
-  if (view_->now() < next_tick_) return;
-  next_tick_ = view_->now() + options_.horizon;
+  const sim::TimePoint now = engine.policy_view().now();
+  if (now < next_tick_) return;
+  next_tick_ = now + options_.horizon;
   solve(engine);
 }
 
 void MpcHorizonPolicy::solve(PlatformEngine& engine) {
   ++solves_;
+  const PolicyView& view = engine.policy_view();
   // std::map keyed by WorkflowId: the walk (and the node walk inside) is in
   // id order, so the emitted provision/evict actions are replay-stable.
   for (const auto& [workflow, node_count] : seen_workflows_) {
-    const double lambda =
-        view_->arrival_rate_per_sec(workflow, options_.window);
+    const double lambda = view.arrival_rate_per_sec(workflow, options_.window);
     for (std::size_t i = 0; i < node_count; ++i) {
       const NodeId node{i};
       const FunctionId fn = engine.function_id(workflow, node);
@@ -100,7 +104,7 @@ void MpcHorizonPolicy::solve(PlatformEngine& engine) {
       // to "one warm worker while traffic flows", which is the honest
       // model-free floor.
       double busy_seconds = 0.0;
-      if (const PolicyView::FunctionEstimate* est = view_->estimate(fn)) {
+      if (const PolicyView::FunctionEstimate* est = view.estimate(fn)) {
         if (est->exec_samples > 0) busy_seconds += est->mean_exec_ms / 1e3;
         if (est->provision_samples > 0) {
           busy_seconds += est->mean_provision_ms / 1e3;
@@ -108,19 +112,19 @@ void MpcHorizonPolicy::solve(PlatformEngine& engine) {
       }
       std::size_t target = 0;
       if (lambda > 0.0) {
-        const double demand = lambda * busy_seconds * options_.safety_factor;
+        const double demand = lambda * busy_seconds * kMpcSafetyFactor;
         target = static_cast<std::size_t>(std::ceil(demand));
         target = std::max<std::size_t>(target, 1);
-        target = std::min(target, options_.max_pool);
+        target = std::min(target, kMpcMaxPool);
       }
 
-      const std::size_t warm = view_->warm_count(fn);
-      const std::size_t covered = warm + view_->provisioning_count(fn);
+      const std::size_t warm = view.warm_count(fn);
+      const std::size_t covered = warm + view.provisioning_count(fn);
       if (covered < target) {
         for (std::size_t j = covered; j < target; ++j) {
           if (!engine.prewarm_function(workflow, node)) break;
         }
-      } else if (options_.evict_to_target && warm > target) {
+      } else if (warm > target) {
         engine.shrink_warm_pool(fn, target);
       }
     }

@@ -38,22 +38,18 @@ struct PoolPolicyOptions {
   /// Warm workers to keep pooled per function (in-flight provisions count
   /// toward the target, so a refill never over-provisions).
   std::size_t pool_size = 2;
-  /// Also evict down to pool_size when executions park surplus workers
-  /// (keep-alive would reclaim them eventually; eviction makes the pool
-  /// bound crisp and the resource ledger honest about the policy's cost).
-  bool evict_surplus = true;
 };
 
 /// Fixed per-function warm pools (Lin & Glikson, arXiv:1903.12221): on every
 /// arrival, and again whenever an execution consumes a pooled worker, top
 /// each function of the workflow back up to `pool_size` warm-or-provisioning
+/// workers, and evict down to `pool_size` when executions park surplus
 /// workers.  Chain-oblivious by design -- every node of every seen workflow
 /// gets the same pool depth regardless of branch probabilities.
 class PoolPolicy final : public ProvisionPolicy {
  public:
   explicit PoolPolicy(PoolPolicyOptions options = {}) : options_(options) {}
 
-  void on_attach(PlatformEngine& engine, const PolicyView& view) override;
   void on_request_submitted(PlatformEngine& engine, RequestContext& ctx) override;
   void on_node_exec_start(PlatformEngine& engine, RequestContext& ctx,
                           NodeId node) override;
@@ -70,7 +66,6 @@ class PoolPolicy final : public ProvisionPolicy {
               std::size_t borrowed = 0);
 
   PoolPolicyOptions options_;
-  const PolicyView* view_ = nullptr;
 };
 
 struct MpcHorizonOptions {
@@ -80,28 +75,20 @@ struct MpcHorizonOptions {
   sim::Duration horizon = sim::Duration::from_millis(2000);
   /// Arrival-rate estimation window (rolling, from PolicyView history).
   sim::Duration window = sim::Duration::from_millis(10000);
-  /// Head-room multiplier on the Little's-law worker demand.
-  double safety_factor = 1.2;
-  /// Per-function cap on the provision target (keeps a rate spike from
-  /// grabbing the whole cluster).
-  std::size_t max_pool = 4;
-  /// Evict warm workers above the solved target (the schedule's evict half).
-  bool evict_to_target = true;
 };
 
 /// Rolling-horizon MPC provisioning (after Nguyen et al., arXiv:2508.07640):
 /// each horizon tick solves, per function, a Little's-law demand target
-///   target = ceil(lambda_wf * (exec + provision) * safety)
+///   target = min(ceil(lambda_wf * (exec + provision) * 1.2), 4)
 /// from the windowed arrival-rate estimate and the platform's online
-/// exec/provision estimates, then emits the provision/evict actions that move
-/// the warm pool toward the target.  Purely arithmetic -- the estimator
-/// draws no randomness, so replays are bit-identical by construction.
+/// exec/provision estimates, then provisions toward the target or evicts the
+/// warm workers above it.  Purely arithmetic -- the estimator draws no
+/// randomness, so replays are bit-identical by construction.
 class MpcHorizonPolicy final : public ProvisionPolicy {
  public:
   explicit MpcHorizonPolicy(MpcHorizonOptions options = {})
       : options_(options) {}
 
-  void on_attach(PlatformEngine& engine, const PolicyView& view) override;
   void on_request_submitted(PlatformEngine& engine, RequestContext& ctx) override;
   void on_node_completed(PlatformEngine& engine, RequestContext& ctx,
                          NodeId node) override;
@@ -116,7 +103,6 @@ class MpcHorizonPolicy final : public ProvisionPolicy {
   void solve(PlatformEngine& engine);
 
   MpcHorizonOptions options_;
-  const PolicyView* view_ = nullptr;
   /// Workflows observed so far, ordered by id so the per-tick solve walks
   /// them (and their nodes) in a replay-stable order.
   std::map<WorkflowId, std::size_t> seen_workflows_;

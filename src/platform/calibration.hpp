@@ -34,20 +34,9 @@ struct ControlBusOptions {
 struct RecoveryOptions {
   /// Master switch.  With recovery off the engine injects faults but never
   /// retries, re-provisions, or fails requests over -- it simply reports
-  /// what stranded.
+  /// what stranded.  The retry limits and backoffs are constants beside
+  /// their use (provision_pipeline.cpp, recovery.cpp).
   bool enabled = true;
-
-  /// Daemon commands published on the bus are re-sent if not acknowledged
-  /// within `command_timeout`; each retry doubles the wait (exponential
-  /// backoff), up to `max_command_retries` re-sends.
-  sim::Duration command_timeout = sim::Duration::from_millis(200);
-  unsigned max_command_retries = 5;
-
-  /// A node whose worker died (build failure, crash, host outage) is
-  /// re-dispatched after `redispatch_backoff` times 2^(attempt-1), up to
-  /// `max_node_retries` times; after that the whole request fails cleanly.
-  sim::Duration redispatch_backoff = sim::Duration::from_millis(20);
-  unsigned max_node_retries = 3;
 };
 
 struct PlatformCalibration {

@@ -60,13 +60,10 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
     if (bus_ != nullptr) bus_->set_fault_plan(&fault_plan_);
   }
   // The observation surface delegates occupancy to the live subsystems; the
-  // policy sees it as `const` only.  on_attach fires last, once the engine is
-  // fully wired, so a policy may immediately query (but not yet provision --
-  // no workflow is registered at this point).
+  // policy sees it as `const` only, through policy_view().
   view_.bind([this] { return sim_.now(); },
              [this](FunctionId fn) { return warm_pool_.warm_count(fn); },
              [this](FunctionId fn) { return provisioning_count(fn); });
-  policy_->on_attach(*this, view_);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ double PolicyView::arrival_rate_per_sec(WorkflowId workflow,
 // Default ProvisionPolicy hooks are no-ops: a policy overrides only the
 // lifecycle points it cares about.
 
-void ProvisionPolicy::on_attach(PlatformEngine&, const PolicyView&) {}
 void ProvisionPolicy::on_request_submitted(PlatformEngine&, RequestContext&) {}
 void ProvisionPolicy::on_node_triggered(PlatformEngine&, RequestContext&, NodeId) {}
 void ProvisionPolicy::on_node_exec_start(PlatformEngine&, RequestContext&, NodeId) {}
@@ -103,23 +102,9 @@ void ProvisionPolicy::on_request_completed(PlatformEngine&, RequestContext&,
 
 // -- PrewarmAllPolicy -------------------------------------------------------
 
-void PrewarmAllPolicy::on_attach(PlatformEngine&, const PolicyView& view) {
-  view_ = &view;
-}
-
 void PrewarmAllPolicy::on_request_submitted(PlatformEngine& engine,
                                             RequestContext& ctx) {
   for (const workflow::Node& node : ctx.dag->nodes()) {
-    if (view_ != nullptr) {
-      // Observation-first: skip nodes the view already shows covered.  The
-      // engine re-checks coverage inside prewarm(), so this changes no
-      // behaviour -- it is the same decision expressed against the
-      // observation API the competitor policies use.
-      const FunctionId fn = engine.function_id(ctx.workflow, node.id);
-      if (view_->warm_count(fn) > 0 || view_->provisioning_in_flight(fn)) {
-        continue;
-      }
-    }
     engine.prewarm(ctx, node.id);
   }
 }

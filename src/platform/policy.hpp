@@ -86,10 +86,6 @@ class PolicyView {
   /// In-flight provisioning operations (sandbox builds plus inbound
   /// rebinds) covering `fn` right now.
   [[nodiscard]] std::size_t provisioning_count(FunctionId fn) const;
-  /// True when a provisioning operation (or inbound rebind) covers `fn`.
-  [[nodiscard]] bool provisioning_in_flight(FunctionId fn) const {
-    return provisioning_count(fn) > 0;
-  }
   /// Online startup/execution estimate, or nullptr before any observation.
   [[nodiscard]] const FunctionEstimate* estimate(FunctionId fn) const;
   /// Arrivals of `workflow` whose timestamp lies in (now - window, now].
@@ -121,14 +117,11 @@ class PolicyView {
   std::unordered_map<FunctionId, FunctionEstimate> estimates_;
 };
 
+/// Every hook receives the engine; a policy reads the observation surface
+/// through `engine.policy_view()`.
 class ProvisionPolicy {
  public:
   virtual ~ProvisionPolicy() = default;
-
-  /// The engine finished constructing: the policy may stash the observation
-  /// view and perform setup-time provisioning.  Fires once, before any
-  /// request exists.
-  virtual void on_attach(PlatformEngine& engine, const PolicyView& view);
 
   /// A workflow request has arrived; fires before any node is triggered.
   virtual void on_request_submitted(PlatformEngine& engine, RequestContext& ctx);
@@ -173,15 +166,11 @@ class NullPolicy final : public ProvisionPolicy {};
 
 /// Naive whole-workflow pre-deployment: provisions a worker for every node
 /// the moment the request arrives, regardless of which branches will run.
-/// Decides through the PolicyView observation API -- a node already covered
-/// by a warm worker or an in-flight provision is skipped.
+/// A node already covered by a warm worker or an in-flight provision is
+/// skipped (engine.prewarm() vetoes it).
 class PrewarmAllPolicy final : public ProvisionPolicy {
  public:
-  void on_attach(PlatformEngine& engine, const PolicyView& view) override;
   void on_request_submitted(PlatformEngine& engine, RequestContext& ctx) override;
-
- private:
-  const PolicyView* view_ = nullptr;
 };
 
 }  // namespace xanadu::platform

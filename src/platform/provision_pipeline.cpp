@@ -10,6 +10,16 @@
 
 namespace xanadu::platform {
 
+namespace {
+
+/// A daemon command published on the bus is re-sent if not acknowledged
+/// within this timeout; each retry doubles the wait (exponential backoff).
+constexpr sim::Duration kCommandTimeout = sim::Duration::from_millis(200);
+/// Re-sends before the build is abandoned and re-placed.
+constexpr unsigned kMaxCommandRetries = 5;
+
+}  // namespace
+
 ProvisionPipeline::ProvisionPipeline(sim::Simulator& sim,
                                      cluster::Cluster& cluster,
                                      const PlatformCalibration& calib,
@@ -131,8 +141,7 @@ void ProvisionPipeline::arm_command_retry(FunctionId fn, WorkerId worker_id) {
   if (slot == nullptr || slot->acked) return;
   // Exponential backoff: timeout, 2x timeout, 4x timeout, ...
   const sim::Duration wait =
-      calib_.recovery.command_timeout *
-      static_cast<double>(std::uint64_t{1} << slot->attempts);
+      kCommandTimeout * static_cast<double>(std::uint64_t{1} << slot->attempts);
   slot->retry_event = sim_.schedule_after(
       wait,
       [this, owner, worker_id] { command_retry_fired(owner, worker_id); },
@@ -144,7 +153,7 @@ void ProvisionPipeline::command_retry_fired(FunctionId fn, WorkerId worker_id) {
   PendingProvision* slot = find(owner, worker_id);
   if (slot == nullptr || slot->acked) return;  // Built or torn down already.
   slot->retry_event = EventId{};
-  if (slot->attempts >= calib_.recovery.max_command_retries) {
+  if (slot->attempts >= kMaxCommandRetries) {
     // The daemon is unreachable; give up on this build and re-place.
     build_failed(owner, worker_id);
     return;

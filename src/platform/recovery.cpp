@@ -13,6 +13,16 @@
 
 namespace xanadu::platform {
 
+namespace {
+
+/// A node whose worker died (build failure, crash, host outage) is
+/// re-dispatched after this backoff times 2^(attempt-1) ...
+constexpr sim::Duration kRedispatchBackoff = sim::Duration::from_millis(20);
+/// ... up to this many times; after that the whole request fails cleanly.
+constexpr unsigned kMaxNodeRetries = 3;
+
+}  // namespace
+
 void PlatformEngine::retry_node(RequestContext& ctx, NodeId node,
                                 const char* cause) {
   if (!calib_.recovery.enabled) {
@@ -23,7 +33,7 @@ void PlatformEngine::retry_node(RequestContext& ctx, NodeId node,
   NodeRecord& record = ctx.nodes[node.value()];
   ++record.retries;
   ++recovery_stats_.node_retries;
-  if (record.retries > calib_.recovery.max_node_retries) {
+  if (record.retries > kMaxNodeRetries) {
     // lint:allow(hot-path-text) failure reason, once per failed request
     fail_request(ctx, "node " + std::to_string(node.value()) + ": " + cause +
                           "; retries exhausted");
@@ -34,7 +44,7 @@ void PlatformEngine::retry_node(RequestContext& ctx, NodeId node,
   record.status = NodeStatus::Triggered;
   record.worker = WorkerId{};
   const sim::Duration backoff =
-      calib_.recovery.redispatch_backoff *
+      kRedispatchBackoff *
       static_cast<double>(std::uint64_t{1} << (record.retries - 1));
   const RequestId request = ctx.id;
   sim_.schedule_after(

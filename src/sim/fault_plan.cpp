@@ -1,5 +1,6 @@
 #include "sim/fault_plan.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -8,7 +9,8 @@ namespace xanadu::sim {
 namespace {
 
 void require_rate(double rate, const char* name) {
-  if (rate < 0.0 || rate > 1.0) {
+  // Written so NaN fails too: every comparison with NaN is false.
+  if (!(rate >= 0.0 && rate <= 1.0)) {
     throw std::invalid_argument{std::string{"FaultPlanOptions: "} + name +
                                 " must be in [0, 1]"};
   }
@@ -34,13 +36,14 @@ void FaultPlanOptions::validate() const {
   require_rate(provision_failure_rate, "provision_failure_rate");
   require_rate(worker_crash_rate, "worker_crash_rate");
   require_rate(straggler_rate, "straggler_rate");
-  if (host_outage_rate_per_hour < 0.0) {
+  if (!(std::isfinite(host_outage_rate_per_hour) &&
+        host_outage_rate_per_hour >= 0.0)) {
     throw std::invalid_argument{
-        "FaultPlanOptions: host_outage_rate_per_hour must be >= 0"};
+        "FaultPlanOptions: host_outage_rate_per_hour must be finite and >= 0"};
   }
-  if (straggler_multiplier < 1.0) {
+  if (!(std::isfinite(straggler_multiplier) && straggler_multiplier >= 1.0)) {
     throw std::invalid_argument{
-        "FaultPlanOptions: straggler_multiplier must be >= 1"};
+        "FaultPlanOptions: straggler_multiplier must be finite and >= 1"};
   }
   if (bus_extra_delay < Duration::zero() ||
       host_downtime < Duration::zero()) {

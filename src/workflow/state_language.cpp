@@ -38,6 +38,23 @@ struct Document {
   std::map<std::string, std::vector<std::string>> branch_members;
 };
 
+/// Cap on every millisecond field.  1e12 ms is about 31.7 years: beyond any
+/// paper workload, and far below where Duration::from_millis overflows its
+/// int64 microseconds (about 9.2e15 ms), even after being added to a run's
+/// clock.
+constexpr double kMaxMillis = 1e12;
+
+/// Reads field `field` of function `name` as a duration in [0, kMaxMillis] ms.
+Result<sim::Duration> parse_millis(const std::string& name, const char* field,
+                                   const JsonValue& value) {
+  if (!value.is_number() ||
+      !(value.as_number() >= 0.0 && value.as_number() <= kMaxMillis)) {
+    return Error{"function '" + name + "': '" + field +
+                 "' must be a number of milliseconds in [0, 1e12]"};
+  }
+  return sim::Duration::from_millis(value.as_number());
+}
+
 Result<FunctionSpec> parse_function_spec(const std::string& name,
                                          const JsonObject& block) {
   FunctionSpec spec;
@@ -49,10 +66,9 @@ Result<FunctionSpec> parse_function_spec(const std::string& name,
     spec.memory_mb = memory->as_number();
   }
   if (const JsonValue* jitter = block.find("exec_jitter_ms")) {
-    if (!jitter->is_number() || jitter->as_number() < 0) {
-      return Error{"function '" + name + "': 'exec_jitter_ms' must be >= 0"};
-    }
-    spec.exec_jitter = sim::Duration::from_millis(jitter->as_number());
+    auto ms = parse_millis(name, "exec_jitter_ms", *jitter);
+    if (!ms.ok()) return ms.error();
+    spec.exec_jitter = ms.value();
   }
   // 'trigger_delay_ms' (parsed in collect_block) is an extension applied to
   // the function's in-edges; see FunctionBlock::trigger_delay.
@@ -67,10 +83,9 @@ Result<FunctionSpec> parse_function_spec(const std::string& name,
     }
   }
   if (const JsonValue* exec_ms = block.find("exec_ms")) {
-    if (!exec_ms->is_number() || exec_ms->as_number() < 0) {
-      return Error{"function '" + name + "': 'exec_ms' must be non-negative"};
-    }
-    spec.exec_time = sim::Duration::from_millis(exec_ms->as_number());
+    auto ms = parse_millis(name, "exec_ms", *exec_ms);
+    if (!ms.ok()) return ms.error();
+    spec.exec_time = ms.value();
   }
   return spec;
 }
@@ -122,10 +137,9 @@ Result<bool> collect_block(Document& doc, const std::string& name,
       fn.conditional = conditional->as_string();
     }
     if (const JsonValue* delay = block.find("trigger_delay_ms")) {
-      if (!delay->is_number() || delay->as_number() < 0) {
-        return Error{"function '" + name + "': 'trigger_delay_ms' must be >= 0"};
-      }
-      fn.trigger_delay = sim::Duration::from_millis(delay->as_number());
+      auto ms = parse_millis(name, "trigger_delay_ms", *delay);
+      if (!ms.ok()) return ms.error();
+      fn.trigger_delay = ms.value();
     }
     doc.branch_members[branch].push_back(name);
     doc.functions.push_back(std::move(fn));

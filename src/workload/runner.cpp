@@ -21,7 +21,6 @@ RunOutcome run_cold_trials(core::DispatchManager& manager,
   }
   manager.force_cold_start();  // Flush residual idle costs into the ledger.
   outcome.ledger_delta = manager.ledger() - before;
-  stream.finish();
   outcome.stats = stream.stats();
   outcome.histogram = stream.histogram();
   outcome.trace_digest = stream.digest();

@@ -111,11 +111,11 @@ struct RunOptions {
   sim::Duration stall_horizon = sim::Duration::from_minutes(10);
   /// Keep every RequestResult in RunOutcome::results (and, for
   /// run_mixed_schedule, in each per_source lane) as the fold passes it.
-  /// Turn off for macro-scale runs: aggregates, digest, histogram and spill
-  /// are the same either way, but peak RSS stays flat in run length.
+  /// Turn off for macro-scale runs: aggregates, digest and histogram are
+  /// the same either way, but peak RSS stays flat in run length.
   bool retain_results = true;
   /// Streaming consumer configuration (histogram shape, fraction-over
-  /// threshold, optional CSV spill).
+  /// threshold).
   metrics::StreamOptions stream;
   /// OS threads for the conservative parallel drain (run_sharded_mix).
   /// 1 = today's exact sequential path on the calling thread; higher values

@@ -307,7 +307,6 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   if (options.drain_after_last && options.allow_incomplete) sim.run();
   if (options.flush_at_end) manager.force_cold_start();
 
-  stream.finish();
   RunOutcome& aggregate = outcome.aggregate;
   aggregate.ledger_delta = manager.ledger() - before;
   aggregate.stats = stream.stats();
@@ -394,7 +393,6 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   lps.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     lps.push_back(&driver.add_shard(shards[i].manager->simulator()));
-    shards[i].manager->cluster().assign_shard(lps.back()->shard());
   }
 
   // Fleet-control shard: one WorkerStateTracker per tenant, fed over bridged
@@ -524,7 +522,6 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   std::uint64_t state_fold = common::kFnvOffsetBasis;
   std::uint64_t fleet_fold = common::kFnvOffsetBasis;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    streams[i]->finish();
     RunOutcome& lane = mixed.per_source[i];
     lane.ledger_delta = shards[i].manager->ledger() - ledgers_before[i];
     lane.stats = streams[i]->stats();

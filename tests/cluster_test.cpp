@@ -172,7 +172,7 @@ TEST(ResourceLedger, ArithmeticRoundTrips) {
 // ----------------------------------------------------------------- host ---
 
 TEST(Host, MemoryReservation) {
-  Host host{HostId{0}, 8, 1000.0};
+  Host host{HostId{0}, 1000.0};
   EXPECT_TRUE(host.try_reserve_memory(600.0));
   EXPECT_FALSE(host.try_reserve_memory(600.0));  // Would exceed capacity.
   EXPECT_TRUE(host.try_reserve_memory(400.0));
@@ -182,7 +182,7 @@ TEST(Host, MemoryReservation) {
 }
 
 TEST(Host, ProvisioningCounter) {
-  Host host{HostId{0}, 8, 1000.0};
+  Host host{HostId{0}, 1000.0};
   host.provisioning_started();
   host.provisioning_started();
   EXPECT_EQ(host.inflight_provisions(), 2u);
@@ -192,8 +192,7 @@ TEST(Host, ProvisioningCounter) {
 }
 
 TEST(Host, ConstructorValidation) {
-  EXPECT_THROW((Host{HostId{0}, 0, 100.0}), std::invalid_argument);
-  EXPECT_THROW((Host{HostId{0}, 4, -1.0}), std::invalid_argument);
+  EXPECT_THROW((Host{HostId{0}, -1.0}), std::invalid_argument);
 }
 
 // -------------------------------------------------------------- cluster ---

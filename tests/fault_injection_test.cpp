@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -123,6 +125,46 @@ void expect_conservation(const ScenarioResult& result,
 }
 
 // ---------------------------------------------------------------------------
+// Plan validation.
+// ---------------------------------------------------------------------------
+
+TEST(fault_injection, PlanValidationRejectsOutOfRangeAndNonFiniteValues) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto rejects = [](void (*set)(sim::FaultPlanOptions&)) {
+    sim::FaultPlanOptions options;
+    set(options);
+    EXPECT_THROW(options.validate(), std::invalid_argument);
+    EXPECT_THROW((sim::FaultPlan{options, common::Rng{1}}),
+                 std::invalid_argument);
+  };
+  rejects([](sim::FaultPlanOptions& o) { o.bus_drop_rate = -0.1; });
+  rejects([](sim::FaultPlanOptions& o) { o.provision_failure_rate = 1.5; });
+  rejects([](sim::FaultPlanOptions& o) { o.bus_drop_rate = kNaN; });
+  rejects([](sim::FaultPlanOptions& o) { o.worker_crash_rate = kNaN; });
+  rejects([](sim::FaultPlanOptions& o) { o.straggler_rate = kNaN; });
+  rejects([](sim::FaultPlanOptions& o) {
+    o.bus_drop_rate = 0.5;
+    o.bus_duplicate_rate = 0.3;
+    o.bus_delay_rate = 0.3;
+  });
+  rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = -1.0; });
+  rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = kNaN; });
+  rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = kInf; });
+  rejects([](sim::FaultPlanOptions& o) { o.straggler_multiplier = kNaN; });
+  rejects([](sim::FaultPlanOptions& o) { o.straggler_multiplier = kInf; });
+
+  // In-range values, including the closed ends, pass.
+  sim::FaultPlanOptions edge;
+  edge.bus_drop_rate = 0.5;
+  edge.bus_duplicate_rate = 0.5;
+  edge.provision_failure_rate = 1.0;
+  edge.host_outage_rate_per_hour = 1e6;
+  edge.straggler_multiplier = 1.0;
+  EXPECT_NO_THROW(edge.validate());
+}
+
+// ---------------------------------------------------------------------------
 // Message-bus faults.
 // ---------------------------------------------------------------------------
 
@@ -154,6 +196,37 @@ TEST(fault_injection, TotalBusLossFailsRequestsCleanlyWithRecovery) {
     EXPECT_NE(r.failure_reason.find("retries exhausted"), std::string::npos)
         << r.failure_reason;
   }
+}
+
+TEST(fault_injection, RetryLimitsAndBackoffsArePinned) {
+  // The recovery limits are constants (provision_pipeline.cpp: 200 ms
+  // command timeout doubling, 5 re-sends; recovery.cpp: 20 ms re-dispatch
+  // backoff doubling, 3 re-dispatches).  With every message lost, one
+  // request spends all of them: 4 builds of 5 re-sends each, abandoned
+  // after 200 * (2^6 - 1) = 12,600 ms apiece, plus 20 + 40 + 80 ms of
+  // re-dispatch backoff, plus the dispatch overhead.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduCold;
+  platform::PlatformCalibration calibration =
+      core::preset_calibration(options.kind);
+  calibration.control_bus.enabled = true;
+  options.calibration = calibration;
+  options.faults.bus_drop_rate = 1.0;
+  DispatchManager manager{options};
+  const auto wf = manager.deploy(scenario_dag(1));
+
+  const platform::RequestResult result = manager.invoke(wf);
+  ASSERT_TRUE(result.failed);
+  EXPECT_NE(result.failure_reason.find("sandbox build failed; retries exhausted"),
+            std::string::npos)
+      << result.failure_reason;
+  const platform::RecoveryStats& stats = manager.recovery_stats();
+  EXPECT_EQ(stats.command_retries, 20u);
+  EXPECT_EQ(stats.builds_abandoned, 4u);
+  EXPECT_EQ(stats.node_retries, 4u);
+  EXPECT_EQ(stats.requests_failed, 1u);
+  EXPECT_GE(result.end_to_end.millis(), 50'540.0);
+  EXPECT_LT(result.end_to_end.millis(), 51'000.0);
 }
 
 TEST(fault_injection, TotalBusLossWithoutRecoveryStrandsEveryRequest) {
@@ -647,10 +720,6 @@ struct HookRecorder final : platform::ProvisionPolicy {
   std::vector<std::string> events;
   std::size_t worker_ready = 0;
 
-  void on_attach(platform::PlatformEngine&,
-                 const platform::PolicyView&) override {
-    events.push_back("attach");
-  }
   void on_request_submitted(platform::PlatformEngine&,
                             platform::RequestContext&) override {
     events.push_back("submit");
@@ -708,7 +777,7 @@ TEST(fault_injection, CrashedWhileProvisioningNeverFiresWorkerReady) {
   EXPECT_GT(engine.fault_plan().counters().provision_failures, 0u);
   // The lifecycle hooks around the failure still fire in order.
   ASSERT_FALSE(recorder.events.empty());
-  EXPECT_EQ(recorder.events.front(), "attach");
+  EXPECT_EQ(recorder.events.front(), "submit");
   EXPECT_EQ(recorder.events.back(), "complete");
 }
 

@@ -129,19 +129,6 @@ TEST(Mlp, ImplicitModelAutoDetectsMulticast) {
   EXPECT_FALSE(mlp.predicted_choice(p).valid());
 }
 
-TEST(Mlp, MaxNodesCutsPath) {
-  const auto dag = workflow::linear_chain(8);
-  const BranchModel model = BranchModel::from_schema(dag);
-  MlpOptions options;
-  options.max_nodes = 3;
-  const MlpResult mlp = estimate_mlp(model, options);
-  EXPECT_EQ(mlp.path.size(), 3u);
-  // The cut keeps the head of the path (nodes nearest the root).
-  EXPECT_TRUE(on_path(mlp, NodeId{0}));
-  EXPECT_TRUE(on_path(mlp, NodeId{2}));
-  EXPECT_FALSE(on_path(mlp, NodeId{3}));
-}
-
 TEST(Mlp, EstimateFromSeedWalksSubtree) {
   const auto dag = workflow::linear_chain(6);
   const BranchModel model = BranchModel::from_schema(dag);

@@ -1,5 +1,6 @@
 // Tests for platform calibrations, the dispatch-manager facade, the metrics
-// cost/penalty math, the report table printer, and open-loop load behaviour.
+// cost/penalty math, the report table printer, open-loop load behaviour and
+// platform behaviour at cluster capacity limits.
 
 #include <gtest/gtest.h>
 
@@ -311,6 +312,54 @@ TEST(OpenLoopLoad, DeterministicUnderConcurrency) {
     return outcome.mean_overhead_ms();
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+// ------------------------------------------------ capacity exhaustion -----
+
+TEST(CapacityLimits, EngineThrowsWhenClusterIsFull) {
+  // A cluster that can fit two workers; a 3-deep chain with long-lived
+  // warm workers exhausts it.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduCold;
+  options.cluster.host_count = 1;
+  options.cluster.memory_mb_per_host = 1200;  // Two (512+64) MB workers.
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(300);
+  const auto wf = manager.deploy(workflow::linear_chain(3, build));
+  EXPECT_THROW(manager.invoke(wf), std::runtime_error);
+}
+
+TEST(CapacityLimits, KeepAliveReclaimFreesCapacityForLaterRequests) {
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduCold;
+  options.cluster.host_count = 1;
+  options.cluster.memory_mb_per_host = 1200;
+  auto calib = platform::xanadu_calibration();
+  calib.keep_alive = Duration::from_seconds(30);
+  options.calibration = calib;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(300);
+  const auto wf = manager.deploy(workflow::linear_chain(2, build));
+  (void)manager.invoke(wf);  // Fills the cluster with two warm workers.
+  // After keep-alive reclaim, the next request provisions fresh workers.
+  manager.idle_for(Duration::from_seconds(40));
+  EXPECT_EQ(manager.cluster().live_worker_count(), 0u);
+  const auto result = manager.invoke(wf);
+  EXPECT_EQ(result.executed_nodes, 2u);
+}
+
+TEST(CapacityLimits, LiveWorkerCapKeepsClusterWithinBounds) {
+  // The OpenWhisk-style cap evicts warm workers instead of overflowing.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::OpenWhiskLike;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(300);
+  const auto wf = manager.deploy(workflow::linear_chain(6, build));
+  (void)manager.invoke(wf);
+  EXPECT_LE(manager.cluster().live_worker_count(), 5u);
 }
 
 }  // namespace

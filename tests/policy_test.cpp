@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -47,7 +48,13 @@ TEST(XanaduPolicy, RejectsBadOptions) {
   bad.aggressiveness = 1.5;
   EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
   bad = {};
+  bad.aggressiveness = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
+  bad = {};
   bad.ema_alpha = 0.0;
+  EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
+  bad = {};
+  bad.ema_alpha = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
 }
 
@@ -336,9 +343,9 @@ TEST(PolicyView, CountersWindowsAndEstimates) {
 
   EXPECT_EQ(view.warm_count(fn), 3u);
   EXPECT_EQ(view.provisioning_count(fn), 2u);
-  EXPECT_TRUE(view.provisioning_in_flight(fn));
+  EXPECT_GT(view.provisioning_count(fn), 0u);
   provisioning = 0;
-  EXPECT_FALSE(view.provisioning_in_flight(fn));
+  EXPECT_EQ(view.provisioning_count(fn), 0u);
 
   EXPECT_EQ(view.estimate(fn), nullptr);
   view.record_worker_ready(fn, sim::Duration::from_millis(100));
@@ -454,14 +461,8 @@ TEST(MpcHorizonPolicy, ReplaysDeterministically) {
 /// ordering tests compare sequences across same-seed replays.
 struct RecordingPolicy final : platform::ProvisionPolicy {
   std::vector<std::string> events;
-  std::size_t attaches = 0;
   std::size_t worker_ready = 0;
 
-  void on_attach(platform::PlatformEngine&,
-                 const platform::PolicyView&) override {
-    ++attaches;
-    events.push_back("attach");
-  }
   void on_request_submitted(platform::PlatformEngine&,
                             platform::RequestContext&) override {
     events.push_back("submit");
@@ -533,10 +534,10 @@ TEST(PolicyHooks, XorAndSkipOrderIsIdenticalAcrossSeedReplays) {
   EXPECT_EQ(first, replay);  // Hook order is part of the replay contract.
   EXPECT_NE(first, run(12)); // ...and actually depends on the XOR draws.
 
-  // Structural ordering: on_attach fires exactly once, before everything;
-  // each request's xor resolution precedes the skip it implies.
+  // Structural ordering: the first request's submission comes before
+  // everything; each request's xor resolution precedes the skip it implies.
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first.front(), "attach");
+  EXPECT_EQ(first.front(), "submit");
   for (std::size_t i = 0; i < first.size(); ++i) {
     if (first[i].rfind("skip:", 0) == 0) {
       bool xor_before = false;
@@ -558,7 +559,6 @@ TEST(PolicyHooks, AttachExposesLiveObservationView) {
   cluster::Cluster cluster{cluster::ClusterOptions{}, common::Rng{3}};
   platform::PlatformCalibration calib;
   platform::PlatformEngine engine{sim, cluster, calib, &rec, common::Rng{5}};
-  EXPECT_EQ(rec.attaches, 1u);
 
   workflow::BuildOptions build;
   build.exec_time = sim::Duration::from_millis(200);

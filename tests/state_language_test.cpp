@@ -143,6 +143,29 @@ TEST(StateLanguage, ErrorsAreDescriptive) {
   })", "success_probability");
 }
 
+// 1e300 ms overflows Duration::from_millis's int64 cast; the loader must
+// reject it with an error naming the field, before any cast.
+TEST(StateLanguage, OutOfRangeMillisecondFieldsNameTheField) {
+  const struct {
+    const char* field;
+    const char* doc;
+  } cases[] = {
+      {"'exec_ms'", R"({"f": {"type": "function", "exec_ms": 1e300}})"},
+      {"'exec_jitter_ms'",
+       R"({"f": {"type": "function", "exec_jitter_ms": 1e300}})"},
+      {"'trigger_delay_ms'", R"({
+        "a": {"type": "function"},
+        "b": {"type": "function", "wait_for": ["a"], "trigger_delay_ms": 1e300}
+      })"},
+  };
+  for (const auto& c : cases) {
+    auto result = parse_state_language(c.doc);
+    ASSERT_FALSE(result.ok()) << c.doc;
+    EXPECT_NE(result.error().message.find(c.field), std::string::npos)
+        << result.error().message;
+  }
+}
+
 TEST(StateLanguage, TwoConditionalsOnOneParentRejected) {
   auto result = parse_state_language(R"({
     "f": {"type": "function"},
