@@ -1,6 +1,7 @@
 # Runs a command and fails unless it exits with status 2 and writes a line
 # starting with "error:" to stderr: the CLI's contract for bad input (a
-# crash, an abort or a silent default fails this check).
+# crash, an abort, a silent default or a run that hangs past the 60 s
+# timeout fails this check).
 #
 #   cmake -P expect_cli_error.cmake -- <program> [args...]
 
@@ -19,6 +20,7 @@ if(NOT command)
 endif()
 
 execute_process(COMMAND ${command}
+                TIMEOUT 60
                 RESULT_VARIABLE status
                 OUTPUT_QUIET
                 ERROR_VARIABLE stderr)

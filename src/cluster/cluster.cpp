@@ -7,8 +7,7 @@
 
 namespace xanadu::cluster {
 
-Cluster::Cluster(const ClusterOptions& options, common::Rng rng)
-    : placement_(options.placement), rng_(rng) {
+Cluster::Cluster(const ClusterOptions& options, common::Rng rng) : rng_(rng) {
   if (options.host_count == 0) {
     throw std::invalid_argument{"Cluster: need at least one host"};
   }
@@ -25,44 +24,16 @@ const Host& Cluster::host(HostId id) const {
   return hosts_[id.value()];
 }
 
-std::optional<HostId> Cluster::place(double memory_mb) {
-  switch (placement_) {
-    case PlacementPolicy::WorstFit: {
-      const Host* best = nullptr;
-      for (const Host& h : hosts_) {
-        if (!h.available() || h.memory_free_mb() < memory_mb) continue;
-        if (best == nullptr || h.memory_free_mb() > best->memory_free_mb()) {
-          best = &h;
-        }
-      }
-      if (best == nullptr) return std::nullopt;
-      return best->id();
-    }
-    case PlacementPolicy::BestFit: {
-      const Host* best = nullptr;
-      for (const Host& h : hosts_) {
-        if (!h.available() || h.memory_free_mb() < memory_mb) continue;
-        if (best == nullptr || h.memory_free_mb() < best->memory_free_mb()) {
-          best = &h;
-        }
-      }
-      if (best == nullptr) return std::nullopt;
-      return best->id();
-    }
-    case PlacementPolicy::RoundRobin: {
-      for (std::size_t probe = 0; probe < hosts_.size(); ++probe) {
-        const std::size_t index =
-            (round_robin_cursor_ + probe) % hosts_.size();
-        if (hosts_[index].available() &&
-            hosts_[index].memory_free_mb() >= memory_mb) {
-          round_robin_cursor_ = index + 1;
-          return hosts_[index].id();
-        }
-      }
-      return std::nullopt;
+std::optional<HostId> Cluster::place(double memory_mb) const {
+  const Host* best = nullptr;
+  for (const Host& h : hosts_) {
+    if (!h.available() || h.memory_free_mb() < memory_mb) continue;
+    if (best == nullptr || h.memory_free_mb() > best->memory_free_mb()) {
+      best = &h;
     }
   }
-  throw std::logic_error{"Cluster::place: unknown placement policy"};
+  if (best == nullptr) return std::nullopt;
+  return best->id();
 }
 
 Worker* Cluster::start_provisioning(common::FunctionId fn, SandboxKind kind,

@@ -21,23 +21,10 @@
 
 namespace xanadu::cluster {
 
-/// How new workers are placed onto hosts.
-enum class PlacementPolicy {
-  /// Host with the most free memory (spreads load and provisioning
-  /// contention; the default).
-  WorstFit,
-  /// Host with the least free memory that still fits (packs workers,
-  /// maximising contiguous free capacity at the cost of contention).
-  BestFit,
-  /// Cycle through hosts with capacity.
-  RoundRobin,
-};
-
 struct ClusterOptions {
   std::size_t host_count = 1;
   /// The paper's testbed: 128 GB of memory per host.
   double memory_mb_per_host = 128.0 * 1024.0;
-  PlacementPolicy placement = PlacementPolicy::WorstFit;
 };
 
 class Cluster {
@@ -50,9 +37,10 @@ class Cluster {
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
   [[nodiscard]] const Host& host(HostId id) const;
 
-  /// Picks a host that can fit `memory_mb` according to the configured
-  /// placement policy.  Returns nullopt when no host has capacity.
-  [[nodiscard]] std::optional<HostId> place(double memory_mb);
+  /// Picks the available host with the most free memory that can fit
+  /// `memory_mb` (worst fit: spreads load and provisioning contention).
+  /// Returns nullopt when no host has capacity.
+  [[nodiscard]] std::optional<HostId> place(double memory_mb) const;
 
   /// Creates a worker in Provisioning state on `host`, reserving its memory.
   /// Returns nullptr if the host cannot fit the worker.  The returned
@@ -97,8 +85,6 @@ class Cluster {
  private:
   SandboxCatalog catalog_;
   ResourceLedger ledger_;
-  PlacementPolicy placement_ = PlacementPolicy::WorstFit;
-  std::size_t round_robin_cursor_ = 0;
   std::vector<Host> hosts_;
   std::unordered_map<WorkerId, std::unique_ptr<Worker>> workers_;
   common::IdGenerator<WorkerId> worker_ids_;

@@ -333,7 +333,7 @@ void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
     }
     // Whatever could not be reused is discarded: the paper's "speculatively
     // deployed resources have to be discarded".
-    ctx.speculation.wasted_workers += engine.discard_warm_workers(fn);
+    ctx.speculation.wasted_workers += engine.shrink_warm_pool(fn, 0);
     ctx.speculation.wasted_workers += engine.abort_unclaimed_provisions(fn);
   }
 }

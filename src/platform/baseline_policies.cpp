@@ -28,9 +28,8 @@ void PoolPolicy::refill(PlatformEngine& engine, WorkflowId workflow,
   // `borrowed` workers (executing right now, guaranteed to re-park into this
   // pool) count too -- replacing a borrow with a fresh build would leave the
   // pool above target once both land.
-  const PolicyView& view = engine.policy_view();
   const std::size_t covered =
-      view.warm_count(fn) + view.provisioning_count(fn) + borrowed;
+      engine.warm_count(fn) + engine.provisioning_count(fn) + borrowed;
   for (std::size_t i = covered; i < options_.pool_size; ++i) {
     if (!engine.prewarm_function(workflow, node)) break;  // Out of capacity.
   }
@@ -68,20 +67,57 @@ void PoolPolicy::on_node_completed(PlatformEngine& engine, RequestContext& ctx,
 
 void MpcHorizonPolicy::on_request_submitted(PlatformEngine& engine,
                                             RequestContext& ctx) {
-  seen_workflows_[ctx.workflow] = ctx.dag->node_count();
+  SeenWorkflow& seen = seen_workflows_[ctx.workflow];
+  seen.node_count = ctx.dag->node_count();
+  seen.arrivals.push_back(engine.now());
+  if (seen.arrivals.size() > kArrivalHistory) seen.arrivals.pop_front();
   maybe_solve(engine);
 }
 
+void MpcHorizonPolicy::on_worker_ready(PlatformEngine& engine,
+                                       WorkflowId workflow, NodeId node,
+                                       sim::Duration provision_latency) {
+  Estimate& est = estimates_[engine.function_id(workflow, node)];
+  ++est.provision_samples;
+  est.mean_provision_ms += (provision_latency.millis() - est.mean_provision_ms) /
+                           static_cast<double>(est.provision_samples);
+}
+
 void MpcHorizonPolicy::on_node_completed(PlatformEngine& engine,
-                                         RequestContext&, NodeId) {
+                                         RequestContext& ctx, NodeId node) {
+  Estimate& est = estimates_[engine.function_id(ctx.workflow, node)];
+  ++est.exec_samples;
+  est.mean_exec_ms +=
+      (ctx.nodes[node.value()].exec_duration.millis() - est.mean_exec_ms) /
+      static_cast<double>(est.exec_samples);
   // Completions give the controller tick opportunities while long executions
   // run between arrivals; the policy itself schedules no events, so an idle
   // platform still drains.
   maybe_solve(engine);
 }
 
+double MpcHorizonPolicy::arrival_rate_per_sec(WorkflowId workflow,
+                                              sim::TimePoint now) const {
+  if (options_.window <= sim::Duration::zero()) return 0.0;
+  auto it = seen_workflows_.find(workflow);
+  if (it == seen_workflows_.end()) return 0.0;
+  // Sorted (recorded at non-decreasing virtual time), so the window is the
+  // tail after the cutoff.
+  const std::deque<sim::TimePoint>& arrivals = it->second.arrivals;
+  const auto first_in_window =
+      std::upper_bound(arrivals.begin(), arrivals.end(), now - options_.window);
+  return static_cast<double>(arrivals.end() - first_in_window) /
+         options_.window.seconds();
+}
+
+const MpcHorizonPolicy::Estimate* MpcHorizonPolicy::estimate(
+    FunctionId fn) const {
+  auto it = estimates_.find(fn);
+  return it == estimates_.end() ? nullptr : &it->second;
+}
+
 void MpcHorizonPolicy::maybe_solve(PlatformEngine& engine) {
-  const sim::TimePoint now = engine.policy_view().now();
+  const sim::TimePoint now = engine.now();
   if (now < next_tick_) return;
   next_tick_ = now + options_.horizon;
   solve(engine);
@@ -89,22 +125,20 @@ void MpcHorizonPolicy::maybe_solve(PlatformEngine& engine) {
 
 void MpcHorizonPolicy::solve(PlatformEngine& engine) {
   ++solves_;
-  const PolicyView& view = engine.policy_view();
   // std::map keyed by WorkflowId: the walk (and the node walk inside) is in
   // id order, so the emitted provision/evict actions are replay-stable.
-  for (const auto& [workflow, node_count] : seen_workflows_) {
-    const double lambda = view.arrival_rate_per_sec(workflow, options_.window);
-    for (std::size_t i = 0; i < node_count; ++i) {
+  for (const auto& [workflow, seen] : seen_workflows_) {
+    const double lambda = arrival_rate_per_sec(workflow, engine.now());
+    for (std::size_t i = 0; i < seen.node_count; ++i) {
       const NodeId node{i};
       const FunctionId fn = engine.function_id(workflow, node);
 
       // Little's-law demand: concurrent workers ~ lambda * busy time, where
-      // busy time is the platform's own online exec + provision estimate.
-      // Before any observation the estimate is empty; demand then degrades
-      // to "one warm worker while traffic flows", which is the honest
-      // model-free floor.
+      // busy time is the online exec + provision estimate.  Before any
+      // observation the estimate is empty; demand then degrades to "one warm
+      // worker while traffic flows", which is the honest model-free floor.
       double busy_seconds = 0.0;
-      if (const PolicyView::FunctionEstimate* est = view.estimate(fn)) {
+      if (const Estimate* est = estimate(fn)) {
         if (est->exec_samples > 0) busy_seconds += est->mean_exec_ms / 1e3;
         if (est->provision_samples > 0) {
           busy_seconds += est->mean_provision_ms / 1e3;
@@ -118,8 +152,8 @@ void MpcHorizonPolicy::solve(PlatformEngine& engine) {
         target = std::min(target, kMpcMaxPool);
       }
 
-      const std::size_t warm = view.warm_count(fn);
-      const std::size_t covered = warm + view.provisioning_count(fn);
+      const std::size_t warm = engine.warm_count(fn);
+      const std::size_t covered = warm + engine.provisioning_count(fn);
       if (covered < target) {
         for (std::size_t j = covered; j < target; ++j) {
           if (!engine.prewarm_function(workflow, node)) break;

@@ -2,8 +2,8 @@
 
 // Competitor provisioning policies for the policy lab (ISSUE 8 tentpole).
 //
-// Both policies are self-contained control planes written purely against the
-// PolicyView observation surface and the engine's public policy-facing
+// Both policies are self-contained control planes written purely against
+// their own hooks and the engine's public accessors and policy-facing
 // operations -- no engine internals, no platform state of their own beyond
 // what any external controller could keep.  They exist so the tournament
 // benchmark (bench/policy_tournament) can pit Xanadu's chain-aware
@@ -21,12 +21,15 @@
 //                          Nguyen et al.'s MPC-based resource provisioning
 //                          for serverless chains (arXiv:2508.07640).
 //
-// Neither policy draws randomness: every decision is arithmetic over the
-// view, so both are trivially replay-deterministic and xan_lint-clean.
+// Neither policy draws randomness: every decision is arithmetic over what
+// the hooks and accessors report, so both are trivially replay-deterministic
+// and xan_lint-clean.
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <map>
+#include <unordered_map>
 
 #include "common/ids.hpp"
 #include "platform/policy.hpp"
@@ -73,31 +76,61 @@ struct MpcHorizonOptions {
   /// tick (lazily, on the first lifecycle hook past the tick boundary --
   /// the policy schedules no events of its own, so an idle platform drains).
   sim::Duration horizon = sim::Duration::from_millis(2000);
-  /// Arrival-rate estimation window (rolling, from PolicyView history).
+  /// Arrival-rate estimation window (rolling, over the policy's own arrival
+  /// history).
   sim::Duration window = sim::Duration::from_millis(10000);
 };
 
 /// Rolling-horizon MPC provisioning (after Nguyen et al., arXiv:2508.07640):
 /// each horizon tick solves, per function, a Little's-law demand target
 ///   target = min(ceil(lambda_wf * (exec + provision) * 1.2), 4)
-/// from the windowed arrival-rate estimate and the platform's online
-/// exec/provision estimates, then provisions toward the target or evicts the
-/// warm workers above it.  Purely arithmetic -- the estimator draws no
-/// randomness, so replays are bit-identical by construction.
+/// from the windowed arrival-rate estimate and its online exec/provision
+/// estimates, then provisions toward the target or evicts the warm workers
+/// above it.  The policy learns both from its own hooks: arrivals on
+/// submission, sandbox startup on worker ready, execution time on node
+/// completion.  Purely arithmetic -- the estimator draws no randomness, so
+/// replays are bit-identical by construction.
 class MpcHorizonPolicy final : public ProvisionPolicy {
  public:
+  /// Per-function running means (no decay) of observed sandbox startup
+  /// time and execution time.
+  struct Estimate {
+    std::uint64_t provision_samples = 0;
+    double mean_provision_ms = 0.0;
+    std::uint64_t exec_samples = 0;
+    double mean_exec_ms = 0.0;
+  };
+
   explicit MpcHorizonPolicy(MpcHorizonOptions options = {})
       : options_(options) {}
 
   void on_request_submitted(PlatformEngine& engine, RequestContext& ctx) override;
+  void on_worker_ready(PlatformEngine& engine, WorkflowId workflow, NodeId node,
+                       sim::Duration provision_latency) override;
   void on_node_completed(PlatformEngine& engine, RequestContext& ctx,
                          NodeId node) override;
 
   [[nodiscard]] const MpcHorizonOptions& options() const { return options_; }
   /// Horizon ticks solved so far (tournament sanity counter).
   [[nodiscard]] std::uint64_t solves() const { return solves_; }
+  /// Arrivals of `workflow` in (now - window, now] per second of window; 0
+  /// for a non-positive window.  Exact while the last kArrivalHistory
+  /// arrivals cover the window.
+  [[nodiscard]] double arrival_rate_per_sec(WorkflowId workflow,
+                                            sim::TimePoint now) const;
+  /// Online estimate for `fn`, or nullptr before any observation.
+  [[nodiscard]] const Estimate* estimate(FunctionId fn) const;
 
  private:
+  /// Arrival timestamps retained per workflow for the windowed rate.
+  static constexpr std::size_t kArrivalHistory = 256;
+
+  struct SeenWorkflow {
+    std::size_t node_count = 0;
+    /// The most recent kArrivalHistory arrival times, oldest first.
+    std::deque<sim::TimePoint> arrivals;
+  };
+
   /// Recomputes the provision/evict schedule if a horizon tick has passed.
   void maybe_solve(PlatformEngine& engine);
   void solve(PlatformEngine& engine);
@@ -105,7 +138,8 @@ class MpcHorizonPolicy final : public ProvisionPolicy {
   MpcHorizonOptions options_;
   /// Workflows observed so far, ordered by id so the per-tick solve walks
   /// them (and their nodes) in a replay-stable order.
-  std::map<WorkflowId, std::size_t> seen_workflows_;
+  std::map<WorkflowId, SeenWorkflow> seen_workflows_;
+  std::unordered_map<FunctionId, Estimate> estimates_;
   sim::TimePoint next_tick_{};
   std::uint64_t solves_ = 0;
 };

@@ -103,12 +103,10 @@ struct PlatformCalibration {
   sim::FaultPlanOptions faults;
   RecoveryOptions recovery;
 
-  /// Optional sandbox-profile overrides for this platform (the cloud
+  /// Optional container-profile override for this platform (the cloud
   /// platforms run Firecracker-class microVMs, far faster than the Docker
   /// defaults the open-source platforms use).
   std::optional<cluster::SandboxProfile> container_profile;
-  std::optional<cluster::SandboxProfile> process_profile;
-  std::optional<cluster::SandboxProfile> isolate_profile;
 };
 
 /// Xanadu's own request path with no speculation ("Xanadu Cold").

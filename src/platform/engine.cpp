@@ -33,15 +33,9 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
                  }),
       pipeline_(sim_, cluster_, calib_, fault_plan_, warm_pool_,
                 recovery_stats_, pipeline_hooks()) {
-  using workflow::SandboxKind;
   if (calib_.container_profile) {
-    cluster_.catalog().set_profile(SandboxKind::Container, *calib_.container_profile);
-  }
-  if (calib_.process_profile) {
-    cluster_.catalog().set_profile(SandboxKind::Process, *calib_.process_profile);
-  }
-  if (calib_.isolate_profile) {
-    cluster_.catalog().set_profile(SandboxKind::Isolate, *calib_.isolate_profile);
+    cluster_.catalog().set_profile(workflow::SandboxKind::Container,
+                                   *calib_.container_profile);
   }
   if (calib_.control_bus.enabled) {
     MessageBus::Options bus_options;
@@ -59,11 +53,6 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
     fault_plan_ = sim::FaultPlan(calib_.faults, rng_.fork());
     if (bus_ != nullptr) bus_->set_fault_plan(&fault_plan_);
   }
-  // The observation surface delegates occupancy to the live subsystems; the
-  // policy sees it as `const` only, through policy_view().
-  view_.bind([this] { return sim_.now(); },
-             [this](FunctionId fn) { return warm_pool_.warm_count(fn); },
-             [this](FunctionId fn) { return provisioning_count(fn); });
 }
 
 // ---------------------------------------------------------------------------
@@ -108,8 +97,6 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   requests_.emplace(ref.id, std::move(ctx));
 
   maybe_schedule_host_outage();
-
-  view_.record_arrival(workflow_id, sim_.now());
 
   // The policy runs first so speculative deployment overlaps the first
   // function's own provisioning (paper Figure 10: the orchestrator invokes
@@ -231,7 +218,6 @@ void PlatformEngine::provision_ready(FunctionId fn, WorkerId worker_id,
   cluster_.finish_provisioning(*worker, sim_.now());
   publish_worker_event(WorkerEventKind::Ready, worker_id);
   const FunctionInfo& info = function_info(fn);
-  view_.record_worker_ready(fn, sim_.now() - worker->provision_start());
   policy_->on_worker_ready(*this, info.workflow, info.node,
                            sim_.now() - worker->provision_start());
 
@@ -363,7 +349,6 @@ void PlatformEngine::finish_execution(RequestContext& ctx, NodeId node) {
   publish_worker_event(WorkerEventKind::Idle, record.worker);
   warm_pool_.park(function_id(ctx.workflow, node), record.worker);
 
-  view_.record_execution(function_id(ctx.workflow, node), record.exec_duration);
   policy_->on_node_completed(*this, ctx, node);
 
   const Node& spec_node = ctx.dag->node(node);
@@ -501,7 +486,6 @@ void PlatformEngine::maybe_finish_request(RequestContext& ctx) {
   result.critical_path_exec = sim::Duration::from_seconds(critical);
   result.overhead = result.end_to_end - result.critical_path_exec;
 
-  view_.record_completion(/*failed=*/false);
   policy_->on_request_completed(*this, ctx, result);
 
   CompletionCallback callback = std::move(ctx.on_complete);
@@ -522,7 +506,6 @@ void PlatformEngine::fail_request(RequestContext& ctx, std::string reason) {
   // completion and the orphan-reaping path in start_execution pools them.
   // Waiter entries and scheduled events for this request become no-ops via
   // find_request checks.
-  view_.record_completion(/*failed=*/true);
   policy_->on_request_completed(*this, ctx, result);
   CompletionCallback callback = std::move(ctx.on_complete);
   recycle_request(ctx.id);

@@ -91,9 +91,6 @@ class PlatformEngine {
   [[nodiscard]] std::size_t provisioning_count(FunctionId fn) const {
     return pipeline_.provision_count(fn) + warm_pool_.inbound_rebinds(fn);
   }
-  /// The observation surface fed to the attached policy (also readable by
-  /// harnesses that want the platform-side estimates).
-  [[nodiscard]] const PolicyView& policy_view() const { return view_; }
   /// The control bus, or nullptr when calibration().control_bus.enabled is
   /// false (provisioning commands then short-circuit the bus).
   [[nodiscard]] MessageBus* control_bus() { return bus_.get(); }
@@ -136,8 +133,9 @@ class PlatformEngine {
   bool prewarm_function(WorkflowId workflow, NodeId node);
 
   /// Reclaims warm workers of `fn`, oldest first, until at most `target`
-  /// remain pooled (the eviction half of a provision/evict schedule).
-  /// Returns the number of workers destroyed.
+  /// remain pooled (the eviction half of a provision/evict schedule; target 0
+  /// discards mis-deployed sandboxes after a prediction miss).  Returns the
+  /// number of workers destroyed.
   std::size_t shrink_warm_pool(FunctionId fn, std::size_t target);
 
   /// Schedules prewarm(ctx, node) after `delay`.  Returns a cancellable
@@ -147,11 +145,6 @@ class PlatformEngine {
 
   /// Cancels a scheduled prewarm.  Returns false if it already fired.
   bool cancel_scheduled_prewarm(EventId event);
-
-  /// Tears down all warm (idle) workers of `fn` immediately -- used by the
-  /// JIT policy to discard mis-deployed sandboxes after a prediction miss.
-  /// Returns the number of workers destroyed.
-  std::size_t discard_warm_workers(FunctionId fn);
 
   /// Aborts in-flight provisioning operations of `fn` that no request is
   /// waiting on (speculative deployments overtaken by a prediction miss).
@@ -274,8 +267,6 @@ class PlatformEngine {
   PlatformCalibration calib_;
   NullPolicy null_policy_;
   ProvisionPolicy* policy_;
-  /// Read-only observation surface for the policy; fed at lifecycle points.
-  PolicyView view_;
   common::Rng rng_;
   std::unique_ptr<MessageBus> bus_;
   /// Interned worker-state topic (valid only when the bus is enabled).

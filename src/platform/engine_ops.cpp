@@ -160,11 +160,6 @@ bool PlatformEngine::cancel_scheduled_prewarm(EventId event) {
   return sim_.cancel(event);
 }
 
-std::size_t PlatformEngine::discard_warm_workers(FunctionId fn) {
-  function_info(fn);  // Validate: unknown functions throw, as before the split.
-  return warm_pool_.discard_all(fn);
-}
-
 std::size_t PlatformEngine::abort_unclaimed_provisions(FunctionId fn) {
   function_info(fn);
   return pipeline_.abort_unclaimed(fn);

@@ -11,18 +11,11 @@
 // and JIT policies live in src/core; the pool and MPC-horizon competitor
 // policies live in platform/baseline_policies.hpp.
 //
-// Policies observe the platform through PolicyView, a narrow read-only
-// observation surface (arrival counts, warm-pool occupancy, online profile
-// estimates, virtual time).  The view deliberately exposes no engine
-// internals: policies act only through the engine's public policy-facing
-// operations, and the friend ban in src/platform (xan_lint) keeps
-// anyone from tunnelling past that boundary.
-
-#include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
+// A policy learns only from the hooks below, reads the platform through the
+// engine's public accessors (now(), warm_count, provisioning_count,
+// function_id), and acts only through the engine's public policy-facing
+// operations; the friend ban in src/platform (xan_lint) keeps anyone from
+// tunnelling past that boundary.
 
 #include "common/ids.hpp"
 #include "platform/request.hpp"
@@ -35,90 +28,7 @@ using common::FunctionId;
 class PlatformEngine;
 struct RequestContext;
 
-/// Read-only observation surface handed to provisioning policies.
-///
-/// The engine owns the single instance, feeds it at request-lifecycle points
-/// (arrival, worker ready, execution end, completion), and passes policies a
-/// `const` reference -- const-ness is the write barrier.  Occupancy queries
-/// delegate to engine-installed callbacks so the view never holds platform
-/// state of its own beyond plain counters; everything here is arithmetic
-/// folded in event order, so observing through the view can never perturb a
-/// replay digest.
-class PolicyView {
- public:
-  /// Online per-function estimates folded from platform-side observations:
-  /// the dispatch daemon's honest view of sandbox startup time and function
-  /// execution time (running means, no decay).
-  struct FunctionEstimate {
-    std::uint64_t provision_samples = 0;
-    double mean_provision_ms = 0.0;
-    std::uint64_t exec_samples = 0;
-    double mean_exec_ms = 0.0;
-  };
-
-  using Clock = std::function<sim::TimePoint()>;
-  using CountQuery = std::function<std::size_t(FunctionId)>;
-
-  // -- Engine-facing wiring (policies only ever see `const PolicyView&`) ----
-
-  /// Installs the clock and the occupancy callbacks.  Called once by the
-  /// engine at construction; the callables must outlive the view.
-  void bind(Clock now, CountQuery warm, CountQuery provisioning);
-  void record_arrival(WorkflowId workflow, sim::TimePoint at);
-  void record_worker_ready(FunctionId fn, sim::Duration provision_latency);
-  void record_execution(FunctionId fn, sim::Duration exec_duration);
-  void record_completion(bool failed);
-
-  // -- Policy-facing observations -------------------------------------------
-
-  /// Current virtual time.
-  [[nodiscard]] sim::TimePoint now() const {
-    return now_ ? now_() : sim::TimePoint{};
-  }
-  /// Requests submitted so far, platform-wide / per workflow.
-  [[nodiscard]] std::uint64_t total_arrivals() const { return total_arrivals_; }
-  [[nodiscard]] std::uint64_t arrivals(WorkflowId workflow) const;
-  /// Requests finished so far (completed cleanly / failed over).
-  [[nodiscard]] std::uint64_t completions() const { return completions_; }
-  [[nodiscard]] std::uint64_t failures() const { return failures_; }
-  /// Idle warm workers pooled for `fn` right now.
-  [[nodiscard]] std::size_t warm_count(FunctionId fn) const;
-  /// In-flight provisioning operations (sandbox builds plus inbound
-  /// rebinds) covering `fn` right now.
-  [[nodiscard]] std::size_t provisioning_count(FunctionId fn) const;
-  /// Online startup/execution estimate, or nullptr before any observation.
-  [[nodiscard]] const FunctionEstimate* estimate(FunctionId fn) const;
-  /// Arrivals of `workflow` whose timestamp lies in (now - window, now].
-  /// Exact while the retained arrival history covers the window (the view
-  /// keeps the most recent kArrivalHistory timestamps per workflow).
-  [[nodiscard]] std::uint64_t arrivals_in_window(WorkflowId workflow,
-                                                 sim::Duration window) const;
-  /// Rolling-window arrival-rate estimate (requests per second) for
-  /// `workflow`, from arrivals_in_window.  0 for an empty window.
-  [[nodiscard]] double arrival_rate_per_sec(WorkflowId workflow,
-                                            sim::Duration window) const;
-
-  /// Per-workflow arrival timestamps retained for windowed rate estimates.
-  static constexpr std::size_t kArrivalHistory = 256;
-
- private:
-  Clock now_;
-  CountQuery warm_;
-  CountQuery provisioning_;
-  std::uint64_t total_arrivals_ = 0;
-  std::uint64_t completions_ = 0;
-  std::uint64_t failures_ = 0;
-  struct WorkflowArrivals {
-    std::uint64_t total = 0;
-    /// Most recent arrival times, oldest first, capped at kArrivalHistory.
-    std::deque<sim::TimePoint> recent;
-  };
-  std::unordered_map<WorkflowId, WorkflowArrivals> arrivals_;
-  std::unordered_map<FunctionId, FunctionEstimate> estimates_;
-};
-
-/// Every hook receives the engine; a policy reads the observation surface
-/// through `engine.policy_view()`.
+/// Every hook receives the engine, through which a policy reads and acts.
 class ProvisionPolicy {
  public:
   virtual ~ProvisionPolicy() = default;

@@ -66,10 +66,6 @@ void WarmPoolManager::reclaim(FunctionId fn, WorkerId worker) {
   destroy(entry);
 }
 
-std::size_t WarmPoolManager::discard_all(FunctionId fn) {
-  return shrink_to(fn, 0);
-}
-
 std::size_t WarmPoolManager::shrink_to(FunctionId fn, std::size_t target) {
   auto pool = warm_.find(fn);
   if (pool == warm_.end()) return 0;
@@ -94,7 +90,7 @@ void WarmPoolManager::flush_all() {
   }
   std::sort(ids.begin(), ids.end());
   for (const FunctionId fn : ids) {
-    discard_all(fn);
+    shrink_to(fn, 0);
   }
   // Workers mid-rebind belong to no pool (popped at rebind start), so the
   // sweep above cannot see them.  A flush means "no warm sandbox survives":

@@ -59,14 +59,10 @@ class WarmPoolManager {
   /// already been reused or reclaimed.
   void reclaim(FunctionId fn, WorkerId worker);
 
-  /// Tears down all warm workers of `fn` immediately; returns the number of
-  /// workers destroyed.
-  std::size_t discard_all(FunctionId fn);
-
   /// Reclaims pooled workers of `fn`, oldest first, until at most `target`
-  /// remain warm.  Returns the number destroyed.  Used by provisioning
-  /// policies that maintain a bounded pool (eviction half of a
-  /// provision/evict schedule).
+  /// remain warm (0 empties the pool).  Returns the number destroyed.  Used
+  /// by provisioning policies that maintain a bounded pool (eviction half of
+  /// a provision/evict schedule) and to discard mis-deployed sandboxes.
   std::size_t shrink_to(FunctionId fn, std::size_t target);
 
   /// Tears down every warm worker on the platform, in sorted function-id

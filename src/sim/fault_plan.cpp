@@ -16,6 +16,10 @@ void require_rate(double rate, const char* name) {
   }
 }
 
+/// One host outage per virtual millisecond on average.  Above it the
+/// exponential gaps round to 0 us and the virtual clock stops advancing.
+constexpr double kMaxHostOutageRatePerHour = 3.6e6;
+
 }  // namespace
 
 bool FaultPlanOptions::any_enabled() const {
@@ -36,10 +40,12 @@ void FaultPlanOptions::validate() const {
   require_rate(provision_failure_rate, "provision_failure_rate");
   require_rate(worker_crash_rate, "worker_crash_rate");
   require_rate(straggler_rate, "straggler_rate");
-  if (!(std::isfinite(host_outage_rate_per_hour) &&
-        host_outage_rate_per_hour >= 0.0)) {
+  // The upper comparison rejects NaN and infinity too.
+  if (!(host_outage_rate_per_hour >= 0.0 &&
+        host_outage_rate_per_hour <= kMaxHostOutageRatePerHour)) {
     throw std::invalid_argument{
-        "FaultPlanOptions: host_outage_rate_per_hour must be finite and >= 0"};
+        "FaultPlanOptions: host_outage_rate_per_hour must be in [0, 3.6e6] "
+        "(one outage per virtual millisecond on average)"};
   }
   if (!(std::isfinite(straggler_multiplier) && straggler_multiplier >= 1.0)) {
     throw std::invalid_argument{

@@ -46,9 +46,10 @@ struct FaultPlanOptions {
   double provision_failure_rate = 0.0;
   /// P(a worker crashes partway through executing a request).
   double worker_crash_rate = 0.0;
-  /// Host outages per simulated hour per cluster (0 = never).  Outage times
-  /// are exponentially distributed; each outage kills every worker on one
-  /// uniformly drawn host and takes the host offline for `host_downtime`.
+  /// Host outages per simulated hour per cluster (0 = never, at most 3.6e6:
+  /// one per virtual millisecond).  Outage times are exponentially
+  /// distributed; each outage kills every worker on one uniformly drawn host
+  /// and takes the host offline for `host_downtime`.
   double host_outage_rate_per_hour = 0.0;
   Duration host_downtime = Duration::from_seconds(30);
 

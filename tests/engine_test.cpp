@@ -297,7 +297,7 @@ TEST_F(EngineTest, DiscardWarmWorkersDestroysIdleSandboxes) {
   sim_->run_until(sim_->now() + 10_s);
   const auto fn = engine_->function_id(wf, common::NodeId{0});
   EXPECT_EQ(engine_->warm_count(fn), 1u);
-  EXPECT_EQ(engine_->discard_warm_workers(fn), 1u);
+  EXPECT_EQ(engine_->shrink_warm_pool(fn, 0), 1u);
   EXPECT_EQ(engine_->warm_count(fn), 0u);
   EXPECT_EQ(cluster_->live_worker_count(), 0u);
 }

@@ -151,6 +151,9 @@ TEST(fault_injection, PlanValidationRejectsOutOfRangeAndNonFiniteValues) {
   rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = -1.0; });
   rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = kNaN; });
   rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = kInf; });
+  // Above one outage per virtual millisecond the gaps round to 0 us.
+  rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = 1e300; });
+  rejects([](sim::FaultPlanOptions& o) { o.host_outage_rate_per_hour = 3.7e6; });
   rejects([](sim::FaultPlanOptions& o) { o.straggler_multiplier = kNaN; });
   rejects([](sim::FaultPlanOptions& o) { o.straggler_multiplier = kInf; });
 
@@ -161,6 +164,8 @@ TEST(fault_injection, PlanValidationRejectsOutOfRangeAndNonFiniteValues) {
   edge.provision_failure_rate = 1.0;
   edge.host_outage_rate_per_hour = 1e6;
   edge.straggler_multiplier = 1.0;
+  EXPECT_NO_THROW(edge.validate());
+  edge.host_outage_rate_per_hour = 3.6e6;
   EXPECT_NO_THROW(edge.validate());
 }
 

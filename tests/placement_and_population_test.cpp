@@ -1,4 +1,4 @@
-// Tests for cluster placement policies and the heavy-tailed workflow
+// Tests for worst-fit cluster placement and the heavy-tailed workflow
 // population generator.
 
 #include <gtest/gtest.h>
@@ -13,17 +13,15 @@ namespace {
 
 using cluster::Cluster;
 using cluster::ClusterOptions;
-using cluster::PlacementPolicy;
 using common::FunctionId;
 using sim::Duration;
 using sim::TimePoint;
 using workflow::SandboxKind;
 
-ClusterOptions three_hosts(PlacementPolicy policy) {
+ClusterOptions three_hosts() {
   ClusterOptions options;
   options.host_count = 3;
   options.memory_mb_per_host = 4096;
-  options.placement = policy;
   return options;
 }
 
@@ -38,54 +36,19 @@ common::HostId place_one(Cluster& cluster, double memory_mb) {
 }
 
 TEST(Placement, WorstFitSpreadsAcrossHosts) {
-  Cluster cluster{three_hosts(PlacementPolicy::WorstFit), common::Rng{1}};
+  Cluster cluster{three_hosts(), common::Rng{1}};
   std::set<std::uint64_t> used;
   for (int i = 0; i < 3; ++i) used.insert(place_one(cluster, 512).value());
   EXPECT_EQ(used.size(), 3u);  // Each placement picks the emptiest host.
 }
 
-TEST(Placement, BestFitPacksOneHostFirst) {
-  Cluster cluster{three_hosts(PlacementPolicy::BestFit), common::Rng{1}};
-  const auto first = place_one(cluster, 512);
-  // Now one host is fuller than the others; best-fit keeps packing it.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(place_one(cluster, 512), first);
-  }
-}
-
-TEST(Placement, BestFitOverflowsToNextHostWhenFull) {
-  ClusterOptions options = three_hosts(PlacementPolicy::BestFit);
-  options.memory_mb_per_host = 1200;  // Fits two 512+64 workers, not three.
+TEST(Placement, FailsCleanlyWhenFull) {
+  ClusterOptions options = three_hosts();
+  options.host_count = 1;
+  options.memory_mb_per_host = 600;
   Cluster cluster{options, common::Rng{1}};
-  const auto a = place_one(cluster, 512);
-  const auto b = place_one(cluster, 512);
-  const auto c = place_one(cluster, 512);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-}
-
-TEST(Placement, RoundRobinCycles) {
-  Cluster cluster{three_hosts(PlacementPolicy::RoundRobin), common::Rng{1}};
-  const auto a = place_one(cluster, 512);
-  const auto b = place_one(cluster, 512);
-  const auto c = place_one(cluster, 512);
-  const auto d = place_one(cluster, 512);
-  EXPECT_NE(a, b);
-  EXPECT_NE(b, c);
-  EXPECT_NE(a, c);
-  EXPECT_EQ(a, d);  // Wrapped around.
-}
-
-TEST(Placement, AllPoliciesFailCleanlyWhenFull) {
-  for (const auto policy : {PlacementPolicy::WorstFit, PlacementPolicy::BestFit,
-                            PlacementPolicy::RoundRobin}) {
-    ClusterOptions options = three_hosts(policy);
-    options.host_count = 1;
-    options.memory_mb_per_host = 600;
-    Cluster cluster{options, common::Rng{1}};
-    place_one(cluster, 512);
-    EXPECT_FALSE(cluster.place(512).has_value());
-  }
+  place_one(cluster, 512);
+  EXPECT_FALSE(cluster.place(512).has_value());
 }
 
 // ------------------------------------------------------------ population --

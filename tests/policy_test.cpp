@@ -1,10 +1,11 @@
 // Tests for XanaduPolicy: speculative and JIT provisioning, profile
 // learning, prediction-miss handling, aggressiveness, implicit detection.
-// Plus the policy lab: the PolicyView observation surface, the PoolPolicy /
-// MpcHorizonPolicy competitors, and hook-ordering determinism.
+// Plus the policy lab: the PoolPolicy / MpcHorizonPolicy competitors (with
+// what MPC learns from its own hooks), and hook-ordering determinism.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/dispatch_manager.hpp"
+#include "metrics/trace.hpp"
 #include "platform/baseline_policies.hpp"
 #include "platform/engine.hpp"
 #include "workflow/builders.hpp"
@@ -315,53 +317,46 @@ TEST(XanaduPolicy, RestoreRejectsNodesOutsideTheDag) {
       manager.xanadu_policy()->restore(wf, dag, store, "profiled").ok());
 }
 
-TEST(PolicyView, CountersWindowsAndEstimates) {
-  platform::PolicyView view;
-  sim::TimePoint now{};
-  std::size_t warm = 3;
-  std::size_t provisioning = 2;
-  view.bind([&] { return now; },
-            [&](common::FunctionId) { return warm; },
-            [&](common::FunctionId) { return provisioning; });
+/// One pinned competitor run at seed 7.  Fault-free: a 3-node 300 ms chain,
+/// 8 arrivals 500 ms apart.  Faulted: the control bus on, bus drops and
+/// worker crashes with recovery on, over a 3-node 2 s chain with 4 arrivals
+/// 500 ms apart -- there MPC's per-function cap does not saturate, so its
+/// target at a function's first completion depends on that completion's
+/// exec sample.
+struct PinnedRun {
+  std::string digest;
+  std::uint64_t workers_provisioned = 0;
+  std::uint64_t solves = 0;
+};
 
-  const common::WorkflowId wf{0};
-  const common::FunctionId fn{0};
-  for (int i = 0; i < 5; ++i) {
-    view.record_arrival(wf, sim::TimePoint{} + sim::Duration::from_seconds(i));
+PinnedRun pinned_run(PlatformKind kind, bool faulted) {
+  DispatchManagerOptions options;
+  options.kind = kind;
+  options.seed = 7;
+  if (faulted) {
+    platform::PlatformCalibration calibration = preset_calibration(kind);
+    calibration.control_bus.enabled = true;
+    options.calibration = calibration;
+    options.faults.bus_drop_rate = 0.2;
+    options.faults.worker_crash_rate = 0.1;
+    options.recovery.enabled = true;
   }
-  now = sim::TimePoint{} + sim::Duration::from_seconds(4);
-
-  EXPECT_EQ(view.total_arrivals(), 5u);
-  EXPECT_EQ(view.arrivals(wf), 5u);
-  EXPECT_EQ(view.arrivals(common::WorkflowId{9}), 0u);
-  // Window (2s, 4s]: the arrivals at t=3s and t=4s (half-open on the left:
-  // the t=2s arrival sits exactly on the cutoff and is excluded).
-  EXPECT_EQ(view.arrivals_in_window(wf, sim::Duration::from_seconds(2)), 2u);
-  EXPECT_DOUBLE_EQ(
-      view.arrival_rate_per_sec(wf, sim::Duration::from_seconds(2)), 1.0);
-  EXPECT_DOUBLE_EQ(view.arrival_rate_per_sec(wf, sim::Duration::zero()), 0.0);
-
-  EXPECT_EQ(view.warm_count(fn), 3u);
-  EXPECT_EQ(view.provisioning_count(fn), 2u);
-  EXPECT_GT(view.provisioning_count(fn), 0u);
-  provisioning = 0;
-  EXPECT_EQ(view.provisioning_count(fn), 0u);
-
-  EXPECT_EQ(view.estimate(fn), nullptr);
-  view.record_worker_ready(fn, sim::Duration::from_millis(100));
-  view.record_worker_ready(fn, sim::Duration::from_millis(200));
-  view.record_execution(fn, sim::Duration::from_millis(50));
-  const platform::PolicyView::FunctionEstimate* est = view.estimate(fn);
-  ASSERT_NE(est, nullptr);
-  EXPECT_EQ(est->provision_samples, 2u);
-  EXPECT_DOUBLE_EQ(est->mean_provision_ms, 150.0);
-  EXPECT_EQ(est->exec_samples, 1u);
-  EXPECT_DOUBLE_EQ(est->mean_exec_ms, 50.0);
-
-  view.record_completion(false);
-  view.record_completion(true);
-  EXPECT_EQ(view.completions(), 2u);
-  EXPECT_EQ(view.failures(), 1u);
+  DispatchManager manager{options};
+  const auto wf = manager.deploy(
+      workflow::linear_chain(3, chain_options(faulted ? 2000 : 300)));
+  workload::RunOptions run;
+  run.allow_incomplete = faulted;
+  const workload::RunOutcome outcome = workload::run_schedule(
+      manager, wf,
+      workload::fixed_interval(faulted ? 4 : 8, sim::Duration::from_millis(500)),
+      run);
+  if (faulted) {
+    EXPECT_GT(manager.engine().fault_plan().counters().bus_drops, 0u);
+    EXPECT_GT(manager.engine().fault_plan().counters().worker_crashes, 0u);
+  }
+  return {metrics::digest_hex(outcome.trace_digest),
+          outcome.ledger_delta.workers_provisioned,
+          manager.mpc_policy() != nullptr ? manager.mpc_policy()->solves() : 0};
 }
 
 TEST(PoolPolicy, MaintainsConfiguredPoolDepth) {
@@ -410,6 +405,17 @@ TEST(PoolPolicy, RefillCountsInFlightBuildsOnce) {
   EXPECT_LE(outcome.ledger_delta.workers_provisioned, 10u);
 }
 
+TEST(PoolPolicy, TraceDigestsArePinned) {
+  // Any change in a refill or eviction decision moves the digest or the
+  // build count.
+  const PinnedRun clean = pinned_run(PlatformKind::WarmPool, false);
+  EXPECT_EQ(clean.digest, "4c1599e702f7c384");
+  EXPECT_EQ(clean.workers_provisioned, 14u);
+  const PinnedRun faulted = pinned_run(PlatformKind::WarmPool, true);
+  EXPECT_EQ(faulted.digest, "1a4c115f9af7c7d5");
+  EXPECT_EQ(faulted.workers_provisioned, 12u);
+}
+
 TEST(MpcHorizonPolicy, SolvesAndCoversUnderSustainedTraffic) {
   DispatchManagerOptions options;
   options.kind = PlatformKind::MpcHorizon;
@@ -455,6 +461,84 @@ TEST(MpcHorizonPolicy, ReplaysDeterministically) {
   };
   EXPECT_EQ(digest_of(7), digest_of(7));
   EXPECT_NE(digest_of(7), digest_of(8));
+}
+
+TEST(MpcHorizonPolicy, TraceDigestsArePinned) {
+  // Any change in what the controller learns, or in when it folds it
+  // relative to a solve, moves the digest, the build count or the solves.
+  const PinnedRun clean = pinned_run(PlatformKind::MpcHorizon, false);
+  EXPECT_EQ(clean.digest, "9c15b655603bfa3f");
+  EXPECT_EQ(clean.workers_provisioned, 17u);
+  EXPECT_EQ(clean.solves, 7u);
+  const PinnedRun faulted = pinned_run(PlatformKind::MpcHorizon, true);
+  EXPECT_EQ(faulted.digest, "6f62b0a5ccde76a8");
+  EXPECT_EQ(faulted.workers_provisioned, 17u);
+  EXPECT_EQ(faulted.solves, 11u);
+}
+
+TEST(MpcHorizonPolicy, WindowedRateAndRunningMeans) {
+  // The hooks are driven directly on a detached policy; the engine supplies
+  // only the clock and the function ids.
+  sim::Simulator sim;
+  cluster::Cluster cluster{cluster::ClusterOptions{}, common::Rng{3}};
+  platform::PlatformEngine engine{sim, cluster, platform::PlatformCalibration{},
+                                  nullptr, common::Rng{5}};
+  const auto wf = engine.register_workflow(workflow::linear_chain(1));
+  const common::NodeId node{0};
+  const auto fn = engine.function_id(wf, node);
+  platform::MpcHorizonOptions options;
+  options.window = sim::Duration::from_seconds(2);
+  platform::MpcHorizonPolicy mpc{options};
+  options.window = sim::Duration::zero();
+  platform::MpcHorizonPolicy no_window{options};
+
+  platform::RequestContext ctx;
+  ctx.workflow = wf;
+  ctx.dag = &engine.dag(wf);
+  ctx.nodes.resize(1);
+  for (int i = 0; i < 5; ++i) {
+    sim.run_until(sim::TimePoint{} + sim::Duration::from_seconds(i));
+    mpc.on_request_submitted(engine, ctx);
+    no_window.on_request_submitted(engine, ctx);
+  }
+  const sim::TimePoint now = sim::TimePoint{} + sim::Duration::from_seconds(4);
+  // Window (2s, 4s]: the arrivals at t=3s and t=4s (half-open on the left:
+  // the t=2s arrival sits exactly on the cutoff and is excluded).
+  EXPECT_DOUBLE_EQ(mpc.arrival_rate_per_sec(wf, now), 1.0);
+  EXPECT_DOUBLE_EQ(mpc.arrival_rate_per_sec(common::WorkflowId{9}, now), 0.0);
+  EXPECT_DOUBLE_EQ(no_window.arrival_rate_per_sec(wf, now), 0.0);
+
+  EXPECT_EQ(mpc.estimate(fn), nullptr);
+  mpc.on_worker_ready(engine, wf, node, sim::Duration::from_millis(100));
+  mpc.on_worker_ready(engine, wf, node, sim::Duration::from_millis(200));
+  ctx.nodes[0].exec_duration = sim::Duration::from_millis(50);
+  mpc.on_node_completed(engine, ctx, node);
+  const platform::MpcHorizonPolicy::Estimate* est = mpc.estimate(fn);
+  ASSERT_NE(est, nullptr);
+  EXPECT_EQ(est->provision_samples, 2u);
+  EXPECT_DOUBLE_EQ(est->mean_provision_ms, 150.0);
+  EXPECT_EQ(est->exec_samples, 1u);
+  EXPECT_DOUBLE_EQ(est->mean_exec_ms, 50.0);
+}
+
+TEST(MpcHorizonPolicy, LearnsEstimatesFromTheRequestLifecycle) {
+  platform::MpcHorizonPolicy mpc;
+  sim::Simulator sim;
+  cluster::Cluster cluster{cluster::ClusterOptions{}, common::Rng{3}};
+  platform::PlatformCalibration calib;
+  platform::PlatformEngine engine{sim, cluster, calib, &mpc, common::Rng{5}};
+
+  workflow::BuildOptions build;
+  build.exec_time = sim::Duration::from_millis(200);
+  const auto wf = engine.register_workflow(workflow::linear_chain(2, build));
+  (void)engine.run_one(wf);
+
+  const auto fn = engine.function_id(wf, common::NodeId{0});
+  const platform::MpcHorizonPolicy::Estimate* est = mpc.estimate(fn);
+  ASSERT_NE(est, nullptr);
+  EXPECT_EQ(est->provision_samples, 1u);
+  EXPECT_GT(est->mean_provision_ms, 0.0);
+  EXPECT_EQ(est->exec_samples, 1u);
 }
 
 /// Records every hook invocation as a flat string sequence; the policy-lab
@@ -563,19 +647,13 @@ TEST(PolicyHooks, AttachExposesLiveObservationView) {
   workflow::BuildOptions build;
   build.exec_time = sim::Duration::from_millis(200);
   const auto wf = engine.register_workflow(workflow::linear_chain(2, build));
-  (void)engine.run_one(wf);
+  const RequestResult result = engine.run_one(wf);
 
-  // The engine-owned view saw the request: arrivals, estimates, completions.
-  const platform::PolicyView& view = engine.policy_view();
-  EXPECT_EQ(view.total_arrivals(), 1u);
-  EXPECT_EQ(view.completions(), 1u);
-  EXPECT_EQ(view.failures(), 0u);
-  const auto fn = engine.function_id(wf, common::NodeId{0});
-  const platform::PolicyView::FunctionEstimate* est = view.estimate(fn);
-  ASSERT_NE(est, nullptr);
-  EXPECT_EQ(est->provision_samples, 1u);
-  EXPECT_GT(est->mean_provision_ms, 0.0);
-  EXPECT_EQ(est->exec_samples, 1u);
+  // The attached policy's hooks saw the request: one arrival, one clean
+  // completion.
+  EXPECT_EQ(std::count(rec.events.begin(), rec.events.end(), "submit"), 1);
+  EXPECT_EQ(std::count(rec.events.begin(), rec.events.end(), "complete"), 1);
+  EXPECT_FALSE(result.failed);
   // One ready per provisioned worker on the fault-free path.
   EXPECT_EQ(rec.worker_ready, 2u);
 }

@@ -1,13 +1,11 @@
 """observer-purity: observation must not perturb the replayable state.
 
-`PolicyView` (the provisioning policies' read-only window onto the
-engine), the `ProbeRegistry` samplers, and the digest functions
-(`state_digest`, `membership_digest`) exist so that *observing* a run
-cannot change it -- the golden-digest replay tests depend on it, and the
-policy-tournament comparisons are only fair if reading the estimate does
-not move the estimate.  The runtime enforces this only indirectly (a
-digest divergence after the fact); this rule enforces it statically:
-anything reachable from an observation root that
+The `ProbeRegistry` samplers and the digest functions (`state_digest`,
+`membership_digest`, `register_probes`) exist so that *observing* a run
+cannot change it -- the golden-digest replay tests and the race
+detector's divergence digest depend on it.  The runtime enforces this
+only indirectly (a digest divergence after the fact); this rule enforces
+it statically: anything reachable from an observation root that
 
   * draws from an Rng (stream state is folded into replay),
   * calls an engine mutator (scheduling, publishing, interning,
@@ -36,14 +34,13 @@ RULE = "observer-purity"
 
 RULE_DOCS = {
     RULE: (
-        "code reachable from a PolicyView/probe/digest observation root "
+        "code reachable from a probe/digest observation root "
         "draws from an Rng, calls an engine mutator, or writes state "
         "folded into state_digest; observation must not perturb replay"
     ),
 }
 
 # Observation roots.
-ROOT_CONST_CLASSES = {"PolicyView"}
 ROOT_QUALIFIED = {
     "ProbeRegistry::sample",
     "ProbeRegistry::digest",
@@ -106,15 +103,8 @@ INCDEC_OPS = {"++", "--"}
 
 
 def _roots(model):
-    roots = []
-    for fn in model.functions:
-        if fn.cls in ROOT_CONST_CLASSES and fn.is_const:
-            roots.append(fn)
-        elif fn.qualified in ROOT_QUALIFIED:
-            roots.append(fn)
-        elif fn.name in ROOT_NAMES:
-            roots.append(fn)
-    return roots
+    return [fn for fn in model.functions
+            if fn.qualified in ROOT_QUALIFIED or fn.name in ROOT_NAMES]
 
 
 def _skip_edge(_caller, _call, callee) -> bool:
@@ -166,9 +156,9 @@ def run(model) -> list[Finding]:
                 fn.file,
                 line,
                 RULE,
-                f"{what} inside observation-reachable code; PolicyView/"
-                "probe/digest paths must be pure reads or the golden-"
-                "digest replay diverges",
+                f"{what} inside observation-reachable code; probe/"
+                "digest paths must be pure reads or the golden-digest "
+                "replay diverges",
                 list(reach[id(fn)]) + [leaf],
             )
         )

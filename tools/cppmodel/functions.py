@@ -4,10 +4,10 @@ Grown out of the PR-6 flow_lint extractor, with three front-end upgrades
 every analysis now shares:
 
   * Enclosing-class qualification.  A linear scope pre-pass tracks
-    class/struct bodies, so an in-class definition of `now()` inside
-    `class PolicyView` is modelled as `PolicyView::now` -- analyses can
-    root themselves at a class's methods without demanding out-of-line
-    definitions.
+    class/struct bodies, so an in-class definition of `sample()` inside
+    `class ProbeRegistry` is modelled as `ProbeRegistry::sample` --
+    analyses can root themselves at a class's methods without demanding
+    out-of-line definitions.
   * Template-instantiation tracking.  Call sites with an explicit template
     argument list (`f<double>(x, rng)`) are recognised as calls (the
     PR-6 extractor required `(` directly after the name, so such sites

@@ -1,9 +1,10 @@
 // xan_lint fixture: MUST fire observer-purity exactly twice.
 //
-// Distilled observation-perturbs-replay bug: the estimate accessor
-// "refreshes" on read -- it bumps a counter folded into state_digest and
-// draws smoothing jitter, so merely observing the run moves the golden
-// digest.  Both violations sit one call edge below the PolicyView root.
+// Distilled observation-perturbs-replay bug: the digest accessor
+// "refreshes" the estimate it folds on read -- it bumps a counter folded
+// into state_digest and draws smoothing jitter, so merely observing the run
+// moves the golden digest.  Both violations sit one call edge below the
+// state_digest root.
 
 namespace xanadu::fixture {
 
@@ -19,9 +20,9 @@ double refresh_estimate(EngineState& engine) {
   return engine.estimate_ + engine.jitter_rng_.normal(0.0, 1.0);
 }
 
-class PolicyView {
+class EstimateProbe {
  public:
-  double estimate() const { return refresh_estimate(*engine_); }
+  double state_digest() const { return refresh_estimate(*engine_); }
 
  private:
   EngineState* engine_ = nullptr;

@@ -1,14 +1,15 @@
 // xan_lint fixture: MUST stay silent.
 //
-// Pure observation: PolicyView accessors return stored state, and the
+// Pure observation: the state_digest accessor folds stored state, and the
 // registered probe samplers reduce over members without writing anything.
 // Locals may be written freely -- purity is about state that outlives the
 // observation.
 
 namespace xanadu::fixture {
 
-class PolicyView {
+class WindowProbe {
  public:
+  double state_digest() const { return window_estimate() + arrival_total(); }
   double window_estimate() const { return window_sum_ / window_len_; }
   long arrival_total() const { return arrivals_; }
 

@@ -33,9 +33,9 @@ class SuppressedShapes {
   unsigned ticks_ = 0;
 };
 
-class PolicyView {
+class NoisyProbe {
  public:
-  double noisy_probe() const {
+  double state_digest() const {
     // lint:allow(observer-purity) fixture: pinned suppression syntax
     return probe_rng_.normal(0.0, 1.0);
   }

@@ -21,7 +21,7 @@ analysis under tools/analyses/ runs off that single SourceModel:
   shard-lookahead    handler-reachable scheduling/publishing onto another
                      shard outside the numbered mailbox (static complement
                      of the runtime channel-latency throw and the TSan job)
-  observer-purity    PolicyView/probe/digest observation paths that draw
+  observer-purity    probe/digest observation paths that draw
                      from an Rng, call an engine mutator, or write state
                      folded into state_digest (static complement of the
                      golden-digest replay)

@@ -41,9 +41,9 @@ tools/fixtures/xan_lint/:
                                shard-lookahead must fire twice
   good_shard_mailbox.cpp       closure mailed via LogicalProcess::send,
                                local-receiver scheduling -- must be silent
-  bad_observer_mutation.cpp    PolicyView accessor that bumps a counter
-                               and draws jitter -- observer-purity must
-                               fire twice
+  bad_observer_mutation.cpp    state_digest accessor that bumps a
+                               counter and draws jitter -- observer-purity
+                               must fire twice
   good_observer_pure.cpp       pure accessors + pure probe samplers --
                                must be silent
   bad_hot_path_text.cpp        pre-fix per-request text: an ostringstream
@@ -296,9 +296,9 @@ def main() -> int:
             failures,
         )
         check(
-            all("PolicyView::estimate" in " -> ".join(f.path)
+            all("EstimateProbe::state_digest" in " -> ".join(f.path)
                 for f in found),
-            "bad_observer_mutation paths root at the PolicyView accessor",
+            "bad_observer_mutation paths root at the state_digest accessor",
             failures,
         )
     check(
