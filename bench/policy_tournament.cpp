@@ -34,6 +34,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -239,18 +240,20 @@ void fail(const char* what) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_policies.json";
+  std::optional<std::string> json_arg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-      json_path = "-";
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
+      json_arg = argv[++i];
     } else {
       std::fprintf(stderr, "usage: policy_tournament [--smoke] [--json PATH]\n");
       return 2;
     }
   }
+  // --smoke only changes the default path; an explicit --json always wins.
+  const std::string json_path =
+      json_arg.value_or(smoke ? "-" : "BENCH_policies.json");
 
   bench::banner(smoke ? "Provisioning-policy tournament (smoke)"
                       : "Provisioning-policy tournament");

@@ -11,9 +11,9 @@
 // run_mixed_schedule for the deterministic merge.
 //
 // A third preset group records the sharded thread curve: the same three
-// tenants, each on its own DispatchManager shard with the control bus
-// bridged to a fleet shard, drained by the conservative parallel driver
-// (workload::run_sharded_mix) at threads 1/2/4.  Per-source digests must be
+// tenants, each on its own DispatchManager shard with the control bus on,
+// run as independent tasks (workload::run_sharded_mix) at threads 1/2/4.
+// Per-source digests must be
 // byte-identical across the curve; `threads` / `speedup_vs_one_thread` and
 // the document-level `hardware_concurrency` make curves from different
 // machines comparable.
@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -175,9 +176,9 @@ PresetResult run_preset(core::PlatformKind kind, const MixScale& scale,
 }
 
 /// The sharded counterpart of run_preset: one DispatchManager per tenant
-/// (all Xanadu JIT, control bus bridged to the fleet shard), per-tenant
-/// Poisson arrivals at a third of the aggregate rate, drained by the
-/// conservative parallel driver at `threads` OS threads.
+/// (all Xanadu JIT, control bus on), per-tenant Poisson arrivals at a third
+/// of the aggregate rate, each shard run as its own task on `threads` OS
+/// threads.
 PresetResult run_sharded_preset(const MixScale& scale, std::uint64_t seed,
                                 unsigned threads) {
   const std::vector<workflow::WorkflowDag> dags = tenant_dags();
@@ -308,18 +309,21 @@ void fail(const char* what) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  std::string json_path = "BENCH_multitenant.json";
+  std::optional<std::string> json_arg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-      json_path = "-";
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
+      json_arg = argv[++i];
     } else {
       std::fprintf(stderr, "usage: scale_multitenant [--smoke] [--json PATH]\n");
       return 2;
     }
   }
+
+  // --smoke only changes the default path; an explicit --json always wins.
+  const std::string json_path =
+      json_arg.value_or(smoke ? "-" : "BENCH_multitenant.json");
 
   bench::banner(smoke ? "Multi-tenant mixed-traffic replay (smoke)"
                       : "Multi-tenant mixed-traffic replay");
@@ -338,8 +342,8 @@ int main(int argc, char** argv) {
     print_result(results.back());
   }
 
-  // Sharded thread curve: one shard per tenant + the fleet shard, drained at
-  // 1/2/4 threads.  The threads=1 point anchors the speedups.
+  // Sharded thread curve: one shard per tenant, run at 1/2/4 threads.  The
+  // threads=1 point anchors the speedups.
   std::vector<std::size_t> curve_index;
   for (const unsigned threads : {1u, 2u, 4u}) {
     PresetResult point = run_sharded_preset(scale, /*seed=*/42, threads);
@@ -412,7 +416,7 @@ int main(int argc, char** argv) {
           "weighted Poisson mix (ecommerce 3 : image-pipeline 5 : "
           "random-tree 2), seed 42; per-preset aggregate rate = 1 request "
           "per mean gap across all tenants; sharded curve: one shard per "
-          "tenant + fleet shard, per-tenant gap = 3x mean gap, threads 1/2/4",
+          "tenant, per-tenant gap = 3x mean gap, threads 1/2/4",
           std::move(presets),
           {{"hardware_concurrency",
             static_cast<double>(std::thread::hardware_concurrency())}})) {

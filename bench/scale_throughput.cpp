@@ -10,10 +10,9 @@
 //     the virtual-to-wall speedup, and peak RSS.
 //
 //   * sharded thread curve -- the same 100k macro replay split across four
-//     tenant shards (each its own DispatchManager with the control bus
-//     bridged to a fleet shard) and drained by the conservative parallel
-//     driver at threads 1/2/4/8.  One preset per thread count; digests,
-//     event counts, rounds (`windows`) and cross-shard messages must be
+//     independent tenant shards (each its own DispatchManager with the
+//     control bus on), run as one task per shard at threads 1/2/4/8.  One
+//     preset per thread count; digests and event counts must be
 //     byte-identical across the curve (thread count buys wall-clock time
 //     only), and `speedup_vs_one_thread` records the scaling.  Outside
 //     --smoke, a point with threads <= hardware_concurrency that runs slower
@@ -46,8 +45,10 @@
 //     --full          adds the 1M-request macro presets to the sweep
 //     --huge          adds a 10M-request Xanadu JIT preset (streamed)
 //     --rss-gate-mib  fail (exit 1) if peak RSS exceeds N MiB at the end of
-//                     the sweep; the nightly CI gate
-//     --json          output path (default BENCH_scale.json; "-" disables)
+//                     the sweep; the nightly CI gate.  N must be a finite
+//                     number >= 0 (0 = no gate), or the run exits 2
+//     --json          output path (default BENCH_scale.json, or "-" with
+//                     --smoke; "-" disables); wins over --smoke in any order
 //
 // Macro presets run with RunOptions::retain_results = false: aggregates,
 // digest and histogram stream during the replay, and the simulator queues
@@ -61,12 +62,16 @@
 // ("BENCH_scale.json schema").
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -115,10 +120,6 @@ struct PresetResult {
   std::size_t completed = 0;
   std::size_t failed = 0;
   std::string digest;  // macro only: trace digest, pins determinism
-  // sharded family only (0 elsewhere): driver rounds, one barrier each, and
-  // messages merged through the cross-shard mailbox.
-  std::uint64_t windows = 0;
-  std::uint64_t cross_shard_messages = 0;
 };
 
 /// Poisson schedule with an exact arrival count (workload::poisson fills a
@@ -185,9 +186,8 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
 /// The sharded scenario behind the thread curve: `requests` total arrivals
 /// split evenly across four tenant shards, each a full Xanadu JIT
 /// DispatchManager (own simulator/cluster/engine) replaying the same 4-node
-/// chain as the macro presets.  The control bus is enabled so worker
-/// telemetry bridges into the fleet shard -- the curve measures the real
-/// cross-shard drain, not four independent simulators side by side.
+/// chain as the macro presets.  The control bus is enabled, so each shard
+/// also delivers its worker telemetry to its fleet-view tracker.
 struct ShardedScenario {
   std::vector<std::unique_ptr<core::DispatchManager>> managers;
   std::vector<workload::ShardedSource> shards;
@@ -259,8 +259,6 @@ PresetResult run_sharded(std::size_t requests, unsigned threads,
   result.completed = outcome.mixed.aggregate.completed_count();
   result.failed = outcome.mixed.aggregate.failed_count();
   result.digest = metrics::digest_hex(outcome.mixed.aggregate.trace_digest);
-  result.windows = outcome.windows;
-  result.cross_shard_messages = outcome.cross_shard_messages;
   return result;
 }
 
@@ -369,8 +367,6 @@ common::JsonValue to_json(const PresetResult& r) {
   o.set("completed", static_cast<double>(r.completed));
   o.set("failed", static_cast<double>(r.failed));
   o.set("digest", r.digest);
-  o.set("windows", static_cast<double>(r.windows));
-  o.set("cross_shard_messages", static_cast<double>(r.cross_shard_messages));
   return common::JsonValue{std::move(o)};
 }
 
@@ -389,17 +385,26 @@ void print_result(const PresetResult& r) {
                 r.queue_ops_per_sec);
   }
   if (r.family == "sharded") {
-    std::printf("  %-18s %9llu rounds  %12llu cross-shard msgs  %6.2fx vs "
-                "threads=1\n",
-                "", static_cast<unsigned long long>(r.windows),
-                static_cast<unsigned long long>(r.cross_shard_messages),
-                r.speedup_vs_one_thread);
+    std::printf("  %-18s %6.2fx vs threads=1\n", "", r.speedup_vs_one_thread);
   }
 }
 
 void fail(const char* what) {
   std::fprintf(stderr, "scale_throughput: SELF-CHECK FAILED: %s\n", what);
   std::exit(1);
+}
+
+/// The --rss-gate-mib value: the whole token must parse as a finite number
+/// >= 0.  Returns nullopt otherwise.
+std::optional<double> parse_gate_mib(std::string_view text) {
+  double value = 0.0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || end != last || !std::isfinite(value) ||
+      value < 0.0) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 /// Runs `replay` kRepeats times.  Every repeat must reproduce the first
@@ -439,19 +444,26 @@ int main(int argc, char** argv) {
   bool full = false;
   bool huge = false;
   double rss_gate_mib = 0.0;  // 0 = no gate
-  std::string json_path = "BENCH_scale.json";
+  std::optional<std::string> json_arg;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-      json_path = "-";
     } else if (std::strcmp(argv[i], "--full") == 0) {
       full = true;
     } else if (std::strcmp(argv[i], "--huge") == 0) {
       huge = true;
     } else if (std::strcmp(argv[i], "--rss-gate-mib") == 0 && i + 1 < argc) {
-      rss_gate_mib = std::atof(argv[++i]);
+      const std::optional<double> gate = parse_gate_mib(argv[++i]);
+      if (!gate.has_value()) {
+        std::fprintf(stderr,
+                     "error: --rss-gate-mib: '%s' is not a finite number "
+                     ">= 0\n",
+                     argv[i]);
+        return 2;
+      }
+      rss_gate_mib = *gate;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
+      json_arg = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: scale_throughput [--smoke] [--full] [--huge] "
@@ -459,6 +471,10 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+
+  // --smoke only changes the default path; an explicit --json always wins.
+  const std::string json_path =
+      json_arg.value_or(smoke ? "-" : "BENCH_scale.json");
 
   bench::banner(smoke ? "Simulator scale throughput (smoke)"
                       : "Simulator scale throughput");
@@ -548,9 +564,7 @@ int main(int argc, char** argv) {
         fail("sharded curve digest varies with thread count");
       }
       if (point.events_fired != base.events_fired ||
-          point.completed != base.completed ||
-          point.windows != base.windows ||
-          point.cross_shard_messages != base.cross_shard_messages) {
+          point.completed != base.completed) {
         fail("sharded curve event accounting varies with thread count");
       }
       // Wall-clock gate, full runs only: CI gates on the counters above.
@@ -579,10 +593,10 @@ int main(int argc, char** argv) {
   presets.reserve(results.size());
   for (const PresetResult& r : results) presets.push_back(to_json(r));
   if (!bench::write_json_doc(
-          json_path, "xanadu.bench.scale/v6",
+          json_path, "xanadu.bench.scale/v7",
           "4-node linear chain, 5 ms exec, Poisson arrivals (20 ms mean "
-          "gap), seed 42; sharded curve: same volume over 4 tenant shards + "
-          "fleet shard, threads 1/2/4/8; queue hot path: window-256 "
+          "gap), seed 42; sharded curve: same volume over 4 independent "
+          "tenant shards, threads 1/2/4/8; queue hot path: window-256 "
           "self-scheduling churn, 50% late-cancelled decoys",
           std::move(presets),
           {{"hardware_concurrency",

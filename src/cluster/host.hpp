@@ -19,7 +19,6 @@ class Host {
   }
 
   [[nodiscard]] HostId id() const { return id_; }
-  [[nodiscard]] double memory_mb() const { return memory_mb_; }
   [[nodiscard]] double memory_used_mb() const { return memory_used_mb_; }
   [[nodiscard]] double memory_free_mb() const { return memory_mb_ - memory_used_mb_; }
   [[nodiscard]] unsigned inflight_provisions() const { return inflight_provisions_; }

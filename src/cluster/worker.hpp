@@ -68,7 +68,6 @@ class Worker {
   [[nodiscard]] double total_memory_mb() const { return memory_mb_; }
   [[nodiscard]] sim::TimePoint provision_start() const { return provision_start_; }
   [[nodiscard]] bool ever_used() const { return executions_ > 0; }
-  [[nodiscard]] std::size_t executions() const { return executions_; }
   [[nodiscard]] sim::TimePoint idle_since() const;
 
   /// Provisioning -> Warm.  Charges the provisioning CPU work.

@@ -67,7 +67,6 @@ class JsonValue {
 
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::Null; }
-  [[nodiscard]] bool is_bool() const { return kind_ == Kind::Boolean; }
   [[nodiscard]] bool is_number() const { return kind_ == Kind::Number; }
   [[nodiscard]] bool is_string() const { return kind_ == Kind::String; }
   [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }

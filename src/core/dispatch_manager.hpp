@@ -116,10 +116,6 @@ class DispatchManager {
   }
   /// Xanadu policy, or nullptr for baseline kinds.
   [[nodiscard]] XanaduPolicy* xanadu_policy() { return xanadu_policy_.get(); }
-  /// Pool policy, or nullptr unless kind == WarmPool.
-  [[nodiscard]] platform::PoolPolicy* pool_policy() {
-    return pool_policy_.get();
-  }
   /// MPC policy, or nullptr unless kind == MpcHorizon.
   [[nodiscard]] platform::MpcHorizonPolicy* mpc_policy() {
     return mpc_policy_.get();

@@ -58,9 +58,6 @@ class FunctionProfile {
         warm_response_.value_or(fb.warm_response.millis()));
   }
 
-  [[nodiscard]] bool has_cold_sample() const { return !cold_response_.empty(); }
-  [[nodiscard]] bool has_warm_sample() const { return !warm_response_.empty(); }
-
   // Persistence accessors (core::MetadataStore).
   [[nodiscard]] const common::Ema& cold_response_ema() const { return cold_response_; }
   [[nodiscard]] const common::Ema& startup_ema() const { return startup_; }

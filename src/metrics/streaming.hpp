@@ -191,10 +191,8 @@ class StreamingTrace {
   [[nodiscard]] std::uint64_t digest() const { return digest_; }
   [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] const LatencyHistogram& histogram() const { return histogram_; }
-  [[nodiscard]] std::uint64_t consumed() const { return stats_.total; }
 
   // -- Per-source lanes -------------------------------------------------------
-  [[nodiscard]] std::size_t source_count() const { return sources_.size(); }
   [[nodiscard]] std::uint64_t source_digest(std::size_t source) const {
     return sources_[source].digest;
   }

@@ -6,9 +6,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "sim/logical_process.hpp"
-#include "sim/sharded.hpp"
-
 namespace xanadu::platform {
 
 MessageBus::MessageBus(sim::Simulator& simulator, Options options,
@@ -79,23 +76,6 @@ std::uint64_t MessageBus::publish(TopicId topic, BusPayload payload) {
   if (fault == sim::FaultPlan::BusFault::Drop) {
     ++dropped_;
     return offset;
-  }
-
-  // Cross-shard fan-out: a copy of the payload crosses the mailbox and is
-  // handed to the remote bus after the bridge latency.  The closure is
-  // pointer + TopicId + payload, which fills EventFn's inline buffer
-  // exactly, so forwarding never allocates.
-  static_assert(sizeof(MessageBus*) + sizeof(TopicId) + sizeof(BusPayload) <=
-                sim::EventFn::kInlineCapacity);
-  for (const Bridge& bridge : state.bridges) {
-    MessageBus* const remote = bridge.remote;
-    const TopicId remote_topic = bridge.remote_topic;
-    lp_->send(bridge.target, sim_.now() + bridge.latency,
-              [remote, remote_topic, payload] {
-                remote->deliver_bridged(remote_topic, payload);
-              },
-              "bus.bridge");
-    ++bridged_out_;
   }
 
   double delay_ms = options_.latency.millis();
@@ -171,57 +151,6 @@ void MessageBus::compact_subscriptions() {
                   });
   }
   has_tombstones_ = false;
-}
-
-void MessageBus::attach_shard(sim::LogicalProcess& lp) {
-  if (&lp.simulator() != &sim_) {
-    throw std::logic_error{
-        "MessageBus::attach_shard: the logical process must own this bus's "
-        "simulator"};
-  }
-  lp_ = &lp;
-}
-
-void MessageBus::bridge_topic(TopicId topic, MessageBus& remote,
-                              TopicId remote_topic, sim::Duration latency) {
-  if (!topic.valid() || topic.value() >= topics_.size()) {
-    throw std::invalid_argument{"MessageBus::bridge_topic: unknown topic id"};
-  }
-  if (!remote_topic.valid() ||
-      remote_topic.value() >= remote.topics_.size()) {
-    throw std::invalid_argument{
-        "MessageBus::bridge_topic: unknown remote topic id"};
-  }
-  if (lp_ == nullptr || remote.lp_ == nullptr) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: both buses must be attached to shards"};
-  }
-  if (&remote == this || remote.lp_->shard() == lp_->shard()) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: the remote bus must live on another shard"};
-  }
-  if (&remote.lp_->owner() != &lp_->owner()) {
-    throw std::logic_error{
-        "MessageBus::bridge_topic: shards belong to different drivers"};
-  }
-  // The bridge is a channel of the sharded driver: declaring it lets the
-  // fleet-side shard compute its safe bound from this latency (and rejects
-  // a non-positive one).
-  lp_->owner().connect(lp_->shard(), remote.lp_->shard(), latency);
-  topics_[topic.value()].bridges.push_back(
-      Bridge{&remote, remote_topic, remote.lp_->shard(), latency});
-}
-
-void MessageBus::deliver_bridged(TopicId topic, BusPayload payload) {
-  if (!topic.valid() || topic.value() >= topics_.size()) {
-    throw std::invalid_argument{
-        "MessageBus::deliver_bridged: unknown topic id"};
-  }
-  Topic& state = topics_[topic.value()];
-  const BusMessage message{payload, state.next_offset++};
-  state.last_delivery = std::max(state.last_delivery, sim_.now());
-  ++bridged_in_;
-  deliver(topic, message);
 }
 
 std::size_t MessageBus::subscriber_count(TopicId topic) const {

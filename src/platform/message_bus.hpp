@@ -22,9 +22,9 @@
 // A publish to a topic that has no subscriber at that moment schedules no
 // delivery.  It still takes its offset, its fault draw and its jitter draw,
 // in the usual order, so every RNG stream is the same as if it had been
-// delivered, and it still crosses bridges.  A subscriber that joins while
-// such a message would have been in flight does not receive it -- like a
-// Kafka consumer that starts at the latest offset.
+// delivered.  A subscriber that joins while such a message would have been
+// in flight does not receive it -- like a Kafka consumer that starts at the
+// latest offset.
 //
 // Topic names are interned to dense TopicIds once, at set-up, and every
 // other call takes the id: the publish hot path indexes a vector instead of
@@ -33,14 +33,6 @@
 // the next message) or unsubscribe (the entry becomes a tombstone, skipped
 // and compacted once no delivery is in progress) without disturbing the
 // walk.
-//
-// Sharded deployments (sim/sharded.hpp) additionally *bridge* topics across
-// shard boundaries: attach_shard() binds the bus to its shard's logical
-// process, and bridge_topic() forwards every publish on a local topic to a
-// topic of a bus on another shard, routed through the cross-shard mailbox
-// over a channel the bridge declares with its latency.  Bridged traffic is
-// how per-tenant shards feed the fleet-control shard's worker-state view
-// without sharing any mutable state.
 
 #include <cstdint>
 #include <functional>
@@ -53,13 +45,8 @@
 #include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-
-namespace xanadu::sim {
-class LogicalProcess;
-}
 
 namespace xanadu::platform {
 
@@ -141,42 +128,11 @@ class MessageBus {
   /// Pass nullptr to detach.  The plan must outlive the bus.
   void set_fault_plan(sim::FaultPlan* plan) { faults_ = plan; }
 
-  // -- Cross-shard bridging (see sim/sharded.hpp) ---------------------------
-
-  /// Binds this bus to its shard's logical process; required before
-  /// bridge_topic() in either direction.  `lp` must own this bus's
-  /// simulator and must outlive the bus.
-  void attach_shard(sim::LogicalProcess& lp);
-  [[nodiscard]] bool sharded() const { return lp_ != nullptr; }
-
-  /// Forwards every subsequent publish on `topic` to `remote_topic` of
-  /// `remote`, a bus attached to a *different* shard of the same
-  /// ShardedSimulator.  The copy crosses the shard mailbox and reaches the
-  /// remote bus after `latency` (> 0), which the bridge declares as the
-  /// channel's latency (ShardedSimulator::connect): the remote shard's safe
-  /// bound trails this shard's clock by it.  Drop faults suppress
-  /// forwarding (the broker lost the message); duplicate and delay faults
-  /// stay local-delivery artefacts.  Bridges do not chain: a bridged-in
-  /// message is delivered to the remote topic's subscribers only, never
-  /// re-forwarded.
-  void bridge_topic(TopicId topic, MessageBus& remote, TopicId remote_topic,
-                    sim::Duration latency);
-
-  /// Delivers a message forwarded from another shard to `topic`'s local
-  /// subscribers at the current virtual time.  Invoked by the bridge closure
-  /// once the mailbox merge lands it on this shard; not meant for direct
-  /// use.  The message consumes a local per-topic offset.
-  void deliver_bridged(TopicId topic, BusPayload payload);
-
   [[nodiscard]] std::size_t subscriber_count(TopicId topic) const;
-  [[nodiscard]] std::size_t topic_count() const { return topics_.size(); }
   [[nodiscard]] std::uint64_t published_count() const { return published_; }
   [[nodiscard]] std::uint64_t delivered_count() const { return delivered_; }
   /// Messages published but never scheduled for delivery (drop faults).
   [[nodiscard]] std::uint64_t dropped_count() const { return dropped_; }
-  /// Messages forwarded to / received from bridged topics on other shards.
-  [[nodiscard]] std::uint64_t bridged_out_count() const { return bridged_out_; }
-  [[nodiscard]] std::uint64_t bridged_in_count() const { return bridged_in_; }
 
  private:
   struct Subscription {
@@ -186,20 +142,11 @@ class MessageBus {
     BusHandler handler;
   };
 
-  /// One cross-shard forwarding edge of a topic.
-  struct Bridge {
-    MessageBus* remote = nullptr;
-    TopicId remote_topic;
-    sim::ShardId target = sim::kNoShard;
-    sim::Duration latency;
-  };
-
   struct Topic {
     /// Boxed so a handler keeps its address while a re-entrant subscribe()
     /// grows the list under a delivery that is running it.
     std::vector<std::unique_ptr<Subscription>> subscriptions;
-    std::vector<Bridge> bridges;
-    /// Messages scheduled for local delivery, oldest first from
+    /// Messages scheduled for delivery, oldest first from
     /// `in_flight_head`; each delivery event pops one.  The consumed prefix
     /// is reclaimed in bulk, so the vector's capacity is reused.
     std::vector<BusMessage> in_flight;
@@ -221,8 +168,6 @@ class MessageBus {
   Options options_;
   common::Rng rng_;
   sim::FaultPlan* faults_ = nullptr;
-  /// Shard binding for cross-shard bridges; nullptr in unsharded runs.
-  sim::LogicalProcess* lp_ = nullptr;
   /// Topic names live in the shared interner (common::StringInterner);
   /// common::Symbol values double as dense indices into topics_.  Touched
   /// only on intern (cold path); publish/delivery index topics_ directly.
@@ -236,8 +181,6 @@ class MessageBus {
   std::uint64_t published_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t bridged_out_ = 0;
-  std::uint64_t bridged_in_ = 0;
 };
 
 }  // namespace xanadu::platform

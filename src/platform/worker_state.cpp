@@ -16,11 +16,9 @@ const char* to_string(WorkerEventKind kind) {
   return "unknown";
 }
 
-WorkerStateTracker::WorkerStateTracker(MessageBus& bus,
-                                       const std::string& topic)
-    : bus_(bus) {
-  subscription_ =
-      bus_.subscribe(bus_.intern(topic), [this](const BusMessage& m) {
+WorkerStateTracker::WorkerStateTracker(MessageBus& bus) : bus_(bus) {
+  subscription_ = bus_.subscribe(
+      bus_.intern(kWorkerStateTopic), [this](const BusMessage& m) {
         const auto* event = std::get_if<WorkerEvent>(&m.payload);
         if (event == nullptr) {
           throw std::invalid_argument{

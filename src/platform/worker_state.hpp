@@ -16,7 +16,6 @@
 // control plane has.
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 
 #include "common/ids.hpp"
@@ -32,14 +31,12 @@ inline constexpr const char* kWorkerStateTopic = "workers";
 /// Subscribes to the worker-state topic and maintains the fleet view.
 class WorkerStateTracker {
  public:
-  /// Interns `topic` and subscribes to it on construction; the bus must
-  /// outlive the tracker.  `topic` defaults to the engine's "workers" topic;
-  /// the sharded runner's fleet view instead listens on one bridged
-  /// per-shard topic per tracker ("fleet.workers.<shard>"), keeping tenants'
-  /// worker ids apart.  A delivery that is not a WorkerEvent throws
+  /// Subscribes to the bus's "workers" topic on construction; the bus must
+  /// outlive the tracker.  The sharded runner's fleet view is one tracker
+  /// per tenant, each on its own tenant's bus, which keeps tenants' worker
+  /// ids apart.  A delivery that is not a WorkerEvent throws
   /// std::invalid_argument.
-  explicit WorkerStateTracker(MessageBus& bus,
-                              const std::string& topic = kWorkerStateTopic);
+  explicit WorkerStateTracker(MessageBus& bus);
   ~WorkerStateTracker();
 
   WorkerStateTracker(const WorkerStateTracker&) = delete;

@@ -311,11 +311,6 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
   return fired_now;
 }
 
-std::optional<TimePoint> Simulator::peek_next_time() {
-  if (const HeapEntry* front = live_top()) return front->when;
-  return std::nullopt;
-}
-
 std::size_t Simulator::run_before(TimePoint bound) {
   std::size_t fired_now = 0;
   interrupted_ = false;

@@ -42,7 +42,6 @@
 // top().
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -140,8 +139,8 @@ class Simulator {
   /// the queued events.  Reserves the next `count` sequence numbers as one
   /// block, so arrival i carries the key (arrival_time(i), s0 + i) that
   /// scheduling every arrival here, in index order, would give it -- and
-  /// every drain, peek_next_time() and tie group sees the same events in
-  /// the same order -- but only the next arrival is queued at any time.
+  /// every drain and tie group sees the same events in the same order --
+  /// but only the next arrival is queued at any time.
   /// `label` names the arrivals in race-detector reports.  The stream
   /// detaches itself once its last arrival has fired, and must outlive its
   /// attachment.  Throws std::logic_error while another stream still has
@@ -170,22 +169,14 @@ class Simulator {
   /// `deadline` on return.
   std::size_t run_until(TimePoint deadline);
 
-  /// Earliest pending event time, or nullopt when the queue is empty.
-  /// Non-const because tombstones of cancelled events surfacing at the heap
-  /// front are discarded on the way (keeping the amortised O(1) cancel
-  /// accounting); the observable state is unchanged.
-  [[nodiscard]] std::optional<TimePoint> peek_next_time();
-
   /// Fires every event with `when` strictly before `bound` and returns the
   /// count.  Unlike run_until(), events at exactly `bound` stay queued and
   /// the clock is NOT advanced to `bound` -- it rests at the last fired
-  /// event.  This is the round-drain primitive of sim::ShardedSimulator:
-  /// a shard's bound is the earliest time a message could still reach it,
-  /// and mail merged in a later round may land anywhere at or past that
-  /// bound, so padding the clock forward would reject it.  interrupt() ends
-  /// the drain early.  Race-check hooks are not serviced here; the race
-  /// detector replays scenarios sequentially through run()/run_until() (the
-  /// determinism oracle).
+  /// event.  interrupt() ends the drain early: workload::run_sharded_mix
+  /// stops each shard this way right after its own last completion.
+  /// Race-check hooks are not serviced here; the race detector replays
+  /// scenarios sequentially through run()/run_until() (the determinism
+  /// oracle).
   std::size_t run_before(TimePoint bound);
 
   /// Called from inside an event during run_before(): ends that drain once

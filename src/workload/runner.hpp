@@ -117,11 +117,11 @@ struct RunOptions {
   /// Streaming consumer configuration (histogram shape, fraction-over
   /// threshold).
   metrics::StreamOptions stream;
-  /// OS threads for the conservative parallel drain (run_sharded_mix).
-  /// 1 = today's exact sequential path on the calling thread; higher values
-  /// drain shards concurrently but never change any result or digest --
-  /// thread count buys wall-clock time only.  Ignored by the unsharded
-  /// runners, which are single-simulator by construction.
+  /// OS threads that run_sharded_mix spreads its shards over.  1 = the
+  /// sequential path on the calling thread; higher values run shards
+  /// concurrently but never change any result or digest -- thread count
+  /// buys wall-clock time only.  Ignored by the unsharded runners, which
+  /// are single-simulator by construction.
   unsigned threads = 1;
 };
 

@@ -1,6 +1,7 @@
 #include "workload/traffic_mix.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -176,10 +177,6 @@ class MixDriver final : public sim::ArrivalStream {
     return total_ == 0 ? sim::Duration::zero() : offset(total_ - 1);
   }
 
-  /// Sharded runs: halt `lp` (this driver's shard) right after the last
-  /// request completes, so the shard's run ends on its own schedule.
-  void halt_when_done(sim::LogicalProcess& lp) { halt_ = &lp; }
-
   void start() { sim_.attach_arrivals(*this, total_, "workload.arrival"); }
 
   [[nodiscard]] sim::TimePoint arrival_time(std::size_t slot) const override {
@@ -205,7 +202,10 @@ class MixDriver final : public sim::ArrivalStream {
   void on_complete(std::size_t slot, const platform::RequestResult& result) {
     if (abandoned_) return;
     ++completed_;
-    if (completed_ == total_ && halt_ != nullptr) halt_->halt();
+    // The last completion ends a run_before() drain, which is how a sharded
+    // run stops each shard on its own schedule; run() and run_until()
+    // ignore the interrupt.
+    if (completed_ == total_) sim_.interrupt();
     if (slot != next_fold_) {
       window_.emplace(slot, result);
       return;
@@ -247,7 +247,6 @@ class MixDriver final : public sim::ArrivalStream {
   std::vector<platform::RequestResult>* retained_ = nullptr;
   /// Per-source retention lanes; null unless the caller asked for them.
   std::vector<RunOutcome>* lanes_ = nullptr;
-  sim::LogicalProcess* halt_ = nullptr;
   /// Set while the destructor fails the requests still in flight.
   bool abandoned_ = false;
 };
@@ -321,6 +320,76 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   return outcome;
 }
 
+/// One shard's whole lifecycle in a sharded run, on whichever thread the
+/// fork-join hands it to.  It touches only this shard's deployment, its
+/// stream and its lane, so no other shard can move anything it does.  Fills
+/// `lane` (ledger delta, stats, histogram, digest; retained results when
+/// asked) and returns the events fired.
+std::size_t run_shard(const ShardedSource& shard, const RunOptions& options,
+                      RunOutcome& lane) {
+  core::DispatchManager& manager = *shard.manager;
+  sim::Simulator& sim = manager.simulator();
+  // The MixDriver with its one source on its own stream: the per-shard fold
+  // order (and digest) is exactly the unsharded single-tenant fold order,
+  // and retained results go straight into the lane.
+  metrics::StreamingTrace stream(options.stream);
+  stream.add_source(manager.engine().dag(shard.workflow), shard.name);
+  const cluster::ResourceLedger before = manager.ledger();
+  const sim::TimePoint base = sim.now();
+  MixDriver driver(manager, {SourceView{shard.workflow, shard.name,
+                                        &shard.schedule}},
+                   options, stream, lane, nullptr);
+  driver.start();
+
+  // 1. Drive.  The shard stops right after its own last completion and,
+  // under allow_incomplete, at its own stall horizon (where
+  // run_mixed_schedule fails its leftovers too), so its lane never depends
+  // on which other shards share the run.
+  std::size_t fired = 0;
+  if (options.drain_after_last && !options.allow_incomplete) {
+    fired += sim.run();
+  } else if (options.allow_incomplete || driver.total() == 0) {
+    const sim::TimePoint horizon =
+        driver.total() == 0
+            ? base
+            : base + driver.last_arrival() + options.stall_horizon;
+    // Events at the horizon fire; a stranded shard's clock then rests
+    // there, and its leftovers fail at exactly that time.
+    fired += sim.run_before(horizon + sim::Duration{1});
+    if (driver.completed() != driver.total()) fired += sim.run_until(horizon);
+  } else {
+    fired += sim.run_before(
+        sim::TimePoint{std::numeric_limits<std::int64_t>::max()});
+  }
+  // 2. Fail the leftovers.
+  if (driver.completed() != driver.total() && options.allow_incomplete) {
+    manager.engine().fail_all_pending_requests("stranded by injected fault");
+  }
+  if (driver.completed() != driver.total()) {
+    throw std::logic_error{"run_sharded_mix: not all requests completed"};
+  }
+  XANADU_INVARIANT(driver.folded() == driver.total(),
+                   "run_sharded_mix: streaming fold did not drain");
+  // 3. Drain.  4. Flush.
+  if (options.drain_after_last && options.allow_incomplete) fired += sim.run();
+  if (options.flush_at_end) manager.force_cold_start();
+  // 5. Telemetry settle: the flush published Dead events that are still in
+  // flight.  Two of this shard's own bus latencies past its own clock --
+  // bounded (never run-to-empty: recurring fault events could recur
+  // forever) and independent of the other shards.
+  if (manager.engine().control_bus() != nullptr) {
+    const sim::Duration latency =
+        manager.engine().calibration().control_bus.latency;
+    fired += sim.run_until(sim.now() + latency + latency);
+  }
+
+  lane.ledger_delta = manager.ledger() - before;
+  lane.stats = stream.stats();
+  lane.histogram = stream.histogram();
+  lane.trace_digest = stream.digest();
+  return fired;
+}
+
 }  // namespace
 
 RunOutcome run_schedule(core::DispatchManager& manager,
@@ -382,47 +451,16 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     }
   }
 
-  bool any_bus = false;
-  for (const ShardedSource& shard : shards) {
-    any_bus = any_bus ||
-              shard.manager->engine().calibration().control_bus.enabled;
-  }
-  sim::ShardedSimulator driver;
-
-  std::vector<sim::LogicalProcess*> lps;
-  lps.reserve(shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    lps.push_back(&driver.add_shard(shards[i].manager->simulator()));
-  }
-
-  // Fleet-control shard: one WorkerStateTracker per tenant, fed over bridged
-  // "workers" topics (the paper's Kafka-backed worker state management,
-  // stretched across shards).  Only materialised when some deployment runs a
-  // control bus.  Each bridge declares its tenant -> fleet channel, so the
-  // fleet shard trails the tenants by one bus latency while tenant shards,
-  // with no inbound channel, run barrier-free.
-  sim::Simulator fleet_sim;
-  std::unique_ptr<platform::MessageBus> fleet_bus;
+  // Fleet view: one WorkerStateTracker per tenant, subscribed to the
+  // "workers" topic of that tenant's own control bus (the paper's
+  // Kafka-backed worker state management).  Like any subscriber it lags by
+  // the bus latency and sees the bus's faults.
   std::vector<std::unique_ptr<platform::WorkerStateTracker>> fleet_view(
       shards.size());
-  if (any_bus) {
-    sim::LogicalProcess& fleet_lp = driver.add_shard(fleet_sim);
-    fleet_bus = std::make_unique<platform::MessageBus>(
-        fleet_sim, platform::MessageBus::Options{}, common::Rng{0x5eedf1ee7});
-    fleet_bus->attach_shard(fleet_lp);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      platform::MessageBus* bus = shards[i].manager->engine().control_bus();
-      if (bus == nullptr) continue;
-      bus->attach_shard(*lps[i]);
-      const std::string fleet_topic =
-          "fleet.workers." + std::to_string(i);
-      bus->bridge_topic(
-          bus->intern(platform::kWorkerStateTopic), *fleet_bus,
-          fleet_bus->intern(fleet_topic),
-          shards[i].manager->engine().calibration().control_bus.latency);
-      fleet_view[i] =
-          std::make_unique<platform::WorkerStateTracker>(*fleet_bus,
-                                                         fleet_topic);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (platform::MessageBus* bus =
+            shards[i].manager->engine().control_bus()) {
+      fleet_view[i] = std::make_unique<platform::WorkerStateTracker>(*bus);
     }
   }
 
@@ -433,101 +471,19 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   for (const ShardedSource& shard : shards) {
     mixed.source_names.push_back(shard.name);
   }
+  std::vector<std::size_t> fired(shards.size(), 0);
+  sim::fork_join(shards.size(), options.threads, [&](std::size_t i) {
+    fired[i] = run_shard(shards[i], options, mixed.per_source[i]);
+  });
 
-  // Per-shard harness: each shard reuses the MixDriver with its one source
-  // on its own simulator and its own streaming consumer, so the per-shard
-  // fold order (and digest) is exactly the unsharded single-tenant fold
-  // order.  Shard i's lane is its driver's aggregate: retained results go
-  // straight into mixed.per_source[i].
-  std::vector<std::unique_ptr<metrics::StreamingTrace>> streams;
-  std::vector<std::unique_ptr<MixDriver>> drivers;
-  std::vector<cluster::ResourceLedger> ledgers_before;
-  std::vector<sim::TimePoint> bases;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    core::DispatchManager& manager = *shards[i].manager;
-    streams.push_back(
-        std::make_unique<metrics::StreamingTrace>(options.stream));
-    streams.back()->add_source(manager.engine().dag(shards[i].workflow),
-                               shards[i].name);
-    ledgers_before.push_back(manager.ledger());
-    bases.push_back(manager.simulator().now());
-    drivers.push_back(std::make_unique<MixDriver>(
-        manager,
-        std::vector<SourceView>{SourceView{shards[i].workflow, shards[i].name,
-                                           &shards[i].schedule}},
-        options, *streams[i], mixed.per_source[i], nullptr));
-  }
-  for (const std::unique_ptr<MixDriver>& mix_driver : drivers) {
-    mix_driver->start();
-  }
-
-  // Per-shard stop: each tenant halts right after its own last completion
-  // and, under allow_incomplete, at its own stall horizon (where
-  // run_mixed_schedule fails its leftovers too), so a tenant's lane never
-  // depends on which other tenants share the run.
-  if (!(options.drain_after_last && !options.allow_incomplete)) {
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      drivers[i]->halt_when_done(*lps[i]);
-      if (options.allow_incomplete) {
-        lps[i]->stop_at(bases[i] + drivers[i]->last_arrival() +
-                        options.stall_horizon);
-      }
-      if (drivers[i]->total() == 0) lps[i]->stop_at(bases[i]);
-    }
-  }
-  outcome.events_fired = driver.run(options.threads);
-
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (drivers[i]->completed() != drivers[i]->total() &&
-        options.allow_incomplete) {
-      // The shard's clock rests at its stall horizon: the leftovers fail
-      // at exactly that time.
-      shards[i].manager->engine().fail_all_pending_requests(
-          "stranded by injected fault");
-    }
-    if (drivers[i]->completed() != drivers[i]->total()) {
-      throw std::logic_error{"run_sharded_mix: not all requests completed"};
-    }
-    XANADU_INVARIANT(drivers[i]->folded() == drivers[i]->total(),
-                     "run_sharded_mix: streaming fold did not drain");
-  }
-  if (options.drain_after_last && options.allow_incomplete) {
-    outcome.events_fired += driver.run(options.threads);
-  }
-  if (options.flush_at_end) {
-    for (const ShardedSource& shard : shards) {
-      shard.manager->force_cold_start();
-    }
-  }
-  if (any_bus) {
-    // Telemetry settle: flush/teardown published Dead events whose bridged
-    // copies are still in flight.  Each tenant runs two of its own bus
-    // latencies past its own clock -- bounded (never run-to-empty:
-    // recurring fault events could recur forever) and independent of the
-    // other tenants -- and the fleet shard, which has no events of its own,
-    // drains every message the tenants sent.
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      const platform::ControlBusOptions& bus =
-          shards[i].manager->engine().calibration().control_bus;
-      const sim::Duration slack =
-          bus.enabled ? bus.latency + bus.latency : sim::Duration::zero();
-      lps[i]->stop_at(shards[i].manager->simulator().now() + slack);
-    }
-    outcome.events_fired += driver.run(options.threads);
-  }
-
-  // Per-shard outcomes (shard order), then deterministic aggregation.
+  // Deterministic aggregation, in shard order.
   RunOutcome& aggregate = mixed.aggregate;
   std::uint64_t trace_fold = common::kFnvOffsetBasis;
   std::uint64_t state_fold = common::kFnvOffsetBasis;
   std::uint64_t fleet_fold = common::kFnvOffsetBasis;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    RunOutcome& lane = mixed.per_source[i];
-    lane.ledger_delta = shards[i].manager->ledger() - ledgers_before[i];
-    lane.stats = streams[i]->stats();
-    lane.histogram = streams[i]->histogram();
-    lane.trace_digest = streams[i]->digest();
-
+    const RunOutcome& lane = mixed.per_source[i];
+    outcome.events_fired += fired[i];
     if (i == 0) {
       aggregate.stats = lane.stats;
       aggregate.histogram = lane.histogram;
@@ -559,8 +515,6 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   aggregate.trace_digest = trace_fold;
   outcome.state_digest = state_fold;
   outcome.fleet_digest = fleet_fold;
-  outcome.windows = driver.rounds();
-  outcome.cross_shard_messages = driver.messages_delivered();
   return outcome;
 }
 

@@ -104,13 +104,12 @@ struct MixedOutcome {
                                               const TrafficMix& mix,
                                               const RunOptions& options = {});
 
-// -- Sharded multi-tenant runs (conservative parallel drain) -----------------
+// -- Sharded multi-tenant runs (independent shards, one task each) ----------
 
 /// One shard of a sharded run: a complete deployment -- its own simulator,
 /// cluster and engine, i.e. a core::DispatchManager -- plus that tenant's
-/// arrival schedule.  Shards share no mutable state; the only cross-shard
-/// traffic is worker-lifecycle telemetry bridged over the control bus into
-/// the fleet view (when the deployments enable the bus).
+/// arrival schedule.  Shards share no mutable state, and nothing crosses
+/// from one shard to another.
 struct ShardedSource {
   core::DispatchManager* manager = nullptr;
   common::WorkflowId workflow{};
@@ -128,34 +127,36 @@ struct ShardedSource {
 /// interleave differently by construction -- independent clusters).
 struct ShardedOutcome {
   MixedOutcome mixed;
-  /// Worker lifecycle events the fleet view consumed over bridged topics
-  /// (0 when no shard runs a control bus).
+  /// Worker lifecycle events the fleet view's trackers consumed (0 when no
+  /// shard runs a control bus).
   std::uint64_t fleet_events = 0;
   /// Digest over the fleet view's final per-shard worker-state counts.
   std::uint64_t fleet_digest = 0;
   /// Fold of each shard engine's state_digest, in shard order.
   std::uint64_t state_digest = 0;
-  /// Rounds the driver executed (one barrier each).  Named `windows` for the
-  /// per-request `sim.windows_per_request` counter that reads it.
+  /// Always 0: no shard waits on or messages another.  Kept for the
+  /// benchmark's `sim.windows_per_request` and
+  /// `sim.cross_shard_msgs_per_request` counters, which still read them.
   std::uint64_t windows = 0;
-  /// Messages merged through the cross-shard mailbox.
   std::uint64_t cross_shard_messages = 0;
-  /// Events fired across all shards during the drive.
+  /// Events fired across all shards during the run.
   std::size_t events_fired = 0;
 };
 
-/// Drives every shard's schedule through one sim::ShardedSimulator using
-/// RunOptions::threads OS threads.  Each shard's manager must be a distinct
-/// deployment; schedules must be sorted.  Deployments with the control bus
-/// enabled get their "workers" topic bridged to a fleet-control shard
-/// hosting one platform::WorkerStateTracker per tenant (the paper's
-/// Kafka-backed worker state management, stretched across shards).  Each
-/// tenant shard stops right after its own last completion (under
-/// allow_incomplete, at its own stall horizon, where its leftovers fail), so
-/// a tenant's lane -- trace digest, ledger delta, engine state -- is the
-/// same whether it runs alone or beside other tenants.  All results, digests
-/// and stats are byte-identical for any thread count;
-/// tests/sharded_determinism_test.cpp pins both properties.
+/// Runs every shard's schedule as one independent task, spread over
+/// RunOptions::threads OS threads (sim::fork_join).  Each shard's manager
+/// must be a distinct deployment; schedules must be sorted.  Within its task
+/// a shard is driven until right after its own last completion (under
+/// allow_incomplete, to its own stall horizon, where its leftovers fail),
+/// then drained if drain_after_last asks, flushed if flush_at_end asks, and,
+/// when it runs a control bus, settled for two of its bus latencies so
+/// in-flight telemetry lands.  A tenant's lane -- trace digest, ledger
+/// delta, engine state -- is therefore the same whether it runs alone or
+/// beside other tenants.  Deployments with the control bus enabled feed the
+/// fleet view: one platform::WorkerStateTracker per tenant, subscribed to
+/// that tenant's own "workers" topic (the paper's Kafka-backed worker state
+/// management).  All results, digests and stats are byte-identical for any
+/// thread count; tests/sharded_determinism_test.cpp pins both properties.
 [[nodiscard]] ShardedOutcome run_sharded_mix(
     const std::vector<ShardedSource>& shards, const RunOptions& options = {});
 

@@ -14,7 +14,6 @@
 #include "platform/message_bus.hpp"
 #include "platform/worker_state.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/sharded.hpp"
 #include "workflow/builders.hpp"
 
 namespace xanadu::platform {
@@ -299,43 +298,6 @@ TEST_F(MessageBusTest, TrackerRejectsAMessageOfTheWrongKind) {
   bus_->publish(bus_->intern(kWorkerStateTopic), ProvisionCommand{});
   EXPECT_THROW(sim_.run(), std::invalid_argument);
   EXPECT_EQ(tracker.events_seen(), 0u);
-}
-
-TEST(sharded_bus_bridge, BridgedTopicCrossesShardsAtTheBridgeLatency) {
-  // The bridge declares its own channel on the sharded driver, so a
-  // publish on the tenant shard reaches the fleet shard's subscribers
-  // exactly one bridge latency later.  The suite name carries "sharded"
-  // for the TSan job's test filter.
-  sim::ShardedSimulator driver;
-  sim::Simulator tenant_sim;
-  sim::Simulator fleet_sim;
-  MessageBus tenant{tenant_sim, {}, common::Rng{1}};
-  MessageBus fleet{fleet_sim, {}, common::Rng{2}};
-  tenant.attach_shard(driver.add_shard(tenant_sim));
-  fleet.attach_shard(driver.add_shard(fleet_sim));
-  const TopicId workers = tenant.intern("workers");
-  const TopicId fleet_workers = fleet.intern("fleet.workers");
-  EXPECT_THROW(
-      tenant.bridge_topic(workers, fleet, fleet_workers, Duration::zero()),
-      std::invalid_argument);
-  tenant.bridge_topic(workers, fleet, fleet_workers, 4_ms);
-
-  std::vector<std::pair<std::uint64_t, double>> seen;
-  fleet.subscribe(fleet_workers, [&](const BusMessage& m) {
-    seen.emplace_back(worker_of(m), fleet_sim.now().millis());
-  });
-  tenant_sim.schedule_at(sim::TimePoint{10'000},
-                         [&] { tenant.publish(workers, event(1)); });
-  driver.run(2);
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].first, 1u);
-  EXPECT_EQ(seen[0].second, 14.0);
-  EXPECT_EQ(tenant.bridged_out_count(), 1u);
-  EXPECT_EQ(fleet.bridged_in_count(), 1u);
-  // The tenant's own "workers" topic has no subscriber: the publish crossed
-  // the bridge but scheduled no local delivery (only the publishing event
-  // fired on the tenant shard).
-  EXPECT_EQ(tenant_sim.events_fired(), 1u);
 }
 
 // ------------------------------------------------- engine integration -----

@@ -1,11 +1,11 @@
-// Thread-count invariance of the sharded workload runner: the conservative
-// parallel drain (workload::run_sharded_mix) must produce byte-identical
-// traces, digests and stats at any thread count, fault-free and faulted,
-// across seeds, and each tenant's lane must not depend on the other tenants
-// in the run.  This is the workload-level acceptance pin for the
-// ShardedSimulator; the sim-layer machinery tests live in
+// Thread-count invariance of the sharded workload runner: running shards in
+// parallel (workload::run_sharded_mix) must produce byte-identical traces,
+// digests and stats at any thread count, fault-free and faulted, across
+// seeds, and each tenant's lane must not depend on the other tenants in the
+// run.  This is the workload-level acceptance pin for sharded runs; the
+// sim-layer tests (sim::fork_join, the drain primitives) live in
 // sharded_sim_test.cpp, and the unsharded golden digests stay pinned in
-// determinism_test.cpp (the sequential path is untouched by the refactor).
+// determinism_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,8 @@ workflow::WorkflowDag conditional_dag() {
 
 /// A three-tenant deployment set: each tenant is a full DispatchManager
 /// (its own simulator/cluster/engine) seeded from `seed`, with the control
-/// bus enabled so worker telemetry bridges into the fleet shard -- real
-/// cross-shard traffic, not just independent shards side by side.
+/// bus enabled so the fleet view's per-tenant trackers consume worker
+/// telemetry.
 struct Scenario {
   std::vector<std::unique_ptr<DispatchManager>> managers;
   std::vector<workload::ShardedSource> shards;
@@ -90,8 +90,6 @@ struct Fingerprint {
   std::uint64_t state = 0;
   std::uint64_t fleet = 0;
   std::uint64_t fleet_events = 0;
-  std::uint64_t windows = 0;
-  std::uint64_t messages = 0;
   std::size_t events_fired = 0;
   std::size_t total = 0;
   std::size_t failed = 0;
@@ -99,9 +97,10 @@ struct Fingerprint {
   double p99_ms = 0.0;
 };
 
-Fingerprint run_fingerprint(std::uint64_t seed, bool faulted,
-                            unsigned threads) {
-  Scenario scenario = make_scenario(seed, faulted);
+Fingerprint run_fingerprint(
+    std::uint64_t seed, bool faulted, unsigned threads,
+    const std::vector<std::uint64_t>& tenants = {0, 1, 2}) {
+  Scenario scenario = make_scenario(seed, faulted, tenants);
   workload::RunOptions options;
   options.threads = threads;
   if (faulted) options.allow_incomplete = true;
@@ -116,8 +115,6 @@ Fingerprint run_fingerprint(std::uint64_t seed, bool faulted,
   fp.state = outcome.state_digest;
   fp.fleet = outcome.fleet_digest;
   fp.fleet_events = outcome.fleet_events;
-  fp.windows = outcome.windows;
-  fp.messages = outcome.cross_shard_messages;
   fp.events_fired = outcome.events_fired;
   fp.total = outcome.mixed.aggregate.total_count();
   fp.failed = outcome.mixed.aggregate.failed_count();
@@ -133,8 +130,6 @@ void expect_same(const Fingerprint& a, const Fingerprint& b,
   EXPECT_EQ(a.state, b.state) << what;
   EXPECT_EQ(a.fleet, b.fleet) << what;
   EXPECT_EQ(a.fleet_events, b.fleet_events) << what;
-  EXPECT_EQ(a.windows, b.windows) << what;
-  EXPECT_EQ(a.messages, b.messages) << what;
   EXPECT_EQ(a.events_fired, b.events_fired) << what;
   EXPECT_EQ(a.total, b.total) << what;
   EXPECT_EQ(a.failed, b.failed) << what;
@@ -151,8 +146,8 @@ TEST(sharded_determinism, FaultFreeParallelMatchesSequential) {
   for (const std::uint64_t seed : {7ull, 21ull, 42ull}) {
     const Fingerprint base = run_fingerprint(seed, false, 1);
     ASSERT_GT(base.total, 0u);
-    ASSERT_GT(base.messages, 0u)
-        << "scenario must exercise real cross-shard traffic";
+    ASSERT_GT(base.fleet_events, 0u)
+        << "scenario must feed the fleet view real telemetry";
     EXPECT_EQ(base.failed, 0u);
     for (const unsigned threads : {2u, 4u, 8u}) {
       expect_same(base, run_fingerprint(seed, false, threads),
@@ -183,12 +178,17 @@ TEST(sharded_determinism, SameSeedSameRunDifferentSeedDifferentRun) {
 }
 
 TEST(sharded_determinism, FleetViewSeesEveryTenant) {
-  // The fleet shard's trackers consume bridged telemetry from all three
-  // tenants; a run that provisions workers must surface events for each.
+  // One tracker per tenant, each on its own tenant's bus: every tenant that
+  // provisions workers surfaces events, and the fleet total is the sum of
+  // what each tenant's tracker sees when that tenant runs alone.
   const Fingerprint fp = run_fingerprint(42, false, 2);
-  EXPECT_GT(fp.fleet_events, 0u);
-  EXPECT_EQ(fp.fleet_events, fp.messages)
-      << "every merged cross-shard message is one fleet telemetry delivery";
+  std::uint64_t alone_total = 0;
+  for (const std::uint64_t tenant : {0ull, 1ull, 2ull}) {
+    const Fingerprint alone = run_fingerprint(42, false, 1, {tenant});
+    EXPECT_GT(alone.fleet_events, 0u) << "tenant " << tenant;
+    alone_total += alone.fleet_events;
+  }
+  EXPECT_EQ(fp.fleet_events, alone_total);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,8 +268,8 @@ TEST(sharded_determinism, TenantLaneIsIndependentOfItsNeighbours) {
 TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
   // Every command is dropped and recovery is off, so every request strands.
   // Each tenant's leftovers must fail at exactly its own stall horizon --
-  // its last arrival plus stall_horizon -- not at a fleet-wide or
-  // round-quantised time, and identically at any thread count.
+  // its last arrival plus stall_horizon -- not at a fleet-wide time, and
+  // identically at any thread count.
   const auto run = [](unsigned threads) {
     Scenario scenario;
     for (std::uint64_t tenant = 0; tenant < 3; ++tenant) {
@@ -329,6 +329,9 @@ TEST(sharded_determinism, GoldenShardedDigestGuard) {
   const Fingerprint fault_free = run_fingerprint(42, false, 4);
   EXPECT_EQ(metrics::digest_hex(fault_free.aggregate_trace),
             "51686ecbc533f0f6");
+  EXPECT_EQ(metrics::digest_hex(fault_free.state), "7a4143bf74188693");
+  EXPECT_EQ(metrics::digest_hex(fault_free.fleet), "66058dbce18e7092");
+  EXPECT_EQ(fault_free.fleet_events, 266u);
   const Fingerprint faulted = run_fingerprint(42, true, 4);
   EXPECT_EQ(metrics::digest_hex(faulted.aggregate_trace), "11c142469ab442e5");
 }

@@ -1,23 +1,16 @@
-"""shard-lookahead: cross-shard effects must route through the mailbox.
+"""shard-lookahead: a shard never schedules or publishes onto another shard.
 
-The conservative PDES contract: during a run, a shard may only affect
-another shard by mailing over a declared channel
-(`LogicalProcess::send(to, when, fn, label)`).  The round driver derives
-each target's safe bound from the channel latencies and merges the mail
-deterministically by `(when, source, index)`.  Scheduling directly into a
-foreign shard's simulator -- or delivering a bridged message by hand --
-bypasses both: the target may already have drained past that time on
-another thread.  The runtime guards the mailbox path with the
-channel-latency throw (a send below its channel's latency, or with no
-channel declared) and the TSan job catches the data race, but only on
-executed paths.  This rule is the static complement: any function
-reachable from an event-handler root that calls a scheduling/publishing
-API on a receiver that names another shard (remote_/peer_/other_...
-receivers, `shard(i)`/`shards_[i]` chains) is flagged with the handler
-path that reaches it.
-
-`ShardedSimulator`'s own members are exempt (the round driver *is* the
-mailbox implementation), as is `LogicalProcess` itself.
+Sharded runs share nothing: each tenant shard owns its simulator, cluster,
+engine and control bus, and `sim::fork_join` runs each shard's whole
+lifecycle as one task on whichever thread it lands on.  Nothing orders one
+shard's events against another's, so scheduling into a foreign shard's
+simulator -- or publishing on its bus -- is a data race between threads
+and makes the target's trace depend on thread timing.  The TSan job
+catches the race, but only on executed paths.  This rule is the static
+complement: any function reachable from an event-handler root that calls
+a scheduling/publishing API on a receiver that names another shard
+(remote_/peer_/other_... receivers, `shard(i)`/`shards_[i]` chains) is
+flagged with the handler path that reaches it.
 
 Over-approximate by design; silence a reviewed exception with
 // lint:allow(shard-lookahead).
@@ -33,26 +26,20 @@ RULE = "shard-lookahead"
 
 RULE_DOCS = {
     RULE: (
-        "handler-reachable code schedules/publishes onto another shard "
-        "without routing through the numbered mailbox "
-        "(LogicalProcess::send); cross-shard effects outside the mailbox "
-        "break the conservative PDES bounds and merge order"
+        "handler-reachable code schedules/publishes onto another shard; "
+        "shards share nothing and run on different threads, so a "
+        "cross-shard effect is a data race and makes the target's trace "
+        "depend on thread timing"
     ),
 }
 
-# Calls that inject events or messages into a simulator/bus.  `send` is
-# deliberately absent: LogicalProcess::send IS the blessed channel.
+# Calls that inject events or messages into a simulator/bus, or drain one.
 MONITORED_CALLS = {
     "schedule_at",
     "schedule_after",
     "publish",
     "run_before",
-    "deliver_bridged",
 }
-
-# Classes that implement the mailbox/round machinery; their own bodies
-# legitimately touch foreign shards.
-EXEMPT_CLASSES = {"ShardedSimulator", "LogicalProcess", "ShardMailbox"}
 
 # A receiver-expression token that names another shard.
 FOREIGN_TOKEN_RE = re.compile(
@@ -71,27 +58,14 @@ def run(model) -> list[Finding]:
         chain = reach.get(id(fn))
         if chain is None:
             continue
-        if fn.cls in EXEMPT_CLASSES:
-            continue
         sf = model.file_of(fn)
         tokens = sf.tokens
-        # Argument spans of mailbox sends in this function: a monitored
-        # call lexically inside one is the *body of the closure being
-        # mailed* -- it executes on the target shard after the window
-        # merge, which is exactly the blessed route.
-        send_spans = [
-            (c.open_idx, c.close_idx)
-            for c in fn.calls
-            if c.name == "send" and c.is_method
-        ]
         for call in fn.calls:
             if call.name not in MONITORED_CALLS:
                 continue
-            if any(lo < call.name_idx < hi for lo, hi in send_spans):
-                continue
             if not call.is_method:
-                # deliver_bridged is only ever a method; a free publish/
-                # schedule call has no receiver to be foreign.
+                # A free publish/schedule call has no receiver to be
+                # foreign.
                 continue
             expr = receiver_expr(tokens, call.name_idx - 1)
             if not _is_foreign(expr):
@@ -105,10 +79,8 @@ def run(model) -> list[Finding]:
                     call.line,
                     RULE,
                     f"'{receiver}.{call.name}(...)' targets another shard "
-                    "from handler-reachable code without the numbered "
-                    "mailbox; use LogicalProcess::send(to, when, fn, "
-                    "label) so the window driver merges it "
-                    "deterministically",
+                    "from handler-reachable code; shards share nothing, so "
+                    "keep the effect on this shard's own simulator and bus",
                     list(chain) + [f"{receiver}.{call.name}()"],
                 )
             )

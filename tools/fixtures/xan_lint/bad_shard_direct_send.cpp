@@ -1,9 +1,8 @@
 // xan_lint fixture: MUST fire shard-lookahead exactly twice.
 //
-// Distilled from a cross-shard send that the runtime checks (the
-// channel-latency throw and the TSan job) catch only when executed:
-// handler-reachable code schedules directly into another shard's simulator
-// instead of mailing a closure through LogicalProcess::send.
+// Distilled from a cross-shard effect that the TSan job catches only when
+// executed: handler-reachable code schedules directly into another shard's
+// simulator, which another thread may be draining.
 
 namespace xanadu::fixture {
 

@@ -19,8 +19,8 @@ analysis under tools/analyses/ runs off that single SourceModel:
                      reset_for_reuse (static complement of the ASan
                      use-after-reset death tests)
   shard-lookahead    handler-reachable scheduling/publishing onto another
-                     shard outside the numbered mailbox (static complement
-                     of the runtime channel-latency throw and the TSan job)
+                     shard, which shares nothing and runs on another thread
+                     (static complement of the TSan job)
   observer-purity    probe/digest observation paths that draw
                      from an Rng, call an engine mutator, or write state
                      folded into state_digest (static complement of the

@@ -36,11 +36,11 @@ tools/fixtures/xan_lint/:
                                path
   good_arena_reset_rebind.cpp  post-fix shape (rebind + value copies) --
                                must be silent
-  bad_shard_direct_send.cpp    PR-9 in-window cross-shard sends (direct
-                               peer simulator + shard(i) chain) --
+  bad_shard_direct_send.cpp    cross-shard schedules (direct peer
+                               simulator + shard(i) chain) --
                                shard-lookahead must fire twice
-  good_shard_mailbox.cpp       closure mailed via LogicalProcess::send,
-                               local-receiver scheduling -- must be silent
+  good_shard_local.cpp         schedules, publishes and drains on its own
+                               simulator and bus only -- must be silent
   bad_observer_mutation.cpp    state_digest accessor that bumps a
                                counter and draws jitter -- observer-purity
                                must fire twice
@@ -274,9 +274,8 @@ def main() -> int:
             failures,
         )
     check(
-        not shard.get("good_shard_mailbox.cpp"),
-        "good_shard_mailbox is silent (closure mailed via send, local "
-        "scheduling untouched)",
+        not shard.get("good_shard_local.cpp"),
+        "good_shard_local is silent (local schedules, publishes and drains)",
         failures,
     )
 
