@@ -187,7 +187,8 @@ PresetResult run_macro(core::PlatformKind kind, std::size_t requests,
 /// split evenly across four tenant shards, each a full Xanadu JIT
 /// DispatchManager (own simulator/cluster/engine) replaying the same 4-node
 /// chain as the macro presets.  The control bus is enabled, so each shard
-/// also delivers its worker telemetry to its fleet-view tracker.
+/// sends its provisioning commands over it and publishes worker telemetry
+/// that no subscriber reads (bus publishes keep their RNG draws).
 struct ShardedScenario {
   std::vector<std::unique_ptr<core::DispatchManager>> managers;
   std::vector<workload::ShardedSource> shards;

@@ -32,10 +32,10 @@ inline constexpr const char* kWorkerStateTopic = "workers";
 class WorkerStateTracker {
  public:
   /// Subscribes to the bus's "workers" topic on construction; the bus must
-  /// outlive the tracker.  The sharded runner's fleet view is one tracker
-  /// per tenant, each on its own tenant's bus, which keeps tenants' worker
-  /// ids apart.  A delivery that is not a WorkerEvent throws
-  /// std::invalid_argument.
+  /// outlive the tracker.  No runner subscribes one: a caller that wants the
+  /// fleet view constructs a tracker on each bus it watches (one per tenant
+  /// keeps tenants' worker ids apart), as examples/fleet_dashboard does.  A
+  /// delivery that is not a WorkerEvent throws std::invalid_argument.
   explicit WorkerStateTracker(MessageBus& bus);
   ~WorkerStateTracker();
 

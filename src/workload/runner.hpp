@@ -93,7 +93,8 @@ struct RunOptions {
   bool force_cold_each_request = false;
   /// Let pending events (keep-alive reclamation etc.) drain after the last
   /// request completes.  When false the simulator stops once every request
-  /// has completed, leaving warm workers alive.
+  /// has completed (see run_schedule for where), leaving warm workers
+  /// alive.
   bool drain_after_last = false;
   /// Tear down all warm workers once the run finishes, before computing the
   /// ledger delta, so idle costs accrued by still-warm workers are charged
@@ -129,8 +130,15 @@ struct RunOptions {
 /// virtual time) and runs the simulation until all requests complete.  The
 /// schedule is read in place, one arrival queued at a time (see
 /// sim::Simulator::attach_arrivals), so the run's event queue holds the
-/// requests in flight rather than the whole schedule.  Defined with the
-/// multi-source runner in traffic_mix.cpp.
+/// requests in flight rather than the whole schedule.
+///
+/// Stop point: without drain_after_last the run polls in whole virtual
+/// seconds and stops at the first boundary after its last completion, so
+/// the clock, and the idle time charged to still-warm workers, run up to a
+/// second past it.  run_sharded_mix stops each shard right after its last
+/// completion instead.  Both stop points are baked into pinned digests and
+/// ledgers.  Defined with the other runners, which share its lifecycle, in
+/// traffic_mix.cpp.
 [[nodiscard]] RunOutcome run_schedule(core::DispatchManager& manager,
                                       common::WorkflowId workflow,
                                       const ArrivalSchedule& schedule,

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <map>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "common/hash.hpp"
-#include "platform/worker_state.hpp"
 #include "sim/audit.hpp"
 #include "sim/sharded.hpp"
 
@@ -40,6 +38,19 @@ struct SourceView {
   const ArrivalSchedule* schedule = nullptr;
 };
 
+/// The view every runner reads a caller's schedule through, and the one
+/// place a schedule is checked sorted.  Each runner builds all its views
+/// before it runs anything, so a bad schedule leaves every deployment as it
+/// was.
+SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
+                       const ArrivalSchedule& schedule) {
+  if (!std::is_sorted(schedule.begin(), schedule.end())) {
+    throw std::invalid_argument{
+        "workload: every arrival schedule must be sorted"};
+  }
+  return SourceView{workflow, name, &schedule};
+}
+
 std::vector<MixedArrival> merge_order(const std::vector<SourceView>& sources) {
   std::size_t total = 0;
   for (const SourceView& source : sources) total += source.schedule->size();
@@ -62,19 +73,15 @@ std::vector<MixedArrival> merge_order(const std::vector<SourceView>& sources) {
   return merged;
 }
 
-std::vector<SourceView> views_of(const TrafficMix& mix) {
-  std::vector<SourceView> views;
-  views.reserve(mix.sources().size());
-  for (const TrafficSource& source : mix.sources()) {
-    views.push_back(SourceView{source.workflow, source.name, &source.schedule});
-  }
-  return views;
-}
-
 }  // namespace
 
 std::vector<MixedArrival> TrafficMix::merged() const {
-  return merge_order(views_of(*this));
+  std::vector<SourceView> views;
+  views.reserve(sources_.size());
+  for (const TrafficSource& source : sources_) {
+    views.push_back(SourceView{source.workflow, source.name, &source.schedule});
+  }
+  return merge_order(views);
 }
 
 TrafficMix poisson_mix(const std::vector<WeightedPoissonSpec>& specs,
@@ -251,12 +258,28 @@ class MixDriver final : public sim::ArrivalStream {
   bool abandoned_ = false;
 };
 
-/// The body shared by run_schedule and run_mixed_schedule: `sources` are
-/// sorted and read in place.  Every per_source lane gets its stats and
-/// digest; with `retain_lanes` the lanes also retain their results.
+/// Where a run stops driving.  The drive is the one step in which the
+/// runners differ, and only because each stop point is baked into pinned
+/// digests and ledgers: moving either one changes every final clock and
+/// idle charge it produces.
+enum class StopAt {
+  /// run_schedule and run_mixed_schedule poll in whole virtual seconds and
+  /// stop at the first boundary after their last completion.
+  kWholeSecond,
+  /// A shard stops right after its own last completion (under
+  /// allow_incomplete, at its own stall horizon), so its lane never depends
+  /// on which other shards share the run.
+  kLastCompletion,
+};
+
+/// The one run lifecycle, shared by run_schedule, run_mixed_schedule and
+/// every shard of run_sharded_mix.  `sources` are sorted and read in place.
+/// Every per_source lane gets its stats and digest; with `retain_lanes` the
+/// lanes also retain their results.
 MixedOutcome run_sources(core::DispatchManager& manager,
                          std::vector<SourceView> sources,
-                         const RunOptions& options, bool retain_lanes) {
+                         const RunOptions& options, bool retain_lanes,
+                         StopAt stop) {
   MixedOutcome outcome;
   outcome.per_source.resize(sources.size());
   outcome.source_names.reserve(sources.size());
@@ -275,14 +298,15 @@ MixedOutcome run_sources(core::DispatchManager& manager,
                    retain_lanes ? &outcome.per_source : nullptr);
   driver.start();
 
+  // 1. Drive.  Under allow_incomplete the run is bounded in virtual time:
+  // requests still incomplete at the stall horizon count as stranded.
+  const sim::TimePoint horizon =
+      base + driver.last_arrival() + options.stall_horizon;
   if (options.drain_after_last && !options.allow_incomplete) {
     sim.run();
-  } else {
+  } else if (stop == StopAt::kWholeSecond) {
     // Run until every request has completed, without waiting for keep-alive
-    // reclamation events.  With allow_incomplete the loop is additionally
-    // bounded in virtual time (see RunOptions::stall_horizon).
-    const sim::TimePoint horizon =
-        base + driver.last_arrival() + options.stall_horizon;
+    // reclamation events.
     while (driver.completed() < driver.total() && sim.pending() > 0) {
       if (options.allow_incomplete && sim.now() >= horizon) break;
       // Stride by 1 virtual second, clamped to the horizon so stranded
@@ -292,17 +316,28 @@ MixedOutcome run_sources(core::DispatchManager& manager,
       if (options.allow_incomplete && stride > horizon) stride = horizon;
       sim.run_until(stride);
     }
+  } else if (driver.total() != 0 && !options.allow_incomplete) {
+    // The driver interrupts this drain at the last completion.
+    sim.run_before(sim::TimePoint{std::numeric_limits<std::int64_t>::max()});
+  } else {
+    // Events at the horizon (an empty shard's is where it starts) fire; a
+    // stranded shard's clock then rests there, and its leftovers fail at
+    // exactly that time.
+    const sim::TimePoint stop_at = driver.total() == 0 ? base : horizon;
+    sim.run_before(stop_at + sim::Duration{1});
+    if (driver.completed() != driver.total()) sim.run_until(stop_at);
   }
+  // 2. Fail the leftovers: stranded by an injected fault with recovery
+  // disabled, so every slot holds a result (failed or completed).
   if (driver.completed() != driver.total() && options.allow_incomplete) {
-    // Stranded by an injected fault with recovery disabled: fail the
-    // leftovers cleanly so every slot holds a result (failed or completed).
     manager.engine().fail_all_pending_requests("stranded by injected fault");
   }
   if (driver.completed() != driver.total()) {
-    throw std::logic_error{"run_mixed_schedule: not all requests completed"};
+    throw std::logic_error{"workload: not all requests completed"};
   }
   XANADU_INVARIANT(driver.folded() == driver.total(),
-                   "run_mixed_schedule: streaming fold did not drain");
+                   "workload: streaming fold did not drain");
+  // 3. Drain.  4. Flush.
   if (options.drain_after_last && options.allow_incomplete) sim.run();
   if (options.flush_at_end) manager.force_cold_start();
 
@@ -320,109 +355,32 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   return outcome;
 }
 
-/// One shard's whole lifecycle in a sharded run, on whichever thread the
-/// fork-join hands it to.  It touches only this shard's deployment, its
-/// stream and its lane, so no other shard can move anything it does.  Fills
-/// `lane` (ledger delta, stats, histogram, digest; retained results when
-/// asked) and returns the events fired.
-std::size_t run_shard(const ShardedSource& shard, const RunOptions& options,
-                      RunOutcome& lane) {
-  core::DispatchManager& manager = *shard.manager;
-  sim::Simulator& sim = manager.simulator();
-  // The MixDriver with its one source on its own stream: the per-shard fold
-  // order (and digest) is exactly the unsharded single-tenant fold order,
-  // and retained results go straight into the lane.
-  metrics::StreamingTrace stream(options.stream);
-  stream.add_source(manager.engine().dag(shard.workflow), shard.name);
-  const cluster::ResourceLedger before = manager.ledger();
-  const sim::TimePoint base = sim.now();
-  MixDriver driver(manager, {SourceView{shard.workflow, shard.name,
-                                        &shard.schedule}},
-                   options, stream, lane, nullptr);
-  driver.start();
-
-  // 1. Drive.  The shard stops right after its own last completion and,
-  // under allow_incomplete, at its own stall horizon (where
-  // run_mixed_schedule fails its leftovers too), so its lane never depends
-  // on which other shards share the run.
-  std::size_t fired = 0;
-  if (options.drain_after_last && !options.allow_incomplete) {
-    fired += sim.run();
-  } else if (options.allow_incomplete || driver.total() == 0) {
-    const sim::TimePoint horizon =
-        driver.total() == 0
-            ? base
-            : base + driver.last_arrival() + options.stall_horizon;
-    // Events at the horizon fire; a stranded shard's clock then rests
-    // there, and its leftovers fail at exactly that time.
-    fired += sim.run_before(horizon + sim::Duration{1});
-    if (driver.completed() != driver.total()) fired += sim.run_until(horizon);
-  } else {
-    fired += sim.run_before(
-        sim::TimePoint{std::numeric_limits<std::int64_t>::max()});
-  }
-  // 2. Fail the leftovers.
-  if (driver.completed() != driver.total() && options.allow_incomplete) {
-    manager.engine().fail_all_pending_requests("stranded by injected fault");
-  }
-  if (driver.completed() != driver.total()) {
-    throw std::logic_error{"run_sharded_mix: not all requests completed"};
-  }
-  XANADU_INVARIANT(driver.folded() == driver.total(),
-                   "run_sharded_mix: streaming fold did not drain");
-  // 3. Drain.  4. Flush.
-  if (options.drain_after_last && options.allow_incomplete) fired += sim.run();
-  if (options.flush_at_end) manager.force_cold_start();
-  // 5. Telemetry settle: the flush published Dead events that are still in
-  // flight.  Two of this shard's own bus latencies past its own clock --
-  // bounded (never run-to-empty: recurring fault events could recur
-  // forever) and independent of the other shards.
-  if (manager.engine().control_bus() != nullptr) {
-    const sim::Duration latency =
-        manager.engine().calibration().control_bus.latency;
-    fired += sim.run_until(sim.now() + latency + latency);
-  }
-
-  lane.ledger_delta = manager.ledger() - before;
-  lane.stats = stream.stats();
-  lane.histogram = stream.histogram();
-  lane.trace_digest = stream.digest();
-  return fired;
-}
-
 }  // namespace
 
 RunOutcome run_schedule(core::DispatchManager& manager,
                         common::WorkflowId workflow,
                         const ArrivalSchedule& schedule,
                         const RunOptions& options) {
-  for (std::size_t i = 1; i < schedule.size(); ++i) {
-    if (schedule[i] < schedule[i - 1]) {
-      throw std::invalid_argument{"run_schedule: schedule must be sorted"};
-    }
-  }
   // Single-tenant traffic is the one-source special case of a mix: the
   // merged order of a lone sorted source is the source order itself, so the
   // event-creation sequence (and hence every trace digest) is unchanged.
   // Only the aggregate is returned, so the lone lane retains nothing.
   MixedOutcome outcome =
-      run_sources(manager, {SourceView{workflow, "", &schedule}}, options,
-                  /*retain_lanes=*/false);
+      run_sources(manager, {sorted_view(workflow, "", schedule)}, options,
+                  /*retain_lanes=*/false, StopAt::kWholeSecond);
   return std::move(outcome.aggregate);
 }
 
 MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
                                 const TrafficMix& mix,
                                 const RunOptions& options) {
+  std::vector<SourceView> views;
+  views.reserve(mix.sources().size());
   for (const TrafficSource& source : mix.sources()) {
-    for (std::size_t i = 1; i < source.schedule.size(); ++i) {
-      if (source.schedule[i] < source.schedule[i - 1]) {
-        throw std::invalid_argument{
-            "run_mixed_schedule: every source schedule must be sorted"};
-      }
-    }
+    views.push_back(sorted_view(source.workflow, source.name, source.schedule));
   }
-  return run_sources(manager, views_of(mix), options, /*retain_lanes=*/true);
+  return run_sources(manager, std::move(views), options,
+                     /*retain_lanes=*/true, StopAt::kWholeSecond);
 }
 
 ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
@@ -433,6 +391,8 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   if (options.threads == 0) {
     throw std::invalid_argument{"run_sharded_mix: threads must be >= 1"};
   }
+  std::vector<SourceView> views;
+  views.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (shards[i].manager == nullptr) {
       throw std::invalid_argument{"run_sharded_mix: null manager"};
@@ -443,25 +403,8 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
             "run_sharded_mix: every shard needs its own deployment"};
       }
     }
-    for (std::size_t a = 1; a < shards[i].schedule.size(); ++a) {
-      if (shards[i].schedule[a] < shards[i].schedule[a - 1]) {
-        throw std::invalid_argument{
-            "run_sharded_mix: every shard schedule must be sorted"};
-      }
-    }
-  }
-
-  // Fleet view: one WorkerStateTracker per tenant, subscribed to the
-  // "workers" topic of that tenant's own control bus (the paper's
-  // Kafka-backed worker state management).  Like any subscriber it lags by
-  // the bus latency and sees the bus's faults.
-  std::vector<std::unique_ptr<platform::WorkerStateTracker>> fleet_view(
-      shards.size());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (platform::MessageBus* bus =
-            shards[i].manager->engine().control_bus()) {
-      fleet_view[i] = std::make_unique<platform::WorkerStateTracker>(*bus);
-    }
+    views.push_back(
+        sorted_view(shards[i].workflow, shards[i].name, shards[i].schedule));
   }
 
   ShardedOutcome outcome;
@@ -471,16 +414,25 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   for (const ShardedSource& shard : shards) {
     mixed.source_names.push_back(shard.name);
   }
-  std::vector<std::size_t> fired(shards.size(), 0);
+  std::vector<std::uint64_t> fired(shards.size(), 0);
+  // A shard is a single-tenant run on its own deployment, run whole on
+  // whichever thread the fork-join hands it to.  It touches only that
+  // deployment and its own lane, so no other shard can move anything it
+  // does.
   sim::fork_join(shards.size(), options.threads, [&](std::size_t i) {
-    fired[i] = run_shard(shards[i], options, mixed.per_source[i]);
+    core::DispatchManager& manager = *shards[i].manager;
+    const std::uint64_t before = manager.simulator().events_fired();
+    MixedOutcome shard = run_sources(manager, {views[i]}, options,
+                                     /*retain_lanes=*/false,
+                                     StopAt::kLastCompletion);
+    mixed.per_source[i] = std::move(shard.aggregate);
+    fired[i] = manager.simulator().events_fired() - before;
   });
 
   // Deterministic aggregation, in shard order.
   RunOutcome& aggregate = mixed.aggregate;
   std::uint64_t trace_fold = common::kFnvOffsetBasis;
   std::uint64_t state_fold = common::kFnvOffsetBasis;
-  std::uint64_t fleet_fold = common::kFnvOffsetBasis;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const RunOutcome& lane = mixed.per_source[i];
     outcome.events_fired += fired[i];
@@ -497,24 +449,9 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     state_fold = common::fnv1a_u64(i, state_fold);
     state_fold = common::fnv1a_u64(
         shards[i].manager->engine().state_digest(), state_fold);
-
-    if (fleet_view[i] != nullptr) {
-      const platform::WorkerStateTracker& tracker = *fleet_view[i];
-      outcome.fleet_events += tracker.events_seen();
-      fleet_fold = common::fnv1a_u64(i, fleet_fold);
-      fleet_fold = common::fnv1a_u64(tracker.live_count(), fleet_fold);
-      fleet_fold = common::fnv1a_u64(
-          tracker.count(platform::WorkerEventKind::Provisioning), fleet_fold);
-      fleet_fold = common::fnv1a_u64(
-          tracker.count(platform::WorkerEventKind::Busy), fleet_fold);
-      fleet_fold = common::fnv1a_u64(
-          tracker.count(platform::WorkerEventKind::Idle), fleet_fold);
-      fleet_fold = common::fnv1a_u64(tracker.events_seen(), fleet_fold);
-    }
   }
   aggregate.trace_digest = trace_fold;
   outcome.state_digest = state_fold;
-  outcome.fleet_digest = fleet_fold;
   return outcome;
 }
 

@@ -127,11 +127,6 @@ struct ShardedSource {
 /// interleave differently by construction -- independent clusters).
 struct ShardedOutcome {
   MixedOutcome mixed;
-  /// Worker lifecycle events the fleet view's trackers consumed (0 when no
-  /// shard runs a control bus).
-  std::uint64_t fleet_events = 0;
-  /// Digest over the fleet view's final per-shard worker-state counts.
-  std::uint64_t fleet_digest = 0;
   /// Fold of each shard engine's state_digest, in shard order.
   std::uint64_t state_digest = 0;
   /// Always 0: no shard waits on or messages another.  Kept for the
@@ -139,24 +134,25 @@ struct ShardedOutcome {
   /// `sim.cross_shard_msgs_per_request` counters, which still read them.
   std::uint64_t windows = 0;
   std::uint64_t cross_shard_messages = 0;
-  /// Events fired across all shards during the run.
+  /// Events the shards' simulators fired during the run, summed.
   std::size_t events_fired = 0;
 };
 
 /// Runs every shard's schedule as one independent task, spread over
 /// RunOptions::threads OS threads (sim::fork_join).  Each shard's manager
-/// must be a distinct deployment; schedules must be sorted.  Within its task
-/// a shard is driven until right after its own last completion (under
-/// allow_incomplete, to its own stall horizon, where its leftovers fail),
-/// then drained if drain_after_last asks, flushed if flush_at_end asks, and,
-/// when it runs a control bus, settled for two of its bus latencies so
-/// in-flight telemetry lands.  A tenant's lane -- trace digest, ledger
-/// delta, engine state -- is therefore the same whether it runs alone or
-/// beside other tenants.  Deployments with the control bus enabled feed the
-/// fleet view: one platform::WorkerStateTracker per tenant, subscribed to
-/// that tenant's own "workers" topic (the paper's Kafka-backed worker state
-/// management).  All results, digests and stats are byte-identical for any
-/// thread count; tests/sharded_determinism_test.cpp pins both properties.
+/// must be a distinct deployment; schedules must be sorted, and all of them
+/// are checked before any shard runs.  A shard is a single-tenant run
+/// through the same lifecycle as run_schedule -- drive, fail leftovers,
+/// drain if drain_after_last asks, flush if flush_at_end asks -- except
+/// where the drive stops: right after the shard's own last completion
+/// (under allow_incomplete, at its own stall horizon, where its leftovers
+/// fail), not at a whole virtual second.  A tenant's lane -- trace digest,
+/// ledger delta, engine state -- is therefore the same whether it runs
+/// alone or beside other tenants.  The runner subscribes nothing to any
+/// shard's control bus; a caller that wants the fleet view subscribes its
+/// own tracker (platform/worker_state.hpp).  All results, digests and stats
+/// are byte-identical for any thread count;
+/// tests/sharded_determinism_test.cpp pins both properties.
 [[nodiscard]] ShardedOutcome run_sharded_mix(
     const std::vector<ShardedSource>& shards, const RunOptions& options = {});
 

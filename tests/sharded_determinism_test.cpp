@@ -20,6 +20,7 @@
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
 #include "platform/calibration.hpp"
+#include "sim/probe.hpp"
 #include "sim/time.hpp"
 #include "workflow/builders.hpp"
 #include "workload/arrivals.hpp"
@@ -42,8 +43,8 @@ workflow::WorkflowDag conditional_dag() {
 
 /// A three-tenant deployment set: each tenant is a full DispatchManager
 /// (its own simulator/cluster/engine) seeded from `seed`, with the control
-/// bus enabled so the fleet view's per-tenant trackers consume worker
-/// telemetry.
+/// bus enabled, so every provision is a daemon command on the tenant's own
+/// bus.
 struct Scenario {
   std::vector<std::unique_ptr<DispatchManager>> managers;
   std::vector<workload::ShardedSource> shards;
@@ -88,8 +89,6 @@ struct Fingerprint {
   std::uint64_t aggregate_trace = 0;
   std::vector<std::uint64_t> per_shard_trace;
   std::uint64_t state = 0;
-  std::uint64_t fleet = 0;
-  std::uint64_t fleet_events = 0;
   std::size_t events_fired = 0;
   std::size_t total = 0;
   std::size_t failed = 0;
@@ -113,8 +112,6 @@ Fingerprint run_fingerprint(
     fp.per_shard_trace.push_back(lane.trace_digest);
   }
   fp.state = outcome.state_digest;
-  fp.fleet = outcome.fleet_digest;
-  fp.fleet_events = outcome.fleet_events;
   fp.events_fired = outcome.events_fired;
   fp.total = outcome.mixed.aggregate.total_count();
   fp.failed = outcome.mixed.aggregate.failed_count();
@@ -128,8 +125,6 @@ void expect_same(const Fingerprint& a, const Fingerprint& b,
   EXPECT_EQ(a.aggregate_trace, b.aggregate_trace) << what;
   EXPECT_EQ(a.per_shard_trace, b.per_shard_trace) << what;
   EXPECT_EQ(a.state, b.state) << what;
-  EXPECT_EQ(a.fleet, b.fleet) << what;
-  EXPECT_EQ(a.fleet_events, b.fleet_events) << what;
   EXPECT_EQ(a.events_fired, b.events_fired) << what;
   EXPECT_EQ(a.total, b.total) << what;
   EXPECT_EQ(a.failed, b.failed) << what;
@@ -146,8 +141,6 @@ TEST(sharded_determinism, FaultFreeParallelMatchesSequential) {
   for (const std::uint64_t seed : {7ull, 21ull, 42ull}) {
     const Fingerprint base = run_fingerprint(seed, false, 1);
     ASSERT_GT(base.total, 0u);
-    ASSERT_GT(base.fleet_events, 0u)
-        << "scenario must feed the fleet view real telemetry";
     EXPECT_EQ(base.failed, 0u);
     for (const unsigned threads : {2u, 4u, 8u}) {
       expect_same(base, run_fingerprint(seed, false, threads),
@@ -177,18 +170,33 @@ TEST(sharded_determinism, SameSeedSameRunDifferentSeedDifferentRun) {
   EXPECT_NE(a.aggregate_trace, c.aggregate_trace);
 }
 
-TEST(sharded_determinism, FleetViewSeesEveryTenant) {
-  // One tracker per tenant, each on its own tenant's bus: every tenant that
-  // provisions workers surfaces events, and the fleet total is the sum of
-  // what each tenant's tracker sees when that tenant runs alone.
-  const Fingerprint fp = run_fingerprint(42, false, 2);
-  std::uint64_t alone_total = 0;
-  for (const std::uint64_t tenant : {0ull, 1ull, 2ull}) {
-    const Fingerprint alone = run_fingerprint(42, false, 1, {tenant});
-    EXPECT_GT(alone.fleet_events, 0u) << "tenant " << tenant;
-    alone_total += alone.fleet_events;
+/// The value of the probe `name` in `manager`'s registry.
+std::uint64_t probe(const DispatchManager& manager, const std::string& name) {
+  for (const sim::ProbeSample& sample : manager.probes().sample()) {
+    if (sample.first == name) return sample.second;
   }
-  EXPECT_EQ(fp.fleet_events, alone_total);
+  ADD_FAILURE() << "no probe named " << name;
+  return 0;
+}
+
+TEST(sharded_determinism, TheRunnerSubscribesNothingToATenantBus) {
+  // Fault-free, a tenant's only bus deliveries are its daemon commands, one
+  // per provision started.  A subscriber the runner attached itself (a fleet
+  // view nobody reads, say) would add deliveries on top.
+  for (const std::uint64_t seed : {7ull, 21ull, 42ull}) {
+    Scenario scenario = make_scenario(seed, false);
+    workload::RunOptions options;
+    options.threads = 2;
+    (void)workload::run_sharded_mix(scenario.shards, options);
+    for (std::size_t i = 0; i < scenario.managers.size(); ++i) {
+      const DispatchManager& manager = *scenario.managers[i];
+      const std::uint64_t provisions =
+          probe(manager, "pipeline.provisions_started");
+      EXPECT_GT(provisions, 0u) << "seed " << seed << " tenant " << i;
+      EXPECT_EQ(probe(manager, "bus.delivered"), provisions)
+          << "seed " << seed << " tenant " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,23 +214,34 @@ struct Lane {
   std::size_t failed = 0;
 };
 
-Lane run_lane(std::uint64_t seed, bool faulted,
-              const std::vector<std::uint64_t>& tenants, std::uint64_t tenant,
-              unsigned threads) {
-  Scenario scenario = make_scenario(seed, faulted, tenants);
-  workload::RunOptions options;
-  options.threads = threads;
-  options.allow_incomplete = faulted;
-  const workload::ShardedOutcome outcome =
-      workload::run_sharded_mix(scenario.shards, options);
-  std::size_t position = 0;
-  while (tenants[position] != tenant) ++position;
+/// The lane of the shard at `position` once `scenario` has run.
+Lane lane_at(const Scenario& scenario, const workload::ShardedOutcome& outcome,
+             std::size_t position) {
   Lane lane;
   lane.trace = outcome.mixed.per_source[position].trace_digest;
   lane.engine_state = scenario.managers[position]->engine().state_digest();
   lane.ledger = outcome.mixed.per_source[position].ledger_delta;
   lane.failed = outcome.mixed.per_source[position].failed_count();
   return lane;
+}
+
+workload::ShardedOutcome run_scenario(Scenario& scenario, bool faulted,
+                                      unsigned threads) {
+  workload::RunOptions options;
+  options.threads = threads;
+  options.allow_incomplete = faulted;
+  return workload::run_sharded_mix(scenario.shards, options);
+}
+
+Lane run_lane(std::uint64_t seed, bool faulted,
+              const std::vector<std::uint64_t>& tenants, std::uint64_t tenant,
+              unsigned threads) {
+  Scenario scenario = make_scenario(seed, faulted, tenants);
+  const workload::ShardedOutcome outcome =
+      run_scenario(scenario, faulted, threads);
+  std::size_t position = 0;
+  while (tenants[position] != tenant) ++position;
+  return lane_at(scenario, outcome, position);
 }
 
 void expect_same_lane(const Lane& a, const Lane& b, const std::string& what) {
@@ -318,6 +337,46 @@ TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
   EXPECT_EQ(run(4), base);
 }
 
+TEST(sharded_determinism, AnEmptyScheduleRunsNoRequests) {
+  // run_schedule with nothing to run returns a zero-request outcome and
+  // leaves the clock where the previous run left it.
+  {
+    Scenario scenario = make_scenario(42, false, {0});
+    DispatchManager& manager = *scenario.managers.front();
+    const common::WorkflowId workflow = scenario.shards.front().workflow;
+    (void)workload::run_schedule(manager, workflow,
+                                 workload::fixed_interval(3, 500_ms));
+    const sim::TimePoint clock = manager.simulator().now();
+    const workload::RunOutcome empty =
+        workload::run_schedule(manager, workflow, {});
+    EXPECT_EQ(empty.total_count(), 0u);
+    EXPECT_TRUE(empty.results.empty());
+    EXPECT_EQ(empty.ledger_delta.workers_provisioned, 0u);
+    EXPECT_EQ(manager.simulator().now(), clock);
+  }
+  // A sharded run: the empty shard's lane is empty, and every other lane is
+  // its lane in the same run without that shard.
+  for (const bool faulted : {false, true}) {
+    const std::string mode = faulted ? "faulted" : "fault-free";
+    Scenario with_empty = make_scenario(42, faulted, {0, 1, 2});
+    with_empty.shards[1].schedule.clear();
+    const workload::ShardedOutcome outcome =
+        run_scenario(with_empty, faulted, 2);
+    const workload::RunOutcome& empty = outcome.mixed.per_source[1];
+    EXPECT_EQ(empty.total_count(), 0u) << mode;
+    EXPECT_TRUE(empty.results.empty()) << mode;
+    EXPECT_EQ(empty.ledger_delta.workers_provisioned, 0u) << mode;
+
+    Scenario without = make_scenario(42, faulted, {0, 2});
+    const workload::ShardedOutcome reference =
+        run_scenario(without, faulted, 1);
+    expect_same_lane(lane_at(with_empty, outcome, 0),
+                     lane_at(without, reference, 0), mode + ": tenant 0");
+    expect_same_lane(lane_at(with_empty, outcome, 2),
+                     lane_at(without, reference, 1), mode + ": tenant 2");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden sharded digests.  Pinned like determinism_test's GoldenDigestGuard:
 // if an intentional trace change lands, re-pin in the same commit and say
@@ -330,8 +389,7 @@ TEST(sharded_determinism, GoldenShardedDigestGuard) {
   EXPECT_EQ(metrics::digest_hex(fault_free.aggregate_trace),
             "51686ecbc533f0f6");
   EXPECT_EQ(metrics::digest_hex(fault_free.state), "7a4143bf74188693");
-  EXPECT_EQ(metrics::digest_hex(fault_free.fleet), "66058dbce18e7092");
-  EXPECT_EQ(fault_free.fleet_events, 266u);
+  EXPECT_EQ(fault_free.events_fired, 351u);
   const Fingerprint faulted = run_fingerprint(42, true, 4);
   EXPECT_EQ(metrics::digest_hex(faulted.aggregate_trace), "11c142469ab442e5");
 }
