@@ -19,6 +19,7 @@
 // as bad as a race.
 //
 // Usage: race_smoke [--verbose]
+// Any other argument prints an error: line and exits 2.
 
 #include <cstdio>
 #include <cstring>
@@ -103,7 +104,11 @@ xanadu::sim::RunObservation racy_fixture(
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool verbose = argc > 1 && std::strcmp(argv[1], "--verbose") == 0;
+  if (argc > 2 || (argc == 2 && std::strcmp(argv[1], "--verbose") != 0)) {
+    std::fprintf(stderr, "error: usage: race_smoke [--verbose]\n");
+    return 2;
+  }
+  const bool verbose = argc == 2;
   const std::vector<std::pair<const char*, PlatformKind>> presets{
       {"knative", PlatformKind::KnativeLike},
       {"xanadu-jit", PlatformKind::XanaduJit},

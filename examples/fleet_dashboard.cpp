@@ -4,6 +4,8 @@
 // "workers" topic, and a WorkerStateTracker consumes them to render a
 // fleet dashboard -- eventually consistent, exactly like a real
 // Kafka-backed control plane.
+//
+// Takes no arguments; any argument prints an error: line and exits 2.
 
 #include <cstdio>
 
@@ -14,7 +16,13 @@
 
 using namespace xanadu;
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "error: fleet_dashboard takes no arguments (got '%s')\n",
+                 argv[1]);
+    return 2;
+  }
   // A 4-host cluster with the control bus enabled (6 ms one-way latency).
   core::DispatchManagerOptions options;
   options.kind = core::PlatformKind::XanaduJit;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/hash.hpp"
 
@@ -15,6 +16,13 @@ Cluster::Cluster(const ClusterOptions& options, common::Rng rng) : rng_(rng) {
   for (std::size_t i = 0; i < options.host_count; ++i) {
     hosts_.emplace_back(HostId{i}, options.memory_mb_per_host);
   }
+}
+
+void Cluster::set_worker_observer(WorkerObserver observer) {
+  if (observer && observer_) {
+    throw std::logic_error{"Cluster: a worker observer is already installed"};
+  }
+  observer_ = std::move(observer);
 }
 
 const Host& Cluster::host(HostId id) const {
@@ -53,6 +61,7 @@ Worker* Cluster::start_provisioning(common::FunctionId fn, SandboxKind kind,
                                          ledger_, now);
   Worker* raw = worker.get();
   workers_.emplace(id, std::move(worker));
+  report_transition(*raw, WorkerTransition::Provisioning);
   return raw;
 }
 
@@ -82,30 +91,27 @@ sim::Duration Cluster::sample_provision_latency(const Worker& worker) const {
 void Cluster::finish_provisioning(Worker& worker, sim::TimePoint now) {
   hosts_[worker.host().value()].provisioning_finished();
   worker.mark_ready(now);
+  report_transition(worker, WorkerTransition::Ready);
 }
 
 void Cluster::destroy_worker(WorkerId id, sim::TimePoint now) {
-  auto it = workers_.find(id);
-  if (it == workers_.end()) {
-    throw std::invalid_argument{"Cluster::destroy_worker: unknown worker"};
-  }
-  Worker& worker = *it->second;
-  const bool was_provisioning = worker.state() == WorkerState::Provisioning;
-  worker.terminate(now);
-  Host& host = hosts_[worker.host().value()];
-  if (was_provisioning) host.provisioning_finished();
-  host.release_memory(worker.total_memory_mb());
-  workers_.erase(it);
+  remove_worker(id, now, /*crash=*/false);
 }
 
 void Cluster::crash_worker(WorkerId id, sim::TimePoint now) {
+  remove_worker(id, now, /*crash=*/true);
+}
+
+void Cluster::remove_worker(WorkerId id, sim::TimePoint now, bool crash) {
   auto it = workers_.find(id);
   if (it == workers_.end()) {
-    throw std::invalid_argument{"Cluster::crash_worker: unknown worker"};
+    throw std::invalid_argument{crash
+                                    ? "Cluster::crash_worker: unknown worker"
+                                    : "Cluster::destroy_worker: unknown worker"};
   }
   Worker& worker = *it->second;
   const bool was_provisioning = worker.state() == WorkerState::Provisioning;
-  if (worker.state() == WorkerState::Busy) {
+  if (crash && worker.state() == WorkerState::Busy) {
     worker.crash(now);
   } else {
     worker.terminate(now);
@@ -113,6 +119,7 @@ void Cluster::crash_worker(WorkerId id, sim::TimePoint now) {
   Host& host = hosts_[worker.host().value()];
   if (was_provisioning) host.provisioning_finished();
   host.release_memory(worker.total_memory_mb());
+  report_transition(worker, WorkerTransition::Dead);
   workers_.erase(it);
 }
 

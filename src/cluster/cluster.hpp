@@ -6,7 +6,12 @@
 // The cluster provides mechanism only (placement, latency sampling, worker
 // bookkeeping); *when* to provision is decided by the platform layer
 // (src/platform) and Xanadu's speculation policies (src/core).
+//
+// Every worker state change goes through the cluster, which reports it to
+// one observer: the platform announces the fleet from there, so no caller
+// announces a transition by hand.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -29,7 +34,16 @@ struct ClusterOptions {
 
 class Cluster {
  public:
+  /// Called after each worker state change; a dying worker is handed over
+  /// before the cluster forgets it.
+  using WorkerObserver = std::function<void(const Worker&, WorkerTransition)>;
+
   explicit Cluster(const ClusterOptions& options, common::Rng rng);
+
+  /// Installs the one observer of worker transitions, or removes it when
+  /// `observer` is empty.  Installing a second observer throws
+  /// std::logic_error.
+  void set_worker_observer(WorkerObserver observer);
 
   [[nodiscard]] SandboxCatalog& catalog() { return catalog_; }
   [[nodiscard]] const SandboxCatalog& catalog() const { return catalog_; }
@@ -63,6 +77,17 @@ class Cluster {
   /// host's in-flight provision count.
   void finish_provisioning(Worker& worker, sim::TimePoint now);
 
+  /// Warm -> Busy and Busy -> Warm (Worker::begin_execution and
+  /// end_execution, reported).  Inline: they run twice per executed node.
+  void begin_execution(Worker& worker, sim::TimePoint now) {
+    worker.begin_execution(now);
+    report_transition(worker, WorkerTransition::Busy);
+  }
+  void end_execution(Worker& worker, sim::TimePoint now) {
+    worker.end_execution(now);
+    report_transition(worker, WorkerTransition::Idle);
+  }
+
   /// Terminates a worker (any non-busy state) and releases its resources.
   /// A worker still provisioning counts as a cancelled provision.
   void destroy_worker(WorkerId id, sim::TimePoint now);
@@ -83,12 +108,20 @@ class Cluster {
   [[nodiscard]] std::size_t live_worker_count() const { return workers_.size(); }
 
  private:
+  /// The one teardown body behind destroy_worker() and crash_worker().
+  void remove_worker(WorkerId id, sim::TimePoint now, bool crash);
+  void report_transition(const Worker& worker,
+                         WorkerTransition transition) const {
+    if (observer_) observer_(worker, transition);
+  }
+
   SandboxCatalog catalog_;
   ResourceLedger ledger_;
   std::vector<Host> hosts_;
   std::unordered_map<WorkerId, std::unique_ptr<Worker>> workers_;
   common::IdGenerator<WorkerId> worker_ids_;
   common::Rng rng_;
+  WorkerObserver observer_;
 };
 
 }  // namespace xanadu::cluster

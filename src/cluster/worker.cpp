@@ -16,6 +16,17 @@ const char* to_string(WorkerState state) {
   return "unknown";
 }
 
+const char* to_string(WorkerTransition transition) {
+  switch (transition) {
+    case WorkerTransition::Provisioning: return "provisioning";
+    case WorkerTransition::Ready: return "ready";
+    case WorkerTransition::Busy: return "busy";
+    case WorkerTransition::Idle: return "idle";
+    case WorkerTransition::Dead: return "dead";
+  }
+  return "unknown";
+}
+
 ResourceLedger& ResourceLedger::operator+=(const ResourceLedger& other) {
   provision_cpu_core_seconds += other.provision_cpu_core_seconds;
   idle_cpu_core_seconds += other.idle_cpu_core_seconds;

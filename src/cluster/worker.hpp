@@ -15,6 +15,7 @@
 // Workers that die without ever executing (speculation misses) are counted
 // as wasted.
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "cluster/sandbox.hpp"
@@ -29,7 +30,20 @@ using common::WorkerId;
 
 enum class WorkerState { Provisioning, Warm, Busy, Dead };
 
+/// A worker state change, as the cluster reports it to its observer (see
+/// Cluster::set_worker_observer).  A rebind is not one: the worker keeps
+/// its state and only its function changes.
+enum class WorkerTransition : std::uint8_t {
+  Provisioning,  // Created; the sandbox build started.
+  Ready,         // Build finished; worker warm.
+  Busy,          // Executing a request.
+  Idle,          // Finished executing; back to warm.
+  Dead,          // Destroyed (keep-alive expiry, eviction, miss discard,
+                 // build failure, outage) or crashed.
+};
+
 [[nodiscard]] const char* to_string(WorkerState state);
+[[nodiscard]] const char* to_string(WorkerTransition transition);
 
 /// Cluster-wide running totals of resource costs.  Benchmarks snapshot this
 /// before and after an experiment and report the delta.

@@ -27,10 +27,7 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
       calib_(std::move(calibration)),
       policy_(policy != nullptr ? policy : &null_policy_),
       rng_(rng),
-      warm_pool_(sim_, cluster_, calib_,
-                 [this](WorkerEventKind kind, WorkerId worker) {
-                   publish_worker_event(kind, worker);
-                 }),
+      warm_pool_(sim_, cluster_, calib_),
       pipeline_(sim_, cluster_, calib_, fault_plan_, warm_pool_,
                 recovery_stats_, pipeline_hooks()) {
   if (calib_.container_profile) {
@@ -44,6 +41,14 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
     bus_ = std::make_unique<MessageBus>(sim_, bus_options, rng_.fork());
     worker_state_topic_ = bus_->intern(kWorkerStateTopic);
     pipeline_.attach_bus(*bus_, cluster_.host_count());
+    // The one place a worker transition is announced: the cluster reports
+    // each as it makes it, whoever asked for it.
+    cluster_.set_worker_observer(
+        [this](const cluster::Worker& worker, WorkerEventKind kind) {
+          bus_->publish(worker_state_topic_,
+                        WorkerEvent{kind, worker.id(), worker.function(),
+                                    worker.host()});
+        });
   }
   if (calib_.faults.any_enabled()) {
     // Forked only when faults are on, so fault-free runs keep the exact rng
@@ -53,6 +58,10 @@ PlatformEngine::PlatformEngine(sim::Simulator& simulator,
     fault_plan_ = sim::FaultPlan(calib_.faults, rng_.fork());
     if (bus_ != nullptr) bus_->set_fault_plan(&fault_plan_);
   }
+}
+
+PlatformEngine::~PlatformEngine() {
+  if (bus_ != nullptr) cluster_.set_worker_observer({});
 }
 
 // ---------------------------------------------------------------------------
@@ -210,13 +219,13 @@ PendingProvision* PlatformEngine::start_provision(FunctionId fn,
   return provision;
 }
 
-void PlatformEngine::provision_ready(FunctionId fn, WorkerId worker_id,
+void PlatformEngine::provision_ready(WorkerId worker_id,
                                      ProvisionWaiters waiters) {
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   XANADU_INVARIANT(worker != nullptr,
                    "provision_ready: worker vanished before completion");
   cluster_.finish_provisioning(*worker, sim_.now());
-  publish_worker_event(WorkerEventKind::Ready, worker_id);
+  const FunctionId fn = worker->function();
   const FunctionInfo& info = function_info(fn);
   policy_->on_worker_ready(*this, info.workflow, info.node,
                            sim_.now() - worker->provision_start());
@@ -274,8 +283,7 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
   record.status = NodeStatus::Executing;
   record.exec_start = sim_.now();
   record.worker = worker_id;
-  worker->begin_execution(sim_.now());
-  publish_worker_event(WorkerEventKind::Busy, worker_id);
+  cluster_.begin_execution(*worker, sim_.now());
   policy_->on_node_exec_start(*this, ctx, node);
 
   const Node& spec_node = ctx.dag->node(node);
@@ -298,7 +306,6 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
             // The request already failed over; the crash still kills the
             // sandbox it was scheduled against.
             if (cluster_.find_worker(worker_id) != nullptr) {
-              publish_worker_event(WorkerEventKind::Dead, worker_id);
               cluster_.crash_worker(worker_id, sim_.now());
             }
             return;
@@ -318,8 +325,7 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
           cluster::Worker* worker = cluster_.find_worker(worker_id);
           if (worker != nullptr &&
               worker->state() == cluster::WorkerState::Busy) {
-            worker->end_execution(sim_.now());
-            publish_worker_event(WorkerEventKind::Idle, worker_id);
+            cluster_.end_execution(*worker, sim_.now());
             warm_pool_.park(worker->function(), worker_id);
             ++recovery_stats_.orphans_reaped;
           }
@@ -345,8 +351,7 @@ void PlatformEngine::finish_execution(RequestContext& ctx, NodeId node) {
   cluster::Worker* worker = cluster_.find_worker(record.worker);
   XANADU_INVARIANT(worker != nullptr,
                    "finish_execution: executing worker vanished");
-  worker->end_execution(sim_.now());
-  publish_worker_event(WorkerEventKind::Idle, record.worker);
+  cluster_.end_execution(*worker, sim_.now());
   warm_pool_.park(function_id(ctx.workflow, node), record.worker);
 
   policy_->on_node_completed(*this, ctx, node);

@@ -15,10 +15,14 @@
 //   * WarmPoolManager    -- warm deques, keep-alive timers, eviction, rebind,
 //   * ProvisionPipeline  -- PendingProvision slots, daemon commands/acks/
 //                           retries, redirects, the live-worker throttle.
-// The engine wires them together with callbacks; neither reaches into the
-// other's (or the engine's) private state.  Fault recovery -- node retry with
-// backoff, mid-execution crashes, host outages, RecoveryStats -- is request-
-// lifecycle code and lives in the engine itself (recovery.cpp).
+// The engine hands the pipeline two callbacks; neither subsystem reaches into
+// the other's (or the engine's) private state.  Fault recovery -- node retry
+// with backoff, mid-execution crashes, host outages, RecoveryStats -- is
+// request-lifecycle code and lives in the engine itself (recovery.cpp).
+//
+// With the control bus on, the engine is the cluster's worker observer: every
+// worker transition the cluster makes is published on the "workers" topic
+// from that one place.
 //
 // A ProvisionPolicy hooks into the request lifecycle to prewarm workers
 // ahead of triggers; Xanadu's speculative and JIT modes are policies.
@@ -51,6 +55,8 @@ class PlatformEngine {
   PlatformEngine(sim::Simulator& simulator, cluster::Cluster& cluster,
                  PlatformCalibration calibration, ProvisionPolicy* policy,
                  common::Rng rng);
+  /// Removes the engine's worker observer from the cluster.
+  ~PlatformEngine();
 
   PlatformEngine(const PlatformEngine&) = delete;
   PlatformEngine& operator=(const PlatformEngine&) = delete;
@@ -227,8 +233,7 @@ class PlatformEngine {
   ProvisionPipeline::Hooks pipeline_hooks();
   /// A completed build: finish provisioning, notify the policy, serve the
   /// first live waiter and re-dispatch the rest (or park the worker warm).
-  void provision_ready(FunctionId fn, WorkerId worker,
-                       ProvisionWaiters waiters);
+  void provision_ready(WorkerId worker, ProvisionWaiters waiters);
   /// Starts a provision for `fn` attributed to `ctx` (if non-null).
   PendingProvision* start_provision(FunctionId fn, RequestContext* ctx);
 
@@ -253,9 +258,6 @@ class PlatformEngine {
   std::pair<RequestContext*, NodeId> find_executing(WorkerId worker);
 
   [[nodiscard]] sim::Duration dispatch_overhead();
-  /// Publishes a worker lifecycle event on the control bus (no-op when the
-  /// bus is disabled).  `worker` must still be alive in the cluster.
-  void publish_worker_event(WorkerEventKind kind, WorkerId worker);
   FunctionInfo& function_info(FunctionId fn);
   RequestContext* find_request(RequestId id);
   /// Removes a finished request from the in-flight map and parks its context

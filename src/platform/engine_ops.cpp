@@ -9,7 +9,6 @@
 
 #include "common/hash.hpp"
 #include "platform/engine.hpp"
-#include "platform/worker_state.hpp"
 
 namespace xanadu::platform {
 
@@ -23,26 +22,13 @@ using workflow::WorkflowDag;
 
 ProvisionPipeline::Hooks PlatformEngine::pipeline_hooks() {
   ProvisionPipeline::Hooks hooks;
-  hooks.publish_worker_event = [this](WorkerEventKind kind, WorkerId worker) {
-    publish_worker_event(kind, worker);
-  };
-  hooks.on_ready = [this](FunctionId fn, WorkerId worker,
-                          ProvisionWaiters waiters) {
-    provision_ready(fn, worker, std::move(waiters));
+  hooks.on_ready = [this](WorkerId worker, ProvisionWaiters waiters) {
+    provision_ready(worker, std::move(waiters));
   };
   hooks.on_build_failed = [this](const ProvisionWaiters& waiters) {
     retry_waiters(waiters, "sandbox build failed");
   };
   return hooks;
-}
-
-void PlatformEngine::publish_worker_event(WorkerEventKind kind,
-                                          WorkerId worker_id) {
-  if (bus_ == nullptr) return;
-  const cluster::Worker* worker = cluster_.find_worker(worker_id);
-  if (worker == nullptr) return;
-  bus_->publish(worker_state_topic_,
-                WorkerEvent{kind, worker_id, worker->function(), worker->host()});
 }
 
 // ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@
 #include <variant>
 #include <vector>
 
+#include "cluster/worker.hpp"
 #include "common/ids.hpp"
 #include "common/interner.hpp"
 #include "common/rng.hpp"
@@ -50,16 +51,12 @@
 
 namespace xanadu::platform {
 
-enum class WorkerEventKind : std::uint8_t {
-  Provisioning,  // Sandbox build started.
-  Ready,         // Build finished; worker warm.
-  Busy,          // Executing a request.
-  Idle,          // Finished executing; back to warm.
-  Dead,          // Terminated (keep-alive expiry, eviction, miss discard).
-};
+/// The cluster's own transition kinds travel on the bus unchanged.
+using WorkerEventKind = cluster::WorkerTransition;
 
-/// A worker lifecycle transition, published by the engine on the "workers"
-/// topic (WorkerStateTracker in platform/worker_state.hpp consumes it).
+/// A worker lifecycle transition, published on the "workers" topic by the
+/// engine's observer of the cluster, once per transition the cluster
+/// reports (WorkerStateTracker in platform/worker_state.hpp consumes it).
 struct WorkerEvent {
   WorkerEventKind kind = WorkerEventKind::Provisioning;
   common::WorkerId worker{};
@@ -70,6 +67,8 @@ struct WorkerEvent {
 /// A Dispatch Manager -> Dispatch Daemon sandbox-build command, published on
 /// the host's "daemon.<host>" topic.
 struct ProvisionCommand {
+  /// The worker's function when the command was sent.  The daemon finds the
+  /// build through `worker`, since a redirect may have rebound it since.
   common::FunctionId function{};
   common::WorkerId worker{};
   /// Extra platform latency the daemon adds to the sampled build time.

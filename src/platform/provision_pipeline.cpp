@@ -49,8 +49,7 @@ void ProvisionPipeline::attach_bus(MessageBus& bus, std::size_t host_count) {
         throw std::invalid_argument{
             "Dispatch Daemon: a non-ProvisionCommand message on its topic"};
       }
-      daemon_build_sandbox(command->function, command->worker,
-                           command->extra);
+      daemon_build_sandbox(command->worker, command->extra);
     });
   }
 }
@@ -64,7 +63,6 @@ PendingProvision* ProvisionPipeline::start(FunctionId fn,
   cluster::Worker* worker = cluster_.start_provisioning(
       fn, spec.sandbox, spec.memory_mb, *host, sim_.now());
   if (worker == nullptr) return nullptr;
-  hooks_.publish_worker_event(WorkerEventKind::Provisioning, worker->id());
 
   // The Dispatch Daemon performs the actual sandbox build.  With the
   // control bus enabled the command travels over the bus (paying its
@@ -78,25 +76,22 @@ PendingProvision* ProvisionPipeline::start(FunctionId fn,
       calib_.provision_extra_for(spec.sandbox) + eviction_delay;
   EventId sample_event{};
   if (bus_ != nullptr) {
-    publish_command(fn, worker_id, *host, extra);
+    publish_command(*worker, extra);
   } else {
     sample_event = sim_.schedule_after(
         sim::Duration::zero(),
-        [this, fn, worker_id, extra] {
-          daemon_build_sandbox(fn, worker_id, extra);
-        },
+        [this, worker_id, extra] { daemon_build_sandbox(worker_id, extra); },
         "pipeline.daemon_command");
   }
   PendingProvision pending;
   pending.worker = worker_id;
   pending.ready_event = sample_event;
-  pending.host = *host;
   pending.extra = extra;
   provisions_[fn].push_back(std::move(pending));
   ++provisions_started_;
   if (bus_ != nullptr && fault_plan_.active() && calib_.recovery.enabled) {
     // The bus may drop the command; re-send it if the daemon never acks.
-    arm_command_retry(fn, worker_id);
+    arm_command_retry(worker_id);
   }
   return &provisions_[fn].back();
 }
@@ -116,18 +111,16 @@ std::size_t ProvisionPipeline::provision_count(FunctionId fn) const {
   return it == provisions_.end() ? 0 : it->second.size();
 }
 
-void ProvisionPipeline::publish_command(FunctionId fn, WorkerId worker,
-                                        common::HostId host,
+void ProvisionPipeline::publish_command(const cluster::Worker& worker,
                                         sim::Duration extra) {
-  bus_->publish(daemon_topics_.at(host.value()),
-                ProvisionCommand{fn, worker, extra});
+  bus_->publish(daemon_topics_.at(worker.host().value()),
+                ProvisionCommand{worker.function(), worker.id(), extra});
 }
 
-PendingProvision* ProvisionPipeline::find(FunctionId& fn, WorkerId worker_id) {
-  if (auto redirect = redirects_.find(worker_id); redirect != redirects_.end()) {
-    fn = redirect->second;
-  }
-  auto it = provisions_.find(fn);
+PendingProvision* ProvisionPipeline::slot_of(WorkerId worker_id) {
+  const cluster::Worker* worker = cluster_.find_worker(worker_id);
+  if (worker == nullptr) return nullptr;
+  auto it = provisions_.find(worker->function());
   if (it == provisions_.end()) return nullptr;
   for (PendingProvision& p : it->second) {
     if (p.worker == worker_id) return &p;
@@ -135,43 +128,45 @@ PendingProvision* ProvisionPipeline::find(FunctionId& fn, WorkerId worker_id) {
   return nullptr;
 }
 
-void ProvisionPipeline::arm_command_retry(FunctionId fn, WorkerId worker_id) {
-  FunctionId owner = fn;
-  PendingProvision* slot = find(owner, worker_id);
+PendingProvision ProvisionPipeline::take(PendingProvision& slot) {
+  std::vector<PendingProvision>& slots =
+      provisions_.at(cluster_.find_worker(slot.worker)->function());
+  PendingProvision pending = std::move(slot);
+  slots.erase(slots.begin() + (&slot - slots.data()));
+  return pending;
+}
+
+void ProvisionPipeline::arm_command_retry(WorkerId worker_id) {
+  PendingProvision* slot = slot_of(worker_id);
   if (slot == nullptr || slot->acked) return;
   // Exponential backoff: timeout, 2x timeout, 4x timeout, ...
   const sim::Duration wait =
       kCommandTimeout * static_cast<double>(std::uint64_t{1} << slot->attempts);
   slot->retry_event = sim_.schedule_after(
-      wait,
-      [this, owner, worker_id] { command_retry_fired(owner, worker_id); },
+      wait, [this, worker_id] { command_retry_fired(worker_id); },
       "pipeline.command_retry");
 }
 
-void ProvisionPipeline::command_retry_fired(FunctionId fn, WorkerId worker_id) {
-  FunctionId owner = fn;
-  PendingProvision* slot = find(owner, worker_id);
+void ProvisionPipeline::command_retry_fired(WorkerId worker_id) {
+  PendingProvision* slot = slot_of(worker_id);
   if (slot == nullptr || slot->acked) return;  // Built or torn down already.
   slot->retry_event = EventId{};
   if (slot->attempts >= kMaxCommandRetries) {
     // The daemon is unreachable; give up on this build and re-place.
-    build_failed(owner, worker_id);
+    build_failed(worker_id);
     return;
   }
   ++slot->attempts;
   ++recovery_stats_.command_retries;
-  publish_command(owner, worker_id, slot->host, slot->extra);
-  arm_command_retry(owner, worker_id);
+  publish_command(*cluster_.find_worker(worker_id), slot->extra);
+  arm_command_retry(worker_id);
 }
 
-void ProvisionPipeline::daemon_build_sandbox(FunctionId fn, WorkerId worker_id,
+void ProvisionPipeline::daemon_build_sandbox(WorkerId worker_id,
                                              sim::Duration extra_latency) {
   cluster::Worker* live = cluster_.find_worker(worker_id);
   if (live == nullptr) return;  // Torn down before the command arrived.
-  // The provision entry may have been redirected to another function while
-  // the command was in flight; search the redirect target as well.
-  FunctionId owner = fn;
-  PendingProvision* slot = find(owner, worker_id);
+  PendingProvision* slot = slot_of(worker_id);
   if (slot == nullptr) return;  // Aborted while the command was in flight.
   // Exactly one build per provision: duplicate deliveries (bus duplication
   // fault) and late command retries are ignored once the first arrived.
@@ -197,13 +192,11 @@ void ProvisionPipeline::daemon_build_sandbox(FunctionId fn, WorkerId worker_id,
   // Record the pending event so abort_unclaimed can cancel it.
   if (build_fails) {
     slot->ready_event = sim_.schedule_after(
-        latency,
-        [this, owner, worker_id] { build_failed(owner, worker_id); },
+        latency, [this, worker_id] { build_failed(worker_id); },
         "pipeline.build_failed");
   } else {
     slot->ready_event = sim_.schedule_after(
-        latency,
-        [this, owner, worker_id] { provision_ready(owner, worker_id); },
+        latency, [this, worker_id] { provision_ready(worker_id); },
         "pipeline.provision_ready");
   }
 }
@@ -220,67 +213,35 @@ sim::Duration ProvisionPipeline::make_room() {
   return calib_.eviction_penalty;
 }
 
-void ProvisionPipeline::provision_ready(FunctionId fn, WorkerId worker_id) {
-  // The provision may have been redirected to another function while in
-  // flight (worker-reuse extension); resolve the current owner.
-  if (auto redirect = redirects_.find(worker_id); redirect != redirects_.end()) {
-    fn = redirect->second;
-    redirects_.erase(redirect);
-  }
-  auto map_it = provisions_.find(fn);
-  if (map_it == provisions_.end()) {
+void ProvisionPipeline::provision_ready(WorkerId worker_id) {
+  PendingProvision* slot = slot_of(worker_id);
+  if (slot == nullptr) {
     throw std::logic_error{
         "ProvisionPipeline::provision_ready: unknown provision"};
   }
-  auto it = std::find_if(map_it->second.begin(), map_it->second.end(),
-                         [worker_id](const PendingProvision& p) {
-                           return p.worker == worker_id;
-                         });
-  if (it == map_it->second.end()) {
-    throw std::logic_error{
-        "ProvisionPipeline::provision_ready: unknown provision"};
-  }
-  PendingProvision pending = std::move(*it);
-  map_it->second.erase(it);
+  PendingProvision pending = take(*slot);
   ++provisions_completed_;
-  hooks_.on_ready(fn, worker_id, std::move(pending.waiters));
+  hooks_.on_ready(worker_id, std::move(pending.waiters));
 }
 
-void ProvisionPipeline::build_failed(FunctionId fn, WorkerId worker_id) {
-  FunctionId owner = fn;
-  if (find(owner, worker_id) == nullptr) return;
-  auto& slots = provisions_.at(owner);
-  auto it = std::find_if(slots.begin(), slots.end(),
-                         [worker_id](const PendingProvision& p) {
-                           return p.worker == worker_id;
-                         });
-  PendingProvision pending = std::move(*it);
-  slots.erase(it);
+void ProvisionPipeline::build_failed(WorkerId worker_id) {
+  PendingProvision* slot = slot_of(worker_id);
+  if (slot == nullptr) return;
+  PendingProvision pending = take(*slot);
   if (pending.retry_event.valid()) sim_.cancel(pending.retry_event);
   sim_.cancel(pending.ready_event);
-  redirects_.erase(worker_id);
   ++recovery_stats_.builds_abandoned;
-  if (cluster_.find_worker(worker_id) != nullptr) {
-    hooks_.publish_worker_event(WorkerEventKind::Dead, worker_id);
-    cluster_.destroy_worker(worker_id, sim_.now());
-  }
+  cluster_.destroy_worker(worker_id, sim_.now());
   hooks_.on_build_failed(pending.waiters);
 }
 
 std::optional<ProvisionWaiters> ProvisionPipeline::remove_for_outage(
-    FunctionId fn, WorkerId worker_id) {
-  auto map_it = provisions_.find(fn);
-  if (map_it == provisions_.end()) return std::nullopt;
-  auto it = std::find_if(map_it->second.begin(), map_it->second.end(),
-                         [worker_id](const PendingProvision& p) {
-                           return p.worker == worker_id;
-                         });
-  if (it == map_it->second.end()) return std::nullopt;
-  PendingProvision pending = std::move(*it);
-  map_it->second.erase(it);
+    WorkerId worker_id) {
+  PendingProvision* slot = slot_of(worker_id);
+  if (slot == nullptr) return std::nullopt;
+  PendingProvision pending = take(*slot);
   sim_.cancel(pending.ready_event);
   if (pending.retry_event.valid()) sim_.cancel(pending.retry_event);
-  redirects_.erase(worker_id);
   return std::move(pending.waiters);
 }
 
@@ -297,7 +258,7 @@ bool ProvisionPipeline::redirect(FunctionId from, FunctionId to) {
   cluster::Worker* worker = cluster_.find_worker(provision.worker);
   XANADU_INVARIANT(worker != nullptr, "redirect_provision: worker vanished");
   worker->rebind(to);
-  redirects_[provision.worker] = to;
+  provision.redirected = true;
   provisions_[to].push_back(std::move(provision));
   return true;
 }
@@ -316,8 +277,6 @@ std::size_t ProvisionPipeline::abort_unclaimed(FunctionId fn) {
     // pipeline.
     sim_.cancel(it->ready_event);
     if (it->retry_event.valid()) sim_.cancel(it->retry_event);
-    redirects_.erase(it->worker);
-    hooks_.publish_worker_event(WorkerEventKind::Dead, it->worker);
     cluster_.destroy_worker(it->worker, sim_.now());
     it = map_it->second.erase(it);
     ++aborted;
@@ -326,7 +285,7 @@ std::size_t ProvisionPipeline::abort_unclaimed(FunctionId fn) {
 }
 
 void ProvisionPipeline::register_probes(sim::ProbeRegistry& probes) const {
-  // In-flight builds and pending redirects are sums over unordered maps --
+  // In-flight builds and pending redirects are sums over an unordered map --
   // order-insensitive reductions, safe to sample.
   probes.add("pipeline.provisions_inflight", [this] {
     std::uint64_t total = 0;
@@ -335,7 +294,12 @@ void ProvisionPipeline::register_probes(sim::ProbeRegistry& probes) const {
     return total;
   });
   probes.add("pipeline.redirects_pending", [this] {
-    return static_cast<std::uint64_t>(redirects_.size());
+    std::uint64_t total = 0;
+    // lint:allow(unordered-iteration) order-insensitive sum
+    for (const auto& [fn, pending] : provisions_) {
+      for (const PendingProvision& p : pending) total += p.redirected ? 1 : 0;
+    }
+    return total;
   });
   probes.add("pipeline.provisions_started",
              [this] { return provisions_started_; });

@@ -13,6 +13,10 @@
 // The pipeline does not know about requests.  Waiters are opaque
 // (RequestId, NodeId) pairs handed back to the engine through Hooks when a
 // build completes or fails; the engine decides what serving a waiter means.
+//
+// A build is filed under the function its worker is bound to, and found
+// through the live worker: the pipeline's events carry only the worker id,
+// so a redirect (which rebinds the worker) needs no bookkeeping of its own.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +33,6 @@
 #include "platform/message_bus.hpp"
 #include "platform/request.hpp"
 #include "platform/warm_pool.hpp"
-#include "platform/worker_state.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/simulator.hpp"
 #include "workflow/function_spec.hpp"
@@ -45,13 +48,13 @@ struct PendingProvision {
   WorkerId worker{};
   EventId ready_event{};
   ProvisionWaiters waiters;
-  /// Where the worker was placed (needed to republish daemon commands).
-  common::HostId host{};
   /// Extra platform latency carried by the daemon command.
   sim::Duration extra = sim::Duration::zero();
   /// True once the daemon received the command and started the build;
   /// duplicate or retried commands for an acked provision are ignored.
   bool acked = false;
+  /// True once redirect() moved the build to another function.
+  bool redirected = false;
   /// Command re-sends so far (ack-timeout recovery).
   unsigned attempts = 0;
   /// Pending ack-timeout event, if armed.
@@ -61,12 +64,9 @@ struct PendingProvision {
 class ProvisionPipeline {
  public:
   struct Hooks {
-    /// Publishes a worker lifecycle event (no-op when the bus is disabled).
-    std::function<void(WorkerEventKind, WorkerId)> publish_worker_event;
     /// A build completed: the engine finishes provisioning, notifies the
     /// policy, and serves (or parks for) the waiters.
-    std::function<void(FunctionId fn, WorkerId worker, ProvisionWaiters waiters)>
-        on_ready;
+    std::function<void(WorkerId worker, ProvisionWaiters waiters)> on_ready;
     /// A build was abandoned (injected failure, or command retries
     /// exhausted): the engine routes the waiters through recovery.
     std::function<void(const ProvisionWaiters& waiters)> on_build_failed;
@@ -109,13 +109,12 @@ class ProvisionPipeline {
   /// unreachable): cancels pending events, tears the worker down, bumps
   /// builds_abandoned, and hands the waiters to on_build_failed.  No-op when
   /// the provision is already gone.
-  void build_failed(FunctionId fn, WorkerId worker);
+  void build_failed(WorkerId worker);
 
   /// Host-outage teardown: removes the slot for `worker` and cancels its
   /// events, returning the stranded waiters.  nullopt when no slot matches
   /// (the caller still owns the worker teardown either way).
-  std::optional<ProvisionWaiters> remove_for_outage(FunctionId fn,
-                                                    WorkerId worker);
+  std::optional<ProvisionWaiters> remove_for_outage(WorkerId worker);
 
   /// Redirects one unclaimed (waiter-free) provision of `from` to `to`.
   /// The engine has already checked architecture compatibility.
@@ -129,19 +128,20 @@ class ProvisionPipeline {
   void register_probes(sim::ProbeRegistry& probes) const;
 
  private:
-  void publish_command(FunctionId fn, WorkerId worker, common::HostId host,
-                       sim::Duration extra);
+  /// Sends `worker`'s build command to the daemon of its host.
+  void publish_command(const cluster::Worker& worker, sim::Duration extra);
   /// The Dispatch-Daemon side of provisioning: samples the (contention-
   /// aware) latency and schedules completion.  Reached either directly via
   /// a zero-delay event or through the control bus.
-  void daemon_build_sandbox(FunctionId fn, WorkerId worker,
-                            sim::Duration extra_latency);
-  void arm_command_retry(FunctionId fn, WorkerId worker);
-  void command_retry_fired(FunctionId fn, WorkerId worker);
-  void provision_ready(FunctionId fn, WorkerId worker);
-  /// Resolves redirects and returns the provision entry for `worker`, or
-  /// nullptr.  `fn` is updated to the owning function.
-  PendingProvision* find(FunctionId& fn, WorkerId worker);
+  void daemon_build_sandbox(WorkerId worker, sim::Duration extra_latency);
+  void arm_command_retry(WorkerId worker);
+  void command_retry_fired(WorkerId worker);
+  void provision_ready(WorkerId worker);
+  /// The in-flight build of `worker`, filed under the function the live
+  /// worker is bound to; nullptr when the worker or its build is gone.
+  PendingProvision* slot_of(WorkerId worker);
+  /// Removes `slot` (from slot_of()) from its function's builds and returns it.
+  PendingProvision take(PendingProvision& slot);
   /// Enforces max_live_workers by evicting the oldest warm worker; returns
   /// the eviction delay to add to the pending provisioning operation.
   sim::Duration make_room();
@@ -161,10 +161,6 @@ class ProvisionPipeline {
   std::vector<TopicId> daemon_topics_;
 
   std::unordered_map<FunctionId, std::vector<PendingProvision>> provisions_;
-  /// Provisions redirected to another function while in flight; consulted
-  /// (and consumed) by provision_ready, whose scheduled callback still
-  /// carries the original function id.
-  std::unordered_map<WorkerId, FunctionId> redirects_;
 
   // Cumulative counters (probe-visible; never reset).
   std::uint64_t provisions_started_ = 0;

@@ -72,7 +72,6 @@ void PlatformEngine::crash_execution(RequestContext& ctx, NodeId node) {
                    "crash_execution: node was not executing");
   const WorkerId worker_id = record.worker;
   record.finish_event = EventId{};
-  publish_worker_event(WorkerEventKind::Dead, worker_id);
   cluster_.crash_worker(worker_id, sim_.now());
   retry_node(ctx, node, "worker crashed mid-execution");
 }
@@ -114,14 +113,12 @@ void PlatformEngine::kill_worker_for_fault(WorkerId worker_id) {
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   if (worker == nullptr) return;
   ++recovery_stats_.outage_worker_kills;
-  const FunctionId fn = worker->function();
   switch (worker->state()) {
     case cluster::WorkerState::Provisioning: {
       // In-flight build (or a command still on the bus): cancel whatever is
       // pending and retry the waiters elsewhere.
       std::optional<ProvisionWaiters> waiters =
-          pipeline_.remove_for_outage(fn, worker_id);
-      publish_worker_event(WorkerEventKind::Dead, worker_id);
+          pipeline_.remove_for_outage(worker_id);
       cluster_.destroy_worker(worker_id, sim_.now());
       if (waiters) retry_waiters(*waiters, "host outage");
       break;
@@ -129,24 +126,22 @@ void PlatformEngine::kill_worker_for_fault(WorkerId worker_id) {
     case cluster::WorkerState::Warm: {
       // Pooled, or in a handoff / rebind window (then not in the pool; the
       // deferred lambdas notice the vanished worker and recover).
-      warm_pool_.remove_if_pooled(fn, worker_id);
-      publish_worker_event(WorkerEventKind::Dead, worker_id);
+      warm_pool_.remove_if_pooled(worker->function(), worker_id);
       cluster_.destroy_worker(worker_id, sim_.now());
       break;
     }
     case cluster::WorkerState::Busy: {
       auto [owner_ctx, owner_node] = find_executing(worker_id);
-      publish_worker_event(WorkerEventKind::Dead, worker_id);
+      // The crash, and with it the Dead announcement, comes before the
+      // cancel: announcements keep their place among schedules and cancels,
+      // so replays stay byte-identical.  An orphan -- Busy for an already-
+      // failed request -- has no owner; its completion finds no worker.
+      cluster_.crash_worker(worker_id, sim_.now());
       if (owner_ctx != nullptr) {
         NodeRecord& record = owner_ctx->nodes[owner_node.value()];
         sim_.cancel(record.finish_event);
         record.finish_event = EventId{};
-        cluster_.crash_worker(worker_id, sim_.now());
         retry_node(*owner_ctx, owner_node, "host outage");
-      } else {
-        // Busy on behalf of an already-failed request (orphan): the pending
-        // completion lambda will find the worker gone and no-op.
-        cluster_.crash_worker(worker_id, sim_.now());
       }
       break;
     }

@@ -1,7 +1,6 @@
 #include "platform/warm_pool.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -11,9 +10,8 @@ namespace xanadu::platform {
 
 WarmPoolManager::WarmPoolManager(sim::Simulator& sim,
                                  cluster::Cluster& cluster,
-                                 const PlatformCalibration& calib,
-                                 EventPublisher publish)
-    : sim_(sim), cluster_(cluster), calib_(calib), publish_(std::move(publish)) {}
+                                 const PlatformCalibration& calib)
+    : sim_(sim), cluster_(cluster), calib_(calib) {}
 
 std::optional<WorkerId> WarmPoolManager::acquire(FunctionId fn) {
   auto it = warm_.find(fn);
@@ -52,7 +50,6 @@ WarmPoolManager::Pool::iterator WarmPoolManager::find_entry(Pool& pool,
 
 void WarmPoolManager::destroy(const PooledWorker& entry) {
   disarm(entry.keep_alive);
-  publish_(WorkerEventKind::Dead, entry.worker);
   cluster_.destroy_worker(entry.worker, sim_.now());
 }
 
@@ -104,13 +101,9 @@ void WarmPoolManager::flush_all() {
   }
   std::sort(rebinding.begin(), rebinding.end());
   for (const WorkerId worker : rebinding) {
-    const InflightRebind inflight = rebinding_.at(worker);
-    sim_.cancel(inflight.completion);
+    sim_.cancel(rebinding_.at(worker).completion);
     rebinding_.erase(worker);
-    auto it = inbound_rebinds_.find(inflight.target);
-    if (it != inbound_rebinds_.end() && it->second > 0) --it->second;
     if (cluster_.find_worker(worker) != nullptr) {
-      publish_(WorkerEventKind::Dead, worker);
       cluster_.destroy_worker(worker, sim_.now());
     }
   }
@@ -162,7 +155,6 @@ bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   XANADU_INVARIANT(worker != nullptr, "rebind_warm_worker: worker vanished");
   worker->rebind(to);
-  ++inbound_rebinds_[to];
   // Code reload: the sandbox stays idle for the rebind latency, then joins
   // the target function's warm pool.  The completion event is tracked in
   // rebinding_ so flush_all() can cancel it and tear the sandbox down -- an
@@ -171,8 +163,6 @@ bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
       calib_.rebind_latency,
       [this, to, worker_id] {
         rebinding_.erase(worker_id);
-        auto it = inbound_rebinds_.find(to);
-        if (it != inbound_rebinds_.end() && it->second > 0) --it->second;
         if (cluster_.find_worker(worker_id) != nullptr) {
           park(to, worker_id);
         }
@@ -190,8 +180,12 @@ std::size_t WarmPoolManager::warm_count(FunctionId fn) const {
 std::size_t WarmPoolManager::keep_alive_event_count() const { return armed_; }
 
 std::size_t WarmPoolManager::inbound_rebinds(FunctionId fn) const {
-  auto it = inbound_rebinds_.find(fn);
-  return it == inbound_rebinds_.end() ? 0 : it->second;
+  std::size_t count = 0;
+  // lint:allow(unordered-iteration) order-insensitive count
+  for (const auto& [worker, inflight] : rebinding_) {
+    if (inflight.target == fn) ++count;
+  }
+  return count;
 }
 
 void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
@@ -206,10 +200,7 @@ void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
   probes.add("warm_pool.keep_alive_timers",
              [this] { return static_cast<std::uint64_t>(keep_alive_event_count()); });
   probes.add("warm_pool.inbound_rebinds", [this] {
-    std::uint64_t total = 0;
-    // lint:allow(unordered-iteration) order-insensitive sum
-    for (const auto& [fn, count] : inbound_rebinds_) total += count;
-    return total;
+    return static_cast<std::uint64_t>(rebinding_.size());
   });
 }
 

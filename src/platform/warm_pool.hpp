@@ -11,20 +11,18 @@
 // oldest-first under a live-worker cap, is decided here.
 //
 // Narrow interface by design: the manager borrows the simulator, the
-// cluster, and the calibration constants, plus one callback for publishing
-// worker lifecycle events on the control bus.  It never touches requests,
-// policies, or provisioning state.
+// cluster, and the calibration constants.  It never touches requests,
+// policies, or provisioning state; the cluster announces the workers it
+// tears down.
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 
 #include "cluster/cluster.hpp"
 #include "common/ids.hpp"
 #include "platform/calibration.hpp"
-#include "platform/worker_state.hpp"
 #include "sim/simulator.hpp"
 
 namespace xanadu::platform {
@@ -35,14 +33,10 @@ using common::WorkerId;
 
 class WarmPoolManager {
  public:
-  /// Publishes a worker lifecycle event on the control bus (no-op when the
-  /// bus is disabled).  Wired by the engine.
-  using EventPublisher = std::function<void(WorkerEventKind, WorkerId)>;
-
   /// Borrows the simulator, cluster and calibration; all must outlive the
   /// manager.
   WarmPoolManager(sim::Simulator& sim, cluster::Cluster& cluster,
-                  const PlatformCalibration& calib, EventPublisher publish);
+                  const PlatformCalibration& calib);
 
   WarmPoolManager(const WarmPoolManager&) = delete;
   WarmPoolManager& operator=(const WarmPoolManager&) = delete;
@@ -102,7 +96,8 @@ class WarmPoolManager {
 
   [[nodiscard]] std::size_t warm_count(FunctionId fn) const;
   /// Workers mid-rebind toward `fn` (counted as provisioning coverage so the
-  /// speculation engine does not double-provision).
+  /// speculation engine does not double-provision).  A worker an outage
+  /// killed mid-rebind still counts until its rebind would have completed.
   [[nodiscard]] std::size_t inbound_rebinds(FunctionId fn) const;
   /// Keep-alive timers still queued: armed by park(), minus those that fired
   /// or were cancelled.  Counted apart from the pools, so a timer left queued
@@ -113,7 +108,8 @@ class WarmPoolManager {
  private:
   /// One worker whose sandbox is reloading code toward `target`.  Tracked so
   /// flush_all() can cancel the completion event and destroy the sandbox
-  /// instead of letting it re-park after the flush.
+  /// instead of letting it re-park after the flush, and counted by
+  /// inbound_rebinds().
   struct InflightRebind {
     FunctionId target{};
     EventId completion{};
@@ -129,7 +125,7 @@ class WarmPoolManager {
   /// Cancels a pool entry's keep-alive timer if it is still queued.
   void disarm(EventId keep_alive);
   /// Cancels the timer of a worker leaving its pool, and tears its sandbox
-  /// down (publishing Dead first).
+  /// down.
   void destroy(const PooledWorker& entry);
   /// The pool entry of `worker` in `pool`, or pool.end().
   [[nodiscard]] static Pool::iterator find_entry(Pool& pool, WorkerId worker);
@@ -137,11 +133,9 @@ class WarmPoolManager {
   sim::Simulator& sim_;
   cluster::Cluster& cluster_;
   const PlatformCalibration& calib_;
-  EventPublisher publish_;
 
   /// Warm idle workers per function, oldest first.
   std::unordered_map<FunctionId, Pool> warm_;
-  std::unordered_map<FunctionId, std::size_t> inbound_rebinds_;
   /// Workers currently mid-rebind, keyed by worker id.
   std::unordered_map<WorkerId, InflightRebind> rebinding_;
   /// Keep-alive timers still queued (see keep_alive_event_count()).

@@ -5,17 +5,6 @@
 
 namespace xanadu::platform {
 
-const char* to_string(WorkerEventKind kind) {
-  switch (kind) {
-    case WorkerEventKind::Provisioning: return "provisioning";
-    case WorkerEventKind::Ready: return "ready";
-    case WorkerEventKind::Busy: return "busy";
-    case WorkerEventKind::Idle: return "idle";
-    case WorkerEventKind::Dead: return "dead";
-  }
-  return "unknown";
-}
-
 WorkerStateTracker::WorkerStateTracker(MessageBus& bus) : bus_(bus) {
   subscription_ = bus_.subscribe(
       bus_.intern(kWorkerStateTopic), [this](const BusMessage& m) {

@@ -3,13 +3,17 @@
 // Worker state management over the control bus.
 //
 // Paper Section 4 uses Kafka "also for state management of Xanadu workers":
-// the Dispatch Daemons publish worker lifecycle transitions, and the
-// Dispatch Manager's view of the fleet is whatever has arrived on the bus.
-// The event record itself (WorkerEvent) is one of the bus's typed payloads
-// (platform/message_bus.hpp); this module names the engine's "workers"
+// worker lifecycle transitions are published, and the Dispatch Manager's
+// view of the fleet is whatever has arrived on the bus.  The cluster reports
+// every worker transition to one observer, which the engine installs when
+// the bus is on; it publishes each as a WorkerEvent, one of the bus's typed
+// payloads (platform/message_bus.hpp).  This module names the "workers"
 // topic and provides WorkerStateTracker, a subscriber that maintains the
 // eventually-consistent fleet view (counts per state and per function) by
 // reading the typed events directly.
+//
+// A rebind is not a transition, so the view learns a rebound worker's new
+// function only at that worker's next transition.
 //
 // The tracker deliberately lags reality by the bus latency -- tests assert
 // exactly that -- mirroring the consistency model a real Kafka-backed
@@ -22,8 +26,6 @@
 #include "platform/message_bus.hpp"
 
 namespace xanadu::platform {
-
-[[nodiscard]] const char* to_string(WorkerEventKind kind);
 
 /// Topic the engine publishes worker events on.
 inline constexpr const char* kWorkerStateTopic = "workers";

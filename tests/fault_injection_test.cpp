@@ -27,6 +27,7 @@
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
 #include "platform/calibration.hpp"
+#include "platform/worker_state.hpp"
 #include "sim/audit.hpp"
 #include "sim/fault_plan.hpp"
 #include "workflow/builders.hpp"
@@ -837,6 +838,83 @@ TEST(fault_injection, HookSequencesAreIdenticalAcrossFaultedSeedReplays) {
   }
   EXPECT_GT(xors, 0u);
   EXPECT_EQ(xors, skips);
+}
+
+// ---------------------------------------------------------------------------
+// The fleet view on the control bus.
+// ---------------------------------------------------------------------------
+
+TEST(fault_injection, FleetViewStaysExactOnEveryTeardownPath) {
+  // Crashes, abandoned builds and host outages (recovery on), plus the
+  // speculative XOR workload with worker reuse and replanning -- aborts,
+  // rebinds and redirects -- take workers down by every path there is.
+  // With no bus fault every announcement reaches the tracker exactly once,
+  // so whenever nothing is in flight its live count must be the cluster's.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduSpeculative;
+  options.seed = 42;
+  options.cluster.host_count = 4;
+  options.xanadu.reuse_workers_on_miss = true;
+  options.xanadu.miss_policy = core::MissPolicy::Replan;
+  platform::PlatformCalibration calibration = platform::xanadu_calibration();
+  calibration.control_bus.enabled = true;
+  options.calibration = calibration;
+  options.faults.worker_crash_rate = 0.1;
+  options.faults.provision_failure_rate = 0.1;
+  options.faults.straggler_rate = 0.1;
+  options.faults.host_outage_rate_per_hour = 120.0;
+  options.faults.host_downtime = sim::Duration::from_seconds(5);
+  DispatchManager manager{options};
+  platform::MessageBus& bus = *manager.engine().control_bus();
+  platform::WorkerStateTracker tracker{bus};
+
+  workflow::XorCastOptions shape;
+  shape.levels = 3;
+  const auto wf = manager.deploy(workflow::xor_cast_dag(shape));
+  common::Rng arrivals{7};
+  workload::RunOptions run;
+  run.allow_incomplete = true;
+  run.flush_at_end = false;
+  (void)workload::run_schedule(
+      manager, wf,
+      workload::poisson(sim::Duration::from_millis(500),
+                        sim::Duration::from_seconds(120), arrivals),
+      run);
+
+  // Each message has exactly one subscriber (the tracker or a daemon), so
+  // the bus has drained once every publish has been delivered.
+  sim::Simulator& sim = manager.simulator();
+  const auto drain = [&] {
+    while (bus.delivered_count() != bus.published_count() &&
+           sim.pending() > 0) {
+      sim.run_until(sim.now() + sim::Duration::from_millis(1));
+    }
+  };
+  drain();
+  EXPECT_GT(tracker.live_count(), 0u);
+  EXPECT_EQ(tracker.live_count(), manager.cluster().live_worker_count());
+  // Rebind a warm worker and flush at once: the flush tears the worker
+  // down mid-rebind.
+  platform::PlatformEngine& engine = manager.engine();
+  const auto fn = [&](std::size_t node) {
+    return engine.function_id(wf, common::NodeId{node});
+  };
+  std::size_t from = 0;
+  while (engine.warm_count(fn(from)) == 0) ++from;
+  ASSERT_TRUE(engine.rebind_warm_worker(fn(from), fn(from == 0 ? 1 : 0)));
+  engine.flush_all_warm_workers();
+  drain();
+  EXPECT_EQ(tracker.live_count(), manager.cluster().live_worker_count());
+
+  const sim::FaultCounters& faults = manager.fault_counters();
+  EXPECT_GT(faults.worker_crashes, 0u);
+  EXPECT_GT(faults.provision_failures, 0u);
+  EXPECT_GT(faults.stragglers, 0u);
+  EXPECT_GT(faults.host_outages, 0u);
+  // Pinned: the sum over every path of what it announces, so a path that
+  // starts or stops announcing moves it.
+  EXPECT_EQ(bus.published_count(), 1934u);
+  EXPECT_EQ(tracker.events_seen(), 1725u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
 #include "platform/calibration.hpp"
+#include "platform/worker_state.hpp"
 #include "sim/probe.hpp"
 #include "sim/time.hpp"
 #include "workflow/builders.hpp"
@@ -51,7 +52,8 @@ struct Scenario {
 };
 
 Scenario make_scenario(std::uint64_t seed, bool faulted,
-                       const std::vector<std::uint64_t>& tenants = {0, 1, 2}) {
+                       const std::vector<std::uint64_t>& tenants = {0, 1, 2},
+                       double bus_duplicate_rate = 0.0) {
   Scenario scenario;
   for (const std::uint64_t tenant : tenants) {
     DispatchManagerOptions options;
@@ -66,6 +68,7 @@ Scenario make_scenario(std::uint64_t seed, bool faulted,
       options.faults.bus_delay_rate = 0.2;
       options.faults.provision_failure_rate = 0.2;
       options.faults.worker_crash_rate = 0.2;
+      options.faults.bus_duplicate_rate = bus_duplicate_rate;
     }
     auto manager = std::make_unique<DispatchManager>(options);
 
@@ -374,6 +377,36 @@ TEST(sharded_determinism, AnEmptyScheduleRunsNoRequests) {
                      lane_at(without, reference, 0), mode + ": tenant 0");
     expect_same_lane(lane_at(with_empty, outcome, 2),
                      lane_at(without, reference, 1), mode + ": tenant 2");
+  }
+}
+
+TEST(sharded_determinism, AFleetViewOnEveryTenantBusMovesNoLane) {
+  // Observers never change a run: a WorkerStateTracker on each tenant's bus
+  // adds deliveries (twice for a duplicated message) and nothing else.  So
+  // events_fired may differ; every lane may not.
+  for (const unsigned threads : {1u, 4u}) {
+    Scenario bare = make_scenario(42, true, {0, 1, 2}, 0.1);
+    const workload::ShardedOutcome bare_outcome =
+        run_scenario(bare, true, threads);
+    Scenario watched = make_scenario(42, true, {0, 1, 2}, 0.1);
+    std::vector<std::unique_ptr<platform::WorkerStateTracker>> trackers;
+    for (const auto& manager : watched.managers) {
+      trackers.push_back(std::make_unique<platform::WorkerStateTracker>(
+          *manager->engine().control_bus()));
+    }
+    const workload::ShardedOutcome watched_outcome =
+        run_scenario(watched, true, threads);
+    for (std::size_t i = 0; i < watched.managers.size(); ++i) {
+      const std::string what = "threads " + std::to_string(threads) +
+                               " tenant " + std::to_string(i);
+      expect_same_lane(lane_at(bare, bare_outcome, i),
+                       lane_at(watched, watched_outcome, i), what);
+      EXPECT_GT(trackers[i]->events_seen(), 0u) << what;
+      const sim::FaultCounters& faults = watched.managers[i]->fault_counters();
+      EXPECT_GT(faults.bus_drops, 0u) << what;
+      EXPECT_GT(faults.bus_duplicates, 0u) << what;
+      EXPECT_GT(faults.bus_delays, 0u) << what;
+    }
   }
 }
 
