@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -158,16 +159,26 @@ inline double seconds_since(WallClock::time_point start) {
   return std::chrono::duration<double>(WallClock::now() - start).count();
 }
 
-/// Process-wide peak resident set size in MiB (Linux ru_maxrss is KiB).
-/// Monotone over the process lifetime: run presets smallest-first so the
-/// value records each preset's high-water mark as it finishes.
+/// This process's peak resident set size in MiB: VmHWM from
+/// /proc/self/status, or getrusage's ru_maxrss where that line is missing.
+/// ru_maxrss is only the fallback because Linux carries it across execve: a
+/// bench started from a large parent (a Python driver, say) would report
+/// the parent's peak.  Monotone over the process lifetime: run presets
+/// smallest-first so the value records each preset's high-water mark as it
+/// finishes.  RSS is *reported next to* digests in the bench output, never
+/// folded into one; the digest inputs are trace bytes only.
 inline double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {  // "VmHWM:     13456 kB"
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
   rusage usage{};
-  // RSS is *reported next to* digests in the bench output, never folded
-  // into one; the digest inputs are trace bytes only.
   // lint:allow(nondet-taint)
   getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 // ---------------------------------------------------------------------------

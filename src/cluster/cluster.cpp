@@ -56,13 +56,11 @@ Worker* Cluster::start_provisioning(common::FunctionId fn, SandboxKind kind,
   if (!host.try_reserve_memory(total_memory)) return nullptr;
   host.provisioning_started();
   const WorkerId id = worker_ids_.next();
-  auto worker = std::make_unique<Worker>(id, fn, host_id, kind,
-                                         function_memory_mb, profile,
-                                         ledger_, now);
-  Worker* raw = worker.get();
-  workers_.emplace(id, std::move(worker));
-  report_transition(*raw, WorkerTransition::Provisioning);
-  return raw;
+  Worker& worker = workers_.insert(
+      id, std::make_unique<Worker>(id, fn, host_id, kind, function_memory_mb,
+                                   profile, ledger_, now));
+  report_transition(worker, WorkerTransition::Provisioning);
+  return &worker;
 }
 
 sim::Duration Cluster::sample_provision_latency(const Worker& worker) const {
@@ -103,13 +101,13 @@ void Cluster::crash_worker(WorkerId id, sim::TimePoint now) {
 }
 
 void Cluster::remove_worker(WorkerId id, sim::TimePoint now, bool crash) {
-  auto it = workers_.find(id);
-  if (it == workers_.end()) {
+  Worker* found = find_worker(id);
+  if (found == nullptr) {
     throw std::invalid_argument{crash
                                     ? "Cluster::crash_worker: unknown worker"
                                     : "Cluster::destroy_worker: unknown worker"};
   }
-  Worker& worker = *it->second;
+  Worker& worker = *found;
   const bool was_provisioning = worker.state() == WorkerState::Provisioning;
   if (crash && worker.state() == WorkerState::Busy) {
     worker.crash(now);
@@ -120,7 +118,7 @@ void Cluster::remove_worker(WorkerId id, sim::TimePoint now, bool crash) {
   if (was_provisioning) host.provisioning_finished();
   host.release_memory(worker.total_memory_mb());
   report_transition(worker, WorkerTransition::Dead);
-  workers_.erase(it);
+  workers_.erase(id);
 }
 
 void Cluster::set_host_available(HostId id, bool available) {
@@ -132,24 +130,10 @@ void Cluster::set_host_available(HostId id, bool available) {
 
 std::vector<WorkerId> Cluster::workers_on_host(HostId host) const {
   std::vector<WorkerId> ids;
-  // Sorted below: the worker table is unordered, but teardown order is
-  // observable (bus events, ledger accumulation), so callers get worker-id
-  // order.
-  for (const auto& [id, worker] : workers_) {  // lint:allow(unordered-iteration)
-    if (worker->host() == host) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  workers_.for_each([&](WorkerId id, const Worker& worker) {
+    if (worker.host() == host) ids.push_back(id);
+  });
   return ids;
-}
-
-Worker* Cluster::find_worker(WorkerId id) {
-  auto it = workers_.find(id);
-  return it == workers_.end() ? nullptr : it->second.get();
-}
-
-const Worker* Cluster::find_worker(WorkerId id) const {
-  auto it = workers_.find(id);
-  return it == workers_.end() ? nullptr : it->second.get();
 }
 
 }  // namespace xanadu::cluster

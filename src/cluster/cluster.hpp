@@ -14,12 +14,12 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/host.hpp"
 #include "cluster/sandbox.hpp"
 #include "cluster/worker.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "sim/time.hpp"
@@ -59,7 +59,7 @@ class Cluster {
   /// Creates a worker in Provisioning state on `host`, reserving its memory.
   /// Returns nullptr if the host cannot fit the worker.  The returned
   /// pointer stays valid until the worker is destroyed via
-  /// destroy_worker().
+  /// destroy_worker() or crash_worker(), however many workers follow it.
   Worker* start_provisioning(common::FunctionId fn, SandboxKind kind,
                              double function_memory_mb, HostId host,
                              sim::TimePoint now);
@@ -77,10 +77,12 @@ class Cluster {
   /// host's in-flight provision count.
   void finish_provisioning(Worker& worker, sim::TimePoint now);
 
-  /// Warm -> Busy and Busy -> Warm (Worker::begin_execution and
-  /// end_execution, reported).  Inline: they run twice per executed node.
-  void begin_execution(Worker& worker, sim::TimePoint now) {
-    worker.begin_execution(now);
+  /// Warm -> Busy running `node` of `request`, and Busy -> Warm
+  /// (Worker::begin_execution and end_execution, reported).  Inline: they
+  /// run twice per executed node.
+  void begin_execution(Worker& worker, sim::TimePoint now, RequestId request,
+                       NodeId node) {
+    worker.begin_execution(now, request, node);
     report_transition(worker, WorkerTransition::Busy);
   }
   void end_execution(Worker& worker, sim::TimePoint now) {
@@ -99,12 +101,14 @@ class Cluster {
   /// Marks a host down (skipped by place()) or back up.
   void set_host_available(HostId id, bool available);
 
-  /// Ids of live workers placed on `host`, sorted ascending -- a
-  /// deterministic iteration order for outage teardown.
+  /// Ids of live workers placed on `host`, ascending -- a deterministic
+  /// iteration order for outage teardown.
   [[nodiscard]] std::vector<WorkerId> workers_on_host(HostId host) const;
 
-  [[nodiscard]] Worker* find_worker(WorkerId id);
-  [[nodiscard]] const Worker* find_worker(WorkerId id) const;
+  [[nodiscard]] Worker* find_worker(WorkerId id) { return workers_.find(id); }
+  [[nodiscard]] const Worker* find_worker(WorkerId id) const {
+    return workers_.find(id);
+  }
   [[nodiscard]] std::size_t live_worker_count() const { return workers_.size(); }
 
  private:
@@ -118,7 +122,9 @@ class Cluster {
   SandboxCatalog catalog_;
   ResourceLedger ledger_;
   std::vector<Host> hosts_;
-  std::unordered_map<WorkerId, std::unique_ptr<Worker>> workers_;
+  /// Live workers.  The Worker* that start_provisioning() hands out
+  /// survives the window growing.
+  common::IdWindow<WorkerId, Worker> workers_;
   common::IdGenerator<WorkerId> worker_ids_;
   common::Rng rng_;
   WorkerObserver observer_;

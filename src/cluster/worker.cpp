@@ -108,10 +108,13 @@ void Worker::flush_idle(sim::TimePoint now) {
   idle_since_ = now;
 }
 
-void Worker::begin_execution(sim::TimePoint now) {
+void Worker::begin_execution(sim::TimePoint now, RequestId request,
+                             NodeId node) {
   require_state(WorkerState::Warm, "begin_execution");
   flush_idle(now);
   state_ = WorkerState::Busy;
+  running_request_ = request;
+  running_node_ = node;
   ++executions_;
   ledger_->executions += 1;
 }
@@ -119,6 +122,8 @@ void Worker::begin_execution(sim::TimePoint now) {
 void Worker::end_execution(sim::TimePoint now) {
   require_state(WorkerState::Busy, "end_execution");
   state_ = WorkerState::Warm;
+  running_request_ = RequestId{};
+  running_node_ = NodeId{};
   idle_since_ = now;
 }
 

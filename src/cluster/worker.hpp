@@ -26,6 +26,8 @@ namespace xanadu::cluster {
 
 using common::FunctionId;
 using common::HostId;
+using common::NodeId;
+using common::RequestId;
 using common::WorkerId;
 
 enum class WorkerState { Provisioning, Warm, Busy, Dead };
@@ -83,11 +85,17 @@ class Worker {
   [[nodiscard]] sim::TimePoint provision_start() const { return provision_start_; }
   [[nodiscard]] bool ever_used() const { return executions_ > 0; }
   [[nodiscard]] sim::TimePoint idle_since() const;
+  /// The request and node this worker is executing; invalid ids unless
+  /// Busy (and after a crash, the ones it died running).
+  [[nodiscard]] RequestId running_request() const { return running_request_; }
+  [[nodiscard]] NodeId running_node() const { return running_node_; }
 
   /// Provisioning -> Warm.  Charges the provisioning CPU work.
   void mark_ready(sim::TimePoint now);
-  /// Warm -> Busy.  Flushes the idle interval [idle_since, now) to the ledger.
-  void begin_execution(sim::TimePoint now);
+  /// Warm -> Busy, running `node` of `request`.  Flushes the idle interval
+  /// [idle_since, now) to the ledger.
+  void begin_execution(sim::TimePoint now, RequestId request = {},
+                       NodeId node = {});
   /// Busy -> Warm.
   void end_execution(sim::TimePoint now);
   /// Any live state -> Dead.  Flushes any open idle interval; a worker dying
@@ -124,6 +132,8 @@ class Worker {
   sim::TimePoint provision_start_{};
   sim::TimePoint idle_since_{};
   std::size_t executions_ = 0;
+  RequestId running_request_{};
+  NodeId running_node_{};
 };
 
 }  // namespace xanadu::cluster

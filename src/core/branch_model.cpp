@@ -35,42 +35,31 @@ BranchModel BranchModel::from_schema(const workflow::WorkflowDag& dag) {
       le.count = 0;
       mn.children.push_back(le);
     }
-    model.model_nodes_.emplace(n.id, std::move(mn));
+    model.model_nodes_.insert_or_assign(n.id, std::move(mn));
     if (n.parents.empty()) model.roots_.push_back(n.id);
   }
   return model;
 }
 
 ModelNode& BranchModel::node(NodeId id, SelectMode mode_if_new) {
-  auto it = model_nodes_.find(id);
-  if (it == model_nodes_.end()) {
-    ModelNode mn;
-    mn.id = id;
-    mn.select = mode_if_new;
-    it = model_nodes_.emplace(id, std::move(mn)).first;
-  }
-  return it->second;
-}
-
-const ModelNode* BranchModel::find(NodeId id) const {
-  auto it = model_nodes_.find(id);
-  return it == model_nodes_.end() ? nullptr : &it->second;
+  if (ModelNode* existing = model_nodes_.find(id)) return *existing;
+  ModelNode& fresh = model_nodes_.try_emplace(id);
+  fresh.id = id;
+  fresh.select = mode_if_new;
+  return fresh;
 }
 
 std::vector<NodeId> BranchModel::known_nodes() const {
   std::vector<NodeId> ids;
   ids.reserve(model_nodes_.size());
-  // Safe: the ids are sorted below, so iteration order cannot leak out.
-  for (const auto& [id, n] : model_nodes_) {  // lint:allow(unordered-iteration)
-    (void)n;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  model_nodes_.for_each(
+      [&ids](NodeId id, const ModelNode&) { ids.push_back(id); });
   return ids;
 }
 
 void BranchModel::restore_node(ModelNode node) {
-  model_nodes_.insert_or_assign(node.id, std::move(node));
+  const NodeId id = node.id;
+  model_nodes_.insert_or_assign(id, std::move(node));
 }
 
 void BranchModel::restore_root(NodeId root) {

@@ -27,12 +27,14 @@
 //
 // The batches run on every request, so they live in flat NodeId-indexed
 // buffers whose capacity is kept across requests: observing and applying a
-// batch allocates nothing once every parent has been seen.
+// batch allocates nothing once every parent has been seen.  The nodes
+// themselves sit in a NodeId-indexed table too, so a model lists them in id
+// order.
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "workflow/dag.hpp"
 
@@ -92,11 +94,13 @@ class BranchModel {
   void finalize_pending();
 
   [[nodiscard]] const std::vector<NodeId>& roots() const { return roots_; }
-  [[nodiscard]] const ModelNode* find(NodeId id) const;
+  [[nodiscard]] const ModelNode* find(NodeId id) const {
+    return model_nodes_.find(id);
+  }
   [[nodiscard]] bool known(NodeId id) const { return model_nodes_.contains(id); }
   [[nodiscard]] std::size_t node_count() const { return model_nodes_.size(); }
 
-  /// Total distinct nodes ever observed or declared (tree discovery metric:
+  /// Every node ever observed or declared, ascending (tree discovery metric:
   /// the paper reports full-tree discovery within 8 triggers of Figure 8's
   /// workflow).
   [[nodiscard]] std::vector<NodeId> known_nodes() const;
@@ -104,7 +108,8 @@ class BranchModel {
   // -- Persistence (used by core::MetadataStore) ---------------------------
 
   /// Installs a node verbatim, replacing any existing entry.  Used when
-  /// restoring a model from the metadata store.
+  /// restoring a model from the metadata store, which bounds the id first:
+  /// the table grows to hold it.
   void restore_node(ModelNode node);
   /// Registers a root without recording an observation.
   void restore_root(NodeId root);
@@ -123,7 +128,7 @@ class BranchModel {
   void apply_batch(ModelNode& parent, PendingBatch& batch);
 
   std::vector<NodeId> roots_;
-  std::unordered_map<NodeId, ModelNode> model_nodes_;
+  common::IdTable<NodeId, ModelNode> model_nodes_;
   std::vector<PendingBatch> pending_;  // indexed by parent NodeId value
 };
 

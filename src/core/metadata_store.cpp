@@ -5,6 +5,8 @@
 #include <optional>
 #include <utility>
 
+#include "workflow/dag.hpp"
+
 namespace xanadu::core {
 
 using common::Error;
@@ -29,6 +31,14 @@ std::optional<std::uint64_t> as_uint(const JsonValue* json) {
     return std::nullopt;
   }
   return static_cast<std::uint64_t>(value);
+}
+
+/// True when `id` lies past every workflow's nodes.  The node ids that key
+/// a table -- a model node's, a profile's, an invoke gap's parent -- are
+/// refused here, before the table grows to hold them; the others (children,
+/// roots, gap children) are checked against the workflow on restore.
+bool past_any_workflow(std::uint64_t id) {
+  return id >= workflow::WorkflowDag::kMaxNodes;
 }
 
 JsonValue ema_to_json(const common::Ema& ema) {
@@ -111,6 +121,9 @@ Result<BranchModel> branch_model_from_json(const JsonValue& json) {
     if (!id || select == nullptr || !select->is_number() || !request_count ||
         children == nullptr || !children->is_array()) {
       return Error{"branch model: malformed node fields"};
+    }
+    if (past_any_workflow(*id)) {
+      return Error{"branch model: node id past any workflow's nodes"};
     }
     const std::optional<std::uint64_t> select_value = as_uint(select);
     if (!select_value ||
@@ -202,6 +215,9 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
     const JsonObject& fn = entry.as_object();
     const std::optional<std::uint64_t> node = as_uint(fn.find("node"));
     if (!node) return Error{"profile table: malformed function node id"};
+    if (past_any_workflow(*node)) {
+      return Error{"profile table: function node id past any workflow's nodes"};
+    }
     FunctionProfile& profile = profiles.function(NodeId{*node});
     for (const auto& [field, ema] :
          {std::pair{"cold_response", &profile.cold_response_ema()},
@@ -227,6 +243,9 @@ Result<ProfileTable> profile_table_from_json(const JsonValue& json) {
     const JsonValue* ema = gap.find("ema");
     if (!parent || !child || ema == nullptr) {
       return Error{"profile table: malformed gap fields"};
+    }
+    if (past_any_workflow(*parent)) {
+      return Error{"profile table: gap parent past any workflow's nodes"};
     }
     auto state = ema_from_json(*ema, "invoke_gap");
     if (!state.ok()) return state.error();

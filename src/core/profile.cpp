@@ -1,45 +1,41 @@
 #include "core/profile.hpp"
 
+#include <algorithm>
+
 namespace xanadu::core {
 
-FunctionProfile& ProfileTable::function(NodeId node) {
-  auto it = functions_.find(node);
-  if (it == functions_.end()) {
-    it = functions_.emplace(node, FunctionProfile{alpha_}).first;
+common::Ema& ProfileTable::gap_ema(NodeId parent, NodeId child) {
+  std::vector<Gap>& gaps = invoke_gaps_.try_emplace(parent);
+  auto at = std::lower_bound(
+      gaps.begin(), gaps.end(), child,
+      [](const Gap& gap, NodeId key) { return gap.child < key; });
+  if (at == gaps.end() || at->child != child) {
+    at = gaps.insert(at, Gap{child, common::Ema{alpha_}});
   }
-  return it->second;
-}
-
-const FunctionProfile* ProfileTable::find_function(NodeId node) const {
-  auto it = functions_.find(node);
-  return it == functions_.end() ? nullptr : &it->second;
+  return at->ema;
 }
 
 void ProfileTable::observe_invoke_gap(NodeId parent, NodeId child,
                                       sim::Duration gap) {
-  const EdgeKey key{parent, child};
-  auto it = invoke_gaps_.find(key);
-  if (it == invoke_gaps_.end()) {
-    it = invoke_gaps_.emplace(key, common::Ema{alpha_}).first;
-  }
-  it->second.observe(gap.millis());
+  gap_ema(parent, child).observe(gap.millis());
 }
 
 void ProfileTable::restore_invoke_gap(NodeId parent, NodeId child,
                                       double value_ms, std::size_t count) {
-  const EdgeKey key{parent, child};
-  auto it = invoke_gaps_.find(key);
-  if (it == invoke_gaps_.end()) {
-    it = invoke_gaps_.emplace(key, common::Ema{alpha_}).first;
-  }
-  it->second.restore(value_ms, count);
+  gap_ema(parent, child).restore(value_ms, count);
 }
 
 sim::Duration ProfileTable::invoke_gap(NodeId parent, NodeId child,
                                        const ProfileFallbacks& fb) const {
-  auto it = invoke_gaps_.find(EdgeKey{parent, child});
-  if (it == invoke_gaps_.end()) return fb.invoke_gap;
-  return sim::Duration::from_millis(it->second.value_or(fb.invoke_gap.millis()));
+  if (const std::vector<Gap>* gaps = invoke_gaps_.find(parent)) {
+    for (const Gap& gap : *gaps) {
+      if (gap.child == child) {
+        return sim::Duration::from_millis(
+            gap.ema.value_or(fb.invoke_gap.millis()));
+      }
+    }
+  }
+  return fb.invoke_gap;
 }
 
 }  // namespace xanadu::core

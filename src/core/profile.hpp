@@ -9,12 +9,10 @@
 // invokes its child."  These profiles feed the JIT deployment planner
 // (Algorithm 2) and its implicit-chain variant.
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/ema.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "sim/time.hpp"
 
@@ -74,13 +72,19 @@ class FunctionProfile {
 
 /// Profile table for one workflow: per-node function profiles plus per-edge
 /// invoke-gap estimates (trigger-to-trigger delay between a parent and the
-/// child it invokes; used by the implicit-chain JIT variant).
+/// child it invokes; used by the implicit-chain JIT variant).  Both are
+/// indexed by node id -- the gaps by parent, each parent's list ordered by
+/// child -- so the metadata store bounds an id before it reaches them.
 class ProfileTable {
  public:
   explicit ProfileTable(double alpha = 0.3) : alpha_(alpha) {}
 
-  [[nodiscard]] FunctionProfile& function(NodeId node);
-  [[nodiscard]] const FunctionProfile* find_function(NodeId node) const;
+  [[nodiscard]] FunctionProfile& function(NodeId node) {
+    return functions_.try_emplace(node, alpha_);
+  }
+  [[nodiscard]] const FunctionProfile* find_function(NodeId node) const {
+    return functions_.find(node);
+  }
 
   void observe_invoke_gap(NodeId parent, NodeId child, sim::Duration gap);
   [[nodiscard]] sim::Duration invoke_gap(NodeId parent, NodeId child,
@@ -91,35 +95,19 @@ class ProfileTable {
   // -- Persistence (core::MetadataStore) -----------------------------------
 
   /// Visits every (node, profile) pair in ascending node order, so that
-  /// persisted documents and digests are independent of hash layout.
+  /// persisted documents and digests are reproducible.
   template <typename Fn>
   void for_each_function(Fn&& fn) const {
-    std::vector<NodeId> nodes;
-    nodes.reserve(functions_.size());
-    for (const auto& [node, profile] : functions_) {  // lint:allow(unordered-iteration)
-      (void)profile;
-      nodes.push_back(node);
-    }
-    std::sort(nodes.begin(), nodes.end());
-    for (const NodeId node : nodes) fn(node, functions_.at(node));
+    functions_.for_each(fn);
   }
 
   /// Visits every learned invoke-gap EMA as (parent, child, ema), ordered by
   /// (parent, child) for the same reproducibility reason.
   template <typename Fn>
   void for_each_invoke_gap(Fn&& fn) const {
-    std::vector<EdgeKey> keys;
-    keys.reserve(invoke_gaps_.size());
-    for (const auto& [key, ema] : invoke_gaps_) {  // lint:allow(unordered-iteration)
-      (void)ema;
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end(), [](const EdgeKey& a, const EdgeKey& b) {
-      return a.parent != b.parent ? a.parent < b.parent : a.child < b.child;
+    invoke_gaps_.for_each([&fn](NodeId parent, const std::vector<Gap>& gaps) {
+      for (const Gap& gap : gaps) fn(parent, gap.child, gap.ema);
     });
-    for (const EdgeKey& key : keys) {
-      fn(key.parent, key.child, invoke_gaps_.at(key));
-    }
   }
 
   /// Restores a persisted invoke-gap EMA state.
@@ -127,21 +115,19 @@ class ProfileTable {
                           std::size_t count);
 
  private:
-  struct EdgeKey {
-    NodeId parent;
+  /// One learned invoke gap, from the parent whose list holds it.
+  struct Gap {
     NodeId child;
-    bool operator==(const EdgeKey&) const = default;
-  };
-  struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& k) const {
-      return std::hash<NodeId>{}(k.parent) * 1000003u ^
-             std::hash<NodeId>{}(k.child);
-    }
+    common::Ema ema;
   };
 
+  /// The gap EMA of parent -> child, created when absent.
+  common::Ema& gap_ema(NodeId parent, NodeId child);
+
   double alpha_;
-  std::unordered_map<NodeId, FunctionProfile> functions_;
-  std::unordered_map<EdgeKey, common::Ema, EdgeKeyHash> invoke_gaps_;
+  common::IdTable<NodeId, FunctionProfile> functions_;
+  /// Per parent, ascending by child.
+  common::IdTable<NodeId, std::vector<Gap>> invoke_gaps_;
 };
 
 }  // namespace xanadu::core

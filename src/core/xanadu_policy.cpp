@@ -63,19 +63,19 @@ XanaduPolicy::XanaduPolicy(XanaduOptions options) : options_(options) {
 }
 
 const BranchModel* XanaduPolicy::model(common::WorkflowId id) const {
-  auto it = workflows_.find(id);
-  return it == workflows_.end() ? nullptr : &it->second.model;
+  const WorkflowState* wf = workflows_.find(id);
+  return wf == nullptr ? nullptr : &wf->model;
 }
 
 const ProfileTable* XanaduPolicy::profiles(common::WorkflowId id) const {
-  auto it = workflows_.find(id);
-  return it == workflows_.end() ? nullptr : &it->second.profiles;
+  const WorkflowState* wf = workflows_.find(id);
+  return wf == nullptr ? nullptr : &wf->profiles;
 }
 
 MlpResult XanaduPolicy::current_mlp(common::WorkflowId id) const {
-  auto it = workflows_.find(id);
-  if (it == workflows_.end()) return {};
-  BranchModel snapshot = it->second.model;
+  const WorkflowState* wf = workflows_.find(id);
+  if (wf == nullptr) return {};
+  BranchModel snapshot = wf->model;
   snapshot.finalize_pending();
   return estimate_mlp(snapshot, options_.mlp);
 }
@@ -103,17 +103,14 @@ void XanaduPolicy::RequestState::adopt(const MlpResult& estimate,
 
 XanaduPolicy::WorkflowState& XanaduPolicy::workflow_state(PlatformEngine& engine,
                                                           RequestContext& ctx) {
-  auto it = workflows_.find(ctx.workflow);
-  if (it == workflows_.end()) {
-    WorkflowState state{options_.ema_alpha};
-    if (options_.knowledge == ChainKnowledge::Explicit) {
-      // The externalised workflow schema is available: seed the model with
-      // the declared structure (probabilities still start at priors).
-      state.model = BranchModel::from_schema(engine.dag(ctx.workflow));
-    }
-    it = workflows_.emplace(ctx.workflow, std::move(state)).first;
+  if (WorkflowState* known = workflows_.find(ctx.workflow)) return *known;
+  WorkflowState state{options_.ema_alpha};
+  if (options_.knowledge == ChainKnowledge::Explicit) {
+    // The externalised workflow schema is available: seed the model with
+    // the declared structure (probabilities still start at priors).
+    state.model = BranchModel::from_schema(engine.dag(ctx.workflow));
   }
-  return it->second;
+  return workflows_.insert_or_assign(ctx.workflow, std::move(state));
 }
 
 std::size_t XanaduPolicy::aggressiveness_cut(std::size_t path_length) const {
@@ -250,9 +247,9 @@ void XanaduPolicy::on_worker_ready(PlatformEngine& engine,
                                    common::WorkflowId workflow, NodeId node,
                                    sim::Duration provision_latency) {
   (void)engine;
-  auto it = workflows_.find(workflow);
-  if (it == workflows_.end()) return;
-  it->second.profiles.function(node).observe_startup(provision_latency);
+  WorkflowState* wf = workflows_.find(workflow);
+  if (wf == nullptr) return;
+  wf->profiles.function(node).observe_startup(provision_latency);
 }
 
 void XanaduPolicy::on_node_exec_start(PlatformEngine& engine, RequestContext& ctx,
@@ -340,12 +337,12 @@ void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
 
 bool XanaduPolicy::persist(common::WorkflowId id, MetadataStore& store,
                            const std::string& key) const {
-  auto it = workflows_.find(id);
-  if (it == workflows_.end()) return false;
+  const WorkflowState* wf = workflows_.find(id);
+  if (wf == nullptr) return false;
   WorkflowMetadata metadata;
-  metadata.model = it->second.model;
+  metadata.model = wf->model;
   metadata.model.finalize_pending();
-  metadata.profiles = it->second.profiles;
+  metadata.profiles = wf->profiles;
   store.put(key, metadata);
   return true;
 }

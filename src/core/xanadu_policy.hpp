@@ -27,9 +27,8 @@
 // extension (Section 7): after a miss the MLP is re-estimated from the
 // chosen branch and speculation resumes on the new path.
 
-#include <unordered_map>
-
 #include "common/arena.hpp"
+#include "common/id_table.hpp"
 #include "core/branch_model.hpp"
 #include "core/jit_planner.hpp"
 #include "core/metadata_store.hpp"
@@ -177,7 +176,9 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   [[nodiscard]] std::size_t aggressiveness_cut(std::size_t path_length) const;
 
   XanaduOptions options_;
-  std::unordered_map<common::WorkflowId, WorkflowState> workflows_;
+  /// Learned state per workflow that has seen a request (or a restore).  A
+  /// WorkflowState& stays valid while other workflows join the table.
+  common::IdTable<common::WorkflowId, WorkflowState> workflows_;
 };
 
 }  // namespace xanadu::core

@@ -67,7 +67,7 @@ void PoolPolicy::on_node_completed(PlatformEngine& engine, RequestContext& ctx,
 
 void MpcHorizonPolicy::on_request_submitted(PlatformEngine& engine,
                                             RequestContext& ctx) {
-  SeenWorkflow& seen = seen_workflows_[ctx.workflow];
+  SeenWorkflow& seen = seen_workflows_.try_emplace(ctx.workflow);
   seen.node_count = ctx.dag->node_count();
   seen.arrivals.push_back(engine.now());
   if (seen.arrivals.size() > kArrivalHistory) seen.arrivals.pop_front();
@@ -77,7 +77,7 @@ void MpcHorizonPolicy::on_request_submitted(PlatformEngine& engine,
 void MpcHorizonPolicy::on_worker_ready(PlatformEngine& engine,
                                        WorkflowId workflow, NodeId node,
                                        sim::Duration provision_latency) {
-  Estimate& est = estimates_[engine.function_id(workflow, node)];
+  Estimate& est = estimates_.try_emplace(engine.function_id(workflow, node));
   ++est.provision_samples;
   est.mean_provision_ms += (provision_latency.millis() - est.mean_provision_ms) /
                            static_cast<double>(est.provision_samples);
@@ -85,7 +85,8 @@ void MpcHorizonPolicy::on_worker_ready(PlatformEngine& engine,
 
 void MpcHorizonPolicy::on_node_completed(PlatformEngine& engine,
                                          RequestContext& ctx, NodeId node) {
-  Estimate& est = estimates_[engine.function_id(ctx.workflow, node)];
+  Estimate& est =
+      estimates_.try_emplace(engine.function_id(ctx.workflow, node));
   ++est.exec_samples;
   est.mean_exec_ms +=
       (ctx.nodes[node.value()].exec_duration.millis() - est.mean_exec_ms) /
@@ -99,11 +100,11 @@ void MpcHorizonPolicy::on_node_completed(PlatformEngine& engine,
 double MpcHorizonPolicy::arrival_rate_per_sec(WorkflowId workflow,
                                               sim::TimePoint now) const {
   if (options_.window <= sim::Duration::zero()) return 0.0;
-  auto it = seen_workflows_.find(workflow);
-  if (it == seen_workflows_.end()) return 0.0;
+  const SeenWorkflow* seen = seen_workflows_.find(workflow);
+  if (seen == nullptr) return 0.0;
   // Sorted (recorded at non-decreasing virtual time), so the window is the
   // tail after the cutoff.
-  const std::deque<sim::TimePoint>& arrivals = it->second.arrivals;
+  const std::deque<sim::TimePoint>& arrivals = seen->arrivals;
   const auto first_in_window =
       std::upper_bound(arrivals.begin(), arrivals.end(), now - options_.window);
   return static_cast<double>(arrivals.end() - first_in_window) /
@@ -112,8 +113,7 @@ double MpcHorizonPolicy::arrival_rate_per_sec(WorkflowId workflow,
 
 const MpcHorizonPolicy::Estimate* MpcHorizonPolicy::estimate(
     FunctionId fn) const {
-  auto it = estimates_.find(fn);
-  return it == estimates_.end() ? nullptr : &it->second;
+  return estimates_.find(fn);
 }
 
 void MpcHorizonPolicy::maybe_solve(PlatformEngine& engine) {
@@ -125,9 +125,9 @@ void MpcHorizonPolicy::maybe_solve(PlatformEngine& engine) {
 
 void MpcHorizonPolicy::solve(PlatformEngine& engine) {
   ++solves_;
-  // std::map keyed by WorkflowId: the walk (and the node walk inside) is in
-  // id order, so the emitted provision/evict actions are replay-stable.
-  for (const auto& [workflow, seen] : seen_workflows_) {
+  // The walk (and the node walk inside) is in id order, so the emitted
+  // provision/evict actions are replay-stable.
+  seen_workflows_.for_each([&](WorkflowId workflow, const SeenWorkflow& seen) {
     const double lambda = arrival_rate_per_sec(workflow, engine.now());
     for (std::size_t i = 0; i < seen.node_count; ++i) {
       const NodeId node{i};
@@ -162,7 +162,7 @@ void MpcHorizonPolicy::solve(PlatformEngine& engine) {
         engine.shrink_warm_pool(fn, target);
       }
     }
-  }
+  });
 }
 
 }  // namespace xanadu::platform

@@ -28,9 +28,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <unordered_map>
 
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "platform/policy.hpp"
 #include "sim/time.hpp"
@@ -136,10 +135,10 @@ class MpcHorizonPolicy final : public ProvisionPolicy {
   void solve(PlatformEngine& engine);
 
   MpcHorizonOptions options_;
-  /// Workflows observed so far, ordered by id so the per-tick solve walks
-  /// them (and their nodes) in a replay-stable order.
-  std::map<WorkflowId, SeenWorkflow> seen_workflows_;
-  std::unordered_map<FunctionId, Estimate> estimates_;
+  /// Workflows observed so far; the per-tick solve walks them (and their
+  /// nodes) in id order, which is replay-stable.
+  common::IdTable<WorkflowId, SeenWorkflow> seen_workflows_;
+  common::IdTable<FunctionId, Estimate> estimates_;
   sim::TimePoint next_tick_{};
   std::uint64_t solves_ = 0;
 };

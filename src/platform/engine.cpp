@@ -71,12 +71,11 @@ PlatformEngine::~PlatformEngine() {
 
 RequestId PlatformEngine::submit(WorkflowId workflow_id,
                                  CompletionCallback on_complete) {
-  auto wit = workflows_.find(workflow_id);
-  if (wit == workflows_.end()) {
+  const RegisteredWorkflow* reg = workflows_.find(workflow_id);
+  if (reg == nullptr) {
     throw std::invalid_argument{"PlatformEngine::submit: unknown workflow"};
   }
-  const RegisteredWorkflow& reg = wit->second;
-  const WorkflowDag& dag = reg.dag;
+  const WorkflowDag& dag = reg->dag;
 
   // Reuse a pooled context (warm arena block, no heap traffic) when one is
   // available; ids are always fresh, so stale events keyed on an old id can
@@ -103,7 +102,7 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   }
 
   RequestContext& ref = *ctx;
-  requests_.emplace(ref.id, std::move(ctx));
+  requests_.insert(ref.id, std::move(ctx));
 
   maybe_schedule_host_outage();
 
@@ -112,7 +111,7 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   // the JIT deployer asynchronously while forwarding ready requests).
   policy_->on_request_submitted(*this, ref);
 
-  for (const NodeId root : reg.roots) {
+  for (const NodeId root : reg->roots) {
     NodeRecord& record = ref.nodes[root.value()];
     record.any_taken_edge = true;
     record.pending_trigger_time = sim_.now();
@@ -283,7 +282,7 @@ void PlatformEngine::start_execution(RequestContext& ctx, NodeId node,
   record.status = NodeStatus::Executing;
   record.exec_start = sim_.now();
   record.worker = worker_id;
-  cluster_.begin_execution(*worker, sim_.now());
+  cluster_.begin_execution(*worker, sim_.now(), ctx.id, node);
   policy_->on_node_exec_start(*this, ctx, node);
 
   const Node& spec_node = ctx.dag->node(node);
@@ -467,7 +466,8 @@ void PlatformEngine::maybe_finish_request(RequestContext& ctx) {
   {
     // Scoped: the scratch must be destroyed before recycle_request() below
     // rewinds the arena it lives in.
-    const std::vector<NodeId>& order = workflows_.at(ctx.workflow).topo_order;
+    const std::vector<NodeId>& order =
+        workflows_.find(ctx.workflow)->topo_order;
     common::ArenaVector<double> longest{
         common::ArenaAllocator<double>(&ctx.arena)};
     longest.resize(ctx.dag->node_count(), 0.0);
@@ -519,14 +519,12 @@ void PlatformEngine::fail_request(RequestContext& ctx, std::string reason) {
 
 std::size_t PlatformEngine::fail_all_pending_requests(
     const std::string& reason) {
+  // Collected first, since failing a request erases it; failure order is
+  // observable through callbacks, and the table gives request-id order.
   std::vector<RequestId> ids;
   ids.reserve(requests_.size());
-  // Sorted below: failure order is observable through callbacks.
-  for (const auto& [id, ctx] : requests_) {  // lint:allow(unordered-iteration)
-    (void)ctx;
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
+  requests_.for_each(
+      [&ids](RequestId id, const RequestContext&) { ids.push_back(id); });
   for (const RequestId id : ids) {
     if (RequestContext* ctx = find_request(id)) {
       fail_request(*ctx, reason);

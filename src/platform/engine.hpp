@@ -28,12 +28,13 @@
 // ahead of triggers; Xanadu's speculative and JIT modes are policies.
 
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "platform/calibration.hpp"
@@ -81,7 +82,16 @@ class PlatformEngine {
   [[nodiscard]] cluster::Cluster& cluster() { return cluster_; }
   [[nodiscard]] const PlatformCalibration& calibration() const { return calib_; }
   [[nodiscard]] const workflow::WorkflowDag& dag(WorkflowId id) const;
-  [[nodiscard]] FunctionId function_id(WorkflowId workflow, NodeId node) const;
+  /// The function registered for `node` of `workflow`.  Inline: the
+  /// request path asks about ten times per request.
+  [[nodiscard]] FunctionId function_id(WorkflowId workflow, NodeId node) const {
+    const RegisteredWorkflow* reg = workflows_.find(workflow);
+    if (reg == nullptr || node.value() >= reg->node_functions.size()) {
+      throw std::invalid_argument{
+          "PlatformEngine::function_id: unknown workflow or node"};
+    }
+    return reg->node_functions[node.value()];
+  }
   [[nodiscard]] sim::TimePoint now() const { return sim_.now(); }
   /// Warm (idle, ready) workers currently pooled for a function.
   [[nodiscard]] std::size_t warm_count(FunctionId fn) const {
@@ -254,14 +264,16 @@ class PlatformEngine {
   void apply_host_outage(std::size_t host_index);
   /// Outage teardown of one worker, whatever lifecycle stage it is in.
   void kill_worker_for_fault(WorkerId worker);
-  /// The (request, node) currently executing on `worker`, or {nullptr, {}}.
-  std::pair<RequestContext*, NodeId> find_executing(WorkerId worker);
+  /// The live request and node the Busy `worker` is running, or
+  /// {nullptr, {}} for an orphan (its request already failed over).
+  std::pair<RequestContext*, NodeId> find_executing(
+      const cluster::Worker& worker);
 
   [[nodiscard]] sim::Duration dispatch_overhead();
   FunctionInfo& function_info(FunctionId fn);
-  RequestContext* find_request(RequestId id);
-  /// Removes a finished request from the in-flight map and parks its context
-  /// (arena rewound) in the pool for the next submit().
+  RequestContext* find_request(RequestId id) { return requests_.find(id); }
+  /// Removes a finished request from the in-flight table and parks its
+  /// context (arena rewound) in the pool for the next submit().
   void recycle_request(RequestId id);
 
   sim::Simulator& sim_;
@@ -285,9 +297,14 @@ class PlatformEngine {
   bool outage_pending_ = false;
   ProvisionPipeline pipeline_;
 
-  std::unordered_map<WorkflowId, RegisteredWorkflow> workflows_;
-  std::unordered_map<FunctionId, FunctionInfo> functions_;
-  std::unordered_map<RequestId, std::unique_ptr<RequestContext>> requests_;
+  /// Registrations are never removed, so these tables are dense; a
+  /// request's `dag` points into workflows_, which never moves an entry.
+  common::IdTable<WorkflowId, RegisteredWorkflow> workflows_;
+  common::IdTable<FunctionId, FunctionInfo> functions_;
+  /// In-flight requests.  Requests finish roughly in arrival order, so the
+  /// window spans about as many ids as are in flight; a live
+  /// RequestContext& survives later submissions.
+  common::IdWindow<RequestId, RequestContext> requests_;
   /// Recycled contexts, each with a warm arena block.  Bounded: steady-state
   /// size tracks the concurrency high-water mark, capped below.
   std::vector<std::unique_ptr<RequestContext>> context_pool_;

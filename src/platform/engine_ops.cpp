@@ -45,51 +45,34 @@ WorkflowId PlatformEngine::register_workflow(WorkflowDag dag) {
   for (const Node& node : reg.dag.nodes()) {
     const FunctionId fn = function_ids_.next();
     reg.node_functions.push_back(fn);
-    functions_.emplace(fn, FunctionInfo{node.fn, id, node.id});
+    functions_.try_emplace(fn, FunctionInfo{node.fn, id, node.id});
   }
-  workflows_.emplace(id, std::move(reg));
+  workflows_.try_emplace(id, std::move(reg));
   return id;
 }
 
 const WorkflowDag& PlatformEngine::dag(WorkflowId id) const {
-  auto it = workflows_.find(id);
-  if (it == workflows_.end()) {
+  const RegisteredWorkflow* reg = workflows_.find(id);
+  if (reg == nullptr) {
     throw std::invalid_argument{"PlatformEngine::dag: unknown workflow"};
   }
-  return it->second.dag;
-}
-
-FunctionId PlatformEngine::function_id(WorkflowId workflow, NodeId node) const {
-  auto it = workflows_.find(workflow);
-  if (it == workflows_.end()) {
-    throw std::invalid_argument{"PlatformEngine::function_id: unknown workflow"};
-  }
-  const auto& fns = it->second.node_functions;
-  if (!node.valid() || node.value() >= fns.size()) {
-    throw std::invalid_argument{"PlatformEngine::function_id: bad node"};
-  }
-  return fns[node.value()];
+  return reg->dag;
 }
 
 PlatformEngine::FunctionInfo& PlatformEngine::function_info(FunctionId fn) {
-  auto it = functions_.find(fn);
-  if (it == functions_.end()) {
+  FunctionInfo* info = functions_.find(fn);
+  if (info == nullptr) {
     throw std::logic_error{"PlatformEngine: unknown function"};
   }
-  return it->second;
-}
-
-RequestContext* PlatformEngine::find_request(RequestId id) {
-  auto it = requests_.find(id);
-  return it == requests_.end() ? nullptr : it->second.get();
+  return *info;
 }
 
 void PlatformEngine::recycle_request(RequestId id) {
-  auto node = requests_.extract(id);
-  if (node.empty()) return;
+  std::unique_ptr<RequestContext> ctx = requests_.extract(id);
+  if (ctx == nullptr) return;
   if (context_pool_.size() >= kContextPoolCap) return;  // destroy instead
-  node.mapped()->reset_for_reuse();
-  context_pool_.push_back(std::move(node.mapped()));
+  ctx->reset_for_reuse();
+  context_pool_.push_back(std::move(ctx));
 }
 
 sim::Duration PlatformEngine::dispatch_overhead() {

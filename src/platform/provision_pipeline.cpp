@@ -87,28 +87,28 @@ PendingProvision* ProvisionPipeline::start(FunctionId fn,
   pending.worker = worker_id;
   pending.ready_event = sample_event;
   pending.extra = extra;
-  provisions_[fn].push_back(std::move(pending));
+  std::vector<PendingProvision>& slots = provisions_.try_emplace(fn);
+  slots.push_back(std::move(pending));
   ++provisions_started_;
   if (bus_ != nullptr && fault_plan_.active() && calib_.recovery.enabled) {
     // The bus may drop the command; re-send it if the daemon never acks.
     arm_command_retry(worker_id);
   }
-  return &provisions_[fn].back();
+  return &slots.back();
 }
 
 void ProvisionPipeline::attach_waiter(FunctionId fn, RequestId request,
                                       NodeId node) {
-  provisions_.at(fn).front().waiters.emplace_back(request, node);
+  provisions_.find(fn)->front().waiters.emplace_back(request, node);
 }
 
 bool ProvisionPipeline::has_provisions(FunctionId fn) const {
-  auto it = provisions_.find(fn);
-  return it != provisions_.end() && !it->second.empty();
+  return provision_count(fn) > 0;
 }
 
 std::size_t ProvisionPipeline::provision_count(FunctionId fn) const {
-  auto it = provisions_.find(fn);
-  return it == provisions_.end() ? 0 : it->second.size();
+  const std::vector<PendingProvision>* slots = provisions_.find(fn);
+  return slots == nullptr ? 0 : slots->size();
 }
 
 void ProvisionPipeline::publish_command(const cluster::Worker& worker,
@@ -120,9 +120,9 @@ void ProvisionPipeline::publish_command(const cluster::Worker& worker,
 PendingProvision* ProvisionPipeline::slot_of(WorkerId worker_id) {
   const cluster::Worker* worker = cluster_.find_worker(worker_id);
   if (worker == nullptr) return nullptr;
-  auto it = provisions_.find(worker->function());
-  if (it == provisions_.end()) return nullptr;
-  for (PendingProvision& p : it->second) {
+  std::vector<PendingProvision>* slots = provisions_.find(worker->function());
+  if (slots == nullptr) return nullptr;
+  for (PendingProvision& p : *slots) {
     if (p.worker == worker_id) return &p;
   }
   return nullptr;
@@ -130,7 +130,7 @@ PendingProvision* ProvisionPipeline::slot_of(WorkerId worker_id) {
 
 PendingProvision ProvisionPipeline::take(PendingProvision& slot) {
   std::vector<PendingProvision>& slots =
-      provisions_.at(cluster_.find_worker(slot.worker)->function());
+      *provisions_.find(cluster_.find_worker(slot.worker)->function());
   PendingProvision pending = std::move(slot);
   slots.erase(slots.begin() + (&slot - slots.data()));
   return pending;
@@ -246,28 +246,28 @@ std::optional<ProvisionWaiters> ProvisionPipeline::remove_for_outage(
 }
 
 bool ProvisionPipeline::redirect(FunctionId from, FunctionId to) {
-  auto map_it = provisions_.find(from);
-  if (map_it == provisions_.end()) return false;
-  auto it = std::find_if(map_it->second.begin(), map_it->second.end(),
+  std::vector<PendingProvision>* slots = provisions_.find(from);
+  if (slots == nullptr) return false;
+  auto it = std::find_if(slots->begin(), slots->end(),
                          [](const PendingProvision& p) {
                            return p.waiters.empty();
                          });
-  if (it == map_it->second.end()) return false;
+  if (it == slots->end()) return false;
   PendingProvision provision = std::move(*it);
-  map_it->second.erase(it);
+  slots->erase(it);
   cluster::Worker* worker = cluster_.find_worker(provision.worker);
   XANADU_INVARIANT(worker != nullptr, "redirect_provision: worker vanished");
   worker->rebind(to);
   provision.redirected = true;
-  provisions_[to].push_back(std::move(provision));
+  provisions_.try_emplace(to).push_back(std::move(provision));
   return true;
 }
 
 std::size_t ProvisionPipeline::abort_unclaimed(FunctionId fn) {
-  auto map_it = provisions_.find(fn);
-  if (map_it == provisions_.end()) return 0;
+  std::vector<PendingProvision>* slots = provisions_.find(fn);
+  if (slots == nullptr) return 0;
   std::size_t aborted = 0;
-  for (auto it = map_it->second.begin(); it != map_it->second.end();) {
+  for (auto it = slots->begin(); it != slots->end();) {
     if (!it->waiters.empty()) {
       ++it;
       continue;
@@ -278,27 +278,29 @@ std::size_t ProvisionPipeline::abort_unclaimed(FunctionId fn) {
     sim_.cancel(it->ready_event);
     if (it->retry_event.valid()) sim_.cancel(it->retry_event);
     cluster_.destroy_worker(it->worker, sim_.now());
-    it = map_it->second.erase(it);
+    it = slots->erase(it);
     ++aborted;
   }
   return aborted;
 }
 
 void ProvisionPipeline::register_probes(sim::ProbeRegistry& probes) const {
-  // In-flight builds and pending redirects are sums over an unordered map --
-  // order-insensitive reductions, safe to sample.
   probes.add("pipeline.provisions_inflight", [this] {
     std::uint64_t total = 0;
-    // lint:allow(unordered-iteration) order-insensitive sum
-    for (const auto& [fn, pending] : provisions_) total += pending.size();
+    provisions_.for_each(
+        [&total](FunctionId, const std::vector<PendingProvision>& pending) {
+          total += pending.size();
+        });
     return total;
   });
   probes.add("pipeline.redirects_pending", [this] {
     std::uint64_t total = 0;
-    // lint:allow(unordered-iteration) order-insensitive sum
-    for (const auto& [fn, pending] : provisions_) {
-      for (const PendingProvision& p : pending) total += p.redirected ? 1 : 0;
-    }
+    provisions_.for_each(
+        [&total](FunctionId, const std::vector<PendingProvision>& pending) {
+          for (const PendingProvision& p : pending) {
+            total += p.redirected ? 1 : 0;
+          }
+        });
     return total;
   });
   probes.add("pipeline.provisions_started",

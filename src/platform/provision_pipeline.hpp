@@ -23,11 +23,11 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "platform/calibration.hpp"
 #include "platform/message_bus.hpp"
@@ -160,7 +160,8 @@ class ProvisionPipeline {
   /// string hash on every hot-path bus round-trip.
   std::vector<TopicId> daemon_topics_;
 
-  std::unordered_map<FunctionId, std::vector<PendingProvision>> provisions_;
+  /// In-flight builds per function, oldest first.
+  common::IdTable<FunctionId, std::vector<PendingProvision>> provisions_;
 
   // Cumulative counters (probe-visible; never reset).
   std::uint64_t provisions_started_ = 0;

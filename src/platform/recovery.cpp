@@ -131,7 +131,7 @@ void PlatformEngine::kill_worker_for_fault(WorkerId worker_id) {
       break;
     }
     case cluster::WorkerState::Busy: {
-      auto [owner_ctx, owner_node] = find_executing(worker_id);
+      auto [owner_ctx, owner_node] = find_executing(*worker);
       // The crash, and with it the Dead announcement, comes before the
       // cancel: announcements keep their place among schedules and cancels,
       // so replays stay byte-identical.  An orphan -- Busy for an already-
@@ -151,19 +151,15 @@ void PlatformEngine::kill_worker_for_fault(WorkerId worker_id) {
 }
 
 std::pair<RequestContext*, NodeId> PlatformEngine::find_executing(
-    WorkerId worker) {
-  // At most one executing node references the worker, so map iteration
-  // order cannot change the outcome.
-  for (auto& [id, ctx] : requests_) {  // lint:allow(unordered-iteration)
-    (void)id;
-    for (std::size_t i = 0; i < ctx->nodes.size(); ++i) {
-      const NodeRecord& record = ctx->nodes[i];
-      if (record.status == NodeStatus::Executing && record.worker == worker) {
-        return {ctx.get(), NodeId{i}};
-      }
-    }
-  }
-  return {nullptr, NodeId{}};
+    const cluster::Worker& worker) {
+  // Request ids are never reused, so an orphan's request is simply gone.
+  RequestContext* ctx = find_request(worker.running_request());
+  if (ctx == nullptr) return {nullptr, NodeId{}};
+  const NodeRecord& record = ctx->nodes[worker.running_node().value()];
+  XANADU_INVARIANT(
+      record.status == NodeStatus::Executing && record.worker == worker.id(),
+      "find_executing: a busy worker's node is not executing on it");
+  return {ctx, worker.running_node()};
 }
 
 }  // namespace xanadu::platform

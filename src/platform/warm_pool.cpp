@@ -1,6 +1,7 @@
 #include "platform/warm_pool.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -14,10 +15,10 @@ WarmPoolManager::WarmPoolManager(sim::Simulator& sim,
     : sim_(sim), cluster_(cluster), calib_(calib) {}
 
 std::optional<WorkerId> WarmPoolManager::acquire(FunctionId fn) {
-  auto it = warm_.find(fn);
-  if (it == warm_.end() || it->second.empty()) return std::nullopt;
-  const PooledWorker entry = it->second.front();
-  it->second.pop_front();
+  Pool* pool = warm_.find(fn);
+  if (pool == nullptr || pool->empty()) return std::nullopt;
+  const PooledWorker entry = pool->front();
+  pool->pop_front();
   disarm(entry.keep_alive);
   return entry.worker;
 }
@@ -31,7 +32,7 @@ void WarmPoolManager::park(FunctionId fn, WorkerId worker) {
       },
       "warm_pool.keep_alive");
   ++armed_;
-  warm_[fn].push_back(PooledWorker{worker, keep_alive});
+  warm_.try_emplace(fn).push_back(PooledWorker{worker, keep_alive});
 }
 
 void WarmPoolManager::disarm(EventId keep_alive) {
@@ -54,22 +55,22 @@ void WarmPoolManager::destroy(const PooledWorker& entry) {
 }
 
 void WarmPoolManager::reclaim(FunctionId fn, WorkerId worker) {
-  auto pool = warm_.find(fn);
-  if (pool == warm_.end()) return;
-  auto it = find_entry(pool->second, worker);
-  if (it == pool->second.end()) return;  // Already reused or reclaimed.
+  Pool* pool = warm_.find(fn);
+  if (pool == nullptr) return;
+  auto it = find_entry(*pool, worker);
+  if (it == pool->end()) return;  // Already reused or reclaimed.
   const PooledWorker entry = *it;
-  pool->second.erase(it);
+  pool->erase(it);
   destroy(entry);
 }
 
 std::size_t WarmPoolManager::shrink_to(FunctionId fn, std::size_t target) {
-  auto pool = warm_.find(fn);
-  if (pool == warm_.end()) return 0;
+  Pool* pool = warm_.find(fn);
+  if (pool == nullptr) return 0;
   std::size_t destroyed = 0;
-  while (pool->second.size() > target) {
-    const PooledWorker entry = pool->second.front();
-    pool->second.pop_front();
+  while (pool->size() > target) {
+    const PooledWorker entry = pool->front();
+    pool->pop_front();
     destroy(entry);
     ++destroyed;
   }
@@ -77,32 +78,22 @@ std::size_t WarmPoolManager::shrink_to(FunctionId fn, std::size_t target) {
 }
 
 void WarmPoolManager::flush_all() {
-  // Teardown order is observable (bus events, ledger float accumulation), so
-  // collect the unordered map's keys and flush in sorted order.
-  std::vector<FunctionId> ids;
-  ids.reserve(warm_.size());
-  for (auto& [fn, pool] : warm_) {  // lint:allow(unordered-iteration)
-    (void)pool;
-    ids.push_back(fn);
-  }
-  std::sort(ids.begin(), ids.end());
-  for (const FunctionId fn : ids) {
-    shrink_to(fn, 0);
-  }
+  // Teardown order is observable (bus events, ledger float accumulation):
+  // pools go in function-id order, the table's own.
+  warm_.for_each(
+      [this](FunctionId fn, const Pool&) { shrink_to(fn, 0); });
   // Workers mid-rebind belong to no pool (popped at rebind start), so the
   // sweep above cannot see them.  A flush means "no warm sandbox survives":
-  // cancel each pending completion and destroy the sandbox now, in sorted
-  // worker-id order so teardown stays replay-deterministic.
+  // cancel each pending completion and destroy the sandbox now, in
+  // worker-id order so teardown stays replay-deterministic.  The ids are
+  // collected first, since each teardown erases its entry.
   std::vector<WorkerId> rebinding;
   rebinding.reserve(rebinding_.size());
-  for (const auto& [worker, inflight] : rebinding_) {  // lint:allow(unordered-iteration)
-    (void)inflight;
+  rebinding_.for_each([&rebinding](WorkerId worker, const InflightRebind&) {
     rebinding.push_back(worker);
-  }
-  std::sort(rebinding.begin(), rebinding.end());
+  });
   for (const WorkerId worker : rebinding) {
-    sim_.cancel(rebinding_.at(worker).completion);
-    rebinding_.erase(worker);
+    sim_.cancel(rebinding_.extract(worker)->completion);
     if (cluster_.find_worker(worker) != nullptr) {
       cluster_.destroy_worker(worker, sim_.now());
     }
@@ -110,24 +101,23 @@ void WarmPoolManager::flush_all() {
 }
 
 bool WarmPoolManager::remove_if_pooled(FunctionId fn, WorkerId worker) {
-  auto pool = warm_.find(fn);
-  if (pool == warm_.end()) return false;
-  auto it = find_entry(pool->second, worker);
-  if (it == pool->second.end()) return false;
+  Pool* pool = warm_.find(fn);
+  if (pool == nullptr) return false;
+  auto it = find_entry(*pool, worker);
+  if (it == pool->end()) return false;
   disarm(it->keep_alive);
-  pool->second.erase(it);
+  pool->erase(it);
   return true;
 }
 
 bool WarmPoolManager::evict_oldest() {
-  // Evict the warm worker that has been idle the longest, platform-wide.
-  // The scan reduces over an unordered map, but the (idle_since, worker id)
-  // ordering is total, so the victim is independent of iteration order.
+  // Evict the warm worker that has been idle the longest, platform-wide;
+  // ties go to the lower worker id.
   FunctionId victim_fn{};
   WorkerId victim{};
   sim::TimePoint oldest{};
   bool found = false;
-  for (auto& [fn, pool] : warm_) {  // lint:allow(unordered-iteration)
+  warm_.for_each([&](FunctionId fn, const Pool& pool) {
     for (const PooledWorker& entry : pool) {
       const WorkerId id = entry.worker;
       const cluster::Worker* worker = cluster_.find_worker(id);
@@ -140,18 +130,18 @@ bool WarmPoolManager::evict_oldest() {
         found = true;
       }
     }
-  }
+  });
   if (!found) return false;
   reclaim(victim_fn, victim);
   return true;
 }
 
 bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
-  auto pool = warm_.find(from);
-  if (pool == warm_.end() || pool->second.empty()) return false;
-  const WorkerId worker_id = pool->second.front().worker;
-  disarm(pool->second.front().keep_alive);
-  pool->second.pop_front();
+  Pool* pool = warm_.find(from);
+  if (pool == nullptr || pool->empty()) return false;
+  const WorkerId worker_id = pool->front().worker;
+  disarm(pool->front().keep_alive);
+  pool->pop_front();
   cluster::Worker* worker = cluster_.find_worker(worker_id);
   XANADU_INVARIANT(worker != nullptr, "rebind_warm_worker: worker vanished");
   worker->rebind(to);
@@ -168,33 +158,32 @@ bool WarmPoolManager::rebind(FunctionId from, FunctionId to) {
         }
       },
       "warm_pool.rebind_done");
-  rebinding_.emplace(worker_id, InflightRebind{to, completion});
+  rebinding_.insert(worker_id, std::make_unique<InflightRebind>(
+                                   InflightRebind{to, completion}));
   return true;
 }
 
 std::size_t WarmPoolManager::warm_count(FunctionId fn) const {
-  auto it = warm_.find(fn);
-  return it == warm_.end() ? 0 : it->second.size();
+  const Pool* pool = warm_.find(fn);
+  return pool == nullptr ? 0 : pool->size();
 }
 
 std::size_t WarmPoolManager::keep_alive_event_count() const { return armed_; }
 
 std::size_t WarmPoolManager::inbound_rebinds(FunctionId fn) const {
   std::size_t count = 0;
-  // lint:allow(unordered-iteration) order-insensitive count
-  for (const auto& [worker, inflight] : rebinding_) {
+  rebinding_.for_each([&](WorkerId, const InflightRebind& inflight) {
     if (inflight.target == fn) ++count;
-  }
+  });
   return count;
 }
 
 void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
-  // Sums over unordered maps are order-insensitive reductions, so the
-  // iteration order cannot leak into the sampled values.
   probes.add("warm_pool.pooled_workers", [this] {
     std::uint64_t total = 0;
-    // lint:allow(unordered-iteration) order-insensitive sum
-    for (const auto& [fn, pool] : warm_) total += pool.size();
+    warm_.for_each([&total](FunctionId, const Pool& pool) {
+      total += pool.size();
+    });
     return total;
   });
   probes.add("warm_pool.keep_alive_timers",
@@ -205,20 +194,14 @@ void WarmPoolManager::register_probes(sim::ProbeRegistry& probes) const {
 }
 
 std::uint64_t WarmPoolManager::membership_digest() const {
-  std::vector<FunctionId> fns;
-  fns.reserve(warm_.size());
-  // Sorted below: the fold must not depend on the map's iteration order.
-  for (const auto& [fn, pool] : warm_) {  // lint:allow(unordered-iteration)
-    if (!pool.empty()) fns.push_back(fn);
-  }
-  std::sort(fns.begin(), fns.end());
   std::uint64_t digest = common::kFnvOffsetBasis;
-  for (const FunctionId fn : fns) {
+  warm_.for_each([&digest](FunctionId fn, const Pool& pool) {
+    if (pool.empty()) return;
     digest = common::fnv1a_u64(fn.value(), digest);
-    for (const PooledWorker& entry : warm_.at(fn)) {
+    for (const PooledWorker& entry : pool) {
       digest = common::fnv1a_u64(entry.worker.value(), digest);
     }
-  }
+  });
   return digest;
 }
 

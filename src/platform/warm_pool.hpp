@@ -18,9 +18,9 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 
 #include "cluster/cluster.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "platform/calibration.hpp"
 #include "sim/simulator.hpp"
@@ -59,13 +59,13 @@ class WarmPoolManager {
   /// a provision/evict schedule) and to discard mis-deployed sandboxes.
   std::size_t shrink_to(FunctionId fn, std::size_t target);
 
-  /// Tears down every warm worker on the platform, in sorted function-id
-  /// order (teardown order is observable through bus events and ledger
-  /// accumulation).  Workers mid-rebind are torn down too, in sorted
-  /// worker-id order after the pools: a rebinding sandbox belongs to no pool
-  /// while its code reloads, and before the fix it escaped the flush only to
-  /// re-park itself (fresh keep-alive timer, accruing idle ledger cost) when
-  /// the rebind latency elapsed.
+  /// Tears down every warm worker on the platform, in function-id order
+  /// (teardown order is observable through bus events and ledger
+  /// accumulation).  Workers mid-rebind are torn down too, in worker-id
+  /// order after the pools: a rebinding sandbox belongs to no pool while its
+  /// code reloads, and before the fix it escaped the flush only to re-park
+  /// itself (fresh keep-alive timer, accruing idle ledger cost) when the
+  /// rebind latency elapsed.
   void flush_all();
 
   /// Drops `worker` from `fn`'s pool and cancels its keep-alive timer,
@@ -88,10 +88,9 @@ class WarmPoolManager {
   void register_probes(sim::ProbeRegistry& probes) const;
 
   /// FNV-1a digest of the pool's exact membership -- every (function,
-  /// position, worker) triple, folded in sorted function-id order so the
-  /// unordered map's iteration order cannot leak in.  Two runs whose races
-  /// cancel out in counters (same pool sizes, different workers) still
-  /// diverge here; folded into the race detector's divergence digest.
+  /// position, worker) triple, folded in function-id order.  Two runs whose
+  /// races cancel out in counters (same pool sizes, different workers)
+  /// still diverge here; folded into the race detector's divergence digest.
   [[nodiscard]] std::uint64_t membership_digest() const;
 
   [[nodiscard]] std::size_t warm_count(FunctionId fn) const;
@@ -135,9 +134,9 @@ class WarmPoolManager {
   const PlatformCalibration& calib_;
 
   /// Warm idle workers per function, oldest first.
-  std::unordered_map<FunctionId, Pool> warm_;
-  /// Workers currently mid-rebind, keyed by worker id.
-  std::unordered_map<WorkerId, InflightRebind> rebinding_;
+  common::IdTable<FunctionId, Pool> warm_;
+  /// Workers currently mid-rebind.
+  common::IdWindow<WorkerId, InflightRebind> rebinding_;
   /// Keep-alive timers still queued (see keep_alive_event_count()).
   std::size_t armed_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "platform/worker_state.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <variant>
 
@@ -25,28 +26,29 @@ void WorkerStateTracker::apply(const WorkerEvent& event) {
     workers_.erase(event.worker);
     return;
   }
-  workers_[event.worker] = Entry{event.kind, event.function};
+  const Entry entry{event.kind, event.function};
+  if (Entry* known = workers_.find(event.worker)) {
+    *known = entry;
+  } else {
+    workers_.insert(event.worker, std::make_unique<Entry>(entry));
+  }
 }
 
 std::size_t WorkerStateTracker::live_count() const { return workers_.size(); }
 
 std::size_t WorkerStateTracker::count(WorkerEventKind state) const {
   std::size_t total = 0;
-  // Commutative integer count: iteration order cannot affect the result.
-  for (const auto& [id, entry] : workers_) {  // lint:allow(unordered-iteration)
-    (void)id;
+  workers_.for_each([&](common::WorkerId, const Entry& entry) {
     if (entry.state == state) ++total;
-  }
+  });
   return total;
 }
 
 std::size_t WorkerStateTracker::function_count(common::FunctionId fn) const {
   std::size_t total = 0;
-  // Commutative integer count: iteration order cannot affect the result.
-  for (const auto& [id, entry] : workers_) {  // lint:allow(unordered-iteration)
-    (void)id;
+  workers_.for_each([&](common::WorkerId, const Entry& entry) {
     if (entry.function == fn) ++total;
-  }
+  });
   return total;
 }
 

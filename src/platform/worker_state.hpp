@@ -20,8 +20,8 @@
 // control plane has.
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "platform/message_bus.hpp"
 
@@ -62,7 +62,10 @@ class WorkerStateTracker {
     WorkerEventKind state;
     common::FunctionId function;
   };
-  std::unordered_map<common::WorkerId, Entry> workers_;
+  /// Live workers as the bus reported them.  A late event for a worker
+  /// already reported dead adds it back, extending the window backwards if
+  /// the window has moved past it.
+  common::IdWindow<common::WorkerId, Entry> workers_;
   std::uint64_t events_ = 0;
 };
 

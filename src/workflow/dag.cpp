@@ -10,6 +10,9 @@ namespace xanadu::workflow {
 
 NodeId WorkflowDag::add_node(FunctionSpec fn, DispatchMode dispatch) {
   fn.validate();
+  if (nodes_.size() >= kMaxNodes) {
+    throw std::invalid_argument{"WorkflowDag::add_node: more than 65536 nodes"};
+  }
   const NodeId id{nodes_.size()};
   nodes_.push_back(Node{id, std::move(fn), dispatch, {}, {}});
   return id;

@@ -63,9 +63,15 @@ struct Node {
 /// Immutable-after-validation workflow graph.
 class WorkflowDag {
  public:
+  /// Most nodes a workflow may have.  Node ids index per-workflow tables, so
+  /// a node id read from outside input (a metadata document) is refused at
+  /// or past this bound before it can size one.
+  static constexpr std::size_t kMaxNodes = std::size_t{1} << 16;
+
   explicit WorkflowDag(std::string name = "workflow") : name_(std::move(name)) {}
 
   /// Adds a node; returns its id.  The FunctionSpec is validated eagerly.
+  /// Throws std::invalid_argument past kMaxNodes nodes.
   NodeId add_node(FunctionSpec fn, DispatchMode dispatch = DispatchMode::All);
 
   /// Adds an edge parent -> child.  `probability` is only meaningful when

@@ -3,12 +3,14 @@
 // Per-request scratch -- the MLP estimate, the JIT plan, the branch model's
 // pending batches, the policy's request state, the node records -- either
 // lives in the request's arena or in NodeId-indexed buffers whose capacity
-// is reused across requests.  Once a replay is warm, a request makes about
-// two heap allocations: the result's node-record vector and the engine's
-// request-table entry.  This executable replaces the global operator new
-// with a counting one (as perfbench/alloc_count.cpp does) and gates the
-// count per request: a deterministic work counter, where a wall-clock
-// budget would be noise.
+// is reused across requests, and the engine's in-flight request table is a
+// ring that stops growing once it spans the requests in flight.  Once a
+// replay is warm, a JIT chain request makes about one heap allocation: the
+// result's node-record vector.  This executable replaces the global
+// operator new with a counting one (as perfbench/alloc_count.cpp does) and
+// gates the count per request: a deterministic work counter, where a
+// wall-clock budget would be noise.  Each budget is the measured count
+// rounded up to the next quarter.
 
 #include <gtest/gtest.h>
 
@@ -111,7 +113,7 @@ double allocations_per_request(core::DispatchManager& manager,
          static_cast<double>(mix.total_requests());
 }
 
-TEST(AllocBudget, JitChainRequestMakesAtMostFourAllocations) {
+TEST(AllocBudget, JitChainRequestMakesAtMostOneAndAQuarterAllocations) {
   core::DispatchManager manager =
       make_manager(core::PlatformKind::XanaduJit, 1, false);
   workflow::BuildOptions build;
@@ -126,10 +128,10 @@ TEST(AllocBudget, JitChainRequestMakesAtMostFourAllocations) {
                  workload::fixed_interval(2'000, Duration::from_millis(20)));
   const double per_request = allocations_per_request(manager, mix);
   RecordProperty("allocs_per_request", std::to_string(per_request));
-  EXPECT_LE(per_request, 4.0);
+  EXPECT_LE(per_request, 1.25);  // measured 1.142
 }
 
-TEST(AllocBudget, SpeculativeMixRequestMakesAtMostTenAllocations) {
+TEST(AllocBudget, SpeculativeMixRequestMakesAtMostSixAndAHalfAllocations) {
   core::DispatchManager manager =
       make_manager(core::PlatformKind::XanaduSpeculative, 4, true);
   const common::WorkflowId image = manager.deploy(workload::image_pipeline());
@@ -148,7 +150,7 @@ TEST(AllocBudget, SpeculativeMixRequestMakesAtMostTenAllocations) {
       Duration::from_millis(1000), Duration::from_minutes(40), rng);
   const double per_request = allocations_per_request(manager, mix);
   RecordProperty("allocs_per_request", std::to_string(per_request));
-  EXPECT_LE(per_request, 10.0);
+  EXPECT_LE(per_request, 6.5);  // measured 6.397
 }
 
 }  // namespace

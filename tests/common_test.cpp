@@ -5,13 +5,16 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "common/arena.hpp"
 #include "common/ema.hpp"
+#include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/inline_vector.hpp"
 #include "common/interner.hpp"
@@ -56,6 +59,82 @@ TEST(Ids, HashableInUnorderedContainers) {
 }
 
 // ----------------------------------------------------------------- rng ----
+
+TEST(IdTable, IndexesByIdKeepsReferencesAndCopiesDeep) {
+  IdTable<NodeId, std::string> table;
+  EXPECT_EQ(table.find(NodeId{0}), nullptr);
+  EXPECT_EQ(table.find(NodeId{}), nullptr);  // invalid ids are just absent
+  std::string& first = table.try_emplace(NodeId{2}, "two");
+  EXPECT_EQ(table.try_emplace(NodeId{2}, "ignored"), "two");
+  table.insert_or_assign(NodeId{0}, "zero");
+  table.try_emplace(NodeId{100}, "hundred");  // grows past `first`
+  EXPECT_EQ(&first, table.find(NodeId{2}));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_FALSE(table.contains(NodeId{1}));
+  EXPECT_THROW(table.try_emplace(NodeId{}), std::invalid_argument);
+
+  IdTable<NodeId, std::string> copy = table;
+  copy.insert_or_assign(NodeId{2}, "changed");
+  EXPECT_EQ(*table.find(NodeId{2}), "two");
+
+  std::vector<std::uint64_t> order;
+  table.for_each([&](NodeId id, const std::string&) {
+    order.push_back(id.value());
+  });
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 2, 100}));
+}
+
+TEST(IdWindow, SlidesGrowsAndExtendsBackwards) {
+  IdWindow<RequestId, std::uint64_t> window;
+  const auto insert = [&window](std::uint64_t id) {
+    return &window.insert(RequestId{id}, std::make_unique<std::uint64_t>(id));
+  };
+  const auto ids = [&window] {
+    std::vector<std::uint64_t> out;
+    window.for_each([&](RequestId id, std::uint64_t value) {
+      EXPECT_EQ(value, id.value());
+      out.push_back(id.value());
+    });
+    return out;
+  };
+  // An entry stays put while the window grows.
+  const std::uint64_t* first = insert(0);
+  for (std::uint64_t id = 1; id < 20; ++id) insert(id);
+  EXPECT_EQ(window.find(RequestId{0}), first);
+  for (std::uint64_t id = 0; id < 17; ++id) {
+    EXPECT_TRUE(window.erase(RequestId{id}));
+  }
+  // Ids arrive in order and leave roughly in order: the window slides
+  // without growing past the live span.
+  for (std::uint64_t id = 20; id < 1000; ++id) {
+    insert(id);
+    EXPECT_TRUE(window.erase(RequestId{id - 3}));
+  }
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{997, 998, 999}));
+  EXPECT_EQ(window.find(RequestId{996}), nullptr);
+  EXPECT_EQ(window.find(RequestId{1000}), nullptr);
+  EXPECT_EQ(window.find(RequestId{}), nullptr);
+
+  // A straggler in the middle keeps the window wide; erasing it trims.
+  insert(1010);
+  EXPECT_FALSE(window.erase(RequestId{1005}));
+  EXPECT_TRUE(window.erase(RequestId{998}));
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{997, 999, 1010}));
+  // An id below the window extends it backwards.
+  insert(990);
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{990, 997, 999, 1010}));
+  const std::unique_ptr<std::uint64_t> last = window.extract(RequestId{1010});
+  ASSERT_NE(last, nullptr);
+  EXPECT_EQ(*last, 1010u);
+  EXPECT_EQ(window.size(), 3u);
+  for (const std::uint64_t id : {990u, 997u, 999u}) {
+    EXPECT_TRUE(window.erase(RequestId{id}));
+  }
+  EXPECT_TRUE(window.empty());
+  EXPECT_EQ(ids(), std::vector<std::uint64_t>{});
+  insert(5);  // restarts anywhere
+  EXPECT_EQ(ids(), (std::vector<std::uint64_t>{5}));
+}
 
 TEST(InlineVector, SpillsPastInlineRoomAndCopiesDeep) {
   using List = common::InlineVector<NodeId, 2>;

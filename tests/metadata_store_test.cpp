@@ -400,5 +400,97 @@ TEST(MetadataStore, ControlPlaneWarmRestart) {
   EXPECT_FALSE(missing.value());
 }
 
+/// A one-document store dump (key "chain") for a 4-node chain whose
+/// `field` -- one of the five node-id fields: model node "id", edge
+/// "child", "root", profile "node", invoke-gap "parent" and "gap_child" --
+/// is `value`; every other id names a node of the chain.
+std::string chain_dump_with(const std::string& field, double value) {
+  using common::JsonArray;
+  using common::JsonObject;
+  using common::JsonValue;
+  const auto id = [&](const char* name, double good) {
+    return JsonValue{field == name ? value : good};
+  };
+  JsonObject edge;
+  edge.set("child", id("child", 1.0));
+  edge.set("probability", JsonValue{1.0});
+  edge.set("count", JsonValue{2.0});
+  JsonArray children;
+  children.push_back(JsonValue{std::move(edge)});
+  JsonObject node;
+  node.set("id", id("id", 0.0));
+  node.set("select", JsonValue{0.0});
+  node.set("request_count", JsonValue{2.0});
+  node.set("children", JsonValue{std::move(children)});
+  JsonArray nodes;
+  nodes.push_back(JsonValue{std::move(node)});
+  JsonArray roots;
+  roots.push_back(id("root", 0.0));
+  JsonObject model;
+  model.set("version", JsonValue{1.0});
+  model.set("nodes", JsonValue{std::move(nodes)});
+  model.set("roots", JsonValue{std::move(roots)});
+
+  JsonObject ema;
+  ema.set("value", JsonValue{5.0});
+  ema.set("count", JsonValue{3.0});
+  JsonObject fn;
+  fn.set("node", id("node", 0.0));
+  fn.set("cold_response", JsonValue{ema});
+  fn.set("startup", JsonValue{ema});
+  fn.set("warm_response", JsonValue{ema});
+  JsonArray functions;
+  functions.push_back(JsonValue{std::move(fn)});
+  JsonObject gap;
+  gap.set("parent", id("parent", 0.0));
+  gap.set("child", id("gap_child", 1.0));
+  gap.set("ema", JsonValue{std::move(ema)});
+  JsonArray gaps;
+  gaps.push_back(JsonValue{std::move(gap)});
+  JsonObject profiles;
+  profiles.set("version", JsonValue{1.0});
+  profiles.set("alpha", JsonValue{0.3});
+  profiles.set("functions", JsonValue{std::move(functions)});
+  profiles.set("invoke_gaps", JsonValue{std::move(gaps)});
+
+  JsonObject doc;
+  doc.set("model", JsonValue{std::move(model)});
+  doc.set("profiles", JsonValue{std::move(profiles)});
+  JsonObject top;
+  top.set("chain", JsonValue{std::move(doc)});
+  return JsonValue{std::move(top)}.dump();
+}
+
+TEST(MetadataStore, HugeNodeIdsEndInACleanError) {
+  // Node ids key per-workflow tables, so one read from a dump must never
+  // size a table: each id field set to 2^52 - 1 must end in a clean Error,
+  // from get() or from restore(), and nothing may throw.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduJit;
+  DispatchManager manager{options};
+  const auto wf = manager.deploy(workflow::linear_chain(4));
+  const workflow::WorkflowDag& dag = manager.engine().dag(wf);
+  XanaduPolicy& policy = *manager.xanadu_policy();
+
+  // Parse, get and restore; the first error met, or "" when all succeed.
+  const auto outcome = [&](const std::string& field, double value) {
+    const auto store = MetadataStore::parse(chain_dump_with(field, value));
+    if (!store.ok()) return store.error().message;
+    const auto loaded = store.value().get("chain");
+    if (!loaded.ok()) return loaded.error().message;
+    const auto restored = policy.restore(wf, dag, store.value(), "chain");
+    return restored.ok() ? std::string{} : restored.error().message;
+  };
+  ASSERT_EQ(outcome("", 0.0), "");
+
+  constexpr double kHuge = 4503599627370495.0;  // 2^52 - 1
+  for (const char* field :
+       {"id", "child", "root", "node", "parent", "gap_child"}) {
+    std::string error;
+    EXPECT_NO_THROW(error = outcome(field, kHuge)) << field;
+    EXPECT_NE(error, "") << field;
+  }
+}
+
 }  // namespace
 }  // namespace xanadu::core

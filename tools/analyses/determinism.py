@@ -16,7 +16,9 @@ by scanning each line for constructs that silently break it:
                        ordering-sensitive directory (sim/, platform/, core/):
                        iteration order is unspecified and can change across
                        standard-library versions, so anything observable must
-                       not depend on it
+                       not depend on it.  A name counts as unordered only in
+                       the file declaring it and the files including that
+                       file, directly or transitively
   bare-assert          assert() in an ordering-sensitive directory: the
                        default RelWithDebInfo build defines NDEBUG, which
                        compiles the check away; use XANADU_INVARIANT instead
@@ -130,6 +132,7 @@ def run(model: SourceModel) -> list[Finding]:
     findings: list[Finding] = []
     for sf in model.files:
         sensitive = sf.top in ORDER_SENSITIVE_DIRS
+        unordered = model.unordered_names_in_scope(sf) if sensitive else set()
         pq_banned = sf.top in PRIORITY_QUEUE_DIRS
         friend_banned = sf.top in FRIEND_DIRS
         for index, code in enumerate(sf.code_lines):
@@ -186,7 +189,7 @@ def run(model: SourceModel) -> list[Finding]:
                 # The range expression's trailing identifier (after any
                 # . or ->).
                 target = re.split(r"\.|->", match.group(1))[-1]
-                if target in model.unordered_names:
+                if target in unordered:
                     findings.append(
                         Finding(
                             sf.display,

@@ -168,6 +168,7 @@ class Analyzer:
         """Assigns per-line taint sources to the function spanning them."""
         for sf in self.model.files:
             spans = sf.functions
+            unordered = self.model.unordered_names_in_scope(sf)
             for index, line in enumerate(sf.code_lines):
                 lineno = index + 1
                 hits: list[tuple[str, str]] = []
@@ -177,7 +178,7 @@ class Analyzer:
                 match = RANGE_FOR_RE.search(line)
                 if match:
                     target = re.split(r"\.|->", match.group(1))[-1]
-                    if target in self.model.unordered_names:
+                    if target in unordered:
                         hits.append(
                             (
                                 "unordered-iteration",

@@ -7,6 +7,12 @@ definitions.  Whole-model indexes (overload sets, declared-name sets for
 types several analyses care about, handler reachability, the reverse call
 graph) are built on top, so `xan_lint` can run every analysis off this one
 parse instead of four separate ones.
+
+Unordered-container names are scoped by the include graph: a name declared
+in one file counts only in that file and in the files that include it,
+directly or through other headers.  A range-for over a member needs the
+class definition, so its file always includes the declaring header; a
+same-named container elsewhere (a vector, say) is not one of them.
 """
 
 from __future__ import annotations
@@ -61,6 +67,8 @@ class SourceFile:
         self.allow: list[set[str]] = []
         self.includes: list[tuple[str, int]] = []  # (quoted path, 1-based)
         self.functions: list[Function] = []
+        # Names this file declares as unordered containers.
+        self.unordered_decls: set[str] = set()
 
 
 class SourceModel:
@@ -73,13 +81,14 @@ class SourceModel:
         self.functions: list[Function] = []
         self.by_name: dict[str, list[Function]] = {}
         self.member_rng_names: set[str] = set()
-        self.unordered_names: set[str] = set()
         self.arena_names: set[str] = set()
         self.interner_names: set[str] = set()
         self.arena_container_names: set[str] = set()
         self._reach: dict[int, list[str]] | None = None
         self._callers: dict[int, list[tuple[Function, CallSite]]] | None = \
             None
+        self._by_path: dict[Path, SourceFile] = {}
+        self._unordered_scope: dict[str, set[str]] = {}
 
     # -- loading ----------------------------------------------------------
 
@@ -103,7 +112,7 @@ class SourceModel:
                 sf.code_lines = code.splitlines()
                 for pattern, names in (
                     (MEMBER_RNG_DECL_RE, self.member_rng_names),
-                    (UNORDERED_DECL_RE, self.unordered_names),
+                    (UNORDERED_DECL_RE, sf.unordered_decls),
                     (ARENA_DECL_RE, self.arena_names),
                     (INTERNER_DECL_RE, self.interner_names),
                     (ARENA_CONTAINER_DECL_RE, self.arena_container_names),
@@ -120,10 +129,45 @@ class SourceModel:
                     self.by_name.setdefault(fn.name, []).append(fn)
                 self.files.append(sf)
                 self.by_display[display] = sf
+                self._by_path[path.resolve()] = sf
         return self
 
     def file_of(self, fn: Function) -> SourceFile:
         return self.by_display[fn.file]
+
+    # -- include graph ------------------------------------------------------
+
+    def included_files(self, sf: SourceFile) -> list[SourceFile]:
+        """The loaded files `sf` includes directly.  A quoted include
+        resolves against every root (bench/ includes src/ headers), then
+        against the including file's own directory."""
+        found: list[SourceFile] = []
+        for target, _line in sf.includes:
+            for base in [*self.roots, sf.path.parent]:
+                hit = self._by_path.get((base / target).resolve())
+                if hit is not None:
+                    found.append(hit)
+                    break
+        return found
+
+    def unordered_names_in_scope(self, sf: SourceFile) -> set[str]:
+        """Unordered-container names `sf` can see: its own declarations and
+        those of every file it includes, transitively."""
+        cached = self._unordered_scope.get(sf.display)
+        if cached is not None:
+            return cached
+        names: set[str] = set()
+        seen = {sf.display}
+        stack = [sf]
+        while stack:
+            current = stack.pop()
+            names |= current.unordered_decls
+            for included in self.included_files(current):
+                if included.display not in seen:
+                    seen.add(included.display)
+                    stack.append(included)
+        self._unordered_scope[sf.display] = names
+        return names
 
     # -- overload resolution ----------------------------------------------
 

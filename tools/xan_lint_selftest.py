@@ -64,6 +64,17 @@ tools/fixtures/xan_lint/:
                                never on member calls or another scope's rand
   suppressed.cpp               one silenced instance of each
                                interprocedural rule -- must be silent
+  platform/unordered_slots.hpp a header declaring an unordered member
+  platform/bad_unordered_walk.cpp
+                               range-for over that member in a file that
+                               includes the header, feeding a digest --
+                               unordered-iteration and nondet-taint must
+                               each fire once
+  platform/good_vector_named_slots.cpp
+                               a vector of the same name in a file that
+                               does not include the header -- must be
+                               silent (names are scoped by the include
+                               graph)
 
 Each fixture directory runs through xan_lint.run_all, and no finding
 may land outside its fixture files.  Over src/, the layering analysis
@@ -377,6 +388,24 @@ def main() -> int:
         == [(line, "libc-rand") for line in range(12, 17)],
         "libc_rand fires libc-rand on exactly the bare, std:: and :: calls "
         "(lines 12-16), not on member or other-scope calls",
+        failures,
+    )
+
+    # --- unordered names are scoped by the include graph. ----------------
+    found = grouped["determinism"].get("bad_unordered_walk.cpp", []) + \
+        grouped["flow"].get("bad_unordered_walk.cpp", [])
+    check(
+        sorted(f.rule for f in found)
+        == ["nondet-taint", "unordered-iteration"],
+        "bad_unordered_walk fires unordered-iteration and nondet-taint once "
+        "each (the unordered member's header is included)",
+        failures,
+    )
+    check(
+        not grouped["determinism"].get("good_vector_named_slots.cpp")
+        and not grouped["flow"].get("good_vector_named_slots.cpp"),
+        "good_vector_named_slots is silent (a same-named vector where the "
+        "unordered member's header is not included)",
         failures,
     )
 
