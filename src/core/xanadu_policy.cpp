@@ -83,10 +83,8 @@ MlpResult XanaduPolicy::current_mlp(common::WorkflowId id) const {
 XanaduPolicy::RequestState::RequestState(common::Arena* arena,
                                          std::size_t node_count)
     : path(common::ArenaAllocator<NodeId>(arena)),
-      nodes(node_count, NodeMark{}, common::ArenaAllocator<NodeMark>(arena)),
-      scheduled(common::ArenaAllocator<common::EventId>(arena)) {
+      nodes(node_count, NodeMark{}, common::ArenaAllocator<NodeMark>(arena)) {
   path.reserve(node_count);
-  scheduled.reserve(node_count);
 }
 
 void XanaduPolicy::RequestState::adopt(const MlpResult& estimate,
@@ -204,22 +202,20 @@ void XanaduPolicy::deploy(PlatformEngine& engine, RequestContext& ctx,
     return;
   }
 
-  // JIT: build the Algorithm-2 timeline and schedule deployments.
+  // JIT: build the Algorithm-2 timeline and hand it to the engine whole.
   wf.plan = options_.knowledge == ChainKnowledge::Explicit
                 ? plan_explicit(target, wf.model, wf.profiles, options_.jit,
                                 std::move(wf.plan))
                 : plan_implicit(target, wf.model, wf.profiles, options_.jit,
                                 std::move(wf.plan));
+  wf.prewarms.clear();
   for (const Deployment& d : wf.plan.deployments) {
     const NodeStatus status = ctx.nodes[d.node.value()].status;
     if (status != NodeStatus::Pending) continue;
     rs.mark(d.node).prewarmed = true;
-    if (d.deploy_delay == sim::Duration::zero()) {
-      engine.prewarm(ctx, d.node);
-    } else {
-      rs.scheduled.push_back(engine.schedule_prewarm(ctx, d.node, d.deploy_delay));
-    }
+    wf.prewarms.push_back(platform::PlannedPrewarm{d.node, d.deploy_delay});
   }
+  engine.schedule_prewarms(ctx, wf.prewarms);
 }
 
 void XanaduPolicy::on_node_triggered(PlatformEngine& engine, RequestContext& ctx,
@@ -283,23 +279,13 @@ void XanaduPolicy::on_xor_resolved(PlatformEngine& engine, RequestContext& ctx,
 
   // Prediction miss (Section 3.2.2): stop all planned proactive
   // provisioning immediately.
-  ctx.speculation.cancelled_deployments += cancel_pending(engine, *rs);
+  ctx.speculation.cancelled_deployments += engine.cancel_prewarms(ctx);
 
   if (options_.miss_policy == MissPolicy::Replan) {
     // Future-work extension (Section 7): re-evaluate the MLP from the
     // branch the workflow actually took and resume speculation there.
     replan(engine, ctx, workflow_state(engine, ctx), *rs, chosen);
   }
-}
-
-std::size_t XanaduPolicy::cancel_pending(PlatformEngine& engine,
-                                         RequestState& rs) {
-  std::size_t cancelled = 0;
-  for (const common::EventId event : rs.scheduled) {
-    if (engine.cancel_scheduled_prewarm(event)) ++cancelled;
-  }
-  rs.scheduled.clear();
-  return cancelled;
 }
 
 void XanaduPolicy::on_node_skipped(PlatformEngine& engine, RequestContext& ctx,
@@ -377,7 +363,7 @@ void XanaduPolicy::on_request_completed(PlatformEngine& engine,
     // Planned deployments of a finished request can no longer serve it.  A
     // failed-over request counts them as cancelled (the miss-cancellation
     // path); a completed one was simply faster than its plan.
-    const std::size_t cancelled = cancel_pending(engine, *rs);
+    const std::size_t cancelled = engine.cancel_prewarms(ctx);
     if (result.failed) ctx.speculation.cancelled_deployments += cancelled;
     rs->~RequestState();
     ctx.policy_state = nullptr;

@@ -27,6 +27,8 @@
 // extension (Section 7): after a miss the MLP is re-estimated from the
 // chosen branch and speculation resumes on the new path.
 
+#include <vector>
+
 #include "common/arena.hpp"
 #include "common/id_table.hpp"
 #include "core/branch_model.hpp"
@@ -122,6 +124,8 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
     /// capacity.  Read only right after they are refilled.
     MlpResult mlp;
     JitPlan plan;
+    /// The plan's deployments the engine is handed.
+    std::vector<platform::PlannedPrewarm> prewarms;
     explicit WorkflowState(double alpha) : profiles(alpha) {}
   };
 
@@ -148,8 +152,6 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
     common::ArenaVector<NodeId> path;
     /// Indexed by NodeId value.
     common::ArenaVector<NodeMark> nodes;
-    /// Planned-but-unfired proactive deployments (cancellable).
-    common::ArenaVector<common::EventId> scheduled;
 
     [[nodiscard]] NodeMark& mark(NodeId node) { return nodes[node.value()]; }
     /// Adds `estimate`'s nodes and predictions to the request's MLP, and
@@ -162,17 +164,14 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   }
   WorkflowState& workflow_state(platform::PlatformEngine& engine,
                                 platform::RequestContext& ctx);
-  /// Provisions (Speculative) or schedules the Algorithm-2 timeline (Jit)
-  /// for `target.path`.
+  /// Provisions (Speculative) or hands the engine the Algorithm-2 timeline
+  /// (Jit) for `target.path`.
   void deploy(platform::PlatformEngine& engine, platform::RequestContext& ctx,
               WorkflowState& wf, RequestState& rs, const MlpResult& target);
   /// MissPolicy::Replan: re-estimates the MLP from the branch the request
   /// took and speculates on it.
   void replan(platform::PlatformEngine& engine, platform::RequestContext& ctx,
               WorkflowState& wf, RequestState& rs, NodeId chosen);
-  /// Cancels the request's still-queued prewarms; returns how many were.
-  std::size_t cancel_pending(platform::PlatformEngine& engine,
-                             RequestState& rs);
   [[nodiscard]] std::size_t aggressiveness_cut(std::size_t path_length) const;
 
   XanaduOptions options_;

@@ -12,7 +12,7 @@
 // The warm pool and provisioning mechanics behind those decisions live in two
 // subsystems that never see a request (see ARCHITECTURE.md "Engine
 // decomposition"):
-//   * WarmPoolManager    -- warm deques, keep-alive timers, eviction, rebind,
+//   * WarmPoolManager    -- warm pools, keep-alive timers, eviction, rebind,
 //   * ProvisionPipeline  -- PendingProvision slots, daemon commands/acks/
 //                           retries, redirects, the live-worker throttle.
 // The engine hands the pipeline two callbacks; neither subsystem reaches into
@@ -28,6 +28,7 @@
 // ahead of triggers; Xanadu's speculative and JIT modes are policies.
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -48,6 +49,13 @@
 #include "workflow/dag.hpp"
 
 namespace xanadu::platform {
+
+/// One deployment of a request's provisioning plan: prewarm `node` after
+/// `delay`.
+struct PlannedPrewarm {
+  NodeId node{};
+  sim::Duration delay = sim::Duration::zero();
+};
 
 class PlatformEngine {
  public:
@@ -121,8 +129,9 @@ class PlatformEngine {
   [[nodiscard]] std::size_t inflight_request_count() const {
     return requests_.size();
   }
-  /// Pending keep-alive timers; every timer must belong to a live pooled
-  /// worker (the keep-alive cancellation regression test leans on this).
+  /// Queued keep-alive timers: one for each warm pool that holds a worker,
+  /// at most one per pool (see WarmPoolManager::keep_alive_event_count;
+  /// the keep-alive cancellation regression tests lean on this).
   [[nodiscard]] std::size_t keep_alive_event_count() const {
     return warm_pool_.keep_alive_event_count();
   }
@@ -154,13 +163,20 @@ class PlatformEngine {
   /// number of workers destroyed.
   std::size_t shrink_warm_pool(FunctionId fn, std::size_t target);
 
-  /// Schedules prewarm(ctx, node) after `delay`.  Returns a cancellable
-  /// event id; a policy cancels the events it no longer needs (the event is
-  /// a no-op if it fires after its request has finished).
-  EventId schedule_prewarm(RequestContext& ctx, NodeId node, sim::Duration delay);
+  /// Carries out a request's provisioning plan, in plan order: a zero
+  /// delay prewarms now, and any other delay reserves the event key that
+  /// scheduling prewarm(ctx, node) after it would take.  Only the earliest
+  /// reserved prewarm is queued; when it fires it queues the next, so each
+  /// fires where its own event would have, while the queue holds one per
+  /// request.  Replaces any planned prewarms of `ctx` still unfired.  A
+  /// policy cancels the plan once it no longer helps (a prewarm that fires
+  /// after its request has finished is a no-op).
+  void schedule_prewarms(RequestContext& ctx,
+                         std::span<const PlannedPrewarm> plan);
 
-  /// Cancels a scheduled prewarm.  Returns false if it already fired.
-  bool cancel_scheduled_prewarm(EventId event);
+  /// Drops `ctx`'s planned prewarms that have not fired, and returns how
+  /// many there were.
+  std::size_t cancel_prewarms(RequestContext& ctx);
 
   /// Aborts in-flight provisioning operations of `fn` that no request is
   /// waiting on (speculative deployments overtaken by a prediction miss).
@@ -246,6 +262,11 @@ class PlatformEngine {
   void provision_ready(WorkerId worker, ProvisionWaiters waiters);
   /// Starts a provision for `fn` attributed to `ctx` (if non-null).
   PendingProvision* start_provision(FunctionId fn, RequestContext* ctx);
+  /// Queues `ctx`'s next planned prewarm under its reserved key, if any is
+  /// left.
+  void queue_next_prewarm(RequestContext& ctx);
+  /// The queued planned prewarm of `request` fires.
+  void fire_prewarm(RequestId request);
 
   // Fault recovery (recovery.cpp).  Inert on fault-free runs: nothing here
   // executes unless the fault plan is active, so fault-free digests cannot

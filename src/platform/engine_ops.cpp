@@ -112,21 +112,51 @@ std::size_t PlatformEngine::shrink_warm_pool(FunctionId fn, std::size_t target) 
   return warm_pool_.shrink_to(fn, target);
 }
 
-EventId PlatformEngine::schedule_prewarm(RequestContext& ctx, NodeId node,
-                                         sim::Duration delay) {
-  const RequestId request = ctx.id;
-  return sim_.schedule_after(
-      delay.clamped_non_negative(),
-      [this, request, node] {
-        if (RequestContext* live = find_request(request)) {
-          prewarm(*live, node);
-        }
-      },
-      "engine.scheduled_prewarm");
+void PlatformEngine::schedule_prewarms(RequestContext& ctx,
+                                       std::span<const PlannedPrewarm> plan) {
+  cancel_prewarms(ctx);
+  for (const PlannedPrewarm& step : plan) {
+    if (step.delay == sim::Duration::zero()) {
+      prewarm(ctx, step.node);
+      continue;
+    }
+    if (ctx.prewarms.capacity() == 0) ctx.prewarms.reserve(ctx.nodes.size());
+    ctx.prewarms.push_back(ScheduledPrewarm{
+        sim_.reserve_key(sim_.now() + step.delay.clamped_non_negative()),
+        step.node});
+  }
+  // Plan delays are not monotone along the path (each node's startup
+  // differs), so the reserved keys are sorted here, once.
+  std::sort(ctx.prewarms.begin(), ctx.prewarms.end(),
+            [](const ScheduledPrewarm& a, const ScheduledPrewarm& b) {
+              return a.key < b.key;
+            });
+  queue_next_prewarm(ctx);
 }
 
-bool PlatformEngine::cancel_scheduled_prewarm(EventId event) {
-  return sim_.cancel(event);
+void PlatformEngine::queue_next_prewarm(RequestContext& ctx) {
+  if (ctx.next_prewarm == ctx.prewarms.size()) return;
+  const RequestId request = ctx.id;
+  ctx.prewarm_event = sim_.schedule_keyed(
+      ctx.prewarms[ctx.next_prewarm].key,
+      [this, request] { fire_prewarm(request); }, "engine.scheduled_prewarm");
+}
+
+void PlatformEngine::fire_prewarm(RequestId request) {
+  RequestContext* ctx = find_request(request);
+  if (ctx == nullptr) return;
+  const NodeId node = ctx->prewarms[ctx->next_prewarm++].node;
+  queue_next_prewarm(*ctx);
+  prewarm(*ctx, node);
+}
+
+std::size_t PlatformEngine::cancel_prewarms(RequestContext& ctx) {
+  const std::size_t unfired = ctx.prewarms.size() - ctx.next_prewarm;
+  sim_.cancel(ctx.prewarm_event);
+  ctx.prewarm_event = EventId{};
+  ctx.prewarms.clear();
+  ctx.next_prewarm = 0;
+  return unfired;
 }
 
 std::size_t PlatformEngine::abort_unclaimed_provisions(FunctionId fn) {

@@ -11,6 +11,7 @@
 #include "common/ids.hpp"
 #include "common/inline_vector.hpp"
 #include "common/rng.hpp"
+#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace xanadu::workflow {
@@ -128,6 +129,14 @@ using CompletionCallback = std::function<void(const RequestResult&)>;
 /// arena (deallocation is a no-op; the whole arena resets on completion).
 using NodeRecordList = common::ArenaVector<NodeRecord>;
 
+/// One planned prewarm of a request: prewarm `node` when the event key
+/// `key`, reserved when the plan was made, comes up.
+struct ScheduledPrewarm {
+  sim::EventKey key;
+  NodeId node{};
+};
+using ScheduledPrewarmList = common::ArenaVector<ScheduledPrewarm>;
+
 /// Live state of one in-flight request.  Owned by the engine, which alone
 /// reads and writes it (fault recovery included); the warm pool and the
 /// provision pipeline never see a request, only opaque (RequestId, NodeId)
@@ -140,7 +149,9 @@ using NodeRecordList = common::ArenaVector<NodeRecord>;
 /// (keeping a block sized to its largest request) so recycling a context
 /// does not touch the heap.
 struct RequestContext {
-  RequestContext() : nodes(common::ArenaAllocator<NodeRecord>(&arena)) {}
+  RequestContext()
+      : nodes(common::ArenaAllocator<NodeRecord>(&arena)),
+        prewarms(common::ArenaAllocator<ScheduledPrewarm>(&arena)) {}
 
   RequestContext(const RequestContext&) = delete;
   RequestContext& operator=(const RequestContext&) = delete;
@@ -166,12 +177,23 @@ struct RequestContext {
   /// request completes; null under policies that keep none.  Opaque here,
   /// since the platform layer cannot name the policy's types.
   void* policy_state = nullptr;
+  /// Planned prewarms (PlatformEngine::schedule_prewarms) not yet fired:
+  /// those from `next_prewarm` on, in key order.  Only the one at
+  /// `next_prewarm` is queued, as `prewarm_event`; firing, it queues the
+  /// next.
+  ScheduledPrewarmList prewarms;
+  std::size_t next_prewarm = 0;
+  EventId prewarm_event{};
 
   /// Returns the context to a fresh state for the engine's context pool.
   /// Arena-backed containers are re-bound to empty *before* the arena
   /// resets, so no live container references reclaimed memory.
   void reset_for_reuse() {
     nodes = NodeRecordList(common::ArenaAllocator<NodeRecord>(&arena));
+    prewarms =
+        ScheduledPrewarmList(common::ArenaAllocator<ScheduledPrewarm>(&arena));
+    next_prewarm = 0;
+    prewarm_event = EventId{};
     policy_state = nullptr;
     arena.reset();
     id = RequestId{};

@@ -11,14 +11,32 @@ common::EventId Simulator::schedule_at(TimePoint when, EventFn callback,
   if (when < now_) {
     throw std::invalid_argument{"Simulator::schedule_at: time is in the past"};
   }
+  return enqueue(reserve_key(when), callback, label);
+}
+
+common::EventId Simulator::schedule_keyed(EventKey key, EventFn callback,
+                                          const char* label) {
+  if (key.seq >= next_seq_) {
+    throw std::invalid_argument{
+        "Simulator::schedule_keyed: sequence number was never reserved"};
+  }
+  if (key < EventKey{now_, now_seq_}) {
+    throw std::invalid_argument{
+        "Simulator::schedule_keyed: key precedes the event now firing"};
+  }
+  return enqueue(key, callback, label);
+}
+
+common::EventId Simulator::enqueue(EventKey key, EventFn& callback,
+                                  const char* label) {
   if (!callback) {
-    throw std::invalid_argument{"Simulator::schedule_at: empty callback"};
+    throw std::invalid_argument{"Simulator: scheduled an empty callback"};
   }
   const std::uint32_t slot = acquire_slot();
   Slot& s = slab_[slot];
   s.callback = std::move(callback);
   s.label = label;
-  heap_push(HeapEntry{when, next_seq_++, slot, s.generation});
+  heap_push(HeapEntry{key.when, key.seq, slot, s.generation});
   ++live_;
   return pack_id(slot, s.generation);
 }
@@ -195,6 +213,7 @@ void Simulator::fire_entry(const HeapEntry& entry) {
     XANADU_INVARIANT(entry.when >= now_,
                      "event timestamp regressed behind the virtual clock");
     now_ = entry.when;
+    now_seq_ = entry.seq;
     stream->fire_arrival(index);
     ++fired_;
     return;
@@ -213,6 +232,7 @@ void Simulator::fire_entry(const HeapEntry& entry) {
   XANADU_INVARIANT(static_cast<bool>(callback),
                    "fired an event that was not live");
   now_ = entry.when;
+  now_seq_ = entry.seq;
   callback();
   ++fired_;
 }
@@ -229,7 +249,10 @@ std::size_t Simulator::drain(bool bounded, TimePoint deadline) {
     fire_entry(top);
     ++fired_now;
   }
-  if (bounded && now_ < deadline) now_ = deadline;
+  if (bounded && now_ < deadline) {
+    now_ = deadline;
+    now_seq_ = 0;
+  }
   return fired_now;
 }
 
@@ -240,7 +263,10 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
   // (when, seq) anything still in the heap, and events a batch member
   // schedules at the same timestamp carry larger seqs, so they form the
   // *next* batch exactly as they would have popped after the batch in the
-  // ungrouped loop.
+  // ungrouped loop.  The one exception is a keyed insert: a member may
+  // queue an event on this timestamp under a key reserved earlier, with a
+  // seq between two members, and fire_ties_before() fires it ahead of the
+  // next member, where the ungrouped loop would pop it.
   std::size_t fired_now = 0;
   std::vector<HeapEntry> group;
   std::vector<std::uint32_t> order;
@@ -290,6 +316,7 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
                        "tie permutation position out of range");
       if (position >= group.size()) continue;
       const HeapEntry& entry = group[position];
+      fired_now += fire_ties_before(top.when, entry.seq);
       if (!is_live(entry)) {
         // Cancelled (or its stream detached) by an earlier member of this
         // very batch; its heap entry is already extracted, so no tombstone
@@ -307,8 +334,23 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       record->probes_after = probes_->sample();
     }
   }
-  if (bounded && now_ < deadline) now_ = deadline;
+  if (bounded && now_ < deadline) {
+    now_ = deadline;
+    now_seq_ = 0;
+  }
   return fired_now;
+}
+
+std::size_t Simulator::fire_ties_before(TimePoint when, std::uint64_t bound) {
+  std::size_t fired = 0;
+  while (const HeapEntry* next = live_top()) {
+    if (next->when != when || next->seq >= bound) break;
+    const HeapEntry entry = *next;
+    pop_live_top();
+    fire_entry(entry);
+    ++fired;
+  }
+  return fired;
 }
 
 std::size_t Simulator::run_before(TimePoint bound) {

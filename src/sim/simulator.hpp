@@ -35,6 +35,12 @@
 //     fires.  Arrival i keeps the (when, seq) key it would have had if all
 //     arrivals were scheduled up front, so every drain fires the same events
 //     in the same order while the queue holds one arrival instead of all.
+//   * The same idea, for any sorted run of future events: reserve_key()
+//     takes an event's sequence number when the event becomes known, and
+//     schedule_keyed() queues it under that (when, seq) key later -- once
+//     its predecessor in the run has fired.  schedule_at() is a reservation
+//     plus the same insert, so there is one insert path.  A warm pool's
+//     idle workers and a request's planned prewarms are such runs.
 //
 // std::priority_queue is deliberately absent (and banned by the determinism
 // lint in this directory): it hides the underlying vector, which forbids
@@ -65,6 +71,15 @@ namespace xanadu::sim {
 // group in ascending-seq order is byte-identical to the normal drain, so
 // enabling recording alone never perturbs a run.  The replay harness on top
 // lives in sim/race_detector.hpp.
+
+/// An event's place in the queue: events fire in ascending (when, seq)
+/// order.  Every sequence number is issued once, so the order is total.
+struct EventKey {
+  TimePoint when;
+  std::uint64_t seq = 0;
+
+  friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
+};
 
 /// A sorted run of arrivals that a Simulator fires without queueing them up
 /// front; see Simulator::attach_arrivals().
@@ -133,6 +148,24 @@ class Simulator {
 
   /// Schedules `callback` after `delay` (clamped to be non-negative).
   common::EventId schedule_after(Duration delay, EventFn callback,
+                                 const char* label = nullptr);
+
+  /// Reserves the key that scheduling an event at `when` now would give it
+  /// -- the next sequence number -- and queues nothing.  An event queued
+  /// later under the key with schedule_keyed() fires exactly where
+  /// scheduling it now would have, so a sorted run of future events only
+  /// needs its earliest member queued at a time.
+  [[nodiscard]] EventKey reserve_key(TimePoint when) {
+    return EventKey{when, next_seq_++};
+  }
+
+  /// Queues `callback` under `key`, which reserve_key() issued.  A key is
+  /// meant to be queued once; nothing checks it.  Throws
+  /// std::invalid_argument when `key` precedes the event now firing (or,
+  /// between drains, the last one fired or the clock), when `key.seq` was
+  /// never reserved, or when the callback is empty.  Returns an id usable
+  /// with cancel(); `label` is as for schedule_at().
+  common::EventId schedule_keyed(EventKey key, EventFn callback,
                                  const char* label = nullptr);
 
   /// Attaches `count` arrivals of `stream`, fired in (when, seq) order among
@@ -277,6 +310,10 @@ class Simulator {
   /// or nullptr when the queue is empty.
   const HeapEntry* live_top();
 
+  /// The one insert path: queues `callback` (moved from) under `key`.
+  /// schedule_at() and schedule_keyed() validate the key first.
+  common::EventId enqueue(EventKey key, EventFn& callback, const char* label);
+
   std::uint32_t acquire_slot();
   /// Destroys the slot's callback, bumps its generation (invalidating every
   /// outstanding EventId for it) and returns it to the free list.
@@ -297,6 +334,10 @@ class Simulator {
 
   /// Pops ready events and fires them; shared by run/run_until.
   std::size_t drain(bool bounded, TimePoint deadline);
+  /// Fires the queued events at `when` whose seq is below `bound`: events
+  /// a tie group's member queued under earlier-reserved keys that fall
+  /// before the group's next member.
+  std::size_t fire_ties_before(TimePoint when, std::uint64_t bound);
   /// Grouped drain used when a tie recorder or permutation is attached:
   /// same result as drain() when every group fires in seq order.
   std::size_t drain_grouped(bool bounded, TimePoint deadline);
@@ -307,6 +348,9 @@ class Simulator {
   void end_stream() noexcept;
 
   TimePoint now_{0};
+  /// Seq of the event firing now, or fired last; 0 once run_until() moves
+  /// the clock past it.  With now_, the key no insert may precede.
+  std::uint64_t now_seq_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
   std::vector<HeapEntry> heap_;

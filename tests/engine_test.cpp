@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
 #include "platform/engine.hpp"
@@ -119,6 +123,48 @@ TEST_F(EngineTest, KeepAliveReclaimsWorkers) {
   // Next request is cold again.
   const RequestResult again = engine_->run_one(wf);
   EXPECT_EQ(again.cold_starts, 1u);
+}
+
+TEST_F(EngineTest, SameTimeKeepAliveReclaimsKeepTheirOrder) {
+  // Jitter-free lockstep.  A cold wave of two requests of workflow F and
+  // one of G leaves F's pool with workers 0 and 2 (the second F request
+  // waits on worker 0's build, then provisions its own) and G's with worker
+  // 1.  A warm wave, all three submitted together, reuses every worker and
+  // re-parks them in the same microsecond: 0 and 2 (F), then 1 (G).  The
+  // three reclaims tie 60 s later and must fire in park order, 0, 2, 1,
+  // although F's pool queues worker 2's reclaim only once worker 0's has
+  // fired (a later sequence number would fire it after G's).  Each pool's
+  // timer also fires once as a no-op, at the cold wave's key, first.
+  PlatformCalibration calib = exact_calibration();
+  calib.keep_alive = sim::Duration::from_seconds(60);
+  reset(calib);
+  const auto wf_f = engine_->register_workflow(
+      workflow::linear_chain(1, exact_options(1000)));
+  const auto wf_g = engine_->register_workflow(
+      workflow::linear_chain(1, exact_options(1000)));
+  std::vector<std::pair<std::int64_t, std::uint64_t>> teardowns;
+  cluster_->set_worker_observer(
+      [&](const cluster::Worker& worker, cluster::WorkerTransition kind) {
+        if (kind == cluster::WorkerTransition::Dead) {
+          teardowns.emplace_back(sim_->now().micros(), worker.id().value());
+        }
+      });
+  const auto wave = [&] {
+    engine_->submit(wf_f, [](const RequestResult&) {});
+    engine_->submit(wf_f, [](const RequestResult&) {});
+    engine_->submit(wf_g, [](const RequestResult&) {});
+  };
+  wave();
+  sim_->run_until(sim_->now() + 10_s);
+  wave();
+  sim_->run();
+  cluster_->set_worker_observer({});
+
+  // The warm wave dispatches at 10.025 s and finishes 1 s later.
+  const std::vector<std::pair<std::int64_t, std::uint64_t>> expected = {
+      {71'025'000, 0}, {71'025'000, 2}, {71'025'000, 1}};
+  EXPECT_EQ(teardowns, expected);
+  EXPECT_EQ(engine_->keep_alive_event_count(), 0u);
 }
 
 TEST_F(EngineTest, RequestWithinKeepAliveIsWarm) {

@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "cluster/worker.hpp"
+#include "common/hash.hpp"
 #include "core/dispatch_manager.hpp"
 #include "metrics/trace.hpp"
 #include "platform/calibration.hpp"
@@ -453,11 +455,11 @@ TEST(fault_injection, InertFaultOptionsDoNotPerturbTheRun) {
 // ---------------------------------------------------------------------------
 
 TEST(fault_injection, KeepAliveTimersDieWithTheirWorkers) {
-  // A pooled warm worker killed by a host outage must take its keep-alive
-  // timer with it.  Before the fix, the timer stayed queued for the dead
-  // worker: reclaim_worker would later shrug it off, but the stale event
-  // kept the simulator alive and keep_alive_event_count() drifted away from
-  // the pool.  The accessor-vs-pool equality below is the regression net.
+  // A pool's keep-alive timer must go when a host outage kills its last
+  // pooled worker.  Before the fix, a killed worker's timer stayed queued:
+  // the reclaim would later shrug it off, but the stale event kept the
+  // simulator alive and keep_alive_event_count() drifted away from the
+  // pools.  The accessor-vs-pools equality below is the regression net.
   DispatchManagerOptions options;
   options.kind = PlatformKind::XanaduCold;
   options.seed = 5;
@@ -479,9 +481,19 @@ TEST(fault_injection, KeepAliveTimersDieWithTheirWorkers) {
     }
     return total;
   };
-  // The completed request left its workers pooled, one timer each.
+  auto pools_holding_workers = [&] {
+    std::size_t pools = 0;
+    for (std::size_t node = 0; node < chain; ++node) {
+      if (engine.warm_count(engine.function_id(wf, common::NodeId{node})) > 0) {
+        ++pools;
+      }
+    }
+    return pools;
+  };
+  // The completed request left its workers pooled: one timer per pool that
+  // holds a worker.
   EXPECT_GT(pooled_warm(), 0u);
-  EXPECT_EQ(engine.keep_alive_event_count(), pooled_warm());
+  EXPECT_EQ(engine.keep_alive_event_count(), pools_holding_workers());
 
   // Exactly one outage is still pending (drawn while the request was live).
   // Run it down: on the single host it must kill every pooled worker.
@@ -494,8 +506,85 @@ TEST(fault_injection, KeepAliveTimersDieWithTheirWorkers) {
   }
   ASSERT_GT(manager.fault_counters().host_outages, outages_before);
   EXPECT_EQ(pooled_warm(), 0u);
-  // The regression: dead workers' timers must be cancelled, not orphaned.
+  // The regression: the emptied pools' timers must be cancelled, not
+  // orphaned.
   EXPECT_EQ(engine.keep_alive_event_count(), 0u);
+}
+
+TEST(fault_injection, KeepAliveReclaimsArePinned) {
+  // Keep-alive reclaims, outage kills and the final flush of a speculative
+  // run whose pools hold several warm workers at once: bursts of three
+  // concurrent requests, a keep-alive shorter than most gaps between
+  // bursts, host outages and a flush at the end.  Pinned are the trace
+  // digest, the engine's state digest and every (virtual time, worker)
+  // teardown the cluster announced, so a pool's one keep-alive timer must
+  // reclaim each worker exactly when, and in the order, one timer per
+  // worker did.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduSpeculative;
+  options.seed = 23;
+  options.cluster.host_count = 2;
+  platform::PlatformCalibration calibration =
+      core::preset_calibration(PlatformKind::XanaduSpeculative);
+  calibration.keep_alive = sim::Duration::from_seconds(20);
+  options.calibration = calibration;
+  options.faults.host_outage_rate_per_hour = 20.0;  // mean gap 3 min
+  options.faults.host_downtime = sim::Duration::from_seconds(5);
+  DispatchManager manager{options};
+
+  const std::size_t chain = 3;
+  const workflow::WorkflowDag dag = scenario_dag(chain);
+  const auto wf = manager.deploy(scenario_dag(chain));
+  platform::PlatformEngine& engine = manager.engine();
+
+  struct Teardown {
+    std::int64_t at_micros;
+    std::uint64_t worker;
+  };
+  std::vector<Teardown> teardowns;
+  std::size_t deaths_beside_a_pooled_worker = 0;
+  manager.cluster().set_worker_observer(
+      [&](const cluster::Worker& worker, cluster::WorkerTransition kind) {
+        if (kind != cluster::WorkerTransition::Dead) return;
+        teardowns.push_back(Teardown{manager.simulator().now().micros(),
+                                     worker.id().value()});
+        if (engine.warm_count(worker.function()) > 0) {
+          ++deaths_beside_a_pooled_worker;
+        }
+      });
+
+  // Bursts of three arrivals 1 ms apart; gaps of 12-60 s between bursts,
+  // so some bursts find the previous one's workers warm and others find
+  // them reclaimed.
+  workload::ArrivalSchedule schedule;
+  sim::Duration burst = sim::Duration::zero();
+  for (const int gap_s : {12, 45, 15, 60, 10, 33, 50, 18, 41, 27, 55, 14}) {
+    for (int i = 0; i < 3; ++i) {
+      schedule.push_back(burst + sim::Duration::from_millis(i));
+    }
+    burst = burst + sim::Duration::from_seconds(gap_s);
+  }
+  workload::RunOptions run;
+  run.allow_incomplete = true;
+  run.flush_at_end = true;
+  const workload::RunOutcome outcome =
+      workload::run_schedule(manager, wf, schedule, run);
+  manager.cluster().set_worker_observer({});
+
+  ASSERT_EQ(outcome.completed_count(), schedule.size());
+  EXPECT_GT(manager.fault_counters().host_outages, 0u);
+  std::uint64_t digest = common::kFnvOffsetBasis;
+  for (const Teardown& t : teardowns) {
+    digest = common::fnv1a_u64(static_cast<std::uint64_t>(t.at_micros), digest);
+    digest = common::fnv1a_u64(t.worker, digest);
+  }
+  // Pinned when every worker had its own keep-alive event.
+  EXPECT_EQ(metrics::trace_digest(outcome.results, dag), 0x3ca74c1cd40bd9d9ULL);
+  EXPECT_EQ(engine.state_digest(), 0x09f2cf7ca3f4bb63ULL);
+  EXPECT_EQ(teardowns.size(), 48u);
+  EXPECT_EQ(digest, 0x7a2659db12719df7ULL);
+  // Deaths while another worker of the same function stayed pooled.
+  EXPECT_EQ(deaths_beside_a_pooled_worker, 25u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@
 // arrival at attach time, and the two must still agree -- under run_until,
 // run_before with interrupt(), the grouped drain, ties with events
 // scheduled before and after the attach, detaches and empty streams.
+//
+// The keyed-run episodes do the same for reserve_key()/schedule_keyed(): a
+// run of keys is reserved up front, interleaved with same-time schedules,
+// and the real simulator queues only the run's head, each member queueing
+// the next as it fires (as a warm pool's timer and a request's planned
+// prewarms do); the reference queues every member under its key at once.
+// Under the grouped drain, a member queued while its timestamp fires lands
+// between two members of the tie group being fired.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -54,6 +63,13 @@ class ReferenceSim {
  public:
   void schedule(TimePoint when, std::uint32_t label) {
     queue_.push_back(Entry{when, next_seq_++, label});
+  }
+
+  /// Takes a sequence number, as Simulator::reserve_key does.
+  std::uint64_t reserve() { return next_seq_++; }
+
+  void schedule_keyed(TimePoint when, std::uint64_t seq, std::uint32_t label) {
+    queue_.push_back(Entry{when, seq, label});
   }
 
   bool cancel(std::uint32_t label) {
@@ -182,6 +198,18 @@ struct EpisodeOptions {
   bool arrival_streams = false;
   /// Attach a TieRecorder so run()/run_until() take the grouped drain.
   bool grouped = false;
+  /// Reserve runs of keys, queue each run one member at a time, and drop
+  /// runs part way.
+  bool keyed_runs = false;
+};
+
+/// A run of reserved keys on the real side: only the member at `next - 1`
+/// is queued (as `queued`), and it queues member `next` when it fires.
+struct KeyedRun {
+  std::vector<EventKey> keys;
+  std::vector<std::uint32_t> labels;
+  std::size_t next = 0;
+  EventId queued{};
 };
 
 /// Drives both simulators in lock-step through one randomized episode.
@@ -199,6 +227,7 @@ class LockstepDriver {
         schedule_fresh(static_cast<std::int64_t>(rng_.uniform_int(5'000)));
       }
       if (options_.arrival_streams) stream_step();
+      if (options_.keyed_runs) keyed_step();
       const std::size_t to_cancel = rng_.uniform_int(4);
       for (std::size_t i = 0; i < to_cancel; ++i) cancel_random();
       cancel_retired();  // Stale-id cancels must be no-ops in both.
@@ -222,6 +251,7 @@ class LockstepDriver {
   [[nodiscard]] std::size_t tie_groups() const {
     return recorder_.groups.size();
   }
+  [[nodiscard]] std::size_t keyed_fired() const { return keyed_fired_; }
 
  private:
   /// Child-spawning rule, applied identically by both implementations: every
@@ -257,7 +287,69 @@ class LockstepDriver {
     real_log_.push_back(Firing{label, real_.now().micros()});
     real_ids_.erase(label);
     if (spawns_child(label)) schedule_child_real(label);
+    if (const auto member = run_of_.find(label); member != run_of_.end()) {
+      KeyedRun& run = *runs_[member->second];
+      run_of_.erase(member);
+      ++keyed_fired_;
+      queue_next_member(run);
+    }
     if (budget_ != kNoBudget && --budget_ == 0) real_.interrupt();
+  }
+
+  /// Queues `run`'s next member under its reserved key, if one is left.
+  void queue_next_member(KeyedRun& run) {
+    if (run.next == run.keys.size()) {
+      run.queued = EventId{};
+      return;
+    }
+    const std::uint32_t label = run.labels[run.next];
+    run.queued = real_.schedule_keyed(run.keys[run.next],
+                                      [this, label] { on_real_fire(label); },
+                                      "test.keyed");
+    ++run.next;
+  }
+
+  /// Keyed-run moves for one phase: sometimes drop a live run part way
+  /// (its queued member is cancelled, the rest never queued), sometimes
+  /// start a new one.  A new run starts on a queued event's timestamp half
+  /// the time and steps by 0-2 x 200 us; after each reservation a same-time
+  /// event is scheduled half the time, so schedules interleave with the
+  /// run's keys and ties put members on both sides of ordinary events.
+  void keyed_step() {
+    for (const std::unique_ptr<KeyedRun>& run : runs_) {
+      if (!run->queued.valid() || rng_.uniform_int(8) != 0) continue;
+      if (!real_.cancel(run->queued)) continue;  // Fired already.
+      for (std::size_t i = run->next - 1; i < run->keys.size(); ++i) {
+        ASSERT_TRUE(ref_.cancel(run->labels[i])) << diag("ref lost a member");
+        run_of_.erase(run->labels[i]);
+      }
+      run->next = run->keys.size();
+      run->queued = EventId{};
+    }
+    if (rng_.uniform_int(2) != 0) return;
+
+    auto run = std::make_unique<KeyedRun>();
+    const std::size_t count = 1 + rng_.uniform_int(6);
+    TimePoint when = real_.now() + Duration::from_micros(static_cast<
+                         std::int64_t>(rng_.uniform_int(3'000)));
+    if (ref_.pending() > 0 && rng_.uniform_int(2) == 0) {
+      when = ref_.time_of(rng_.uniform_int(ref_.pending()));
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t label = next_label_++;
+      const EventKey key = real_.reserve_key(when);
+      ref_.schedule_keyed(when, ref_.reserve(), label);
+      run->keys.push_back(key);
+      run->labels.push_back(label);
+      run_of_[label] = runs_.size();
+      if (rng_.uniform_int(2) == 0) {
+        schedule_both(when - real_.now(), next_label_++);
+      }
+      when = when + Duration::from_micros(
+                        static_cast<std::int64_t>(200 * rng_.uniform_int(3)));
+    }
+    queue_next_member(*run);
+    runs_.push_back(std::move(run));
   }
 
   void schedule_child_real(std::uint32_t label) {
@@ -390,7 +482,12 @@ class LockstepDriver {
                   std::to_string(ref_log_[i].at_micros) + ")");
     }
     ASSERT_EQ(real_.now().micros(), ref_.now().micros()) << diag(where);
-    ASSERT_EQ(real_.pending(), ref_.pending()) << diag(where);
+    // Keyed-run members not yet queued are pending in the reference only.
+    std::size_t unqueued = 0;
+    for (const std::unique_ptr<KeyedRun>& run : runs_) {
+      unqueued += run->keys.size() - run->next;
+    }
+    ASSERT_EQ(real_.pending() + unqueued, ref_.pending()) << diag(where);
     ASSERT_EQ(real_.events_fired(), real_log_.size()) << diag(where);
   }
 
@@ -415,6 +512,10 @@ class LockstepDriver {
   std::vector<std::unique_ptr<ScriptedStream>> streams_;
   ScriptedStream* stream_ = nullptr;
   std::size_t arrivals_attached_ = 0;
+  /// Every keyed run started, and the run of each unfired member's label.
+  std::vector<std::unique_ptr<KeyedRun>> runs_;
+  std::map<std::uint32_t, std::size_t> run_of_;
+  std::size_t keyed_fired_ = 0;
 };
 
 TEST(SimQueueProperty, MatchesReferenceAcrossRandomInterleavings) {
@@ -450,6 +551,69 @@ TEST(SimQueueProperty, ArrivalStreamMatchesReferenceUnderTheGroupedDrain) {
     groups += driver.tie_groups();
   }
   EXPECT_GT(groups, 0u) << "grouped episodes formed no tie groups";
+}
+
+TEST(SimQueueProperty, KeyedRunsMatchPrescheduledReference) {
+  std::size_t keyed = 0;
+  for (std::uint64_t seed = 51; seed <= 74; ++seed) {
+    EpisodeOptions options;
+    options.arrival_streams = true;
+    options.keyed_runs = true;
+    LockstepDriver driver{seed, options};
+    driver.run_episode(/*phases=*/40);
+    if (::testing::Test::HasFatalFailure()) return;
+    keyed += driver.keyed_fired();
+  }
+  EXPECT_GT(keyed, 300u) << "episodes stopped firing keyed runs";
+}
+
+TEST(SimQueueProperty, KeyedRunsMatchReferenceUnderTheGroupedDrain) {
+  // A member queued while its timestamp fires can carry a seq between two
+  // members of the tie group being fired; the grouped drain must fire it
+  // between them, as the plain drain does.
+  std::size_t keyed = 0;
+  std::size_t groups = 0;
+  for (std::uint64_t seed = 81; seed <= 96; ++seed) {
+    EpisodeOptions options;
+    options.arrival_streams = true;
+    options.grouped = true;
+    options.keyed_runs = true;
+    LockstepDriver driver{seed, options};
+    driver.run_episode(/*phases=*/40);
+    if (::testing::Test::HasFatalFailure()) return;
+    keyed += driver.keyed_fired();
+    groups += driver.tie_groups();
+  }
+  EXPECT_GT(keyed, 200u);
+  EXPECT_GT(groups, 0u) << "grouped episodes formed no tie groups";
+}
+
+TEST(SimQueueProperty, KeyedInsertBetweenTieMembersFiresInSeqOrder) {
+  // Member k1 is queued; X, k2 and Y share its timestamp, and k2's key is
+  // reserved between X's and Y's.  k1 queues k2 as it fires, after the
+  // grouped drain has collected {k1, X, Y}: k2 must still fire before Y.
+  for (const bool grouped : {false, true}) {
+    Simulator sim;
+    TieRecorder recorder;
+    if (grouped) sim.set_tie_recorder(&recorder);
+    std::vector<std::string> order;
+    const TimePoint t = TimePoint{} + Duration::from_millis(3);
+    const EventKey k1 = sim.reserve_key(t);
+    sim.schedule_at(t, [&] { order.push_back("X"); });
+    const EventKey k2 = sim.reserve_key(t);
+    sim.schedule_at(t, [&] { order.push_back("Y"); });
+    sim.schedule_keyed(k1, [&] {
+      order.push_back("k1");
+      sim.schedule_keyed(k2, [&] { order.push_back("k2"); });
+    });
+    EXPECT_EQ(sim.run(), 4u);
+    EXPECT_EQ(order, (std::vector<std::string>{"k1", "X", "k2", "Y"}))
+        << (grouped ? "grouped drain" : "plain drain");
+    if (grouped) {
+      ASSERT_EQ(recorder.groups.size(), 1u);
+      EXPECT_EQ(recorder.groups[0].events.size(), 3u);
+    }
+  }
 }
 
 TEST(SimQueueProperty, ArrivalStreamAttachRules) {

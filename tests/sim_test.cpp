@@ -167,6 +167,54 @@ TEST(Simulator, SchedulingInPastThrows) {
   EXPECT_THROW(sim.run_until(TimePoint{} + 1_s), std::invalid_argument);
 }
 
+TEST(Simulator, KeyedInsertFiresUnderItsReservedKey) {
+  // A key reserved before two schedules at the same time fires ahead of
+  // both, even though it is queued after them.
+  Simulator sim;
+  std::vector<int> order;
+  const EventKey first = sim.reserve_key(TimePoint{} + 1_s);
+  sim.schedule_at(TimePoint{} + 1_s, [&] { order.push_back(2); });
+  sim.schedule_at(TimePoint{} + 1_s, [&] { order.push_back(3); });
+  sim.schedule_keyed(first, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, KeyedInsertBeforeTheFiringEventThrows) {
+  Simulator sim;
+  const EventKey early = sim.reserve_key(TimePoint{} + 1_s);
+  const EventKey same_time = sim.reserve_key(TimePoint{} + 2_s);
+  bool threw_same_time = false;
+  sim.schedule_at(TimePoint{} + 2_s, [&] {
+    // Reserved before this event, at its timestamp: the key precedes it.
+    try {
+      sim.schedule_keyed(same_time, [] {});
+    } catch (const std::invalid_argument&) {
+      threw_same_time = true;
+    }
+  });
+  sim.run();
+  EXPECT_TRUE(threw_same_time);
+  // Between drains, a time before the clock throws as schedule_at does.
+  EXPECT_THROW(sim.schedule_keyed(early, [] {}), std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, KeyedInsertOfAnUnreservedSeqThrows) {
+  Simulator sim;
+  const EventKey reserved = sim.reserve_key(TimePoint{} + 1_s);
+  EXPECT_THROW(sim.schedule_keyed(EventKey{reserved.when, reserved.seq + 1},
+                                  [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.schedule_keyed(EventKey{reserved.when, 1000}, [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending(), 0u);
+  // The reserved one still queues.
+  sim.schedule_keyed(reserved, [] {});
+  EXPECT_EQ(sim.run(), 1u);
+}
+
 TEST(Simulator, EmptyCallbackThrows) {
   Simulator sim;
   // An empty std::function converts to an empty EventFn, which schedule

@@ -25,10 +25,11 @@ function boundaries over the shared call graph, with two rules:
                     report the whole path: source -> f() -> g() -> sink.
 
 Handler contexts are computed, not annotated: any function whose body
-schedules or subscribes callbacks (schedule_after / schedule_at / subscribe)
-is a handler root -- the lambdas it registers run at event time, and
-token-level analysis attributes their bodies to the enclosing function --
-and everything transitively callable from a root is handler-reachable.
+schedules or subscribes callbacks (schedule_after / schedule_at /
+schedule_keyed / subscribe) is a handler root -- the lambdas it registers
+run at event time, and token-level analysis attributes their bodies to the
+enclosing function -- and everything transitively callable from a root is
+handler-reachable.
 
 Call edges resolve overload sets by argument arity, and call sites with an
 explicit template argument list (`mix_jitter<double>(x, rng)`) additionally
@@ -80,7 +81,7 @@ DRAW_METHODS = {
 
 # Call names treated as determinism sinks: values flowing here become part
 # of the replayable artifact (trace, digest) or decide event interleaving.
-SINK_EXACT = {"schedule_after", "schedule_at"}
+SINK_EXACT = {"schedule_after", "schedule_at", "schedule_keyed"}
 SINK_PATTERN = re.compile(r"^(trace\w*|\w*digest\w*)$")
 
 # A receiver whose final component matches this is a member stream by the

@@ -61,6 +61,8 @@ DRAW_METHODS = {
 MUTATOR_CALLS = {
     "schedule_at",
     "schedule_after",
+    "schedule_keyed",
+    "reserve_key",
     "subscribe",
     "publish",
     "send",

@@ -37,6 +37,7 @@ RULE_DOCS = {
 MONITORED_CALLS = {
     "schedule_at",
     "schedule_after",
+    "schedule_keyed",
     "publish",
     "run_before",
 }

@@ -28,7 +28,8 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".h"}
 
 # Calls that register event-time callbacks; a function containing one is a
 # handler root (its lambdas execute inside the event loop).
-SCHEDULING_CALLS = {"schedule_after", "schedule_at", "subscribe"}
+SCHEDULING_CALLS = {"schedule_after", "schedule_at", "schedule_keyed",
+                    "subscribe"}
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 

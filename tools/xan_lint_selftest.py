@@ -44,6 +44,10 @@ tools/fixtures/xan_lint/:
   bad_observer_mutation.cpp    state_digest accessor that bumps a
                                counter and draws jitter -- observer-purity
                                must fire twice
+  bad_observer_reserves_key.cpp
+                               probe sampler that reserves an event key
+                               (taking a sequence number) -- observer-
+                               purity must fire once
   good_observer_pure.cpp       pure accessors + pure probe samplers --
                                must be silent
   bad_hot_path_text.cpp        pre-fix per-request text: an ostringstream
@@ -311,6 +315,14 @@ def main() -> int:
             "bad_observer_mutation paths root at the state_digest accessor",
             failures,
         )
+    found = observer.get("bad_observer_reserves_key.cpp", [])
+    check(
+        len(found) == 1 and "reserve_key" in found[0].message
+        and "KeepAliveProbes::register_probes" in " -> ".join(found[0].path),
+        "bad_observer_reserves_key fires observer-purity once, at the "
+        "reservation below register_probes",
+        failures,
+    )
     check(
         not observer.get("good_observer_pure.cpp"),
         "good_observer_pure is silent (pure accessors and samplers)",
