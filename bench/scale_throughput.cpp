@@ -51,12 +51,12 @@
 //                     --smoke; "-" disables); wins over --smoke in any order
 //
 // Macro presets run with RunOptions::retain_results = false: aggregates,
-// digest and histogram stream during the replay, and the simulator queues
-// one arrival at a time, so peak RSS stays flat in request count (the gate
-// above enforces this).  Every preset records its simulator slab high water
-// (`slab_high_water`, the most events ever queued at once); the self-check
-// fails when a Knative-like macro preset's reaches a tenth of its requests,
-// which would mean arrivals are queued up front again.
+// digest and histogram stream during the replay, and the runner queues
+// one timestamp's arrivals at a time, so peak RSS stays flat in request
+// count (the gate above enforces this).  Every preset records its simulator
+// slab high water (`slab_high_water`, the most events ever queued at once);
+// the self-check fails when a Knative-like macro preset's reaches a tenth
+// of its requests, which would mean arrivals are queued up front again.
 //
 // The emitted BENCH_scale.json schema is documented in ARCHITECTURE.md
 // ("BENCH_scale.json schema").

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace xanadu::common {
 
@@ -198,14 +199,28 @@ class Parser {
   bool parse_value(JsonValue& out) {
     if (eof()) return fail("unexpected end of input");
     switch (peek()) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': return parse_container(out);
       case '"': return parse_string_value(out);
       case 't':
       case 'f': return parse_bool(out);
       case 'n': return parse_null(out);
       default: return parse_number(out);
     }
+  }
+
+  /// Parses an array or object one level deeper, refusing to pass
+  /// kMaxJsonDepth.  A failure ends the whole parse, so depth_ is only
+  /// restored on success.
+  bool parse_container(JsonValue& out) {
+    if (depth_ == kMaxJsonDepth) {
+      return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                  " levels");
+    }
+    ++depth_;
+    if (!(peek() == '{' ? parse_object(out) : parse_array(out))) return false;
+    --depth_;
+    return true;
   }
 
   bool parse_literal(std::string_view literal) {
@@ -370,6 +385,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // Arrays and objects open at pos_.
   std::string error_;
 };
 

@@ -93,8 +93,14 @@ class JsonValue {
   std::unique_ptr<JsonObject> object_;
 };
 
+/// Deepest nesting of arrays and objects parse_json() accepts.  The parser,
+/// and JsonValue's copy, dump() and destructor, recurse once per level, so
+/// the cap keeps untrusted input from exhausting the stack.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Parses `text` as a single JSON document.  Trailing non-whitespace is an
-/// error.  Returns a descriptive Error (with line/column) on malformed input.
+/// error, and so is nesting deeper than kMaxJsonDepth.  Returns a
+/// descriptive Error (with line/column) on malformed input.
 [[nodiscard]] Result<JsonValue> parse_json(std::string_view text);
 
 }  // namespace xanadu::common

@@ -41,43 +41,6 @@ common::EventId Simulator::enqueue(EventKey key, EventFn& callback,
   return pack_id(slot, s.generation);
 }
 
-void Simulator::attach_arrivals(ArrivalStream& stream, std::size_t count,
-                                const char* label) {
-  if (stream_count_ != 0) {
-    throw std::logic_error{
-        "Simulator::attach_arrivals: another arrival stream is attached"};
-  }
-  if (count == 0) return;
-  const TimePoint first = stream.arrival_time(0);
-  if (first < now_) {
-    throw std::invalid_argument{
-        "Simulator::attach_arrivals: first arrival is in the past"};
-  }
-  stream_ = &stream;
-  stream_label_ = label;
-  stream_seq_base_ = next_seq_;
-  stream_count_ = count;
-  stream_next_ = 1;
-  stream_fired_ = 0;
-  stream_queued_ = true;
-  next_seq_ += count;
-  heap_push(HeapEntry{first, stream_seq_base_, kArrivalSlot, 0});
-}
-
-void Simulator::detach_arrivals(const ArrivalStream& stream) noexcept {
-  if (stream_ == &stream) end_stream();
-}
-
-void Simulator::end_stream() noexcept {
-  if (stream_queued_) ++tombstones_;  // is_live() fails once count is 0.
-  stream_ = nullptr;
-  stream_label_ = nullptr;
-  stream_count_ = 0;
-  stream_next_ = 0;
-  stream_fired_ = 0;
-  stream_queued_ = false;
-}
-
 common::EventId Simulator::schedule_after(Duration delay, EventFn callback,
                                           const char* label) {
   return schedule_at(now_ + delay.clamped_non_negative(), std::move(callback),
@@ -141,27 +104,6 @@ const Simulator::HeapEntry* Simulator::live_top() {
   return nullptr;
 }
 
-void Simulator::pop_live_top() {
-  const HeapEntry& head = heap_.front();
-  if (head.slot == kArrivalSlot) {
-    if (stream_next_ < stream_count_) {
-      const TimePoint next = stream_->arrival_time(stream_next_);
-      if (next < head.when) {
-        throw std::invalid_argument{"Simulator: arrival stream is not sorted"};
-      }
-      // The successor's key is larger than the popped minimum, so replacing
-      // the root and sifting down is a pop and a push in one pass.
-      heap_.front() =
-          HeapEntry{next, stream_seq_base_ + stream_next_, kArrivalSlot, 0};
-      ++stream_next_;
-      sift_down(0);
-      return;
-    }
-    stream_queued_ = false;  // The last arrival leaves the heap.
-  }
-  heap_pop_top();
-}
-
 void Simulator::sift_up(std::size_t index) {
   while (index > 0) {
     const std::size_t parent = (index - 1) / kHeapArity;
@@ -204,20 +146,6 @@ void Simulator::compact() {
 }
 
 void Simulator::fire_entry(const HeapEntry& entry) {
-  if (entry.slot == kArrivalSlot) {
-    // Counted as fired before the call, as a fired event leaves the slab
-    // before its callback runs; the last arrival detaches the stream.
-    ArrivalStream* stream = stream_;
-    const std::size_t index = entry.seq - stream_seq_base_;
-    if (++stream_fired_ == stream_count_) end_stream();
-    XANADU_INVARIANT(entry.when >= now_,
-                     "event timestamp regressed behind the virtual clock");
-    now_ = entry.when;
-    now_seq_ = entry.seq;
-    stream->fire_arrival(index);
-    ++fired_;
-    return;
-  }
   // Move the callback out and free the slot *before* invoking: the
   // callback may schedule new events (reusing this very slot) or grow the
   // slab, so no reference into slab_/heap_ may survive the call.
@@ -245,7 +173,7 @@ std::size_t Simulator::drain(bool bounded, TimePoint deadline) {
   while (const HeapEntry* front = live_top()) {
     const HeapEntry top = *front;
     if (bounded && top.when > deadline) break;
-    pop_live_top();
+    heap_pop_top();
     fire_entry(top);
     ++fired_now;
   }
@@ -278,7 +206,7 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
     while (const HeapEntry* next = live_top()) {
       if (next->when != top.when) break;
       group.push_back(*next);  // Popping yields ascending seq.
-      pop_live_top();  // Queues the stream's next arrival, which may tie.
+      heap_pop_top();
     }
 
     const bool is_tie = group.size() > 1;
@@ -293,9 +221,7 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       tie.when = top.when;
       tie.events.reserve(group.size());
       for (const HeapEntry& entry : group) {
-        const char* label = entry.slot == kArrivalSlot
-                                ? stream_label_
-                                : slab_[entry.slot].label;
+        const char* label = slab_[entry.slot].label;
         tie.events.push_back(
             TieEvent{entry.seq, label != nullptr ? label : ""});
       }
@@ -318,9 +244,8 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       const HeapEntry& entry = group[position];
       fired_now += fire_ties_before(top.when, entry.seq);
       if (!is_live(entry)) {
-        // Cancelled (or its stream detached) by an earlier member of this
-        // very batch; its heap entry is already extracted, so no tombstone
-        // bookkeeping applies.
+        // Cancelled by an earlier member of this very batch; its heap entry
+        // is already extracted, so no tombstone bookkeeping applies.
         continue;
       }
       fire_entry(entry);
@@ -346,7 +271,7 @@ std::size_t Simulator::fire_ties_before(TimePoint when, std::uint64_t bound) {
   while (const HeapEntry* next = live_top()) {
     if (next->when != when || next->seq >= bound) break;
     const HeapEntry entry = *next;
-    pop_live_top();
+    heap_pop_top();
     fire_entry(entry);
     ++fired;
   }
@@ -359,7 +284,7 @@ std::size_t Simulator::run_before(TimePoint bound) {
   while (const HeapEntry* front = live_top()) {
     const HeapEntry top = *front;
     if (top.when >= bound) break;
-    pop_live_top();
+    heap_pop_top();
     fire_entry(top);
     ++fired_now;
     if (interrupted_) break;

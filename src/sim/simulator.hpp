@@ -29,18 +29,14 @@
 //     are skipped on pop and compacted in bulk once they outnumber half the
 //     heap, so a cancel-heavy speculation workload cannot grow the queue
 //     without bound.
-//   * A sorted arrival stream (attach_arrivals) reserves one block of
-//     sequence numbers and keeps only its head in the heap, with no slab
-//     slot: popping the head pushes the next arrival before the popped one
-//     fires.  Arrival i keeps the (when, seq) key it would have had if all
-//     arrivals were scheduled up front, so every drain fires the same events
-//     in the same order while the queue holds one arrival instead of all.
-//   * The same idea, for any sorted run of future events: reserve_key()
-//     takes an event's sequence number when the event becomes known, and
-//     schedule_keyed() queues it under that (when, seq) key later -- once
-//     its predecessor in the run has fired.  schedule_at() is a reservation
-//     plus the same insert, so there is one insert path.  A warm pool's
-//     idle workers and a request's planned prewarms are such runs.
+//   * A sorted run of future events needs only its head queued:
+//     reserve_key() takes an event's sequence number when the event becomes
+//     known, and schedule_keyed() queues it under that (when, seq) key
+//     later -- once its predecessor in the run has fired.  The event fires
+//     exactly where scheduling it at reservation time would have fired it.
+//     schedule_at() is a reservation plus the same insert, so there is one
+//     insert path.  A warm pool's idle workers, a request's planned
+//     prewarms and a replay's arrivals are such runs.
 //
 // std::priority_queue is deliberately absent (and banned by the determinism
 // lint in this directory): it hides the underlying vector, which forbids
@@ -79,22 +75,6 @@ struct EventKey {
   std::uint64_t seq = 0;
 
   friend constexpr auto operator<=>(const EventKey&, const EventKey&) = default;
-};
-
-/// A sorted run of arrivals that a Simulator fires without queueing them up
-/// front; see Simulator::attach_arrivals().
-class ArrivalStream {
- public:
-  /// Absolute virtual time of arrival `index`; non-decreasing in `index`.
-  [[nodiscard]] virtual TimePoint arrival_time(std::size_t index) const = 0;
-  /// Fires arrival `index`, exactly as an event callback would.
-  virtual void fire_arrival(std::size_t index) = 0;
-
- protected:
-  ArrivalStream() = default;
-  ~ArrivalStream() = default;
-  ArrivalStream(const ArrivalStream&) = default;
-  ArrivalStream& operator=(const ArrivalStream&) = default;
 };
 
 /// One event of a same-timestamp tie group, in baseline (seq) order.
@@ -168,25 +148,6 @@ class Simulator {
   common::EventId schedule_keyed(EventKey key, EventFn callback,
                                  const char* label = nullptr);
 
-  /// Attaches `count` arrivals of `stream`, fired in (when, seq) order among
-  /// the queued events.  Reserves the next `count` sequence numbers as one
-  /// block, so arrival i carries the key (arrival_time(i), s0 + i) that
-  /// scheduling every arrival here, in index order, would give it -- and
-  /// every drain and tie group sees the same events in the same order --
-  /// but only the next arrival is queued at any time.
-  /// `label` names the arrivals in race-detector reports.  The stream
-  /// detaches itself once its last arrival has fired, and must outlive its
-  /// attachment.  Throws std::logic_error while another stream still has
-  /// arrivals to fire, and std::invalid_argument when arrival 0 lies before
-  /// now(); an arrival earlier than its predecessor throws
-  /// std::invalid_argument from the drain that pops the predecessor.
-  void attach_arrivals(ArrivalStream& stream, std::size_t count,
-                       const char* label = nullptr);
-
-  /// Drops the unfired arrivals of `stream` if it is the attached stream;
-  /// otherwise has no effect.  Never throws.
-  void detach_arrivals(const ArrivalStream& stream) noexcept;
-
   /// Cancels a pending event.  Returns true if the event existed and had not
   /// yet fired; cancelling an already-fired, already-cancelled or unknown
   /// event returns false and has no effect.  O(1): the callback (and any
@@ -217,22 +178,15 @@ class Simulator {
   /// run_before() it has no effect.
   void interrupt() { interrupted_ = true; }
 
-  /// Number of events currently pending (cancelled events are excluded),
-  /// counting every unfired arrival of the attached stream.
-  [[nodiscard]] std::size_t pending() const {
-    return live_ + (stream_count_ - stream_fired_);
-  }
+  /// Number of events currently pending (cancelled events are excluded);
+  /// each holds one slab slot.
+  [[nodiscard]] std::size_t pending() const { return live_; }
 
-  /// Total number of events fired over the simulator's lifetime, arrivals
-  /// included.
+  /// Total number of events fired over the simulator's lifetime.
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
   // -- Introspection (tests, benchmarks) -----------------------------------
 
-  /// Slots currently holding a live callback: pending() minus the stream's
-  /// unfired arrivals, which take no slot.  Exposed so tests can pin
-  /// "cancel frees the slab eagerly".
-  [[nodiscard]] std::size_t slab_occupancy() const { return live_; }
   /// Total slots ever allocated (high-water mark of concurrent events).
   [[nodiscard]] std::size_t slab_capacity() const { return slab_.size(); }
   /// Heap entries including tombstones awaiting compaction.
@@ -265,8 +219,6 @@ class Simulator {
  private:
   static constexpr std::size_t kHeapArity = 4;
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
-  /// Slot field of the arrival stream's heap entry: arrivals own no slot.
-  static constexpr std::uint32_t kArrivalSlot = 0xfffffffeu;
 
   /// 24-byte POD heap entry; the callback stays in the slab so sifts move
   /// trivially-copyable data only.
@@ -298,12 +250,8 @@ class Simulator {
                            slot};
   }
 
-  /// False for tombstones: cancelled events, and arrivals of a stream that
-  /// was detached.
+  /// False for tombstones (cancelled events).
   [[nodiscard]] bool is_live(const HeapEntry& entry) const {
-    if (entry.slot == kArrivalSlot) {
-      return entry.seq - stream_seq_base_ < stream_count_;
-    }
     return slab_[entry.slot].generation == entry.generation;
   }
   /// Discards tombstones at the heap front; returns the live front entry,
@@ -321,11 +269,6 @@ class Simulator {
 
   void heap_push(const HeapEntry& entry);
   void heap_pop_top();
-  /// Pops the live front entry.  When it is the stream's head, the next
-  /// arrival takes its place in the same step (so a tie group being
-  /// collected sees it); throws, leaving the heap untouched, if that
-  /// arrival is earlier than the head.
-  void pop_live_top();
   void sift_up(std::size_t index);
   void sift_down(std::size_t index);
   /// Drops every tombstone from the heap and re-heapifies.  Called once
@@ -342,10 +285,8 @@ class Simulator {
   /// same result as drain() when every group fires in seq order.
   std::size_t drain_grouped(bool bounded, TimePoint deadline);
   /// Fires one extracted heap entry (callback move-out, slot release, clock
-  /// advance; or the stream's fire_arrival); shared by every drain path.
+  /// advance); shared by every drain path.
   void fire_entry(const HeapEntry& entry);
-  /// Forgets the attached stream (its queued head becomes a tombstone).
-  void end_stream() noexcept;
 
   TimePoint now_{0};
   /// Seq of the event firing now, or fired last; 0 once run_until() moves
@@ -359,17 +300,6 @@ class Simulator {
   std::size_t live_ = 0;        // Slots holding a live callback.
   std::size_t tombstones_ = 0;  // Dead heap entries awaiting compaction.
   bool interrupted_ = false;    // Set by interrupt(); read by run_before().
-
-  // Arrival stream; stream_count_ == 0 when none is attached.  Arrival i
-  // has seq stream_seq_base_ + i; the first stream_next_ arrivals have been
-  // queued, and the latest of them is in the heap while stream_queued_.
-  ArrivalStream* stream_ = nullptr;
-  const char* stream_label_ = nullptr;
-  std::uint64_t stream_seq_base_ = 0;
-  std::size_t stream_count_ = 0;
-  std::size_t stream_next_ = 0;
-  std::size_t stream_fired_ = 0;
-  bool stream_queued_ = false;
 
   // Race-check hooks; all nullptr (and cost-free) in normal runs.
   TieRecorder* tie_recorder_ = nullptr;

@@ -128,9 +128,12 @@ struct RunOptions {
 
 /// Submits one request per entry of `schedule` (relative to the current
 /// virtual time) and runs the simulation until all requests complete.  The
-/// schedule is read in place, one arrival queued at a time (see
-/// sim::Simulator::attach_arrivals), so the run's event queue holds the
-/// requests in flight rather than the whole schedule.
+/// schedule is read in place, and only the next timestamp's arrivals are
+/// queued, each under the key it would have had queued up front (see
+/// sim::Simulator::reserve_key), so the run's event queue holds the
+/// requests in flight rather than the whole schedule.  A schedule that is
+/// unsorted or starts before 0 throws std::invalid_argument before the run
+/// starts.
 ///
 /// Stop point: without drain_after_last the run polls in whole virtual
 /// seconds and stops at the first boundary after its last completion, so

@@ -39,7 +39,8 @@ struct SourceView {
 };
 
 /// The view every runner reads a caller's schedule through, and the one
-/// place a schedule is checked sorted.  Each runner builds all its views
+/// place a schedule is checked: sorted, and starting no earlier than the
+/// run (so no arrival lies in the past).  Each runner builds all its views
 /// before it runs anything, so a bad schedule leaves every deployment as it
 /// was.
 SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
@@ -47,6 +48,10 @@ SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
   if (!std::is_sorted(schedule.begin(), schedule.end())) {
     throw std::invalid_argument{
         "workload: every arrival schedule must be sorted"};
+  }
+  if (!schedule.empty() && schedule.front() < sim::Duration::zero()) {
+    throw std::invalid_argument{
+        "workload: an arrival schedule must not start before the run"};
   }
   return SourceView{workflow, name, &schedule};
 }
@@ -111,12 +116,12 @@ TrafficMix poisson_mix(const std::vector<WeightedPoissonSpec>& specs,
 namespace {
 
 // Drives the merged arrival schedule and folds every completion into the
-// streaming consumer in submission-slot order.  The driver is the
-// simulator's arrival stream: slot i fires at base + its offset, with the
-// key prescheduling every slot in order would give it, while only the next
-// slot is queued.  Lives on the stack of run_sources (which outlives the
-// simulation loop); completion callbacks capture [this, slot] -- 16 bytes,
-// inside std::function's inline buffer.
+// streaming consumer in submission-slot order.  Slot i fires at base + its
+// offset under the key prescheduling every slot in order would give it,
+// reserved up front; only the arrivals on the next timestamp are queued.
+// Lives on the stack of run_sources (which outlives the simulation loop);
+// arrival and completion callbacks capture [this, slot] -- 16 bytes, inside
+// the callbacks' inline buffers.
 //
 // Completions arrive out of submission order (a short chain submitted late
 // can finish before a long chain submitted early), but the digest must hash
@@ -126,7 +131,7 @@ namespace {
 // later slot parks in an ordered map until every earlier slot has folded,
 // then is moved out on its turn.  Retaining results only adds a sink to
 // that fold, which appends each folded result to the caller's vectors.
-class MixDriver final : public sim::ArrivalStream {
+class MixDriver {
  public:
   /// With RunOptions::retain_results, every folded result is appended to
   /// `aggregate.results` and, when `lanes` is given, to its source's lane;
@@ -161,13 +166,13 @@ class MixDriver final : public sim::ArrivalStream {
   }
 
   // Every exit path, a throw included: no arrival or completion callback
-  // may reach a dead driver.  Unfired arrivals are dropped, and requests
-  // still in flight fail now, which also turns their queued engine events
-  // into no-ops; their results are discarded unfolded.  Should failing
-  // them throw, the implicit noexcept terminates the program rather than
-  // leave callbacks dangling.
+  // may reach a destroyed MixDriver.  The queued arrivals are cancelled
+  // (the rest were never queued), and requests still in flight fail now,
+  // which also turns their queued engine events into no-ops; their results
+  // are discarded unfolded.  Should failing them throw, the implicit
+  // noexcept terminates the program rather than leave callbacks dangling.
   ~MixDriver() {
-    sim_.detach_arrivals(*this);
+    for (const common::EventId id : queued_) sim_.cancel(id);
     if (completed_ != total_) {
       abandoned_ = true;
       manager_.engine().fail_all_pending_requests("run abandoned");
@@ -184,18 +189,14 @@ class MixDriver final : public sim::ArrivalStream {
     return total_ == 0 ? sim::Duration::zero() : offset(total_ - 1);
   }
 
-  void start() { sim_.attach_arrivals(*this, total_, "workload.arrival"); }
-
-  [[nodiscard]] sim::TimePoint arrival_time(std::size_t slot) const override {
-    return base_ + offset(slot);
-  }
-
-  void fire_arrival(std::size_t slot) override {
-    if (options_.force_cold_each_request) manager_.force_cold_start();
-    manager_.submit(sources_[source_of(slot)].workflow,
-                    [this, slot](const platform::RequestResult& result) {
-                      on_complete(slot, result);
-                    });
+  /// Reserves one key per slot, in slot order, so slot i's key is
+  /// (base + offset(i), s0 + i), and queues the first timestamp's arrivals.
+  void start() {
+    for (std::size_t slot = 0; slot < total_; ++slot) {
+      const std::uint64_t seq = sim_.reserve_key(base_ + offset(slot)).seq;
+      if (slot == 0) seq_base_ = seq;
+    }
+    queue_next_timestamp();
   }
 
  private:
@@ -204,6 +205,33 @@ class MixDriver final : public sim::ArrivalStream {
   }
   [[nodiscard]] std::size_t source_of(std::size_t slot) const {
     return single_ ? 0 : merged_[slot].source;
+  }
+
+  /// Queues every arrival on the next unqueued arrival's timestamp at once:
+  /// the race detector's grouped drain collects a timestamp before firing
+  /// any of it, so a burst must be queued whole.
+  void queue_next_timestamp() {
+    queued_.clear();
+    if (next_queue_ == total_) return;
+    const sim::Duration at = offset(next_queue_);
+    do {
+      const std::size_t slot = next_queue_++;
+      queued_.push_back(sim_.schedule_keyed(
+          sim::EventKey{base_ + at, seq_base_ + slot},
+          [this, slot] { arrive(slot); }, "workload.arrival"));
+    } while (next_queue_ != total_ && offset(next_queue_) == at);
+    unfired_ = queued_.size();
+  }
+
+  /// The last of a timestamp's arrivals to fire -- by count, since the
+  /// race detector may fire them in any order -- queues the next one's.
+  void arrive(std::size_t slot) {
+    if (--unfired_ == 0) queue_next_timestamp();
+    if (options_.force_cold_each_request) manager_.force_cold_start();
+    manager_.submit(sources_[source_of(slot)].workflow,
+                    [this, slot](const platform::RequestResult& result) {
+                      on_complete(slot, result);
+                    });
   }
 
   void on_complete(std::size_t slot, const platform::RequestResult& result) {
@@ -246,6 +274,13 @@ class MixDriver final : public sim::ArrivalStream {
   bool single_;
   std::size_t total_ = 0;
   std::vector<MixedArrival> merged_;
+  /// Seq of slot 0's reserved key; slot i's is seq_base_ + i.
+  std::uint64_t seq_base_ = 0;
+  /// First slot not yet queued.
+  std::size_t next_queue_ = 0;
+  /// The queued timestamp's arrivals, and how many of them have not fired.
+  std::vector<common::EventId> queued_;
+  std::size_t unfired_ = 0;
   /// Completions of slots past next_fold_, awaiting their fold turn.
   std::map<std::size_t, platform::RequestResult> window_;
   std::size_t next_fold_ = 0;

@@ -96,10 +96,11 @@ struct MixedOutcome {
 /// and runs the simulation until all requests complete, under the same
 /// RunOptions semantics as run_schedule (force-cold, drain, flush,
 /// allow_incomplete + stall_horizon past the last merged arrival).  The
-/// mix's schedules are read in place, and the simulator queues one arrival
-/// at a time.  If the run throws, its unfired arrivals are dropped and the
-/// engine's requests still in flight are failed before the exception
-/// leaves, so the simulator can be drained and reused afterwards.
+/// mix's schedules are read in place, and only the next timestamp's
+/// arrivals are queued.  If the run throws, its queued arrivals are
+/// cancelled and the engine's requests still in flight are failed before
+/// the exception leaves, so the simulator can be drained and reused
+/// afterwards.
 [[nodiscard]] MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
                                               const TrafficMix& mix,
                                               const RunOptions& options = {});
@@ -140,8 +141,8 @@ struct ShardedOutcome {
 
 /// Runs every shard's schedule as one independent task, spread over
 /// RunOptions::threads OS threads (sim::fork_join).  Each shard's manager
-/// must be a distinct deployment; schedules must be sorted, and all of them
-/// are checked before any shard runs.  A shard is a single-tenant run
+/// must be a distinct deployment; schedules must be sorted and start no
+/// earlier than 0, and all of them are checked before any shard runs.  A shard is a single-tenant run
 /// through the same lifecycle as run_schedule -- drive, fail leftovers,
 /// drain if drain_after_last asks, flush if flush_at_end asks -- except
 /// where the drive stops: right after the shard's own last completion

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/json.hpp"
 
 namespace xanadu::common {
@@ -138,6 +140,44 @@ TEST(Json, CopySemanticsDeepCopy) {
   JsonValue original = must_parse(R"({"a": [1, 2, 3]})");
   JsonValue copy = original;  // Deep copy.
   EXPECT_EQ(copy.dump(), original.dump());
+}
+
+/// `depth` arrays, or objects whose one member holds the next level, around
+/// a 0.
+std::string nested(std::size_t depth, bool objects) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += objects ? "{\"k\":" : "[";
+  text += '0';
+  text.append(depth, objects ? '}' : ']');
+  return text;
+}
+
+TEST(Json, DeepNestingIsALocatedErrorNotACrash) {
+  // The parser recurses once per level, so without the cap 100,000 levels
+  // would overflow the stack.
+  for (const bool objects : {false, true}) {
+    const auto result = parse_json(nested(100'000, objects));
+    ASSERT_FALSE(result.ok()) << (objects ? "objects" : "arrays");
+    EXPECT_NE(result.error().message.find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << result.error().message;
+    EXPECT_NE(result.error().message.find("json:1:"), std::string::npos)
+        << result.error().message;
+  }
+  // The first '[' past the cap is the one reported.
+  const auto one_over = parse_json(nested(kMaxJsonDepth + 1, false));
+  ASSERT_FALSE(one_over.ok());
+  EXPECT_NE(one_over.error().message.find("json:1:257:"), std::string::npos)
+      << one_over.error().message;
+}
+
+TEST(Json, NestingExactlyAtTheCapParses) {
+  for (const bool objects : {false, true}) {
+    const JsonValue deep = must_parse(nested(kMaxJsonDepth, objects));
+    EXPECT_EQ(deep.dump(), nested(kMaxJsonDepth, objects));
+    const JsonValue copy = deep;  // Deep copy, one level per frame.
+    EXPECT_EQ(copy.dump(), deep.dump());
+  }
 }
 
 }  // namespace

@@ -138,6 +138,20 @@ TEST(MetadataStore, TruncatedDumpsRejected) {
   EXPECT_FALSE(MetadataStore::parse(R"({"checkout": {)").ok());
 }
 
+TEST(MetadataStore, DeeplyNestedDumpsEndInACleanError) {
+  // 100,000 nested objects under one workflow key: the JSON reader's depth
+  // cap must make this a parse error, not a stack overflow.
+  std::string text = R"({"wf": )";
+  for (int i = 0; i < 100'000; ++i) text += R"({"model": )";
+  text += "null";
+  text.append(100'000 + 1, '}');
+  const auto result = MetadataStore::parse(text);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message.find("nesting deeper than"),
+            std::string::npos)
+      << result.error().message;
+}
+
 TEST(MetadataStore, DuplicateKeysRejected) {
   // Duplicate workflow keys (or duplicate fields inside a document) mean
   // the dump was corrupted or hand-merged badly; last-wins would silently

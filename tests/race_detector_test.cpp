@@ -290,13 +290,14 @@ TEST(race_detector, EngineSweepIsTieRaceFree) {
   EXPECT_GT(total_groups, 0u);
 }
 
-/// run_schedule scenario: arrivals in bursts of three on one timestamp, so
-/// the simulator's arrival stream -- one arrival queued at a time -- must
-/// still put every arrival of a burst into one tie group.  Permuting a
-/// burst only changes which slot each submission lands in (slots follow
-/// the merged order by construction), so the observation is slot-free:
-/// the engine state digest folded with the sorted per-request outcomes.
-/// `trace_digest` receives the run's slot-ordered trace digest.
+/// run_schedule scenario: arrivals in bursts of three on one timestamp.
+/// The runner queues arrivals one timestamp at a time, so every arrival of
+/// a burst is queued before its timestamp is collected and lands in one
+/// tie group.  Permuting a burst only changes which slot each submission
+/// lands in (slots follow the merged order by construction), so the
+/// observation is slot-free: the engine state digest folded with the sorted
+/// per-request outcomes.  `trace_digest` receives the run's slot-ordered
+/// trace digest.
 RunObservation schedule_run(PlatformKind kind, bool record,
                             const TiePermutation* permutation,
                             std::uint64_t* trace_digest = nullptr) {

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -377,6 +378,26 @@ TEST(sharded_determinism, AnEmptyScheduleRunsNoRequests) {
                      lane_at(without, reference, 0), mode + ": tenant 0");
     expect_same_lane(lane_at(with_empty, outcome, 2),
                      lane_at(without, reference, 1), mode + ": tenant 2");
+  }
+}
+
+TEST(sharded_determinism, ABadScheduleIsRefusedBeforeAnyShardRuns) {
+  // Shard 1's schedule is sorted but starts 5 ms before the run.  Every
+  // schedule is checked before any shard runs, so the run throws with shard
+  // 0's simulator untouched, at any thread count.
+  for (const unsigned threads : {1u, 2u}) {
+    Scenario scenario = make_scenario(42, false, {0, 1});
+    scenario.shards[1].schedule.front() = sim::Duration::from_millis(-5);
+    const sim::Simulator& first = scenario.managers[0]->simulator();
+    const std::uint64_t fired = first.events_fired();
+    const sim::TimePoint clock = first.now();
+    workload::RunOptions options;
+    options.threads = threads;
+    EXPECT_THROW((void)workload::run_sharded_mix(scenario.shards, options),
+                 std::invalid_argument)
+        << threads << " threads";
+    EXPECT_EQ(first.events_fired(), fired) << threads << " threads";
+    EXPECT_EQ(first.now(), clock) << threads << " threads";
   }
 }
 

@@ -10,29 +10,28 @@
 // semantic escape hatch: any divergence in ordering, cancellation or clock
 // handling shows up as a log mismatch with the seed printed.
 //
-// The arrival-stream episodes add attach_arrivals() to the mix: the real
-// simulator queues one arrival at a time, the reference preschedules every
-// arrival at attach time, and the two must still agree -- under run_until,
-// run_before with interrupt(), the grouped drain, ties with events
-// scheduled before and after the attach, detaches and empty streams.
-//
-// The keyed-run episodes do the same for reserve_key()/schedule_keyed(): a
+// The keyed-run episodes add reserve_key()/schedule_keyed() to the mix: a
 // run of keys is reserved up front, interleaved with same-time schedules,
-// and the real simulator queues only the run's head, each member queueing
-// the next as it fires (as a warm pool's timer and a request's planned
-// prewarms do); the reference queues every member under its key at once.
-// Under the grouped drain, a member queued while its timestamp fires lands
-// between two members of the tie group being fired.
+// and the real simulator queues only the run's head, while the reference
+// queues every member under its key at once.  Some runs queue one member
+// at a time, each member queueing the next as it fires (as a warm pool's
+// timer and a request's planned prewarms do); the others queue one
+// timestamp at a time, the last of a timestamp's members to fire queueing
+// the next timestamp's (as a replay's arrivals do).  The two must still
+// agree under run_until, run_before with interrupt(), the grouped drain,
+// ties with events scheduled before and after the reservation, and runs
+// dropped part way.  Under the grouped drain, a member queued while its
+// timestamp fires lands between two members of the tie group being fired,
+// and every tie group holding a member of a timestamp-at-a-time batch
+// holds the whole batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -149,67 +148,34 @@ class ReferenceSim {
   std::vector<Entry> queue_;
 };
 
-/// Sorted arrivals for the real simulator's stream, fired through the same
-/// handler as ordinary events.
-class ScriptedStream final : public ArrivalStream {
- public:
-  ScriptedStream(std::vector<TimePoint> times,
-                 std::vector<std::uint32_t> labels,
-                 std::function<void(std::uint32_t)> on_fire)
-      : times_(std::move(times)),
-        labels_(std::move(labels)),
-        fired_(times_.size(), false),
-        on_fire_(std::move(on_fire)) {}
-
-  [[nodiscard]] TimePoint arrival_time(std::size_t index) const override {
-    return times_[index];
-  }
-  void fire_arrival(std::size_t index) override {
-    fired_[index] = true;
-    on_fire_(labels_[index]);
-  }
-
-  [[nodiscard]] std::size_t size() const { return times_.size(); }
-  [[nodiscard]] std::size_t unfired() const {
-    return static_cast<std::size_t>(
-        std::count(fired_.begin(), fired_.end(), false));
-  }
-  [[nodiscard]] std::vector<std::uint32_t> unfired_labels() const {
-    std::vector<std::uint32_t> labels;
-    for (std::size_t i = 0; i < labels_.size(); ++i) {
-      if (!fired_[i]) labels.push_back(labels_[i]);
-    }
-    return labels;
-  }
-  [[nodiscard]] TimePoint time(std::size_t index) const {
-    return times_[index];
-  }
-
- private:
-  std::vector<TimePoint> times_;
-  std::vector<std::uint32_t> labels_;
-  std::vector<bool> fired_;
-  std::function<void(std::uint32_t)> on_fire_;
-};
-
 struct EpisodeOptions {
-  /// Attach, tie against and detach arrival streams; alternate run_until
-  /// with interrupted run_before drains.
-  bool arrival_streams = false;
   /// Attach a TieRecorder so run()/run_until() take the grouped drain.
   bool grouped = false;
-  /// Reserve runs of keys, queue each run one member at a time, and drop
-  /// runs part way.
+  /// Reserve runs of keys, queue each run a member or a timestamp at a
+  /// time, drop runs part way, and alternate run_until with interrupted
+  /// run_before drains.
   bool keyed_runs = false;
 };
 
-/// A run of reserved keys on the real side: only the member at `next - 1`
-/// is queued (as `queued`), and it queues member `next` when it fires.
+/// A run of reserved keys on the real side.  Members [next - queued.size(),
+/// next) are queued (as `queued`), and the last of them to fire queues the
+/// next member -- or, for a `by_timestamp` run, every member on the next
+/// member's timestamp.
 struct KeyedRun {
   std::vector<EventKey> keys;
   std::vector<std::uint32_t> labels;
+  bool by_timestamp = false;
   std::size_t next = 0;
-  EventId queued{};
+  std::vector<EventId> queued;
+  std::size_t unfired = 0;
+};
+
+/// One timestamp's members of a by_timestamp run, queued together.
+struct KeyedBatch {
+  std::size_t size = 0;
+  /// Members that fired in a run_before drain or were cancelled: the
+  /// grouped drain never sees them.
+  std::size_t ungrouped = 0;
 };
 
 /// Drives both simulators in lock-step through one randomized episode.
@@ -226,13 +192,12 @@ class LockstepDriver {
       for (std::size_t i = 0; i < to_schedule; ++i) {
         schedule_fresh(static_cast<std::int64_t>(rng_.uniform_int(5'000)));
       }
-      if (options_.arrival_streams) stream_step();
       if (options_.keyed_runs) keyed_step();
       const std::size_t to_cancel = rng_.uniform_int(4);
       for (std::size_t i = 0; i < to_cancel; ++i) cancel_random();
       cancel_retired();  // Stale-id cancels must be no-ops in both.
       const auto stride = static_cast<std::int64_t>(rng_.uniform_int(4'000));
-      if (options_.arrival_streams && rng_.uniform_int(2) == 0) {
+      if (options_.keyed_runs && rng_.uniform_int(2) == 0) {
         advance_before(stride, 1 + rng_.uniform_int(6));
       } else {
         advance(stride);
@@ -242,16 +207,15 @@ class LockstepDriver {
     drain();
     check_converged("final drain");
     ASSERT_EQ(real_.pending(), 0u) << diag("queue not empty after drain");
-    ASSERT_EQ(real_.slab_occupancy(), 0u) << diag("slab leak after drain");
+    if (options_.grouped) check_batches_grouped_whole();
   }
 
-  [[nodiscard]] std::size_t arrivals_attached() const {
-    return arrivals_attached_;
-  }
   [[nodiscard]] std::size_t tie_groups() const {
     return recorder_.groups.size();
   }
   [[nodiscard]] std::size_t keyed_fired() const { return keyed_fired_; }
+  /// Tie groups that held a member of a by_timestamp batch of 2 or more.
+  [[nodiscard]] std::size_t batch_groups() const { return batch_groups_; }
 
  private:
   /// Child-spawning rule, applied identically by both implementations: every
@@ -291,44 +255,73 @@ class LockstepDriver {
       KeyedRun& run = *runs_[member->second];
       run_of_.erase(member);
       ++keyed_fired_;
-      queue_next_member(run);
+      if (const auto batch = batch_of_.find(label);
+          batch != batch_of_.end() && budget_ != kNoBudget) {
+        ++batches_[batch->second].ungrouped;  // Fired by run_before().
+      }
+      if (--run.unfired == 0) queue_next(run);
     }
     if (budget_ != kNoBudget && --budget_ == 0) real_.interrupt();
   }
 
-  /// Queues `run`'s next member under its reserved key, if one is left.
-  void queue_next_member(KeyedRun& run) {
-    if (run.next == run.keys.size()) {
-      run.queued = EventId{};
-      return;
-    }
-    const std::uint32_t label = run.labels[run.next];
-    run.queued = real_.schedule_keyed(run.keys[run.next],
-                                      [this, label] { on_real_fire(label); },
-                                      "test.keyed");
-    ++run.next;
+  /// Queues `run`'s next member under its reserved key -- for a
+  /// by_timestamp run, every member on that member's timestamp -- if one is
+  /// left.
+  void queue_next(KeyedRun& run) {
+    run.queued.clear();
+    if (run.next == run.keys.size()) return;
+    const TimePoint when = run.keys[run.next].when;
+    const std::size_t batch = batches_.size();
+    do {
+      const std::uint32_t label = run.labels[run.next];
+      run.queued.push_back(real_.schedule_keyed(
+          run.keys[run.next], [this, label] { on_real_fire(label); },
+          "test.keyed"));
+      if (run.by_timestamp) {
+        batch_of_[label] = batch;
+        batch_of_seq_[run.keys[run.next].seq] = batch;
+      }
+      ++run.next;
+    } while (run.by_timestamp && run.next != run.keys.size() &&
+             run.keys[run.next].when == when);
+    run.unfired = run.queued.size();
+    if (run.by_timestamp) batches_.push_back(KeyedBatch{run.queued.size(), 0});
   }
 
   /// Keyed-run moves for one phase: sometimes drop a live run part way
-  /// (its queued member is cancelled, the rest never queued), sometimes
-  /// start a new one.  A new run starts on a queued event's timestamp half
-  /// the time and steps by 0-2 x 200 us; after each reservation a same-time
-  /// event is scheduled half the time, so schedules interleave with the
-  /// run's keys and ties put members on both sides of ordinary events.
+  /// (its queued members are cancelled, the rest never queued), sometimes
+  /// start a new one, queued a member or a timestamp at a time.  A new run
+  /// starts on a queued event's timestamp half the time and steps by
+  /// 0-2 x 200 us, so members tie among themselves; after each reservation
+  /// a same-time event is scheduled half the time, so schedules interleave
+  /// with the run's keys and ties put members on both sides of ordinary
+  /// events.
   void keyed_step() {
     for (const std::unique_ptr<KeyedRun>& run : runs_) {
-      if (!run->queued.valid() || rng_.uniform_int(8) != 0) continue;
-      if (!real_.cancel(run->queued)) continue;  // Fired already.
-      for (std::size_t i = run->next - 1; i < run->keys.size(); ++i) {
+      if (run->queued.empty() || rng_.uniform_int(8) != 0) continue;
+      const std::size_t first = run->next - run->queued.size();
+      for (std::size_t i = 0; i < run->queued.size(); ++i) {
+        const std::uint32_t label = run->labels[first + i];
+        if (!real_.cancel(run->queued[i])) continue;  // Fired already.
+        ASSERT_TRUE(ref_.cancel(label)) << diag("ref lost a member");
+        run_of_.erase(label);
+        if (const auto batch = batch_of_.find(label);
+            batch != batch_of_.end()) {
+          ++batches_[batch->second].ungrouped;
+        }
+      }
+      for (std::size_t i = run->next; i < run->keys.size(); ++i) {
         ASSERT_TRUE(ref_.cancel(run->labels[i])) << diag("ref lost a member");
         run_of_.erase(run->labels[i]);
       }
       run->next = run->keys.size();
-      run->queued = EventId{};
+      run->queued.clear();
+      run->unfired = 0;
     }
     if (rng_.uniform_int(2) != 0) return;
 
     auto run = std::make_unique<KeyedRun>();
+    run->by_timestamp = rng_.uniform_int(2) == 0;
     const std::size_t count = 1 + rng_.uniform_int(6);
     TimePoint when = real_.now() + Duration::from_micros(static_cast<
                          std::int64_t>(rng_.uniform_int(3'000)));
@@ -348,8 +341,30 @@ class LockstepDriver {
       when = when + Duration::from_micros(
                         static_cast<std::int64_t>(200 * rng_.uniform_int(3)));
     }
-    queue_next_member(*run);
+    queue_next(*run);
     runs_.push_back(std::move(run));
+  }
+
+  /// Every recorded tie group that holds a member of a by_timestamp batch
+  /// holds every member of it that the grouped drain fired: the batch was
+  /// queued whole before its timestamp was collected.
+  void check_batches_grouped_whole() {
+    for (const TieGroup& group : recorder_.groups) {
+      std::map<std::size_t, std::size_t> held;
+      for (const TieEvent& event : group.events) {
+        if (const auto it = batch_of_seq_.find(event.seq);
+            it != batch_of_seq_.end()) {
+          ++held[it->second];
+        }
+      }
+      for (const auto& [id, count] : held) {
+        const KeyedBatch& whole = batches_[id];
+        ASSERT_EQ(count, whole.size - whole.ungrouped)
+            << diag("tie group " + std::to_string(group.index) +
+                    " split batch " + std::to_string(id));
+        if (whole.size > 1) ++batch_groups_;
+      }
+    }
   }
 
   void schedule_child_real(std::uint32_t label) {
@@ -362,65 +377,6 @@ class LockstepDriver {
     ref_log_.push_back(Firing{label, ref_.now().micros()});
     if (spawns_child(label)) {
       ref_.schedule(ref_.now() + child_delay(label), child_of(label));
-    }
-  }
-
-  /// Arrival-stream moves for one phase: while a stream has arrivals left,
-  /// a second attach must throw (and consume nothing) and the stream is
-  /// sometimes detached; otherwise a new stream -- possibly empty -- is
-  /// attached, tying with queued events and then with fresh ones.
-  void stream_step() {
-    if (stream_ != nullptr && stream_->unfired() > 0) {
-      ScriptedStream spare{{real_.now()}, {0}, [](std::uint32_t) {}};
-      EXPECT_THROW(real_.attach_arrivals(spare, 1), std::logic_error)
-          << diag("second attach while a stream is live");
-      if (rng_.uniform_int(6) == 0) {
-        for (const std::uint32_t label : stream_->unfired_labels()) {
-          ASSERT_TRUE(ref_.cancel(label)) << diag("ref lost an arrival");
-        }
-        real_.detach_arrivals(*stream_);
-        stream_ = nullptr;
-      }
-      return;
-    }
-    if (rng_.uniform_int(2) != 0) return;
-
-    const std::size_t count = rng_.uniform_int(24);  // 0: an empty stream.
-    // Start on a queued event's timestamp half the time (ties with events
-    // scheduled before the attach); arrivals then step by 0-2 x 200 us, so
-    // they tie among themselves too.
-    TimePoint when = real_.now() + Duration::from_micros(static_cast<
-                         std::int64_t>(rng_.uniform_int(3'000)));
-    if (ref_.pending() > 0 && rng_.uniform_int(2) == 0) {
-      when = ref_.time_of(rng_.uniform_int(ref_.pending()));
-    }
-    std::vector<TimePoint> times;
-    std::vector<std::uint32_t> labels;
-    for (std::size_t i = 0; i < count; ++i) {
-      times.push_back(when);
-      labels.push_back(next_label_++);
-      when = when + Duration::from_micros(
-                        static_cast<std::int64_t>(200 * rng_.uniform_int(3)));
-    }
-    streams_.push_back(std::make_unique<ScriptedStream>(
-        times, labels, [this](std::uint32_t label) { on_real_fire(label); }));
-    const std::size_t pending_before = real_.pending();
-    const std::size_t slab_before = real_.slab_occupancy();
-    real_.attach_arrivals(*streams_.back(), count, "test.arrival");
-    for (std::size_t i = 0; i < count; ++i) ref_.schedule(times[i], labels[i]);
-    ASSERT_EQ(real_.pending(), pending_before + count) << diag("attach");
-    ASSERT_EQ(real_.slab_occupancy(), slab_before)
-        << diag("arrivals took slab slots");
-    arrivals_attached_ += count;
-    stream_ = streams_.back().get();
-    if (count == 0) return;
-
-    // Ties with events scheduled after the attach: later sequence numbers,
-    // so they fire after the tied arrivals in both implementations.
-    const std::size_t extra = rng_.uniform_int(3);
-    for (std::size_t i = 0; i < extra; ++i) {
-      const TimePoint target = stream_->time(rng_.uniform_int(count));
-      schedule_both(target - real_.now(), next_label_++);
     }
   }
 
@@ -508,14 +464,16 @@ class LockstepDriver {
   std::vector<Firing> ref_log_;
   /// Firings left before on_real_fire interrupts a run_before drain.
   std::size_t budget_ = kNoBudget;
-  /// Every stream ever attached (a stream must outlive its attachment).
-  std::vector<std::unique_ptr<ScriptedStream>> streams_;
-  ScriptedStream* stream_ = nullptr;
-  std::size_t arrivals_attached_ = 0;
   /// Every keyed run started, and the run of each unfired member's label.
   std::vector<std::unique_ptr<KeyedRun>> runs_;
   std::map<std::uint32_t, std::size_t> run_of_;
   std::size_t keyed_fired_ = 0;
+  /// Every batch a by_timestamp run queued, in queueing order, and the
+  /// batch of each member queued in one, by label and by seq.
+  std::vector<KeyedBatch> batches_;
+  std::map<std::uint32_t, std::size_t> batch_of_;
+  std::map<std::uint64_t, std::size_t> batch_of_seq_;
+  std::size_t batch_groups_ = 0;
 };
 
 TEST(SimQueueProperty, MatchesReferenceAcrossRandomInterleavings) {
@@ -526,38 +484,10 @@ TEST(SimQueueProperty, MatchesReferenceAcrossRandomInterleavings) {
   }
 }
 
-TEST(SimQueueProperty, ArrivalStreamMatchesPrescheduledReference) {
-  std::size_t arrivals = 0;
-  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    LockstepDriver driver{seed, EpisodeOptions{/*arrival_streams=*/true,
-                                               /*grouped=*/false}};
-    driver.run_episode(/*phases=*/40);
-    if (::testing::Test::HasFatalFailure()) return;
-    arrivals += driver.arrivals_attached();
-  }
-  EXPECT_GT(arrivals, 500u) << "episodes stopped attaching streams";
-}
-
-TEST(SimQueueProperty, ArrivalStreamMatchesReferenceUnderTheGroupedDrain) {
-  // The race detector's drain collects a whole timestamp before firing it;
-  // popping the stream's head queues the next arrival first, so a tie
-  // group holds every arrival on its timestamp, as if all were queued.
-  std::size_t groups = 0;
-  for (std::uint64_t seed = 31; seed <= 42; ++seed) {
-    LockstepDriver driver{seed, EpisodeOptions{/*arrival_streams=*/true,
-                                               /*grouped=*/true}};
-    driver.run_episode(/*phases=*/40);
-    if (::testing::Test::HasFatalFailure()) return;
-    groups += driver.tie_groups();
-  }
-  EXPECT_GT(groups, 0u) << "grouped episodes formed no tie groups";
-}
-
 TEST(SimQueueProperty, KeyedRunsMatchPrescheduledReference) {
   std::size_t keyed = 0;
   for (std::uint64_t seed = 51; seed <= 74; ++seed) {
     EpisodeOptions options;
-    options.arrival_streams = true;
     options.keyed_runs = true;
     LockstepDriver driver{seed, options};
     driver.run_episode(/*phases=*/40);
@@ -570,12 +500,14 @@ TEST(SimQueueProperty, KeyedRunsMatchPrescheduledReference) {
 TEST(SimQueueProperty, KeyedRunsMatchReferenceUnderTheGroupedDrain) {
   // A member queued while its timestamp fires can carry a seq between two
   // members of the tie group being fired; the grouped drain must fire it
-  // between them, as the plain drain does.
+  // between them, as the plain drain does.  A run queued a timestamp at a
+  // time is in the queue whole when its timestamp is collected, so each
+  // batch fires as one tie group.
   std::size_t keyed = 0;
   std::size_t groups = 0;
+  std::size_t batch_groups = 0;
   for (std::uint64_t seed = 81; seed <= 96; ++seed) {
     EpisodeOptions options;
-    options.arrival_streams = true;
     options.grouped = true;
     options.keyed_runs = true;
     LockstepDriver driver{seed, options};
@@ -583,9 +515,11 @@ TEST(SimQueueProperty, KeyedRunsMatchReferenceUnderTheGroupedDrain) {
     if (::testing::Test::HasFatalFailure()) return;
     keyed += driver.keyed_fired();
     groups += driver.tie_groups();
+    batch_groups += driver.batch_groups();
   }
   EXPECT_GT(keyed, 200u);
   EXPECT_GT(groups, 0u) << "grouped episodes formed no tie groups";
+  EXPECT_GT(batch_groups, 0u) << "no tie group held a batch of two or more";
 }
 
 TEST(SimQueueProperty, KeyedInsertBetweenTieMembersFiresInSeqOrder) {
@@ -614,48 +548,6 @@ TEST(SimQueueProperty, KeyedInsertBetweenTieMembersFiresInSeqOrder) {
       EXPECT_EQ(recorder.groups[0].events.size(), 3u);
     }
   }
-}
-
-TEST(SimQueueProperty, ArrivalStreamAttachRules) {
-  Simulator sim;
-  std::vector<std::size_t> fired;
-  auto record = [&fired](std::uint32_t label) { fired.push_back(label); };
-  const TimePoint t0 = TimePoint{} + Duration::from_millis(5);
-  sim.run_until(t0);
-
-  // An arrival before now() throws, as schedule_at does, and attaches
-  // nothing.
-  ScriptedStream past{{t0 - Duration::from_millis(1)}, {1}, record};
-  EXPECT_THROW(sim.attach_arrivals(past, 1), std::invalid_argument);
-  EXPECT_EQ(sim.pending(), 0u);
-
-  // An empty stream attaches nothing and leaves room for the next one.
-  ScriptedStream empty{{}, {}, record};
-  sim.attach_arrivals(empty, 0);
-  EXPECT_EQ(sim.pending(), 0u);
-
-  ScriptedStream two{{t0, t0 + Duration::from_millis(1)}, {2, 3}, record};
-  sim.attach_arrivals(two, 2, "test.arrival");
-  EXPECT_EQ(sim.pending(), 2u);
-  EXPECT_EQ(sim.slab_occupancy(), 0u);
-  EXPECT_THROW(sim.attach_arrivals(empty, 0), std::logic_error);
-  sim.detach_arrivals(empty);  // Not the attached stream: no effect.
-  EXPECT_EQ(sim.pending(), 2u);
-  EXPECT_EQ(sim.run(), 2u);
-  EXPECT_EQ(fired, (std::vector<std::size_t>{2, 3}));
-
-  // The exhausted stream detached itself: a new one may attach.
-  ScriptedStream unsorted{{sim.now() + Duration::from_millis(2), sim.now()},
-                          {4, 5},
-                          record};
-  sim.attach_arrivals(unsorted, 2);
-  // Popping arrival 0 finds arrival 1 earlier: the drain throws before
-  // firing anything, and the stream can still be detached cleanly.
-  EXPECT_THROW(sim.run(), std::invalid_argument);
-  EXPECT_EQ(fired.size(), 2u);
-  sim.detach_arrivals(unsorted);
-  EXPECT_EQ(sim.pending(), 0u);
-  EXPECT_EQ(sim.run(), 0u);
 }
 
 TEST(SimQueueProperty, HeavySameTimeTiesKeepFifoOrder) {

@@ -206,8 +206,9 @@ TEST(Runner, AThrowingRunLeavesNoCallbackBehind) {
 }
 
 TEST(Runner, QueuedEventsScaleWithRequestsInFlight) {
-  // The simulator queues one arrival at a time, so a long replay's event
-  // slab holds the requests in flight, not the whole schedule.
+  // The runner queues one timestamp's arrivals at a time, so a long
+  // replay's event slab holds the requests in flight, not the whole
+  // schedule.
   core::DispatchManagerOptions options;
   options.kind = core::PlatformKind::KnativeLike;
   core::DispatchManager manager{options};
@@ -262,6 +263,19 @@ TEST(Runner, RejectsUnsortedSchedule) {
   const auto wf = manager.deploy(workflow::linear_chain(1));
   ArrivalSchedule bad{Duration::from_seconds(5), Duration::from_seconds(1)};
   EXPECT_THROW(run_schedule(manager, wf, bad), std::invalid_argument);
+}
+
+TEST(Runner, RejectsAScheduleThatStartsBeforeTheRun) {
+  // Offsets count from the run's start, so a negative first offset puts an
+  // arrival in the past: refused before anything is queued or fired.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduCold;
+  core::DispatchManager manager{options};
+  const auto wf = manager.deploy(workflow::linear_chain(1));
+  ArrivalSchedule bad{Duration::from_millis(-5), Duration::from_seconds(1)};
+  EXPECT_THROW(run_schedule(manager, wf, bad), std::invalid_argument);
+  EXPECT_EQ(manager.simulator().events_fired(), 0u);
+  EXPECT_EQ(manager.simulator().pending(), 0u);
 }
 
 }  // namespace
