@@ -166,6 +166,7 @@ void Simulator::fire_entry(const HeapEntry& entry) {
 }
 
 std::size_t Simulator::drain(bool bounded, TimePoint deadline) {
+  interrupted_ = false;  // An interrupt() outside a drain ends nothing.
   if (tie_recorder_ != nullptr || tie_permutation_ != nullptr) {
     return drain_grouped(bounded, deadline);
   }
@@ -176,10 +177,7 @@ std::size_t Simulator::drain(bool bounded, TimePoint deadline) {
     heap_pop_top();
     fire_entry(top);
     ++fired_now;
-  }
-  if (bounded && now_ < deadline) {
-    now_ = deadline;
-    now_seq_ = 0;
+    if (interrupted_) break;
   }
   return fired_now;
 }
@@ -237,12 +235,15 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       order = tie_permutation_->order;
     }
 
-    for (const std::uint32_t position : order) {
+    std::size_t next = 0;  // Position in `order` of the next member.
+    for (; next < order.size() && !interrupted_; ++next) {
+      const std::uint32_t position = order[next];
       XANADU_INVARIANT(position < group.size(),
                        "tie permutation position out of range");
       if (position >= group.size()) continue;
       const HeapEntry& entry = group[position];
       fired_now += fire_ties_before(top.when, entry.seq);
+      if (interrupted_) break;
       if (!is_live(entry)) {
         // Cancelled by an earlier member of this very batch; its heap entry
         // is already extracted, so no tombstone bookkeeping applies.
@@ -251,6 +252,14 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       fire_entry(entry);
       ++fired_now;
     }
+    // An interrupt() cut the group short.  Its members from `next` on have
+    // not fired and still hold their slots, so each goes back under its own
+    // key, and the next drain pops them in (when, seq) order.
+    for (; next < order.size(); ++next) {
+      if (order[next] < group.size() && is_live(group[order[next]])) {
+        heap_push(group[order[next]]);
+      }
+    }
 
     if (record != nullptr && probes_ != nullptr) {
       // `record` stays valid: firing cannot re-enter drain (the simulator
@@ -258,10 +267,7 @@ std::size_t Simulator::drain_grouped(bool bounded, TimePoint deadline) {
       // appended since ours.
       record->probes_after = probes_->sample();
     }
-  }
-  if (bounded && now_ < deadline) {
-    now_ = deadline;
-    now_seq_ = 0;
+    if (interrupted_) break;
   }
   return fired_now;
 }
@@ -274,23 +280,9 @@ std::size_t Simulator::fire_ties_before(TimePoint when, std::uint64_t bound) {
     heap_pop_top();
     fire_entry(entry);
     ++fired;
-  }
-  return fired;
-}
-
-std::size_t Simulator::run_before(TimePoint bound) {
-  std::size_t fired_now = 0;
-  interrupted_ = false;
-  while (const HeapEntry* front = live_top()) {
-    const HeapEntry top = *front;
-    if (top.when >= bound) break;
-    heap_pop_top();
-    fire_entry(top);
-    ++fired_now;
     if (interrupted_) break;
   }
-  interrupted_ = false;
-  return fired_now;
+  return fired;
 }
 
 std::size_t Simulator::run() { return drain(/*bounded=*/false, TimePoint{}); }
@@ -299,7 +291,13 @@ std::size_t Simulator::run_until(TimePoint deadline) {
   if (deadline < now_) {
     throw std::invalid_argument{"Simulator::run_until: deadline is in the past"};
   }
-  return drain(/*bounded=*/true, deadline);
+  const std::size_t fired = drain(/*bounded=*/true, deadline);
+  // An interrupted drain leaves the clock at the interrupting event.
+  if (!interrupted_ && now_ < deadline) {
+    now_ = deadline;
+    now_seq_ = 0;
+  }
+  return fired;
 }
 
 }  // namespace xanadu::sim

@@ -5,7 +5,9 @@
 // The simulator owns a virtual clock and an event queue.  Components schedule
 // callbacks at absolute or relative virtual times; run() drains the queue in
 // time order, breaking ties by scheduling sequence so that identical inputs
-// always produce identical event interleavings.
+// always produce identical event interleavings.  run() and run_until() are
+// the only drains, and an event can end either with interrupt(): the
+// workload runners stop every run at its last completion that way.
 //
 // Events can be cancelled by id -- the JIT deployment planner relies on this
 // to abort planned speculative provisioning when a prediction miss is
@@ -155,27 +157,22 @@ class Simulator {
   /// tombstone that is skipped or compacted later.
   bool cancel(common::EventId id);
 
-  /// Runs until the queue is empty.  Returns the number of events fired.
+  /// Runs until the queue is empty or interrupt() ends the drain.  Returns
+  /// the number of events fired.
   std::size_t run();
 
-  /// Runs until the queue is empty or virtual time would pass `deadline`.
-  /// Events at exactly `deadline` are fired.  The clock is advanced to
-  /// `deadline` on return.
+  /// Runs until the queue is empty, virtual time would pass `deadline`, or
+  /// interrupt() ends the drain.  Events at exactly `deadline` are fired.
+  /// The clock is advanced to `deadline` on return -- unless the drain was
+  /// interrupted: then it rests at the interrupting event.
   std::size_t run_until(TimePoint deadline);
 
-  /// Fires every event with `when` strictly before `bound` and returns the
-  /// count.  Unlike run_until(), events at exactly `bound` stay queued and
-  /// the clock is NOT advanced to `bound` -- it rests at the last fired
-  /// event.  interrupt() ends the drain early: workload::run_sharded_mix
-  /// stops each shard this way right after its own last completion.
-  /// Race-check hooks are not serviced here; the race detector replays
-  /// scenarios sequentially through run()/run_until() (the determinism
-  /// oracle).
-  std::size_t run_before(TimePoint bound);
-
-  /// Called from inside an event during run_before(): ends that drain once
-  /// the current event returns, leaving the rest queued.  Outside
-  /// run_before() it has no effect.
+  /// Called from inside an event during run() or run_until(): ends that
+  /// drain once the current event returns, leaving the rest queued.  Under
+  /// the grouped drain, the members of the tie group being fired that have
+  /// not fired yet go back into the queue under their own keys, so the next
+  /// drain fires them in plain-drain order.  Every drain starts
+  /// uninterrupted, so an interrupt() outside a drain has no effect.
   void interrupt() { interrupted_ = true; }
 
   /// Number of events currently pending (cancelled events are excluded);
@@ -299,7 +296,7 @@ class Simulator {
   std::uint32_t free_head_ = kNilSlot;
   std::size_t live_ = 0;        // Slots holding a live callback.
   std::size_t tombstones_ = 0;  // Dead heap entries awaiting compaction.
-  bool interrupted_ = false;    // Set by interrupt(); read by run_before().
+  bool interrupted_ = false;    // Set by interrupt(); ends the drain.
 
   // Race-check hooks; all nullptr (and cost-free) in normal runs.
   TieRecorder* tie_recorder_ = nullptr;

@@ -92,9 +92,9 @@ struct RunOptions {
   /// (the paper's "cold start condition" trials).
   bool force_cold_each_request = false;
   /// Let pending events (keep-alive reclamation etc.) drain after the last
-  /// request completes.  When false the simulator stops once every request
-  /// has completed (see run_schedule for where), leaving warm workers
-  /// alive.
+  /// request completes (after stranded requests fail, under
+  /// allow_incomplete).  When false the simulator stops at the last
+  /// completion, leaving warm workers alive.
   bool drain_after_last = false;
   /// Tear down all warm workers once the run finishes, before computing the
   /// ledger delta, so idle costs accrued by still-warm workers are charged
@@ -103,13 +103,10 @@ struct RunOptions {
   /// Fault-injection runs: when requests strand (fault injected, recovery
   /// disabled), fail them cleanly and record failed results instead of
   /// throwing.  Every request then yields exactly one result, completed or
-  /// failed.
+  /// failed.  A request still incomplete 10 virtual minutes after the last
+  /// arrival (the stall horizon) counts as stranded and fails at exactly
+  /// that time.
   bool allow_incomplete = false;
-  /// With allow_incomplete: virtual time past the last arrival after which
-  /// still-incomplete requests count as stranded.  Bounds the run -- a
-  /// stranded request keeps the recurring host-outage event alive, so the
-  /// event queue alone never drains.
-  sim::Duration stall_horizon = sim::Duration::from_minutes(10);
   /// Keep every RequestResult in RunOutcome::results (and, for
   /// run_mixed_schedule, in each per_source lane) as the fold passes it.
   /// Turn off for macro-scale runs: aggregates, digest and histogram are
@@ -135,13 +132,14 @@ struct RunOptions {
 /// unsorted or starts before 0 throws std::invalid_argument before the run
 /// starts.
 ///
-/// Stop point: without drain_after_last the run polls in whole virtual
-/// seconds and stops at the first boundary after its last completion, so
-/// the clock, and the idle time charged to still-warm workers, run up to a
-/// second past it.  run_sharded_mix stops each shard right after its last
-/// completion instead.  Both stop points are baked into pinned digests and
-/// ledgers.  Defined with the other runners, which share its lifecycle, in
-/// traffic_mix.cpp.
+/// Stop point: every workload run stops driving right after its last
+/// completion -- the event that completes it returns, and nothing later
+/// fires -- so the clock rests there, and flush_at_end charges idle time to
+/// still-warm workers up to exactly that moment.  Under allow_incomplete a
+/// run whose requests strand stops at its stall horizon instead, and an
+/// empty run fires only the events due at its start.  drain_after_last then
+/// drains the queue.  Defined with the other runners, which share its
+/// lifecycle, in traffic_mix.cpp.
 [[nodiscard]] RunOutcome run_schedule(core::DispatchManager& manager,
                                       common::WorkflowId workflow,
                                       const ArrivalSchedule& schedule,

@@ -1,7 +1,6 @@
 #include "workload/traffic_mix.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -38,13 +37,11 @@ struct SourceView {
   const ArrivalSchedule* schedule = nullptr;
 };
 
-/// The view every runner reads a caller's schedule through, and the one
-/// place a schedule is checked: sorted, and starting no earlier than the
-/// run (so no arrival lies in the past).  Each runner builds all its views
-/// before it runs anything, so a bad schedule leaves every deployment as it
-/// was.
-SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
-                       const ArrivalSchedule& schedule) {
+/// The one place a schedule is checked: sorted, and starting no earlier than
+/// the run (so no arrival lies in the past).  Each runner checks all its
+/// schedules before it runs anything, so a bad schedule leaves every
+/// deployment as it was.
+void check_schedule(const ArrivalSchedule& schedule) {
   if (!std::is_sorted(schedule.begin(), schedule.end())) {
     throw std::invalid_argument{
         "workload: every arrival schedule must be sorted"};
@@ -53,6 +50,12 @@ SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
     throw std::invalid_argument{
         "workload: an arrival schedule must not start before the run"};
   }
+}
+
+/// The view every runner reads a caller's checked schedule through.
+SourceView sorted_view(common::WorkflowId workflow, std::string_view name,
+                       const ArrivalSchedule& schedule) {
+  check_schedule(schedule);
   return SourceView{workflow, name, &schedule};
 }
 
@@ -237,9 +240,7 @@ class MixDriver {
   void on_complete(std::size_t slot, const platform::RequestResult& result) {
     if (abandoned_) return;
     ++completed_;
-    // The last completion ends a run_before() drain, which is how a sharded
-    // run stops each shard on its own schedule; run() and run_until()
-    // ignore the interrupt.
+    // Every run stops driving at its last completion.
     if (completed_ == total_) sim_.interrupt();
     if (slot != next_fold_) {
       window_.emplace(slot, result);
@@ -293,28 +294,19 @@ class MixDriver {
   bool abandoned_ = false;
 };
 
-/// Where a run stops driving.  The drive is the one step in which the
-/// runners differ, and only because each stop point is baked into pinned
-/// digests and ledgers: moving either one changes every final clock and
-/// idle charge it produces.
-enum class StopAt {
-  /// run_schedule and run_mixed_schedule poll in whole virtual seconds and
-  /// stop at the first boundary after their last completion.
-  kWholeSecond,
-  /// A shard stops right after its own last completion (under
-  /// allow_incomplete, at its own stall horizon), so its lane never depends
-  /// on which other shards share the run.
-  kLastCompletion,
-};
+/// With allow_incomplete: how long past its last arrival a run waits before
+/// the requests still incomplete count as stranded.  It bounds the run: a
+/// stranded request keeps the recurring host-outage event alive, so the
+/// event queue alone never drains.
+constexpr sim::Duration kStallHorizon = sim::Duration::from_minutes(10);
 
-/// The one run lifecycle, shared by run_schedule, run_mixed_schedule and
-/// every shard of run_sharded_mix.  `sources` are sorted and read in place.
-/// Every per_source lane gets its stats and digest; with `retain_lanes` the
-/// lanes also retain their results.
+/// The one run lifecycle, shared by run_schedule and run_mixed_schedule (and
+/// so by every shard of run_sharded_mix).  `sources` are sorted and read in
+/// place.  Every per_source lane gets its stats and digest; with
+/// `retain_lanes` the lanes also retain their results.
 MixedOutcome run_sources(core::DispatchManager& manager,
                          std::vector<SourceView> sources,
-                         const RunOptions& options, bool retain_lanes,
-                         StopAt stop) {
+                         const RunOptions& options, bool retain_lanes) {
   MixedOutcome outcome;
   outcome.per_source.resize(sources.size());
   outcome.source_names.reserve(sources.size());
@@ -333,34 +325,17 @@ MixedOutcome run_sources(core::DispatchManager& manager,
                    retain_lanes ? &outcome.per_source : nullptr);
   driver.start();
 
-  // 1. Drive.  Under allow_incomplete the run is bounded in virtual time:
-  // requests still incomplete at the stall horizon count as stranded.
-  const sim::TimePoint horizon =
-      base + driver.last_arrival() + options.stall_horizon;
-  if (options.drain_after_last && !options.allow_incomplete) {
-    sim.run();
-  } else if (stop == StopAt::kWholeSecond) {
-    // Run until every request has completed, without waiting for keep-alive
-    // reclamation events.
-    while (driver.completed() < driver.total() && sim.pending() > 0) {
-      if (options.allow_incomplete && sim.now() >= horizon) break;
-      // Stride by 1 virtual second, clamped to the horizon so stranded
-      // requests are failed *at* the stall horizon, never up to a full
-      // stride past it.
-      sim::TimePoint stride = sim.now() + sim::Duration::from_seconds(1);
-      if (options.allow_incomplete && stride > horizon) stride = horizon;
-      sim.run_until(stride);
-    }
-  } else if (driver.total() != 0 && !options.allow_incomplete) {
-    // The driver interrupts this drain at the last completion.
-    sim.run_before(sim::TimePoint{std::numeric_limits<std::int64_t>::max()});
+  // 1. Drive.  The driver interrupts the drain at the last completion, so
+  // the clock rests there.  An empty run fires only what is due now.
+  // Under allow_incomplete the run is bounded in virtual time: requests
+  // still incomplete at the stall horizon count as stranded, and the clock
+  // rests at the horizon.
+  if (driver.total() == 0) {
+    sim.run_until(base);
+  } else if (options.allow_incomplete) {
+    sim.run_until(base + driver.last_arrival() + kStallHorizon);
   } else {
-    // Events at the horizon (an empty shard's is where it starts) fire; a
-    // stranded shard's clock then rests there, and its leftovers fail at
-    // exactly that time.
-    const sim::TimePoint stop_at = driver.total() == 0 ? base : horizon;
-    sim.run_before(stop_at + sim::Duration{1});
-    if (driver.completed() != driver.total()) sim.run_until(stop_at);
+    sim.run();
   }
   // 2. Fail the leftovers: stranded by an injected fault with recovery
   // disabled, so every slot holds a result (failed or completed).
@@ -373,7 +348,7 @@ MixedOutcome run_sources(core::DispatchManager& manager,
   XANADU_INVARIANT(driver.folded() == driver.total(),
                    "workload: streaming fold did not drain");
   // 3. Drain.  4. Flush.
-  if (options.drain_after_last && options.allow_incomplete) sim.run();
+  if (options.drain_after_last) sim.run();
   if (options.flush_at_end) manager.force_cold_start();
 
   RunOutcome& aggregate = outcome.aggregate;
@@ -402,7 +377,7 @@ RunOutcome run_schedule(core::DispatchManager& manager,
   // Only the aggregate is returned, so the lone lane retains nothing.
   MixedOutcome outcome =
       run_sources(manager, {sorted_view(workflow, "", schedule)}, options,
-                  /*retain_lanes=*/false, StopAt::kWholeSecond);
+                  /*retain_lanes=*/false);
   return std::move(outcome.aggregate);
 }
 
@@ -415,7 +390,7 @@ MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
     views.push_back(sorted_view(source.workflow, source.name, source.schedule));
   }
   return run_sources(manager, std::move(views), options,
-                     /*retain_lanes=*/true, StopAt::kWholeSecond);
+                     /*retain_lanes=*/true);
 }
 
 ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
@@ -426,8 +401,6 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
   if (options.threads == 0) {
     throw std::invalid_argument{"run_sharded_mix: threads must be >= 1"};
   }
-  std::vector<SourceView> views;
-  views.reserve(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (shards[i].manager == nullptr) {
       throw std::invalid_argument{"run_sharded_mix: null manager"};
@@ -438,8 +411,7 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
             "run_sharded_mix: every shard needs its own deployment"};
       }
     }
-    views.push_back(
-        sorted_view(shards[i].workflow, shards[i].name, shards[i].schedule));
+    check_schedule(shards[i].schedule);
   }
 
   ShardedOutcome outcome;
@@ -450,18 +422,16 @@ ShardedOutcome run_sharded_mix(const std::vector<ShardedSource>& shards,
     mixed.source_names.push_back(shard.name);
   }
   std::vector<std::uint64_t> fired(shards.size(), 0);
-  // A shard is a single-tenant run on its own deployment, run whole on
+  // A shard is a plain run_schedule on its own deployment, run whole on
   // whichever thread the fork-join hands it to.  It touches only that
   // deployment and its own lane, so no other shard can move anything it
   // does.
   sim::fork_join(shards.size(), options.threads, [&](std::size_t i) {
-    core::DispatchManager& manager = *shards[i].manager;
-    const std::uint64_t before = manager.simulator().events_fired();
-    MixedOutcome shard = run_sources(manager, {views[i]}, options,
-                                     /*retain_lanes=*/false,
-                                     StopAt::kLastCompletion);
-    mixed.per_source[i] = std::move(shard.aggregate);
-    fired[i] = manager.simulator().events_fired() - before;
+    const ShardedSource& shard = shards[i];
+    const std::uint64_t before = shard.manager->simulator().events_fired();
+    mixed.per_source[i] =
+        run_schedule(*shard.manager, shard.workflow, shard.schedule, options);
+    fired[i] = shard.manager->simulator().events_fired() - before;
   });
 
   // Deterministic aggregation, in shard order.

@@ -94,8 +94,9 @@ struct MixedOutcome {
 
 /// Submits every arrival of the mix (relative to the current virtual time)
 /// and runs the simulation until all requests complete, under the same
-/// RunOptions semantics as run_schedule (force-cold, drain, flush,
-/// allow_incomplete + stall_horizon past the last merged arrival).  The
+/// RunOptions semantics and stop point as run_schedule (force-cold, drain,
+/// flush, allow_incomplete with its stall horizon past the last merged
+/// arrival).  The
 /// mix's schedules are read in place, and only the next timestamp's
 /// arrivals are queued.  If the run throws, its queued arrivals are
 /// cancelled and the engine's requests still in flight are failed before
@@ -142,17 +143,15 @@ struct ShardedOutcome {
 /// Runs every shard's schedule as one independent task, spread over
 /// RunOptions::threads OS threads (sim::fork_join).  Each shard's manager
 /// must be a distinct deployment; schedules must be sorted and start no
-/// earlier than 0, and all of them are checked before any shard runs.  A shard is a single-tenant run
-/// through the same lifecycle as run_schedule -- drive, fail leftovers,
-/// drain if drain_after_last asks, flush if flush_at_end asks -- except
-/// where the drive stops: right after the shard's own last completion
-/// (under allow_incomplete, at its own stall horizon, where its leftovers
-/// fail), not at a whole virtual second.  A tenant's lane -- trace digest,
-/// ledger delta, engine state -- is therefore the same whether it runs
-/// alone or beside other tenants.  The runner subscribes nothing to any
-/// shard's control bus; a caller that wants the fleet view subscribes its
-/// own tracker (platform/worker_state.hpp).  All results, digests and stats
-/// are byte-identical for any thread count;
+/// earlier than 0, and all of them are checked before any shard runs.  A
+/// shard's task is a plain run_schedule on its own deployment, so it stops
+/// where every run stops -- right after its own last completion (under
+/// allow_incomplete, at its own stall horizon, where its leftovers fail) --
+/// and a tenant's lane (trace digest, ledger delta, engine state) is the
+/// same whether it runs alone or beside other tenants.  The runner
+/// subscribes nothing to any shard's control bus; a caller that wants the
+/// fleet view subscribes its own tracker (platform/worker_state.hpp).  All
+/// results, digests and stats are byte-identical for any thread count;
 /// tests/sharded_determinism_test.cpp pins both properties.
 [[nodiscard]] ShardedOutcome run_sharded_mix(
     const std::vector<ShardedSource>& shards, const RunOptions& options = {});

@@ -578,11 +578,15 @@ TEST(fault_injection, KeepAliveReclaimsArePinned) {
     digest = common::fnv1a_u64(static_cast<std::uint64_t>(t.at_micros), digest);
     digest = common::fnv1a_u64(t.worker, digest);
   }
-  // Pinned when every worker had its own keep-alive event.
+  // The trace digest and the teardown count were pinned when every worker
+  // had its own keep-alive event.  The state and teardown digests were
+  // re-pinned (from 0x09f2cf7ca3f4bb63 and 0x7a2659db12719df7) when runs
+  // stopped polling in whole virtual seconds: the final flush now tears the
+  // warm workers down at the last completion, not at the next whole second.
   EXPECT_EQ(metrics::trace_digest(outcome.results, dag), 0x3ca74c1cd40bd9d9ULL);
-  EXPECT_EQ(engine.state_digest(), 0x09f2cf7ca3f4bb63ULL);
+  EXPECT_EQ(engine.state_digest(), 0x6397949f48aa2599ULL);
   EXPECT_EQ(teardowns.size(), 48u);
-  EXPECT_EQ(digest, 0x7a2659db12719df7ULL);
+  EXPECT_EQ(digest, 0x6f07589a57348e3bULL);
   // Deaths while another worker of the same function stayed pooled.
   EXPECT_EQ(deaths_beside_a_pooled_worker, 25u);
 }
@@ -761,10 +765,11 @@ TEST(fault_injection, FaultedRunAggregatesAverageOverCompletedOnly) {
 
 TEST(fault_injection, StrandedRequestsFailAtExactlyTheStallHorizon) {
   // Total bus loss with recovery disabled strands every request; the run
-  // harness must fail them AT the stall horizon, not up to a full 1 s
-  // stride past it.  The horizon is deliberately not a whole number of
-  // seconds so the pre-fix overshoot (run_until(now + 1 s) sailing past)
-  // would be caught.
+  // harness must fail them AT the stall horizon -- the last arrival plus the
+  // runner's 10 virtual minutes -- not past it.  The last arrival, and so
+  // the horizon, is deliberately off the whole-second grid, so a drive that
+  // strode in whole seconds (run_until(now + 1 s) sailing past) would be
+  // caught.
   DispatchManagerOptions options;
   options.kind = PlatformKind::XanaduJit;
   options.seed = 42;
@@ -773,8 +778,8 @@ TEST(fault_injection, StrandedRequestsFailAtExactlyTheStallHorizon) {
   options.calibration = calibration;
   options.faults.bus_drop_rate = 1.0;
   // A nonzero outage rate keeps a recurring host-outage event in the queue,
-  // so the stall loop is bounded by the horizon rather than by the queue
-  // draining -- exactly the case the clamped stride exists for.
+  // so the drive is bounded by the horizon rather than by the queue
+  // draining.
   options.faults.host_outage_rate_per_hour = 0.5;
   options.recovery.enabled = false;
   DispatchManager manager{options};
@@ -783,12 +788,12 @@ TEST(fault_injection, StrandedRequestsFailAtExactlyTheStallHorizon) {
   workload::RunOptions run;
   run.allow_incomplete = true;
   run.force_cold_each_request = true;
-  run.stall_horizon = sim::Duration::from_millis(90'250);
 
   const workload::ArrivalSchedule schedule =
-      workload::fixed_interval(4, sim::Duration::from_seconds(2));
+      workload::fixed_interval(4, sim::Duration::from_millis(2'750));
   const sim::TimePoint base = manager.simulator().now();
-  const sim::TimePoint horizon = base + schedule.back() + run.stall_horizon;
+  const sim::TimePoint horizon =
+      base + schedule.back() + sim::Duration::from_minutes(10);
 
   const workload::RunOutcome outcome =
       workload::run_schedule(manager, wf, schedule, run);

@@ -29,6 +29,7 @@
 #include "workflow/random_tree.hpp"
 #include "workload/case_studies.hpp"
 #include "workload/runner.hpp"
+#include "workload/traffic_mix.hpp"
 
 namespace xanadu {
 namespace {
@@ -290,6 +291,38 @@ TEST(race_detector, EngineSweepIsTieRaceFree) {
   EXPECT_GT(total_groups, 0u);
 }
 
+/// A 3-node chain of 5 ms functions, for the burst scenarios below.
+workflow::WorkflowDag burst_chain() {
+  workflow::BuildOptions build;
+  build.exec_time = sim::Duration::from_millis(5);
+  build.exec_jitter = sim::Duration::from_millis(1);
+  return workflow::linear_chain(3, build);
+}
+
+/// Three bursts of three arrivals, 400 ms apart.
+workload::ArrivalSchedule burst_schedule() {
+  workload::ArrivalSchedule schedule;
+  for (int burst = 0; burst < 3; ++burst) {
+    for (int i = 0; i < 3; ++i) {
+      schedule.push_back(sim::Duration::from_millis(400.0 * burst));
+    }
+  }
+  return schedule;
+}
+
+/// Tie groups holding all three arrivals of a burst.
+std::size_t whole_burst_groups(const TieRecorder& recorder) {
+  std::size_t groups = 0;
+  for (const sim::TieGroup& group : recorder.groups) {
+    std::size_t arrivals = 0;
+    for (const sim::TieEvent& event : group.events) {
+      if (event.label == "workload.arrival") ++arrivals;
+    }
+    if (arrivals == 3) ++groups;
+  }
+  return groups;
+}
+
 /// run_schedule scenario: arrivals in bursts of three on one timestamp.
 /// The runner queues arrivals one timestamp at a time, so every arrival of
 /// a burst is queued before its timestamp is collected and lands in one
@@ -311,18 +344,9 @@ RunObservation schedule_run(PlatformKind kind, bool record,
     manager.simulator().set_probe_registry(&manager.probes());
     manager.simulator().set_tie_permutation(permutation);
   }
-  workflow::BuildOptions build;
-  build.exec_time = sim::Duration::from_millis(5);
-  build.exec_jitter = sim::Duration::from_millis(1);
-  const auto wf = manager.deploy(workflow::linear_chain(3, build));
-  workload::ArrivalSchedule schedule;
-  for (int burst = 0; burst < 3; ++burst) {
-    for (int i = 0; i < 3; ++i) {
-      schedule.push_back(sim::Duration::from_millis(400.0 * burst));
-    }
-  }
+  const auto wf = manager.deploy(burst_chain());
   const workload::RunOutcome outcome =
-      workload::run_schedule(manager, wf, schedule);
+      workload::run_schedule(manager, wf, burst_schedule());
   if (trace_digest != nullptr) *trace_digest = outcome.trace_digest;
 
   std::vector<std::int64_t> outcomes;
@@ -353,15 +377,7 @@ TEST(race_detector, ScheduledArrivalTiesAreGroupedAndRaceFree) {
     EXPECT_EQ(normal_trace, grouped_trace) << core::to_string(kind);
     EXPECT_EQ(normal.digest, grouped.digest) << core::to_string(kind);
 
-    std::size_t arrival_groups = 0;
-    for (const sim::TieGroup& group : grouped.ties.groups) {
-      std::size_t arrivals = 0;
-      for (const sim::TieEvent& event : group.events) {
-        if (event.label == "workload.arrival") ++arrivals;
-      }
-      if (arrivals == 3) ++arrival_groups;
-    }
-    EXPECT_EQ(arrival_groups, 3u) << core::to_string(kind);
+    EXPECT_EQ(whole_burst_groups(grouped.ties), 3u) << core::to_string(kind);
 
     auto runner = [kind](const TiePermutation* permutation) {
       return schedule_run(kind, /*record=*/true, permutation);
@@ -374,6 +390,30 @@ TEST(race_detector, ScheduledArrivalTiesAreGroupedAndRaceFree) {
     EXPECT_FALSE(report.truncated) << core::to_string(kind);
     EXPECT_GE(report.groups_examined, 3u) << core::to_string(kind);
   }
+}
+
+TEST(race_detector, AShardsArrivalTiesAreGroupedToo) {
+  // A shard's task is a plain run_schedule, so a recorder on the shard's
+  // simulator sees the grouped drain: each burst forms one tie group, and
+  // the shard's lane is the unsharded run's.
+  DispatchManagerOptions options;
+  options.kind = PlatformKind::XanaduJit;
+  options.seed = 42;
+  DispatchManager manager{options};
+  TieRecorder recorder;
+  manager.simulator().set_tie_recorder(&recorder);
+  workload::ShardedSource shard;
+  shard.manager = &manager;
+  shard.workflow = manager.deploy(burst_chain());
+  shard.name = "bursts";
+  shard.schedule = burst_schedule();
+  const workload::ShardedOutcome outcome = workload::run_sharded_mix({shard});
+
+  EXPECT_EQ(whole_burst_groups(recorder), 3u);
+  std::uint64_t unsharded = 0;
+  (void)schedule_run(PlatformKind::XanaduJit, /*record=*/false, nullptr,
+                     &unsharded);
+  EXPECT_EQ(outcome.mixed.per_source[0].trace_digest, unsharded);
 }
 
 TEST(race_detector, SpeculativeBatchIsOrderIndependentAfterKeyedStreams) {

@@ -291,8 +291,8 @@ TEST(sharded_determinism, TenantLaneIsIndependentOfItsNeighbours) {
 TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
   // Every command is dropped and recovery is off, so every request strands.
   // Each tenant's leftovers must fail at exactly its own stall horizon --
-  // its last arrival plus stall_horizon -- not at a fleet-wide time, and
-  // identically at any thread count.
+  // its last arrival plus the runner's 10 virtual minutes -- not at a
+  // fleet-wide time, and identically at any thread count.
   const auto run = [](unsigned threads) {
     Scenario scenario;
     for (std::uint64_t tenant = 0; tenant < 3; ++tenant) {
@@ -318,7 +318,6 @@ TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
     workload::RunOptions options;
     options.threads = threads;
     options.allow_incomplete = true;
-    options.stall_horizon = 20_s;
     const workload::ShardedOutcome outcome =
         workload::run_sharded_mix(scenario.shards, options);
 
@@ -326,8 +325,9 @@ TEST(sharded_determinism, StrandedRequestsFailAtTheirOwnShardHorizon) {
     for (std::size_t i = 0; i < scenario.shards.size(); ++i) {
       const workload::RunOutcome& lane = outcome.mixed.per_source[i];
       EXPECT_EQ(lane.failed_count(), scenario.shards[i].schedule.size());
-      const sim::TimePoint horizon =
-          sim::TimePoint{0} + scenario.shards[i].schedule.back() + 20_s;
+      const sim::TimePoint horizon = sim::TimePoint{0} +
+                                     scenario.shards[i].schedule.back() +
+                                     sim::Duration::from_minutes(10);
       for (const platform::RequestResult& result : lane.results) {
         EXPECT_TRUE(result.failed);
         EXPECT_EQ(result.completed, horizon) << "tenant " << i;

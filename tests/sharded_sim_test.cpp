@@ -1,6 +1,7 @@
 // Sim-layer tests for sharded runs: sim::fork_join, which spreads
-// independent per-shard tasks over OS threads; the run_before / interrupt
-// primitives each shard is driven with; and the EventFn small-buffer
+// independent per-shard tasks over OS threads; interrupt(), which ends the
+// run() or run_until() drain a shard (like every workload run) is driven
+// with at its last completion; and the EventFn small-buffer
 // boundaries (a shard's callbacks are created on the calling thread and
 // fire on whichever thread runs that shard, so the inline/heap split and
 // move-only semantics matter here).
@@ -14,7 +15,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -33,30 +33,32 @@ namespace {
 
 using namespace xanadu::sim::literals;
 
-constexpr TimePoint kNever{std::numeric_limits<std::int64_t>::max()};
+// --------------------------------------------------------------- interrupt --
 
-// ------------------------------------------------ run_before / interrupt --
-
-TEST(sharded_window_primitives, RunBeforeIsStrictAndKeepsClockBehindBound) {
+TEST(sharded_window_primitives,
+     InterruptedRunUntilRestsTheClockAtTheInterruptingEvent) {
   Simulator sim;
   std::vector<std::uint64_t> fired;
   sim.schedule_at(TimePoint{10}, [&] { fired.push_back(10); });
-  sim.schedule_at(TimePoint{20}, [&] { fired.push_back(20); });
+  sim.schedule_at(TimePoint{20}, [&] {
+    fired.push_back(20);
+    sim.interrupt();
+  });
   sim.schedule_at(TimePoint{30}, [&] { fired.push_back(30); });
 
-  // Events at exactly the bound stay queued...
-  EXPECT_EQ(sim.run_before(TimePoint{20}), 1u);
-  EXPECT_EQ(fired, (std::vector<std::uint64_t>{10}));
-  // ...and the clock sits at the last fired event, not at the bound.
-  EXPECT_EQ(sim.now(), TimePoint{10});
-  EXPECT_EQ(sim.pending(), 2u);
+  // The clock rests at the interrupting event, not at the deadline...
+  EXPECT_EQ(sim.run_until(TimePoint{1000}), 2u);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{10, 20}));
+  EXPECT_EQ(sim.now(), TimePoint{20});
+  EXPECT_EQ(sim.pending(), 1u);
 
-  EXPECT_EQ(sim.run_before(TimePoint{31}), 2u);
+  // ...while an uninterrupted run_until still parks it on the deadline.
+  EXPECT_EQ(sim.run_until(TimePoint{1000}), 1u);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{10, 20, 30}));
-  EXPECT_EQ(sim.run_before(TimePoint{1000}), 0u);
+  EXPECT_EQ(sim.now(), TimePoint{1000});
 }
 
-TEST(sharded_window_primitives, InterruptEndsRunBeforeAfterTheCurrentEvent) {
+TEST(sharded_window_primitives, InterruptEndsRunAfterTheCurrentEvent) {
   Simulator sim;
   std::vector<std::uint64_t> fired;
   sim.schedule_at(TimePoint{10}, [&] { fired.push_back(10); });
@@ -68,14 +70,48 @@ TEST(sharded_window_primitives, InterruptEndsRunBeforeAfterTheCurrentEvent) {
   sim.schedule_at(TimePoint{30}, [&] { fired.push_back(30); });
 
   // The interrupting event completes; its same-time successor stays queued.
-  EXPECT_EQ(sim.run_before(TimePoint{1000}), 2u);
+  EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{10, 20}));
   EXPECT_EQ(sim.now(), TimePoint{20});
 
-  // An interrupt outside run_before does not leak into the next drain.
+  // An interrupt outside a drain does not leak into the next drain.
   sim.interrupt();
-  EXPECT_EQ(sim.run_before(TimePoint{1000}), 2u);
+  EXPECT_EQ(sim.run(), 2u);
   EXPECT_EQ(fired, (std::vector<std::uint64_t>{10, 20, 21, 30}));
+}
+
+TEST(sharded_window_primitives, AGroupedDrainCutShortFiresItsRestInSeqOrder) {
+  // Four events tie at 20 and the grouped drain collects all four.  B
+  // interrupts: in seq order after A, under the permutation after D (which
+  // would go on with C, then A).  The unfired members go back into the
+  // queue under their own keys, so the next drain fires them as the plain
+  // drain would, in seq order.
+  for (const bool permuted : {false, true}) {
+    Simulator sim;
+    TieRecorder recorder;
+    TiePermutation shuffle{0, {3, 1, 2, 0}};
+    sim.set_tie_recorder(&recorder);
+    if (permuted) sim.set_tie_permutation(&shuffle);
+    std::string order;
+    sim.schedule_at(TimePoint{20}, [&] { order += 'A'; });
+    sim.schedule_at(TimePoint{20}, [&] {
+      order += 'B';
+      sim.interrupt();
+    });
+    sim.schedule_at(TimePoint{20}, [&] { order += 'C'; });
+    sim.schedule_at(TimePoint{20}, [&] { order += 'D'; });
+    sim.schedule_at(TimePoint{30}, [&] { order += 'E'; });
+
+    EXPECT_EQ(sim.run_until(TimePoint{1000}), 2u);
+    EXPECT_EQ(order, permuted ? "DB" : "AB");
+    EXPECT_EQ(sim.now(), TimePoint{20});
+    EXPECT_EQ(sim.pending(), 3u);
+    EXPECT_EQ(sim.run(), 3u);
+    EXPECT_EQ(order, permuted ? "DBACE" : "ABCDE");
+    ASSERT_EQ(recorder.groups.size(), 2u) << "the rest forms its own group";
+    EXPECT_EQ(recorder.groups[0].events.size(), 4u);
+    EXPECT_EQ(recorder.groups[1].events.size(), 2u);
+  }
 }
 
 // ------------------------------------------------------------ fork_join ---
@@ -110,8 +146,7 @@ TEST(sharded_driver, HaltAndStopAtBoundEachShard) {
   }
   std::array<std::size_t, 2> fired{};
   fork_join(2, 2, [&](std::size_t shard) {
-    fired[shard] = shard == 0 ? a.run_until(TimePoint{30'000})
-                              : b.run_before(kNever);
+    fired[shard] = shard == 0 ? a.run_until(TimePoint{30'000}) : b.run();
   });
   EXPECT_EQ(fired, (std::array<std::size_t, 2>{3, 4}));
   EXPECT_EQ(fired_a, 3u);
@@ -121,7 +156,7 @@ TEST(sharded_driver, HaltAndStopAtBoundEachShard) {
 
   // Limits last one drain: the next one runs both shards to empty.
   fork_join(2, 1, [&](std::size_t shard) {
-    fired[shard] = shard == 0 ? a.run_before(kNever) : b.run_before(kNever);
+    fired[shard] = shard == 0 ? a.run() : b.run();
   });
   EXPECT_EQ(fired, (std::array<std::size_t, 2>{7, 6}));
   EXPECT_EQ(fired_a, 10u);
@@ -133,8 +168,7 @@ TEST(sharded_driver, HaltAndStopAtBoundEachShard) {
   a.schedule_at(TimePoint{200'000}, [&] { ++fired_a; });
   b.schedule_at(TimePoint{200'000}, [&] { ++fired_b; });
   fork_join(2, 2, [&](std::size_t shard) {
-    fired[shard] = shard == 0 ? a.run_until(TimePoint{500'000})
-                              : b.run_before(kNever);
+    fired[shard] = shard == 0 ? a.run_until(TimePoint{500'000}) : b.run();
   });
   EXPECT_EQ(fired, (std::array<std::size_t, 2>{1, 1}));
   EXPECT_EQ(a.now(), TimePoint{500'000});

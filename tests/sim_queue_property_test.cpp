@@ -18,12 +18,13 @@
 // timer and a request's planned prewarms do); the others queue one
 // timestamp at a time, the last of a timestamp's members to fire queueing
 // the next timestamp's (as a replay's arrivals do).  The two must still
-// agree under run_until, run_before with interrupt(), the grouped drain,
-// ties with events scheduled before and after the reservation, and runs
-// dropped part way.  Under the grouped drain, a member queued while its
-// timestamp fires lands between two members of the tie group being fired,
-// and every tie group holding a member of a timestamp-at-a-time batch
-// holds the whole batch.
+// agree under run_until, run and run_until drains that interrupt() ends
+// early, the grouped drain, ties with events scheduled before and after the
+// reservation, and runs dropped part way.  Under the grouped drain, a member
+// queued while its timestamp fires lands between two members of the tie
+// group being fired, the members an interrupt leaves unfired fire later in
+// seq order, and the first tie group holding a member of a
+// timestamp-at-a-time batch holds the whole batch.
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,9 @@ namespace {
 
 using common::EventId;
 using common::Rng;
+
+/// A drain budget that never runs out.
+constexpr std::size_t kNoBudget = std::numeric_limits<std::size_t>::max();
 
 /// One fired event, as observed by either implementation.
 struct Firing {
@@ -80,43 +84,21 @@ class ReferenceSim {
     return true;
   }
 
+  /// Fires the events due by `deadline`, at most `budget` of them.  The
+  /// clock then moves to `deadline` -- unless the budget ran out, as when
+  /// interrupt() ends the real drain: then it rests at the last event fired.
   template <typename OnFire>
-  void run_until(TimePoint deadline, OnFire&& on_fire) {
-    for (;;) {
-      const auto it = min_entry();
-      if (it == queue_.end() || it->when > deadline) break;
-      const Entry entry = *it;
-      queue_.erase(it);
-      now_ = entry.when;
-      on_fire(entry.label);  // May re-enter schedule().
-    }
-    if (now_ < deadline) now_ = deadline;
-  }
-
-  template <typename OnFire>
-  void run(OnFire&& on_fire) {
-    while (true) {
-      const auto it = min_entry();
-      if (it == queue_.end()) break;
-      const Entry entry = *it;
-      queue_.erase(it);
-      now_ = entry.when;
-      on_fire(entry.label);
+  void run_until(TimePoint deadline, OnFire&& on_fire,
+                 std::size_t budget = kNoBudget) {
+    if (fire_due(deadline, on_fire, budget) && now_ < deadline) {
+      now_ = deadline;
     }
   }
 
-  /// Fires at most `budget` events strictly before `bound`; the clock rests
-  /// at the last one fired.
   template <typename OnFire>
-  void run_before(TimePoint bound, std::size_t budget, OnFire&& on_fire) {
-    for (std::size_t fired = 0; fired < budget; ++fired) {
-      const auto it = min_entry();
-      if (it == queue_.end() || it->when >= bound) break;
-      const Entry entry = *it;
-      queue_.erase(it);
-      now_ = entry.when;
-      on_fire(entry.label);
-    }
+  void run(OnFire&& on_fire, std::size_t budget = kNoBudget) {
+    fire_due(TimePoint{std::numeric_limits<std::int64_t>::max()}, on_fire,
+             budget);
   }
 
   /// Time of the `index`-th queued entry (in storage order, which is
@@ -135,6 +117,21 @@ class ReferenceSim {
     std::uint32_t label;
   };
 
+  /// Pops and fires events due by `deadline` in (when, seq) order, at most
+  /// `budget` of them; false when the budget ran out.
+  template <typename OnFire>
+  bool fire_due(TimePoint deadline, OnFire& on_fire, std::size_t budget) {
+    for (std::size_t fired = 0; fired != budget; ++fired) {
+      const auto it = min_entry();
+      if (it == queue_.end() || it->when > deadline) return true;
+      const Entry entry = *it;
+      queue_.erase(it);
+      now_ = entry.when;
+      on_fire(entry.label);  // May re-enter schedule().
+    }
+    return false;
+  }
+
   std::vector<Entry>::iterator min_entry() {
     return std::min_element(queue_.begin(), queue_.end(),
                             [](const Entry& a, const Entry& b) {
@@ -152,8 +149,8 @@ struct EpisodeOptions {
   /// Attach a TieRecorder so run()/run_until() take the grouped drain.
   bool grouped = false;
   /// Reserve runs of keys, queue each run a member or a timestamp at a
-  /// time, drop runs part way, and alternate run_until with interrupted
-  /// run_before drains.
+  /// time, drop runs part way, and alternate run_until with run and
+  /// run_until drains that interrupt() ends early.
   bool keyed_runs = false;
 };
 
@@ -172,10 +169,10 @@ struct KeyedRun {
 
 /// One timestamp's members of a by_timestamp run, queued together.
 struct KeyedBatch {
-  std::size_t size = 0;
-  /// Members that fired in a run_before drain or were cancelled: the
-  /// grouped drain never sees them.
-  std::size_t ungrouped = 0;
+  std::vector<std::uint64_t> seqs;
+  /// For each cancelled member, by seq: how many tie groups had been
+  /// recorded when it was cancelled.
+  std::map<std::uint64_t, std::size_t> cancelled_at;
 };
 
 /// Drives both simulators in lock-step through one randomized episode.
@@ -198,7 +195,7 @@ class LockstepDriver {
       cancel_retired();  // Stale-id cancels must be no-ops in both.
       const auto stride = static_cast<std::int64_t>(rng_.uniform_int(4'000));
       if (options_.keyed_runs && rng_.uniform_int(2) == 0) {
-        advance_before(stride, 1 + rng_.uniform_int(6));
+        advance_interrupted(stride, 1 + rng_.uniform_int(6));
       } else {
         advance(stride);
       }
@@ -223,8 +220,6 @@ class LockstepDriver {
   /// encode depth in the millions digit, so child labels never collide with
   /// fresh top-level labels (which stay below 1'000'000).
   static constexpr std::uint32_t kDepthStride = 1'000'000;
-  static constexpr std::size_t kNoBudget =
-      std::numeric_limits<std::size_t>::max();
   static bool spawns_child(std::uint32_t label) {
     return label % 3 == 0 && label < 3 * kDepthStride;
   }
@@ -255,10 +250,6 @@ class LockstepDriver {
       KeyedRun& run = *runs_[member->second];
       run_of_.erase(member);
       ++keyed_fired_;
-      if (const auto batch = batch_of_.find(label);
-          batch != batch_of_.end() && budget_ != kNoBudget) {
-        ++batches_[batch->second].ungrouped;  // Fired by run_before().
-      }
       if (--run.unfired == 0) queue_next(run);
     }
     if (budget_ != kNoBudget && --budget_ == 0) real_.interrupt();
@@ -272,20 +263,22 @@ class LockstepDriver {
     if (run.next == run.keys.size()) return;
     const TimePoint when = run.keys[run.next].when;
     const std::size_t batch = batches_.size();
+    if (run.by_timestamp) batches_.emplace_back();
     do {
       const std::uint32_t label = run.labels[run.next];
+      const std::uint64_t seq = run.keys[run.next].seq;
       run.queued.push_back(real_.schedule_keyed(
           run.keys[run.next], [this, label] { on_real_fire(label); },
           "test.keyed"));
       if (run.by_timestamp) {
         batch_of_[label] = batch;
-        batch_of_seq_[run.keys[run.next].seq] = batch;
+        batch_of_seq_[seq] = batch;
+        batches_[batch].seqs.push_back(seq);
       }
       ++run.next;
     } while (run.by_timestamp && run.next != run.keys.size() &&
              run.keys[run.next].when == when);
     run.unfired = run.queued.size();
-    if (run.by_timestamp) batches_.push_back(KeyedBatch{run.queued.size(), 0});
   }
 
   /// Keyed-run moves for one phase: sometimes drop a live run part way
@@ -307,7 +300,8 @@ class LockstepDriver {
         run_of_.erase(label);
         if (const auto batch = batch_of_.find(label);
             batch != batch_of_.end()) {
-          ++batches_[batch->second].ungrouped;
+          batches_[batch->second].cancelled_at[run->keys[first + i].seq] =
+              recorder_.groups.size();
         }
       }
       for (std::size_t i = run->next; i < run->keys.size(); ++i) {
@@ -345,24 +339,35 @@ class LockstepDriver {
     runs_.push_back(std::move(run));
   }
 
-  /// Every recorded tie group that holds a member of a by_timestamp batch
-  /// holds every member of it that the grouped drain fired: the batch was
-  /// queued whole before its timestamp was collected.
+  /// The first recorded tie group that holds a member of a by_timestamp
+  /// batch holds every member not cancelled before it was recorded: the
+  /// batch was queued whole before its timestamp was collected.  (When an
+  /// interrupt cuts that group short, its unfired members go back into the
+  /// queue, so a later group may hold some of them again.)
   void check_batches_grouped_whole() {
-    for (const TieGroup& group : recorder_.groups) {
+    std::map<std::size_t, std::size_t> first_group;  // Batch -> group.
+    for (std::size_t g = 0; g < recorder_.groups.size(); ++g) {
       std::map<std::size_t, std::size_t> held;
-      for (const TieEvent& event : group.events) {
+      for (const TieEvent& event : recorder_.groups[g].events) {
         if (const auto it = batch_of_seq_.find(event.seq);
             it != batch_of_seq_.end()) {
           ++held[it->second];
         }
       }
       for (const auto& [id, count] : held) {
-        const KeyedBatch& whole = batches_[id];
-        ASSERT_EQ(count, whole.size - whole.ungrouped)
-            << diag("tie group " + std::to_string(group.index) +
-                    " split batch " + std::to_string(id));
-        if (whole.size > 1) ++batch_groups_;
+        if (!first_group.emplace(id, g).second) continue;
+        const KeyedBatch& batch = batches_[id];
+        std::size_t live = 0;
+        for (const std::uint64_t seq : batch.seqs) {
+          const auto cancelled = batch.cancelled_at.find(seq);
+          if (cancelled == batch.cancelled_at.end() || cancelled->second > g) {
+            ++live;
+          }
+        }
+        ASSERT_EQ(count, live)
+            << diag("tie group " + std::to_string(g) + " split batch " +
+                    std::to_string(id));
+        if (batch.seqs.size() > 1) ++batch_groups_;
       }
     }
   }
@@ -407,19 +412,28 @@ class LockstepDriver {
   void advance(std::int64_t stride_micros) {
     const TimePoint deadline =
         real_.now() + Duration::from_micros(stride_micros);
+    // An interrupt outside a drain must not end the next one.
+    if (options_.keyed_runs && rng_.uniform_int(4) == 0) real_.interrupt();
     real_.run_until(deadline);
     ref_.run_until(deadline, [this](std::uint32_t label) { on_ref_fire(label); });
   }
 
-  /// run_before(bound) on the real side, ended by interrupt() after
-  /// `budget` firings; the reference fires the same budget.
-  void advance_before(std::int64_t stride_micros, std::size_t budget) {
-    const TimePoint bound = real_.now() + Duration::from_micros(stride_micros);
+  /// A drain that interrupt() ends after `budget` firings on the real side
+  /// -- run_until(now + stride) or run(), by a coin flip -- and the same
+  /// budget on the reference.
+  void advance_interrupted(std::int64_t stride_micros, std::size_t budget) {
+    const auto on_ref = [this](std::uint32_t label) { on_ref_fire(label); };
     budget_ = budget;
-    real_.run_before(bound);
+    if (rng_.uniform_int(2) == 0) {
+      const TimePoint deadline =
+          real_.now() + Duration::from_micros(stride_micros);
+      real_.run_until(deadline);
+      ref_.run_until(deadline, on_ref, budget);
+    } else {
+      real_.run();
+      ref_.run(on_ref, budget);
+    }
     budget_ = kNoBudget;
-    ref_.run_before(bound, budget,
-                    [this](std::uint32_t label) { on_ref_fire(label); });
   }
 
   void drain() {
@@ -462,7 +476,7 @@ class LockstepDriver {
   std::vector<EventId> retired_;
   std::vector<Firing> real_log_;
   std::vector<Firing> ref_log_;
-  /// Firings left before on_real_fire interrupts a run_before drain.
+  /// Firings left before on_real_fire interrupts the drain.
   std::size_t budget_ = kNoBudget;
   /// Every keyed run started, and the run of each unfired member's label.
   std::vector<std::unique_ptr<KeyedRun>> runs_;

@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "workflow/builders.hpp"
 #include "workload/arrivals.hpp"
 #include "workload/case_studies.hpp"
 #include "workload/runner.hpp"
+#include "workload/traffic_mix.hpp"
 
 namespace xanadu::workload {
 namespace {
@@ -154,6 +158,55 @@ TEST(Runner, ScheduleWithinKeepAliveReusesWorkers) {
     EXPECT_EQ(outcome.results[i].cold_starts, 0u) << i;
   }
   EXPECT_EQ(outcome.ledger_delta.workers_provisioned, 2u);
+}
+
+TEST(Runner, StopsAtTheLastCompletion) {
+  // Every run stops driving right after its last completion.  Without a
+  // flush the clock rests exactly there, with the still-warm workers'
+  // keep-alive timers queued, and the next run picks up from that clock.
+  // Both unsharded runners stop the same way; drain_after_last drains on.
+  core::DispatchManagerOptions options;
+  options.kind = core::PlatformKind::XanaduCold;
+  core::DispatchManager manager{options};
+  workflow::BuildOptions build;
+  build.exec_time = Duration::from_millis(230);
+  const auto wf = manager.deploy(workflow::linear_chain(2, build));
+  RunOptions run;
+  run.flush_at_end = false;
+  const auto last_completion = [](const std::vector<platform::RequestResult>&
+                                      results) {
+    sim::TimePoint last{};
+    for (const platform::RequestResult& r : results) {
+      last = std::max(last, r.completed);
+    }
+    return last;
+  };
+
+  const RunOutcome single = run_schedule(
+      manager, wf, fixed_interval(3, Duration::from_millis(1'300)), run);
+  ASSERT_EQ(single.completed_count(), 3u);
+  EXPECT_EQ(manager.simulator().now(), last_completion(single.results));
+  EXPECT_GT(manager.simulator().pending(), 0u);
+
+  TrafficMix mix;
+  mix.add_source(wf, "a", fixed_interval(2, Duration::from_millis(700)));
+  mix.add_source(wf, "b", fixed_interval(2, Duration::from_millis(1'100)));
+  const MixedOutcome mixed = run_mixed_schedule(manager, mix, run);
+  ASSERT_EQ(mixed.aggregate.completed_count(), 4u);
+  EXPECT_EQ(mixed.aggregate.results.front().submitted,
+            last_completion(single.results));
+  EXPECT_EQ(manager.simulator().now(),
+            last_completion(mixed.aggregate.results));
+  EXPECT_GT(manager.simulator().pending(), 0u);
+
+  // drain_after_last drains on from the last completion: the keep-alive
+  // timers fire and the queue empties.
+  run.drain_after_last = true;
+  const RunOutcome drained = run_schedule(
+      manager, wf, fixed_interval(2, Duration::from_millis(500)), run);
+  ASSERT_EQ(drained.completed_count(), 2u);
+  EXPECT_GT(manager.simulator().now(), last_completion(drained.results));
+  EXPECT_EQ(manager.simulator().pending(), 0u);
 }
 
 TEST(Runner, FractionOverThreshold) {

@@ -8,7 +8,8 @@ simulator -- or publishing on its bus -- is a data race between threads
 and makes the target's trace depend on thread timing.  The TSan job
 catches the race, but only on executed paths.  This rule is the static
 complement: any function reachable from an event-handler root that calls
-a scheduling/publishing API on a receiver that names another shard
+a scheduling, publishing or draining API on a receiver that names another
+shard
 (remote_/peer_/other_... receivers, `shard(i)`/`shards_[i]` chains) is
 flagged with the handler path that reaches it.
 
@@ -33,13 +34,15 @@ RULE_DOCS = {
     ),
 }
 
-# Calls that inject events or messages into a simulator/bus, or drain one.
+# Calls that inject events or messages into a simulator/bus, or drain one
+# (run and run_until are the simulator's only drains).
 MONITORED_CALLS = {
     "schedule_at",
     "schedule_after",
     "schedule_keyed",
     "publish",
-    "run_before",
+    "run",
+    "run_until",
 }
 
 # A receiver-expression token that names another shard.

@@ -1,8 +1,8 @@
-// xan_lint fixture: MUST fire shard-lookahead exactly twice.
+// xan_lint fixture: MUST fire shard-lookahead exactly three times.
 //
 // Distilled from a cross-shard effect that the TSan job catches only when
 // executed: handler-reachable code schedules directly into another shard's
-// simulator, which another thread may be draining.
+// simulator, which another thread may be draining, or drains it itself.
 
 namespace xanadu::fixture {
 
@@ -19,6 +19,8 @@ class CrossShardDaemon {
     // BAD 2: reaching across the shard set by index.
     owner_.shard(1).simulator().schedule_at(next_when_, drain_event(),
                                             "daemon.drain");
+    // BAD 3: draining the peer shard's queue from this shard's handler.
+    peer_sim_->run_until(next_when_);
   }
 
  private:

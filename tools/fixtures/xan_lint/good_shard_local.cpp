@@ -16,7 +16,8 @@ class LocalDaemon {
   void forward() {
     bus_->publish(topic_, payload_);
     sim_.schedule_at(when_, drain_event(), "local.drain");
-    sim_.run_before(when_);
+    sim_.run_until(when_);
+    sim_.run();
   }
 
  private:

@@ -37,8 +37,9 @@ tools/fixtures/xan_lint/:
   good_arena_reset_rebind.cpp  post-fix shape (rebind + value copies) --
                                must be silent
   bad_shard_direct_send.cpp    cross-shard schedules (direct peer
-                               simulator + shard(i) chain) --
-                               shard-lookahead must fire twice
+                               simulator + shard(i) chain) and a drain
+                               of the peer's queue -- shard-lookahead
+                               must fire three times
   good_shard_local.cpp         schedules, publishes and drains on its own
                                simulator and bus only -- must be silent
   bad_observer_mutation.cpp    state_digest accessor that bumps a
@@ -276,16 +277,17 @@ def main() -> int:
     # --- shard-lookahead: direct cross-shard scheduling. ------------------
     found = shard.get("bad_shard_direct_send.cpp", [])
     check(
-        len(found) == 2 and all(f.rule == "shard-lookahead" for f in found),
-        "bad_shard_direct_send fires shard-lookahead exactly twice",
+        len(found) == 3 and all(f.rule == "shard-lookahead" for f in found),
+        "bad_shard_direct_send fires shard-lookahead exactly three times",
         failures,
     )
-    if len(found) == 2:
+    if len(found) == 3:
         messages = " | ".join(f.message for f in found)
         check(
-            "peer_sim_" in messages and "shard" in messages,
-            "bad_shard_direct_send flags both the peer simulator and the "
-            "shard(i) chain",
+            "peer_sim_" in messages and "shard" in messages
+            and "run_until" in messages,
+            "bad_shard_direct_send flags the peer simulator, the shard(i) "
+            "chain and the peer drain",
             failures,
         )
     check(
