@@ -96,11 +96,10 @@ struct MixedOutcome {
 /// and runs the simulation until all requests complete, under the same
 /// RunOptions semantics and stop point as run_schedule (force-cold, drain,
 /// flush, allow_incomplete with its stall horizon past the last merged
-/// arrival).  The
-/// mix's schedules are read in place, and only the next timestamp's
-/// arrivals are queued.  If the run throws, its queued arrivals are
-/// cancelled and the engine's requests still in flight are failed before
-/// the exception leaves, so the simulator can be drained and reused
+/// arrival).  The mix's schedules are read in place, and only the next
+/// timestamp's arrivals are queued.  If the run throws, its queued arrivals
+/// are cancelled and the engine's requests still in flight are failed
+/// before the exception leaves, so the simulator can be drained and reused
 /// afterwards.
 [[nodiscard]] MixedOutcome run_mixed_schedule(core::DispatchManager& manager,
                                               const TrafficMix& mix,
