@@ -3,7 +3,7 @@
 bench/paper_numbers.json.
 
 Usage:
-  check_paper_numbers.py PROGRAM BINARY [--table PATH]
+  check_paper_numbers.py PROGRAM BINARY
 
 PROGRAM names an entry of the table; BINARY is the built program.  Each of
 the entry's runs executes BINARY with the run's arguments and reads its
@@ -29,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-DEFAULT_TABLE = Path(__file__).resolve().parent / "paper_numbers.json"
+TABLE = Path(__file__).resolve().parent / "paper_numbers.json"
 NUMBER_RE = re.compile(r"^[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -144,12 +144,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("program")
     parser.add_argument("binary")
-    parser.add_argument("--table", type=Path, default=DEFAULT_TABLE)
     args = parser.parse_args()
 
-    programs = json.loads(args.table.read_text())["programs"]
+    programs = json.loads(TABLE.read_text())["programs"]
     if args.program not in programs:
-        print(f"error: {args.program!r} is not in {args.table}",
+        print(f"error: {args.program!r} is not in {TABLE}",
               file=sys.stderr)
         return 2
     spec = programs[args.program]

@@ -136,10 +136,11 @@ struct RunOptions {
 /// completion -- the event that completes it returns, and nothing later
 /// fires -- so the clock rests there, and flush_at_end charges idle time to
 /// still-warm workers up to exactly that moment.  Under allow_incomplete a
-/// run whose requests strand stops at its stall horizon instead, and an
-/// empty run fires only the events due at its start.  drain_after_last then
-/// drains the queue.  Defined with the other runners, which share its
-/// lifecycle, in traffic_mix.cpp.
+/// run whose requests strand stops at its stall horizon instead, even when
+/// its event queue empties before then, and an empty run fires only the
+/// events due at its start.  drain_after_last then drains the queue.
+/// Defined with the other runners, which share its lifecycle, in
+/// traffic_mix.cpp.
 [[nodiscard]] RunOutcome run_schedule(core::DispatchManager& manager,
                                       common::WorkflowId workflow,
                                       const ArrivalSchedule& schedule,

@@ -766,47 +766,59 @@ TEST(fault_injection, FaultedRunAggregatesAverageOverCompletedOnly) {
 TEST(fault_injection, StrandedRequestsFailAtExactlyTheStallHorizon) {
   // Total bus loss with recovery disabled strands every request; the run
   // harness must fail them AT the stall horizon -- the last arrival plus the
-  // runner's 10 virtual minutes -- not past it.  The last arrival, and so
-  // the horizon, is deliberately off the whole-second grid, so a drive that
-  // strode in whole seconds (run_until(now + 1 s) sailing past) would be
-  // caught.
-  DispatchManagerOptions options;
-  options.kind = PlatformKind::XanaduJit;
-  options.seed = 42;
-  platform::PlatformCalibration calibration = platform::xanadu_calibration();
-  calibration.control_bus.enabled = true;
-  options.calibration = calibration;
-  options.faults.bus_drop_rate = 1.0;
+  // runner's 10 virtual minutes -- neither past it nor before it.  The last
+  // arrival, and so the horizon, is deliberately off the whole-second grid,
+  // so a drive that strode in whole seconds (run_until(now + 1 s) sailing
+  // past) would be caught.
+  //
   // A nonzero outage rate keeps a recurring host-outage event in the queue,
-  // so the drive is bounded by the horizon rather than by the queue
-  // draining.
-  options.faults.host_outage_rate_per_hour = 0.5;
-  options.recovery.enabled = false;
-  DispatchManager manager{options};
-  const auto wf = manager.deploy(scenario_dag(3));
+  // so the drive is bounded by the horizon.  With none, nothing recurs and
+  // the queue empties long before the horizon; the leftovers must still fail
+  // at the horizon, not when the queue went quiet, as a shard's always have.
+  for (const double outage_rate : {0.5, 0.0}) {
+    SCOPED_TRACE("host outages per hour: " + std::to_string(outage_rate));
+    DispatchManagerOptions options;
+    options.kind = PlatformKind::XanaduJit;
+    options.seed = 42;
+    platform::PlatformCalibration calibration = platform::xanadu_calibration();
+    calibration.control_bus.enabled = true;
+    options.calibration = calibration;
+    options.faults.bus_drop_rate = 1.0;
+    options.faults.host_outage_rate_per_hour = outage_rate;
+    options.recovery.enabled = false;
+    DispatchManager manager{options};
+    const auto wf = manager.deploy(scenario_dag(3));
 
-  workload::RunOptions run;
-  run.allow_incomplete = true;
-  run.force_cold_each_request = true;
+    workload::RunOptions run;
+    run.allow_incomplete = true;
+    run.force_cold_each_request = true;
 
-  const workload::ArrivalSchedule schedule =
-      workload::fixed_interval(4, sim::Duration::from_millis(2'750));
-  const sim::TimePoint base = manager.simulator().now();
-  const sim::TimePoint horizon =
-      base + schedule.back() + sim::Duration::from_minutes(10);
+    const workload::ArrivalSchedule schedule =
+        workload::fixed_interval(4, sim::Duration::from_millis(2'750));
+    const sim::TimePoint base = manager.simulator().now();
+    const sim::TimePoint horizon =
+        base + schedule.back() + sim::Duration::from_minutes(10);
 
-  const workload::RunOutcome outcome =
-      workload::run_schedule(manager, wf, schedule, run);
+    const workload::RunOutcome outcome =
+        workload::run_schedule(manager, wf, schedule, run);
 
-  EXPECT_EQ(outcome.completed_count(), 0u);
-  EXPECT_EQ(outcome.failed_count(), schedule.size());
-  EXPECT_EQ(manager.simulator().now().micros(), horizon.micros())
-      << "stall loop overshot (or undershot) the horizon";
-  for (const auto& r : outcome.results) {
-    ASSERT_TRUE(r.failed);
-    EXPECT_EQ(r.completed.micros(), horizon.micros())
-        << "stranded request failed past the horizon";
-    EXPECT_NE(r.failure_reason.find("stranded"), std::string::npos);
+    EXPECT_EQ(manager.simulator().pending() == 0, outage_rate == 0.0);
+    EXPECT_EQ(outcome.completed_count(), 0u);
+    EXPECT_EQ(outcome.failed_count(), schedule.size());
+    EXPECT_EQ(manager.simulator().now().micros(), horizon.micros())
+        << "stall loop overshot (or undershot) the horizon";
+    for (const auto& r : outcome.results) {
+      ASSERT_TRUE(r.failed);
+      EXPECT_EQ(r.completed.micros(), horizon.micros())
+          << "stranded request failed off the horizon";
+      EXPECT_NE(r.failure_reason.find("stranded"), std::string::npos);
+    }
+
+    // The next run starts from the horizon.
+    const workload::RunOutcome next = workload::run_schedule(
+        manager, wf, workload::fixed_interval(1, sim::Duration::zero()), run);
+    ASSERT_EQ(next.results.size(), 1u);
+    EXPECT_EQ(next.results.front().submitted.micros(), horizon.micros());
   }
 }
 
