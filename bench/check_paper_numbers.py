@@ -12,7 +12,10 @@ rows from stdout, either from the metrics::Table printed under `table`
 that matches the `line` regex (one named group per key and value column).
 Every expected row must be printed, every printed row must be expected,
 and every value must lie within its column's tolerance.  The entry's
-verdicts then assert the claims EXPERIMENTS.md makes from those values.
+verdicts then assert the claims EXPERIMENTS.md makes from those values:
+each check takes one printed value (`cell`) or the quotient of two
+(`ratio`) and holds it to `expected` +/- `tolerance`, or strictly
+`below` a bound.
 
 Every difference is listed as expected -> printed (delta), so a change
 that moves a checked number shows which one and by how much.  Exit 0 when
@@ -132,7 +135,12 @@ def check_program(name: str, spec: dict, binary: str) -> list[str]:
                 problems.append(f"{name} verdict {verdict['claim']!r}: "
                                 f"no printed value for {missing}")
                 continue
-            if abs(value - check["expected"]) > check["tolerance"]:
+            if "below" in check:
+                if not value < check["below"]:
+                    problems.append(
+                        f"{name} verdict {verdict['claim']!r} fails: "
+                        f"{fmt(value)} is not below {fmt(check['below'])}")
+            elif abs(value - check["expected"]) > check["tolerance"]:
                 problems.append(
                     f"{name} verdict {verdict['claim']!r} fails: "
                     f"{fmt(value)} is not {fmt(check['expected'])} "
