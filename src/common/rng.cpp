@@ -16,36 +16,25 @@ namespace xanadu::common {
 std::size_t Rng::weighted_index(const std::vector<double>& weights
                                     XANADU_RNG_SITE_DECL) {
   XANADU_RNG_RECORD();
-  return weighted_index_impl(weights.data(), weights.size());
-}
-
-std::size_t Rng::weighted_index(const double* weights, std::size_t count
-                                    XANADU_RNG_SITE_DECL) {
-  XANADU_RNG_RECORD();
-  return weighted_index_impl(weights, count);
-}
-
-std::size_t Rng::weighted_index_impl(const double* weights,
-                                     std::size_t count) {
-  if (count == 0) {
+  if (weights.empty()) {
     throw std::invalid_argument{"Rng::weighted_index: empty weights"};
   }
   double total = 0.0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (weights[i] < 0.0) {
+  for (const double weight : weights) {
+    if (weight < 0.0) {
       throw std::invalid_argument{"Rng::weighted_index: negative weight"};
     }
-    total += weights[i];
+    total += weight;
   }
   if (total <= 0.0) {
     throw std::invalid_argument{"Rng::weighted_index: all weights zero"};
   }
   double target = uniform() * total;
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < weights.size(); ++i) {
     target -= weights[i];
     if (target < 0.0) return i;
   }
-  return count - 1;  // Guard against floating-point underrun.
+  return weights.size() - 1;  // Guard against floating-point underrun.
 }
 
 double Rng::exponential(double mean XANADU_RNG_SITE_DECL) {

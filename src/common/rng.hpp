@@ -153,11 +153,6 @@ class Rng {
   std::size_t weighted_index(const std::vector<double>& weights
                                  XANADU_RNG_SITE);
 
-  /// Pointer/length form of weighted_index, for arena-backed weight buffers
-  /// (same draw sequence as the vector overload).
-  std::size_t weighted_index(const double* weights, std::size_t count
-                                 XANADU_RNG_SITE);
-
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean XANADU_RNG_SITE);
 
@@ -188,9 +183,6 @@ class Rng {
   }
 
  private:
-  /// Shared body of the weighted_index overloads (draws via uniform()).
-  std::size_t weighted_index_impl(const double* weights, std::size_t count);
-
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

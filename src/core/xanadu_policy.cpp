@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <new>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,11 +80,10 @@ MlpResult XanaduPolicy::current_mlp(common::WorkflowId id) const {
   return estimate_mlp(snapshot, options_.mlp);
 }
 
-XanaduPolicy::RequestState::RequestState(common::Arena* arena,
-                                         std::size_t node_count)
-    : path(common::ArenaAllocator<NodeId>(arena)),
-      nodes(node_count, NodeMark{}, common::ArenaAllocator<NodeMark>(arena)) {
+void XanaduPolicy::RequestState::reset(std::size_t node_count) {
+  path.clear();
   path.reserve(node_count);
+  nodes.assign(node_count, NodeMark{});
 }
 
 void XanaduPolicy::RequestState::adopt(const MlpResult& estimate,
@@ -122,9 +121,11 @@ void XanaduPolicy::on_request_submitted(PlatformEngine& engine,
                                         RequestContext& ctx) {
   WorkflowState& wf = workflow_state(engine, ctx);
   if (options_.mode == SpeculationMode::Off) return;
-  auto* rs = new (ctx.arena.allocate_for<RequestState>(1))
-      RequestState(&ctx.arena, ctx.nodes.size());
-  ctx.policy_state = rs;
+  if (ctx.policy_state == nullptr) {
+    ctx.policy_state = std::make_unique<RequestState>();
+  }
+  RequestState* rs = state(ctx);
+  rs->reset(ctx.nodes.size());
 
   wf.model.finalize_pending();
   wf.mlp = estimate_mlp(wf.model, options_.mlp, std::move(wf.mlp));
@@ -359,14 +360,12 @@ common::Result<bool> XanaduPolicy::restore(common::WorkflowId id,
 void XanaduPolicy::on_request_completed(PlatformEngine& engine,
                                         RequestContext& ctx,
                                         RequestResult& result) {
-  if (RequestState* rs = state(ctx)) {
+  if (state(ctx) != nullptr) {
     // Planned deployments of a finished request can no longer serve it.  A
     // failed-over request counts them as cancelled (the miss-cancellation
     // path); a completed one was simply faster than its plan.
     const std::size_t cancelled = engine.cancel_prewarms(ctx);
     if (result.failed) ctx.speculation.cancelled_deployments += cancelled;
-    rs->~RequestState();
-    ctx.policy_state = nullptr;
   }
   WorkflowState& wf = workflow_state(engine, ctx);
   wf.model.finalize_pending();

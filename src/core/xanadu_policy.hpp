@@ -29,7 +29,6 @@
 
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/id_table.hpp"
 #include "core/branch_model.hpp"
 #include "core/jit_planner.hpp"
@@ -129,11 +128,12 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
     explicit WorkflowState(double alpha) : profiles(alpha) {}
   };
 
-  /// Per-request speculation state.  Placed in the request's arena at
-  /// submission (RequestContext::policy_state) and destroyed at completion,
-  /// before the engine recycles the context, so the arena outlives it.
-  struct RequestState {
-    RequestState(common::Arena* arena, std::size_t node_count);
+  /// Per-request speculation state, owned by the request's context
+  /// (RequestContext::policy_state).  Made for a context's first request and
+  /// reset at each later submission, so its vectors keep their capacity.
+  struct RequestState final : platform::PolicyRequestState {
+    /// Clears the state for a request of `node_count` nodes.
+    void reset(std::size_t node_count);
 
     /// What speculation knows about one node of the request's DAG.
     struct NodeMark {
@@ -149,9 +149,9 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
 
     /// The path speculation acts on: the estimate's aggressiveness cut,
     /// extended by replans.
-    common::ArenaVector<NodeId> path;
+    std::vector<NodeId> path;
     /// Indexed by NodeId value.
-    common::ArenaVector<NodeMark> nodes;
+    std::vector<NodeMark> nodes;
 
     [[nodiscard]] NodeMark& mark(NodeId node) { return nodes[node.value()]; }
     /// Adds `estimate`'s nodes and predictions to the request's MLP, and
@@ -160,7 +160,7 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
   };
 
   [[nodiscard]] static RequestState* state(platform::RequestContext& ctx) {
-    return static_cast<RequestState*>(ctx.policy_state);
+    return static_cast<RequestState*>(ctx.policy_state.get());
   }
   WorkflowState& workflow_state(platform::PlatformEngine& engine,
                                 platform::RequestContext& ctx);

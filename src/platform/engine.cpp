@@ -77,9 +77,9 @@ RequestId PlatformEngine::submit(WorkflowId workflow_id,
   }
   const WorkflowDag& dag = reg->dag;
 
-  // Reuse a pooled context (warm arena block, no heap traffic) when one is
-  // available; ids are always fresh, so stale events keyed on an old id can
-  // never resolve to a recycled context.
+  // Reuse a pooled context (its vectors keep their capacity, so no heap
+  // traffic) when one is available; ids are always fresh, so stale events
+  // keyed on an old id can never resolve to a recycled context.
   std::unique_ptr<RequestContext> ctx;
   if (!context_pool_.empty()) {
     ctx = std::move(context_pool_.back());
@@ -362,14 +362,9 @@ void PlatformEngine::finish_execution(RequestContext& ctx, NodeId node) {
   }
 
   if (spec_node.dispatch == DispatchMode::Xor) {
-    // Request-lifetime scratch: freed wholesale when the request's arena
-    // resets, not per resolution.
-    common::ArenaVector<double> weights{
-        common::ArenaAllocator<double>(&ctx.arena)};
-    weights.reserve(spec_node.children.size());
-    for (const Edge& e : spec_node.children) weights.push_back(e.probability);
-    const std::size_t pick =
-        ctx.rng.weighted_index(weights.data(), weights.size());
+    scratch_.clear();
+    for (const Edge& e : spec_node.children) scratch_.push_back(e.probability);
+    const std::size_t pick = ctx.rng.weighted_index(scratch_);
     const NodeId chosen = spec_node.children[pick].child;
     policy_->on_xor_resolved(*this, ctx, node, chosen);
     for (std::size_t i = 0; i < spec_node.children.size(); ++i) {
@@ -447,9 +442,7 @@ RequestResult PlatformEngine::result_prologue(const RequestContext& ctx) const {
   result.cold_starts = ctx.cold_starts;
   result.workers_provisioned = ctx.workers_provisioned;
   result.speculation = ctx.speculation;
-  // Element-wise copy out of the arena-backed list into the result's
-  // heap-backed vector (the result outlives the request's arena).
-  result.node_records.assign(ctx.nodes.begin(), ctx.nodes.end());
+  result.node_records = ctx.nodes;
   return result;
 }
 
@@ -460,30 +453,22 @@ void PlatformEngine::maybe_finish_request(RequestContext& ctx) {
 
   // Critical-path execution time over *executed* nodes: the paper's
   // "cumulative raw function execution duration" of the slowest branch.
-  // The topological order is cached per registered workflow; the per-node
-  // scratch comes from the request's arena (reclaimed wholesale below).
+  // The topological order is cached per registered workflow; scratch_
+  // holds each node's longest path.
   double critical = 0.0;
-  {
-    // Scoped: the scratch must be destroyed before recycle_request() below
-    // rewinds the arena it lives in.
-    const std::vector<NodeId>& order =
-        workflows_.find(ctx.workflow)->topo_order;
-    common::ArenaVector<double> longest{
-        common::ArenaAllocator<double>(&ctx.arena)};
-    longest.resize(ctx.dag->node_count(), 0.0);
-    for (const NodeId id : order) {
-      const NodeRecord& record = ctx.nodes[id.value()];
-      if (record.status != NodeStatus::Completed) continue;
-      double best_parent = 0.0;
-      for (const NodeId parent : ctx.dag->node(id).parents) {
-        if (ctx.nodes[parent.value()].status == NodeStatus::Completed) {
-          best_parent = std::max(best_parent, longest[parent.value()]);
-        }
+  scratch_.assign(ctx.dag->node_count(), 0.0);
+  for (const NodeId id : workflows_.find(ctx.workflow)->topo_order) {
+    const NodeRecord& record = ctx.nodes[id.value()];
+    if (record.status != NodeStatus::Completed) continue;
+    double best_parent = 0.0;
+    for (const NodeId parent : ctx.dag->node(id).parents) {
+      if (ctx.nodes[parent.value()].status == NodeStatus::Completed) {
+        best_parent = std::max(best_parent, scratch_[parent.value()]);
       }
-      longest[id.value()] = best_parent + record.exec_duration.seconds();
-      critical = std::max(critical, longest[id.value()]);
-      ++result.executed_nodes;
     }
+    scratch_[id.value()] = best_parent + record.exec_duration.seconds();
+    critical = std::max(critical, scratch_[id.value()]);
+    ++result.executed_nodes;
   }
   for (const NodeRecord& record : ctx.nodes) {
     if (record.status == NodeStatus::Skipped) ++result.skipped_nodes;

@@ -294,7 +294,7 @@ class PlatformEngine {
   FunctionInfo& function_info(FunctionId fn);
   RequestContext* find_request(RequestId id) { return requests_.find(id); }
   /// Removes a finished request from the in-flight table and parks its
-  /// context (arena rewound) in the pool for the next submit().
+  /// context (emptied, capacity kept) in the pool for the next submit().
   void recycle_request(RequestId id);
 
   sim::Simulator& sim_;
@@ -326,10 +326,14 @@ class PlatformEngine {
   /// window spans about as many ids as are in flight; a live
   /// RequestContext& survives later submissions.
   common::IdWindow<RequestId, RequestContext> requests_;
-  /// Recycled contexts, each with a warm arena block.  Bounded: steady-state
-  /// size tracks the concurrency high-water mark, capped below.
+  /// Recycled contexts, each holding what its largest request needed.
+  /// Bounded: steady-state size tracks the concurrency high-water mark,
+  /// capped below; a context past the cap is freed, policy state included.
   std::vector<std::unique_ptr<RequestContext>> context_pool_;
   static constexpr std::size_t kContextPoolCap = 1024;
+  /// Scratch for one step at a time, keeping its capacity: an XOR node's
+  /// branch weights, then a finishing request's longest path per node.
+  std::vector<double> scratch_;
 
   common::IdGenerator<WorkflowId> workflow_ids_;
   common::IdGenerator<FunctionId> function_ids_;

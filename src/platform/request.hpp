@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/ids.hpp"
 #include "common/inline_vector.hpp"
 #include "common/rng.hpp"
@@ -125,46 +125,39 @@ struct RequestResult {
 
 using CompletionCallback = std::function<void(const RequestResult&)>;
 
-/// Node records of one in-flight request, bump-allocated from the request's
-/// arena (deallocation is a no-op; the whole arena resets on completion).
-using NodeRecordList = common::ArenaVector<NodeRecord>;
-
 /// One planned prewarm of a request: prewarm `node` when the event key
 /// `key`, reserved when the plan was made, comes up.
 struct ScheduledPrewarm {
   sim::EventKey key;
   NodeId node{};
 };
-using ScheduledPrewarmList = common::ArenaVector<ScheduledPrewarm>;
+
+/// Base of a policy's per-request state, which the request's context owns.
+/// The platform layer cannot name the policy's types.
+struct PolicyRequestState {
+  virtual ~PolicyRequestState() = default;
+};
 
 /// Live state of one in-flight request.  Owned by the engine, which alone
 /// reads and writes it (fault recovery included); the warm pool and the
 /// provision pipeline never see a request, only opaque (RequestId, NodeId)
 /// waiters.
 ///
-/// All per-request transient storage -- the node records below, the engine's
-/// critical-path and XOR-weight scratch, the policy's per-request state --
-/// lives in `arena` and is released wholesale when the request completes.
-/// The engine recycles contexts: reset_for_reuse() rewinds the arena
-/// (keeping a block sized to its largest request) so recycling a context
-/// does not touch the heap.
+/// The engine recycles contexts: reset_for_reuse() empties the vectors
+/// below but keeps their capacity, and leaves the policy's state in place,
+/// so a recycled context serves a request no larger than its largest one
+/// without touching the heap.
 struct RequestContext {
-  RequestContext()
-      : nodes(common::ArenaAllocator<NodeRecord>(&arena)),
-        prewarms(common::ArenaAllocator<ScheduledPrewarm>(&arena)) {}
-
+  RequestContext() = default;
   RequestContext(const RequestContext&) = delete;
   RequestContext& operator=(const RequestContext&) = delete;
-
-  /// Request-lifetime allocator.  Declared first: members below allocate
-  /// from it, so it must outlive them in destruction order.
-  common::Arena arena;
 
   RequestId id{};
   WorkflowId workflow{};
   const workflow::WorkflowDag* dag = nullptr;
   sim::TimePoint submitted{};
-  NodeRecordList nodes;
+  /// Indexed by NodeId value.
+  std::vector<NodeRecord> nodes;
   /// Nodes not yet Completed or Skipped.
   std::size_t outstanding = 0;
   std::size_t cold_starts = 0;
@@ -172,39 +165,34 @@ struct RequestContext {
   SpeculationStats speculation;
   common::Rng rng;
   CompletionCallback on_complete;
-  /// The attached policy's per-request state: placed in `arena` by the
-  /// policy when the request is submitted and torn down by it when the
-  /// request completes; null under policies that keep none.  Opaque here,
-  /// since the platform layer cannot name the policy's types.
-  void* policy_state = nullptr;
+  /// The attached policy's per-request state, null under policies that keep
+  /// none.  The policy makes it for the context's first request and resets
+  /// it at each later submission; it is freed with the context.
+  std::unique_ptr<PolicyRequestState> policy_state;
   /// Planned prewarms (PlatformEngine::schedule_prewarms) not yet fired:
   /// those from `next_prewarm` on, in key order.  Only the one at
   /// `next_prewarm` is queued, as `prewarm_event`; firing, it queues the
   /// next.
-  ScheduledPrewarmList prewarms;
+  std::vector<ScheduledPrewarm> prewarms;
   std::size_t next_prewarm = 0;
   EventId prewarm_event{};
 
-  /// Returns the context to a fresh state for the engine's context pool.
-  /// Arena-backed containers are re-bound to empty *before* the arena
-  /// resets, so no live container references reclaimed memory.
+  /// Returns the context to a fresh state for the engine's context pool;
+  /// `rng` and `policy_state` are set at the next submission.
   void reset_for_reuse() {
-    nodes = NodeRecordList(common::ArenaAllocator<NodeRecord>(&arena));
-    prewarms =
-        ScheduledPrewarmList(common::ArenaAllocator<ScheduledPrewarm>(&arena));
-    next_prewarm = 0;
-    prewarm_event = EventId{};
-    policy_state = nullptr;
-    arena.reset();
     id = RequestId{};
     workflow = WorkflowId{};
     dag = nullptr;
     submitted = sim::TimePoint{};
+    nodes.clear();
     outstanding = 0;
     cold_starts = 0;
     workers_provisioned = 0;
     speculation = SpeculationStats{};
     on_complete = nullptr;
+    prewarms.clear();
+    next_prewarm = 0;
+    prewarm_event = EventId{};
   }
 };
 

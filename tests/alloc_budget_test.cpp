@@ -1,16 +1,16 @@
 // Heap-allocation budget of the steady-state Xanadu request path.
 //
 // Per-request scratch -- the MLP estimate, the JIT plan, the branch model's
-// pending batches, the policy's request state, the node records -- either
-// lives in the request's arena or in NodeId-indexed buffers whose capacity
-// is reused across requests, and the engine's in-flight request table is a
-// ring that stops growing once it spans the requests in flight.  Once a
-// replay is warm, a JIT chain request makes about one heap allocation: the
-// result's node-record vector.  This executable replaces the global
-// operator new with a counting one (as perfbench/alloc_count.cpp does) and
-// gates the count per request: a deterministic work counter, where a
-// wall-clock budget would be noise.  Each budget is the measured count
-// rounded up to the next quarter.
+// pending batches, the policy's request state, the node records -- lives in
+// NodeId-indexed buffers whose capacity is reused across requests (the
+// engine recycles request contexts, whose vectors keep theirs), and the
+// engine's in-flight request table is a ring that stops growing once it
+// spans the requests in flight.  Once a replay is warm, a JIT chain request
+// makes about one heap allocation: the result's node-record vector.  This
+// executable replaces the global operator new with a counting one (as
+// perfbench/alloc_count.cpp does) and gates the count per request: a
+// deterministic work counter, where a wall-clock budget would be noise.
+// Each budget is the measured count rounded up to the next quarter.
 
 #include <gtest/gtest.h>
 

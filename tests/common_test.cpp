@@ -1,10 +1,8 @@
-// Unit tests for src/common: ids, rng, ema, stats, result, arena, interner.
+// Unit tests for src/common: ids, rng, ema, stats, result, interner.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -12,7 +10,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/ema.hpp"
 #include "common/id_table.hpp"
 #include "common/ids.hpp"
@@ -419,160 +416,6 @@ TEST(Result, WrongAccessThrows) {
   EXPECT_THROW((void)value.error(), std::logic_error);
   EXPECT_THROW((void)error.value(), std::logic_error);
 }
-
-// --------------------------------------------------------------- arena ----
-
-TEST(Arena, RespectsAlignment) {
-  Arena arena;
-  // Deliberately misalign the cursor with a 1-byte allocation first.
-  (void)arena.allocate(1, 1);
-  for (const std::size_t align : {2u, 4u, 8u, 16u, 64u}) {
-    void* p = arena.allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-        << "align " << align;
-    (void)arena.allocate(1, 1);  // Re-misalign for the next iteration.
-  }
-}
-
-TEST(Arena, ZeroByteAllocationIsValid) {
-  Arena arena;
-  EXPECT_NE(arena.allocate(0, 1), nullptr);
-}
-
-TEST(Arena, GrowsBlocksThenResetKeepsOnlyTheFirst) {
-  Arena arena{/*block_bytes=*/256};
-  for (int i = 0; i < 8; ++i) (void)arena.allocate(200, 8);
-  EXPECT_GT(arena.block_count(), 1u);
-  EXPECT_EQ(arena.bytes_allocated(), 8u * 200u);
-
-  arena.reset();
-  EXPECT_EQ(arena.block_count(), 1u);  // First block kept warm.
-  EXPECT_EQ(arena.oversized_count(), 0u);
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-
-  // The kept block serves the next allocations without growing.
-  (void)arena.allocate(200, 8);
-  EXPECT_EQ(arena.block_count(), 1u);
-}
-
-TEST(Arena, ResetReuseReturnsTheSameFirstBlockStorage) {
-  Arena arena{/*block_bytes=*/256};
-  void* first = arena.allocate(64, 8);
-  arena.reset();
-  void* again = arena.allocate(64, 8);
-  EXPECT_EQ(first, again);
-}
-
-TEST(Arena, OversizedAllocationsFallBackAndAreFreedOnReset) {
-  Arena arena{/*block_bytes=*/128};
-  void* big = arena.allocate(4096, 16);
-  ASSERT_NE(big, nullptr);
-  EXPECT_EQ(arena.oversized_count(), 1u);
-  // Oversized storage is writable end to end.
-  std::memset(big, 0xab, 4096);
-  (void)arena.allocate(4096, 16);
-  EXPECT_EQ(arena.oversized_count(), 2u);
-  arena.reset();
-  EXPECT_EQ(arena.oversized_count(), 0u);
-}
-
-TEST(Arena, ASpilledCycleRepeatsInOneBlockWithUnchangedStorage) {
-  // A cycle leaves its block in two ways: into a second regular block, and
-  // through an oversized allocation.  Either way reset() keeps one block
-  // that fits the whole cycle, so the same cycle then runs inside it --
-  // one block, nothing oversized -- and at the same addresses every time,
-  // i.e. without a heap call.
-  const auto regular = [](Arena& arena) {
-    std::vector<void*> pointers;
-    for (int i = 0; i < 3; ++i) pointers.push_back(arena.allocate(200, 8));
-    return pointers;
-  };
-  const auto oversized = [](Arena& arena) {
-    std::vector<void*> pointers{arena.allocate(40, 8)};
-    pointers.push_back(arena.allocate(1000, 64));
-    pointers.push_back(arena.allocate(24, 8));
-    return pointers;
-  };
-  const auto both = [&](Arena& arena) {
-    std::vector<void*> pointers = regular(arena);
-    for (void* p : oversized(arena)) pointers.push_back(p);
-    return pointers;
-  };
-  for (const auto& cycle :
-       {std::function<std::vector<void*>(Arena&)>{regular},
-        std::function<std::vector<void*>(Arena&)>{oversized},
-        std::function<std::vector<void*>(Arena&)>{both}}) {
-    Arena arena{/*block_bytes=*/256};
-    (void)cycle(arena);
-    EXPECT_GT(arena.block_count() + arena.oversized_count(), 1u);
-    arena.reset();
-    const std::vector<void*> second = cycle(arena);
-    EXPECT_EQ(arena.block_count(), 1u);
-    EXPECT_EQ(arena.oversized_count(), 0u);
-    arena.reset();
-    const std::vector<void*> third = cycle(arena);
-    EXPECT_EQ(arena.block_count(), 1u);
-    EXPECT_EQ(arena.oversized_count(), 0u);
-    EXPECT_EQ(second, third);
-    EXPECT_GE(arena.block_bytes(), arena.bytes_allocated());
-  }
-}
-
-TEST(Arena, VectorGrowsAndSurvivesRebindAfterReset) {
-  Arena arena;
-  ArenaVector<std::uint64_t> values{ArenaAllocator<std::uint64_t>(&arena)};
-  for (std::uint64_t i = 0; i < 1000; ++i) values.push_back(i);
-  ASSERT_EQ(values.size(), 1000u);
-  EXPECT_EQ(values[999], 999u);
-
-  // The recycle protocol: re-bind to an empty container BEFORE resetting,
-  // so no live container points into reclaimed memory.
-  values = ArenaVector<std::uint64_t>(ArenaAllocator<std::uint64_t>(&arena));
-  arena.reset();
-  for (std::uint64_t i = 0; i < 10; ++i) values.push_back(i * 3);
-  EXPECT_EQ(values[9], 27u);
-}
-
-TEST(ArenaAllocator, EqualityFollowsTheArena) {
-  Arena a;
-  Arena b;
-  EXPECT_EQ(ArenaAllocator<int>(&a), ArenaAllocator<int>(&a));
-  EXPECT_NE(ArenaAllocator<int>(&a), ArenaAllocator<int>(&b));
-  // Rebinding to another value type preserves the arena identity.
-  const ArenaAllocator<long> rebound{ArenaAllocator<int>(&a)};
-  EXPECT_EQ(rebound.arena(), &a);
-}
-
-#if defined(XANADU_ARENA_ASAN)
-using ArenaDeathTest = ::testing::Test;
-
-TEST(ArenaDeathTest, UseAfterResetFaultsUnderAsan) {
-  // reset() poisons everything it reclaims, so a stale pointer must fault
-  // immediately instead of silently reading recycled memory.
-  EXPECT_DEATH(
-      {
-        Arena arena;
-        auto* p = static_cast<volatile std::uint64_t*>(
-            arena.allocate(sizeof(std::uint64_t), alignof(std::uint64_t)));
-        *p = 42;
-        arena.reset();
-        std::uint64_t v = *p;  // Poisoned read.
-        (void)v;
-      },
-      "use-after-poison");
-}
-
-TEST(ArenaDeathTest, BlockTailIsPoisonedUnderAsan) {
-  EXPECT_DEATH(
-      {
-        Arena arena{/*block_bytes=*/256};
-        auto* p = static_cast<volatile std::uint8_t*>(arena.allocate(8, 1));
-        std::uint8_t v = p[16];  // Past the allocation, inside the block.
-        (void)v;
-      },
-      "use-after-poison");
-}
-#endif  // XANADU_ARENA_ASAN
 
 // ------------------------------------------------------------ interner ----
 

@@ -1,10 +1,12 @@
 // Tests for the platform engine: DAG execution semantics (1:1, multicast,
 // XOR cast, barrier), warm-pool reuse, keep-alive reclamation, prewarming,
-// the OpenWhisk-style live-worker cap, and C_D accounting.
+// the OpenWhisk-style live-worker cap, C_D accounting, and the request
+// context's recycling.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -407,6 +409,59 @@ TEST_F(EngineTest, ExecJitterVariesRuntime) {
   }
   EXPECT_LT(min_exec, max_exec);
   EXPECT_NEAR((min_exec + max_exec) / 2.0, 1000.0, 200.0);
+}
+
+TEST(RequestContext, ResetForReuseKeepsCapacityAndPolicyState) {
+  struct PolicyMarks final : PolicyRequestState {
+    std::vector<int> marks{1, 2, 3};
+  };
+  const WorkflowDag dag = workflow::linear_chain(3, BuildOptions{});
+  RequestContext ctx;
+  ctx.id = RequestId{5};
+  ctx.workflow = WorkflowId{2};
+  ctx.dag = &dag;
+  ctx.submitted = sim::TimePoint{1234};
+  ctx.nodes.resize(dag.node_count());
+  ctx.outstanding = 3;
+  ctx.cold_starts = 1;
+  ctx.workers_provisioned = 2;
+  ctx.speculation = SpeculationStats{1, 2, 3, 4, 5};
+  ctx.on_complete = [](const RequestResult&) {};
+  ctx.policy_state = std::make_unique<PolicyMarks>();
+  const PolicyRequestState* state = ctx.policy_state.get();
+  ctx.prewarms.resize(2);
+  ctx.next_prewarm = 1;
+  ctx.prewarm_event = EventId{9};
+  const std::size_t node_capacity = ctx.nodes.capacity();
+  const std::size_t prewarm_capacity = ctx.prewarms.capacity();
+
+  ctx.reset_for_reuse();
+
+  const RequestContext fresh;
+  EXPECT_EQ(ctx.id, fresh.id);
+  EXPECT_EQ(ctx.workflow, fresh.workflow);
+  EXPECT_EQ(ctx.dag, fresh.dag);
+  EXPECT_EQ(ctx.submitted, fresh.submitted);
+  EXPECT_EQ(ctx.outstanding, fresh.outstanding);
+  EXPECT_EQ(ctx.cold_starts, fresh.cold_starts);
+  EXPECT_EQ(ctx.workers_provisioned, fresh.workers_provisioned);
+  EXPECT_EQ(ctx.speculation.predicted_nodes, 0u);
+  EXPECT_EQ(ctx.speculation.missed_nodes, 0u);
+  EXPECT_EQ(ctx.speculation.unpredicted_executions, 0u);
+  EXPECT_EQ(ctx.speculation.cancelled_deployments, 0u);
+  EXPECT_EQ(ctx.speculation.wasted_workers, 0u);
+  EXPECT_FALSE(ctx.on_complete);
+  EXPECT_EQ(ctx.next_prewarm, fresh.next_prewarm);
+  EXPECT_EQ(ctx.prewarm_event, fresh.prewarm_event);
+  // Emptied, but the next request reuses their storage.
+  EXPECT_TRUE(ctx.nodes.empty());
+  EXPECT_EQ(ctx.nodes.capacity(), node_capacity);
+  EXPECT_TRUE(ctx.prewarms.empty());
+  EXPECT_EQ(ctx.prewarms.capacity(), prewarm_capacity);
+  // The policy's state stays with the context: the policy resets it when
+  // the context's next request is submitted.
+  EXPECT_EQ(fresh.policy_state, nullptr);
+  EXPECT_EQ(ctx.policy_state.get(), state);
 }
 
 }  // namespace

@@ -268,6 +268,43 @@ TEST(XanaduPolicy, ReplanResumesSpeculationAfterMiss) {
   EXPECT_LT(replan.cold_starts, stop.cold_starts);
 }
 
+TEST(XanaduPolicy, ARecycledContextStartsWithFreshSpeculationState) {
+  // Sequential requests share one recycled context, whose speculation state
+  // the policy resets at each submission.  A replan puts the taken branch
+  // on the request's MLP; a state carried into the next request would count
+  // that branch's skipped node as a miss.
+  workflow::WorkflowDag dag{"recycled"};
+  workflow::FunctionSpec s;
+  s.exec_time = sim::Duration::from_millis(500);
+  s.name = "root";
+  const auto root = dag.add_node(s, workflow::DispatchMode::Xor);
+  s.name = "likely";
+  const auto likely = dag.add_node(s);
+  s.name = "unlikely";
+  const auto unlikely = dag.add_node(s);
+  dag.add_edge(root, likely, 0.9);
+  dag.add_edge(root, unlikely, 0.1);
+  dag.validate();
+
+  XanaduOptions xo;
+  xo.miss_policy = MissPolicy::Replan;
+  auto manager = make_manager(PlatformKind::XanaduJit, 3, xo);
+  const auto wf = manager.deploy(dag);
+  std::size_t misses = 0;
+  std::size_t after_a_miss = 0;
+  for (int i = 0; i < 100; ++i) {
+    const RequestResult r = manager.invoke(wf);
+    const bool took_unlikely = r.node_records[unlikely.value()].status ==
+                               platform::NodeStatus::Completed;
+    EXPECT_EQ(r.speculation.missed_nodes, took_unlikely ? 1u : 0u)
+        << "request " << i;
+    if (misses > 0 && !took_unlikely) ++after_a_miss;
+    if (took_unlikely) ++misses;
+  }
+  ASSERT_GT(misses, 0u);
+  EXPECT_GT(after_a_miss, 0u);
+}
+
 TEST(XanaduPolicy, CurrentMlpExposesConvergedPath) {
   auto manager = make_manager(PlatformKind::XanaduJit);
   const auto wf = manager.deploy(workflow::linear_chain(3, chain_options(500)));

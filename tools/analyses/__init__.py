@@ -9,10 +9,10 @@ its module.
 from __future__ import annotations
 
 from . import (
-    arena_escape,
     determinism,
     flow,
     hot_path_text,
+    interner_escape,
     layering,
     observer_purity,
     shard_lookahead,
@@ -22,7 +22,7 @@ ANALYSES = {
     "determinism": determinism,
     "layering": layering,
     "flow": flow,
-    "arena-escape": arena_escape,
+    "interner-escape": interner_escape,
     "shard-lookahead": shard_lookahead,
     "observer-purity": observer_purity,
     "hot-path-text": hot_path_text,

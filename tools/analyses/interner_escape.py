@@ -1,21 +1,19 @@
-"""arena-escape: request-lifetime storage must not outlive the request.
+"""interner-escape: interner views must not be stored.
 
-`common::Arena` hands out pointers that die at `reset_for_reuse` /
-`Arena::reset`; `StringInterner::view` hands out string_views into interner
-storage.  Storing either in a member (trailing-underscore naming
-convention, or through `this`), in a `static`, or pushing it into a member
-container creates a dangling reference the next time the request slot is
-recycled -- exactly the use-after-reset shape the PR-7 ASan death tests
-catch at runtime, but only on the paths tests happen to exercise.  This
+`StringInterner::view` hands out a string_view into the interner's
+storage, valid for the interner's lifetime only.  Storing one in a member
+(trailing-underscore naming convention, or through `this`), in a `static`,
+or pushing it into a member container keeps a reference that can outlive
+the interner; the stored form of an interned string is its `Symbol`.  This
 rule reports the shape statically, with the flow path.
 
-The analysis is statement-level taint inside each function (allocation /
-view expressions and locals assigned from them), plus an interprocedural
-fixpoint over *returners*: a function whose `return` statement carries
-arena-backed data taints its call sites in every caller.
+The analysis is statement-level taint inside each function (view
+expressions and locals assigned from them), plus an interprocedural
+fixpoint over *returners*: a function whose `return` statement carries a
+view taints its call sites in every caller.
 
 Over-approximate by design; silence a reviewed exception with
-// lint:allow(arena-escape).
+// lint:allow(interner-escape).
 """
 
 from __future__ import annotations
@@ -25,18 +23,17 @@ import re
 from cppmodel import Finding, allowed_at
 from cppmodel.lexer import IDENT_RE
 
-RULE = "arena-escape"
+RULE = "interner-escape"
 
 RULE_DOCS = {
     RULE: (
-        "pointer/string_view into common::Arena or StringInterner storage "
-        "stored in a member, static, or member container that outlives "
-        "reset_for_reuse; keep request-lifetime data on the request arena"
+        "string_view into StringInterner storage stored in a member, "
+        "static, or member container, which can outlive the interner; "
+        "store the Symbol and call view() where the text is used"
     ),
 }
 
-# Methods whose result points into arena storage / interner storage.
-ARENA_ALLOC_METHODS = {"allocate", "allocate_for"}
+# Methods whose result points into interner storage.
 INTERNER_VIEW_METHODS = {"view"}
 
 # Member-container operations that retain their argument.
@@ -49,17 +46,11 @@ CONTAINER_OPS = {
     "assign",
 }
 
-# Receivers treated as arenas / interners even without a seen declaration
-# (the codebase's conventional names).
-DEFAULT_ARENA_RECEIVERS = {"arena", "arena_"}
+# Receivers treated as interners even without a seen declaration (the
+# codebase's conventional names).
 DEFAULT_INTERNER_RECEIVERS = {"interner_", "names_", "labels_"}
 
 _MEMBER_RE = re.compile(r"\w_$")
-
-KIND_WHAT = {
-    "arena": "pointer into common::Arena storage",
-    "view": "string_view into StringInterner storage",
-}
 
 
 def _statements(tokens, spans):
@@ -86,39 +77,28 @@ def _statements(tokens, spans):
 class _Analysis:
     def __init__(self, model):
         self.model = model
-        self.arena_receivers = (
-            set(model.arena_names) | DEFAULT_ARENA_RECEIVERS
-        )
         self.interner_receivers = (
             set(model.interner_names) | DEFAULT_INTERNER_RECEIVERS
         )
-        # id(fn) -> (kind, origin description, chain) for functions whose
-        # return value is arena-backed.
-        self.returners: dict[int, tuple[str, str, list[str]]] = {}
+        # id(fn) -> (origin description, chain) for functions whose return
+        # value is a view.
+        self.returners: dict[int, tuple[str, list[str]]] = {}
         self.findings: list[Finding] = []
         self._reported: set[tuple[str, int, str]] = set()
 
     # -- sources -----------------------------------------------------------
 
     def _call_sources(self, fn, calls_in_stmt):
-        """(token index, kind, origin description, chain) per source call
-        in the statement."""
+        """(token index, origin description, chain) per source call in the
+        statement."""
         out = []
         for c in calls_in_stmt:
             if c.is_method and c.receiver:
                 recv = c.receiver[-1]
-                if c.name in ARENA_ALLOC_METHODS and \
-                        recv in self.arena_receivers:
-                    out.append((
-                        c.name_idx, "arena",
-                        f"{recv}.{c.name}() at {fn.file}:{c.line}",
-                        [],
-                    ))
-                    continue
                 if c.name in INTERNER_VIEW_METHODS and \
                         recv in self.interner_receivers:
                     out.append((
-                        c.name_idx, "view",
+                        c.name_idx,
                         f"{recv}.{c.name}() at {fn.file}:{c.line}",
                         [],
                     ))
@@ -126,29 +106,12 @@ class _Analysis:
             for callee in self.model.resolve_call(fn, c):
                 ret = self.returners.get(id(callee))
                 if ret is not None:
-                    kind, origin, chain = ret
+                    origin, chain = ret
                     out.append((
-                        c.name_idx, kind, origin,
+                        c.name_idx, origin,
                         chain + [f"{callee.qualified}()"],
                     ))
                     break
-        return out
-
-    def _element_address_sources(self, fn, tokens, start, end):
-        """`&container[...]` where the container is a declared
-        arena-backed container: the element address dies at reset."""
-        out = []
-        for i in range(start, end - 1):
-            if tokens[i][0] != "&":
-                continue
-            name = tokens[i + 1][0]
-            if name in self.model.arena_container_names and \
-                    i + 2 < end and tokens[i + 2][0] == "[":
-                out.append((
-                    i, "arena",
-                    f"&{name}[...] at {fn.file}:{tokens[i][1]}",
-                    [],
-                ))
         return out
 
     # -- per-function scan --------------------------------------------------
@@ -163,20 +126,19 @@ class _Analysis:
             spans.append(fn.init_span)
         spans.append(fn.body_span)
         calls_by_idx = sorted(fn.calls, key=lambda c: c.name_idx)
-        tainted: dict[str, tuple[str, str, list[str]]] = {}
+        tainted: dict[str, tuple[str, list[str]]] = {}
         became_returner = False
         for start, end in _statements(tokens, spans):
             stmt_calls = [
                 c for c in calls_by_idx if start <= c.name_idx < end
             ]
             sources = self._call_sources(fn, stmt_calls)
-            sources += self._element_address_sources(fn, tokens, start, end)
             # References to already-tainted locals count as sources too.
             for i in range(start, end):
                 t = tokens[i][0]
                 if t in tainted:
-                    kind, origin, chain = tainted[t]
-                    sources.append((i, kind, origin, chain))
+                    origin, chain = tainted[t]
+                    sources.append((i, origin, chain))
             if not sources:
                 continue
             sources.sort(key=lambda s: s[0])
@@ -184,17 +146,14 @@ class _Analysis:
             line = tokens[start][1]
             if first == "return":
                 if id(fn) not in self.returners:
-                    _idx, kind, origin, chain = sources[0]
-                    self.returners[id(fn)] = (kind, origin, chain)
+                    _idx, origin, chain = sources[0]
+                    self.returners[id(fn)] = (origin, chain)
                     became_returner = True
                 continue
-            # static local retaining arena-backed data.
+            # static local retaining a view.
             if first == "static":
-                _idx, kind, origin, chain = sources[0]
-                self._report(
-                    fn, sf, line, kind, origin, chain,
-                    "static local",
-                )
+                _idx, origin, chain = sources[0]
+                self._report(fn, sf, line, origin, chain, "static local")
                 continue
             # Member-container retention: x_.push_back(tainted).
             for c in stmt_calls:
@@ -210,9 +169,9 @@ class _Analysis:
                     if c.open_idx < s[0] < c.close_idx
                 ]
                 if arg_sources:
-                    _idx, kind, origin, chain = arg_sources[0]
+                    _idx, origin, chain = arg_sources[0]
                     self._report(
-                        fn, sf, c.line, kind, origin, chain,
+                        fn, sf, c.line, origin, chain,
                         f"member container '{recv}.{c.name}(...)'",
                     )
             # Assignment: member LHS escapes; simple-local LHS taints.
@@ -222,7 +181,7 @@ class _Analysis:
             rhs_sources = [s for s in sources if s[0] > eq]
             if not rhs_sources:
                 continue
-            _idx, kind, origin, chain = rhs_sources[0]
+            _idx, origin, chain = rhs_sources[0]
             lhs = [tokens[i][0] for i in range(start, eq)]
             member = "this" in lhs or any(
                 _MEMBER_RE.search(t) for t in lhs if IDENT_RE.fullmatch(t)
@@ -234,7 +193,7 @@ class _Analysis:
                     "member",
                 )
                 self._report(
-                    fn, sf, tokens[eq][1], kind, origin, chain,
+                    fn, sf, tokens[eq][1], origin, chain,
                     f"member '{target}'",
                 )
             else:
@@ -244,7 +203,7 @@ class _Analysis:
                     None,
                 )
                 if local is not None:
-                    tainted.setdefault(local, (kind, origin, chain))
+                    tainted.setdefault(local, (origin, chain))
         return became_returner
 
     @staticmethod
@@ -264,7 +223,7 @@ class _Analysis:
                 return i
         return None
 
-    def _report(self, fn, sf, line, kind, origin, chain, where) -> None:
+    def _report(self, fn, sf, line, origin, chain, where) -> None:
         if RULE in allowed_at(sf.allow, line):
             return
         key = (fn.file, line, where)
@@ -278,9 +237,9 @@ class _Analysis:
                 fn.file,
                 line,
                 RULE,
-                f"{KIND_WHAT[kind]} ({origin}) escapes into {where}, "
-                "which outlives reset_for_reuse; request-lifetime data "
-                "must not survive the arena that backs it",
+                f"string_view into StringInterner storage ({origin}) "
+                f"escapes into {where}, which can outlive the interner; "
+                "store the Symbol instead",
                 path + [where],
             )
         )

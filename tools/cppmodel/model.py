@@ -39,12 +39,7 @@ MEMBER_RNG_DECL_RE = re.compile(r"\bRng\s+(\w+_)\s*[;{=(]")
 UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:multi)?(?:map|set)\s*<[^;()]*?>\s+(\w+)\s*(?:;|=|\{)"
 )
-ARENA_DECL_RE = re.compile(r"\bArena\s*[&*]?\s+(\w+)\s*[;{=(,)]")
 INTERNER_DECL_RE = re.compile(r"\bStringInterner\s*[&*]?\s+(\w+)\s*[;{=(,)]")
-ARENA_CONTAINER_DECL_RE = re.compile(
-    r"\b(?:ArenaVector\s*<[^;()]*?>|NodeRecordList|ArenaString)"
-    r"\s+(\w+)\s*[;{=(]"
-)
 
 
 class SourceFile:
@@ -82,9 +77,7 @@ class SourceModel:
         self.functions: list[Function] = []
         self.by_name: dict[str, list[Function]] = {}
         self.member_rng_names: set[str] = set()
-        self.arena_names: set[str] = set()
         self.interner_names: set[str] = set()
-        self.arena_container_names: set[str] = set()
         self._reach: dict[int, list[str]] | None = None
         self._callers: dict[int, list[tuple[Function, CallSite]]] | None = \
             None
@@ -114,13 +107,11 @@ class SourceModel:
                 for pattern, names in (
                     (MEMBER_RNG_DECL_RE, self.member_rng_names),
                     (UNORDERED_DECL_RE, sf.unordered_decls),
-                    (ARENA_DECL_RE, self.arena_names),
                     (INTERNER_DECL_RE, self.interner_names),
-                    (ARENA_CONTAINER_DECL_RE, self.arena_container_names),
                 ):
                     for match in pattern.finditer(code):
-                        # `Arena& operator=(...)` matches the decl shape;
-                        # `operator` is never a receiver name.
+                        # `StringInterner& operator=(...)` matches the decl
+                        # shape; `operator` is never a receiver name.
                         if match.group(1) != "operator":
                             names.add(match.group(1))
                 sf.tokens = tokenize(code)

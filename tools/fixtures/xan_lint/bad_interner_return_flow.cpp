@@ -1,4 +1,4 @@
-// xan_lint fixture: MUST fire arena-escape exactly once, interprocedurally.
+// xan_lint fixture: MUST fire interner-escape exactly once, interprocedurally.
 //
 // The hazard hides behind a helper's return value: view_label() hands out
 // a string_view into interner storage, and the caller retains it in a

@@ -9,8 +9,8 @@ namespace xanadu::fixture {
 class SuppressedShapes {
  public:
   void begin() {
-    // lint:allow(arena-escape) fixture: pinned suppression syntax
-    keep_ = arena_.allocate_for<char>(16);
+    // lint:allow(interner-escape) fixture: pinned suppression syntax
+    keep_ = names_.view(symbol_);
   }
 
   void on_suppressed_tick() {
@@ -23,8 +23,9 @@ class SuppressedShapes {
   }
 
  private:
-  Arena arena_;
-  char* keep_ = nullptr;
+  StringInterner names_;
+  Symbol symbol_ = 0;
+  std::string_view keep_;
   Simulator sim_;
   MessageBus* peer_bus_ = nullptr;
   TopicId topic_;

@@ -14,10 +14,8 @@ analysis under tools/analyses/ runs off that single SourceModel:
                      include-cycle, layer-skip
   flow               interprocedural dataflow: shared-rng-draw,
                      nondet-taint
-  arena-escape       request-lifetime Arena/StringInterner storage escaping
-                     into members/statics/member containers that outlive
-                     reset_for_reuse (static complement of the ASan
-                     use-after-reset death tests)
+  interner-escape    StringInterner views escaping into members/statics/
+                     member containers, which can outlive the interner
   shard-lookahead    handler-reachable scheduling/publishing onto another
                      shard, which shares nothing and runs on another thread
                      (static complement of the TSan job)

@@ -28,14 +28,13 @@ tools/fixtures/flow_lint/:
                                must be silent, its draw still predicted
 
 tools/fixtures/xan_lint/:
-  bad_arena_member_escape.cpp  pre-fix PR-7 shape: arena allocation cached
-                               on a member -- arena-escape must fire
-  bad_arena_return_flow.cpp    interner view escaping through a helper's
+  bad_interner_member_escape.cpp
+                               interner view cached on a member through a
+                               local -- interner-escape must fire
+  bad_interner_return_flow.cpp interner view escaping through a helper's
                                return into a member container --
-                               arena-escape must fire with the return-flow
-                               path
-  good_arena_reset_rebind.cpp  post-fix shape (rebind + value copies) --
-                               must be silent
+                               interner-escape must fire with the
+                               return-flow path
   bad_shard_direct_send.cpp    cross-shard schedules (direct peer
                                simulator + shard(i) chain) and a drain
                                of the peer's queue -- shard-lookahead
@@ -134,7 +133,7 @@ def main() -> int:
     failures: list[str] = []
     flow_model, flow_grouped = drive("flow_lint", failures)
     model, grouped = drive("xan_lint", failures)
-    arena = grouped["arena-escape"]
+    interner = grouped["interner-escape"]
     shard = grouped["shard-lookahead"]
     observer = grouped["observer-purity"]
     text = grouped["hot-path-text"]
@@ -237,42 +236,36 @@ def main() -> int:
         failures,
     )
 
-    # --- arena-escape: member cache of an arena allocation. ---------------
-    found = arena.get("bad_arena_member_escape.cpp", [])
+    # --- interner-escape: member cache of a view. -------------------------
+    found = interner.get("bad_interner_member_escape.cpp", [])
     check(
-        len(found) == 1 and found[0].rule == "arena-escape",
-        "bad_arena_member_escape fires arena-escape exactly once",
+        len(found) == 1 and found[0].rule == "interner-escape",
+        "bad_interner_member_escape fires interner-escape exactly once",
         failures,
     )
     if found:
         check(
-            "last_records_" in found[0].message
-            and "allocate_for" in found[0].message,
-            "bad_arena_member_escape names the member and the allocation",
+            "last_topic_" in found[0].message
+            and "interner_.view()" in found[0].message,
+            "bad_interner_member_escape names the member and the view",
             failures,
         )
 
-    # --- arena-escape: interprocedural return flow. -----------------------
-    found = arena.get("bad_arena_return_flow.cpp", [])
+    # --- interner-escape: interprocedural return flow. --------------------
+    found = interner.get("bad_interner_return_flow.cpp", [])
     check(
-        len(found) == 1 and found[0].rule == "arena-escape",
-        "bad_arena_return_flow fires arena-escape exactly once",
+        len(found) == 1 and found[0].rule == "interner-escape",
+        "bad_interner_return_flow fires interner-escape exactly once",
         failures,
     )
     if found:
         check(
             "view_label" in " -> ".join(found[0].path)
             and "retained_" in found[0].message,
-            "bad_arena_return_flow reports the return-flow path into the "
+            "bad_interner_return_flow reports the return-flow path into the "
             "member container",
             failures,
         )
-
-    check(
-        not arena.get("good_arena_reset_rebind.cpp"),
-        "good_arena_reset_rebind is silent (rebind + value copies)",
-        failures,
-    )
 
     # --- shard-lookahead: direct cross-shard scheduling. ------------------
     found = shard.get("bad_shard_direct_send.cpp", [])
@@ -424,7 +417,7 @@ def main() -> int:
     )
 
     # --- suppressions pin the escape hatch. -------------------------------
-    for name in ("arena-escape", "shard-lookahead", "observer-purity",
+    for name in ("interner-escape", "shard-lookahead", "observer-purity",
                  "hot-path-text"):
         check(
             not grouped[name].get("suppressed.cpp"),
