@@ -3,10 +3,10 @@
 fixtures in tools/fixtures/.
 
 The analyses guard the repo's determinism contract and correctness
-contracts the runtime only checks opportunistically (ASan death tests, the
-channel-latency throw + TSan, golden-digest replay), so each rule gets the
-same treatment as the code it guards: a regression suite that fails if the
-rule goes silent on its distilled bug or noisy on the fixed form.
+contracts the runtime only checks opportunistically (the ASan/UBSan and
+TSan suites, golden-digest replay), so each rule gets the same treatment
+as the code it guards: a regression suite that fails if the rule goes
+silent on its distilled bug or noisy on the fixed form.
 
 tools/fixtures/flow_lint/:
   bad_shared_stream.cpp        the pre-fix speculative provision-batch race
