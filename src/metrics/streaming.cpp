@@ -160,11 +160,10 @@ StreamingTrace::StreamingTrace(StreamOptions options)
 std::size_t StreamingTrace::add_source(const workflow::WorkflowDag& dag,
                                        std::string_view label) {
   Source source;
-  source.label = labels_.intern(label);
+  source.label = label;
   source.node_names.reserve(dag.node_count());
   for (std::size_t i = 0; i < dag.node_count(); ++i) {
-    source.node_names.push_back(
-        labels_.view(labels_.intern(dag.node(common::NodeId{i}).fn.name)));
+    source.node_names.push_back(dag.node(common::NodeId{i}).fn.name);
   }
   source.digest = common::fnv1a(trace_csv_header());
   source.stats.threshold = options_.over_threshold;

@@ -22,9 +22,8 @@
 // digest and RunStats, folded in the source's own arrival order (the merged
 // order restricted to one source), matching MixedOutcome::per_source.
 //
-// Node function names and source labels are interned once per add_source()
-// into a common::StringInterner; the per-row renderer works from the interned
-// views, never re-hashing or copying name strings on the hot path.
+// Each source copies its label and its nodes' function names once, in
+// add_source(), so the per-row renderer makes no name string.
 
 #include <cstddef>
 #include <cstdint>
@@ -32,7 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/interner.hpp"
 #include "platform/request.hpp"
 #include "sim/time.hpp"
 #include "workflow/dag.hpp"
@@ -181,7 +179,8 @@ class StreamingTrace {
   StreamingTrace& operator=(const StreamingTrace&) = delete;
 
   /// Registers a source; returns its index.  Function names and the label
-  /// are interned here, once, so `dag` need not outlive the trace.
+  /// are copied here, once, so neither `dag` nor `label` need outlive the
+  /// trace.
   std::size_t add_source(const workflow::WorkflowDag& dag, std::string_view label);
 
   /// Folds one completed result into the aggregate and its source's lane.
@@ -200,22 +199,21 @@ class StreamingTrace {
     return sources_[source].stats;
   }
   [[nodiscard]] std::string_view source_label(std::size_t source) const {
-    return labels_.view(sources_[source].label);
+    return sources_[source].label;
   }
 
   [[nodiscard]] const StreamOptions& options() const { return options_; }
 
  private:
   struct Source {
-    common::Symbol label = 0;
-    /// Interned function-name views, index-aligned with dag nodes.
-    std::vector<std::string_view> node_names;
+    std::string label;
+    /// Function names, index-aligned with dag nodes.
+    std::vector<std::string> node_names;
     std::uint64_t digest = 0;
     RunStats stats;
   };
 
   StreamOptions options_;
-  common::StringInterner labels_;
   std::vector<Source> sources_;
   std::uint64_t digest_ = 0;
   RunStats stats_;

@@ -6,6 +6,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 
 #include "common/hash.hpp"
 
@@ -185,7 +186,7 @@ char* write_millis(char* out, std::int64_t micros) {
 namespace {
 
 // Shared row renderer, parameterized on the node-name lookup so the dag and
-// interned-name paths emit byte-identical text.  The numeric fields on each
+// name-vector paths emit byte-identical text.  The numeric fields on each
 // side of the function name render into a stack buffer that is appended in
 // one piece: no stream, no locale, no temporary string.
 template <typename NameOf>
@@ -248,10 +249,11 @@ void append_trace_csv(std::string& out, const platform::RequestResult& result,
 }
 
 void append_trace_csv(std::string& out, const platform::RequestResult& result,
-                      const std::vector<std::string_view>& node_names) {
-  append_rows(out, result, [&node_names](std::size_t node) {
-    return node_names[node];
-  });
+                      const std::vector<std::string>& node_names) {
+  append_rows(out, result,
+              [&node_names](std::size_t node) -> const std::string& {
+                return node_names[node];
+              });
 }
 
 std::string trace_csv(const platform::RequestResult& result,

@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "platform/request.hpp"
@@ -39,11 +38,11 @@ void append_trace_csv(std::string& out, const platform::RequestResult& result,
 
 /// Same rows, but node function names come from `node_names` (index-aligned
 /// with the dag's nodes) instead of dag lookups.  The streaming consumer
-/// interns function names once per source and renders from the interned
-/// views; bytes are identical to the dag overload whenever
+/// copies function names once per source and renders from those copies;
+/// bytes are identical to the dag overload whenever
 /// `node_names[i] == dag.node(i).fn.name`.
 void append_trace_csv(std::string& out, const platform::RequestResult& result,
-                      const std::vector<std::string_view>& node_names);
+                      const std::vector<std::string>& node_names);
 
 /// Room write_millis() needs at `out`.  The longest text, "-9.22337e+15",
 /// is 12 characters, but the digits go out in fixed-size copies that may

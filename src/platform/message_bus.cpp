@@ -18,10 +18,10 @@ MessageBus::MessageBus(sim::Simulator& simulator, Options options,
 }
 
 TopicId MessageBus::intern(const std::string& topic) {
-  const common::Symbol symbol = names_.intern(topic);
-  // Symbols are dense first-use ids, so a fresh one is exactly topics_.size().
-  if (symbol == topics_.size()) topics_.emplace_back();
-  return TopicId{symbol};
+  // A new topic takes the next dense id, so ids follow first use.
+  const auto [it, fresh] = names_.try_emplace(topic, TopicId{topics_.size()});
+  if (fresh) topics_.emplace_back();
+  return it->second;
 }
 
 SubscriptionId MessageBus::subscribe(TopicId topic, BusHandler handler) {

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <variant>
@@ -43,7 +44,6 @@
 
 #include "cluster/worker.hpp"
 #include "common/ids.hpp"
-#include "common/interner.hpp"
 #include "common/rng.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/simulator.hpp"
@@ -167,10 +167,9 @@ class MessageBus {
   Options options_;
   common::Rng rng_;
   sim::FaultPlan* faults_ = nullptr;
-  /// Topic names live in the shared interner (common::StringInterner);
-  /// common::Symbol values double as dense indices into topics_.  Touched
-  /// only on intern (cold path); publish/delivery index topics_ directly.
-  common::StringInterner names_;
+  /// Topic name -> id, which indexes topics_.  Touched only by intern(), at
+  /// set-up; publish and delivery index topics_ directly.
+  std::map<std::string, TopicId, std::less<>> names_;
   std::vector<Topic> topics_;
   /// Deliveries in progress (handlers may re-enter the bus).
   std::size_t delivering_ = 0;

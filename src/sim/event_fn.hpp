@@ -7,9 +7,9 @@
 // ([this, request, node, worker_id, ...] is 24-40 bytes), so each schedule
 // paid a heap allocation and each queue sift paid a type-erased move.
 // EventFn widens the inline budget to cover every capture the platform
-// actually schedules (the largest engine site captures five 8-byte values;
-// the bus bridge closure -- bus pointer + TopicId + typed payload -- is
-// 56 bytes, the whole buffer), so the common path never allocates.
+// actually schedules (the largest, the engine's worker handoff
+// [this, request_id, node, worker_id, fn_id], is five 8-byte values, 40
+// bytes), so the common path never allocates.
 // Oversized or potentially-throwing-move callables transparently fall back
 // to the heap.
 //
@@ -27,11 +27,10 @@ namespace xanadu::sim {
 
 class EventFn {
  public:
-  /// Inline capture budget.  Fits the largest closure the platform
-  /// schedules: the bus bridge's pointer + TopicId + 40-byte payload
-  /// variant, 56 bytes (message_bus.cpp pins this with a static_assert).
-  /// With the two function pointers and the max_align_t alignment of the
-  /// buffer, sizeof(EventFn) is 80 bytes (pinned below the class).
+  /// Inline capture budget, 56 bytes: more than the largest closure the
+  /// platform schedules, the engine's 40-byte worker handoff.  With the two
+  /// function pointers and the max_align_t alignment of the buffer,
+  /// sizeof(EventFn) is 80 bytes (pinned below the class).
   static constexpr std::size_t kInlineCapacity = 56;
 
   EventFn() = default;

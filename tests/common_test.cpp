@@ -1,4 +1,4 @@
-// Unit tests for src/common: ids, rng, ema, stats, result, interner.
+// Unit tests for src/common: ids, rng, ema, stats, result.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "common/id_table.hpp"
 #include "common/ids.hpp"
 #include "common/inline_vector.hpp"
-#include "common/interner.hpp"
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -415,51 +414,6 @@ TEST(Result, WrongAccessThrows) {
   Result<int> error{make_error("x")};
   EXPECT_THROW((void)value.error(), std::logic_error);
   EXPECT_THROW((void)error.value(), std::logic_error);
-}
-
-// ------------------------------------------------------------ interner ----
-
-TEST(StringInterner, DeduplicatesAndAssignsDenseSymbols) {
-  StringInterner interner;
-  const Symbol a = interner.intern("alpha");
-  const Symbol b = interner.intern("beta");
-  const Symbol a2 = interner.intern("alpha");
-  EXPECT_EQ(a, a2);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a, 0u);  // First-use order, dense from zero.
-  EXPECT_EQ(b, 1u);
-  EXPECT_EQ(interner.size(), 2u);
-}
-
-TEST(StringInterner, ViewsStayStableAcrossGrowth) {
-  StringInterner interner;
-  const std::string_view first = interner.view(interner.intern("stable"));
-  const char* data = first.data();
-  // Force many rehashes/growth; the storage behind `first` must not move.
-  for (int i = 0; i < 5000; ++i) {
-    (void)interner.intern("key-" + std::to_string(i));
-  }
-  EXPECT_EQ(interner.view(0), "stable");
-  EXPECT_EQ(interner.view(0).data(), data);
-}
-
-TEST(StringInterner, FindIsNonCreating) {
-  StringInterner interner;
-  EXPECT_FALSE(interner.find("ghost").has_value());
-  EXPECT_EQ(interner.size(), 0u);
-  const Symbol s = interner.intern("ghost");
-  ASSERT_TRUE(interner.find("ghost").has_value());
-  EXPECT_EQ(*interner.find("ghost"), s);
-}
-
-TEST(StringInterner, InternsViewsIntoTemporaries) {
-  StringInterner interner;
-  Symbol s;
-  {
-    const std::string temporary{"short-lived"};
-    s = interner.intern(temporary);
-  }  // The interner must own a copy, not the dead temporary.
-  EXPECT_EQ(interner.view(s), "short-lived");
 }
 
 }  // namespace

@@ -83,6 +83,8 @@ TEST_F(MessageBusTest, TopicsAreIsolated) {
   const TopicId a = bus_->intern("a");
   const TopicId b = bus_->intern("b");
   EXPECT_NE(a, b);
+  EXPECT_EQ(a.value(), 0u);  // Dense ids in first-use order.
+  EXPECT_EQ(b.value(), 1u);
   EXPECT_EQ(bus_->intern("a"), a);  // Interning is idempotent.
   int count = 0;
   bus_->subscribe(a, [&](const BusMessage&) { ++count; });

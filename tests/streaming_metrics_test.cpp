@@ -401,6 +401,33 @@ TEST(StreamingEquivalence, OneSourceMixLaneHoldsTheAggregateResults) {
 // Streaming building blocks.
 // ---------------------------------------------------------------------------
 
+TEST(StreamingTraceTest, OwnsItsFunctionNamesAndLabel) {
+  // add_source copies the dag's function names and the label, so both may
+  // die before the first consume (under ASan a kept view would be a use
+  // after free).  The label is longer than any small-string buffer, so its
+  // characters live on the heap.
+  const workflow::WorkflowDag dag =
+      workflow::linear_chain(4, workflow::BuildOptions{});
+  auto manager = make_manager(PlatformKind::XanaduJit, 11, /*faults=*/false);
+  const auto wf = manager.deploy(dag);
+  const RunOutcome outcome = run_cold_trials(manager, wf, 3);
+  ASSERT_EQ(outcome.results.size(), 3u);
+
+  const std::string expected_label = "a tenant label past the inline buffer";
+  metrics::StreamingTrace trace;
+  {
+    const workflow::WorkflowDag doomed_dag = dag;
+    const std::string doomed_label = expected_label;
+    ASSERT_EQ(trace.add_source(doomed_dag, doomed_label), 0u);
+  }
+  for (const platform::RequestResult& result : outcome.results) {
+    trace.consume(0, result);
+  }
+  EXPECT_EQ(trace.digest(), metrics::trace_digest(outcome.results, dag));
+  EXPECT_EQ(trace.source_digest(0), trace.digest());
+  EXPECT_EQ(trace.source_label(0), expected_label);
+}
+
 TEST(LatencyHistogramTest, QuantilesAndFractionAbove) {
   metrics::LatencyHistogram hist{/*bin_width_ms=*/1.0, /*bins=*/10};
   for (int i = 0; i < 90; ++i) hist.record(0.5);  // bin 0

@@ -164,7 +164,7 @@ std::int64_t random_micros(common::Rng& rng) {
 
 TEST(Trace, ToCharsRendererMatchesTheOstreamReference) {
   const workflow::WorkflowDag dag = workflow::linear_chain(6);
-  std::vector<std::string_view> names;
+  std::vector<std::string> names;
   for (std::size_t i = 0; i < dag.node_count(); ++i) {
     names.push_back(dag.node(common::NodeId{i}).fn.name);
   }

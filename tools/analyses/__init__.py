@@ -8,22 +8,12 @@ its module.
 
 from __future__ import annotations
 
-from . import (
-    determinism,
-    flow,
-    hot_path_text,
-    interner_escape,
-    layering,
-    observer_purity,
-    shard_lookahead,
-)
+from . import determinism, flow, hot_path_text, layering, observer_purity
 
 ANALYSES = {
     "determinism": determinism,
     "layering": layering,
     "flow": flow,
-    "interner-escape": interner_escape,
-    "shard-lookahead": shard_lookahead,
     "observer-purity": observer_purity,
     "hot-path-text": hot_path_text,
 }

@@ -34,7 +34,6 @@ from .functions import (  # noqa: F401
     Function,
     extract_functions,
     match_paren,
-    receiver_expr,
     split_args,
 )
 from .lexer import (  # noqa: F401

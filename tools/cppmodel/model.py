@@ -39,7 +39,6 @@ MEMBER_RNG_DECL_RE = re.compile(r"\bRng\s+(\w+_)\s*[;{=(]")
 UNORDERED_DECL_RE = re.compile(
     r"\bunordered_(?:multi)?(?:map|set)\s*<[^;()]*?>\s+(\w+)\s*(?:;|=|\{)"
 )
-INTERNER_DECL_RE = re.compile(r"\bStringInterner\s*[&*]?\s+(\w+)\s*[;{=(,)]")
 
 
 class SourceFile:
@@ -77,7 +76,6 @@ class SourceModel:
         self.functions: list[Function] = []
         self.by_name: dict[str, list[Function]] = {}
         self.member_rng_names: set[str] = set()
-        self.interner_names: set[str] = set()
         self._reach: dict[int, list[str]] | None = None
         self._callers: dict[int, list[tuple[Function, CallSite]]] | None = \
             None
@@ -107,13 +105,9 @@ class SourceModel:
                 for pattern, names in (
                     (MEMBER_RNG_DECL_RE, self.member_rng_names),
                     (UNORDERED_DECL_RE, sf.unordered_decls),
-                    (INTERNER_DECL_RE, self.interner_names),
                 ):
                     for match in pattern.finditer(code):
-                        # `StringInterner& operator=(...)` matches the decl
-                        # shape; `operator` is never a receiver name.
-                        if match.group(1) != "operator":
-                            names.add(match.group(1))
+                        names.add(match.group(1))
                 sf.tokens = tokenize(code)
                 sf.functions = extract_functions(sf.tokens, display)
                 for fn in sf.functions:

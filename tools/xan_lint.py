@@ -14,11 +14,6 @@ analysis under tools/analyses/ runs off that single SourceModel:
                      include-cycle, layer-skip
   flow               interprocedural dataflow: shared-rng-draw,
                      nondet-taint
-  interner-escape    StringInterner views escaping into members/statics/
-                     member containers, which can outlive the interner
-  shard-lookahead    handler-reachable scheduling/publishing onto another
-                     shard, which shares nothing and runs on another thread
-                     (static complement of the TSan job)
   observer-purity    probe/digest observation paths that draw
                      from an Rng, call an engine mutator, or write state
                      folded into state_digest (static complement of the

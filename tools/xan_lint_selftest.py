@@ -28,19 +28,6 @@ tools/fixtures/flow_lint/:
                                must be silent, its draw still predicted
 
 tools/fixtures/xan_lint/:
-  bad_interner_member_escape.cpp
-                               interner view cached on a member through a
-                               local -- interner-escape must fire
-  bad_interner_return_flow.cpp interner view escaping through a helper's
-                               return into a member container --
-                               interner-escape must fire with the
-                               return-flow path
-  bad_shard_direct_send.cpp    cross-shard schedules (direct peer
-                               simulator + shard(i) chain) and a drain
-                               of the peer's queue -- shard-lookahead
-                               must fire three times
-  good_shard_local.cpp         schedules, publishes and drains on its own
-                               simulator and bus only -- must be silent
   bad_observer_mutation.cpp    state_digest accessor that bumps a
                                counter and draws jitter -- observer-purity
                                must fire twice
@@ -66,8 +53,8 @@ tools/fixtures/xan_lint/:
   libc_rand.cpp                bare, std:: and ::-qualified rand/srand --
                                libc-rand must fire on exactly those lines,
                                never on member calls or another scope's rand
-  suppressed.cpp               one silenced instance of each
-                               interprocedural rule -- must be silent
+  suppressed.cpp               one silenced instance of observer-purity
+                               and of hot-path-text -- must be silent
   platform/unordered_slots.hpp a header declaring an unordered member
   platform/bad_unordered_walk.cpp
                                range-for over that member in a file that
@@ -133,8 +120,6 @@ def main() -> int:
     failures: list[str] = []
     flow_model, flow_grouped = drive("flow_lint", failures)
     model, grouped = drive("xan_lint", failures)
-    interner = grouped["interner-escape"]
-    shard = grouped["shard-lookahead"]
     observer = grouped["observer-purity"]
     text = grouped["hot-path-text"]
 
@@ -233,59 +218,6 @@ def main() -> int:
             for s in flow.predicted_draw_sites(flow_model)
         ),
         "draw-site prediction covers the keyed-fork draw",
-        failures,
-    )
-
-    # --- interner-escape: member cache of a view. -------------------------
-    found = interner.get("bad_interner_member_escape.cpp", [])
-    check(
-        len(found) == 1 and found[0].rule == "interner-escape",
-        "bad_interner_member_escape fires interner-escape exactly once",
-        failures,
-    )
-    if found:
-        check(
-            "last_topic_" in found[0].message
-            and "interner_.view()" in found[0].message,
-            "bad_interner_member_escape names the member and the view",
-            failures,
-        )
-
-    # --- interner-escape: interprocedural return flow. --------------------
-    found = interner.get("bad_interner_return_flow.cpp", [])
-    check(
-        len(found) == 1 and found[0].rule == "interner-escape",
-        "bad_interner_return_flow fires interner-escape exactly once",
-        failures,
-    )
-    if found:
-        check(
-            "view_label" in " -> ".join(found[0].path)
-            and "retained_" in found[0].message,
-            "bad_interner_return_flow reports the return-flow path into the "
-            "member container",
-            failures,
-        )
-
-    # --- shard-lookahead: direct cross-shard scheduling. ------------------
-    found = shard.get("bad_shard_direct_send.cpp", [])
-    check(
-        len(found) == 3 and all(f.rule == "shard-lookahead" for f in found),
-        "bad_shard_direct_send fires shard-lookahead exactly three times",
-        failures,
-    )
-    if len(found) == 3:
-        messages = " | ".join(f.message for f in found)
-        check(
-            "peer_sim_" in messages and "shard" in messages
-            and "run_until" in messages,
-            "bad_shard_direct_send flags the peer simulator, the shard(i) "
-            "chain and the peer drain",
-            failures,
-        )
-    check(
-        not shard.get("good_shard_local.cpp"),
-        "good_shard_local is silent (local schedules, publishes and drains)",
         failures,
     )
 
@@ -417,8 +349,7 @@ def main() -> int:
     )
 
     # --- suppressions pin the escape hatch. -------------------------------
-    for name in ("interner-escape", "shard-lookahead", "observer-purity",
-                 "hot-path-text"):
+    for name in ("observer-purity", "hot-path-text"):
         check(
             not grouped[name].get("suppressed.cpp"),
             f"suppressed.cpp is silent for {name} (lint:allow honoured)",
