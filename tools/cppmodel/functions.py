@@ -38,9 +38,7 @@ class CallSite:
     name: str
     line: int
     end_line: int
-    name_idx: int
     open_idx: int
-    close_idx: int
     nargs: int
     #: Number of explicit template arguments at the site, or None when the
     #: call has no template argument list.
@@ -497,9 +495,7 @@ def _collect_calls(tokens: list[Token], start: int, end: int,
                 name=t,
                 line=line,
                 end_line=tokens[min(close, len(tokens) - 1)][1],
-                name_idx=i,
                 open_idx=open_idx,
-                close_idx=close,
                 nargs=len(split_args(tokens, open_idx, close)),
                 targs=targs,
                 is_method=is_method,
