@@ -8,8 +8,9 @@ Usage:
 PROGRAM names an entry of the table; BINARY is the built program.  Each of
 the entry's runs executes BINARY with the run's arguments and reads its
 rows from stdout, either from the metrics::Table printed under `table`
-(a "== title ==" line followed by a markdown table) or from every line
-that matches the `line` regex (one named group per key and value column).
+(a "== title ==" line followed by a markdown table; a run may name its own
+`table`, overriding the entry's) or from every line that matches the
+`line` regex (one named group per key and value column).
 Every expected row must be printed, every printed row must be expected,
 and every value must lie within its column's tolerance.  The entry's
 verdicts then assert the claims EXPERIMENTS.md makes from those values:
@@ -86,7 +87,8 @@ def check_program(name: str, spec: dict, binary: str) -> list[str]:
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout + proc.stderr)
             raise RuntimeError(f"{label}: exited {proc.returncode}")
-        rows = (table_rows(proc.stdout, spec["table"]) if "table" in spec
+        table = run.get("table", spec.get("table"))
+        rows = (table_rows(proc.stdout, table) if table is not None
                 else line_rows(proc.stdout, spec["line"]))
         got: dict[tuple[str, ...], dict[str, float]] = {}
         for row in rows:
