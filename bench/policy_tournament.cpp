@@ -4,10 +4,14 @@
 // Sweeps provisioning policies x multi-tenant traffic mixes x fault plans
 // through one shared platform (Xanadu calibration, identical cluster
 // mechanics), so every cell isolates the provisioning DECISION: Xanadu's
-// chain-aware speculation (paper Section 4) against the fixed warm-pool
-// design of Lin & Glikson (arXiv:1903.12221) and rolling-horizon MPC
-// provisioning after Nguyen et al. (arXiv:2508.07640), with the paper's
-// naive prewarm-all as the resource-burn ceiling.
+// chain-aware speculation (paper Section 4), in its speculative and JIT
+// (Section 3.2.2) modes, against the fixed warm-pool design of Lin &
+// Glikson (arXiv:1903.12221) and rolling-horizon MPC provisioning after
+// Nguyen et al. (arXiv:2508.07640), with the paper's naive prewarm-all as
+// the resource-burn ceiling.  The tenants are three workflows deployed
+// concurrently on one Dispatch Manager: the e-commerce checkout and
+// image-processing case studies (Section 5.6) and a 7-node random binary
+// tree from the Section 5.3 corpus.
 //
 // Per cell the bench records the paper's metrics of goodness and cost
 // (Section 2.4): mean C_D, the p99 overhead from the streamed histogram,
@@ -15,7 +19,8 @@
 // per-source trace digests that pin replay determinism.
 //
 // Self-checks (always on):
-//   * every cell conserves requests (one result per arrival),
+//   * every cell conserves requests (one result per arrival), and every
+//     tenant of every cell receives traffic,
 //   * fault-free cells complete everything; faulted cells lose nothing
 //     silently (completed + failed == submitted),
 //   * deterministic replay: re-running the first cell reproduces its
@@ -96,8 +101,8 @@ struct Scale {
   sim::Duration horizon;
 };
 
-/// Same tenant set as the multi-tenant bench, deployed in a fixed order so
-/// FunctionIds (and thus digests) are reproducible across cells.
+/// The three tenants, deployed in a fixed order so FunctionIds (and thus
+/// digests) are reproducible across cells.
 std::vector<workflow::WorkflowDag> tenant_dags() {
   std::vector<workflow::WorkflowDag> dags;
   dags.push_back(workload::ecommerce_checkout());
@@ -265,6 +270,7 @@ int main(int argc, char** argv) {
 
   const std::vector<std::pair<const char*, core::PlatformKind>> policies{
       {"xanadu-speculative", core::PlatformKind::XanaduSpeculative},
+      {"xanadu-jit", core::PlatformKind::XanaduJit},
       {"warm-pool", core::PlatformKind::WarmPool},
       {"mpc-horizon", core::PlatformKind::MpcHorizon},
       {"prewarm-all", core::PlatformKind::PrewarmAll},
@@ -301,6 +307,9 @@ int main(int argc, char** argv) {
       fail("fault-free cell had failed requests");
     }
     if (c.sources.size() != 3) fail("a cell lost a tenant lane");
+    for (const SourceDigest& s : c.sources) {
+      if (s.requests == 0) fail("a tenant produced no traffic");
+    }
     if (c.cost.workers_provisioned == 0) fail("a policy never provisioned");
   }
   // Replay determinism: re-running the first cell must reproduce its
@@ -322,10 +331,10 @@ int main(int argc, char** argv) {
   for (const CellResult& c : cells) presets.push_back(to_json(c));
   if (!bench::write_json_doc(
           json_path, "xanadu.bench.policies/v1",
-          "policy tournament: {xanadu-speculative, warm-pool, mpc-horizon, "
-          "prewarm-all} x {image-heavy 3:5:2, checkout-heavy 5:2:3 weighted "
-          "Poisson mixes} x {fault-free, faulted (5% worker crash + 5% "
-          "provision failure)}, seed 42, 4 hosts",
+          "policy tournament: {xanadu-speculative, xanadu-jit, warm-pool, "
+          "mpc-horizon, prewarm-all} x {image-heavy 3:5:2, checkout-heavy "
+          "5:2:3 weighted Poisson mixes} x {fault-free, faulted (5% worker "
+          "crash + 5% provision failure)}, seed 42, 4 hosts",
           std::move(presets))) {
     return 1;
   }
