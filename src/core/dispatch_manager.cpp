@@ -105,40 +105,6 @@ common::WorkflowId DispatchManager::deploy(workflow::WorkflowDag dag) {
   return engine_->register_workflow(std::move(dag));
 }
 
-common::Result<common::WorkflowId> DispatchManager::deploy_document(
-    const std::string& document, const std::string& name) {
-  if (named_workflows_.contains(name)) {
-    return common::Error{"workflow '" + name + "' is already deployed"};
-  }
-  auto parsed = workflow::parse_state_language(document, name);
-  if (!parsed.ok()) return parsed.error();
-  const common::WorkflowId id = deploy(std::move(parsed).value());
-  named_workflows_.emplace(name, id);
-  return id;
-}
-
-common::WorkflowId DispatchManager::find_named(const std::string& name) const {
-  auto it = named_workflows_.find(name);
-  return it == named_workflows_.end() ? common::WorkflowId{} : it->second;
-}
-
-common::Result<platform::RequestResult> DispatchManager::try_invoke_named(
-    const std::string& name) {
-  const common::WorkflowId id = find_named(name);
-  if (!id.valid()) {
-    return common::make_error("unknown workflow '" + name + "'");
-  }
-  return invoke(id);
-}
-
-platform::RequestResult DispatchManager::invoke_named(const std::string& name) {
-  common::Result<platform::RequestResult> result = try_invoke_named(name);
-  if (!result.ok()) {
-    throw std::invalid_argument{result.error().message};
-  }
-  return std::move(result).value();
-}
-
 platform::RequestResult DispatchManager::invoke(common::WorkflowId workflow) {
   return engine_->run_one(workflow);
 }

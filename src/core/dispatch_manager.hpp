@@ -10,12 +10,9 @@
 // prewarm-all) are built through the same class so comparisons share
 // identical cluster mechanics, as in the paper's evaluation setup.
 
-#include <map>
 #include <memory>
-#include <string>
 
 #include "cluster/cluster.hpp"
-#include "workflow/state_language.hpp"
 #include "core/xanadu_policy.hpp"
 #include "metrics/cost.hpp"
 #include "platform/baseline_policies.hpp"
@@ -73,26 +70,6 @@ class DispatchManager {
   /// Registers a workflow DAG and returns its handle.
   common::WorkflowId deploy(workflow::WorkflowDag dag);
 
-  /// Parses a state-language document (paper Listing 1) and deploys it as a
-  /// named workflow.  The name can later be used with invoke_named().
-  common::Result<common::WorkflowId> deploy_document(const std::string& document,
-                                                     const std::string& name);
-
-  /// Looks up a workflow deployed via deploy_document by name; returns an
-  /// invalid id when unknown.
-  [[nodiscard]] common::WorkflowId find_named(const std::string& name) const;
-
-  /// Submits one request to a named workflow and runs until completion.
-  /// Unknown names are an expected failure mode (names come from user
-  /// input), reported through the Result instead of an exception.
-  common::Result<platform::RequestResult> try_invoke_named(
-      const std::string& name);
-
-  /// Submits one request to a named workflow and runs until completion.
-  /// Throws std::invalid_argument for unknown names.  Implemented on top of
-  /// try_invoke_named().
-  platform::RequestResult invoke_named(const std::string& name);
-
   /// Submits one request and runs the simulation until it completes.
   platform::RequestResult invoke(common::WorkflowId workflow);
 
@@ -135,7 +112,6 @@ class DispatchManager {
 
  private:
   DispatchManagerOptions options_;
-  std::map<std::string, common::WorkflowId> named_workflows_;
   sim::Simulator sim_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<XanaduPolicy> xanadu_policy_;

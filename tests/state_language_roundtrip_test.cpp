@@ -1,6 +1,5 @@
 // Round-trip property tests: exporting a workflow to the state-definition
-// language and re-parsing it must reconstruct an equivalent DAG.  Also
-// covers the DispatchManager's named-workflow document API.
+// language and re-parsing it must reconstruct an equivalent DAG.
 
 #include <gtest/gtest.h>
 
@@ -175,60 +174,6 @@ TEST(StateLanguageWriter, JitterFieldRoundTrips) {
   const WorkflowDag back = roundtrip(dag);
   EXPECT_EQ(back.node(NodeId{0}).fn.exec_jitter.micros(),
             sim::Duration::from_millis(35).micros());
-}
-
-// ------------------------------------------------- named deployments ------
-
-TEST(NamedWorkflows, DeployInvokeAndLookup) {
-  core::DispatchManagerOptions options;
-  options.kind = core::PlatformKind::XanaduJit;
-  core::DispatchManager manager{options};
-
-  const char* doc = R"({
-    "a": {"type": "function", "exec_ms": 200},
-    "b": {"type": "function", "exec_ms": 300, "wait_for": ["a"]}
-  })";
-  auto deployed = manager.deploy_document(doc, "pipeline");
-  ASSERT_TRUE(deployed.ok()) << deployed.error().message;
-  EXPECT_EQ(manager.find_named("pipeline"), deployed.value());
-  EXPECT_FALSE(manager.find_named("ghost").valid());
-
-  const auto result = manager.invoke_named("pipeline");
-  EXPECT_EQ(result.executed_nodes, 2u);
-  EXPECT_THROW(manager.invoke_named("ghost"), std::invalid_argument);
-
-  // Duplicate names are rejected; malformed documents report errors.
-  EXPECT_FALSE(manager.deploy_document(doc, "pipeline").ok());
-  EXPECT_FALSE(manager.deploy_document("{]", "broken").ok());
-}
-
-TEST(NamedWorkflows, TryInvokeNamedReportsUnknownNamesAsErrors) {
-  core::DispatchManagerOptions options;
-  options.kind = core::PlatformKind::XanaduJit;
-  core::DispatchManager manager{options};
-
-  const char* doc = R"({
-    "a": {"type": "function", "exec_ms": 200},
-    "b": {"type": "function", "exec_ms": 300, "wait_for": ["a"]}
-  })";
-  ASSERT_TRUE(manager.deploy_document(doc, "pipeline").ok());
-
-  auto ok = manager.try_invoke_named("pipeline");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().executed_nodes, 2u);
-
-  auto missing = manager.try_invoke_named("ghost");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_NE(missing.error().message.find("ghost"), std::string::npos);
-
-  // The throwing wrapper routes through the same path and surfaces the same
-  // message for callers that treat unknown names as fatal.
-  try {
-    (void)manager.invoke_named("ghost");
-    FAIL() << "invoke_named must throw for unknown names";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string{e.what()}.find("ghost"), std::string::npos);
-  }
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST(StateLanguage, TwoConditionalsOnOneParentRejected) {
 }
 
 // WorkflowDag::add_edge throws on these; the loader must turn the throw
-// into an Error instead of letting it escape to deploy_document or the CLI.
+// into an Error instead of letting it escape to the CLI.
 TEST(StateLanguage, SelfWaitForIsAnError) {
   auto result = parse_state_language(
       R"({"f": {"type": "function", "wait_for": ["f"]}})");
