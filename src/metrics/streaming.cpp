@@ -21,17 +21,11 @@ void RunStats::consume(const platform::RequestResult& result) {
     ++failed;
     return;
   }
-  const double overhead_ms = result.overhead.millis();
-  sum_overhead_ms += overhead_ms;
+  sum_overhead_ms += result.overhead.millis();
   sum_end_to_end_ms += result.end_to_end.millis();
   sum_cold_starts += static_cast<double>(result.cold_starts);
   sum_workers += static_cast<double>(result.workers_provisioned);
   if (result.overhead > threshold) ++over_threshold;
-  // Welford update over completed-request overhead.
-  const double n = static_cast<double>(completed());
-  const double delta = overhead_ms - welford_mean;
-  welford_mean += delta / n;
-  welford_m2 += delta * (overhead_ms - welford_mean);
 }
 
 void RunStats::merge(const RunStats& other) {
@@ -39,25 +33,6 @@ void RunStats::merge(const RunStats& other) {
   // as it was.
   if (threshold != other.threshold) {
     throw std::invalid_argument{"RunStats::merge: threshold mismatch"};
-  }
-  if (other.total == 0) return;
-  if (total == 0) {
-    *this = other;
-    return;
-  }
-  // Chan's parallel Welford update, before the counts change.
-  const double na = static_cast<double>(completed());
-  const double nb = static_cast<double>(other.completed());
-  if (nb > 0.0) {
-    if (na == 0.0) {
-      welford_mean = other.welford_mean;
-      welford_m2 = other.welford_m2;
-    } else {
-      const double delta = other.welford_mean - welford_mean;
-      const double n = na + nb;
-      welford_m2 += other.welford_m2 + delta * delta * na * nb / n;
-      welford_mean += delta * nb / n;
-    }
   }
   total += other.total;
   failed += other.failed;

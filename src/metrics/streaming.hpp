@@ -13,9 +13,8 @@
 //     byte-identical to trace_digest() over the retained vector, including
 //     the six pinned GoldenDigestGuard values;
 //   - online aggregates (RunStats): plain sums folded in submission order
-//     (bit-identical to a batch loop over the results), a Welford
-//     accumulator for overhead variance, cold-start fraction, and the
-//     fraction-over-threshold counter;
+//     (bit-identical to a batch loop over the results), cold-start
+//     fraction, and the fraction-over-threshold counter;
 //   - a fixed-bin latency histogram for tail quantiles.
 //
 // Per-source (tenant) lanes mirror the aggregate: each source gets its own
@@ -71,18 +70,14 @@ struct RunStats {
   double sum_missed_nodes = 0.0;
   /// Completed requests with overhead strictly over the configured threshold.
   std::uint64_t over_threshold = 0;
-  /// Welford accumulator over completed-request overhead (ms).
-  double welford_mean = 0.0;
-  double welford_m2 = 0.0;
 
   void consume(const platform::RequestResult& result);
 
-  /// Folds another lane's sums into this one (Chan's parallel-Welford update
-  /// for the variance accumulator).  Thresholds must match: a mismatch
-  /// throws std::invalid_argument and leaves this lane unchanged.  Used by the
-  /// sharded runner to combine per-shard lanes in shard order -- the merge
-  /// is pure arithmetic over the operands, so it is deterministic for a
-  /// deterministic merge order.
+  /// Folds another lane's sums and counts into this one.  Thresholds must
+  /// match: a mismatch throws std::invalid_argument and leaves this lane
+  /// unchanged.  Used by the sharded runner to combine per-shard lanes in
+  /// shard order -- the merge is pure arithmetic over the operands, so it is
+  /// deterministic for a deterministic merge order.
   void merge(const RunStats& other);
 
   [[nodiscard]] std::uint64_t completed() const { return total - failed; }
@@ -115,11 +110,6 @@ struct RunStats {
     return completed() == 0 ? 0.0
                             : static_cast<double>(over_threshold) /
                                   static_cast<double>(completed());
-  }
-  /// Population variance of completed-request overhead; 0 for < 2 samples.
-  [[nodiscard]] double overhead_variance() const {
-    return completed() < 2 ? 0.0
-                           : welford_m2 / static_cast<double>(completed());
   }
 };
 

@@ -500,24 +500,6 @@ TEST(LatencyHistogramTest, FractionAbovePastTheMaximumIsZero) {
   EXPECT_EQ(hist.fraction_above(100.0), 1.0);
 }
 
-TEST(RunStatsTest, WelfordVarianceMatchesTwoPass) {
-  metrics::RunStats stats;
-  std::vector<double> samples{3.0, 7.5, 1.25, 9.0, 4.0, 4.0, 11.5};
-  for (double v : samples) {
-    platform::RequestResult result;
-    result.overhead = sim::Duration::from_micros(static_cast<std::int64_t>(v * 1000));
-    stats.consume(result);
-  }
-  double mean = 0.0;
-  for (double v : samples) mean += v;
-  mean /= static_cast<double>(samples.size());
-  double m2 = 0.0;
-  for (double v : samples) m2 += (v - mean) * (v - mean);
-  const double two_pass = m2 / static_cast<double>(samples.size());
-  EXPECT_NEAR(stats.overhead_variance(), two_pass, 1e-12);
-  EXPECT_NEAR(stats.welford_mean, mean, 1e-12);
-}
-
 /// A result with random sums, failed with probability 0.2.
 platform::RequestResult random_result(common::Rng& rng) {
   platform::RequestResult result;
@@ -550,8 +532,6 @@ TEST(RunStatsTest, MismatchedMergeLeavesTheTargetUnchanged) {
   EXPECT_EQ(empty.sum_cold_starts, 0.0);
   EXPECT_EQ(empty.sum_workers, 0.0);
   EXPECT_EQ(empty.sum_missed_nodes, 0.0);
-  EXPECT_EQ(empty.welford_mean, 0.0);
-  EXPECT_EQ(empty.welford_m2, 0.0);
 
   metrics::RunStats full;
   full.threshold = sim::Duration::from_millis(50);
@@ -561,16 +541,13 @@ TEST(RunStatsTest, MismatchedMergeLeavesTheTargetUnchanged) {
   EXPECT_EQ(full.total, before.total);
   EXPECT_EQ(full.failed, before.failed);
   EXPECT_EQ(full.sum_overhead_ms, before.sum_overhead_ms);
-  EXPECT_EQ(full.welford_mean, before.welford_mean);
-  EXPECT_EQ(full.welford_m2, before.welford_m2);
 }
 
 TEST(RunStatsTest, LanesMergedInLaneOrderMatchOneFold) {
   // Lanes in the sharded runner's shape: per-lane folds merged in lane
   // order.  Lane 3 sees only failures (no completed sample) and lane 4
-  // nothing, so every branch of the merge runs.  Counts are exact; the sums
-  // and the Welford state are added in a different order than the single
-  // fold, so they agree to a relative 1e-12.
+  // nothing.  Counts are exact; the sums are added in a different order
+  // than the single fold, so they agree to a relative 1e-12.
   constexpr double kRelative = 1e-12;
   common::Rng rng{20261017};
   std::vector<metrics::RunStats> lanes(5);
@@ -604,9 +581,6 @@ TEST(RunStatsTest, LanesMergedInLaneOrderMatchOneFold) {
   near(merged.sum_cold_starts, whole.sum_cold_starts);
   near(merged.sum_workers, whole.sum_workers);
   near(merged.sum_missed_nodes, whole.sum_missed_nodes);
-  near(merged.welford_mean, whole.welford_mean);
-  near(merged.overhead_variance(), whole.overhead_variance());
-  EXPECT_GT(whole.overhead_variance(), 0.0);
 }
 
 }  // namespace
