@@ -49,16 +49,15 @@ void run_case(const char* title, const workflow::WorkflowDag& dag,
 
 int main() {
   bench::banner("Figure 17: real-world case studies");
-  workload::CaseStudyOptions opts;
   run_case("Figure 17a: e-commerce checkout (implicit chain; order 2000ms, "
            "discount 100ms, payment 2500ms, invoice 300ms, shipping 500ms)",
-           workload::ecommerce_checkout(opts), 5400.0,
+           workload::ecommerce_checkout(), 5400.0,
            core::ChainKnowledge::Implicit,
            "paper: overheads ~520% (knative) / ~130% (openwhisk) of exec; "
            "xanadu ~70%");
   run_case("Figure 17b: image-processing pipeline (explicit chain; scale "
            "400ms, contrast 350ms, rotate 600ms, blur 500ms, grayscale 300ms)",
-           workload::image_pipeline(opts), 2150.0,
+           workload::image_pipeline(), 2150.0,
            core::ChainKnowledge::Explicit,
            "paper: xanadu reduces overhead ~5x vs knative and ~2x vs openwhisk");
   return 0;

@@ -57,9 +57,6 @@ XanaduPolicy::XanaduPolicy(XanaduOptions options) : options_(options) {
   if (!(options_.aggressiveness > 0.0 && options_.aggressiveness <= 1.0)) {
     throw std::invalid_argument{"XanaduPolicy: aggressiveness must be in (0, 1]"};
   }
-  if (!(options_.ema_alpha > 0.0 && options_.ema_alpha <= 1.0)) {
-    throw std::invalid_argument{"XanaduPolicy: ema_alpha must be in (0, 1]"};
-  }
 }
 
 const BranchModel* XanaduPolicy::model(common::WorkflowId id) const {
@@ -101,7 +98,7 @@ void XanaduPolicy::RequestState::adopt(const MlpResult& estimate,
 XanaduPolicy::WorkflowState& XanaduPolicy::workflow_state(PlatformEngine& engine,
                                                           RequestContext& ctx) {
   if (WorkflowState* known = workflows_.find(ctx.workflow)) return *known;
-  WorkflowState state{options_.ema_alpha};
+  WorkflowState state;
   if (options_.knowledge == ChainKnowledge::Explicit) {
     // The externalised workflow schema is available: seed the model with
     // the declared structure (probabilities still start at priors).
@@ -350,7 +347,7 @@ common::Result<bool> XanaduPolicy::restore(common::WorkflowId id,
                          "' names a node outside the workflow's " +
                          std::to_string(node_count) + "-node DAG"};
   }
-  WorkflowState state{options_.ema_alpha};
+  WorkflowState state;
   state.model = std::move(metadata.model);
   state.profiles = std::move(metadata.profiles);
   workflows_.insert_or_assign(id, std::move(state));

@@ -57,8 +57,6 @@ struct XanaduOptions {
   /// compatible functions on the branch actually taken, instead of
   /// discarding them.
   bool reuse_workers_on_miss = false;
-  /// EMA smoothing factor for all learned metrics.
-  double ema_alpha = 0.3;
   JitOptions jit;
   MlpOptions mlp;
 };
@@ -125,7 +123,6 @@ class XanaduPolicy final : public platform::ProvisionPolicy {
     JitPlan plan;
     /// The plan's deployments the engine is handed.
     std::vector<platform::PlannedPrewarm> prewarms;
-    explicit WorkflowState(double alpha) : profiles(alpha) {}
   };
 
   /// Per-request speculation state, owned by the request's context

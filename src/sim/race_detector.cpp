@@ -12,6 +12,11 @@ namespace xanadu::sim {
 
 namespace {
 
+/// Tie groups up to this size are replayed under every permutation.
+constexpr std::size_t kExhaustiveGroupLimit = 4;
+/// Seed for permutation sampling; fixed so reports reproduce.
+constexpr std::uint64_t kSampleSeed = 0x9e3779b97f4a7c15ULL;
+
 /// All non-identity permutations of {0..n-1}, in lexicographic order.
 std::vector<std::vector<std::uint32_t>> all_permutations(std::size_t n) {
   std::vector<std::uint32_t> order(n);
@@ -66,7 +71,7 @@ RaceReport check_tie_races(const ScenarioRunner& runner,
   RaceReport report;
   const RunObservation baseline = runner(nullptr);
   report.groups_examined = baseline.ties.groups.size();
-  common::Rng sample_rng{options.sample_seed};
+  common::Rng sample_rng{kSampleSeed};
 
   for (const TieGroup& group : baseline.ties.groups) {
     const std::size_t n = group.events.size();
@@ -74,7 +79,7 @@ RaceReport check_tie_races(const ScenarioRunner& runner,
     if (n < 2) continue;
 
     const std::vector<std::vector<std::uint32_t>> orders =
-        n <= options.exhaustive_group_limit
+        n <= kExhaustiveGroupLimit
             ? all_permutations(n)
             : sampled_permutations(n, options.sampled_permutations,
                                    sample_rng);
@@ -105,7 +110,7 @@ RaceReport check_tie_races(const ScenarioRunner& runner,
       race.first_divergent_probe =
           divergent_probe_for(baseline, permuted, group.index);
       report.races.push_back(std::move(race));
-      if (options.stop_group_after_first_race) break;
+      break;  // The group's first race is the one reported.
     }
   }
   return report;

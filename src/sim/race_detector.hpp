@@ -15,10 +15,13 @@
 // group is then replayed under bounded order permutations
 // (Simulator::set_tie_permutation):
 //
-//   * groups of size <= RaceCheckOptions::exhaustive_group_limit are
-//     replayed under ALL n!-1 non-identity permutations,
+//   * groups of size <= 4 are replayed under ALL n!-1 non-identity
+//     permutations,
 //   * larger groups under `sampled_permutations` seeded random shuffles
-//     (deterministic: sampling uses common::Rng with `sample_seed`).
+//     (deterministic: sampling uses common::Rng with a fixed seed).
+//
+// A group's replays stop at its first divergent permutation: the remaining
+// permutations of that group rarely add information.
 //
 // Each replay rebuilds the world from scratch through the caller-supplied
 // ScenarioRunner (state snapshot/restore of an arbitrary engine is not
@@ -42,15 +45,8 @@
 namespace xanadu::sim {
 
 struct RaceCheckOptions {
-  /// Tie groups up to this size are replayed under every permutation.
-  std::size_t exhaustive_group_limit = 4;
-  /// Random (seeded) shuffles replayed for groups above the limit.
+  /// Random (seeded) shuffles replayed for groups of more than 4 events.
   std::size_t sampled_permutations = 8;
-  /// Seed for permutation sampling; fixed so reports reproduce.
-  std::uint64_t sample_seed = 0x9e3779b97f4a7c15ULL;
-  /// Stop after the first divergent permutation of a group (the remaining
-  /// permutations of that group rarely add information).
-  bool stop_group_after_first_race = true;
   /// Upper bound on replays across the whole check (safety valve for
   /// tie-heavy scenarios); 0 means unbounded.
   std::size_t max_replays = 4096;

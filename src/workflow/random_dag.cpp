@@ -7,6 +7,13 @@
 
 namespace xanadu::workflow {
 
+namespace {
+
+/// Probability that a non-root node draws a second (m:1) parent.
+constexpr double kExtraParentProbability = 0.3;
+
+}  // namespace
+
 WorkflowDag random_dag(const RandomDagOptions& opts, common::Rng& rng) {
   if (opts.node_count == 0) {
     throw std::invalid_argument{"random_dag: node_count must be >= 1"};
@@ -14,9 +21,8 @@ WorkflowDag random_dag(const RandomDagOptions& opts, common::Rng& rng) {
   if (opts.levels == 0) {
     throw std::invalid_argument{"random_dag: levels must be >= 1"};
   }
-  if (opts.extra_parent_probability < 0 || opts.extra_parent_probability > 1 ||
-      opts.xor_probability < 0 || opts.xor_probability > 1) {
-    throw std::invalid_argument{"random_dag: probabilities must be in [0, 1]"};
+  if (opts.xor_probability < 0 || opts.xor_probability > 1) {
+    throw std::invalid_argument{"random_dag: xor_probability must be in [0, 1]"};
   }
   if (opts.min_bias < 0.5 || opts.max_bias > 1.0 ||
       opts.min_bias > opts.max_bias) {
@@ -68,7 +74,7 @@ WorkflowDag random_dag(const RandomDagOptions& opts, common::Rng& rng) {
     const std::size_t primary = earlier[rng.uniform_int(earlier.size())];
     plan[i].parents.push_back(primary);
     ++child_count[primary];
-    if (earlier.size() > 1 && rng.bernoulli(opts.extra_parent_probability)) {
+    if (earlier.size() > 1 && rng.bernoulli(kExtraParentProbability)) {
       std::size_t extra = earlier[rng.uniform_int(earlier.size())];
       if (extra != primary) {
         plan[i].parents.push_back(extra);

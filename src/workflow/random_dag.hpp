@@ -6,10 +6,10 @@
 // generator produces the full relationship taxonomy of Figure 2 -- 1:m
 // multicasts, m:1 barriers, XOR casts and m:n combinations -- for property
 // testing beyond the paper's workloads.  Construction is layered: nodes are
-// assigned to levels, every non-root node draws one or more parents from
-// the previous levels (guaranteeing acyclicity and connectivity), and a
-// configurable fraction of multi-child nodes become XOR conditionals with
-// random biases.
+// assigned to levels, every non-root node draws one parent from the
+// previous levels (guaranteeing acyclicity and connectivity) and, with
+// probability 0.3, a second (m:1) one, and a configurable fraction of
+// multi-child nodes become XOR conditionals with random biases.
 
 #include <cstddef>
 
@@ -24,8 +24,6 @@ struct RandomDagOptions {
   /// Number of levels the nodes are spread over (>= 1; clamped to
   /// node_count).
   std::size_t levels = 4;
-  /// Probability that a non-root node draws a second (m:1) parent.
-  double extra_parent_probability = 0.3;
   /// Probability that a node with more than one child becomes an XOR
   /// conditional instead of a multicast.
   double xor_probability = 0.5;

@@ -18,24 +18,29 @@ ArrivalSchedule fixed_interval(std::size_t count, sim::Duration interval) {
   return schedule;
 }
 
-ArrivalSchedule decreasing_progression(
-    const DecreasingProgressionOptions& options) {
-  if (options.start < options.min_interval) {
-    throw std::invalid_argument{"decreasing_progression: start < min_interval"};
-  }
+ArrivalSchedule decreasing_progression() {
+  // Figure 5's gaps (Section 2.3): each step applies while the gap is above
+  // its threshold.
+  constexpr sim::Duration kStart = sim::Duration::from_minutes(60);
+  constexpr sim::Duration kStepCoarse = sim::Duration::from_minutes(10);
+  constexpr sim::Duration kMidThreshold = sim::Duration::from_minutes(30);
+  constexpr sim::Duration kStepMid = sim::Duration::from_minutes(5);
+  constexpr sim::Duration kFineThreshold = sim::Duration::from_minutes(10);
+  constexpr sim::Duration kStepFine = sim::Duration::from_minutes(1);
+  constexpr sim::Duration kMinInterval = sim::Duration::from_minutes(1);
   ArrivalSchedule schedule;
   sim::Duration t = sim::Duration::zero();
   schedule.push_back(t);
-  sim::Duration gap = options.start;
-  while (gap >= options.min_interval) {
+  sim::Duration gap = kStart;
+  while (gap >= kMinInterval) {
     t += gap;
     schedule.push_back(t);
-    if (gap > options.mid_threshold) {
-      gap -= options.step_coarse;
-    } else if (gap > options.fine_threshold) {
-      gap -= options.step_mid;
+    if (gap > kMidThreshold) {
+      gap -= kStepCoarse;
+    } else if (gap > kFineThreshold) {
+      gap -= kStepMid;
     } else {
-      gap -= options.step_fine;
+      gap -= kStepFine;
     }
   }
   return schedule;

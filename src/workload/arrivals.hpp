@@ -22,23 +22,11 @@ using ArrivalSchedule = std::vector<sim::Duration>;
 [[nodiscard]] ArrivalSchedule fixed_interval(std::size_t count,
                                              sim::Duration interval);
 
-/// The Figure 5 profile: the first gap is `start` (60 min in the paper) and
-/// successive gaps shrink by `step_coarse` (10 min) until reaching
-/// `mid_threshold` (30 min), then by `step_mid` (5 min) until
-/// `fine_threshold` (10 min), then by `step_fine` (1 min) down to
-/// `min_interval`.  Returns the cumulative arrival times (first arrival at
-/// t = 0, second after `start`, ...).
-struct DecreasingProgressionOptions {
-  sim::Duration start = sim::Duration::from_minutes(60);
-  sim::Duration step_coarse = sim::Duration::from_minutes(10);
-  sim::Duration mid_threshold = sim::Duration::from_minutes(30);
-  sim::Duration step_mid = sim::Duration::from_minutes(5);
-  sim::Duration fine_threshold = sim::Duration::from_minutes(10);
-  sim::Duration step_fine = sim::Duration::from_minutes(1);
-  sim::Duration min_interval = sim::Duration::from_minutes(1);
-};
-[[nodiscard]] ArrivalSchedule decreasing_progression(
-    const DecreasingProgressionOptions& options = {});
+/// The Figure 5 profile: the first gap is 60 min and successive gaps
+/// shrink by 10 min down to 30 min, then by 5 min down to 10 min, then by
+/// 1 min down to 1 min.  Returns the cumulative arrival times (first
+/// arrival at t = 0, second after 60 min, ...).
+[[nodiscard]] ArrivalSchedule decreasing_progression();
 
 /// Gaps drawn from U(min_gap, max_gap) until `horizon` is filled.
 [[nodiscard]] ArrivalSchedule uniform_random(sim::Duration min_gap,

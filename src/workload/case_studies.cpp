@@ -7,10 +7,12 @@ namespace xanadu::workload {
 
 namespace {
 
+constexpr double kMemoryMb = 512.0;
+constexpr double kJitterFraction = 0.05;
+
 workflow::WorkflowDag build_linear(
     std::string name,
-    const std::vector<std::pair<const char*, double>>& stages,
-    const CaseStudyOptions& options) {
+    const std::vector<std::pair<const char*, double>>& stages) {
   workflow::WorkflowDag dag{std::move(name)};
   common::NodeId prev{};
   bool first = true;
@@ -18,10 +20,9 @@ workflow::WorkflowDag build_linear(
     workflow::FunctionSpec spec;
     spec.name = stage_name;
     spec.exec_time = sim::Duration::from_millis(exec_ms);
-    spec.exec_jitter =
-        sim::Duration::from_millis(exec_ms * options.jitter_fraction);
-    spec.memory_mb = options.memory_mb;
-    spec.sandbox = options.sandbox;
+    spec.exec_jitter = sim::Duration::from_millis(exec_ms * kJitterFraction);
+    spec.memory_mb = kMemoryMb;
+    spec.sandbox = workflow::SandboxKind::Container;
     const common::NodeId id = dag.add_node(std::move(spec));
     if (!first) {
       dag.add_edge(prev, id, 1.0, sim::Duration::from_millis(8));
@@ -35,24 +36,22 @@ workflow::WorkflowDag build_linear(
 
 }  // namespace
 
-workflow::WorkflowDag ecommerce_checkout(const CaseStudyOptions& options) {
+workflow::WorkflowDag ecommerce_checkout() {
   return build_linear("ecommerce-checkout",
                       {{"order", 2000.0},
                        {"discount", 100.0},
                        {"payment", 2500.0},
                        {"invoice", 300.0},
-                       {"shipping", 500.0}},
-                      options);
+                       {"shipping", 500.0}});
 }
 
-workflow::WorkflowDag image_pipeline(const CaseStudyOptions& options) {
+workflow::WorkflowDag image_pipeline() {
   return build_linear("image-pipeline",
                       {{"scale", 400.0},
                        {"contrast", 350.0},
                        {"rotate", 600.0},
                        {"blur", 500.0},
-                       {"grayscale", 300.0}},
-                      options);
+                       {"grayscale", 300.0}});
 }
 
 }  // namespace xanadu::workload

@@ -11,26 +11,21 @@
 //     Scale (~400 ms) -> Contrast (~350 ms) -> Rotate (~600 ms)
 //       -> Blur (~500 ms) -> Grayscale (~300 ms)
 
+//
+// Every stage runs in a 512 MB container with an execution-time jitter of 5 %
+// of its mean (stddev): real microservice stages are not perfectly
+// deterministic.
+
 #include "workflow/dag.hpp"
 
 namespace xanadu::workload {
 
-struct CaseStudyOptions {
-  workflow::SandboxKind sandbox = workflow::SandboxKind::Container;
-  double memory_mb = 512.0;
-  /// Relative execution-time jitter (stddev as a fraction of the mean);
-  /// real microservice stages are not perfectly deterministic.
-  double jitter_fraction = 0.05;
-};
-
 /// The e-commerce checkout chain.  Highly heterogeneous stage runtimes
 /// (100 ms .. 2500 ms) exercise the JIT planner's timeline estimation.
-[[nodiscard]] workflow::WorkflowDag ecommerce_checkout(
-    const CaseStudyOptions& options = {});
+[[nodiscard]] workflow::WorkflowDag ecommerce_checkout();
 
 /// The image-processing pipeline.  Short, homogeneous stages: cascading
 /// cold starts dominate end-to-end latency.
-[[nodiscard]] workflow::WorkflowDag image_pipeline(
-    const CaseStudyOptions& options = {});
+[[nodiscard]] workflow::WorkflowDag image_pipeline();
 
 }  // namespace xanadu::workload

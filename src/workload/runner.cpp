@@ -3,8 +3,7 @@
 namespace xanadu::workload {
 
 RunOutcome run_cold_trials(core::DispatchManager& manager,
-                           common::WorkflowId workflow, std::size_t count,
-                           sim::Duration spacing) {
+                           common::WorkflowId workflow, std::size_t count) {
   // Strictly sequential: each trial starts from a fully cold platform and
   // runs to completion before the next begins (requests never overlap, no
   // matter how long the chain executes).
@@ -17,7 +16,7 @@ RunOutcome run_cold_trials(core::DispatchManager& manager,
     manager.force_cold_start();
     outcome.results.push_back(manager.invoke(workflow));
     stream.consume(0, outcome.results.back());
-    manager.idle_for(spacing);
+    manager.idle_for(sim::Duration::from_seconds(1));
   }
   manager.force_cold_start();  // Flush residual idle costs into the ledger.
   outcome.ledger_delta = manager.ledger() - before;

@@ -147,11 +147,10 @@ struct RunOptions {
                                       const RunOptions& options = {});
 
 /// Convenience: `count` back-to-back requests, each under forced-cold
-/// conditions (the 10-cold-trigger trials used throughout Section 5).
+/// conditions and 1 s of idle time apart (the 10-cold-trigger trials used
+/// throughout Section 5).
 [[nodiscard]] RunOutcome run_cold_trials(core::DispatchManager& manager,
                                          common::WorkflowId workflow,
-                                         std::size_t count,
-                                         sim::Duration spacing =
-                                             sim::Duration::from_seconds(1));
+                                         std::size_t count);
 
 }  // namespace xanadu::workload

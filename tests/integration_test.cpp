@@ -199,9 +199,7 @@ TEST(Integration, CaseStudyXanaduBeatsBaselines) {
   // small fraction of Knative's and below OpenWhisk's.
   auto run_pipeline = [](PlatformKind kind) {
     auto manager = make(kind);
-    workload::CaseStudyOptions opts;
-    opts.jitter_fraction = 0.0;
-    const auto wf = manager.deploy(workload::image_pipeline(opts));
+    const auto wf = manager.deploy(workload::image_pipeline());
     if (kind == PlatformKind::XanaduJit) (void)run_cold_trials(manager, wf, 2);
     return run_cold_trials(manager, wf, 3).mean_overhead_ms();
   };

@@ -52,12 +52,6 @@ TEST(XanaduPolicy, RejectsBadOptions) {
   bad = {};
   bad.aggressiveness = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
-  bad = {};
-  bad.ema_alpha = 0.0;
-  EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
-  bad = {};
-  bad.ema_alpha = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(XanaduPolicy{bad}, std::invalid_argument);
 }
 
 TEST(XanaduPolicy, ColdModeMatchesNullBehaviour) {

@@ -144,7 +144,6 @@ RunObservation wide_fixture(const TiePermutation* permutation) {
 
 TEST(race_detector, LargeGroupsAreSampledDeterministically) {
   RaceCheckOptions options;
-  options.exhaustive_group_limit = 4;
   options.sampled_permutations = 6;
   const RaceReport first = sim::check_tie_races(wide_fixture, options);
   EXPECT_TRUE(first.race_free()) << first.to_string();

@@ -111,19 +111,6 @@ TEST(CaseStudies, ImagePipelineStagesMatchPaper) {
   EXPECT_NEAR(total, 2150.0, 0.1);
 }
 
-TEST(CaseStudies, OptionsPropagate) {
-  CaseStudyOptions opts;
-  opts.sandbox = workflow::SandboxKind::Isolate;
-  opts.memory_mb = 128;
-  opts.jitter_fraction = 0.0;
-  const auto dag = image_pipeline(opts);
-  for (const auto& node : dag.nodes()) {
-    EXPECT_EQ(node.fn.sandbox, workflow::SandboxKind::Isolate);
-    EXPECT_DOUBLE_EQ(node.fn.memory_mb, 128.0);
-    EXPECT_EQ(node.fn.exec_jitter, Duration::zero());
-  }
-}
-
 // ----------------------------------------------------------------- runner -
 
 TEST(Runner, ColdTrialsAreAllCold) {
