@@ -7,7 +7,7 @@ namespace xanadu::workload {
 
 namespace {
 
-constexpr double kMemoryMb = 512.0;
+/// Execution-time jitter (stddev) as a fraction of each stage's mean.
 constexpr double kJitterFraction = 0.05;
 
 workflow::WorkflowDag build_linear(
@@ -21,8 +21,6 @@ workflow::WorkflowDag build_linear(
     spec.name = stage_name;
     spec.exec_time = sim::Duration::from_millis(exec_ms);
     spec.exec_jitter = sim::Duration::from_millis(exec_ms * kJitterFraction);
-    spec.memory_mb = kMemoryMb;
-    spec.sandbox = workflow::SandboxKind::Container;
     const common::NodeId id = dag.add_node(std::move(spec));
     if (!first) {
       dag.add_edge(prev, id, 1.0, sim::Duration::from_millis(8));

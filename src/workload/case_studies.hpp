@@ -10,11 +10,10 @@
 //   Image-processing pipeline (explicit chain, JIMP-like stages):
 //     Scale (~400 ms) -> Contrast (~350 ms) -> Rotate (~600 ms)
 //       -> Blur (~500 ms) -> Grayscale (~300 ms)
-
 //
-// Every stage runs in a 512 MB container with an execution-time jitter of 5 %
-// of its mean (stddev): real microservice stages are not perfectly
-// deterministic.
+// Every stage keeps FunctionSpec's 512 MB container and adds an
+// execution-time jitter of 5 % of its mean (stddev): real microservice
+// stages are not perfectly deterministic.
 
 #include "workflow/dag.hpp"
 
